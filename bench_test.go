@@ -347,17 +347,6 @@ func BenchmarkTreeStorm(b *testing.B) {
 	benchcase.TreeStorm(b)
 }
 
-// BenchmarkShardScaling is the PR 8 sharded-engine family: the
-// TreeStorm workload re-timed with 8-cycle links (so the conservative
-// window amortizes the barrier) on 1 shard (serial engine), then 2 and
-// 4 fast-mode shards. The 4-shard/1-shard events/sec ratio is the
-// scaling metric tracked in BENCH_PR8.json (see internal/benchcase).
-func BenchmarkShardScaling(b *testing.B) {
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), benchcase.ShardScaling(shards))
-	}
-}
-
 // BenchmarkHeaderEncode is the destination-coding benchmark from the
 // scale sweep: flat vs interval header encoding of a 1056-destination
 // rack-clustered set in a 101k-host universe (see internal/benchcase).
@@ -382,9 +371,9 @@ func BenchmarkSparseStorm(b *testing.B) {
 }
 
 // BenchmarkScaleSim is the PR 9 scale-tier probe: one full-payload
-// rack-clustered multicast flit-simulated on the 101k-host fat-tree
-// under the 4-shard serial-equivalence engine, the same configuration
-// as the scale sweep's -sim-l smoke (see internal/benchcase).
+// rack-clustered multicast flit-simulated on the 101k-host fat-tree, the
+// same configuration as the scale sweep's -sim-l smoke (see
+// internal/benchcase).
 func BenchmarkScaleSim(b *testing.B) {
 	benchcase.ScaleSim(b)
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -95,23 +94,12 @@ var (
 		EventsPerSec: 13_500,
 		Iterations:   27,
 	}
-	// Frozen at introduction (PR 8, sharded engine): the serial
-	// single-queue engine running the wide-window (8-cycle link)
-	// TreeStorm variant on the reference box. Every ShardScaling/k
-	// member shares this baseline, so each record's
-	// speedup_events_per_sec reads directly as "k shards vs serial".
-	shardScalingBaseline = benchMetrics{
-		NsPerOp:      143.6e6,
-		AllocsPerOp:  81_865,
-		BytesPerOp:   14_853_824,
-		EventsPerSec: 17.6e6,
-		EventsPerOp:  2_533_027,
-		Iterations:   3,
-	}
 	// Frozen at introduction (PR 9, sparse destination sets): the
 	// run-coded hot path on the 101k-host fat-tree, measured on the
 	// reference box the day the families landed. Peak-heap baselines
-	// start here too — earlier baselines predate the field.
+	// start here too — earlier baselines predate the field. ScaleSim's
+	// baseline was measured on the since-removed 4-shard
+	// serial-equivalence engine; the family now runs on the one queue.
 	sparseStormBaseline = benchMetrics{
 		NsPerOp:       335.6e6,
 		AllocsPerOp:   1_337_890,
@@ -131,13 +119,6 @@ var (
 		Iterations:    5,
 	}
 )
-
-// shardScalingMinSpeedup is the PR 8 acceptance floor: fast mode on 4
-// shards must deliver >= 3x the serial engine's events/sec on the
-// ShardScaling workload. Only enforced when the box has at least 4 CPUs
-// — with fewer cores the 4 shard workers time-slice one another and the
-// measurement is scheduling overhead, not scaling.
-const shardScalingMinSpeedup = 3.0
 
 func measure(f func(b *testing.B)) benchMetrics {
 	return measureRate(f, "events/sec")
@@ -184,8 +165,7 @@ func record(baseline, current benchMetrics) benchRecord {
 // writes BENCH_PR8.json-format results to path. When gatePath names a
 // committed reference file (or is "auto", which resolves to the newest
 // committed BENCH_*.json beside the output), checkGate fails the run on
-// order-of-magnitude regressions. The ShardScaling family additionally
-// enforces the PR 8 >= 3x fast-mode speedup on boxes with >= 4 CPUs.
+// order-of-magnitude regressions.
 func runEmitBench(path, gatePath string) error {
 	fmt.Fprintln(os.Stderr, "mcastsim: measuring TreeStorm...")
 	tree := measure(benchcase.TreeStorm)
@@ -197,11 +177,6 @@ func runEmitBench(path, gatePath string) error {
 	hdr := measureRate(benchcase.HeaderEncode, "headers/sec")
 	fmt.Fprintln(os.Stderr, "mcastsim: measuring TopologyGen...")
 	topo := measureRate(benchcase.TopologyGen, "switches/sec")
-	shard := map[int]benchMetrics{}
-	for _, k := range []int{1, 2, 4} {
-		fmt.Fprintf(os.Stderr, "mcastsim: measuring ShardScaling/%d...\n", k)
-		shard[k] = measure(benchcase.ShardScaling(k))
-	}
 	fmt.Fprintln(os.Stderr, "mcastsim: measuring SparseStorm...")
 	sparse := measure(benchcase.SparseStorm)
 	fmt.Fprintln(os.Stderr, "mcastsim: measuring ScaleSim...")
@@ -210,16 +185,13 @@ func runEmitBench(path, gatePath string) error {
 	out := benchFile{
 		Note: "PR 9 sparse-destination-set benchmarks; SparseStorm/ScaleSim baselines frozen on the run-coded hot path at introduction, peak_heap_bytes joins the trajectory here, earlier baselines carried over from their introducing PRs",
 		Benchmarks: map[string]benchRecord{
-			"TreeStorm":      record(treeStormBaseline, tree),
-			"DrainLarge":     record(drainLargeBaseline, drain),
-			"SweepParallel":  record(sweepParallelBaseline, sweep),
-			"HeaderEncode":   record(headerEncodeBaseline, hdr),
-			"TopologyGen":    record(topologyGenBaseline, topo),
-			"ShardScaling/1": record(shardScalingBaseline, shard[1]),
-			"ShardScaling/2": record(shardScalingBaseline, shard[2]),
-			"ShardScaling/4": record(shardScalingBaseline, shard[4]),
-			"SparseStorm":    record(sparseStormBaseline, sparse),
-			"ScaleSim":       record(scaleSimBaseline, scale),
+			"TreeStorm":     record(treeStormBaseline, tree),
+			"DrainLarge":    record(drainLargeBaseline, drain),
+			"SweepParallel": record(sweepParallelBaseline, sweep),
+			"HeaderEncode":  record(headerEncodeBaseline, hdr),
+			"TopologyGen":   record(topologyGenBaseline, topo),
+			"SparseStorm":   record(sparseStormBaseline, sparse),
+			"ScaleSim":      record(scaleSimBaseline, scale),
 		},
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
@@ -229,16 +201,9 @@ func runEmitBench(path, gatePath string) error {
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	speedup := shard[4].EventsPerSec / shard[1].EventsPerSec
-	fmt.Printf("wrote %s: TreeStorm %.1f ms/op, %.3gM events/sec (%.2fx baseline); ShardScaling 4-shard/serial %.2fx on %d CPU(s)\n",
+	fmt.Printf("wrote %s: TreeStorm %.1f ms/op, %.3gM events/sec (%.2fx baseline)\n",
 		path, tree.NsPerOp/1e6, tree.EventsPerSec/1e6,
-		tree.EventsPerSec/treeStormBaseline.EventsPerSec,
-		speedup, runtime.NumCPU())
-
-	if runtime.NumCPU() >= 4 && speedup < shardScalingMinSpeedup {
-		return fmt.Errorf("bench gate: ShardScaling 4-shard speedup %.2fx below the %.1fx floor on a %d-CPU box",
-			speedup, shardScalingMinSpeedup, runtime.NumCPU())
-	}
+		tree.EventsPerSec/treeStormBaseline.EventsPerSec)
 
 	if gatePath != "" {
 		resolved, err := resolveGatePath(gatePath, path)
@@ -246,16 +211,13 @@ func runEmitBench(path, gatePath string) error {
 			return err
 		}
 		return checkGate(resolved, map[string]benchMetrics{
-			"TreeStorm":      tree,
-			"DrainLarge":     drain,
-			"SweepParallel":  sweep,
-			"HeaderEncode":   hdr,
-			"TopologyGen":    topo,
-			"ShardScaling/1": shard[1],
-			"ShardScaling/2": shard[2],
-			"ShardScaling/4": shard[4],
-			"SparseStorm":    sparse,
-			"ScaleSim":       scale,
+			"TreeStorm":     tree,
+			"DrainLarge":    drain,
+			"SweepParallel": sweep,
+			"HeaderEncode":  hdr,
+			"TopologyGen":   topo,
+			"SparseStorm":   sparse,
+			"ScaleSim":      scale,
 		})
 	}
 	return nil

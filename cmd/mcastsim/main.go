@@ -51,7 +51,6 @@ func run() int {
 		full       = flag.Bool("full", false, "paper-scale runs (slow) instead of quick")
 		seed       = flag.Uint64("seed", 0, "override the experiment seed (0 = default)")
 		workers    = flag.Int("workers", 0, "parallel simulation-cell workers (0 = one per CPU); output is identical for any value")
-		shards     = flag.Int("shards", 1, "intra-cell PDES shards per simulation (serial-equivalence engine); output is identical for any value")
 		simL       = flag.Bool("sim-l", false, "flit-simulate the scale sweep's L and XL tiers (one probe per cell) instead of plan+encode only")
 		tiers      = flag.String("tiers", "", "comma-separated scale-sweep size tiers (S,M,L,XL); empty = S,M,L. The ~1M-host XL tier is opt-in: its routing state alone is ~2.6 GB")
 		csvDir     = flag.String("csv", "", "also write each table as CSV into this directory")
@@ -122,7 +121,6 @@ func run() int {
 		cfg.Seed = *seed
 	}
 	cfg.Workers = *workers
-	cfg.Shards = *shards
 	cfg.SimulateL = *simL
 	if *tiers != "" {
 		cfg.Tiers = strings.Split(*tiers, ",")

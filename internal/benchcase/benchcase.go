@@ -219,8 +219,8 @@ func buildTreeStorm(p sim.Params) (*treeStormWorkload, error) {
 
 // run injects the tree-worm burst (staggered 20 cycles apart) and drains
 // the network, returning the event count.
-func (w *treeStormWorkload) run(seed uint64, opts ...sim.Option) (uint64, error) {
-	n, err := sim.New(w.rt, w.params, seed, opts...)
+func (w *treeStormWorkload) run(seed uint64) (uint64, error) {
+	n, err := sim.New(w.rt, w.params, seed)
 	if err != nil {
 		return 0, err
 	}
@@ -263,52 +263,6 @@ func TreeStorm(b *testing.B) {
 		b.ReportMetric(float64(events)/s, "events/sec")
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
-}
-
-// shardLinkDelay widens the conservative window for the ShardScaling
-// family. The fast engine's lookahead window is W = LinkDelay; at the
-// default 1-cycle delay the per-window barrier fires every cycle and
-// swamps any parallel gain, so the family re-times TreeStorm with
-// 8-cycle links — the long-cable regime the sharded engine targets,
-// where each shard processes a full window of work between barriers.
-const shardLinkDelay = 8
-
-// ShardScaling returns the k-shard member of the shard-scaling
-// benchmark family: the TreeStorm workload re-timed with 8-cycle links,
-// run on the serial single-queue engine for k == 1 (the reference) and
-// on the parallel fast-mode engine (sim.WithFastShards) for k > 1.
-// Every member reports events/sec; BENCH_PR8.json records the 4-shard /
-// 1-shard ratio as the PR 8 scaling metric, enforced only on boxes with
-// >= 4 CPUs (a 1-CPU runner measures scheduling overhead, not scaling).
-func ShardScaling(shards int) func(b *testing.B) {
-	return func(b *testing.B) {
-		p := sim.DefaultParams()
-		p.PacketFlits = treePktFlits
-		p.LinkDelay = shardLinkDelay
-		w, err := buildTreeStorm(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var opts []sim.Option
-		if shards > 1 {
-			opts = append(opts, sim.WithFastShards(shards))
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		var events uint64
-		for i := 0; i < b.N; i++ {
-			ev, err := w.run(uint64(i), opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			events += ev
-		}
-		b.StopTimer()
-		if s := b.Elapsed().Seconds(); s > 0 {
-			b.ReportMetric(float64(events)/s, "events/sec")
-		}
-		b.ReportMetric(float64(events)/float64(b.N), "events/op")
-	}
 }
 
 // SweepParallel is the experiment-harness benchmark from PR 2: the full
@@ -495,9 +449,9 @@ func SparseStorm(b *testing.B) {
 
 // ScaleSim is the scale-tier probe as a benchcase: ONE full-payload
 // rack-clustered tree multicast (8 racks, ~1050 destinations, interval
-// coding) flit-simulated on the 101k-host fat-tree under the 4-shard
-// serial-equivalence engine — the same configuration the scale sweep's
-// -sim-l smoke runs at the L and XL tiers. Its events/sec and peak-heap
+// coding) flit-simulated on the 101k-host fat-tree — the same
+// configuration the scale sweep's -sim-l smoke runs at the L and XL
+// tiers. Its events/sec and peak-heap
 // figures in the bench JSON are the committed trajectory for "does the
 // flit simulator still reach datacenter scale".
 const (
@@ -521,7 +475,7 @@ func ScaleSim(b *testing.B) {
 	b.ResetTimer()
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		n, err := sim.New(rt, p, uint64(i), sim.WithShards(4))
+		n, err := sim.New(rt, p, uint64(i))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package event
 
 import (
+	"container/heap"
 	"testing"
 	"testing/quick"
 
@@ -97,99 +98,98 @@ func TestInsertionOrderProperty(t *testing.T) {
 	}
 }
 
+// refQueue is the order oracle for the calendar queue: a plain binary
+// min-heap on (at, seq), seq being the global post count — the total
+// order the ring, its FIFO buckets and the far-heap migration must
+// realize together.
+type refQueue struct {
+	h   refHeap
+	seq uint64
+}
+
+type refEvent struct {
+	at  Time
+	seq uint64
+	id  int64
+}
+
+type refHeap []refEvent
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(refEvent)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
+}
+
+func (r *refQueue) push(at Time, id int64) {
+	heap.Push(&r.h, refEvent{at: at, seq: r.seq, id: id})
+	r.seq++
+}
+
+func (r *refQueue) pop() (Time, int64) {
+	e := heap.Pop(&r.h).(refEvent)
+	return e.at, e.id
+}
+
 // TestInterleavedPostAndStep drives the queue the way the simulator does:
-// handlers re-post at short delays while external posts land mid-run, and
-// some posts jump far ahead forcing cursor jumps. Order must still be
-// exactly (at, seq).
+// handlers re-post at short delays (same-cycle posts into the bucket
+// being drained included) while external posts land between steps, some
+// far enough ahead to take the overflow heap and migrate back in across
+// ring wraps. Every post is mirrored into refQueue, and every dispatch
+// must be exactly the reference's next (at, seq) event.
 func TestInterleavedPostAndStep(t *testing.T) {
-	var q Queue
-	rec := newRecorded(&q)
-	const kChain Kind = 2
-	var hops int
-	q.Register(kChain, func(actor any, arg int64) {
-		hops++
-		if hops < 5000 {
-			q.PostAfter(Time(1+hops%7), kChain, actor, arg)
+	const kStep Kind = 2
+	var (
+		q    Queue
+		ref  refQueue
+		ran  int64    // id of the event the last Step dispatched
+		next [2]int64 // per-source post counters: handler (0), external (1)
+		hops int
+	)
+	// Handler posts take even ids and external posts odd ones, so the
+	// handler knows which events continue the chain.
+	post := func(at Time, src int) {
+		id := 2*next[src] + int64(src)
+		next[src]++
+		q.Post(at, kStep, nil, id)
+		ref.push(at, id)
+	}
+	q.Register(kStep, func(_ any, id int64) {
+		ran = id
+		if id%2 == 0 && hops < 5000 {
+			hops++
+			post(q.Now()+Time(hops%8), 0)
 		}
 	})
-	q.Post(0, kChain, rec, 0)
+	post(0, 0)
 	r := rng.New(3)
-	ord := int64(0)
-	for q.Step() {
-		if r.Intn(3) == 0 && ord < 2000 {
-			delay := Time(r.Intn(ringSize * 3))
-			q.Post(q.Now()+delay, kRecord, rec, ord)
-			ord++
+	for step := 0; q.Step(); step++ {
+		// The handler's own post is already mirrored; it sorts after the
+		// event being dispatched, so popping now still yields that event.
+		at, id := ref.pop()
+		if ran != id || q.Now() != at {
+			t.Fatalf("dispatch %d: calendar ran id %d at t=%d, (at, seq) order wants id %d at t=%d",
+				step, ran, q.Now(), id, at)
+		}
+		if r.Intn(3) == 0 && next[1] < 2000 {
+			post(q.Now()+Time(r.Intn(ringSize*3)), 1)
 		}
 	}
-	if int64(len(rec.got)) != ord {
-		t.Fatalf("recorded %d events, posted %d", len(rec.got), ord)
+	if ref.h.Len() != 0 {
+		t.Fatalf("calendar drained with %d reference events left", ref.h.Len())
 	}
-	if q.Processed() != uint64(5000+ord) {
-		t.Fatalf("Processed = %d, want %d", q.Processed(), 5000+int(ord))
-	}
-}
-
-// TestBackendEquivalence runs an identical random schedule on the
-// calendar and heap backends and requires identical dispatch sequences.
-func TestBackendEquivalence(t *testing.T) {
-	run := func(backend Backend, seed uint64) []int64 {
-		var q Queue
-		q.SetBackend(backend)
-		rec := newRecorded(&q)
-		r := rng.New(seed)
-		for i := int64(0); i < 4000; i++ {
-			q.Post(Time(r.Intn(ringSize*5)), kRecord, rec, i)
-		}
-		for q.Step() {
-		}
-		return rec.got
-	}
-	for seed := uint64(1); seed <= 5; seed++ {
-		cal, heap := run(BackendCalendar, seed), run(BackendHeap, seed)
-		if len(cal) != len(heap) {
-			t.Fatalf("seed %d: lengths %d vs %d", seed, len(cal), len(heap))
-		}
-		for i := range cal {
-			if cal[i] != heap[i] {
-				t.Fatalf("seed %d: backends diverge at event %d: calendar %d, heap %d",
-					seed, i, cal[i], heap[i])
-			}
-		}
-	}
-}
-
-// TestSetBackendMidStream switches backends with events pending; the
-// remaining schedule must be unperturbed.
-func TestSetBackendMidStream(t *testing.T) {
-	var q Queue
-	rec := newRecorded(&q)
-	for i := int64(0); i < 100; i++ {
-		q.Post(Time(i%10)*500, kRecord, rec, i)
-	}
-	for i := 0; i < 30; i++ {
-		q.Step()
-	}
-	q.SetBackend(BackendHeap)
-	for i := 0; i < 30; i++ {
-		q.Step()
-	}
-	q.SetBackend(BackendCalendar)
-	for q.Step() {
-	}
-	if len(rec.got) != 100 {
-		t.Fatalf("dispatched %d events, want 100", len(rec.got))
-	}
-	lastAt, lastOrd := Time(-1), map[Time]int64{}
-	for _, ord := range rec.got {
-		at := Time(ord%10) * 500
-		if at < lastAt {
-			t.Fatalf("time order violated after backend switch: %v", rec.got)
-		}
-		if prev, ok := lastOrd[at]; ok && ord <= prev {
-			t.Fatalf("FIFO order violated after backend switch: %v", rec.got)
-		}
-		lastAt, lastOrd[at] = at, ord
+	if want := uint64(next[0] + next[1]); q.Processed() != want {
+		t.Fatalf("Processed = %d, want %d", q.Processed(), want)
 	}
 }
 

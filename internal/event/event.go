@@ -24,7 +24,7 @@
 //
 // # Scheduling structure
 //
-// The default backend is a hierarchical calendar queue: a power-of-two
+// The queue is a hierarchical calendar queue: a power-of-two
 // ring of per-cycle FIFO buckets covering the near-future window
 // [cursor, cursor+ringSize), plus a binary-heap overflow for events
 // beyond the window. Posting within the window — which covers every
@@ -32,9 +32,6 @@
 // events (timeouts, fault injections, stall watchdogs) take the heap
 // path and migrate into the ring, in (at, seq) order, exactly when their
 // cycle enters the window, so FIFO-within-cycle is preserved end to end.
-// SetBackend(BackendHeap) selects the legacy single binary heap ordered
-// by (at, seq); both backends realize the same total order, which the
-// equivalence tests in internal/sim exploit.
 package event
 
 import "fmt"
@@ -59,16 +56,6 @@ const MaxKinds = 32
 // integer payload (port index, epoch, message ID).
 type Handler func(actor any, arg int64)
 
-// Backend selects the queue's priority structure (see SetBackend).
-type Backend uint8
-
-const (
-	// BackendCalendar is the calendar-queue scheduler (the default).
-	BackendCalendar Backend = iota
-	// BackendHeap is the legacy binary-heap scheduler.
-	BackendHeap
-)
-
 // ringSize is the calendar window in cycles. Every pipeline delay in the
 // simulator (link, routing, crossbar, DMA setup) is far below this, so
 // steady-state posts are O(1) ring appends; only long timers overflow.
@@ -87,9 +74,9 @@ const smallsMax = 32
 // tolerate longer gaps between bursts without eviction churn.
 const occEpoch = 256
 
-// entry is one scheduled event in a heap (the far overflow or the legacy
-// backend). 48 bytes; actor holds only pointer-shaped values (pointers,
-// func values), so posting never boxes.
+// entry is one scheduled event in the far overflow heap. 48 bytes; actor
+// holds only pointer-shaped values (pointers, func values), so posting
+// never boxes.
 type entry struct {
 	at    Time
 	seq   uint64
@@ -115,16 +102,14 @@ type bucket struct {
 	items []slot
 }
 
-// Queue is a future-event list. The zero value is ready to use and runs
-// the calendar backend.
+// Queue is a future-event list. The zero value is ready to use.
 type Queue struct {
-	now     Time
-	seq     uint64
-	ran     uint64
-	backend Backend
-	table   [MaxKinds]Handler
+	now   Time
+	seq   uint64
+	ran   uint64
+	table [MaxKinds]Handler
 
-	// Calendar backend: buckets[t&(ringSize-1)] holds events at cycle t
+	// buckets[t&(ringSize-1)] holds events at cycle t
 	// for t in [cursor, cursor+ringSize); pending counts ring entries.
 	buckets []bucket
 	cursor  Time
@@ -155,8 +140,6 @@ type Queue struct {
 	// collector.
 	smalls [][]slot
 
-	heap []entry // BackendHeap: single min-heap ordered by (at, seq)
-
 	// obs, when non-nil, receives cold-path scheduling counters. The
 	// in-window Post fast path and fastStep are deliberately untouched:
 	// the only instrumented sites are the far-heap overflow and far→ring
@@ -181,30 +164,21 @@ func (q *Queue) SetObs(o *EngineObs) { q.obs = o }
 // EngineStats is a point-in-time snapshot of queue state for samplers.
 type EngineStats struct {
 	Len       int    // pending events (ring + overflow)
-	FarLen    int    // overflow-heap entries (0 under BackendHeap)
+	FarLen    int    // overflow-heap entries
 	Processed uint64 // cumulative events dispatched
 }
 
 // EngineStats reports the queue's current occupancy and progress. Unlike
 // EngineObs it is polled, not pushed, so it costs nothing when unused.
 func (q *Queue) EngineStats() EngineStats {
-	s := EngineStats{Len: q.Len(), Processed: q.ran}
-	if q.backend != BackendHeap {
-		s.FarLen = len(q.far)
-	}
-	return s
+	return EngineStats{Len: q.Len(), FarLen: len(q.far), Processed: q.ran}
 }
 
 // Now returns the current simulation time.
 func (q *Queue) Now() Time { return q.now }
 
 // Len returns the number of pending events.
-func (q *Queue) Len() int {
-	if q.backend == BackendHeap {
-		return len(q.heap)
-	}
-	return q.pending + len(q.far)
-}
+func (q *Queue) Len() int { return q.pending + len(q.far) }
 
 // Processed returns the total number of events executed, a cheap progress
 // measure used by deadlock watchdogs.
@@ -213,7 +187,7 @@ func (q *Queue) Processed() uint64 { return q.ran }
 // Cap reports the total backing capacity, in entries, across the queue's
 // internal structures. Exposed for shrink-policy regression tests.
 func (q *Queue) Cap() int {
-	c := cap(q.far) + cap(q.heap)
+	c := cap(q.far)
 	for i := range q.buckets {
 		c += cap(q.buckets[i].items)
 	}
@@ -239,18 +213,13 @@ func (q *Queue) Register(k Kind, h Handler) {
 // panics: it always indicates a model bug, and silently clamping would
 // hide it.
 //
-// A sequence number is drawn only on the heap paths: ring slots order by
-// position, and any event migrating from the far heap enters its bucket
+// A sequence number is drawn only on the far-heap path: ring slots order
+// by position, and any event migrating from the far heap enters its bucket
 // before any direct post to that cycle can happen, so FIFO-within-cycle
 // holds without per-post numbering.
 func (q *Queue) Post(t Time, k Kind, actor any, arg int64) {
 	if t < q.now {
 		panic(fmt.Sprintf("event: scheduling at %d before now %d", t, q.now))
-	}
-	if q.backend == BackendHeap {
-		heapPush(&q.heap, entry{at: t, seq: q.seq, kind: k, actor: actor, arg: arg})
-		q.seq++
-		return
 	}
 	if q.buckets == nil {
 		q.buckets = make([]bucket, ringSize)
@@ -309,23 +278,11 @@ func (q *Queue) PostAfter(delay Time, k Kind, actor any, arg int64) {
 	q.Post(q.now+delay, k, actor, arg)
 }
 
-// SetBackend switches the priority structure, transferring any pending
-// events. The transfer preserves (at, seq) order exactly, so switching
-// backends never perturbs the schedule.
-func (q *Queue) SetBackend(b Backend) {
-	if b == q.backend {
-		return
-	}
-	moved := q.drainRealized()
-	q.backend = b
-	q.reinsert(moved)
-}
-
 // drainRealized removes every pending event and returns them in realized
 // dispatch order — the exact order Step would have run them — with seq
 // renumbered in that order. Ring pops carry no sequence number, so the
-// renumbering is what lets reinsert (into either backend) reproduce
-// exactly the drained total order, with later posts sorting after.
+// renumbering is what lets reinsert reproduce exactly the drained total
+// order, with later posts sorting after.
 func (q *Queue) drainRealized() []entry {
 	var moved []entry
 	for {
@@ -342,23 +299,16 @@ func (q *Queue) drainRealized() []entry {
 	return moved
 }
 
-// reinsert restores events drained by drainRealized into the current
-// backend. Draining walked the calendar cursor forward; the window is
-// rewound to now (the ring is empty, so this cannot strand an entry)
-// before re-inserting. moved is sorted in realized order with at >= now,
-// so bucket FIFO order is kept.
+// reinsert restores events drained by drainRealized. Draining walked the
+// calendar cursor forward; the window is rewound to now (the ring is
+// empty, so this cannot strand an entry) before re-inserting. moved is
+// sorted in realized order with at >= now, so bucket FIFO order is kept.
 func (q *Queue) reinsert(moved []entry) {
-	if q.backend == BackendCalendar {
-		if q.buckets == nil {
-			q.buckets = make([]bucket, ringSize)
-		}
-		q.cursor = q.now
+	if q.buckets == nil {
+		q.buckets = make([]bucket, ringSize)
 	}
+	q.cursor = q.now
 	for _, e := range moved {
-		if q.backend == BackendHeap {
-			heapPush(&q.heap, e)
-			continue
-		}
 		if e.at < q.cursor+ringSize {
 			q.bucketAppend(&q.buckets[e.at&(ringSize-1)], slot{actor: e.actor, arg: e.arg, kind: e.kind})
 		} else {
@@ -400,7 +350,7 @@ func (q *Queue) fastStep(limit Time) bool {
 // Step runs the earliest pending event, advancing the clock to its
 // timestamp. It returns false when no events remain.
 func (q *Queue) Step() bool {
-	if q.backend == BackendCalendar && q.fastStep(maxTime) {
+	if q.fastStep(maxTime) {
 		return true
 	}
 	e, ok := q.popNext(maxTime)
@@ -411,12 +361,13 @@ func (q *Queue) Step() bool {
 	return true
 }
 
-// RunUntil executes events with timestamps <= limit, leaving the clock at
-// min(limit, last event time). It returns the number of events run.
+// RunUntil executes events with timestamps <= limit, then advances the
+// clock to limit (a limit already in the past leaves it unchanged). It
+// returns the number of events run.
 func (q *Queue) RunUntil(limit Time) uint64 {
 	var n uint64
 	for {
-		if q.backend == BackendCalendar && q.fastStep(limit) {
+		if q.fastStep(limit) {
 			n++
 			continue
 		}
@@ -460,12 +411,6 @@ func (q *Queue) dispatch(e entry) {
 // strict (at, seq) order. The calendar cursor never advances past limit,
 // preserving the invariant cursor <= now needed for in-window posting.
 func (q *Queue) popNext(limit Time) (entry, bool) {
-	if q.backend == BackendHeap {
-		if len(q.heap) == 0 || q.heap[0].at > limit {
-			return entry{}, false
-		}
-		return heapPop(&q.heap), true
-	}
 	for {
 		if q.pending == 0 {
 			if len(q.far) == 0 || q.far[0].at > limit {
@@ -490,7 +435,7 @@ func (q *Queue) popNext(limit Time) (entry, bool) {
 			if b.head == len(b.items) {
 				q.resetBucket(b)
 			}
-			// Ring slots carry no seq; callers (dispatch, SetBackend)
+			// Ring slots carry no seq; callers (dispatch, drainRealized)
 			// only need the realized order and the timestamp.
 			return entry{at: q.cursor, kind: s.kind, actor: s.actor, arg: s.arg}, true
 		}
@@ -562,8 +507,7 @@ func (q *Queue) resetBucket(b *bucket) {
 	b.head = 0
 }
 
-// --- binary min-heap ordered by (at, seq), shared by the overflow and
-// the legacy backend ---
+// --- the far-overflow binary min-heap, ordered by (at, seq) ---
 
 func entryLess(a, b *entry) bool {
 	if a.at != b.at {

@@ -27,19 +27,3 @@ func After(q *event.Queue, delay event.Time, fn func()) {
 	}
 	q.Post(q.Now()+delay, event.KindClosure, fn, 0)
 }
-
-// LaneAt schedules fn on lane 0 of a serial-equivalence shard set at
-// absolute time t. Lane choice is immaterial for ordering: the global
-// sequence counter makes the merge order independent of lane
-// assignment.
-func LaneAt(s *event.ShardSet, t event.Time, fn func()) {
-	s.Lane(0).Post(t, event.KindClosure, fn, 0)
-}
-
-// LaneAfter schedules fn on lane 0 delay cycles from now.
-func LaneAfter(s *event.ShardSet, delay event.Time, fn func()) {
-	if delay < 0 {
-		panic("event: negative delay")
-	}
-	s.Lane(0).Post(s.Now()+delay, event.KindClosure, fn, 0)
-}

@@ -11,25 +11,23 @@ package event
 import "fmt"
 
 // PendingEvent is one scheduled event as enumerated by SnapshotPending:
-// the typed record {at, kind, actor, arg} plus the lane that owns it in
-// a sharded engine (always 0 for a plain Queue). Events appear in
-// realized dispatch order — the exact order Step would run them — which
-// is the only ordering property the engine guarantees to persist across
-// a drain/re-post cycle (absolute sequence numbers are internal and
+// the typed record {at, kind, actor, arg}. Events appear in realized
+// dispatch order — the exact order Step would run them — which is the
+// only ordering property the engine guarantees to persist across a
+// drain/re-post cycle (absolute sequence numbers are internal and
 // renumbered freely).
 type PendingEvent struct {
 	At    Time
 	Kind  Kind
 	Actor any
 	Arg   int64
-	Lane  int32
 }
 
 // SnapshotPending enumerates every pending event in realized dispatch
 // order, leaving the schedule observably unchanged. Internally the
-// queue is drained and re-posted (the SetBackend migration path), so
-// sequence numbers are renumbered; the realized total order — all any
-// caller can observe — is preserved exactly.
+// queue is drained and re-posted, so sequence numbers are renumbered;
+// the realized total order — all any caller can observe — is preserved
+// exactly.
 func (q *Queue) SnapshotPending() []PendingEvent {
 	moved := q.drainRealized()
 	q.reinsert(moved)
@@ -57,57 +55,4 @@ func (q *Queue) ResetTo(t Time, processed uint64) {
 	if q.buckets != nil {
 		q.cursor = t
 	}
-}
-
-// SnapshotPending enumerates every pending event across all lanes in
-// realized dispatch order — the global (at, seq) merge order Step
-// realizes — tagging each with its lane. Like the Queue version it
-// drains and re-posts, renumbering the global sequence counter while
-// preserving the realized order and each entry's lane.
-func (s *ShardSet) SnapshotPending() []PendingEvent {
-	var (
-		moved []entry
-		homes []int32
-	)
-	for {
-		best := -1
-		for i := range s.lanes {
-			h := s.lanes[i].heap
-			if len(h) == 0 {
-				continue
-			}
-			if best < 0 || entryLess(&h[0], &s.lanes[best].heap[0]) {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		moved = append(moved, heapPop(&s.lanes[best].heap))
-		homes = append(homes, int32(best))
-	}
-	if len(moved) == 0 {
-		return nil
-	}
-	out := make([]PendingEvent, len(moved))
-	for i, e := range moved {
-		e.seq = s.gseq
-		s.gseq++
-		heapPush(&s.lanes[homes[i]].heap, e)
-		out[i] = PendingEvent{At: e.at, Kind: e.kind, Actor: e.actor, Arg: e.arg, Lane: homes[i]}
-	}
-	return out
-}
-
-// ResetTo repositions an empty sharded engine for a restored run,
-// mirroring Queue.ResetTo. The synchronization window reopens at the
-// first dispatched event, so window statistics restart from the
-// restore point.
-func (s *ShardSet) ResetTo(t Time, processed uint64) {
-	if s.Len() != 0 {
-		panic(fmt.Sprintf("event: ResetTo with %d pending events", s.Len()))
-	}
-	s.now = t
-	s.ran = processed
-	s.winEnd = 0
 }

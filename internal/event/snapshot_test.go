@@ -10,41 +10,38 @@ const kTick Kind = 1
 // queue stepped after SnapshotPending runs events in the enumerated
 // order.
 func TestSnapshotPendingRealizedOrder(t *testing.T) {
-	for _, backend := range []Backend{BackendCalendar, BackendHeap} {
-		var q Queue
-		q.SetBackend(backend)
-		var got []int64
-		q.Register(kTick, func(_ any, arg int64) { got = append(got, arg) })
-		// Mix near (ring) and far (overflow) posts, with same-cycle FIFO.
-		q.Post(5, kTick, nil, 0)
-		q.Post(5, kTick, nil, 1)
-		q.Post(3, kTick, nil, 2)
-		q.Post(5000, kTick, nil, 3) // beyond the calendar window
-		q.Post(3, kTick, nil, 4)
+	var q Queue
+	var got []int64
+	q.Register(kTick, func(_ any, arg int64) { got = append(got, arg) })
+	// Mix near (ring) and far (overflow) posts, with same-cycle FIFO.
+	q.Post(5, kTick, nil, 0)
+	q.Post(5, kTick, nil, 1)
+	q.Post(3, kTick, nil, 2)
+	q.Post(5000, kTick, nil, 3) // beyond the calendar window
+	q.Post(3, kTick, nil, 4)
 
-		pend := q.SnapshotPending()
-		if len(pend) != 5 {
-			t.Fatalf("backend %d: %d pending, want 5", backend, len(pend))
+	pend := q.SnapshotPending()
+	if len(pend) != 5 {
+		t.Fatalf("%d pending, want 5", len(pend))
+	}
+	wantOrder := []int64{2, 4, 0, 1, 3}
+	for i, p := range pend {
+		if p.Arg != wantOrder[i] || p.Kind != kTick {
+			t.Fatalf("enumeration %d = arg %d kind %d, want arg %d",
+				i, p.Arg, p.Kind, wantOrder[i])
 		}
-		wantOrder := []int64{2, 4, 0, 1, 3}
-		for i, p := range pend {
-			if p.Arg != wantOrder[i] || p.Kind != kTick {
-				t.Fatalf("backend %d: enumeration %d = arg %d kind %d, want arg %d",
-					backend, i, p.Arg, p.Kind, wantOrder[i])
-			}
+	}
+	wantAt := []Time{3, 3, 5, 5, 5000}
+	for i, p := range pend {
+		if p.At != wantAt[i] {
+			t.Fatalf("enumeration %d at %d, want %d", i, p.At, wantAt[i])
 		}
-		wantAt := []Time{3, 3, 5, 5, 5000}
-		for i, p := range pend {
-			if p.At != wantAt[i] {
-				t.Fatalf("backend %d: enumeration %d at %d, want %d", backend, i, p.At, wantAt[i])
-			}
-		}
-		for q.Step() {
-		}
-		for i, v := range got {
-			if v != wantOrder[i] {
-				t.Fatalf("backend %d: dispatch order %v, want %v", backend, got, wantOrder)
-			}
+	}
+	for q.Step() {
+	}
+	for i, v := range got {
+		if v != wantOrder[i] {
+			t.Fatalf("dispatch order %v, want %v", got, wantOrder)
 		}
 	}
 }
@@ -93,52 +90,4 @@ func TestResetToPendingPanics(t *testing.T) {
 		}
 	}()
 	q.ResetTo(10, 0)
-}
-
-// TestShardSetSnapshotPending checks lane-tagged enumeration in global
-// merge order and the ResetTo/re-post restore path across lanes.
-func TestShardSetSnapshotPending(t *testing.T) {
-	s := NewShardSet(3, 4)
-	var got []int64
-	s.Register(kTick, func(_ any, arg int64) { got = append(got, arg) })
-	s.Lane(2).Post(7, kTick, nil, 0)
-	s.Lane(0).Post(7, kTick, nil, 1)
-	s.Lane(1).Post(2, kTick, nil, 2)
-
-	pend := s.SnapshotPending()
-	wantArg := []int64{2, 0, 1}
-	wantLane := []int32{1, 2, 0}
-	if len(pend) != 3 {
-		t.Fatalf("%d pending", len(pend))
-	}
-	for i := range pend {
-		if pend[i].Arg != wantArg[i] || pend[i].Lane != wantLane[i] {
-			t.Fatalf("enumeration %d = (arg %d, lane %d), want (%d, %d)",
-				i, pend[i].Arg, pend[i].Lane, wantArg[i], wantLane[i])
-		}
-	}
-	// The schedule must be untouched: stepping realizes the same order.
-	for s.Step() {
-	}
-	for i := range wantArg {
-		if got[i] != wantArg[i] {
-			t.Fatalf("dispatch %v, want %v", got, wantArg)
-		}
-	}
-
-	// Restore into a fresh set, preserving lane homes.
-	dst := NewShardSet(3, 4)
-	var got2 []int64
-	dst.Register(kTick, func(_ any, arg int64) { got2 = append(got2, arg) })
-	dst.ResetTo(1, 0)
-	for _, p := range pend {
-		dst.Lane(int(p.Lane)).Post(p.At, p.Kind, p.Actor, p.Arg)
-	}
-	for dst.Step() {
-	}
-	for i := range wantArg {
-		if got2[i] != wantArg[i] {
-			t.Fatalf("restored dispatch %v, want %v", got2, wantArg)
-		}
-	}
 }

@@ -148,7 +148,7 @@ func UnicastSaturation(cfg Config) ([]*metrics.Table, error) {
 			}, traffic.WithLoad(traffic.LoadSpec{
 				EffectiveLoad: l, Warmup: cfg.Warmup, Measure: cfg.Measure,
 				Drain: cfg.Drain,
-			}), traffic.WithObs(rec), traffic.WithShards(cfg.Shards))
+			}), traffic.WithObs(rec))
 			if err != nil {
 				return traffic.LoadResult{}, err
 			}

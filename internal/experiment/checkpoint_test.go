@@ -15,8 +15,8 @@ import (
 	"mcastsim/internal/traffic"
 )
 
-// resumeConfig slims testConfig for the resume matrix, which runs fig6
-// repeatedly across the workers x shards grid.
+// resumeConfig slims testConfig for the resume tests, which run fig6
+// repeatedly across worker counts.
 func resumeConfig() Config {
 	cfg := testConfig()
 	cfg.Probes = 3
@@ -58,28 +58,27 @@ func runInterruptible(t *testing.T, cfg Config, dir string, stopAfter int, run R
 
 // TestResumeEqualsUninterrupted is the tier-1 resume property: a run
 // killed and resumed any number of times renders tables byte-identical
-// to an uninterrupted run, across shard and worker counts.
+// to an uninterrupted run, across worker counts.
 func TestResumeEqualsUninterrupted(t *testing.T) {
 	base := resumeConfig()
-	for _, shards := range []int{1, 4} {
-		for _, workers := range []int{1, 8} {
-			shards, workers := shards, workers
-			t.Run(fmt.Sprintf("shards=%d_workers=%d", shards, workers), func(t *testing.T) {
-				cfg := base
-				cfg.Shards, cfg.Workers = shards, workers
-				want, err := Fig6EffectOfR(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, runs := runInterruptible(t, cfg, t.TempDir(), 5, Fig6EffectOfR)
-				if runs < 2 {
-					t.Fatalf("run was never interrupted (%d runs) — the stop hook is dead", runs)
-				}
-				if g, w := renderTables(t, got), renderTables(t, want); g != w {
-					t.Fatalf("resumed tables differ from uninterrupted:\n--- resumed ---\n%s\n--- uninterrupted ---\n%s", g, w)
-				}
-			})
-		}
+	for _, workers := range []int{1, 8} {
+		// The shards=1 prefix is kept from when the engine had a shard
+		// axis; every run is on the single calendar queue.
+		t.Run(fmt.Sprintf("shards=1_workers=%d", workers), func(t *testing.T) {
+			cfg := base
+			cfg.Workers = workers
+			want, err := Fig6EffectOfR(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, runs := runInterruptible(t, cfg, t.TempDir(), 5, Fig6EffectOfR)
+			if runs < 2 {
+				t.Fatalf("run was never interrupted (%d runs) — the stop hook is dead", runs)
+			}
+			if g, w := renderTables(t, got), renderTables(t, want); g != w {
+				t.Fatalf("resumed tables differ from uninterrupted:\n--- resumed ---\n%s\n--- uninterrupted ---\n%s", g, w)
+			}
+		})
 	}
 }
 
@@ -104,7 +103,7 @@ func TestResumePartialCell(t *testing.T) {
 		Scheme: compared()[0], Params: cfg.Params.WithR(0.5),
 		Degree: cfg.Degree, MsgFlits: cfg.MsgFlits,
 		Seed: rng.Mix(cfg.Seed, saltSingle, 0),
-	}, traffic.WithProbes(cfg.Probes), traffic.WithShards(cfg.Shards),
+	}, traffic.WithProbes(cfg.Probes),
 		traffic.WithCheckpoint(func(cp traffic.CellCheckpoint) { cps = append(cps, cp) })); err != nil {
 		t.Fatal(err)
 	}

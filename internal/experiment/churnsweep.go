@@ -116,7 +116,7 @@ func ChurnSweep(cfg Config) ([]*metrics.Table, error) {
 			Horizon:   churnWindow,
 			SendEvery: churnCadence,
 			Faults:    faults,
-		}), traffic.WithObs(rec), traffic.WithShards(cfg.Shards))
+		}), traffic.WithObs(rec))
 		if err != nil {
 			return nil, fmt.Errorf("experiment: churnsweep %s e=%d f=%d: %w",
 				schemes[k.si].Name(), churn[k.ci], f, err)

@@ -33,12 +33,6 @@ type Config struct {
 	// of the cell's indices, so tables are byte-identical for every
 	// worker count.
 	Workers int
-	// Shards runs every simulation cell on the serial-equivalence sharded
-	// PDES engine with this many shards (sim.WithShards). Tables are
-	// byte-identical for every shard count — the engine realizes the
-	// exact single-queue execution order — so Shards, like Workers, can
-	// never change a result. 0 or 1 keeps the plain engine.
-	Shards int
 	// Topologies is the family size for single-multicast experiments;
 	// LoadTopologies for the (far costlier) load experiments.
 	Topologies     int
@@ -159,7 +153,7 @@ func singleMean(cfg Config, label string, rts []*updown.Routing, sch mcast.Schem
 	res, err := runCells(cfg, len(rts), func(i int, cc cellCtx) ([]float64, error) {
 		rec, commit := cfg.cellObs(fmt.Sprintf("%s/%s/topo%03d", label, sch.Name(), i))
 		opts := append([]traffic.Option{traffic.WithProbes(cfg.Probes),
-			traffic.WithObs(rec), traffic.WithShards(cfg.Shards)}, cc.trafficOpts()...)
+			traffic.WithObs(rec)}, cc.trafficOpts()...)
 		r, err := traffic.Run(rts[i], traffic.Workload{
 			Scheme: sch, Params: p, Degree: degree, MsgFlits: flits,
 			Seed: rng.Mix(cfg.Seed, saltSingle, uint64(i)),
@@ -220,7 +214,7 @@ func sweepSingle(cfg Config, title, xLabel string, xs []float64,
 		rec, commit := cfg.cellObs(fmt.Sprintf("%s/%s=%v/%s/topo%03d",
 			title, xLabel, xs[k.xi], schemes[k.si].Name(), k.ti))
 		opts := append([]traffic.Option{traffic.WithProbes(cfg.Probes),
-			traffic.WithObs(rec), traffic.WithShards(cfg.Shards)}, cc.trafficOpts()...)
+			traffic.WithObs(rec)}, cc.trafficOpts()...)
 		r, err := traffic.Run(pt.rts[k.ti], traffic.Workload{
 			Scheme: schemes[k.si], Params: pt.p, Degree: pt.degree, MsgFlits: pt.flits,
 			Seed: rng.Mix(cfg.Seed, saltSingle, uint64(k.ti)),

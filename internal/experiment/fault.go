@@ -87,7 +87,7 @@ func FaultReconfiguration(cfg Config) ([]*metrics.Table, error) {
 		rec, commit := cfg.cellObs(fmt.Sprintf("fault/%s/%s/topo%03d",
 			variants[k.vi].label, schemes[k.si].Name(), k.ti))
 		opts := append([]traffic.Option{traffic.WithProbes(cfg.Probes),
-			traffic.WithObs(rec), traffic.WithShards(cfg.Shards)}, cc.trafficOpts()...)
+			traffic.WithObs(rec)}, cc.trafficOpts()...)
 		r, err := traffic.Run(variants[k.vi].rts[k.ti], traffic.Workload{
 			Scheme: schemes[k.si], Params: cfg.Params, Degree: cfg.Degree,
 			MsgFlits: cfg.MsgFlits,

@@ -73,7 +73,7 @@ func FaultSweep(cfg Config) ([]*metrics.Table, error) {
 				return nonPartitioningLinkFaults(rt, f,
 					rng.Mix(cfg.Seed, 0x5eed, uint64(k.ti), uint64(probe), uint64(f)))
 			},
-		}), traffic.WithObs(rec), traffic.WithShards(cfg.Shards))
+		}), traffic.WithObs(rec))
 		if err != nil {
 			return nil, fmt.Errorf("experiment: faultsweep %s f=%d: %w", schemes[k.si].Name(), f, err)
 		}

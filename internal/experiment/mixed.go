@@ -46,7 +46,7 @@ func MixedTraffic(cfg Config) ([]*metrics.Table, error) {
 		}, traffic.WithMixed(traffic.MixedSpec{
 			BackgroundLoad: bgs[k.bi], BackgroundFlits: cfg.MsgFlits,
 			Probes: cfg.Probes, ProbeGap: 5_000, Warmup: cfg.Warmup,
-		}), traffic.WithObs(rec), traffic.WithShards(cfg.Shards))
+		}), traffic.WithObs(rec))
 		if err != nil {
 			return nil, err
 		}

@@ -210,7 +210,7 @@ func runLoadCurves(cfg Config, specs []loadCurveSpec) ([]metrics.Series, error) 
 			}, traffic.WithLoad(traffic.LoadSpec{
 				EffectiveLoad: l,
 				Warmup:        cfg.Warmup, Measure: cfg.Measure, Drain: cfg.Drain,
-			}), traffic.WithObs(rec), traffic.WithShards(cfg.Shards))
+			}), traffic.WithObs(rec))
 			if err != nil {
 				return traffic.LoadResult{}, fmt.Errorf("%s%s at load %v (topology %d): %w", sp.Label, sp.ErrCtx, l, k.ti, err)
 			}

@@ -8,10 +8,10 @@ import (
 
 	"mcastsim/internal/bitset"
 	"mcastsim/internal/mcast"
-	"mcastsim/internal/memwatch"
 	"mcastsim/internal/mcast/kbinomial"
 	"mcastsim/internal/mcast/pathworm"
 	"mcastsim/internal/mcast/treeworm"
+	"mcastsim/internal/memwatch"
 	"mcastsim/internal/metrics"
 	"mcastsim/internal/rng"
 	"mcastsim/internal/sim"
@@ -290,7 +290,7 @@ func ScaleSweep(cfg Config) ([]*metrics.Table, error) {
 			}
 			// Simulated probes per cell: every probe at tiers that simulate
 			// by default; with -sim-l, ONE probe at the L and XL tiers (the
-			// smoke that proves the sharded engine event-simulates 100k-1M+
+			// smoke that proves the engine event-simulates 100k-1M+
 			// hosts without turning the sweep into an hours-long run).
 			simProbes := 0
 			if sc.simulate {
@@ -323,8 +323,7 @@ func ScaleSweep(cfg Config) ([]*metrics.Table, error) {
 				}
 				mw := memwatch.Start()
 				simStart := time.Now()
-				n, err := sim.New(rt, p, rng.Mix(cfg.Seed, saltScaleSim, uint64(ci), uint64(probe)),
-					sim.WithShards(cfg.Shards))
+				n, err := sim.New(rt, p, rng.Mix(cfg.Seed, saltScaleSim, uint64(ci), uint64(probe)))
 				if err != nil {
 					mw.Stop()
 					return res, err

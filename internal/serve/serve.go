@@ -47,9 +47,6 @@ type JobSpec struct {
 	// Workers bounds the cell worker pool (0 = one per CPU). Results
 	// are byte-identical for any value.
 	Workers int `json:"workers,omitempty"`
-	// Shards runs every cell on the sharded PDES engine. Results are
-	// byte-identical for any value.
-	Shards int `json:"shards,omitempty"`
 	// Probes / Topologies scale the experiment grid down (or up).
 	Probes     int `json:"probes,omitempty"`
 	Topologies int `json:"topologies,omitempty"`
@@ -72,9 +69,6 @@ func (sp JobSpec) config() experiment.Config {
 		cfg.Seed = sp.Seed
 	}
 	cfg.Workers = sp.Workers
-	if sp.Shards > 0 {
-		cfg.Shards = sp.Shards
-	}
 	if sp.Probes > 0 {
 		cfg.Probes = sp.Probes
 	}

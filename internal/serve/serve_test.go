@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -54,6 +55,12 @@ func readSSE(t *testing.T, body *bufio.Scanner) []sseEvent {
 func submit(t *testing.T, url string, spec JobSpec) string {
 	t.Helper()
 	body, _ := json.Marshal(spec)
+	return submitJSON(t, url, body)
+}
+
+// submitJSON posts a raw JSON job spec and returns the job ID.
+func submitJSON(t *testing.T, url string, body []byte) string {
+	t.Helper()
 	resp, err := http.Post(url+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -193,6 +200,45 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing job: %d", resp.StatusCode)
+	}
+}
+
+// TestLegacyShardsFieldIgnored: specs written when jobs could select a
+// sharded engine may still carry a shard count (the testdata spec is the
+// quick spec plus a shard count of 4). The decoder ignores it like any
+// unknown field, so such a job runs on the one engine and renders
+// exactly the tables of the same spec without it.
+func TestLegacyShardsFieldIgnored(t *testing.T) {
+	s := New(Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	tables := func(id string) []string {
+		t.Helper()
+		var out []string
+		for _, ev := range stream(t, ts.URL, id) {
+			switch ev.Type {
+			case "table":
+				out = append(out, ev.Data)
+			case "done":
+				if !strings.Contains(ev.Data, StateDone) {
+					t.Fatalf("job %s ended %s", id, ev.Data)
+				}
+			}
+		}
+		if len(out) == 0 {
+			t.Fatalf("job %s rendered no tables", id)
+		}
+		return out
+	}
+	legacy, err := os.ReadFile("testdata/legacy_shards_spec.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := tables(submit(t, ts.URL, quickSpec()))
+	got := tables(submitJSON(t, ts.URL, legacy))
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("tables differ with a legacy shards field:\n got %v\nwant %v", got, want)
 	}
 }
 

@@ -78,19 +78,10 @@ const (
 	evSched
 )
 
-// kindRegistrar is the jump-table surface shared by the single calendar
-// queue, the serial-equivalence ShardSet, and each fast-mode shard
-// queue.
-type kindRegistrar interface {
-	Register(event.Kind, event.Handler)
-}
-
 // registerKinds installs the network's jump table. Handlers close over n
-// once per network; individual posts carry only the actor and arg. In
-// sharded runs every event is posted to (and so dispatched by) the
-// shard that owns the actor's mutated state — see shard.go for the
-// ownership map.
-func (n *Network) registerKinds(q kindRegistrar) {
+// once per network; individual posts carry only the actor and arg.
+func (n *Network) registerKinds() {
+	q := &n.queue
 	q.Register(evPump, func(a any, _ int64) { a.(*branch).pump() })
 	q.Register(evDeliver, func(a any, _ int64) { a.(*branch).deliver() })
 	q.Register(evCredit, func(a any, _ int64) { a.(*inputBuf).creditReturn() })
@@ -120,7 +111,7 @@ func (n *Network) registerKinds(q kindRegistrar) {
 	q.Register(evDestDone, func(a any, arg int64) {
 		n.destDone(a.(*Message), topology.NodeID(arg))
 	})
-	q.Register(evReclaim, func(a any, _ int64) { br := a.(*branch); br.sh.reclaimBranch(br) })
+	q.Register(evReclaim, func(a any, _ int64) { n.reclaimBranch(a.(*branch)) })
 	q.Register(evObsFlush, func(_ any, _ int64) { n.obsTick() })
 	q.Register(evMembership, func(a any, _ int64) { n.applyMembership(a.(*MembershipEvent)) })
 	q.Register(evSched, func(a any, _ int64) { a.(func())() })

@@ -68,20 +68,8 @@ func (n *Network) Invariant() *InvariantError { return n.invariant }
 // recorded for Drain to surface, and the worm is still torn down so the
 // simulation terminates instead of wedging.
 func (n *Network) routeFailure(o *occupant, s topology.SwitchID, reason string) {
-	if !n.faultedEver() {
-		n.invMu.Lock()
-		if n.invariant == nil {
-			n.invariant = &InvariantError{At: o.buf.sh.now(), Switch: s, Reason: reason}
-		}
-		n.invMu.Unlock()
-	}
-	if n.fset != nil {
-		// Parallel engine: the full teardown walks cross-shard structures
-		// (downstream buffers, NIs, the message), which would race other
-		// workers. Mark the worm dead — its flits drain at arrival — and
-		// let Drain's between-window invariant check abort the run.
-		o.w.dead = true
-		return
+	if !n.faultedEver() && n.invariant == nil {
+		n.invariant = &InvariantError{At: n.queue.Now(), Switch: s, Reason: reason}
 	}
 	n.killOccupant(o)
 }
@@ -122,7 +110,7 @@ func (n *Network) killBranch(br *branch) {
 	if br.injNI != nil && !br.injNI.dead {
 		br.injNI.streamDone(br.injLast)
 	}
-	br.sh.postAfter(n.reclaimAfter, evReclaim, br, 0)
+	n.queue.PostAfter(n.reclaimAfter, evReclaim, br, 0)
 	if br.occ != nil {
 		// Advance eviction before detaching: detaching can recycle the
 		// occupant this branch was reading.
@@ -191,7 +179,7 @@ func (n *Network) removeFromBuffer(o *occupant) {
 	b.used -= held
 	if b.upstream != nil && !b.upstream.dead {
 		for i := 0; i < held; i++ {
-			b.sh.postTo(b.upstream.sh, b.sh.now()+n.params.LinkDelay, evCredit, b, 0)
+			n.queue.PostAfter(n.params.LinkDelay, evCredit, b, 0)
 		}
 	}
 	wasHead := len(b.occupants) > 0 && b.occupants[0] == o
@@ -207,7 +195,7 @@ func (n *Network) removeFromBuffer(o *occupant) {
 		next := b.occupants[0]
 		if next.arrived > 0 && !next.routed && !next.routing {
 			next.routing = true
-			b.sh.postAfter(n.params.RoutingDelay, evRoute, next, 0)
+			n.queue.PostAfter(n.params.RoutingDelay, evRoute, next, 0)
 		}
 	}
 }
@@ -270,7 +258,7 @@ func (n *Network) failDest(m *Message, d topology.NodeID) {
 	if m.FailedAt == nil {
 		m.FailedAt = make(map[topology.NodeID]event.Time)
 	}
-	m.FailedAt[d] = n.nowAt()
+	m.FailedAt[d] = n.queue.Now()
 	n.stats.DestsFailed++
 	x := n.nis[d]
 	delete(x.rxMsgs, m)
@@ -280,7 +268,7 @@ func (n *Network) failDest(m *Message, d topology.NodeID) {
 	}
 	m.remaining--
 	if m.remaining == 0 {
-		n.outstanding.Add(-1)
+		n.outstanding--
 		n.stats.MessagesDone++
 		if m.group != nil {
 			n.groupMsgDone(m)
@@ -407,11 +395,8 @@ type FaultSchedule struct {
 // InstallFaults schedules every event of fs on the simulation clock.
 // Call before advancing past the earliest event time.
 func (n *Network) InstallFaults(fs *FaultSchedule) error {
-	if err := n.fastModeCheck("fault injection (InstallFaults)"); err != nil {
-		return err
-	}
 	n.ensureFaultState()
-	now := n.nowAt()
+	now := n.queue.Now()
 	// The schedule is copied so callers may reuse fs; each typed
 	// evFaultApply event carries a pointer into the copy.
 	events := append([]FaultEvent(nil), fs.Events...)
@@ -432,7 +417,7 @@ func (n *Network) InstallFaults(fs *FaultSchedule) error {
 		default:
 			return fmt.Errorf("sim: fault event %d: unknown kind %d", i, ev.Kind)
 		}
-		n.ctlPost(ev.At, evFaultApply, &events[i], 0)
+		n.queue.Post(ev.At, evFaultApply, &events[i], 0)
 	}
 	return nil
 }
@@ -552,7 +537,7 @@ func (n *Network) reviveChannel(op *outPort) {
 	ch.dead = false
 	op.dead = false
 	ch.sender = nil
-	if now := n.nowAt(); ch.lineFree < now {
+	if now := n.queue.Now(); ch.lineFree < now {
 		ch.lineFree = now
 	}
 	if ch.toSwitch {
@@ -571,7 +556,7 @@ func (n *Network) scheduleReconfig() {
 		return
 	}
 	n.reconfigEpoch++
-	n.ctlPostAfter(n.params.FaultDetectCycles, evReconfig, nil, int64(n.reconfigEpoch))
+	n.queue.PostAfter(n.params.FaultDetectCycles, evReconfig, nil, int64(n.reconfigEpoch))
 }
 
 // reconfigure recomputes up*/down* state over the surviving subgraph

@@ -249,7 +249,7 @@ func TestStallWatchdogReportsStructure(t *testing.T) {
 			n.nis[0].inj.credits = 0
 			// Point credit returns at a detached channel: the injection
 			// line never regains credits and its sender never wakes.
-			n.switches[0].inBufs[2].upstream = &channel{sh: n.sh0()}
+			n.switches[0].inBufs[2].upstream = &channel{}
 		})
 	})
 	// Keep the event queue alive so the watchdog (not queue exhaustion)

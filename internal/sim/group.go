@@ -191,10 +191,7 @@ func (n *Network) Groups() []*Group { return n.groups }
 // Call before advancing past the earliest event time. The schedule is
 // copied so callers may reuse ms.
 func (n *Network) InstallMembership(ms *MembershipSchedule) error {
-	if err := n.fastModeCheck("dynamic group membership (InstallMembership)"); err != nil {
-		return err
-	}
-	now := n.nowAt()
+	now := n.queue.Now()
 	events := append([]MembershipEvent(nil), ms.Events...)
 	for i := range events {
 		ev := events[i]
@@ -210,7 +207,7 @@ func (n *Network) InstallMembership(ms *MembershipSchedule) error {
 		if ev.Kind != MemberJoin && ev.Kind != MemberLeave {
 			return fmt.Errorf("sim: membership event %d: unknown kind %d", i, ev.Kind)
 		}
-		n.ctlPost(ev.At, evMembership, &events[i], 0)
+		n.queue.Post(ev.At, evMembership, &events[i], 0)
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"mcastsim/internal/event"
@@ -72,25 +71,11 @@ type Network struct {
 	upAdj [][]portPeer
 	revUp [][]portPeer
 
-	// outstanding is atomic because fast-mode destination completion
-	// decrements it from shard workers; every other engine touches it
-	// from the single event-loop goroutine.
-	outstanding atomic.Int64
+	outstanding int64 // messages sent and not yet complete
 	nextWormID  int64
 	nextMsgID   int64
 	stats       Stats
 	tracer      func(TraceEvent)
-
-	// Sharded-PDES state (see shard.go). shs always has nshards >= 1
-	// entries; in serial modes every entry aliases the shared state
-	// above. lanes is the serial-equivalence merge engine, fset the
-	// parallel window engine; with both nil the network runs its own
-	// single calendar queue exactly as before sharding existed.
-	nshards int
-	shs     []*shardState
-	swShard []int32
-	lanes   *event.ShardSet
-	fset    *event.FastSet
 
 	// Observability (see obs.go): obsRec nil means disabled — the only
 	// state the rest of the pipeline ever checks. obsChans indexes every
@@ -111,7 +96,6 @@ type Network struct {
 	deadSwitch    []bool
 	faulted       bool
 	partitioned   bool
-	invMu         sync.Mutex
 	invariant     *InvariantError
 	progress      int64
 	reconfigEpoch int
@@ -158,31 +142,16 @@ type Network struct {
 	// reclaimAfter is the branch quarantine horizon (see pool.go).
 	reclaimAfter event.Time
 
-	// Shared free lists and per-decision scratch (see shard.go): every
-	// serial-mode shard aliases these; fast-mode shards own private
-	// instances.
+	// Free lists and per-decision scratch (see pool.go).
 	pools entityPools
 	scr   scratchSpace
 }
 
-// Engine selects the scheduler backend a Network runs on. The calendar
-// queue is the production engine; the legacy binary heap is kept for the
-// determinism suite, which proves both dispatch identical event streams.
-type Engine = event.Backend
-
-const (
-	// EngineCalendar is the typed-event calendar-queue scheduler.
-	EngineCalendar = event.BackendCalendar
-	// EngineHeap is the legacy binary-heap scheduler (same typed
-	// entries, (time, seq)-ordered heap instead of bucket ring).
-	EngineHeap = event.BackendHeap
-)
-
 // New assembles a network over a routed topology. The seed drives only
 // adaptive-routing tie-breaks; identical seeds give identical runs.
-// Options (WithEngine, WithTrace, WithObs) are applied after assembly,
-// before any event exists; their application order is fixed, so the
-// order they are passed in never matters.
+// Options (WithTrace, WithObs) are applied after assembly, before any
+// event exists; their application order is fixed, so the order they are
+// passed in never matters.
 func New(rt *updown.Routing, params Params, seed uint64, opts ...Option) (*Network, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -190,9 +159,6 @@ func New(rt *updown.Routing, params Params, seed uint64, opts ...Option) (*Netwo
 	var o netOptions
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if o.shards > 1 && o.engineSet && o.engine == EngineHeap {
-		return nil, &event.BackendShardError{Backend: o.engine, Shards: o.shards}
 	}
 	t := rt.Topo
 	n := &Network{
@@ -204,19 +170,11 @@ func New(rt *updown.Routing, params Params, seed uint64, opts ...Option) (*Netwo
 	}
 	n.sparse = params.SetRep == RepSparse ||
 		(params.SetRep == RepAuto && t.NumNodes >= SparseUniverseThreshold)
-	n.initShards(o.shards, o.fastShards, seed)
-	if n.lanes != nil {
-		n.registerKinds(n.lanes)
-	} else if n.fset != nil {
-		for i := 0; i < n.fset.Shards(); i++ {
-			n.registerKinds(n.fset.Queue(i))
-		}
-	} else {
-		n.registerKinds(&n.queue)
-	}
+	n.registerKinds()
+	n.cache.init(t.NumSwitches)
+	n.scr.init(t)
 
-	// Instantiate per-port structures. Every buffer and output port of a
-	// switch belongs to that switch's shard.
+	// Instantiate per-port structures.
 	n.switches = make([]*switchState, t.NumSwitches)
 	for s := 0; s < t.NumSwitches; s++ {
 		st := &switchState{
@@ -224,20 +182,17 @@ func New(rt *updown.Routing, params Params, seed uint64, opts ...Option) (*Netwo
 			outPorts: make([]*outPort, t.PortsPerSwitch),
 		}
 		n.switches[s] = st
-		sh := n.shardOf(topology.SwitchID(s))
 		for p := 0; p < t.PortsPerSwitch; p++ {
 			if t.Conn[s][p].Kind == topology.Open {
 				continue
 			}
-			st.inBufs[p] = &inputBuf{net: n, sh: sh, sw: topology.SwitchID(s), port: p, cap: params.BufferFlits}
-			st.outPorts[p] = &outPort{net: n, sh: sh, sw: topology.SwitchID(s), port: p}
+			st.inBufs[p] = &inputBuf{net: n, sw: topology.SwitchID(s), port: p, cap: params.BufferFlits}
+			st.outPorts[p] = &outPort{net: n, sw: topology.SwitchID(s), port: p}
 		}
 	}
 
 	// Wire channels: switch output ports to their peers, and per-node
-	// injection lines. A channel is owned by its sender's shard (credit
-	// and line state are mutated on the sending side); dst records the
-	// receiving shard for the boundary evDeliver hop.
+	// injection lines.
 	for s := 0; s < t.NumSwitches; s++ {
 		for p := 0; p < t.PortsPerSwitch; p++ {
 			e := t.Conn[s][p]
@@ -246,14 +201,10 @@ func New(rt *updown.Routing, params Params, seed uint64, opts ...Option) (*Netwo
 			case topology.ToSwitch:
 				peer := n.switches[e.Switch].inBufs[e.Port]
 				op.ch = &channel{toSwitch: true, dstBuf: peer, credits: peer.cap,
-					sh: op.sh, dst: peer.sh,
 					label: fmt.Sprintf("s%dp%d->s%d", s, p, e.Switch)}
 				peer.bindUpstream(op.ch)
 			case topology.ToNode:
-				// The ejection channel's NI is homed on this switch, so
-				// ejection never crosses a shard boundary.
 				op.ch = &channel{toSwitch: false, dstNode: e.Node,
-					sh: op.sh, dst: op.sh,
 					label: fmt.Sprintf("ej n%d", e.Node)}
 			}
 		}
@@ -263,7 +214,6 @@ func New(rt *updown.Routing, params Params, seed uint64, opts ...Option) (*Netwo
 		home := t.NodeSwitch[node]
 		buf := n.switches[home].inBufs[t.NodePort[node]]
 		inj := &channel{toSwitch: true, dstBuf: buf, credits: buf.cap,
-			sh: buf.sh, dst: buf.sh,
 			label: fmt.Sprintf("inj n%d", node)}
 		buf.bindUpstream(inj)
 		n.nis[node] = newNI(n, topology.NodeID(node), inj)
@@ -307,9 +257,7 @@ func New(rt *updown.Routing, params Params, seed uint64, opts ...Option) (*Netwo
 	n.rebuildDownPorts()
 	n.reclaimAfter = n.reclaimQuarantine()
 
-	if err := n.applyOptions(&o); err != nil {
-		return nil, err
-	}
+	n.applyOptions(&o)
 	return n, nil
 }
 
@@ -350,60 +298,23 @@ func (n *Network) Routing() *updown.Routing { return n.rt }
 func (n *Network) Params() Params { return n.params }
 
 // Now returns the current simulation time.
-func (n *Network) Now() event.Time { return n.nowAt() }
+func (n *Network) Now() event.Time { return n.queue.Now() }
 
-// Stats returns a snapshot of the conservation counters. Under the
-// parallel engine the per-shard instances are merged on read (only
-// between windows — Drain's coordinator context — is the view
-// consistent).
-func (n *Network) Stats() Stats {
-	if n.fset == nil {
-		return n.stats
-	}
-	out := n.stats
-	for _, sh := range n.shs {
-		out.add(sh.stats)
-	}
-	return out
-}
-
-// add accumulates o's counters into s (fast-mode per-shard merge).
-func (s *Stats) add(o *Stats) {
-	s.WormsCreated += o.WormsCreated
-	s.PacketsInjected += o.PacketsInjected
-	s.FlitHops += o.FlitHops
-	s.FlitsDelivered += o.FlitsDelivered
-	s.PacketsAtNI += o.PacketsAtNI
-	s.PacketsToHost += o.PacketsToHost
-	s.MessagesSent += o.MessagesSent
-	s.MessagesDone += o.MessagesDone
-	s.FlitsDropped += o.FlitsDropped
-	s.WormsKilled += o.WormsKilled
-	s.DestsFailed += o.DestsFailed
-	s.Reconfigs += o.Reconfigs
-	s.MembershipEvents += o.MembershipEvents
-	s.StaleDeliveries += o.StaleDeliveries
-	s.MissedDeliveries += o.MissedDeliveries
-}
+// Stats returns a snapshot of the conservation counters.
+func (n *Network) Stats() Stats { return n.stats }
 
 // Outstanding returns the number of in-flight messages.
-func (n *Network) Outstanding() int { return int(n.outstanding.Load()) }
+func (n *Network) Outstanding() int { return int(n.outstanding) }
 
 // EventsProcessed returns the total number of discrete events the
 // network's scheduler has executed — the denominator of the events/sec
 // throughput metric the perf benchmarks report.
-func (n *Network) EventsProcessed() uint64 {
-	if n.lanes != nil {
-		return n.lanes.Processed()
-	}
-	if n.fset != nil {
-		return n.fset.Processed()
-	}
-	return n.queue.Processed()
-}
+func (n *Network) EventsProcessed() uint64 { return n.queue.Processed() }
 
-// Schedule runs fn at absolute simulation time t (for traffic generators).
-func (n *Network) Schedule(t event.Time, fn func()) { n.schedAt(t, fn) }
+// Schedule runs fn at absolute simulation time t (traffic generators,
+// retry backoff). The closure rides the typed evSched kind, so the
+// engine-level closure shim stays test-only (see event/eventtest).
+func (n *Network) Schedule(t event.Time, fn func()) { n.queue.Post(t, evSched, fn, 0) }
 
 // Send schedules a multicast described by plan carrying flits payload flits,
 // initiated at time at. onComplete (optional) fires when the last
@@ -415,13 +326,8 @@ func (n *Network) Send(plan *Plan, flits int, at event.Time, onComplete func(*Me
 	if flits <= 0 {
 		return nil, fmt.Errorf("sim: message length %d", flits)
 	}
-	if at < n.nowAt() {
+	if at < n.queue.Now() {
 		return nil, fmt.Errorf("sim: send scheduled in the past")
-	}
-	if n.fset != nil {
-		if err := n.validateFastPlan(plan, onComplete); err != nil {
-			return nil, err
-		}
 	}
 	m := &Message{
 		ID:         n.nextMsgID,
@@ -433,34 +339,14 @@ func (n *Network) Send(plan *Plan, flits int, at event.Time, onComplete func(*Me
 		remaining:  len(plan.Dests),
 		onComplete: onComplete,
 	}
-	// All message-level events (start, per-destination completion) run
-	// on the source NI's shard: Message state has a single owner.
-	m.sh = n.shardOf(n.topo.NodeSwitch[plan.Source])
 	n.nextMsgID++
-	n.outstanding.Add(1)
+	n.outstanding++
 	n.stats.MessagesSent++
-	m.sh.post(at, evMsgStart, m, 0)
+	n.queue.Post(at, evMsgStart, m, 0)
 	if n.obsRec != nil {
 		n.obsArm()
 	}
 	return m, nil
-}
-
-// validateFastPlan refuses plan shapes the parallel engine cannot run:
-// secondary host sends execute on arbitrary destination shards and
-// would mutate NI state cross-shard, and completion callbacks would run
-// on a shard worker against caller state. Both work fine on the serial
-// engines.
-func (n *Network) validateFastPlan(plan *Plan, onComplete func(*Message)) error {
-	if onComplete != nil {
-		return &FastModeError{Feature: "Send with an onComplete callback"}
-	}
-	for node := range plan.HostSends {
-		if node != plan.Source {
-			return &FastModeError{Feature: "secondary-source host sends (Plan.HostSends at a non-source node)"}
-		}
-	}
-	return nil
 }
 
 // msgStart fires at a message's initiation time (the evMsgStart handler):
@@ -551,7 +437,7 @@ func (e *StallError) Error() string {
 // stallReport assembles the watchdog's structured stall report from the
 // live switch state.
 func (n *Network) stallReport(queueEmpty bool) *StallError {
-	e := &StallError{At: n.nowAt(), Outstanding: int(n.outstanding.Load()), QueueEmpty: queueEmpty}
+	e := &StallError{At: n.queue.Now(), Outstanding: int(n.outstanding), QueueEmpty: queueEmpty}
 	for s, st := range n.switches {
 		for p, b := range st.inBufs {
 			if b == nil {
@@ -599,15 +485,12 @@ func (n *Network) Drain(maxEvents uint64) error {
 	if maxEvents == 0 {
 		maxEvents = 1 << 34
 	}
-	if n.fset != nil {
-		return n.drainFast(maxEvents)
-	}
 	watch := n.params.StallCycles
 	lastSig := int64(-1)
 	var lastAt event.Time
 	for i := uint64(0); i < maxEvents; i++ {
-		if !n.engineStep() {
-			if n.outstanding.Load() > 0 {
+		if !n.queue.Step() {
+			if n.outstanding > 0 {
 				return n.stallReport(true)
 			}
 			return nil
@@ -615,12 +498,12 @@ func (n *Network) Drain(maxEvents uint64) error {
 		if n.invariant != nil {
 			return n.invariant
 		}
-		if n.outstanding.Load() == 0 && n.queueLen() == 0 {
+		if n.outstanding == 0 && n.queue.Len() == 0 {
 			return nil
 		}
-		if watch > 0 && n.outstanding.Load() > 0 {
+		if watch > 0 && n.outstanding > 0 {
 			sig := n.stats.FlitHops + n.progress
-			now := n.nowAt()
+			now := n.queue.Now()
 			if sig != lastSig {
 				lastSig = sig
 				lastAt = now
@@ -629,7 +512,7 @@ func (n *Network) Drain(maxEvents uint64) error {
 			}
 		}
 	}
-	return fmt.Errorf("sim: event budget %d exhausted at t=%d (%d outstanding)", maxEvents, n.nowAt(), n.outstanding.Load())
+	return fmt.Errorf("sim: event budget %d exhausted at t=%d (%d outstanding)", maxEvents, n.queue.Now(), n.outstanding)
 }
 
 // enterRun asserts the single-goroutine contract on event-loop entry: a
@@ -654,26 +537,6 @@ func (n *Network) exitRun() { n.running.Store(false) }
 func (n *Network) RunUntil(limit event.Time) {
 	n.enterRun()
 	defer n.exitRun()
-	if n.lanes != nil {
-		n.lanes.RunUntil(limit)
-		return
-	}
-	if n.fset != nil {
-		// The parallel engine advances in whole windows; events inside
-		// the window that straddles limit run with it (open-loop drivers
-		// that need exact stopping points use a serial engine).
-		n.fset.Start()
-		defer n.fset.Stop()
-		for {
-			t, ok := n.fset.NextTime()
-			if !ok || t > limit {
-				return
-			}
-			if _, _, err := n.fset.Window(); err != nil {
-				panic(err)
-			}
-		}
-	}
 	n.queue.RunUntil(limit)
 }
 
@@ -681,7 +544,7 @@ func (n *Network) RunUntil(limit event.Time) {
 // and returns the completed message. It is the primitive behind all
 // single-multicast latency experiments.
 func (n *Network) RunSingle(plan *Plan, flits int) (*Message, error) {
-	m, err := n.Send(plan, flits, n.nowAt(), nil)
+	m, err := n.Send(plan, flits, n.queue.Now(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -723,8 +586,8 @@ func (n *Network) ChannelUsage() []ChannelUse {
 // CheckConservation verifies flit/packet/message accounting invariants on
 // an idle network and returns a descriptive error on violation.
 func (n *Network) CheckConservation() error {
-	if v := n.outstanding.Load(); v != 0 {
-		return fmt.Errorf("sim: conservation checked with %d messages in flight", v)
+	if n.outstanding != 0 {
+		return fmt.Errorf("sim: conservation checked with %d messages in flight", n.outstanding)
 	}
 	s := n.Stats()
 	if s.MessagesSent != s.MessagesDone {

@@ -15,7 +15,6 @@ import (
 // Each is a serially reusable resource tracked by a next-free time.
 type ni struct {
 	net  *Network
-	sh   *shardState // home switch's shard; all NI state lives here
 	node topology.NodeID
 	inj  *channel // injection line into the home switch
 
@@ -51,7 +50,6 @@ type ni struct {
 func newNI(net *Network, node topology.NodeID, inj *channel) *ni {
 	return &ni{
 		net:     net,
-		sh:      inj.sh,
 		node:    node,
 		inj:     inj,
 		rxFlits: make(map[*worm]int),
@@ -93,8 +91,8 @@ func (x *ni) hostSend(m *Message, spec *WormSpec) {
 		x.failSendDests(m, spec)
 		return
 	}
-	softDone := reserve(&x.hostFree, x.sh.now(), n.params.OHostSend)
-	x.sh.post(softDone, evSendSoft, &sendOp{x: x, m: m, spec: spec}, 0)
+	softDone := reserve(&x.hostFree, x.net.queue.Now(), n.params.OHostSend)
+	x.net.queue.Post(softDone, evSendSoft, &sendOp{x: x, m: m, spec: spec}, 0)
 }
 
 // softwareDone runs when the host send software overhead finishes (the
@@ -102,11 +100,11 @@ func (x *ni) hostSend(m *Message, spec *WormSpec) {
 func (op *sendOp) softwareDone() {
 	x, m := op.x, op.m
 	n := x.net
-	cur := x.sh.now()
+	cur := x.net.queue.Now()
 	for pkt := 0; pkt < m.Packets; pkt++ {
 		bytes := n.payloadFlits(m, pkt)
 		dmaDone := reserve(&x.busFree, cur, n.params.BusCycles(bytes))
-		x.sh.post(dmaDone, evSendDMA, op, int64(pkt))
+		x.net.queue.Post(dmaDone, evSendDMA, op, int64(pkt))
 	}
 }
 
@@ -118,8 +116,8 @@ func (op *sendOp) dmaDone(pkt int) {
 		x.admitBurst(x.replicaBurst(op.m, pkt))
 		return
 	}
-	b := x.sh.getBurst()
-	b.worms = append(b.worms, x.sh.newWorm(op.m, op.spec, pkt))
+	b := x.net.getBurst()
+	b.worms = append(b.worms, x.net.newWorm(op.m, op.spec, pkt))
 	x.admitBurst(b)
 }
 
@@ -135,12 +133,12 @@ type burst struct {
 // children.
 func (x *ni) replicaBurst(m *Message, pkt int) *burst {
 	kids := m.Plan.NITree[x.node]
-	b := x.sh.getBurst()
+	b := x.net.getBurst()
 	for _, kid := range kids {
 		// Unicast specs are consumed by newWorm, never retained, so the
-		// shard scratch spec avoids one allocation per replica.
-		x.sh.scr.specScratch = WormSpec{Kind: WormUnicast, Dest: kid}
-		b.worms = append(b.worms, x.sh.newWorm(m, &x.sh.scr.specScratch, pkt))
+		// scratch spec avoids one allocation per replica.
+		x.net.scr.specScratch = WormSpec{Kind: WormUnicast, Dest: kid}
+		b.worms = append(b.worms, x.net.newWorm(m, &x.net.scr.specScratch, pkt))
 	}
 	return b
 }
@@ -166,8 +164,8 @@ func (x *ni) admitBurst(b *burst) {
 
 func (x *ni) chargeAndReady(b *burst) {
 	b.owner = x
-	procDone := reserve(&x.niFree, x.sh.now(), x.net.params.ONISend)
-	x.sh.post(procDone, evNICharged, b, 0)
+	procDone := reserve(&x.niFree, x.net.queue.Now(), x.net.params.ONISend)
+	x.net.queue.Post(procDone, evNICharged, b, 0)
 }
 
 // charged runs when a burst's NI send processing finishes (the
@@ -193,17 +191,17 @@ func (x *ni) startStream() {
 	lastOfBurst := b.next == len(b.worms)
 	if lastOfBurst {
 		x.ready = x.ready[1:]
-		x.sh.putBurst(b) // every worm is streamed; no list names b anymore
+		x.net.putBurst(b) // every worm is streamed; no list names b anymore
 	}
 	x.streaming = true
-	br := x.sh.newBranch(nil, w, 0)
+	br := x.net.newBranch(nil, w, 0)
 	br.ch = x.inj
 	br.injNI = x
 	br.injLast = lastOfBurst
 	x.inj.sender = br
-	x.sh.stats.PacketsInjected++
+	x.net.stats.PacketsInjected++
 	x.net.trace(TraceEvent{Kind: TraceInject, Worm: w.id, Msg: w.msg.ID, Pkt: w.pkt, Node: x.node})
-	br.schedulePump(x.sh.now())
+	br.schedulePump(x.net.queue.Now())
 }
 
 // streamDone unwinds the injection line after a stream's tail (or its
@@ -231,10 +229,10 @@ func (x *ni) streamDone(last bool) {
 func (x *ni) flitArrive(w *worm) {
 	if w.dead {
 		// Straggler of a torn-down worm; the partial packet was discarded.
-		x.sh.stats.FlitsDropped++
+		x.net.stats.FlitsDropped++
 		return
 	}
-	x.sh.stats.FlitsDelivered++
+	x.net.stats.FlitsDelivered++
 	c := x.rxFlits[w] + 1
 	if c == 1 {
 		wormRef(w) // the NI assembly leg; released after receive processing
@@ -263,13 +261,13 @@ func (x *ni) packetArrived(w *worm) {
 		// This destination was already declared failed (another packet of
 		// the message died); a stray complete packet does not resurrect
 		// it — the retransmission layer owns the remainder.
-		x.sh.wormDecref(w) // no receive processing will release the NI leg
+		x.net.wormDecref(w) // no receive processing will release the NI leg
 		return
 	}
-	x.sh.stats.PacketsAtNI++
+	x.net.stats.PacketsAtNI++
 	n.trace(TraceEvent{Kind: TraceDeliver, Worm: w.id, Msg: w.msg.ID, Pkt: w.pkt, Node: x.node})
-	procDone := reserve(&x.niFree, x.sh.now(), n.params.ONIRecv)
-	x.sh.post(procDone, evNIRecvProc, w, int64(x.node))
+	procDone := reserve(&x.niFree, x.net.queue.Now(), n.params.ONIRecv)
+	x.net.queue.Post(procDone, evNIRecvProc, w, int64(x.node))
 }
 
 // recvProcessed runs when a packet's NI receive processing finishes (the
@@ -295,9 +293,9 @@ func (x *ni) recvProcessed(w *worm) {
 		}
 	}
 	bytes := n.payloadFlits(m, w.pkt)
-	dmaDone := reserve(&x.busFree, x.sh.now(), n.params.BusCycles(bytes))
-	x.sh.post(dmaDone, evNIRecvDMA, m, int64(x.node))
-	x.sh.wormDecref(w) // the NI assembly leg; host-side events carry m, not w
+	dmaDone := reserve(&x.busFree, x.net.queue.Now(), n.params.BusCycles(bytes))
+	x.net.queue.Post(dmaDone, evNIRecvDMA, m, int64(x.node))
+	x.net.wormDecref(w) // the NI assembly leg; host-side events carry m, not w
 }
 
 // hostPacketArrived counts packets landed in host memory; the last one
@@ -308,19 +306,14 @@ func (x *ni) hostPacketArrived(m *Message) {
 		return
 	}
 	c := x.rxMsgs[m] + 1
-	x.sh.stats.PacketsToHost++
+	x.net.stats.PacketsToHost++
 	if c < m.Packets {
 		x.rxMsgs[m] = c
 		return
 	}
 	delete(x.rxMsgs, m)
-	done := reserve(&x.hostFree, x.sh.now(), n.params.OHostRecv)
-	// Completion is the Message owner's (source shard's) event: DoneAt,
-	// remaining and the completion hooks are single-owner state. The host
-	// receive overhead supplies the cross-shard lookahead; with a
-	// pathological OHostRecv < LinkDelay the fast engine fails loudly
-	// with a LookaheadError rather than mis-merging.
-	x.sh.postTo(m.sh, done, evDestDone, m, int64(x.node))
+	done := reserve(&x.hostFree, x.net.queue.Now(), n.params.OHostRecv)
+	n.queue.Post(done, evDestDone, m, int64(x.node))
 }
 
 // destDone records destination completion, fires any secondary-source
@@ -334,7 +327,7 @@ func (n *Network) destDone(m *Message, node topology.NodeID) {
 	if _, dup := m.DoneAt[node]; dup {
 		panic(fmt.Sprintf("sim: node %d received message %d twice", node, m.ID))
 	}
-	m.DoneAt[node] = m.sh.now()
+	m.DoneAt[node] = n.queue.Now()
 	m.remaining--
 	if m.group != nil {
 		n.groupNoteDelivered(m, node)
@@ -348,8 +341,8 @@ func (n *Network) destDone(m *Message, node topology.NodeID) {
 		}
 	}
 	if m.remaining == 0 {
-		n.outstanding.Add(-1)
-		m.sh.stats.MessagesDone++
+		n.outstanding--
+		n.stats.MessagesDone++
 		if m.group != nil {
 			n.groupMsgDone(m)
 		}
@@ -382,9 +375,9 @@ func (x *ni) failSendDests(m *Message, spec *WormSpec) {
 func (x *ni) dropBurst(b *burst) {
 	for _, w := range b.worms[b.next:] {
 		x.net.failWormDests(w)
-		x.sh.recycleWorm(w)
+		x.net.recycleWorm(w)
 	}
-	x.sh.putBurst(b)
+	x.net.putBurst(b)
 }
 
 // promoteWaiting admits deferred bursts while buffer slots are free
@@ -430,7 +423,7 @@ func (x *ni) abortMessage(m *Message) {
 	for w := range x.rxFlits {
 		if w.msg == m {
 			delete(x.rxFlits, w)
-			x.sh.wormDecref(w) // the NI assembly leg
+			x.net.wormDecref(w) // the NI assembly leg
 		}
 	}
 	delete(x.rxMsgs, m)
@@ -471,7 +464,7 @@ func (x *ni) orphan() {
 		}
 		// Release the NI assembly leg after reading w.msg: the decref can
 		// recycle the worm.
-		x.sh.wormDecref(w)
+		x.net.wormDecref(w)
 	}
 	for m := range x.rxMsgs {
 		if !seen[m] {

@@ -38,7 +38,7 @@ func (n *Network) attachObs(r *obs.Recorder) {
 		labels = append(labels, x.inj.label)
 	}
 	r.AttachNetwork(labels, n.topo.NumSwitches, n.topo.NumNodes)
-	n.engineObsSink(r.EngineSink())
+	n.queue.SetObs(r.EngineSink())
 }
 
 // obsArm starts the sampling tick if obs is attached and no tick is
@@ -48,7 +48,7 @@ func (n *Network) obsArm() {
 		return
 	}
 	n.obsTickArmed = true
-	n.ctlPostAfter(n.obsRec.Every(), evObsFlush, nil, 0)
+	n.queue.PostAfter(n.obsRec.Every(), evObsFlush, nil, 0)
 }
 
 // obsTick is the evObsFlush handler: sample, then re-arm only while the
@@ -59,8 +59,8 @@ func (n *Network) obsArm() {
 // wedged run.
 func (n *Network) obsTick() {
 	n.obsFlush()
-	if n.outstanding.Load() > 0 && n.queueLen() > 0 {
-		n.ctlPostAfter(n.obsRec.Every(), evObsFlush, nil, 0)
+	if n.outstanding > 0 && n.queue.Len() > 0 {
+		n.queue.PostAfter(n.obsRec.Every(), evObsFlush, nil, 0)
 		return
 	}
 	n.obsTickArmed = false
@@ -81,7 +81,7 @@ func (n *Network) FlushObs() {
 // totals; the recorder differentiates them against the previous sample.
 func (n *Network) obsFlush() {
 	r := n.obsRec
-	r.Sample(n.nowAt(), func(s *obs.Snapshot) {
+	r.Sample(n.queue.Now(), func(s *obs.Snapshot) {
 		for i, ch := range n.obsChans {
 			s.ChanFlits[i] = ch.busyFlits
 		}
@@ -111,7 +111,7 @@ func (n *Network) obsFlush() {
 			}
 		}
 		s.FlitHops = n.stats.FlitHops
-		es := n.engineEventStats()
+		es := n.queue.EngineStats()
 		s.Events = es.Processed
 		s.QueueLen = int64(es.Len)
 		s.FarLen = int64(es.FarLen)

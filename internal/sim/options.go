@@ -5,52 +5,15 @@ import "mcastsim/internal/obs"
 // Option configures a Network at assembly time. Options are the only
 // construction surface (the old post-construction setters are gone):
 // New applies them after the topology is wired but before any event is
-// posted, so an option can never observe a half-run network and the
-// engine can be swapped while the queue is still empty.
+// posted, so an option can never observe a half-run network.
 type Option func(*netOptions)
 
 // netOptions is the collected option state New applies. Application
-// order is fixed (shards, engine, tracer, obs) regardless of the order
-// options are passed, so permuting a call's options cannot change
-// behaviour.
+// order is fixed (tracer, obs) regardless of the order options are
+// passed, so permuting a call's options cannot change behaviour.
 type netOptions struct {
-	engine     Engine
-	engineSet  bool
-	shards     int
-	fastShards bool
-	tracer     func(TraceEvent)
-	rec        *obs.Recorder
-}
-
-// WithEngine pins the scheduler backend. The calendar queue is the
-// default production engine; the determinism suite pins EngineHeap to
-// diff the two event streams.
-func WithEngine(e Engine) Option {
-	return func(o *netOptions) { o.engine = e; o.engineSet = true }
-}
-
-// WithShards partitions the simulation into k shards running under the
-// serial-equivalence PDES engine: per-shard event lanes merged in
-// global (at, seq) order, one goroutine, with conservative-window and
-// boundary-crossing accounting. Execution — traces, stats, RNG draws —
-// is byte-identical to the single-queue engine for any k. k <= 1 keeps
-// the plain engine. Combining shards > 1 with WithEngine(EngineHeap)
-// makes New fail with *event.BackendShardError.
-func WithShards(k int) Option {
-	return func(o *netOptions) { o.shards = k; o.fastShards = false }
-}
-
-// WithFastShards partitions the simulation into k shards running under
-// the parallel PDES engine: per-shard calendar queues on worker
-// goroutines, synchronized in conservative windows of the minimum
-// inter-shard link delay, exchanging boundary events at window edges.
-// Deterministic for a fixed k, but a different serialization than the
-// serial engines (per-shard arbitration RNG streams and entity pools).
-// Model features that inherently mutate cross-shard state — faults,
-// dynamic groups, retry, tracing, obs, mid-run Schedule closures,
-// secondary-source host sends — are refused with typed errors.
-func WithFastShards(k int) Option {
-	return func(o *netOptions) { o.shards = k; o.fastShards = true }
+	tracer func(TraceEvent)
+	rec    *obs.Recorder
 }
 
 // WithTrace installs a sink receiving every TraceEvent. Passing nil
@@ -68,24 +31,10 @@ func WithObs(r *obs.Recorder) Option {
 	return func(o *netOptions) { o.rec = r }
 }
 
-// apply installs the collected options on the assembled network. The
-// heap-backend/shards conflict is rejected earlier, in New, before any
-// engine state exists.
-func (n *Network) applyOptions(o *netOptions) error {
-	if o.engineSet && n.nshards == 1 {
-		n.queue.SetBackend(o.engine)
-	}
-	if o.tracer != nil {
-		if err := n.fastModeCheck("tracing (WithTrace)"); err != nil {
-			return err
-		}
-	}
+// applyOptions installs the collected options on the assembled network.
+func (n *Network) applyOptions(o *netOptions) {
 	n.tracer = o.tracer
 	if o.rec != nil {
-		if err := n.fastModeCheck("observability (WithObs)"); err != nil {
-			return err
-		}
 		n.attachObs(o.rec)
 	}
-	return nil
 }

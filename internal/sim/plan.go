@@ -266,10 +266,6 @@ type Message struct {
 	remaining  int
 	onComplete func(*Message)
 
-	// sh is the shard owning the message's mutable state (the source
-	// NI's shard): evMsgStart and every evDestDone dispatch there.
-	sh *shardState
-
 	// group/snapshot tag a dynamic-group send (see group.go): snapshot is
 	// the pooled membership set taken at send time, recycled at
 	// completion. Both empty on plain sends.

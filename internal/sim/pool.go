@@ -1,22 +1,16 @@
 package sim
 
 import (
-	"sync/atomic"
-
 	"mcastsim/internal/bitset"
 	"mcastsim/internal/destset"
 	"mcastsim/internal/event"
+	"mcastsim/internal/topology"
+	"mcastsim/internal/updown"
 )
 
-// This file implements the simulator's per-shard free lists. A shard is
-// single-goroutine (one event-loop goroutine in serial modes, one
-// worker per shard in fast mode), so the pools are plain slices with
-// LIFO reuse — no locking, no sync.Pool clearing at GC. In serial modes
-// every shard aliases one shared pool set, so recycling behaviour is
-// bit-identical to the pre-shard engine; in fast mode each shard
-// recycles into its own pools (an entity freed on a different shard
-// than it was allocated simply migrates — harmless, the pools are
-// interchangeable).
+// This file implements the simulator's free lists. A Network runs on one
+// goroutine, so the pools are plain slices with LIFO reuse — no locking,
+// no sync.Pool clearing at GC.
 //
 // Ownership and lifetime rules:
 //
@@ -25,16 +19,14 @@ import (
 //     returns a cleared set; putSet recycles it. The route cache keeps
 //     its own clones and never lends storage out (see routecache.go).
 //
-//   - Worms are reference-counted (atomically: the legs live on
-//     different shards in fast mode). The legs are: the producing branch
+//   - Worms are reference-counted. The legs are: the producing branch
 //     (released when the branch is reclaimed after its quarantine), the
 //     downstream occupant assembling the worm in an input buffer
 //     (released when the occupant is recycled), and the destination NI
 //     assembling the packet (taken at the first received flit, released
 //     after NI receive processing or at any rxFlits teardown). A worm in
 //     an un-streamed burst has zero refs and is recycled directly when
-//     the burst is dropped. Whichever shard drops the last leg owns the
-//     worm exclusively at that point and recycles it locally.
+//     the burst is dropped. Whoever drops the last leg recycles the worm.
 //
 //   - Branches are time-quarantined: a branch goes done exactly once (the
 //     pump tail or a fault kill), is spliced out of its occupant's branch
@@ -47,6 +39,38 @@ import (
 //   - Occupants are recycled when they are detached from their buffer
 //     (head retirement or fault removal), have no pending evRoute, and no
 //     live (undone) branch remains.
+
+// entityPools holds the free lists (see the ownership rules above).
+type entityPools struct {
+	setPool    []*bitset.Set
+	runPool    []*destset.Runs
+	wormPool   []*worm
+	branchPool []*branch
+	occPool    []*occupant
+	burstPool  []*burst
+}
+
+// scratchSpace is the per-decision scratch reused by the planners and
+// arbitration so the steady-state routing path allocates nothing. Valid
+// only within one routing decision; never retained.
+type scratchSpace struct {
+	onePort      [1]int
+	onePhase     [1]updown.Phase
+	portScratch  []int
+	phaseScratch []updown.Phase
+	downScratch  []int
+	partScratch  []portSet
+	usedPorts    []bool
+	distScratch  []int32
+	bfsQueue     []int32
+	specScratch  WormSpec
+}
+
+func (sc *scratchSpace) init(t *topology.Topology) {
+	sc.usedPorts = make([]bool, t.PortsPerSwitch)
+	sc.distScratch = make([]int32, t.NumSwitches)
+	sc.bfsQueue = make([]int32, 0, t.NumSwitches)
+}
 
 // reclaimQuarantine returns the branch quarantine horizon: an upper bound,
 // in cycles, on how far past a branch's done-transition a pending event
@@ -63,27 +87,15 @@ func (n *Network) reclaimQuarantine() event.Time {
 	if h < 1 {
 		h = 1
 	}
-	q := h + 2
-	// Fast mode executes one window's events concurrently across shards,
-	// so timestamp order alone is not "strictly after": a cross-shard
-	// evDeliver and the evReclaim that invalidates its branch must land
-	// in different windows (the barrier is the only cross-shard
-	// ordering). Padding by the window width W = LinkDelay puts the
-	// reclaim > W past every pending event naming the branch, which
-	// forces a later window. Serial modes keep the exact pre-shard
-	// horizon, preserving byte-identity.
-	if n.fset != nil {
-		q += n.params.LinkDelay
-	}
-	return q
+	return h + 2
 }
 
 // --- destination sets ---
 
-func (sh *shardState) getSet() *bitset.Set {
-	p := sh.pools
+func (n *Network) getSet() *bitset.Set {
+	p := &n.pools
 	if len(p.setPool) == 0 {
-		return bitset.New(sh.net.topo.NumNodes)
+		return bitset.New(n.topo.NumNodes)
 	}
 	s := p.setPool[len(p.setPool)-1]
 	p.setPool = p.setPool[:len(p.setPool)-1]
@@ -91,14 +103,14 @@ func (sh *shardState) getSet() *bitset.Set {
 	return s
 }
 
-func (sh *shardState) putSet(s *bitset.Set) {
-	sh.pools.setPool = append(sh.pools.setPool, s)
+func (n *Network) putSet(s *bitset.Set) {
+	n.pools.setPool = append(n.pools.setPool, s)
 }
 
-func (sh *shardState) getRuns() *destset.Runs {
-	p := sh.pools
+func (n *Network) getRuns() *destset.Runs {
+	p := &n.pools
 	if len(p.runPool) == 0 {
-		return destset.NewRuns(sh.net.topo.NumNodes)
+		return destset.NewRuns(n.topo.NumNodes)
 	}
 	r := p.runPool[len(p.runPool)-1]
 	p.runPool = p.runPool[:len(p.runPool)-1]
@@ -106,40 +118,32 @@ func (sh *shardState) getRuns() *destset.Runs {
 	return r
 }
 
-func (sh *shardState) putRuns(r *destset.Runs) {
-	sh.pools.runPool = append(sh.pools.runPool, r)
+func (n *Network) putRuns(r *destset.Runs) {
+	n.pools.runPool = append(n.pools.runPool, r)
 }
 
 // getDset returns a cleared destination set in the network's chosen
 // representation. Sparse networks pool run lists sized by run count (a
 // few dozen bytes for rack-clustered sets) instead of universe bits.
-func (sh *shardState) getDset() dset {
-	if sh.net.sparse {
-		return dset{runs: sh.getRuns()}
+func (n *Network) getDset() dset {
+	if n.sparse {
+		return dset{runs: n.getRuns()}
 	}
-	return dset{bits: sh.getSet()}
+	return dset{bits: n.getSet()}
 }
 
-func (sh *shardState) putDset(d dset) {
+func (n *Network) putDset(d dset) {
 	if d.bits != nil {
-		sh.putSet(d.bits)
+		n.putSet(d.bits)
 		return
 	}
-	sh.putRuns(d.runs)
+	n.putRuns(d.runs)
 }
-
-// Network-level wrappers for the serial-only subsystems (faults,
-// groups); in serial modes every shard aliases one pool set, so the
-// shard choice is immaterial.
-func (n *Network) getSet() *bitset.Set  { return n.sh0().getSet() }
-func (n *Network) putSet(s *bitset.Set) { n.sh0().putSet(s) }
-func (n *Network) getDset() dset        { return n.sh0().getDset() }
-func (n *Network) putDset(d dset)       { n.sh0().putDset(d) }
 
 // --- worms ---
 
-func (sh *shardState) getWorm() *worm {
-	p := sh.pools
+func (n *Network) getWorm() *worm {
+	p := &n.pools
 	if len(p.wormPool) == 0 {
 		return &worm{}
 	}
@@ -150,52 +154,49 @@ func (sh *shardState) getWorm() *worm {
 
 // recycleWorm returns an unreferenced worm (and its destination set) to
 // the pools.
-func (sh *shardState) recycleWorm(w *worm) {
-	if atomic.LoadInt32(&w.refs) != 0 {
+func (n *Network) recycleWorm(w *worm) {
+	if w.refs != 0 {
 		panic("sim: recycling a referenced worm")
 	}
 	if w.destSet.some() {
-		sh.putDset(w.destSet)
+		n.putDset(w.destSet)
 	}
 	*w = worm{}
-	sh.pools.wormPool = append(sh.pools.wormPool, w)
+	n.pools.wormPool = append(n.pools.wormPool, w)
 }
 
 // wormRef takes one reference leg.
-func wormRef(w *worm) { atomic.AddInt32(&w.refs, 1) }
+func wormRef(w *worm) { w.refs++ }
 
-// wormDecref releases one reference leg; the shard dropping the last
-// leg holds the only remaining pointer and recycles the worm locally.
-func (sh *shardState) wormDecref(w *worm) {
-	left := atomic.AddInt32(&w.refs, -1)
-	if left > 0 {
+// wormDecref releases one reference leg; dropping the last leg recycles
+// the worm.
+func (n *Network) wormDecref(w *worm) {
+	w.refs--
+	if w.refs > 0 {
 		return
 	}
-	if left < 0 {
+	if w.refs < 0 {
 		panic("sim: worm refcount underflow")
 	}
-	sh.recycleWorm(w)
+	n.recycleWorm(w)
 }
-
-func (n *Network) wormDecref(w *worm) { n.sh0().wormDecref(w) }
 
 // --- branches ---
 
-func (sh *shardState) getBranch() *branch {
-	p := sh.pools
+func (n *Network) getBranch() *branch {
+	p := &n.pools
 	if len(p.branchPool) == 0 {
-		return &branch{net: sh.net, sh: sh}
+		return &branch{net: n}
 	}
 	br := p.branchPool[len(p.branchPool)-1]
 	p.branchPool = p.branchPool[:len(p.branchPool)-1]
-	br.sh = sh
 	return br
 }
 
 // detachBranch splices a just-done branch out of its occupant's consumer
 // list (callers guarantee br.occ != nil and br.done). The occupant may
 // recycle here when this was its last live branch.
-func (sh *shardState) detachBranch(br *branch) {
+func (n *Network) detachBranch(br *branch) {
 	o := br.occ
 	for i, cand := range o.branches {
 		if cand == br {
@@ -204,22 +205,20 @@ func (sh *shardState) detachBranch(br *branch) {
 		}
 	}
 	o.live--
-	sh.tryRecycleOccupant(o)
+	n.tryRecycleOccupant(o)
 }
-
-func (n *Network) detachBranch(br *branch) { n.sh0().detachBranch(br) }
 
 // reclaimBranch is the evReclaim handler: the quarantine has elapsed, no
 // pending event names this branch anymore, so its worm ref is released
 // and the branch recycles.
-func (sh *shardState) reclaimBranch(br *branch) {
+func (n *Network) reclaimBranch(br *branch) {
 	if br.pumping {
 		// Unreachable by construction (a pending pump fires well inside
 		// the quarantine and no-ops on done); leak to GC rather than
 		// recycle under a live event.
 		return
 	}
-	sh.wormDecref(br.w)
+	n.wormDecref(br.w)
 	br.occ = nil
 	br.w = nil
 	br.elastic = false
@@ -232,13 +231,13 @@ func (sh *shardState) reclaimBranch(br *branch) {
 	br.drops = nil
 	br.injNI = nil
 	br.injLast = false
-	sh.pools.branchPool = append(sh.pools.branchPool, br)
+	n.pools.branchPool = append(n.pools.branchPool, br)
 }
 
 // --- occupants ---
 
-func (sh *shardState) getOccupant() *occupant {
-	p := sh.pools
+func (n *Network) getOccupant() *occupant {
+	p := &n.pools
 	if len(p.occPool) == 0 {
 		return &occupant{}
 	}
@@ -249,11 +248,11 @@ func (sh *shardState) getOccupant() *occupant {
 
 // tryRecycleOccupant recycles an occupant once it is out of its buffer,
 // has no routing event in flight, and no live branch still reads it.
-func (sh *shardState) tryRecycleOccupant(o *occupant) {
+func (n *Network) tryRecycleOccupant(o *occupant) {
 	if !o.detached || o.routing || o.live != 0 {
 		return
 	}
-	sh.wormDecref(o.w)
+	n.wormDecref(o.w)
 	o.buf = nil
 	o.w = nil
 	o.arrived = 0
@@ -264,15 +263,13 @@ func (sh *shardState) tryRecycleOccupant(o *occupant) {
 	o.detached = false
 	o.live = 0
 	o.branches = o.branches[:0]
-	sh.pools.occPool = append(sh.pools.occPool, o)
+	n.pools.occPool = append(n.pools.occPool, o)
 }
-
-func (n *Network) tryRecycleOccupant(o *occupant) { n.sh0().tryRecycleOccupant(o) }
 
 // --- bursts ---
 
-func (sh *shardState) getBurst() *burst {
-	p := sh.pools
+func (n *Network) getBurst() *burst {
+	p := &n.pools
 	if len(p.burstPool) == 0 {
 		return &burst{}
 	}
@@ -281,9 +278,9 @@ func (sh *shardState) getBurst() *burst {
 	return b
 }
 
-func (sh *shardState) putBurst(b *burst) {
+func (n *Network) putBurst(b *burst) {
 	b.owner = nil
 	b.worms = b.worms[:0]
 	b.next = 0
-	sh.pools.burstPool = append(sh.pools.burstPool, b)
+	n.pools.burstPool = append(n.pools.burstPool, b)
 }

@@ -94,9 +94,6 @@ func (n *Network) SendReliable(plan *Plan, flits int, at event.Time, replan Repl
 	if replan == nil {
 		return nil, fmt.Errorf("sim: SendReliable requires a replanner")
 	}
-	if err := n.fastModeCheck("reliable delivery (SendReliable)"); err != nil {
-		return nil, err
-	}
 	d := &Delivery{
 		Source:    plan.Source,
 		Dests:     append([]topology.NodeID(nil), plan.Dests...),
@@ -106,7 +103,7 @@ func (n *Network) SendReliable(plan *Plan, flits int, at event.Time, replan Repl
 	}
 
 	finish := func() {
-		d.Completed = n.nowAt()
+		d.Completed = n.queue.Now()
 		sort.Slice(d.Failed, func(i, j int) bool { return d.Failed[i] < d.Failed[j] })
 		if onDone != nil {
 			onDone(d)
@@ -140,7 +137,7 @@ func (n *Network) SendReliable(plan *Plan, flits int, at event.Time, replan Repl
 				finish()
 				return
 			}
-			n.schedAfter(wait, func() {
+			n.Schedule(n.queue.Now()+wait, func() {
 				n.markProgress()
 				p2, err := replan(n.rt, d.Source, retry, flits)
 				if err != nil {
@@ -152,7 +149,7 @@ func (n *Network) SendReliable(plan *Plan, flits int, at event.Time, replan Repl
 				}
 				// Scheduling from inside an event: errors here are plan
 				// bugs, surfaced by failing the remainder.
-				if err := attempt(p2, n.nowAt(), wait*event.Time(pol.BackoffFactor)); err != nil {
+				if err := attempt(p2, n.queue.Now(), wait*event.Time(pol.BackoffFactor)); err != nil {
 					d.Failed = append(d.Failed, retry...)
 					finish()
 				}
@@ -161,7 +158,7 @@ func (n *Network) SendReliable(plan *Plan, flits int, at event.Time, replan Repl
 		if err != nil {
 			return err
 		}
-		n.ctlPost(sendAt+pol.Timeout, evMsgTimeout, m, 0)
+		n.queue.Post(sendAt+pol.Timeout, evMsgTimeout, m, 0)
 		return nil
 	}
 	if err := attempt(plan, at, pol.Backoff); err != nil {
@@ -174,7 +171,7 @@ func (n *Network) SendReliable(plan *Plan, flits int, at event.Time, replan Repl
 // the network, and returns the outcome. The fault-injection analogue of
 // RunSingle.
 func (n *Network) RunReliable(plan *Plan, flits int, replan Replanner, pol RetryPolicy) (*Delivery, error) {
-	d, err := n.SendReliable(plan, flits, n.nowAt(), replan, pol, nil)
+	d, err := n.SendReliable(plan, flits, n.queue.Now(), replan, pol, nil)
 	if err != nil {
 		return nil, err
 	}

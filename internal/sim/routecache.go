@@ -139,11 +139,11 @@ func maxInt(a, b int) int {
 // and determinism-neutral: a hit re-verifies full membership, so
 // collisions cost a miss, never a wrong route, and hit-vs-miss is
 // RNG-transparent by construction.
-func (sh *shardState) destFP(set dset) uint64 {
+func (n *Network) destFP(set dset) uint64 {
 	if set.runs != nil {
 		return set.runs.Fingerprint()
 	}
-	if sh.net.params.DestCoding == HeaderIval {
+	if n.params.DestCoding == HeaderIval {
 		return destset.IvalFingerprintOf(set.bits)
 	}
 	return set.bits.Hash()
@@ -192,15 +192,15 @@ func (c *routeCache) invalidateNode(node int) {
 // any switch covering set (the reverse BFS of climbPorts), cached by the
 // set's fingerprint. The returned slice is cache-owned (or Network
 // scratch when the cache is disabled or cold-storing): read-only.
-func (sh *shardState) climbDist(set dset) []int32 {
-	c := sh.cache
-	c.sync(sh.net.routingEpoch)
+func (n *Network) climbDist(set dset) []int32 {
+	c := &n.cache
+	c.sync(n.routingEpoch)
 	if !c.disabled {
-		fp := sh.destFP(set)
+		fp := n.destFP(set)
 		if e := c.climb[fp]; e != nil && set.equalRuns(e.key) {
 			return e.dist
 		}
-		dist := sh.computeClimbDist(set)
+		dist := n.computeClimbDist(set)
 		if len(c.climb) >= c.climbCap {
 			clear(c.climb)
 		}
@@ -209,22 +209,21 @@ func (sh *shardState) climbDist(set dset) []int32 {
 		c.climb[fp] = &climbEntry{key: set.cloneRuns(), dist: owned}
 		return owned
 	}
-	return sh.computeClimbDist(set)
+	return n.computeClimbDist(set)
 }
 
 // computeClimbDist runs the reverse BFS over up links from every switch
-// covering set, into shard scratch. The seeding pass tests every
+// covering set, into decision scratch. The seeding pass tests every
 // switch's Cover string against the set; on sparse sets that is
 // O(runs × span/64) per switch instead of O(N/64) — the difference
 // between seconds and an hour of planning at the 1M-host tiers.
-func (sh *shardState) computeClimbDist(set dset) []int32 {
-	n := sh.net
+func (n *Network) computeClimbDist(set dset) []int32 {
 	S := n.topo.NumSwitches
-	dist := sh.scr.distScratch
+	dist := n.scr.distScratch
 	for i := range dist {
 		dist[i] = -1
 	}
-	q := sh.scr.bfsQueue[:0]
+	q := n.scr.bfsQueue[:0]
 	for x := 0; x < S; x++ {
 		if set.subsetOfBits(n.rt.Cover[x]) {
 			dist[x] = 0
@@ -241,17 +240,16 @@ func (sh *shardState) computeClimbDist(set dset) []int32 {
 			}
 		}
 	}
-	sh.scr.bfsQueue = q[:0]
+	n.scr.bfsQueue = q[:0]
 	return dist
 }
 
 // nextHops returns the adaptive candidate ports and phases for a packet
 // at switch s headed to switch d, through the route cache. The returned
-// slices are shard scratch: callers may permute or compact them but
+// slices are decision scratch: callers may permute or compact them but
 // must not retain them past the current decision.
-func (sh *shardState) nextHops(s topology.SwitchID, ph updown.Phase, d topology.SwitchID) ([]int, []updown.Phase) {
-	n := sh.net
-	c := sh.cache
+func (n *Network) nextHops(s topology.SwitchID, ph updown.Phase, d topology.SwitchID) ([]int, []updown.Phase) {
+	c := &n.cache
 	c.sync(n.routingEpoch)
 	if c.disabled {
 		return n.rt.NextHops(s, ph, d)
@@ -266,9 +264,9 @@ func (sh *shardState) nextHops(s topology.SwitchID, ph updown.Phase, d topology.
 		e = &hopEntry{ports: ports, phases: phases}
 		c.hops[k] = e
 	}
-	ports := append(sh.scr.portScratch[:0], e.ports...)
-	phases := append(sh.scr.phaseScratch[:0], e.phases...)
-	sh.scr.portScratch = ports
-	sh.scr.phaseScratch = phases
+	ports := append(n.scr.portScratch[:0], e.ports...)
+	phases := append(n.scr.phaseScratch[:0], e.phases...)
+	n.scr.portScratch = ports
+	n.scr.phaseScratch = phases
 	return ports, phases
 }

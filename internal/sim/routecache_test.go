@@ -172,7 +172,7 @@ func TestRouteCacheWarmDecisionsZeroAlloc(t *testing.T) {
 	}
 
 	partition := func() {
-		out, ok := n.sh0().partitionDownAdaptive(coverer, dset{bits: set})
+		out, ok := n.partitionDownAdaptive(coverer, dset{bits: set})
 		if !ok {
 			t.Fatal("partition failed on healthy tables")
 		}
@@ -181,7 +181,7 @@ func TestRouteCacheWarmDecisionsZeroAlloc(t *testing.T) {
 		}
 	}
 	climb := func() {
-		if ports := n.sh0().climbPorts(climber, dset{bits: set}); len(ports) == 0 {
+		if ports := n.climbPorts(climber, dset{bits: set}); len(ports) == 0 {
 			t.Fatalf("no climb ports from switch %d", climber)
 		}
 	}

@@ -32,6 +32,12 @@ func twoSwitch(t *testing.T) *Network {
 // fixtureNet builds the 8-switch irregular fixture with one node per switch.
 func fixtureNet(t *testing.T, p Params) *Network {
 	t.Helper()
+	return fixtureNetOpts(t, p)
+}
+
+// fixtureNetOpts is fixtureNet with construction options (tracing, obs).
+func fixtureNetOpts(t *testing.T, p Params, opts ...Option) *Network {
+	t.Helper()
 	links := [][4]int{
 		{0, 0, 1, 0}, {0, 1, 2, 0}, {1, 1, 3, 0}, {2, 1, 3, 1}, {2, 2, 4, 0},
 		{3, 2, 5, 0}, {4, 1, 5, 1}, {4, 2, 6, 0}, {5, 2, 7, 0}, {6, 1, 7, 1},
@@ -48,7 +54,7 @@ func fixtureNet(t *testing.T, p Params) *Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := New(rt, p, 1)
+	n, err := New(rt, p, 1, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

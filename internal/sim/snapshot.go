@@ -26,8 +26,7 @@ import (
 // membership changes, reconfiguration timers, retry timeouts). Restoring
 // a snapshot into a virgin network of the same shape then continues the
 // run with byte-identical traces, stats and tables relative to an
-// uninterrupted execution, under any serial engine and any serial shard
-// count.
+// uninterrupted execution.
 //
 // Pending events are serializable only when their payload is plain data.
 // The allowed kinds are evFaultApply, evMembership and evReconfig
@@ -131,9 +130,7 @@ func kindName(k event.Kind) string {
 
 // fingerprint digests the network shape a snapshot is only valid for:
 // topology wiring, timing parameters, the requested routing options, and
-// the destination-set representation. The shard count is deliberately
-// excluded — serial equivalence makes a snapshot portable across serial
-// shard counts.
+// the destination-set representation.
 type fingerprint struct {
 	topo    uint64
 	params  uint64
@@ -188,27 +185,18 @@ func routingHash(o updown.Options) uint64 {
 
 // --- quiescence ---
 
-// snapshotPendingEvents enumerates the pending schedule in realized
-// dispatch order under either serial engine.
-func (n *Network) snapshotPendingEvents() []event.PendingEvent {
-	if n.lanes != nil {
-		return n.lanes.SnapshotPending()
-	}
-	return n.queue.SnapshotPending()
-}
-
 // checkQuiescent verifies the network is at a serializable quiescent
 // point and returns the classified pending events on success.
 func (n *Network) checkQuiescent() ([]event.PendingEvent, error) {
-	now := n.nowAt()
+	now := n.queue.Now()
 	busy := func(format string, args ...any) error {
 		return &CheckpointBusyError{At: now, Reason: fmt.Sprintf(format, args...)}
 	}
 	if n.running.Load() {
 		return nil, busy("event loop is running")
 	}
-	if v := n.outstanding.Load(); v != 0 {
-		return nil, busy("%d messages in flight", v)
+	if n.outstanding != 0 {
+		return nil, busy("%d messages in flight", n.outstanding)
 	}
 	if n.invariant != nil {
 		return nil, busy("routing invariant violation recorded: %v", n.invariant)
@@ -245,7 +233,7 @@ func (n *Network) checkQuiescent() ([]event.PendingEvent, error) {
 			return nil, busy("injection line of node %d busy", x.node)
 		}
 	}
-	pending := n.snapshotPendingEvents()
+	pending := n.queue.SnapshotPending()
 	for _, p := range pending {
 		switch p.Kind {
 		case evFaultApply, evMembership, evReconfig, evReclaim:
@@ -266,14 +254,9 @@ func (n *Network) checkQuiescent() ([]event.PendingEvent, error) {
 // Checkpoint serializes the network's state to w. The network must be at
 // a quiescent point — no message outstanding, all switch and NI
 // resources idle, only reconstructible control-plane events pending —
-// or a *CheckpointBusyError is returned. The parallel engine does not
-// support checkpointing (its per-shard serialization is not the serial
-// order the snapshot format captures). Checkpoint does not mutate the
+// or a *CheckpointBusyError is returned. Checkpoint does not mutate the
 // network; the run may simply continue afterwards.
 func (n *Network) Checkpoint(wr io.Writer) error {
-	if err := n.fastModeCheck("checkpoint/restore (Checkpoint)"); err != nil {
-		return err
-	}
 	pending, err := n.checkQuiescent()
 	if err != nil {
 		return err
@@ -290,7 +273,7 @@ func (n *Network) Checkpoint(wr io.Writer) error {
 		w.Int(len(n.topo.Links))
 	})
 	w.Section(secClock, func(w *snap.Writer) {
-		w.Varint(int64(n.nowAt()))
+		w.Varint(int64(n.queue.Now()))
 		w.U64(n.EventsProcessed())
 		w.Varint(n.nextWormID)
 		w.Varint(n.nextMsgID)
@@ -624,14 +607,11 @@ func (s *netSnapshot) validate(n *Network) error {
 // and counters); per-group OnDelta hooks are process state and must be
 // re-installed by the caller afterwards.
 func (n *Network) Restore(rd io.Reader) error {
-	if err := n.fastModeCheck("checkpoint/restore (Restore)"); err != nil {
-		return err
-	}
 	if n.running.Load() {
 		return fmt.Errorf("sim: Restore while the event loop is running")
 	}
-	if n.nowAt() != 0 || n.EventsProcessed() != 0 || n.queueLen() != 0 ||
-		n.outstanding.Load() != 0 || n.nextMsgID != 0 || n.nextWormID != 0 ||
+	if n.queue.Now() != 0 || n.queue.Processed() != 0 || n.queue.Len() != 0 ||
+		n.outstanding != 0 || n.nextMsgID != 0 || n.nextWormID != 0 ||
 		n.faulted || n.deadLink != nil || len(n.groups) != 0 ||
 		n.stats != (Stats{}) {
 		return fmt.Errorf("sim: Restore requires a virgin network (construct a fresh one with New)")
@@ -695,39 +675,34 @@ func (n *Network) Restore(rd io.Reader) error {
 	// and the re-posts draw the lowest sequence numbers — exactly the
 	// ordering they had in the uninterrupted run, where they were posted
 	// before any event the continuation will create.
-	if n.lanes != nil {
-		n.lanes.ResetTo(s.now, s.processed)
-	} else {
-		n.queue.ResetTo(s.now, s.processed)
-	}
+	n.queue.ResetTo(s.now, s.processed)
 	for i := range s.pending {
 		p := &s.pending[i]
 		switch p.kind {
 		case evFaultApply:
 			fe := p.fault
-			n.ctlPost(p.at, evFaultApply, &fe, 0)
+			n.queue.Post(p.at, evFaultApply, &fe, 0)
 		case evMembership:
 			me := p.member
-			n.ctlPost(p.at, evMembership, &me, 0)
+			n.queue.Post(p.at, evMembership, &me, 0)
 		case evReconfig:
-			n.ctlPost(p.at, evReconfig, nil, p.arg)
+			n.queue.Post(p.at, evReconfig, nil, p.arg)
 		case evMsgTimeout:
 			// The message completed before the checkpoint: the handler
 			// no-ops on a Done message, but popping the event still
 			// advances the clock and the processed count exactly as the
 			// stale timeout would have.
-			n.ctlPost(p.at, evMsgTimeout, &Message{}, 0)
+			n.queue.Post(p.at, evMsgTimeout, &Message{}, 0)
 		case evReclaim:
 			// The branch's work is done; only the pop itself matters.
 			// A placeholder branch (holding the sole reference to a
 			// placeholder worm) recycles into the pools exactly like a
 			// quarantined real one.
-			sh := n.sh0()
-			br := sh.getBranch()
+			br := n.getBranch()
 			br.done = true
-			br.w = sh.getWorm()
+			br.w = n.getWorm()
 			wormRef(br.w)
-			n.ctlPost(p.at, evReclaim, br, 0)
+			n.queue.Post(p.at, evReclaim, br, 0)
 		}
 	}
 	return nil

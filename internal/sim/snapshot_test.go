@@ -37,24 +37,19 @@ func netDigest(n *Network) string {
 		n.reconfigEpoch, n.routingEpoch, n.faulted, n.partitioned, n.rt.Root, g.String())
 }
 
-func ckptOpts(k int, sink *[]TraceEvent) []Option {
-	opts := []Option{WithTrace(func(ev TraceEvent) { *sink = append(*sink, ev) })}
-	if k > 1 {
-		opts = append(opts, WithShards(k))
-	}
-	return opts
+// traceInto returns a WithTrace option appending every event to sink.
+func traceInto(sink *[]TraceEvent) Option {
+	return WithTrace(func(ev TraceEvent) { *sink = append(*sink, ev) })
 }
 
-// runCkptScenario checkpoints phaseA run at ckptShards and restores at
-// restoreShards (serial equivalence makes snapshots portable across
-// serial shard counts), comparing the continuation against an
-// uninterrupted run at restoreShards.
-func runCkptScenario(t *testing.T, sc ckptScenario, ckptShards, restoreShards int) {
+// runCkptScenario checkpoints at the end of phaseA, restores into a fresh
+// network, and compares the continuation against an uninterrupted run.
+func runCkptScenario(t *testing.T, sc ckptScenario) {
 	t.Helper()
 
 	// Uninterrupted reference.
 	var ref []TraceEvent
-	n1 := fixtureNetOpts(t, sc.params(), ckptOpts(restoreShards, &ref)...)
+	n1 := fixtureNetOpts(t, sc.params(), traceInto(&ref))
 	sc.phaseA(t, n1)
 	mark := len(ref)
 	sc.phaseB(t, n1)
@@ -64,7 +59,7 @@ func runCkptScenario(t *testing.T, sc ckptScenario, ckptShards, restoreShards in
 	// Interrupted: phaseA, checkpoint, restore into a fresh network,
 	// continue.
 	var pre []TraceEvent
-	n2 := fixtureNetOpts(t, sc.params(), ckptOpts(ckptShards, &pre)...)
+	n2 := fixtureNetOpts(t, sc.params(), traceInto(&pre))
 	sc.phaseA(t, n2)
 	var buf bytes.Buffer
 	if err := n2.Checkpoint(&buf); err != nil {
@@ -72,7 +67,7 @@ func runCkptScenario(t *testing.T, sc ckptScenario, ckptShards, restoreShards in
 	}
 
 	var tail []TraceEvent
-	n3 := fixtureNetOpts(t, sc.params(), ckptOpts(restoreShards, &tail)...)
+	n3 := fixtureNetOpts(t, sc.params(), traceInto(&tail))
 	if err := n3.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
@@ -197,7 +192,7 @@ var ckptScenarios = []ckptScenario{
 			if n.Outstanding() != 0 {
 				t.Fatalf("reliable send still outstanding at t=2000")
 			}
-			if n.queueLen() == 0 {
+			if n.queue.Len() == 0 {
 				t.Fatalf("expected a stale evMsgTimeout pending at checkpoint")
 			}
 		},
@@ -238,7 +233,7 @@ var ckptScenarios = []ckptScenario{
 			n.AbortMessage(m)
 			deadline := n.Now() + 10_000
 			for {
-				if n.Outstanding() == 0 && n.queueLen() > 0 {
+				if n.Outstanding() == 0 && n.queue.Len() > 0 {
 					if _, err := n.checkQuiescent(); err == nil {
 						break
 					}
@@ -259,21 +254,16 @@ var ckptScenarios = []ckptScenario{
 }
 
 // TestCheckpointRestoreEqualsUninterrupted is the tier-1 determinism
-// property: for every schedule type and every serial shard count, a
-// checkpoint/restore cycle at a quiescent point is invisible — the
-// continuation's traces and final state are byte-identical to the run
-// that never stopped.
+// property: for every schedule type, a checkpoint/restore cycle at a
+// quiescent point is invisible — the continuation's traces and final
+// state are byte-identical to the run that never stopped.
+//
+// Subtests keep their shards=1 names from when the engine had a shard
+// axis; every run is on the single calendar queue.
 func TestCheckpointRestoreEqualsUninterrupted(t *testing.T) {
 	for _, sc := range ckptScenarios {
-		for _, k := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("%s/shards=%d", sc.name, k), func(t *testing.T) {
-				runCkptScenario(t, sc, k, k)
-			})
-		}
-		// Serial equivalence makes snapshots portable across serial
-		// shard counts: checkpoint single-queue, restore sharded.
-		t.Run(sc.name+"/cross-shards=1to4", func(t *testing.T) {
-			runCkptScenario(t, sc, 1, 4)
+		t.Run(sc.name+"/shards=1", func(t *testing.T) {
+			runCkptScenario(t, sc)
 		})
 	}
 }
@@ -299,17 +289,6 @@ func TestCheckpointRefusesNonQuiescent(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "evSched") {
 			t.Fatalf("busy error should name the pending kind: %v", err)
-		}
-	})
-
-	t.Run("fast mode", func(t *testing.T) {
-		n := fixtureNetOpts(t, DefaultParams(), WithFastShards(2))
-		var fm *FastModeError
-		if err := n.Checkpoint(&bytes.Buffer{}); !errors.As(err, &fm) {
-			t.Fatalf("got %v, want *FastModeError", err)
-		}
-		if err := n.Restore(bytes.NewReader(nil)); !errors.As(err, &fm) {
-			t.Fatalf("Restore: got %v, want *FastModeError", err)
 		}
 	})
 }
@@ -425,45 +404,5 @@ func mustRunAfterRestore(t *testing.T, n *Network) {
 		// must still balance because the snapshot carried them whole.
 	} else {
 		t.Fatalf("conservation after restore: %v", err)
-	}
-}
-
-// TestCheckpointAcrossEngines pins snapshot portability between the
-// calendar and heap backends: dispatch order is engine-independent, so a
-// snapshot taken on one backend restores on the other.
-func TestCheckpointAcrossEngines(t *testing.T) {
-	var refTrace []TraceEvent
-	ref := fixtureNetOpts(t, DefaultParams(), ckptOpts(1, &refTrace)...)
-	if err := ref.InstallFaults(&FaultSchedule{Events: []FaultEvent{
-		{At: 4000, Kind: FaultLink, Link: 1},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	mustRun(t, ref, unicastPlan(0, 7), 128)
-	var buf bytes.Buffer
-	if err := ref.Checkpoint(&buf); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-
-	var heapTrace []TraceEvent
-	opts := append(ckptOpts(1, &heapTrace), WithEngine(EngineHeap))
-	n := fixtureNetOpts(t, DefaultParams(), opts...)
-	if err := n.Restore(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("Restore on heap backend: %v", err)
-	}
-	refMark := len(refTrace)
-	sendProbe(t, ref, 1, 5, 128)
-	if err := ref.Drain(0); err != nil {
-		t.Fatal(err)
-	}
-	sendProbe(t, n, 1, 5, 128)
-	if err := n.Drain(0); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(heapTrace, refTrace[refMark:]) {
-		t.Fatalf("heap-backend continuation diverged: %d vs %d events", len(heapTrace), len(refTrace)-refMark)
-	}
-	if netDigest(n) != netDigest(ref) {
-		t.Fatalf("digest diverged:\n got %s\nwant %s", netDigest(n), netDigest(ref))
 	}
 }

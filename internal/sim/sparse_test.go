@@ -20,7 +20,7 @@ import (
 
 // repTraceRun executes a fixed multicast workload under the given
 // representation and returns the full formatted trace plus final stats.
-func repTraceRun(t *testing.T, rep SetRep, coding DestCoding, early bool, shards int) (string, Stats) {
+func repTraceRun(t *testing.T, rep SetRep, coding DestCoding, early bool) (string, Stats) {
 	t.Helper()
 	topo, err := topology.Generate(topology.DefaultConfig(), rng.New(11))
 	if err != nil {
@@ -35,14 +35,10 @@ func repTraceRun(t *testing.T, rep SetRep, coding DestCoding, early bool, shards
 	p.DestCoding = coding
 	p.EarlyTreeBranch = early
 	var sb strings.Builder
-	opts := []Option{WithTrace(func(ev TraceEvent) {
+	n, err := New(rt, p, 11, WithTrace(func(ev TraceEvent) {
 		fmt.Fprintf(&sb, "%d %v w%d m%d p%d s%d/%d n%d\n",
 			ev.At, ev.Kind, ev.Worm, ev.Msg, ev.Pkt, ev.Switch, ev.Port, ev.Node)
-	})}
-	if shards > 1 {
-		opts = append(opts, WithShards(shards))
-	}
-	n, err := New(rt, p, 11, opts...)
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,14 +59,14 @@ func repTraceRun(t *testing.T, rep SetRep, coding DestCoding, early bool, shards
 
 // TestSparseFlatTraceIdentical: the same workload under RepFlat and
 // RepSparse produces byte-identical traces for every coding × ablation
-// combination, single-queue engine.
+// combination.
 func TestSparseFlatTraceIdentical(t *testing.T) {
 	for _, coding := range []DestCoding{HeaderFlat, HeaderIval} {
 		for _, early := range []bool{false, true} {
 			name := fmt.Sprintf("coding=%v/early=%v", coding, early)
 			t.Run(name, func(t *testing.T) {
-				flat, fs := repTraceRun(t, RepFlat, coding, early, 1)
-				sparse, ss := repTraceRun(t, RepSparse, coding, early, 1)
+				flat, fs := repTraceRun(t, RepFlat, coding, early)
+				sparse, ss := repTraceRun(t, RepSparse, coding, early)
 				if flat != sparse {
 					t.Fatalf("trace diverged between representations (flat %d bytes, sparse %d bytes)",
 						len(flat), len(sparse))
@@ -82,18 +78,6 @@ func TestSparseFlatTraceIdentical(t *testing.T) {
 					t.Fatal("empty trace: workload did not run")
 				}
 			})
-		}
-	}
-}
-
-// TestSparseFlatShardedIdentical extends the contract to the serial-
-// equivalence sharded engine: representation × shard count is one trace.
-func TestSparseFlatShardedIdentical(t *testing.T) {
-	ref, _ := repTraceRun(t, RepFlat, HeaderIval, false, 1)
-	for _, shards := range []int{2, 4} {
-		got, _ := repTraceRun(t, RepSparse, HeaderIval, false, shards)
-		if got != ref {
-			t.Fatalf("sparse %d-shard trace diverged from flat single-queue trace", shards)
 		}
 	}
 }

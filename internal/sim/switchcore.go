@@ -18,13 +18,6 @@ type channel struct {
 	dstBuf   *inputBuf       // when toSwitch
 	dstNode  topology.NodeID // when !toSwitch (ejection into an NI)
 
-	// sh owns the channel: the SENDER's shard (credits, line occupancy
-	// and the active-sender slot are all mutated by the pump/grant/
-	// release path). dst is the receiving side's shard — evDeliver is
-	// posted there; equal to sh for ejection and injection lines.
-	sh  *shardState
-	dst *shardState
-
 	credits  int // free slots in dstBuf (meaningless for ejection)
 	lineFree event.Time
 	sender   *branch // active sender, for credit wake-ups
@@ -44,7 +37,6 @@ type channel struct {
 // oldest resident worm is routed and forwarded.
 type inputBuf struct {
 	net  *Network
-	sh   *shardState // the owning switch's shard
 	sw   topology.SwitchID
 	port int
 	cap  int
@@ -58,14 +50,14 @@ type inputBuf struct {
 func (b *inputBuf) bindUpstream(up *channel) { b.upstream = up }
 
 // creditReturn hands one buffer slot back to the feeding channel and
-// wakes its sender. Scheduled as evCredit on the channel's owning (sender)
-// shard after the link delay; called directly when a drained straggler
-// flit returns its slot immediately (fault teardown, serial engines only).
+// wakes its sender. Scheduled as evCredit after the link delay; called
+// directly when a drained straggler flit returns its slot immediately
+// (fault teardown).
 func (b *inputBuf) creditReturn() {
 	up := b.upstream
 	up.credits++
 	if up.sender != nil {
-		up.sender.schedulePump(up.sh.now())
+		up.sender.schedulePump(b.net.queue.Now())
 	}
 }
 
@@ -102,9 +94,8 @@ type occupant struct {
 // multicast under load.
 type branch struct {
 	net     *Network
-	sh      *shardState // the shard the branch lives (and pumps) on
-	occ     *occupant   // nil for NI injection
-	w       *worm       // the child worm delivered downstream; w.len flits to send
+	occ     *occupant // nil for NI injection
+	w       *worm     // the child worm delivered downstream; w.len flits to send
 	elastic bool
 
 	offset int // index in the occupant stream where this branch starts
@@ -132,10 +123,9 @@ type branch struct {
 }
 
 // deliver lands one flit at the branch's destination after the link
-// delay (the evDeliver handler, dispatched on the destination shard).
-// ch and w are fixed for the branch's lifetime, so reading them at
-// dispatch time matches the old engine's capture-at-grant closures
-// exactly — and gives the cross-shard event a stable frozen payload.
+// delay (the evDeliver handler). ch and w are fixed for the branch's
+// lifetime, so reading them at dispatch time matches the old engine's
+// capture-at-grant closures exactly.
 func (br *branch) deliver() {
 	ch := br.ch
 	if ch.toSwitch {
@@ -163,7 +153,6 @@ func (br *branch) tailRelease() {
 // holds it from header grant until its tail passes; contenders queue FIFO.
 type outPort struct {
 	net    *Network
-	sh     *shardState // the owning switch's shard
 	sw     topology.SwitchID
 	port   int
 	ch     *channel
@@ -190,9 +179,7 @@ func (b *inputBuf) flitArrive(w *worm) {
 		// Straggler flit of a torn-down worm: drain it. The sender already
 		// spent a credit on it; hand the credit straight back if the
 		// feeding channel is still alive so the buffer slot never leaks.
-		// (Worms die only under the fault layer — serial engines — so the
-		// direct cross-structure call never runs under shard workers.)
-		b.sh.stats.FlitsDropped++
+		b.net.stats.FlitsDropped++
 		if b.upstream != nil && !b.upstream.dead {
 			b.creditReturn()
 		}
@@ -206,7 +193,7 @@ func (b *inputBuf) flitArrive(w *worm) {
 	if n := len(b.occupants); n > 0 && b.occupants[n-1].w == w {
 		o = b.occupants[n-1]
 	} else {
-		o = b.sh.getOccupant()
+		o = b.net.getOccupant()
 		o.buf = b
 		o.w = w
 		wormRef(w) // the occupant's assembly leg; released at recycle
@@ -218,12 +205,12 @@ func (b *inputBuf) flitArrive(w *worm) {
 	}
 	if o == b.occupants[0] && !o.routed && !o.routing {
 		o.routing = true
-		b.sh.postAfter(b.net.params.RoutingDelay, evRoute, o, 0)
+		b.net.queue.PostAfter(b.net.params.RoutingDelay, evRoute, o, 0)
 	}
 	if o.routed {
 		// New flit may unblock consumer branches.
 		for _, br := range o.branches {
-			br.schedulePump(b.sh.now())
+			br.schedulePump(b.net.queue.Now())
 		}
 		o.advanceEviction()
 	}
@@ -236,7 +223,7 @@ func (o *occupant) advanceEviction() {
 		return
 	}
 	b := o.buf
-	sh := b.sh
+	n := b.net
 	for o.evicted < o.arrived {
 		i := o.evicted
 		freed := true
@@ -254,10 +241,7 @@ func (o *occupant) advanceEviction() {
 		}
 		o.evicted++
 		b.used--
-		// The credit lands on the feeding channel's owner — the sender
-		// shard — one link delay out: at or past the window edge, which
-		// is exactly the conservative lookahead.
-		sh.postTo(b.upstream.sh, sh.now()+b.net.params.LinkDelay, evCredit, b, 0)
+		n.queue.PostAfter(n.params.LinkDelay, evCredit, b, 0)
 	}
 	o.maybeComplete()
 }
@@ -271,12 +255,12 @@ func (o *occupant) maybeComplete() {
 	}
 	b.occupants = b.occupants[1:]
 	o.detached = true
-	b.sh.tryRecycleOccupant(o)
+	b.net.tryRecycleOccupant(o)
 	if len(b.occupants) > 0 {
 		next := b.occupants[0]
 		if next.arrived > 0 && !next.routed && !next.routing {
 			next.routing = true
-			b.sh.postAfter(b.net.params.RoutingDelay, evRoute, next, 0)
+			b.net.queue.PostAfter(b.net.params.RoutingDelay, evRoute, next, 0)
 		}
 	}
 }
@@ -286,26 +270,26 @@ func (o *occupant) maybeComplete() {
 // route flips the occupant's routing flags and hands the header to the
 // worm-advancement dispatcher (the evRoute handler).
 func (o *occupant) route() {
-	sh := o.buf.sh
+	n := o.buf.net
 	o.routing = false
 	if o.killed {
 		// The pending routing event was the last thing pinning a
 		// torn-down occupant.
-		sh.tryRecycleOccupant(o)
+		n.tryRecycleOccupant(o)
 		return
 	}
 	o.routed = true
-	sh.advanceWorm(o)
+	n.advanceWorm(o)
 }
 
 // wormPlanner emits the branches advancing one worm kind past a switch.
-type wormPlanner func(*shardState, *occupant, topology.SwitchID, *worm)
+type wormPlanner func(*Network, *occupant, topology.SwitchID, *worm)
 
 // wormPlanners is advanceWorm's dispatch table, indexed by WormKind.
 var wormPlanners = [...]wormPlanner{
-	WormUnicast: (*shardState).planUnicast,
-	WormTree:    (*shardState).planTree,
-	WormPath:    (*shardState).planPath,
+	WormUnicast: (*Network).planUnicast,
+	WormTree:    (*Network).planTree,
+	WormPath:    (*Network).planPath,
 }
 
 // branchSpec describes one replication output a planner wants: the child
@@ -324,27 +308,27 @@ type branchSpec struct {
 
 // emitBranch realizes one branchSpec: the shared create-and-file step
 // behind every worm kind's advancement. spec.ports/phases may live in
-// shard scratch; fileRequest copies before retaining.
-func (sh *shardState) emitBranch(o *occupant, s topology.SwitchID, spec branchSpec) {
-	br := sh.newBranch(o, spec.child, spec.offset)
+// decision scratch; fileRequest copies before retaining.
+func (n *Network) emitBranch(o *occupant, s topology.SwitchID, spec branchSpec) {
+	br := n.newBranch(o, spec.child, spec.offset)
 	br.elastic = spec.elastic
 	br.drops = spec.drops
 	if spec.adaptive {
-		sh.fileAdaptive(br, s, spec.ports, spec.phases)
+		n.fileAdaptive(br, s, spec.ports, spec.phases)
 		return
 	}
-	sh.fileRequest(br, s, spec.ports, spec.phases)
+	n.fileRequest(br, s, spec.ports, spec.phases)
 }
 
 // advanceWorm is the single worm-advancement dispatcher: it traces the
 // routing decision, runs the worm kind's planner, applies the tree
 // scheme's central-buffer elasticity, and lets absorbed header flits
 // evict. Unicast, tree replication and path stops all flow through here.
-func (sh *shardState) advanceWorm(o *occupant) {
+func (n *Network) advanceWorm(o *occupant) {
 	s := o.buf.sw
 	w := o.w
-	sh.net.trace(TraceEvent{Kind: TraceRoute, Worm: w.id, Msg: w.msg.ID, Pkt: w.pkt, Switch: s, Port: o.buf.port})
-	wormPlanners[w.kind](sh, o, s, w)
+	n.trace(TraceEvent{Kind: TraceRoute, Worm: w.id, Msg: w.msg.ID, Pkt: w.pkt, Switch: s, Port: o.buf.port})
+	wormPlanners[w.kind](n, o, s, w)
 	// Tree-worm replication passes through the switch's central buffer
 	// (ISCA'97): wherever the worm split, every branch drains from that
 	// buffer.
@@ -360,33 +344,31 @@ func (sh *shardState) advanceWorm(o *occupant) {
 
 // singleSpec loads the one-port scratch pair for single-candidate specs,
 // avoiding a slice-literal escape per branch.
-func (sh *shardState) singleSpec(p int, ph updown.Phase) ([]int, []updown.Phase) {
-	sh.scr.onePort[0] = p
-	sh.scr.onePhase[0] = ph
-	return sh.scr.onePort[:], sh.scr.onePhase[:]
+func (n *Network) singleSpec(p int, ph updown.Phase) ([]int, []updown.Phase) {
+	n.scr.onePort[0] = p
+	n.scr.onePhase[0] = ph
+	return n.scr.onePort[:], n.scr.onePhase[:]
 }
 
-func (sh *shardState) planUnicast(o *occupant, s topology.SwitchID, w *worm) {
-	n := sh.net
+func (n *Network) planUnicast(o *occupant, s topology.SwitchID, w *worm) {
 	home := n.topo.NodeSwitch[w.dest]
 	if home == s {
-		ports, phases := sh.singleSpec(n.rt.NodePortAt(s, w.dest), w.phase)
-		sh.emitBranch(o, s, branchSpec{child: w.child(sh, 0),
+		ports, phases := n.singleSpec(n.rt.NodePortAt(s, w.dest), w.phase)
+		n.emitBranch(o, s, branchSpec{child: w.child(n, 0),
 			ports: ports, phases: phases})
 		return
 	}
-	ports, phases := sh.nextHops(s, w.phase, home)
+	ports, phases := n.nextHops(s, w.phase, home)
 	if len(ports) == 0 {
 		n.routeFailure(o, s, fmt.Sprintf("no legal route for %v phase %v", w, w.phase))
 		return
 	}
-	sh.emitBranch(o, s, branchSpec{child: w.child(sh, 0),
+	n.emitBranch(o, s, branchSpec{child: w.child(n, 0),
 		ports: ports, phases: phases, adaptive: true})
 }
 
-func (sh *shardState) planTree(o *occupant, s topology.SwitchID, w *worm) {
-	n := sh.net
-	remaining := sh.getDset()
+func (n *Network) planTree(o *occupant, s topology.SwitchID, w *worm) {
+	remaining := n.getDset()
 	remaining.copyFrom(w.destSet)
 	// Local deliveries: destinations attached to this switch drop here
 	// regardless of the climb state.
@@ -396,40 +378,40 @@ func (sh *shardState) planTree(o *occupant, s topology.SwitchID, w *worm) {
 				continue
 			}
 			remaining.remove(int(node))
-			ds := sh.getDset()
+			ds := n.getDset()
 			ds.add(int(node))
-			ports, phases := sh.singleSpec(n.rt.NodePortAt(s, node), w.phase)
-			sh.emitBranch(o, s, branchSpec{child: w.childSet(sh, 0, ds),
+			ports, phases := n.singleSpec(n.rt.NodePortAt(s, node), w.phase)
+			n.emitBranch(o, s, branchSpec{child: w.childSet(n, 0, ds),
 				ports: ports, phases: phases})
 		}
 	}
 	if remaining.empty() {
-		sh.putDset(remaining)
+		n.putDset(remaining)
 		return
 	}
 	if remaining.subsetOfBits(n.rt.Cover[s]) {
 		// Replicate down: partition the remaining set across down ports.
-		parts, ok := sh.partitionDownAdaptive(s, remaining)
+		parts, ok := n.partitionDownAdaptive(s, remaining)
 		if !ok {
 			n.routeFailure(o, s, fmt.Sprintf("down partition cannot cover %v", remaining.indices()))
-			sh.putDset(remaining)
+			n.putDset(remaining)
 			return
 		}
-		sh.putDset(remaining)
+		n.putDset(remaining)
 		for _, ps := range parts {
 			// The partition subset becomes the child's destination set
 			// (pooled; ownership transfers to the child worm).
-			c := w.childSet(sh, 0, ps.sub)
+			c := w.childSet(n, 0, ps.sub)
 			c.phase = updown.PhaseDown
-			ports, phases := sh.singleSpec(ps.port, updown.PhaseDown)
-			sh.emitBranch(o, s, branchSpec{child: c,
+			ports, phases := n.singleSpec(ps.port, updown.PhaseDown)
+			n.emitBranch(o, s, branchSpec{child: c,
 				ports: ports, phases: phases})
 		}
 		return
 	}
 	if w.phase == updown.PhaseDown {
 		n.routeFailure(o, s, fmt.Sprintf("tree worm %v descended to a switch that cannot cover %v", w, remaining.indices()))
-		sh.putDset(remaining)
+		n.putDset(remaining)
 		return
 	}
 	if n.params.EarlyTreeBranch {
@@ -438,41 +420,40 @@ func (sh *shardState) planTree(o *occupant, s topology.SwitchID, w *worm) {
 			if !remaining.intersectsBits(n.rt.DownReach[s][p]) {
 				continue
 			}
-			sub := sh.getDset()
+			sub := n.getDset()
 			remaining.intersectInto(sub, n.rt.DownReach[s][p])
 			remaining.differenceWith(sub)
-			c := w.childSet(sh, 0, sub)
+			c := w.childSet(n, 0, sub)
 			c.phase = updown.PhaseDown
-			ports, phases := sh.singleSpec(p, updown.PhaseDown)
-			sh.emitBranch(o, s, branchSpec{child: c,
+			ports, phases := n.singleSpec(p, updown.PhaseDown)
+			n.emitBranch(o, s, branchSpec{child: c,
 				ports: ports, phases: phases})
 		}
 		if remaining.empty() {
-			sh.putDset(remaining)
+			n.putDset(remaining)
 			return
 		}
 	}
 	// Climb: continue on an up port along a shortest up-path to a switch
 	// that covers the remainder (the paper's "travel adaptively to a least
 	// common ancestor switch using links in the up direction").
-	ports := sh.climbPorts(s, remaining)
+	ports := n.climbPorts(s, remaining)
 	if len(ports) == 0 {
 		n.routeFailure(o, s, fmt.Sprintf("tree worm %v stuck: no up port reaches a switch covering %v", w, remaining.indices()))
-		sh.putDset(remaining)
+		n.putDset(remaining)
 		return
 	}
-	c := w.childSet(sh, 0, remaining) // remaining's ownership moves to the child
-	phases := sh.scr.phaseScratch[:0]
+	c := w.childSet(n, 0, remaining) // remaining's ownership moves to the child
+	phases := n.scr.phaseScratch[:0]
 	for range ports {
 		phases = append(phases, updown.PhaseUp)
 	}
-	sh.scr.phaseScratch = phases
-	sh.emitBranch(o, s, branchSpec{child: c,
+	n.scr.phaseScratch = phases
+	n.emitBranch(o, s, branchSpec{child: c,
 		ports: ports, phases: phases, adaptive: true})
 }
 
-func (sh *shardState) planPath(o *occupant, s topology.SwitchID, w *worm) {
-	n := sh.net
+func (n *Network) planPath(o *occupant, s topology.SwitchID, w *worm) {
 	if len(w.path) == 0 {
 		panic("sim: path worm with no remaining segments")
 	}
@@ -485,7 +466,7 @@ func (sh *shardState) planPath(o *occupant, s topology.SwitchID, w *worm) {
 			n.routeFailure(o, s, fmt.Sprintf("path worm %v has no legal route toward switch %d", w, seg.Switch))
 			return
 		}
-		sh.emitBranch(o, s, branchSpec{child: w.child(sh, 0),
+		n.emitBranch(o, s, branchSpec{child: w.child(n, 0),
 			ports: ports, phases: phases, adaptive: true})
 		return
 	}
@@ -501,12 +482,12 @@ func (sh *shardState) planPath(o *occupant, s topology.SwitchID, w *worm) {
 		if p < 0 {
 			panic(fmt.Sprintf("sim: path worm drop %d not attached to switch %d", d, s))
 		}
-		c := w.child(sh, skip)
+		c := w.child(n, skip)
 		c.path = rest
 		// Drops are buffered deliveries: the worm never stalls on them
 		// (the multi-drop mechanism's delivery buffering); only the
 		// continuation below is synchronous.
-		sh.emitBranch(o, s, branchSpec{child: c, offset: skip,
+		n.emitBranch(o, s, branchSpec{child: c, offset: skip,
 			elastic: true, drops: []topology.NodeID{d},
 			ports: []int{p}, phases: []updown.Phase{w.phase}})
 	}
@@ -530,10 +511,10 @@ func (sh *shardState) planPath(o *occupant, s topology.SwitchID, w *worm) {
 		if len(rest) == 0 {
 			panic("sim: path worm continues with no remaining segments")
 		}
-		c := w.child(sh, skip)
+		c := w.child(n, skip)
 		c.path = rest
 		c.phase = next
-		sh.emitBranch(o, s, branchSpec{child: c, offset: skip,
+		n.emitBranch(o, s, branchSpec{child: c, offset: skip,
 			ports: []int{seg.NextPort}, phases: []updown.Phase{next}})
 	}
 }
@@ -555,45 +536,44 @@ type portSet struct {
 // false when the down ports cannot cover the set — impossible under the
 // Covers precondition on healthy routing state, but reachable when a fault
 // invalidates the reachability strings mid-run.
-func (sh *shardState) partitionDownAdaptive(s topology.SwitchID, set dset) ([]portSet, bool) {
-	n := sh.net
-	c := sh.cache
+func (n *Network) partitionDownAdaptive(s topology.SwitchID, set dset) ([]portSet, bool) {
+	c := &n.cache
 	c.sync(n.routingEpoch)
 	var key partKey
 	var cached *partEntry
 	if !c.disabled {
-		key = partKey{sw: int32(s), fp: sh.destFP(set)}
+		key = partKey{sw: int32(s), fp: n.destFP(set)}
 		if e := c.part[key]; e != nil && set.equalRuns(e.key) {
 			cached = e
 			if !e.tied {
 				// Hit: burn the identical shuffle the miss path draws so
 				// the arbitration RNG stream stays byte-for-byte equal,
 				// then hand out pooled copies of the cached partition.
-				sh.arb.Shuffle(len(n.downPorts[s]), func(i, j int) {})
-				out := sh.scr.partScratch[:0]
+				n.arb.Shuffle(len(n.downPorts[s]), func(i, j int) {})
+				out := n.scr.partScratch[:0]
 				for i, p := range e.ports {
-					sub := sh.getDset()
+					sub := n.getDset()
 					sub.copyFromRuns(e.subs[i])
 					out = append(out, portSet{port: int(p), sub: sub})
 				}
-				sh.scr.partScratch = out
+				n.scr.partScratch = out
 				return out, true
 			}
 			// Tied entry: the greedy choice depends on the shuffle, so
 			// recompute in full (which consumes the shuffle naturally).
 		}
 	}
-	remaining := sh.getDset()
+	remaining := n.getDset()
 	remaining.copyFrom(set)
-	downs := append(sh.scr.downScratch[:0], n.downPorts[s]...)
-	sh.scr.downScratch = downs
-	sh.arb.Shuffle(len(downs), func(i, j int) { downs[i], downs[j] = downs[j], downs[i] })
-	out := sh.scr.partScratch[:0]
+	downs := append(n.scr.downScratch[:0], n.downPorts[s]...)
+	n.scr.downScratch = downs
+	n.arb.Shuffle(len(downs), func(i, j int) { downs[i], downs[j] = downs[j], downs[i] })
+	out := n.scr.partScratch[:0]
 	tied := false
 	for !remaining.empty() {
 		best, bestCount, dup := -1, 0, false
 		for _, p := range downs {
-			if sh.scr.usedPorts[p] {
+			if n.scr.usedPorts[p] {
 				continue
 			}
 			c := remaining.andCountBits(n.rt.DownReach[s][p])
@@ -605,27 +585,27 @@ func (sh *shardState) partitionDownAdaptive(s topology.SwitchID, set dset) ([]po
 		}
 		if best == -1 {
 			for _, ps := range out {
-				sh.scr.usedPorts[ps.port] = false
-				sh.putDset(ps.sub)
+				n.scr.usedPorts[ps.port] = false
+				n.putDset(ps.sub)
 			}
-			sh.putDset(remaining)
-			sh.scr.partScratch = out[:0]
+			n.putDset(remaining)
+			n.scr.partScratch = out[:0]
 			return nil, false
 		}
 		if dup {
 			tied = true
 		}
-		sub := sh.getDset()
+		sub := n.getDset()
 		remaining.intersectInto(sub, n.rt.DownReach[s][best])
-		sh.scr.usedPorts[best] = true
+		n.scr.usedPorts[best] = true
 		out = append(out, portSet{port: best, sub: sub})
 		remaining.differenceWith(sub)
 	}
 	for _, ps := range out {
-		sh.scr.usedPorts[ps.port] = false
+		n.scr.usedPorts[ps.port] = false
 	}
-	sh.putDset(remaining)
-	sh.scr.partScratch = out
+	n.putDset(remaining)
+	n.scr.partScratch = out
 	if !c.disabled && cached == nil {
 		// First sighting of this (switch, set): record it. Untied
 		// partitions store cache-owned run snapshots; tied ones store only
@@ -650,19 +630,19 @@ func (sh *shardState) partitionDownAdaptive(s topology.SwitchID, set dset) ([]po
 // climbPorts returns the up ports of s that begin a shortest all-up path to
 // a switch covering set (reverse BFS from all covering switches over up
 // links, memoized per destination set by the route cache). The result
-// lives in shard scratch.
-func (sh *shardState) climbPorts(s topology.SwitchID, set dset) []int {
-	dist := sh.climbDist(set)
+// lives in decision scratch.
+func (n *Network) climbPorts(s topology.SwitchID, set dset) []int {
+	dist := n.climbDist(set)
 	if dist[s] <= 0 {
 		return nil // s covers already (caller bug) or nothing reachable
 	}
-	out := sh.scr.portScratch[:0]
-	for _, pp := range sh.net.upAdj[s] {
+	out := n.scr.portScratch[:0]
+	for _, pp := range n.upAdj[s] {
 		if dist[pp.sw] == dist[s]-1 {
 			out = append(out, pp.port)
 		}
 	}
-	sh.scr.portScratch = out
+	n.scr.portScratch = out
 	return out
 }
 
@@ -671,8 +651,8 @@ func (sh *shardState) climbPorts(s topology.SwitchID, set dset) []int {
 // newBranch pulls a pooled branch for child's stream. A nil occupant
 // means NI injection (all flits already in NI memory). The branch holds
 // a reference on its worm until the post-done quarantine reclaims it.
-func (sh *shardState) newBranch(o *occupant, child *worm, offset int) *branch {
-	br := sh.getBranch()
+func (n *Network) newBranch(o *occupant, child *worm, offset int) *branch {
+	br := n.getBranch()
 	br.occ = o
 	br.w = child
 	br.offset = offset
@@ -687,21 +667,20 @@ func (sh *shardState) newBranch(o *occupant, child *worm, offset int) *branch {
 // fileAdaptive shuffles candidate ports (the simulator's adaptivity
 // tie-break) and files the request. ports/phases must be mutable
 // (scratch or freshly built), never cached storage.
-func (sh *shardState) fileAdaptive(br *branch, s topology.SwitchID, ports []int, phases []updown.Phase) {
-	sh.arb.Shuffle(len(ports), func(i, j int) {
+func (n *Network) fileAdaptive(br *branch, s topology.SwitchID, ports []int, phases []updown.Phase) {
+	n.arb.Shuffle(len(ports), func(i, j int) {
 		ports[i], ports[j] = ports[j], ports[i]
 		phases[i], phases[j] = phases[j], phases[i]
 	})
-	sh.fileRequest(br, s, ports, phases)
+	n.fileRequest(br, s, ports, phases)
 }
 
 // fileRequest arbitrates br onto one of the candidate ports of switch s.
 // The common case — some candidate is free — grants directly without
 // materializing a portRequest; only genuine contention allocates one
 // (with owned copies of the candidate list, since ports/phases may be
-// shard scratch).
-func (sh *shardState) fileRequest(br *branch, s topology.SwitchID, ports []int, phases []updown.Phase) {
-	n := sh.net
+// decision scratch).
+func (n *Network) fileRequest(br *branch, s topology.SwitchID, ports []int, phases []updown.Phase) {
 	sw := n.switches[s]
 	if n.faulted {
 		// Routing state can lag a fault by up to the detection delay: drop
@@ -761,7 +740,7 @@ func (o *outPort) grantTo(br *branch, ph updown.Phase) {
 	o.holder = br
 	o.ch.sender = br
 	o.net.trace(TraceEvent{Kind: TraceGrant, Worm: br.w.id, Msg: br.w.msg.ID, Pkt: br.w.pkt, Switch: o.sw, Port: o.port})
-	br.schedulePump(o.sh.now() + o.net.params.CrossbarDelay)
+	br.schedulePump(o.net.queue.Now() + o.net.params.CrossbarDelay)
 }
 
 // release frees the port after a tail passes and grants the next waiter.
@@ -805,11 +784,11 @@ func (br *branch) schedulePump(t event.Time) {
 		return
 	}
 	br.pumping = true
-	now := br.sh.now()
-	if t < now {
+	q := &br.net.queue
+	if now := q.Now(); t < now {
 		t = now
 	}
-	br.sh.post(t, evPump, br, 0)
+	q.Post(t, evPump, br, 0)
 }
 
 // pump attempts to send one flit; it self-schedules while streaming and
@@ -820,7 +799,6 @@ func (br *branch) pump() {
 		return
 	}
 	net := br.net
-	sh := br.sh
 	ch := br.ch
 	if ch.dead || br.w.dead {
 		// The channel failed under us (or the worm was torn down) between
@@ -828,7 +806,7 @@ func (br *branch) pump() {
 		net.deadEndBranch(br)
 		return
 	}
-	now := sh.now()
+	now := net.queue.Now()
 	if now < ch.lineFree {
 		br.schedulePump(ch.lineFree)
 		return
@@ -848,11 +826,9 @@ func (br *branch) pump() {
 	ch.lineFree = now + 1
 	br.sent++
 	ch.busyFlits++
-	sh.stats.FlitHops++
+	net.stats.FlitHops++
 	w := br.w
-	// The flit lands on the channel's destination shard one link delay
-	// out — at or past the window edge, the conservative lookahead.
-	sh.postTo(ch.dst, now+net.params.LinkDelay, evDeliver, br, 0)
+	net.queue.Post(now+net.params.LinkDelay, evDeliver, br, 0)
 	if br.occ != nil {
 		br.occ.advanceEviction()
 	}
@@ -861,13 +837,13 @@ func (br *branch) pump() {
 		if br.port != nil {
 			net.trace(TraceEvent{Kind: TraceTail, Worm: w.id, Msg: w.msg.ID, Pkt: w.pkt, Switch: br.port.sw, Port: br.port.port})
 		}
-		sh.postAfter(1, evTail, br, 0)
-		sh.postAfter(net.reclaimAfter, evReclaim, br, 0)
+		net.queue.PostAfter(1, evTail, br, 0)
+		net.queue.PostAfter(net.reclaimAfter, evReclaim, br, 0)
 		if br.occ != nil {
 			// Complete the occupant before detaching: detaching can
 			// recycle it, and maybeComplete must read its live state.
 			br.occ.maybeComplete()
-			sh.detachBranch(br)
+			net.detachBranch(br)
 		}
 		return
 	}

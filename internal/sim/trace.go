@@ -70,7 +70,7 @@ type TraceEvent struct {
 
 func (n *Network) trace(ev TraceEvent) {
 	if n.tracer != nil {
-		ev.At = n.nowAt()
+		ev.At = n.queue.Now()
 		n.tracer(ev)
 	}
 }

@@ -148,24 +148,20 @@ func (n *Network) payloadFlits(m *Message, pkt int) int {
 }
 
 // newWorm instantiates packet pkt of spec for message m, as injected at the
-// source (full header present, phase fresh). Worm ids come from the
-// shard's allocator: the shared counter in serial modes, a strided
-// per-shard counter in fast mode (globally unique without
-// coordination).
-func (sh *shardState) newWorm(m *Message, spec *WormSpec, pkt int) *worm {
-	n := sh.net
-	w := sh.getWorm()
-	w.id = *sh.wormID
+// source (full header present, phase fresh).
+func (n *Network) newWorm(m *Message, spec *WormSpec, pkt int) *worm {
+	w := n.getWorm()
+	w.id = n.nextWormID
 	w.kind = spec.Kind
 	w.msg = m
 	w.pkt = pkt
 	w.phase = updown.PhaseUp
-	*sh.wormID += sh.wormStride
+	n.nextWormID++
 	switch spec.Kind {
 	case WormUnicast:
 		w.dest = spec.Dest
 	case WormTree:
-		w.destSet = sh.getDset()
+		w.destSet = n.getDset()
 		for _, d := range spec.DestSet {
 			w.destSet.add(int(d))
 		}
@@ -175,17 +171,17 @@ func (sh *shardState) newWorm(m *Message, spec *WormSpec, pkt int) *worm {
 	// Sized after the destination set is built: the interval coding's
 	// tree header depends on the set's run structure.
 	w.len = n.headerFlits(w) + n.payloadFlits(m, pkt)
-	sh.stats.WormsCreated++
+	n.stats.WormsCreated++
 	return w
 }
 
 // child clones w for a replication branch: the child carries the stream
 // that leaves the branch (length len minus the flits absorbed at this
 // switch) and its own header state.
-func (w *worm) child(sh *shardState, skipped int) *worm {
-	c := w.childSet(sh, skipped, dset{})
+func (w *worm) child(n *Network, skipped int) *worm {
+	c := w.childSet(n, skipped, dset{})
 	if w.destSet.some() {
-		c.destSet = sh.getDset()
+		c.destSet = n.getDset()
 		c.destSet.copyFrom(w.destSet)
 	}
 	return c
@@ -194,11 +190,10 @@ func (w *worm) child(sh *shardState, skipped int) *worm {
 // childSet clones w like child but installs ds — a pooled set whose
 // ownership transfers to the child — as the destination set directly,
 // skipping the copy-then-overwrite the tree planner would otherwise pay.
-func (w *worm) childSet(sh *shardState, skipped int, ds dset) *worm {
-	c := sh.getWorm()
-	// Field-by-field, not *c = *w: a whole-struct copy would read w.refs
-	// non-atomically while another shard's decref may be in flight (the
-	// child starts at zero refs regardless; the pool delivers it zeroed).
+func (w *worm) childSet(n *Network, skipped int, ds dset) *worm {
+	c := n.getWorm()
+	// Field by field: the child starts at zero refs (the pool delivers it
+	// zeroed) and never shares w's reference count.
 	c.kind = w.kind
 	c.msg = w.msg
 	c.pkt = w.pkt
@@ -207,9 +202,9 @@ func (w *worm) childSet(sh *shardState, skipped int, ds dset) *worm {
 	c.path = w.path
 	c.dead = w.dead
 	c.destSet = ds
-	c.id = *sh.wormID
-	*sh.wormID += sh.wormStride
+	c.id = n.nextWormID
+	n.nextWormID++
 	c.len = w.len - skipped
-	sh.stats.WormsCreated++
+	n.stats.WormsCreated++
 	return c
 }

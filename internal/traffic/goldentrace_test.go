@@ -99,9 +99,9 @@ func goldenSchemes() []mcast.Scheme {
 }
 
 // runFig6Cell replays one fig6-style isolated-multicast cell (the loop of
-// traffic.RunSingle, with a tracer installed) on the given engine and
-// returns its trace hash, event count and stats.
-func runFig6Cell(t testing.TB, rt *updown.Routing, sch mcast.Scheme, r float64, eng sim.Engine) goldenCell {
+// traffic.RunSingle, with a tracer installed) and returns its trace hash,
+// event count and stats.
+func runFig6Cell(t testing.TB, rt *updown.Routing, sch mcast.Scheme, r float64) goldenCell {
 	t.Helper()
 	p := sim.DefaultParams().WithR(r)
 	const probes, degree, flits, seed = 4, 16, 128, 7
@@ -120,8 +120,7 @@ func runFig6Cell(t testing.TB, rt *updown.Routing, sch mcast.Scheme, r float64, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := sim.New(rt, p, rng.Mix(seed, 0xa2b17, uint64(i)),
-			sim.WithEngine(eng), sim.WithTrace(th.observe))
+		n, err := sim.New(rt, p, rng.Mix(seed, 0xa2b17, uint64(i)), sim.WithTrace(th.observe))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +141,7 @@ func runFig6Cell(t testing.TB, rt *updown.Routing, sch mcast.Scheme, r float64, 
 
 // runFig9Cell runs one fig9-style open-loop load cell through the real
 // traffic.RunLoadOn on a traced network.
-func runFig9Cell(t testing.TB, rt *updown.Routing, sch mcast.Scheme, eng sim.Engine) goldenCell {
+func runFig9Cell(t testing.TB, rt *updown.Routing, sch mcast.Scheme) goldenCell {
 	t.Helper()
 	p := sim.DefaultParams()
 	cfg := traffic.LoadConfig{
@@ -152,7 +151,7 @@ func runFig9Cell(t testing.TB, rt *updown.Routing, sch mcast.Scheme, eng sim.Eng
 			Warmup: 2_000, Measure: 10_000, Drain: 10_000},
 	}
 	th, sum := newTraceHasher()
-	n, err := sim.New(rt, p, cfg.Seed, sim.WithEngine(eng), sim.WithTrace(th.observe))
+	n, err := sim.New(rt, p, cfg.Seed, sim.WithTrace(th.observe))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,18 +182,18 @@ func addStats(a, b sim.Stats) sim.Stats {
 	return a
 }
 
-// collectCells runs every golden cell on one engine.
-func collectCells(t testing.TB, eng sim.Engine) []goldenCell {
+// collectCells runs every golden cell.
+func collectCells(t testing.TB) []goldenCell {
 	t.Helper()
 	rt := goldenTopology(t)
 	var cells []goldenCell
 	for _, r := range []float64{1, 4} {
 		for _, sch := range goldenSchemes() {
-			cells = append(cells, runFig6Cell(t, rt, sch, r, eng))
+			cells = append(cells, runFig6Cell(t, rt, sch, r))
 		}
 	}
 	for _, sch := range goldenSchemes() {
-		cells = append(cells, runFig9Cell(t, rt, sch, eng))
+		cells = append(cells, runFig9Cell(t, rt, sch))
 	}
 	return cells
 }
@@ -202,7 +201,7 @@ func collectCells(t testing.TB, eng sim.Engine) []goldenCell {
 // TestGoldenTraces compares the current engine's full TraceEvent streams
 // against the hashes recorded on the pre-refactor closure/heap engine.
 func TestGoldenTraces(t *testing.T) {
-	got := collectCells(t, sim.EngineCalendar)
+	got := collectCells(t)
 	if *updateGolden {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -241,29 +240,6 @@ func TestGoldenTraces(t *testing.T) {
 		if got[i].Hash != want[i].Hash {
 			t.Errorf("%s: trace stream diverged from pre-refactor engine (hash %s, golden %s)",
 				got[i].Name, got[i].Hash, want[i].Hash)
-		}
-	}
-}
-
-// TestEngineEquivalence runs every golden cell on both live backends and
-// diffs them cell by cell. Unlike TestGoldenTraces this needs no recorded
-// file, so it keeps guarding the calendar/heap equivalence even after the
-// goldens are legitimately regenerated for a semantics change.
-func TestEngineEquivalence(t *testing.T) {
-	heap := collectCells(t, sim.EngineHeap)
-	cal := collectCells(t, sim.EngineCalendar)
-	if len(heap) != len(cal) {
-		t.Fatalf("cell counts differ: heap %d, calendar %d", len(heap), len(cal))
-	}
-	for i := range heap {
-		if heap[i].Name != cal[i].Name {
-			t.Fatalf("cell %d: heap ran %q, calendar ran %q", i, heap[i].Name, cal[i].Name)
-		}
-		if heap[i] != cal[i] {
-			t.Errorf("%s: engines diverged\n  heap:     hash=%s events=%d\n  calendar: hash=%s events=%d\n  heap stats:     %+v\n  calendar stats: %+v",
-				heap[i].Name, heap[i].Hash, heap[i].Events, cal[i].Hash, cal[i].Events,
-				heap[i].Stats, cal[i].Stats)
-			return // first divergence is the informative one
 		}
 	}
 }

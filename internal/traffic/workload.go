@@ -100,7 +100,6 @@ type runOpts struct {
 	churn  *ChurnSpec
 	rec    *obs.Recorder
 	trace  func(sim.TraceEvent)
-	shards int
 	ckpt   func(CellCheckpoint)
 	resume *CellCheckpoint
 }
@@ -154,14 +153,6 @@ func WithTrace(fn func(sim.TraceEvent)) Option {
 	return func(o *runOpts) { o.trace = fn }
 }
 
-// WithShards runs every network the run creates on the serial-equivalence
-// sharded PDES engine with k shards (see sim.WithShards). Results are
-// byte-identical to the single-queue engine for any k, so experiment
-// tables never depend on the shard count; k <= 1 keeps the plain engine.
-func WithShards(k int) Option {
-	return func(o *runOpts) { o.shards = k }
-}
-
 // WithCheckpoint installs fn as single mode's probe-granular checkpoint
 // sink: after every completed probe, fn receives the CellCheckpoint that
 // resumes the run from the next probe. The snapshot owns its Latencies
@@ -181,9 +172,6 @@ func WithResume(cp CellCheckpoint) Option {
 // simOpts translates the run options into network assembly options.
 func (o *runOpts) simOpts() []sim.Option {
 	var opts []sim.Option
-	if o.shards > 1 {
-		opts = append(opts, sim.WithShards(o.shards))
-	}
 	if o.trace != nil {
 		opts = append(opts, sim.WithTrace(o.trace))
 	}
