@@ -63,8 +63,8 @@ type Network struct {
 	// contract, not a synchronization mechanism.
 	running atomic.Bool
 
-	switches []*switchState
-	nis      []*ni
+	switches []switchState
+	nis      []*ni // views into one backing array (see New)
 
 	// upAdj[s] lists s's up ports and their peers; revUp[q] lists the
 	// (switch, port) pairs whose up port lands on q.
@@ -174,49 +174,61 @@ func New(rt *updown.Routing, params Params, seed uint64, opts ...Option) (*Netwo
 	n.cache.init(t.NumSwitches)
 	n.scr.init(t)
 
-	// Instantiate per-port structures.
-	n.switches = make([]*switchState, t.NumSwitches)
-	for s := 0; s < t.NumSwitches; s++ {
-		st := &switchState{
-			inBufs:   make([]*inputBuf, t.PortsPerSwitch),
-			outPorts: make([]*outPort, t.PortsPerSwitch),
-		}
-		n.switches[s] = st
-		for p := 0; p < t.PortsPerSwitch; p++ {
+	// Instantiate per-port structures. Each runtime type lives in one
+	// backing array sized from the topology up front, and every switch's
+	// inBufs/outPorts are cut from one shared pointer array, so assembly
+	// allocates a fixed number of objects however many hosts hang off
+	// the switches.
+	S, P := t.NumSwitches, t.PortsPerSwitch
+	wired := 0
+	for s := 0; s < S; s++ {
+		wired += P - t.OpenPorts(topology.SwitchID(s))
+	}
+	bufs := make([]inputBuf, wired)
+	ports := make([]outPort, wired)
+	chans := make([]channel, wired+t.NumNodes) // output lines, then injection lines
+	bufPtrs := make([]*inputBuf, S*P)
+	portPtrs := make([]*outPort, S*P)
+	n.switches = make([]switchState, S)
+	k := 0
+	for s := 0; s < S; s++ {
+		st := &n.switches[s]
+		st.inBufs = bufPtrs[s*P : (s+1)*P : (s+1)*P]
+		st.outPorts = portPtrs[s*P : (s+1)*P : (s+1)*P]
+		for p := 0; p < P; p++ {
 			if t.Conn[s][p].Kind == topology.Open {
 				continue
 			}
-			st.inBufs[p] = &inputBuf{net: n, sw: topology.SwitchID(s), port: p, cap: params.BufferFlits}
-			st.outPorts[p] = &outPort{net: n, sw: topology.SwitchID(s), port: p}
+			bufs[k] = inputBuf{net: n, sw: topology.SwitchID(s), port: p, cap: params.BufferFlits}
+			ports[k] = outPort{net: n, sw: topology.SwitchID(s), port: p, ch: &chans[k]}
+			st.inBufs[p], st.outPorts[p] = &bufs[k], &ports[k]
+			k++
 		}
 	}
 
 	// Wire channels: switch output ports to their peers, and per-node
 	// injection lines.
-	for s := 0; s < t.NumSwitches; s++ {
-		for p := 0; p < t.PortsPerSwitch; p++ {
-			e := t.Conn[s][p]
-			op := n.switches[s].outPorts[p]
-			switch e.Kind {
+	for s := 0; s < S; s++ {
+		for p, op := range n.switches[s].outPorts {
+			switch e := t.Conn[s][p]; e.Kind {
 			case topology.ToSwitch:
 				peer := n.switches[e.Switch].inBufs[e.Port]
-				op.ch = &channel{toSwitch: true, dstBuf: peer, credits: peer.cap,
-					label: fmt.Sprintf("s%dp%d->s%d", s, p, e.Switch)}
+				*op.ch = channel{toSwitch: true, dstBuf: peer, credits: peer.cap}
 				peer.bindUpstream(op.ch)
 			case topology.ToNode:
-				op.ch = &channel{toSwitch: false, dstNode: e.Node,
-					label: fmt.Sprintf("ej n%d", e.Node)}
+				*op.ch = channel{dstNode: e.Node}
 			}
 		}
 	}
+	nis := make([]ni, t.NumNodes)
 	n.nis = make([]*ni, t.NumNodes)
-	for node := 0; node < t.NumNodes; node++ {
-		home := t.NodeSwitch[node]
-		buf := n.switches[home].inBufs[t.NodePort[node]]
-		inj := &channel{toSwitch: true, dstBuf: buf, credits: buf.cap,
-			label: fmt.Sprintf("inj n%d", node)}
+	for node := range nis {
+		buf := n.switches[t.NodeSwitch[node]].inBufs[t.NodePort[node]]
+		inj := &chans[wired+node]
+		*inj = channel{toSwitch: true, dstBuf: buf, credits: buf.cap}
 		buf.bindUpstream(inj)
-		n.nis[node] = newNI(n, topology.NodeID(node), inj)
+		nis[node] = ni{net: n, node: topology.NodeID(node), inj: inj}
+		n.nis[node] = &nis[node]
 	}
 
 	// Up-link adjacency for the tree-worm climb.
@@ -360,18 +372,6 @@ func (n *Network) msgStart(m *Message) {
 	for i := range m.Plan.HostSends[m.Plan.Source] {
 		src.hostSend(m, &m.Plan.HostSends[m.Plan.Source][i])
 	}
-}
-
-// DeadlockError reports a simulation that stopped making progress with
-// messages still in flight. Drain now diagnoses stalls with the richer
-// StallError; this type remains only for message-format compatibility.
-type DeadlockError struct {
-	At          event.Time
-	Outstanding int
-}
-
-func (e *DeadlockError) Error() string {
-	return fmt.Sprintf("sim: no runnable events at t=%d with %d messages outstanding", e.At, e.Outstanding)
 }
 
 // StuckWorm is one worm the stall watchdog found resident in an input
@@ -564,27 +564,39 @@ type ChannelUse struct {
 // by elapsed cycles for utilization (each channel carries 1 flit/cycle).
 func (n *Network) ChannelUsage() []ChannelUse {
 	var out []ChannelUse
-	add := func(ch *channel) {
-		if ch != nil {
-			out = append(out, ChannelUse{Label: ch.label, Flits: ch.busyFlits})
-		}
-	}
-	for _, st := range n.switches {
-		for _, op := range st.outPorts {
+	for s, st := range n.switches {
+		for p, op := range st.outPorts {
 			if op != nil {
-				add(op.ch)
+				out = append(out, ChannelUse{Label: n.portLabel(s, p), Flits: op.ch.busyFlits})
 			}
 		}
 	}
-	for _, x := range n.nis {
-		add(x.inj)
+	for node, x := range n.nis {
+		out = append(out, ChannelUse{Label: injLabel(node), Flits: x.inj.busyFlits})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Flits > out[j].Flits })
 	return out
 }
 
+// portLabel names the channel leaving switch s on port p ("s3p5->s7",
+// or "ej n4" for a node port) in utilization reports and diagnostics.
+// Labels are derived from the topology where they are read, so assembly
+// never formats one.
+func (n *Network) portLabel(s, p int) string {
+	e := n.topo.Conn[s][p]
+	if e.Kind == topology.ToSwitch {
+		return fmt.Sprintf("s%dp%d->s%d", s, p, e.Switch)
+	}
+	return fmt.Sprintf("ej n%d", e.Node)
+}
+
+// injLabel names node's injection channel ("inj n4").
+func injLabel(node int) string { return fmt.Sprintf("inj n%d", node) }
+
 // CheckConservation verifies flit/packet/message accounting invariants on
-// an idle network and returns a descriptive error on violation.
+// an idle network — including that every NI's injection side is empty and
+// every live channel is senderless with its credits back — and returns a
+// descriptive error on violation.
 func (n *Network) CheckConservation() error {
 	if n.outstanding != 0 {
 		return fmt.Errorf("sim: conservation checked with %d messages in flight", n.outstanding)
@@ -600,6 +612,12 @@ func (n *Network) CheckConservation() error {
 		if len(x.rxFlits) != 0 || len(x.rxMsgs) != 0 || len(x.rxHeld) != 0 || len(x.ready) != 0 || x.streaming {
 			return fmt.Errorf("sim: NI %d left with residual state", x.node)
 		}
+		if len(x.injWait) != 0 || x.injHeld != 0 {
+			return fmt.Errorf("sim: NI %d left with %d deferred bursts and %d held buffer slots", x.node, len(x.injWait), x.injHeld)
+		}
+		if r := channelResidue(x.inj); r != "" {
+			return fmt.Errorf("sim: channel %s %s after drain", injLabel(int(x.node)), r)
+		}
 	}
 	for s2, st := range n.switches {
 		for p, b := range st.inBufs {
@@ -608,10 +626,33 @@ func (n *Network) CheckConservation() error {
 			}
 		}
 		for p, op := range st.outPorts {
-			if op != nil && (op.holder != nil || len(op.queue) != 0) {
+			if op == nil {
+				continue
+			}
+			if op.holder != nil || len(op.queue) != 0 {
 				return fmt.Errorf("sim: port %d/%d still allocated after drain", s2, p)
+			}
+			if r := channelResidue(op.ch); r != "" {
+				return fmt.Errorf("sim: channel %s %s after drain", n.portLabel(s2, p), r)
 			}
 		}
 	}
 	return nil
+}
+
+// channelResidue reports what a live channel still holds on an idle
+// network: a sender, or (when it feeds a switch buffer) missing credits.
+// It returns "" for a clean channel and for a dead one, whose sender and
+// credits were abandoned at the break. Callers format the channel's label
+// only on failure, so the check formats nothing on a healthy network.
+func channelResidue(ch *channel) string {
+	switch {
+	case ch.dead:
+		return ""
+	case ch.sender != nil:
+		return "still has a sender"
+	case ch.toSwitch && ch.credits != ch.dstBuf.cap:
+		return fmt.Sprintf("holds %d of %d credits", ch.credits, ch.dstBuf.cap)
+	}
+	return ""
 }

@@ -39,23 +39,14 @@ type ni struct {
 	injHeld   int
 	streaming bool
 
-	// Reception state.
+	// Reception state. The maps stay nil until their first insert: most
+	// NIs of a large network never receive, and reads, len, delete and
+	// range all work on a nil map.
 	rxFlits map[*worm]int    // flits received per in-flight worm
 	rxMsgs  map[*Message]int // packets DMA'd to host per message
 	// rxHeld counts packets assembled at the NI per message, for the
 	// store-and-forward ablation (Params.NIStoreAndForward).
 	rxHeld map[*Message]int
-}
-
-func newNI(net *Network, node topology.NodeID, inj *channel) *ni {
-	return &ni{
-		net:     net,
-		node:    node,
-		inj:     inj,
-		rxFlits: make(map[*worm]int),
-		rxMsgs:  make(map[*Message]int),
-		rxHeld:  make(map[*Message]int),
-	}
 }
 
 // reserve books dur cycles on a serially reusable resource no earlier than
@@ -245,6 +236,9 @@ func (x *ni) flitArrive(w *worm) {
 		x.packetArrived(w)
 		return
 	}
+	if x.rxFlits == nil {
+		x.rxFlits = make(map[*worm]int)
+	}
 	x.rxFlits[w] = c
 }
 
@@ -280,6 +274,9 @@ func (x *ni) recvProcessed(w *worm) {
 			// Ablation: hold replicas until the whole message is here.
 			held := x.rxHeld[m] + 1
 			if held < m.Packets {
+				if x.rxHeld == nil {
+					x.rxHeld = make(map[*Message]int)
+				}
 				x.rxHeld[m] = held
 			} else {
 				delete(x.rxHeld, m)
@@ -308,6 +305,9 @@ func (x *ni) hostPacketArrived(m *Message) {
 	c := x.rxMsgs[m] + 1
 	x.net.stats.PacketsToHost++
 	if c < m.Packets {
+		if x.rxMsgs == nil {
+			x.rxMsgs = make(map[*Message]int)
+		}
 		x.rxMsgs[m] = c
 		return
 	}
@@ -479,7 +479,7 @@ func (x *ni) orphan() {
 		}
 	}
 	sort.Slice(msgs, func(i, j int) bool { return msgs[i].ID < msgs[j].ID })
-	x.rxFlits = make(map[*worm]int)
+	x.rxFlits = nil
 	for _, m := range msgs {
 		n.failDest(m, x.node)
 	}

@@ -22,20 +22,20 @@ func (n *Network) attachObs(r *obs.Recorder) {
 	n.obsRec = r
 	n.obsChans = n.obsChans[:0]
 	var labels []string
-	for _, sw := range n.switches {
-		for _, op := range sw.outPorts {
-			if op == nil || op.ch == nil {
+	for s, sw := range n.switches {
+		for p, op := range sw.outPorts {
+			if op == nil {
 				continue
 			}
 			op.ch.obsID = int32(len(n.obsChans))
 			n.obsChans = append(n.obsChans, op.ch)
-			labels = append(labels, op.ch.label)
+			labels = append(labels, n.portLabel(s, p))
 		}
 	}
-	for _, x := range n.nis {
+	for node, x := range n.nis {
 		x.inj.obsID = int32(len(n.obsChans))
 		n.obsChans = append(n.obsChans, x.inj)
-		labels = append(labels, x.inj.label)
+		labels = append(labels, injLabel(node))
 	}
 	r.AttachNetwork(labels, n.topo.NumSwitches, n.topo.NumNodes)
 	n.queue.SetObs(r.EngineSink())

@@ -12,6 +12,12 @@ import (
 // two nodes each. Node 0,1 on switch 0 (ports 2,3); node 2,3 on switch 1.
 func twoSwitch(t *testing.T) *Network {
 	t.Helper()
+	return twoSwitchOpts(t)
+}
+
+// twoSwitchOpts is twoSwitch with construction options (tracing, obs).
+func twoSwitchOpts(t *testing.T, opts ...Option) *Network {
+	t.Helper()
 	topo, err := topology.Build(2, 4,
 		[][4]int{{0, 0, 1, 0}},
 		[][2]int{{0, 2}, {0, 3}, {1, 2}, {1, 3}})
@@ -22,7 +28,7 @@ func twoSwitch(t *testing.T) *Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := New(rt, DefaultParams(), 1)
+	n, err := New(rt, DefaultParams(), 1, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -716,13 +722,6 @@ func TestOutstandingTracksLifetime(t *testing.T) {
 	}
 	if n.Outstanding() != 0 {
 		t.Fatalf("outstanding = %d after drain", n.Outstanding())
-	}
-}
-
-func TestDeadlockErrorMessage(t *testing.T) {
-	err := &DeadlockError{At: 42, Outstanding: 3}
-	if err.Error() == "" {
-		t.Fatal("empty error text")
 	}
 }
 

@@ -27,9 +27,8 @@ type channel struct {
 	// grant streams over it until a repair resets the flag.
 	dead bool
 
-	label     string // "s3p5->s7", "inj n4", "ej n4" — for utilization reports
-	obsID     int32  // index in Network.obsChans; meaningful only while obs is attached
-	busyFlits int64  // flits carried, for utilization reports
+	obsID     int32 // index in Network.obsChans; meaningful only while obs is attached
+	busyFlits int64 // flits carried, for utilization reports
 }
 
 // inputBuf is a switch input port's FIFO flit buffer with credit-based
