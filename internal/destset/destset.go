@@ -164,7 +164,7 @@ func (f *FlatSet) ForEach(fn func(i int) bool) { f.bits.ForEach(fn) }
 func (f *FlatSet) Intersects(o *bitset.Set) bool { return f.bits.Intersects(o) }
 func (f *FlatSet) AndCount(o *bitset.Set) int    { return bitset.AndCount(f.bits, o) }
 
-func (f *FlatSet) Clone() DestSet     { return &FlatSet{bits: f.bits.Clone()} }
+func (f *FlatSet) Clone() DestSet      { return &FlatSet{bits: f.bits.Clone()} }
 func (f *FlatSet) Fingerprint() uint64 { return f.bits.Hash() }
 func (f *FlatSet) HeaderBytes() int    { return f.bits.HeaderBytes() }
 func (f *FlatSet) Backend() Backend    { return Flat }
@@ -200,9 +200,9 @@ type IvalSet struct {
 	count int
 }
 
-func (v *IvalSet) Universe() int { return v.n }
-func (v *IvalSet) Count() int    { return v.count }
-func (v *IvalSet) Empty() bool   { return v.count == 0 }
+func (v *IvalSet) Universe() int    { return v.n }
+func (v *IvalSet) Count() int       { return v.count }
+func (v *IvalSet) Empty() bool      { return v.count == 0 }
 func (v *IvalSet) Backend() Backend { return Ival }
 
 func (v *IvalSet) check(i int) {

@@ -50,7 +50,10 @@ func (n *Network) markProgress() { n.progress++ }
 
 // NodeAlive reports whether node d's NI is still attached to a live
 // switch (the retransmission layer gives up on dead nodes).
-func (n *Network) NodeAlive(d topology.NodeID) bool { return !n.nis[d].dead }
+func (n *Network) NodeAlive(d topology.NodeID) bool {
+	x := n.nis[d]
+	return x == nil || !x.dead // an unbuilt host is pristine, so alive
+}
 
 // Partitioned reports whether a reconfiguration attempt found the alive
 // switch graph disconnected (stale tables stay in place; destinations
@@ -136,10 +139,8 @@ func (n *Network) killDownstream(br *branch) {
 		}
 		return
 	}
-	x := n.nis[br.ch.dstNode]
-	if _, ok := x.rxFlits[br.w]; ok {
-		delete(x.rxFlits, br.w)
-		n.wormDecref(br.w) // the NI assembly leg
+	if x := n.nis[br.ch.dstNode]; x.rxWorm == br.w {
+		n.wormDecref(x.dropAssembly()) // the NI assembly leg
 	}
 }
 
@@ -260,9 +261,10 @@ func (n *Network) failDest(m *Message, d topology.NodeID) {
 	}
 	m.FailedAt[d] = n.queue.Now()
 	n.stats.DestsFailed++
-	x := n.nis[d]
-	delete(x.rxMsgs, m)
-	delete(x.rxHeld, m)
+	if x := n.nis[d]; x != nil {
+		delete(x.rxMsgs, m)
+		delete(x.rxHeld, m)
+	}
 	for _, c := range m.Plan.DeliveryChildren(d) {
 		n.failDest(m, c)
 	}
@@ -324,27 +326,12 @@ func (n *Network) severChannel(ch *channel, op *outPort) {
 		}
 		return
 	}
-	// Ejection channel: partial packets at the NI are discarded and the
-	// node fails for those messages.
-	x := n.nis[ch.dstNode]
-	var partial []*worm
-	for w := range x.rxFlits {
-		partial = append(partial, w)
-	}
-	sortWormsByID(partial)
-	for _, w := range partial {
-		delete(x.rxFlits, w)
+	// Ejection channel: a partial packet at the NI is discarded and the
+	// node fails for its message.
+	if w := n.nis[ch.dstNode].dropAssembly(); w != nil {
 		w.dead = true
 		n.failDest(w.msg, ch.dstNode)
 		n.wormDecref(w) // the NI assembly leg; last, failDest reads w.msg
-	}
-}
-
-func sortWormsByID(ws []*worm) {
-	for i := 1; i < len(ws); i++ {
-		for j := i; j > 0 && ws[j].id < ws[j-1].id; j-- {
-			ws[j], ws[j-1] = ws[j-1], ws[j]
-		}
 	}
 }
 
@@ -480,6 +467,11 @@ func (n *Network) failSwitch(s topology.SwitchID) {
 	n.faulted = true
 	n.trace(TraceEvent{Kind: TraceFault, Switch: s})
 	t := n.topo
+	// Build the switch's hosts first, so a pristine one's lines die with
+	// the switch and its NI is orphaned like any other.
+	for _, node := range n.nodesAt[s] {
+		n.ni(node)
+	}
 	// Incoming channels first: upstream senders stop, truncated worms at s
 	// die. Then outgoing channels: senders at s (and their downstream
 	// stubs) die. Finally everything still buffered at s is lost.
@@ -508,7 +500,7 @@ func (n *Network) failSwitch(s topology.SwitchID) {
 			n.killOccupant(o)
 		}
 	}
-	for _, node := range t.NodesAt(s) {
+	for _, node := range n.nodesAt[s] {
 		n.nis[node].orphan()
 	}
 	n.scheduleReconfig()
@@ -636,7 +628,9 @@ func (n *Network) AbortMessage(m *Message) {
 		return
 	}
 	for _, x := range n.nis {
-		x.abortMessage(m)
+		if x != nil { // an unbuilt host holds nothing of m
+			x.abortMessage(m)
+		}
 	}
 	for _, st := range n.switches {
 		for _, b := range st.inBufs {

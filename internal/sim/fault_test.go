@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mcastsim/internal/event"
 	"mcastsim/internal/topology"
 	"mcastsim/internal/updown"
 )
@@ -329,5 +330,41 @@ func TestFaultScheduleValidation(t *testing.T) {
 		{At: 500, Kind: RepairLink, Link: 0},
 	}}); err != nil {
 		t.Fatalf("valid schedule rejected: %v", err)
+	}
+}
+
+// TestAbortMessageDropsEjectionStraggler aborts a unicast while only its
+// tail flit is still on the ejection link. The NI's partial packet is
+// discarded, so the straggler must drain as a dropped flit rather than
+// start an assembly that never completes and blocks the next worm.
+func TestAbortMessageDropsEjectionStraggler(t *testing.T) {
+	n := twoSwitch(t)
+	tailAt := event.Time(-1)
+	setTestTracer(n, func(ev TraceEvent) {
+		if ev.Kind == TraceTail && ev.Switch == 1 && ev.Port == 2 { // ej n2
+			tailAt = ev.At
+		}
+	})
+	m, err := n.Send(unicastPlan(0, 2), 16, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The tail leaves ej n2 at t=230 and lands one link delay later; the
+	// abort, posted first, runs before it at t=231.
+	n.Schedule(231, func() { n.AbortMessage(m) })
+	if err := n.Drain(0); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if tailAt != 230 {
+		t.Fatalf("tail left ej n2 at t=%d, want 230", tailAt)
+	}
+	if got := n.Stats().FlitsDropped; got != 1 {
+		t.Fatalf("FlitsDropped = %d, want 1 (the tail straggler)", got)
+	}
+	if err := n.CheckConservation(); err != nil {
+		t.Fatalf("conservation after abort: %v", err)
+	}
+	if m2 := mustRun(t, n, unicastPlan(1, 2), 16); !m2.DeliveredAll() {
+		t.Fatalf("second message to node 2 failed at %v", m2.FailedDests())
 	}
 }

@@ -35,11 +35,24 @@ type Stats struct {
 	MissedDeliveries int64 // in-flight snapshots that excluded a joiner
 }
 
-// switchState holds one switch's per-port runtime structures; unwired
-// (open) ports have nil entries.
+// switchState holds one switch's per-port runtime structures. Open ports
+// have nil entries, and so does a node port until its host is built (see
+// Network.ni).
 type switchState struct {
 	inBufs   []*inputBuf
 	outPorts []*outPort
+}
+
+// host is one node's edge of the network, allocated together the first
+// time anything touches the node: its NI, the NI's injection line, and
+// the home switch's input buffer, output port and ejection line on the
+// node's port.
+type host struct {
+	ni  ni
+	inj channel
+	buf inputBuf
+	out outPort
+	ej  channel
 }
 
 // portPeer records one end of an up link for the climb BFS.
@@ -64,7 +77,7 @@ type Network struct {
 	running atomic.Bool
 
 	switches []switchState
-	nis      []*ni // views into one backing array (see New)
+	nis      []*ni // nil until the node's host is built (see Network.ni)
 
 	// upAdj[s] lists s's up ports and their peers; revUp[q] lists the
 	// (switch, port) pairs whose up port lands on q.
@@ -174,19 +187,16 @@ func New(rt *updown.Routing, params Params, seed uint64, opts ...Option) (*Netwo
 	n.cache.init(t.NumSwitches)
 	n.scr.init(t)
 
-	// Instantiate per-port structures. Each runtime type lives in one
+	// Instantiate switch-to-switch ports. Each runtime type lives in one
 	// backing array sized from the topology up front, and every switch's
 	// inBufs/outPorts are cut from one shared pointer array, so assembly
-	// allocates a fixed number of objects however many hosts hang off
-	// the switches.
+	// allocates a fixed number of objects however many hosts hang off the
+	// switches. Node ports stay nil until their host is built (Network.ni).
 	S, P := t.NumSwitches, t.PortsPerSwitch
-	wired := 0
-	for s := 0; s < S; s++ {
-		wired += P - t.OpenPorts(topology.SwitchID(s))
-	}
-	bufs := make([]inputBuf, wired)
-	ports := make([]outPort, wired)
-	chans := make([]channel, wired+t.NumNodes) // output lines, then injection lines
+	links := 2 * len(t.Links) // switch-to-switch ports: both ends of every link
+	bufs := make([]inputBuf, links)
+	ports := make([]outPort, links)
+	chans := make([]channel, links)
 	bufPtrs := make([]*inputBuf, S*P)
 	portPtrs := make([]*outPort, S*P)
 	n.switches = make([]switchState, S)
@@ -196,7 +206,7 @@ func New(rt *updown.Routing, params Params, seed uint64, opts ...Option) (*Netwo
 		st.inBufs = bufPtrs[s*P : (s+1)*P : (s+1)*P]
 		st.outPorts = portPtrs[s*P : (s+1)*P : (s+1)*P]
 		for p := 0; p < P; p++ {
-			if t.Conn[s][p].Kind == topology.Open {
+			if t.Conn[s][p].Kind != topology.ToSwitch {
 				continue
 			}
 			bufs[k] = inputBuf{net: n, sw: topology.SwitchID(s), port: p, cap: params.BufferFlits}
@@ -205,31 +215,19 @@ func New(rt *updown.Routing, params Params, seed uint64, opts ...Option) (*Netwo
 			k++
 		}
 	}
-
-	// Wire channels: switch output ports to their peers, and per-node
-	// injection lines.
+	// Wire each switch output line to its peer's input buffer.
 	for s := 0; s < S; s++ {
 		for p, op := range n.switches[s].outPorts {
-			switch e := t.Conn[s][p]; e.Kind {
-			case topology.ToSwitch:
-				peer := n.switches[e.Switch].inBufs[e.Port]
-				*op.ch = channel{toSwitch: true, dstBuf: peer, credits: peer.cap}
-				peer.bindUpstream(op.ch)
-			case topology.ToNode:
-				*op.ch = channel{dstNode: e.Node}
+			if op == nil {
+				continue
 			}
+			e := t.Conn[s][p]
+			peer := n.switches[e.Switch].inBufs[e.Port]
+			*op.ch = channel{toSwitch: true, dstBuf: peer, credits: peer.cap}
+			peer.bindUpstream(op.ch)
 		}
 	}
-	nis := make([]ni, t.NumNodes)
 	n.nis = make([]*ni, t.NumNodes)
-	for node := range nis {
-		buf := n.switches[t.NodeSwitch[node]].inBufs[t.NodePort[node]]
-		inj := &chans[wired+node]
-		*inj = channel{toSwitch: true, dstBuf: buf, credits: buf.cap}
-		buf.bindUpstream(inj)
-		nis[node] = ni{net: n, node: topology.NodeID(node), inj: inj}
-		n.nis[node] = &nis[node]
-	}
 
 	// Up-link adjacency for the tree-worm climb.
 	n.upAdj = make([][]portPeer, t.NumSwitches)
@@ -271,6 +269,41 @@ func New(rt *updown.Routing, params Params, seed uint64, opts ...Option) (*Netwo
 
 	n.applyOptions(&o)
 	return n, nil
+}
+
+// ni returns node's NI, building its host on first use (see host) and
+// wiring it into the home switch's node port. Until then n.nis[node] and
+// that port's inBufs/outPorts entries stay nil, and every reader treats
+// the host as pristine: alive, idle, credits full.
+func (n *Network) ni(node topology.NodeID) *ni {
+	if x := n.nis[node]; x != nil {
+		return x
+	}
+	s, p := n.topo.NodeSwitch[node], n.topo.NodePort[node]
+	h := &host{}
+	h.buf = inputBuf{net: n, sw: s, port: p, cap: n.params.BufferFlits}
+	h.inj = channel{toSwitch: true, dstBuf: &h.buf, credits: h.buf.cap}
+	h.buf.bindUpstream(&h.inj)
+	h.ej = channel{dstNode: node}
+	h.out = outPort{net: n, sw: s, port: p, ch: &h.ej}
+	h.ni = ni{net: n, node: node, inj: &h.inj}
+	st := &n.switches[s]
+	st.inBufs[p], st.outPorts[p] = &h.buf, &h.out
+	n.nis[node] = &h.ni
+	return &h.ni
+}
+
+// outPort returns switch s's output port p, building the attached host
+// when p is a node port nothing has used yet; nil for an open port.
+func (n *Network) outPort(s topology.SwitchID, p int) *outPort {
+	if op := n.switches[s].outPorts[p]; op != nil {
+		return op
+	}
+	if e := n.topo.Conn[s][p]; e.Kind == topology.ToNode {
+		n.ni(e.Node)
+		return n.switches[s].outPorts[p]
+	}
+	return nil
 }
 
 // localIntersects reports whether d contains a host attached to switch s
@@ -364,7 +397,7 @@ func (n *Network) Send(plan *Plan, flits int, at event.Time, onComplete func(*Me
 // msgStart fires at a message's initiation time (the evMsgStart handler):
 // the source host begins its sends.
 func (n *Network) msgStart(m *Message) {
-	src := n.nis[m.Plan.Source]
+	src := n.ni(m.Plan.Source)
 	if m.Plan.NITree != nil {
 		src.hostSend(m, nil)
 		return
@@ -562,17 +595,25 @@ type ChannelUse struct {
 
 // ChannelUsage returns every channel's carried flits, busiest first. Divide
 // by elapsed cycles for utilization (each channel carries 1 flit/cycle).
+// The channels of hosts nothing has touched are listed with 0 flits.
 func (n *Network) ChannelUsage() []ChannelUse {
 	var out []ChannelUse
 	for s, st := range n.switches {
 		for p, op := range st.outPorts {
-			if op != nil {
+			switch {
+			case op != nil:
 				out = append(out, ChannelUse{Label: n.portLabel(s, p), Flits: op.ch.busyFlits})
+			case n.topo.Conn[s][p].Kind == topology.ToNode:
+				out = append(out, ChannelUse{Label: n.portLabel(s, p)}) // unbuilt host
 			}
 		}
 	}
 	for node, x := range n.nis {
-		out = append(out, ChannelUse{Label: injLabel(node), Flits: x.inj.busyFlits})
+		u := ChannelUse{Label: injLabel(node)}
+		if x != nil {
+			u.Flits = x.inj.busyFlits
+		}
+		out = append(out, u)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Flits > out[j].Flits })
 	return out
@@ -609,7 +650,10 @@ func (n *Network) CheckConservation() error {
 		return fmt.Errorf("sim: %d packets at NIs but %d reached hosts", s.PacketsAtNI, s.PacketsToHost)
 	}
 	for _, x := range n.nis {
-		if len(x.rxFlits) != 0 || len(x.rxMsgs) != 0 || len(x.rxHeld) != 0 || len(x.ready) != 0 || x.streaming {
+		if x == nil {
+			continue // an unbuilt host is pristine
+		}
+		if x.rxWorm != nil || len(x.rxMsgs) != 0 || len(x.rxHeld) != 0 || len(x.ready) != 0 || x.streaming {
 			return fmt.Errorf("sim: NI %d left with residual state", x.node)
 		}
 		if len(x.injWait) != 0 || x.injHeld != 0 {

@@ -39,10 +39,14 @@ type ni struct {
 	injHeld   int
 	streaming bool
 
-	// Reception state. The maps stay nil until their first insert: most
-	// NIs of a large network never receive, and reads, len, delete and
-	// range all work on a nil map.
-	rxFlits map[*worm]int    // flits received per in-flight worm
+	// Reception state. rxWorm is the worm being assembled in NI memory
+	// and rxCount its flits so far: the ejection channel is a wormhole
+	// circuit, held by one branch from header grant to tail release, so
+	// an NI assembles at most one worm at a time. The maps stay nil until
+	// their first insert: most NIs of a large network never receive, and
+	// reads, len, delete and range all work on a nil map.
+	rxWorm  *worm
+	rxCount int
 	rxMsgs  map[*Message]int // packets DMA'd to host per message
 	// rxHeld counts packets assembled at the NI per message, for the
 	// store-and-forward ablation (Params.NIStoreAndForward).
@@ -224,22 +228,27 @@ func (x *ni) flitArrive(w *worm) {
 		return
 	}
 	x.net.stats.FlitsDelivered++
-	c := x.rxFlits[w] + 1
-	if c == 1 {
+	if x.rxWorm != w {
+		if x.rxWorm != nil {
+			panic(fmt.Sprintf("sim: NI %d received a flit of worm %d while assembling worm %d", x.node, w.id, x.rxWorm.id))
+		}
+		x.rxWorm = w
 		wormRef(w) // the NI assembly leg; released after receive processing
 	}
-	if c > w.len {
-		panic("sim: NI received more flits than worm length")
-	}
-	if c == w.len {
-		delete(x.rxFlits, w)
+	x.rxCount++
+	if x.rxCount == w.len {
+		x.rxWorm, x.rxCount = nil, 0
 		x.packetArrived(w)
-		return
 	}
-	if x.rxFlits == nil {
-		x.rxFlits = make(map[*worm]int)
-	}
-	x.rxFlits[w] = c
+}
+
+// dropAssembly abandons the worm being assembled and returns it (nil when
+// there is none) with its NI assembly leg still held; the caller releases
+// the leg once done reading the worm.
+func (x *ni) dropAssembly() *worm {
+	w := x.rxWorm
+	x.rxWorm, x.rxCount = nil, 0
+	return w
 }
 
 // packetArrived runs when a packet has fully assembled in NI memory: per-
@@ -420,11 +429,12 @@ func (x *ni) abortMessage(m *Message) {
 		x.net.killDownstream(br)
 	}
 	x.promoteWaiting()
-	for w := range x.rxFlits {
-		if w.msg == m {
-			delete(x.rxFlits, w)
-			x.net.wormDecref(w) // the NI assembly leg
-		}
+	if w := x.rxWorm; w != nil && w.msg == m {
+		x.dropAssembly()
+		// Flits still on the ejection line must drain as stragglers, not
+		// start a new assembly that never completes.
+		w.dead = true
+		x.net.wormDecref(w) // the NI assembly leg
 	}
 	delete(x.rxMsgs, m)
 	delete(x.rxHeld, m)
@@ -455,13 +465,11 @@ func (x *ni) orphan() {
 	x.injWait = nil
 	x.injHeld = 0
 	// Reception side: deterministically fail partially received messages.
-	msgs := make([]*Message, 0, len(x.rxFlits)+len(x.rxMsgs)+len(x.rxHeld))
+	msgs := make([]*Message, 0, 1+len(x.rxMsgs)+len(x.rxHeld))
 	seen := make(map[*Message]bool)
-	for w := range x.rxFlits {
-		if !seen[w.msg] {
-			seen[w.msg] = true
-			msgs = append(msgs, w.msg)
-		}
+	if w := x.dropAssembly(); w != nil {
+		seen[w.msg] = true
+		msgs = append(msgs, w.msg)
 		// Release the NI assembly leg after reading w.msg: the decref can
 		// recycle the worm.
 		x.net.wormDecref(w)
@@ -479,7 +487,6 @@ func (x *ni) orphan() {
 		}
 	}
 	sort.Slice(msgs, func(i, j int) bool { return msgs[i].ID < msgs[j].ID })
-	x.rxFlits = nil
 	for _, m := range msgs {
 		n.failDest(m, x.node)
 	}

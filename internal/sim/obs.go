@@ -1,6 +1,9 @@
 package sim
 
-import "mcastsim/internal/obs"
+import (
+	"mcastsim/internal/obs"
+	"mcastsim/internal/topology"
+)
 
 // Obs wiring. The entire subsystem hangs off the single nil-checked
 // n.obsRec pointer: with it nil (the default) no probe fires, no event
@@ -21,6 +24,10 @@ import "mcastsim/internal/obs"
 func (n *Network) attachObs(r *obs.Recorder) {
 	n.obsRec = r
 	n.obsChans = n.obsChans[:0]
+	// Sampling reads every channel, so every host is built up front.
+	for node := range n.nis {
+		n.ni(topology.NodeID(node))
+	}
 	var labels []string
 	for s, sw := range n.switches {
 		for p, op := range sw.outPorts {
@@ -96,7 +103,11 @@ func (n *Network) obsFlush() {
 		}
 		for node, x := range n.nis {
 			s.NISend[node] = int64(len(x.ready) + len(x.injWait))
-			s.NIRecv[node] = int64(len(x.rxFlits))
+			var rx int64
+			if x.rxWorm != nil {
+				rx = 1
+			}
+			s.NIRecv[node] = rx
 		}
 		if len(n.groups) > 0 {
 			s.GroupSize = make([]int64, len(n.groups))

@@ -24,9 +24,10 @@ import (
 //     downstream occupant assembling the worm in an input buffer
 //     (released when the occupant is recycled), and the destination NI
 //     assembling the packet (taken at the first received flit, released
-//     after NI receive processing or at any rxFlits teardown). A worm in
-//     an un-streamed burst has zero refs and is recycled directly when
-//     the burst is dropped. Whoever drops the last leg recycles the worm.
+//     after NI receive processing or when the assembly is dropped). A
+//     worm in an un-streamed burst has zero refs and is recycled directly
+//     when the burst is dropped. Whoever drops the last leg recycles the
+//     worm.
 //
 //   - Branches are time-quarantined: a branch goes done exactly once (the
 //     pump tail or a fault kill), is spliced out of its occupant's branch

@@ -202,7 +202,10 @@ func (n *Network) checkQuiescent() ([]event.PendingEvent, error) {
 		return nil, busy("routing invariant violation recorded: %v", n.invariant)
 	}
 	for _, x := range n.nis {
-		if len(x.rxFlits) != 0 || len(x.rxMsgs) != 0 || len(x.rxHeld) != 0 ||
+		if x == nil {
+			continue // an unbuilt host is pristine
+		}
+		if x.rxWorm != nil || len(x.rxMsgs) != 0 || len(x.rxHeld) != 0 ||
 			len(x.ready) != 0 || len(x.injWait) != 0 || x.streaming {
 			return nil, busy("NI %d has residual send/receive state", x.node)
 		}
@@ -229,7 +232,7 @@ func (n *Network) checkQuiescent() ([]event.PendingEvent, error) {
 		}
 	}
 	for _, x := range n.nis {
-		if x.inj.sender != nil || x.inj.lineFree > now {
+		if x != nil && (x.inj.sender != nil || x.inj.lineFree > now) {
 			return nil, busy("injection line of node %d busy", x.node)
 		}
 	}
@@ -735,6 +738,9 @@ func (n *Network) restoreDeadTopology() {
 	for s := range n.deadSwitch {
 		if !n.deadSwitch[s] {
 			continue
+		}
+		for _, node := range n.nodesAt[s] {
+			n.ni(node) // a dead switch's hosts are built, as failSwitch left them
 		}
 		for p := 0; p < t.PortsPerSwitch; p++ {
 			switch e := t.Conn[s][p]; e.Kind {

@@ -699,7 +699,7 @@ func (n *Network) fileRequest(br *branch, s topology.SwitchID, ports []int, phas
 		}
 	}
 	for i, p := range ports {
-		op := sw.outPorts[p]
+		op := n.outPort(s, p)
 		if op == nil {
 			panic(fmt.Sprintf("sim: request against unwired port (switch %d)", br.occ.buf.sw))
 		}

@@ -266,7 +266,7 @@ func (t *Topology) NodesBySwitch() [][]NodeID {
 	out := make([][]NodeID, t.NumSwitches)
 	pos := 0
 	for s := range out {
-		out[s] = buf[pos:pos:pos+counts[s]]
+		out[s] = buf[pos : pos : pos+counts[s]]
 		pos += counts[s]
 	}
 	for n := 0; n < t.NumNodes; n++ {
