@@ -9,14 +9,11 @@ package mcastsim_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
-	"mcastsim/internal/benchcase"
 	"mcastsim/internal/bitset"
 	"mcastsim/internal/collective"
 	"mcastsim/internal/event"
-	"mcastsim/internal/experiment"
 	"mcastsim/internal/mcast"
 	"mcastsim/internal/mcast/binomial"
 	"mcastsim/internal/mcast/kbinomial"
@@ -304,78 +301,6 @@ func BenchmarkAblation_BufferDepth(b *testing.B) {
 			loadBench(b, rts, treeworm.New(), p, 8, 128, 0.2)
 		})
 	}
-}
-
-// --- parallel harness ---
-
-// BenchmarkSweepParallel runs the full Figure 9 sweep through the
-// experiment harness at quick scale, serial vs one worker per CPU. The
-// two sub-benchmarks produce byte-identical tables (see the experiment
-// package's determinism tests); the ns/op ratio is the harness speedup.
-// The per-CPU body is shared with `mcastsim -emit-bench` via benchcase.
-func BenchmarkSweepParallel(b *testing.B) {
-	cfg := experiment.Quick()
-	cfg.Warmup, cfg.Measure, cfg.Drain = 5_000, 25_000, 20_000
-	cfg.Loads = []float64{0.1, 0.3}
-	cfg.LoadDegrees = []int{8}
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		cfg := cfg
-		cfg.Workers = workers
-		b.Run(fmt.Sprintf("fig9/workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := experiment.Fig9LoadVsR(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkDrainLarge is the large-topology drain: 64 switches, 512
-// hosts, mixed unicast/tree/path traffic driven to completion. It reports
-// events/sec, the scheduler-core throughput metric tracked in
-// BENCH_PR3.json (see internal/benchcase).
-func BenchmarkDrainLarge(b *testing.B) {
-	benchcase.DrainLarge(b)
-}
-
-// BenchmarkTreeStorm is the PR 4 tree-routing benchmark: 48 two-packet
-// tree worms over 6 shared destination groups on a 768-switch network, so
-// per-packet routing decisions dominate. Tracked in BENCH_PR4.json (see
-// internal/benchcase).
-func BenchmarkTreeStorm(b *testing.B) {
-	benchcase.TreeStorm(b)
-}
-
-// BenchmarkHeaderEncode is the destination-coding benchmark from the
-// scale sweep: flat vs interval header encoding of a 1056-destination
-// rack-clustered set in a 101k-host universe (see internal/benchcase).
-func BenchmarkHeaderEncode(b *testing.B) {
-	benchcase.HeaderEncode(b)
-}
-
-// BenchmarkTopologyGen builds the scale sweep's L-tier fat-tree (1088
-// switches, 101376 hosts) plus its up*/down* routing per op, guarding
-// the O(N+S) generation and routing-construction paths (see
-// internal/benchcase).
-func BenchmarkTopologyGen(b *testing.B) {
-	benchcase.TopologyGen(b)
-}
-
-// BenchmarkSparseStorm is the PR 9 sparse-representation storm: 12
-// short interval-coded tree worms over 3 shared ~1050-destination rack
-// sets on the 101k-host fat-tree, where RepAuto selects run-coded
-// destination sets (see internal/benchcase).
-func BenchmarkSparseStorm(b *testing.B) {
-	benchcase.SparseStorm(b)
-}
-
-// BenchmarkScaleSim is the PR 9 scale-tier probe: one full-payload
-// rack-clustered multicast flit-simulated on the 101k-host fat-tree, the
-// same configuration as the scale sweep's -sim-l smoke (see
-// internal/benchcase).
-func BenchmarkScaleSim(b *testing.B) {
-	benchcase.ScaleSim(b)
 }
 
 // --- simulator micro-benchmarks ---

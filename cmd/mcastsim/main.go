@@ -57,8 +57,6 @@ func run() int {
 		compare    = flag.String("compare", "", "run a scheme comparison on this topology file instead of an experiment")
 		degree     = flag.Int("degree", 16, "multicast degree for -compare")
 		flits      = flag.Int("flits", 128, "message flits for -compare")
-		bench      = flag.String("emit-bench", "", "measure the scheduler-core benchmarks and write JSON results to this file (e.g. BENCH_PR4.json)")
-		benchGate  = flag.String("bench-gate", "", "with -emit-bench: fail if events/sec or allocs/op regress more than 2x against this reference JSON; 'auto' picks the newest committed BENCH_*.json beside the output")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file when the run finishes")
 		obsOn      = flag.Bool("obs", false, "sample per-cell telemetry (link utilization, buffer occupancy, queue depths) during -exp runs")
@@ -84,14 +82,6 @@ func run() int {
 				fmt.Fprintln(os.Stderr, "mcastsim:", err)
 			}
 		}()
-	}
-
-	if *bench != "" {
-		if err := runEmitBench(*bench, *benchGate); err != nil {
-			fmt.Fprintln(os.Stderr, "mcastsim:", err)
-			return 1
-		}
-		return 0
 	}
 
 	if *list {

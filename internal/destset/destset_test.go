@@ -1,6 +1,7 @@
 package destset
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -8,82 +9,74 @@ import (
 	"mcastsim/internal/bitset"
 )
 
-// TestPropertyBackendsEquivalent drives Flat and Ival backends through
+// TestPropertyRunsMatchBitset drives a Runs and a bitset oracle through
 // identical random Add/Remove sequences over random universes and
-// requires every observation (Contains, Count, Indices, Intersects,
-// AndCount, HeaderBytes consistency with AppendEncoded, Fingerprint
-// stability) to agree — the ISSUE's semantic-equivalence property test.
-func TestPropertyBackendsEquivalent(t *testing.T) {
+// requires every observation to agree: Contains, Count, Indices, the
+// bitset-mask reads, HeaderBytes against the encoded length, the bitset
+// helpers (IvalBytesOf, IvalFingerprintOf, AppendIvalEncoded) against the
+// Runs encoding, the decode round trip, and CopyFromBits against a set
+// built one Add at a time.
+func TestPropertyRunsMatchBitset(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		universe := 1 + r.Intn(700)
-		flat := New(Flat, universe)
-		ival := New(Ival, universe)
+		v := NewRuns(universe)
 		ref := bitset.New(universe) // independent oracle
 
 		ops := 1 + r.Intn(300)
 		for op := 0; op < ops; op++ {
 			i := r.Intn(universe)
 			if r.Intn(3) == 0 {
-				flat.Remove(i)
-				ival.Remove(i)
+				v.Remove(i)
 				ref.Remove(i)
 			} else {
-				flat.Add(i)
-				ival.Add(i)
+				v.Add(i)
 				ref.Add(i)
 			}
 		}
 
-		if flat.Count() != ref.Count() || ival.Count() != ref.Count() {
-			t.Fatalf("trial %d: counts flat=%d ival=%d ref=%d", trial, flat.Count(), ival.Count(), ref.Count())
-		}
-		if flat.Empty() != ref.Empty() || ival.Empty() != ref.Empty() {
-			t.Fatalf("trial %d: Empty disagrees", trial)
+		if v.Count() != ref.Count() || v.Empty() != ref.Empty() {
+			t.Fatalf("trial %d: runs count %d (empty %v), ref %d (empty %v)",
+				trial, v.Count(), v.Empty(), ref.Count(), ref.Empty())
 		}
 		for probe := 0; probe < 32; probe++ {
 			i := r.Intn(universe)
-			if flat.Contains(i) != ref.Contains(i) || ival.Contains(i) != ref.Contains(i) {
+			if v.Contains(i) != ref.Contains(i) {
 				t.Fatalf("trial %d: Contains(%d) disagrees", trial, i)
 			}
 		}
-		if !reflect.DeepEqual(flat.Indices(), ival.Indices()) {
-			t.Fatalf("trial %d: Indices disagree:\nflat %v\nival %v", trial, flat.Indices(), ival.Indices())
-		}
-		if !flat.Equal(ival) || !ival.Equal(flat) {
-			t.Fatalf("trial %d: cross-backend Equal is false for equal sets", trial)
+		if !reflect.DeepEqual(v.Indices(), ref.Indices()) {
+			t.Fatalf("trial %d: Indices disagree:\nruns %v\nref  %v", trial, v.Indices(), ref.Indices())
 		}
 
-		// Intersects/AndCount against a random mask.
+		// IntersectsBits/AndCountBits against a random mask.
 		mask := bitset.New(universe)
 		for j := 0; j < universe/3+1; j++ {
 			mask.Add(r.Intn(universe))
 		}
-		if flat.Intersects(mask) != ival.Intersects(mask) {
-			t.Fatalf("trial %d: Intersects disagrees", trial)
+		if got, want := v.IntersectsBits(mask), ref.Intersects(mask); got != want {
+			t.Fatalf("trial %d: IntersectsBits %v, want %v", trial, got, want)
 		}
-		if a, b := flat.AndCount(mask), ival.AndCount(mask); a != b {
-			t.Fatalf("trial %d: AndCount flat=%d ival=%d", trial, a, b)
+		if got, want := v.AndCountBits(mask), bitset.AndCount(ref, mask); got != want {
+			t.Fatalf("trial %d: AndCountBits %d, want %d", trial, got, want)
 		}
 
 		// Encoded-size accounting and the zero-alloc bitset mirrors.
-		for _, s := range []DestSet{flat, ival} {
-			if got := len(s.AppendEncoded(nil)); got != s.HeaderBytes() {
-				t.Fatalf("trial %d: %v encoded %d bytes, HeaderBytes says %d", trial, s.Backend(), got, s.HeaderBytes())
-			}
+		enc := v.AppendEncoded(nil)
+		if len(enc) != v.HeaderBytes() {
+			t.Fatalf("trial %d: encoded %d bytes, HeaderBytes says %d", trial, len(enc), v.HeaderBytes())
 		}
-		if got, want := IvalBytesOf(ref), ival.HeaderBytes(); got != want {
-			t.Fatalf("trial %d: IvalBytesOf=%d, IvalSet.HeaderBytes=%d", trial, got, want)
+		if got := IvalBytesOf(ref); got != len(enc) {
+			t.Fatalf("trial %d: IvalBytesOf=%d, Runs encoding is %d bytes", trial, got, len(enc))
 		}
-		if got, want := IvalFingerprintOf(ref), ival.Fingerprint(); got != want {
-			t.Fatalf("trial %d: IvalFingerprintOf=%#x, IvalSet.Fingerprint=%#x", trial, got, want)
+		if got, want := IvalFingerprintOf(ref), v.Fingerprint(); got != want {
+			t.Fatalf("trial %d: IvalFingerprintOf=%#x, Runs.Fingerprint=%#x", trial, got, want)
 		}
-		if got, want := AppendIvalEncoded(nil, ref), ival.AppendEncoded(nil); !bytesEq(got, want) {
-			t.Fatalf("trial %d: AppendIvalEncoded %x != IvalSet encoding %x", trial, got, want)
+		if got := AppendIvalEncoded(nil, ref); !bytes.Equal(got, enc) {
+			t.Fatalf("trial %d: AppendIvalEncoded %x != Runs encoding %x", trial, got, enc)
 		}
 
 		// Round-trip the interval encoding.
-		enc := ival.AppendEncoded(nil)
 		back := bitset.New(universe)
 		n, err := DecodeIvalInto(back, enc)
 		if err != nil {
@@ -96,39 +89,17 @@ func TestPropertyBackendsEquivalent(t *testing.T) {
 			t.Fatalf("trial %d: interval round-trip lost members", trial)
 		}
 
-		// Clones are independent.
-		for _, s := range []DestSet{flat, ival} {
-			c := s.Clone()
-			if !c.Equal(s) {
-				t.Fatalf("trial %d: clone not equal", trial)
-			}
-			c.Add(r.Intn(universe))
-			c.Remove(r.Intn(universe))
-			if c.Count() != s.Count() && !s.Equal(FromBits(s.Backend(), ref)) {
-				t.Fatalf("trial %d: clone mutation leaked into original", trial)
-			}
+		// CopyFromBits agrees with one-Add-at-a-time construction.
+		built := NewRuns(universe)
+		for _, i := range ref.Indices() {
+			built.Add(i)
 		}
-
-		// FromBits/FromIndices agree with incremental construction.
-		if !FromBits(Ival, ref).Equal(ival) {
-			t.Fatalf("trial %d: FromBits(Ival) != incrementally built set", trial)
-		}
-		if !FromIndices(Ival, universe, ref.Indices()).Equal(ival) {
-			t.Fatalf("trial %d: FromIndices(Ival) != incrementally built set", trial)
+		copied := NewRuns(universe)
+		copied.CopyFromBits(ref)
+		if !copied.Equal(built) || !copied.Equal(v) {
+			t.Fatalf("trial %d: CopyFromBits != incrementally built set", trial)
 		}
 	}
-}
-
-func bytesEq(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestIvalCompression pins the headline numbers: a rack-clustered set in
@@ -175,7 +146,7 @@ func TestIvalCompression(t *testing.T) {
 // TestDecodeIvalRejects covers malformed input paths.
 func TestDecodeIvalRejects(t *testing.T) {
 	u := 64
-	ok := FromIndices(Ival, u, []int{3, 4, 5, 20}).AppendEncoded(nil)
+	ok := AppendIvalEncoded(nil, bitset.FromIndices(u, []int{3, 4, 5, 20}))
 
 	// Truncation at every prefix length must error, never panic.
 	for n := 0; n < len(ok); n++ {
@@ -186,7 +157,10 @@ func TestDecodeIvalRejects(t *testing.T) {
 	}
 
 	// A run past the universe bound errors.
-	big := FromIndices(Ival, 1024, []int{1000, 1001}).AppendEncoded(nil)
+	wide := NewRuns(1024)
+	wide.Add(1000)
+	wide.Add(1001)
+	big := wide.AppendEncoded(nil)
 	dst := bitset.New(64)
 	if _, err := DecodeIvalInto(dst, big); err == nil {
 		t.Fatalf("out-of-universe run decoded without error")
@@ -195,18 +169,24 @@ func TestDecodeIvalRejects(t *testing.T) {
 
 // TestEmptyAndFull exercises the degenerate shapes.
 func TestEmptyAndFull(t *testing.T) {
-	for _, b := range []Backend{Flat, Ival} {
-		empty := New(b, 100)
-		if !empty.Empty() || empty.Count() != 0 || len(empty.Indices()) != 0 {
-			t.Fatalf("%v: fresh set not empty", b)
-		}
-		full := New(b, 100)
-		for i := 0; i < 100; i++ {
-			full.Add(i)
-		}
-		if full.Count() != 100 {
-			t.Fatalf("%v: full count %d", b, full.Count())
-		}
+	empty := NewRuns(100)
+	if !empty.Empty() || empty.Count() != 0 || len(empty.Indices()) != 0 || empty.NumRuns() != 0 {
+		t.Fatal("fresh Runs not empty")
+	}
+	if got := len(empty.AppendEncoded(nil)); got != 1 {
+		t.Fatalf("empty Runs encodes to %d bytes, want 1", got)
+	}
+	fullRuns := NewRuns(100)
+	fullBits := bitset.New(100)
+	for i := 0; i < 100; i++ {
+		fullRuns.Add(i)
+		fullBits.Add(i)
+	}
+	if fullRuns.Count() != 100 || fullRuns.NumRuns() != 1 {
+		t.Fatalf("full Runs: count %d in %d runs, want 100 in 1", fullRuns.Count(), fullRuns.NumRuns())
+	}
+	if !fullRuns.EqualBits(fullBits) {
+		t.Fatal("full Runs differs from the full bitset")
 	}
 	// One full-universe run is the smallest possible interval header.
 	full := bitset.New(100_000)

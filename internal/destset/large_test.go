@@ -230,7 +230,9 @@ func TestRunsPoolReuseMillionBit(t *testing.T) {
 }
 
 // TestRunsIterationZeroAlloc pins the allocation-free contract of the
-// sparse read paths the per-branch planning loop calls.
+// sparse read paths the per-branch planning loop calls, and of the three
+// bitset helpers the flat path sizes, keys and encodes interval headers
+// with.
 func TestRunsIterationZeroAlloc(t *testing.T) {
 	pats := bigPatterns(bigN)
 	sink := 0
@@ -239,6 +241,8 @@ func TestRunsIterationZeroAlloc(t *testing.T) {
 		v.CopyFromBits(pats[name])
 		bits := pats["long-runs"]
 		inter := NewRuns(bigN)
+		flat := pats[name]
+		enc := make([]byte, 0, len(AppendIvalEncoded(nil, flat)))
 		for probe, f := range map[string]func(){
 			"ForEachRun": func() {
 				v.ForEachRun(func(lo, hi int) bool { sink += hi - lo; return true })
@@ -251,6 +255,9 @@ func TestRunsIterationZeroAlloc(t *testing.T) {
 			"SubsetOfBits":      func() { sink += boolInt(v.SubsetOfBits(bits)) },
 			"AndCountBits":      func() { sink += v.AndCountBits(bits) },
 			"SetToIntersection": func() { inter.SetToIntersection(v, bits); sink += inter.Count() },
+			"IvalBytesOf":       func() { sink += IvalBytesOf(flat) },
+			"IvalFingerprintOf": func() { sink += int(IvalFingerprintOf(flat)) },
+			"AppendIvalEncoded": func() { enc = AppendIvalEncoded(enc[:0], flat); sink += len(enc) },
 		} {
 			if allocs := testing.AllocsPerRun(2, f); allocs != 0 {
 				t.Errorf("%s on %s: %v allocs/op, want 0", probe, name, allocs)

@@ -8,13 +8,15 @@ import (
 	"mcastsim/internal/bitset"
 )
 
-// Runs is the simulator-facing mutable run-list set: the same canonical
-// representation as IvalSet (sorted maximal runs [lo, hi], every inter-run
-// gap at least 2) but built for pooling and in-place mutation on the hot
-// planning path. Where IvalSet is the wire-format DestSet backend, Runs is
-// the in-core currency: a tree worm's remaining-destination set at
-// datacenter scale is a handful of rack runs, so planning operations cost
-// O(runs) or O(runs x span/64) instead of O(universe/64).
+// ivRun is one maximal interval [lo, hi] of member indices.
+type ivRun struct{ lo, hi int32 }
+
+// Runs is the simulator-facing mutable run-list set: a canonical list of
+// sorted maximal runs [lo, hi], every inter-run gap at least 2, built for
+// pooling and in-place mutation on the hot planning path. A tree worm's
+// remaining-destination set at datacenter scale is a handful of rack
+// runs, so planning operations cost O(runs) or O(runs x span/64) instead
+// of O(universe/64).
 //
 // All operations preserve canonical form, so two Runs holding the same
 // members always hold identical run slices, and Fingerprint matches
@@ -269,7 +271,7 @@ func (v *Runs) HeaderBytes() int {
 }
 
 // AppendEncoded appends the interval wire encoding (see
-// IvalSet.AppendEncoded for the format).
+// AppendIvalEncoded for the format).
 func (v *Runs) AppendEncoded(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(v.runs)))
 	prevHi := int32(0)

@@ -37,14 +37,14 @@ func TestTypedDispatch(t *testing.T) {
 	}
 }
 
-func TestRegisterRejectsClosureKind(t *testing.T) {
+func TestRegisterRejectsOutOfRangeKind(t *testing.T) {
 	var q Queue
 	defer func() {
 		if recover() == nil {
-			t.Fatal("registering KindClosure did not panic")
+			t.Fatal("registering kind MaxKinds did not panic")
 		}
 	}()
-	q.Register(KindClosure, func(any, int64) {})
+	q.Register(MaxKinds, func(any, int64) {})
 }
 
 // TestInsertionOrderProperty is the determinism contract: events with

@@ -15,12 +15,10 @@
 // engine's profile; the steady-state flit pipeline posts and dispatches
 // with zero allocations.
 //
-// Typed-kind registration (Register + Post/PostAfter) is the public
-// scheduling API. KindClosure — an event whose actor is a func() value —
-// remains as the carrier for test-only closure scheduling (see the
-// eventtest subpackage); production code defines a Kind per event type
-// so the record stays enumerable, which is what the snapshot layer
-// (SnapshotPending/ResetTo, sim.Network.Checkpoint) relies on.
+// Typed-kind registration (Register + Post/PostAfter) is the only
+// scheduling API: every event type is a Kind with a registered handler,
+// so each pending record stays enumerable, which is what the snapshot
+// layer (SnapshotPending/ResetTo, sim.Network.Checkpoint) relies on.
 //
 // # Scheduling structure
 //
@@ -44,9 +42,6 @@ const maxTime = Time(1) << 62
 
 // Kind identifies an event type registered in the queue's jump table.
 type Kind uint8
-
-// KindClosure carries a legacy func() callback (the At/After shim).
-const KindClosure Kind = 0
 
 // MaxKinds bounds the jump table; kinds are small dense integers.
 const MaxKinds = 32
@@ -200,10 +195,10 @@ func (q *Queue) Cap() int {
 	return c
 }
 
-// Register installs the handler for a typed kind. Registering KindClosure
-// or an out-of-range kind panics; re-registering replaces the handler.
+// Register installs the handler for a typed kind. Registering an
+// out-of-range kind panics; re-registering replaces the handler.
 func (q *Queue) Register(k Kind, h Handler) {
-	if k == KindClosure || k >= MaxKinds {
+	if k >= MaxKinds {
 		panic(fmt.Sprintf("event: cannot register kind %d", k))
 	}
 	q.table[k] = h
@@ -339,10 +334,6 @@ func (q *Queue) fastStep(limit Time) bool {
 	}
 	q.now = q.cursor
 	q.ran++
-	if s.kind == KindClosure {
-		s.actor.(func())()
-		return true
-	}
 	q.table[s.kind](s.actor, s.arg)
 	return true
 }
@@ -400,10 +391,6 @@ func (q *Queue) Drain(maxEvents uint64) bool {
 func (q *Queue) dispatch(e entry) {
 	q.now = e.at
 	q.ran++
-	if e.kind == KindClosure {
-		e.actor.(func())()
-		return
-	}
 	q.table[e.kind](e.actor, e.arg)
 }
 

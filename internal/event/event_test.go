@@ -7,16 +7,20 @@ import (
 	"mcastsim/internal/rng"
 )
 
-// postAt and postAfter mirror the eventtest helpers (which the
-// in-package tests cannot import without a cycle): closures ride as
-// KindClosure records.
-func postAt(q *Queue, t Time, fn func()) { q.Post(t, KindClosure, fn, 0) }
+// kFunc is a test-local kind whose actor is a func() its handler runs,
+// so these tests can post throwaway callbacks at a timestamp.
+const kFunc Kind = MaxKinds - 1
+
+func runFunc(actor any, _ int64) { actor.(func())() }
+
+func postAt(q *Queue, t Time, fn func()) {
+	q.Register(kFunc, runFunc)
+	q.Post(t, kFunc, fn, 0)
+}
 
 func postAfter(q *Queue, delay Time, fn func()) {
-	if delay < 0 {
-		panic("event: negative delay")
-	}
-	q.Post(q.Now()+delay, KindClosure, fn, 0)
+	q.Register(kFunc, runFunc)
+	q.PostAfter(delay, kFunc, fn, 0)
 }
 
 func TestTimeOrdering(t *testing.T) {
@@ -193,10 +197,11 @@ func TestHeapPropertyRandom(t *testing.T) {
 func BenchmarkScheduleAndRun(b *testing.B) {
 	r := rng.New(1)
 	var q Queue
+	q.Register(kFunc, runFunc)
 	nop := func() {}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		postAt(&q, q.Now()+Time(r.Intn(64)), nop)
+		q.Post(q.Now()+Time(r.Intn(64)), kFunc, nop, 0)
 		q.Step()
 	}
 }

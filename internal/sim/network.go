@@ -357,8 +357,8 @@ func (n *Network) Outstanding() int { return int(n.outstanding) }
 func (n *Network) EventsProcessed() uint64 { return n.queue.Processed() }
 
 // Schedule runs fn at absolute simulation time t (traffic generators,
-// retry backoff). The closure rides the typed evSched kind, so the
-// engine-level closure shim stays test-only (see event/eventtest).
+// retry backoff). The closure rides the typed evSched kind, whose
+// handler calls it; Checkpoint refuses a network with one pending.
 func (n *Network) Schedule(t event.Time, fn func()) { n.queue.Post(t, evSched, fn, 0) }
 
 // Send schedules a multicast described by plan carrying flits payload flits,

@@ -27,14 +27,19 @@ func WriteText(w io.Writer, t *Topology) error {
 	return bw.Flush()
 }
 
-// ReadText parses the format written by WriteText.
+// ReadText parses the format written by WriteText. The header's counts
+// are claims about the lines that follow, so nothing is sized from them
+// until the lines back them: every node needs its own node line, and S
+// switches need at least S-1 links to be connected. A hostile header
+// therefore fails with an error instead of a huge allocation.
 func ReadText(r io.Reader) (*Topology, error) {
 	sc := bufio.NewScanner(r)
+	type nodeLine struct{ lineNo, id, sw, port int }
 	var (
 		haveHeader          bool
 		switches, ports, nn int
 		links               [][4]int
-		nodes               [][2]int
+		nodeLines           []nodeLine
 		lineNo              int
 	)
 	for sc.Scan() {
@@ -58,11 +63,10 @@ func ReadText(r io.Reader) (*Topology, error) {
 			if _, err := fmt.Sscanf(line, "topology %d %d %d", &switches, &ports, &nn); err != nil {
 				return nil, fail(err.Error())
 			}
-			haveHeader = true
-			nodes = make([][2]int, nn)
-			for i := range nodes {
-				nodes[i] = [2]int{-1, -1}
+			if switches < 0 || ports < 0 || nn < 0 {
+				return nil, fail("negative count")
 			}
+			haveHeader = true
 		case "link":
 			if !haveHeader {
 				return nil, fail("link before header")
@@ -83,10 +87,7 @@ func ReadText(r io.Reader) (*Topology, error) {
 			if id < 0 || id >= nn {
 				return nil, fail("node id out of range")
 			}
-			if nodes[id][0] != -1 {
-				return nil, fail("duplicate node id")
-			}
-			nodes[id] = [2]int{s, p}
+			nodeLines = append(nodeLines, nodeLine{lineNo, id, s, p})
 		default:
 			return nil, fail("unknown directive")
 		}
@@ -97,10 +98,22 @@ func ReadText(r io.Reader) (*Topology, error) {
 	if !haveHeader {
 		return nil, fmt.Errorf("topology text: missing header")
 	}
-	for id, at := range nodes {
-		if at[0] == -1 {
-			return nil, fmt.Errorf("topology text: node %d missing", id)
+	if nn > len(nodeLines) {
+		return nil, fmt.Errorf("topology text: header declares %d nodes, input has %d node lines", nn, len(nodeLines))
+	}
+	if switches > len(links)+1 {
+		return nil, fmt.Errorf("topology text: header declares %d switches, %d links cannot connect more than %d", switches, len(links), len(links)+1)
+	}
+	// With ids in [0, nn) and at least nn lines, a table with no
+	// duplicate has every node.
+	nodes := make([][2]int, nn)
+	seen := make([]bool, nn)
+	for _, nl := range nodeLines {
+		if seen[nl.id] {
+			return nil, fmt.Errorf("topology text line %d: duplicate node id %d", nl.lineNo, nl.id)
 		}
+		seen[nl.id] = true
+		nodes[nl.id] = [2]int{nl.sw, nl.port}
 	}
 	return Build(switches, ports, links, nodes)
 }

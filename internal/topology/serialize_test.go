@@ -2,6 +2,7 @@ package topology
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -60,14 +61,40 @@ func TestReadTextErrors(t *testing.T) {
 		"unknown directive":  "topology 2 4 0\nlink 0 0 1 0\nfrob 1\n",
 		"node out of range":  "topology 2 4 1\nlink 0 0 1 0\nnode 5 0 1\n",
 		"duplicate node":     "topology 2 4 1\nlink 0 0 1 0\nnode 0 0 1\nnode 0 0 2\n",
+		"duplicate bad node": "topology 2 4 1\nlink 0 0 1 0\nnode 0 -1 1\nnode 0 0 1\n",
 		"missing node":       "topology 2 4 2\nlink 0 0 1 0\nnode 0 0 1\n",
 		"malformed link":     "topology 2 4 0\nlink 0 0 1\n",
 		"empty input":        "",
 		"disconnected graph": "topology 2 4 0\n",
+		"negative switches":  "topology -1 4 0\n",
+		"negative ports":     "topology 2 -4 0\nlink 0 0 1 0\n",
+		"negative nodes":     "topology 1 1 -1\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadText(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestReadTextOversizedHeaderAllocatesLittle feeds headers whose counts
+// no line backs: both must be rejected before anything is sized from
+// them.
+func TestReadTextOversizedHeaderAllocatesLittle(t *testing.T) {
+	cases := map[string]string{
+		"1e7 nodes, no node line": "topology 2 4 10000000\nlink 0 0 1 0\n",
+		"1e8 switches, no link":   "topology 100000000 4 0\n",
+	}
+	for name, in := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadText(strings.NewReader(in))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes before failing, want under 1 MB", name, got)
 		}
 	}
 }
