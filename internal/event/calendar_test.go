@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"mcastsim/internal/rng"
 )
@@ -253,14 +254,108 @@ func TestZeroAllocTypedPath(t *testing.T) {
 		q.PostAfter(Time(i%8), kNop, a, 0)
 		q.Step()
 	}
-	allocs := testing.AllocsPerRun(1000, func() {
+	cycle := func() {
 		q.PostAfter(3, kNop, a, 1)
 		q.PostAfter(1, kNop, a, 2)
+		q.PostFused(q.Now()+1, kNop, a, 3, 4)
 		q.Step()
 		q.Step()
-	})
+		q.Step()
+	}
+	// A cycle fills buckets deeper than the plain warm-up did.
+	for i := 0; i < ringSize*2; i++ {
+		cycle()
+	}
+	allocs := testing.AllocsPerRun(1000, cycle)
 	if allocs != 0 {
 		t.Fatalf("typed post+dispatch allocated %v per run, want 0", allocs)
+	}
+}
+
+// TestFusedCountsLogicalEvents pins the weighted-slot contract: a record
+// posted by PostFused counts as its n events in Len while pending and in
+// Processed and RunUntil's result once run, and dispatches once, in its
+// FIFO place among plain posts.
+func TestFusedCountsLogicalEvents(t *testing.T) {
+	var q Queue
+	rec := newRecorded(&q)
+	q.Post(2, kRecord, rec, 1)
+	q.PostFused(2, kRecord, rec, 2, 5)
+	q.Post(2, kRecord, rec, 3)
+	if got := q.Len(); got != 7 {
+		t.Fatalf("Len = %d with a fused record of 5 and two plain posts pending, want 7", got)
+	}
+	if got := q.EngineStats().Len; got != 7 {
+		t.Fatalf("EngineStats().Len = %d, want 7", got)
+	}
+	q.Step()
+	if got := q.Processed(); got != 1 {
+		t.Fatalf("Processed = %d after one plain dispatch, want 1", got)
+	}
+	q.Step()
+	if got, want := q.Processed(), uint64(6); got != want {
+		t.Fatalf("Processed = %d after the fused dispatch, want %d", got, want)
+	}
+	if got := q.Len(); got != 1 {
+		t.Fatalf("Len = %d after the fused dispatch, want 1", got)
+	}
+	q.Step()
+	if got := q.Len(); got != 0 || q.Processed() != 7 {
+		t.Fatalf("Len = %d, Processed = %d when drained, want 0 and 7", got, q.Processed())
+	}
+	if len(rec.got) != 3 || rec.got[0] != 1 || rec.got[1] != 2 || rec.got[2] != 3 {
+		t.Fatalf("dispatch order %v, want [1 2 3]", rec.got)
+	}
+
+	// The slow path (popNext, via RunUntil) carries the weight too.
+	q.PostFused(q.Now()+3, kRecord, rec, 4, 3)
+	q.Post(q.Now()+3, kRecord, rec, 5)
+	if ran := q.RunUntil(q.Now() + 10); ran != 4 {
+		t.Fatalf("RunUntil ran %d events, want 4", ran)
+	}
+	if got := q.Len(); got != 0 || q.Processed() != 11 {
+		t.Fatalf("Len = %d, Processed = %d after RunUntil, want 0 and 11", got, q.Processed())
+	}
+}
+
+// TestPostFusedPanics pins PostFused's contract: only in-window times at
+// or after now, and a weight of at least one.
+func TestPostFusedPanics(t *testing.T) {
+	cases := []struct {
+		name string
+		post func(q *Queue)
+	}{
+		{"past", func(q *Queue) { q.PostFused(q.Now()-1, kRecord, nil, 0, 2) }},
+		{"beyond window", func(q *Queue) { q.PostFused(q.Now()+ringSize, kRecord, nil, 0, 2) }},
+		{"n zero", func(q *Queue) { q.PostFused(q.Now()+1, kRecord, nil, 0, 0) }},
+		{"n negative", func(q *Queue) { q.PostFused(q.Now()+1, kRecord, nil, 0, -1) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var q Queue
+			q.Post(10, kRecord, newRecorded(&q), 0)
+			q.Step()
+			defer func() {
+				if recover() == nil {
+					t.Fatal("PostFused did not panic")
+				}
+				if q.Len() != 0 {
+					t.Fatalf("Len = %d after a refused post, want 0", q.Len())
+				}
+			}()
+			c.post(&q)
+		})
+	}
+}
+
+// TestRecordSizes pins the record layouts: the fused-weight field rides
+// in padding, so a ring slot stays 32 bytes and a heap entry 48.
+func TestRecordSizes(t *testing.T) {
+	if got := unsafe.Sizeof(slot{}); got != 32 {
+		t.Fatalf("slot is %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(entry{}); got != 48 {
+		t.Fatalf("entry is %d bytes, want 48", got)
 	}
 }
 

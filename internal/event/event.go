@@ -20,6 +20,14 @@
 // so each pending record stays enumerable, which is what the snapshot
 // layer (SnapshotPending/ResetTo, sim.Network.Checkpoint) relies on.
 //
+// # Fused events
+//
+// PostFused schedules one record that stands for n logical events: its
+// handler runs what would otherwise be n back-to-back records of the same
+// cycle. Len, Processed, RunUntil's result and Drain's budget all count
+// logical events, so fusing changes how a run is executed, never what is
+// counted.
+//
 // # Scheduling structure
 //
 // The queue is a hierarchical calendar queue: a power-of-two
@@ -71,13 +79,16 @@ const occEpoch = 256
 
 // entry is one scheduled event in the far overflow heap. 48 bytes; actor
 // holds only pointer-shaped values (pointers, func values), so posting
-// never boxes.
+// never boxes. Popped ring slots travel as entries too, so an entry
+// carries a slot's extra count; the far heap itself never holds a fused
+// record (see reinsert).
 type entry struct {
 	at    Time
 	seq   uint64
 	arg   int64
 	actor any
 	kind  Kind
+	extra uint32 // logical events beyond the first (see PostFused)
 }
 
 // slot is one scheduled event within a calendar ring bucket. The bucket
@@ -88,7 +99,11 @@ type slot struct {
 	actor any
 	arg   int64
 	kind  Kind
+	extra uint32 // logical events beyond the first (see PostFused)
 }
+
+// weight is the number of logical events a slot stands for.
+func (s *slot) weight() int { return 1 + int(s.extra) }
 
 // bucket is one cycle's FIFO within the calendar ring. head avoids
 // shifting on pop; the slice resets (and may shrink) once emptied.
@@ -105,7 +120,8 @@ type Queue struct {
 	table [MaxKinds]Handler
 
 	// buckets[t&(ringSize-1)] holds events at cycle t
-	// for t in [cursor, cursor+ringSize); pending counts ring entries.
+	// for t in [cursor, cursor+ringSize); pending counts the logical
+	// events the ring's slots stand for.
 	buckets []bucket
 	cursor  Time
 	pending int
@@ -172,11 +188,13 @@ func (q *Queue) EngineStats() EngineStats {
 // Now returns the current simulation time.
 func (q *Queue) Now() Time { return q.now }
 
-// Len returns the number of pending events.
+// Len returns the number of pending events. A fused record counts as
+// the n events it stands for.
 func (q *Queue) Len() int { return q.pending + len(q.far) }
 
 // Processed returns the total number of events executed, a cheap progress
-// measure used by deadlock watchdogs.
+// measure used by deadlock watchdogs. A fused record counts as the n
+// events it stands for.
 func (q *Queue) Processed() uint64 { return q.ran }
 
 // Cap reports the total backing capacity, in entries, across the queue's
@@ -239,6 +257,30 @@ func (q *Queue) Post(t Time, k Kind, actor any, arg int64) {
 	}
 }
 
+// PostFused schedules one record at time t that stands for n logical
+// events: its handler must do the work of n events that would otherwise
+// run back to back at t. Len and Processed count it as n. Only times
+// inside the calendar window are accepted — fusion exists for the
+// one-cycle flit hop, which is always in the window — and a time in the
+// past, beyond the window, or n < 1 panics.
+func (q *Queue) PostFused(t Time, k Kind, actor any, arg int64, n int) {
+	if q.buckets == nil {
+		q.buckets = make([]bucket, ringSize)
+		q.cursor = q.now
+	}
+	if t < q.now || t >= q.cursor+ringSize || n < 1 || uint64(n) > 1<<32 {
+		panic(fmt.Sprintf("event: fused post of %d events at %d, want n >= 1 and %d <= t < %d", n, t, q.now, q.cursor+ringSize))
+	}
+	b := &q.buckets[t&(ringSize-1)]
+	s := slot{actor: actor, arg: arg, kind: k, extra: uint32(n - 1)}
+	if len(b.items) < cap(b.items) {
+		b.items = append(b.items, s)
+		q.pending += n
+		return
+	}
+	q.bucketAppend(b, s)
+}
+
 // bucketAppend adds an entry to a ring bucket, reusing pooled slices.
 // Pool order is irrelevant to correctness — it only decides which backing
 // array a cycle borrows.
@@ -262,7 +304,7 @@ func (q *Queue) bucketAppend(b *bucket, s slot) {
 		}
 	}
 	b.items = append(b.items, s)
-	q.pending++
+	q.pending += s.weight()
 }
 
 // PostAfter schedules a typed event delay cycles from now.
@@ -298,6 +340,9 @@ func (q *Queue) drainRealized() []entry {
 // calendar cursor forward; the window is rewound to now (the ring is
 // empty, so this cannot strand an entry) before re-inserting. moved is
 // sorted in realized order with at >= now, so bucket FIFO order is kept.
+// A fused record was posted inside the window of a cursor no later than
+// now, so it lands inside the rewound window too: the far heap never
+// holds one.
 func (q *Queue) reinsert(moved []entry) {
 	if q.buckets == nil {
 		q.buckets = make([]bucket, ringSize)
@@ -305,7 +350,7 @@ func (q *Queue) reinsert(moved []entry) {
 	q.cursor = q.now
 	for _, e := range moved {
 		if e.at < q.cursor+ringSize {
-			q.bucketAppend(&q.buckets[e.at&(ringSize-1)], slot{actor: e.actor, arg: e.arg, kind: e.kind})
+			q.bucketAppend(&q.buckets[e.at&(ringSize-1)], slot{actor: e.actor, arg: e.arg, kind: e.kind, extra: e.extra})
 		} else {
 			heapPush(&q.far, e)
 		}
@@ -328,12 +373,12 @@ func (q *Queue) fastStep(limit Time) bool {
 	s := b.items[b.head]
 	b.items[b.head].actor = nil // release the actor
 	b.head++
-	q.pending--
+	q.pending -= s.weight()
 	if b.head == len(b.items) {
 		q.resetBucket(b)
 	}
 	q.now = q.cursor
-	q.ran++
+	q.ran += uint64(s.weight())
 	q.table[s.kind](s.actor, s.arg)
 	return true
 }
@@ -356,10 +401,9 @@ func (q *Queue) Step() bool {
 // clock to limit (a limit already in the past leaves it unchanged). It
 // returns the number of events run.
 func (q *Queue) RunUntil(limit Time) uint64 {
-	var n uint64
+	start := q.ran
 	for {
 		if q.fastStep(limit) {
-			n++
 			continue
 		}
 		e, ok := q.popNext(limit)
@@ -367,19 +411,20 @@ func (q *Queue) RunUntil(limit Time) uint64 {
 			break
 		}
 		q.dispatch(e)
-		n++
 	}
 	if q.now < limit {
 		q.now = limit
 	}
-	return n
+	return q.ran - start
 }
 
 // Drain runs events until none remain or maxEvents have executed; it
 // returns true if the queue drained. maxEvents bounds runaway simulations
-// (a livelocked model would otherwise spin forever).
+// (a livelocked model would otherwise spin forever). The budget counts
+// logical events, and a fused record runs whole: one that straddles the
+// budget overruns it by at most its n-1 extra events.
 func (q *Queue) Drain(maxEvents uint64) bool {
-	for i := uint64(0); i < maxEvents; i++ {
+	for start := q.ran; q.ran-start < maxEvents; {
 		if !q.Step() {
 			return true
 		}
@@ -390,7 +435,7 @@ func (q *Queue) Drain(maxEvents uint64) bool {
 // dispatch advances the clock and executes one popped entry.
 func (q *Queue) dispatch(e entry) {
 	q.now = e.at
-	q.ran++
+	q.ran += 1 + uint64(e.extra)
 	q.table[e.kind](e.actor, e.arg)
 }
 
@@ -418,13 +463,13 @@ func (q *Queue) popNext(limit Time) (entry, bool) {
 			s := b.items[b.head]
 			b.items[b.head].actor = nil // release the actor
 			b.head++
-			q.pending--
+			q.pending -= s.weight()
 			if b.head == len(b.items) {
 				q.resetBucket(b)
 			}
 			// Ring slots carry no seq; callers (dispatch, drainRealized)
 			// only need the realized order and the timestamp.
-			return entry{at: q.cursor, kind: s.kind, actor: s.actor, arg: s.arg}, true
+			return entry{at: q.cursor, kind: s.kind, actor: s.actor, arg: s.arg, extra: s.extra}, true
 		}
 		if q.cursor >= limit {
 			return entry{}, false
@@ -441,7 +486,7 @@ func (q *Queue) popNext(limit Time) (entry, bool) {
 func (q *Queue) migrateFar() {
 	for len(q.far) > 0 && q.far[0].at < q.cursor+ringSize {
 		e := heapPop(&q.far)
-		q.bucketAppend(&q.buckets[e.at&(ringSize-1)], slot{actor: e.actor, arg: e.arg, kind: e.kind})
+		q.bucketAppend(&q.buckets[e.at&(ringSize-1)], slot{actor: e.actor, arg: e.arg, kind: e.kind, extra: e.extra})
 		if q.obs != nil {
 			q.obs.Migrations++
 		}

@@ -153,10 +153,34 @@ func TestDrainBound(t *testing.T) {
 	if q.Drain(100) {
 		t.Fatal("Drain claimed an endless chain drained")
 	}
+	if q.Processed() != 100 {
+		t.Fatalf("Processed = %d after Drain(100), want 100", q.Processed())
+	}
 	var q2 Queue
 	postAt(&q2, 1, func() {})
 	if !q2.Drain(100) {
 		t.Fatal("Drain failed on a finite queue")
+	}
+
+	// The budget counts logical events, so an endless chain of records
+	// fused three at a time stops after 34 records (102 events): a record
+	// runs whole, overrunning the budget by less than its weight.
+	var q3 Queue
+	var fusedTick func()
+	fusedTick = func() { q3.PostFused(q3.Now()+1, kFunc, fusedTick, 0, 3) }
+	q3.Register(kFunc, runFunc)
+	q3.PostFused(0, kFunc, fusedTick, 0, 3)
+	if q3.Drain(100) {
+		t.Fatal("Drain claimed an endless fused chain drained")
+	}
+	if q3.Processed() != 102 {
+		t.Fatalf("Processed = %d after Drain(100) on a fused chain, want 102", q3.Processed())
+	}
+	var q4 Queue
+	q4.Register(kFunc, runFunc)
+	q4.PostFused(1, kFunc, func() {}, 0, 3)
+	if !q4.Drain(100) || q4.Processed() != 3 {
+		t.Fatalf("Drain on a finite fused queue: Processed = %d, Len = %d", q4.Processed(), q4.Len())
 	}
 }
 

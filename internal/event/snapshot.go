@@ -15,7 +15,8 @@ import "fmt"
 // dispatch order — the exact order Step would run them — which is the
 // only ordering property the engine guarantees to persist across a
 // drain/re-post cycle (absolute sequence numbers are internal and
-// renumbered freely).
+// renumbered freely). A fused record (PostFused) appears once, under its
+// own kind.
 type PendingEvent struct {
 	At    Time
 	Kind  Kind

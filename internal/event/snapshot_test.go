@@ -46,6 +46,44 @@ func TestSnapshotPendingRealizedOrder(t *testing.T) {
 	}
 }
 
+// TestSnapshotPendingFused: enumerating a queue that holds a fused record
+// lists the record once, and leaves Len and the dispatch order as they
+// were.
+func TestSnapshotPendingFused(t *testing.T) {
+	var q Queue
+	var got []int64
+	q.Register(kTick, func(_ any, arg int64) { got = append(got, arg) })
+	q.Post(4, kTick, nil, 0)
+	q.PostFused(4, kTick, nil, 1, 6)
+	q.Post(4, kTick, nil, 2)
+	q.Post(3, kTick, nil, 3)
+	q.Post(5000, kTick, nil, 4) // beyond the calendar window
+
+	pend := q.SnapshotPending()
+	if q.Len() != 10 {
+		t.Fatalf("Len = %d after SnapshotPending, want 10", q.Len())
+	}
+	wantOrder := []int64{3, 0, 1, 2, 4}
+	if len(pend) != len(wantOrder) {
+		t.Fatalf("%d records enumerated, want %d", len(pend), len(wantOrder))
+	}
+	for i, p := range pend {
+		if p.Arg != wantOrder[i] {
+			t.Fatalf("enumeration %d = arg %d, want %d", i, p.Arg, wantOrder[i])
+		}
+	}
+	for q.Step() {
+	}
+	if q.Processed() != 10 {
+		t.Fatalf("Processed = %d, want 10", q.Processed())
+	}
+	for i, v := range got {
+		if v != wantOrder[i] {
+			t.Fatalf("dispatch order %v, want %v", got, wantOrder)
+		}
+	}
+}
+
 // TestQueueResetToRepost checks the restore sequence: reset an empty
 // queue to a snapshot clock, re-post the enumerated events, and get the
 // identical dispatch.

@@ -18,9 +18,15 @@ const (
 	// evPump advances one branch's flit stream (actor *branch).
 	evPump event.Kind = iota + 1
 	// evDeliver lands one flit at the branch's destination buffer or NI
-	// after the link delay (actor *branch).
+	// after the link delay (actor *branch). Posted on its own only for a
+	// tail flit, for a hop that retires its occupant, and for every hop
+	// when LinkDelay > 1 or StallCycles = 1; every other hop's deliver
+	// runs inside an evFlit.
 	evDeliver
 	// evCredit returns one buffer credit upstream (actor *inputBuf).
+	// Posted on its own for slots freed outside a pump (flit arrival,
+	// routing, teardown) and by the hops that post evDeliver on their
+	// own; a fused hop's credits run inside its evFlit.
 	evCredit
 	// evRoute decodes a head occupant's header after the routing delay
 	// (actor *occupant).
@@ -76,6 +82,11 @@ const (
 	// Checkpoint refuses while one is scheduled; everything else in the
 	// queue is a fixed-shape record.
 	evSched
+	// evFlit is one fused non-tail flit hop at LinkDelay 1: it runs the
+	// hop's evDeliver, then arg evCredit returns on the branch's fuseBuf,
+	// then its evPump, and counts as arg+2 events (actor *branch; see
+	// branch.pump and DESIGN.md §12).
+	evFlit
 )
 
 // registerKinds installs the network's jump table. Handlers close over n
@@ -115,4 +126,5 @@ func (n *Network) registerKinds() {
 	q.Register(evObsFlush, func(_ any, _ int64) { n.obsTick() })
 	q.Register(evMembership, func(a any, _ int64) { n.applyMembership(a.(*MembershipEvent)) })
 	q.Register(evSched, func(a any, _ int64) { a.(func())() })
+	q.Register(evFlit, func(a any, arg int64) { a.(*branch).flitHop(int(arg)) })
 }

@@ -179,9 +179,7 @@ func (n *Network) removeFromBuffer(o *occupant) {
 	held := o.arrived - o.evicted
 	b.used -= held
 	if b.upstream != nil && !b.upstream.dead {
-		for i := 0; i < held; i++ {
-			n.queue.PostAfter(n.params.LinkDelay, evCredit, b, 0)
-		}
+		b.postCredits(held)
 	}
 	wasHead := len(b.occupants) > 0 && b.occupants[0] == o
 	for i, cand := range b.occupants {

@@ -504,7 +504,11 @@ func (n *Network) stallReport(queueEmpty bool) *StallError {
 }
 
 // Drain runs the simulation until all in-flight work completes. maxEvents
-// (0 = a generous default) bounds runaway simulations.
+// (0 = a generous default) bounds runaway simulations. The budget counts
+// logical events (EventsProcessed); a fused flit hop runs whole, so one
+// that straddles the budget overruns it by at most its credits plus one.
+// The termination checks below run once per dispatched record, so once
+// per fused hop rather than once per event in it.
 //
 // Termination diagnostics: if a routing invariant was violated on a
 // fault-free network Drain returns the recorded *InvariantError; if the
@@ -521,7 +525,7 @@ func (n *Network) Drain(maxEvents uint64) error {
 	watch := n.params.StallCycles
 	lastSig := int64(-1)
 	var lastAt event.Time
-	for i := uint64(0); i < maxEvents; i++ {
+	for start := n.queue.Processed(); n.queue.Processed()-start < maxEvents; {
 		if !n.queue.Step() {
 			if n.outstanding > 0 {
 				return n.stallReport(true)

@@ -32,8 +32,8 @@ import (
 //   - Branches are time-quarantined: a branch goes done exactly once (the
 //     pump tail or a fault kill), is spliced out of its occupant's branch
 //     list immediately, and an evReclaim fires reclaimAfter cycles later —
-//     strictly after every pending evPump/evDeliver/evTail that still
-//     names it — to release its worm ref and recycle it. Splicing at
+//     strictly after every pending evPump/evDeliver/evFlit/evTail that
+//     still names it — to release its worm ref and recycle it. Splicing at
 //     done-time is safe: a done branch never gates eviction (its window
 //     ends at the parent stream's length) and schedulePump no-ops on it.
 //
@@ -76,7 +76,7 @@ func (sc *scratchSpace) init(t *topology.Topology) {
 // reclaimQuarantine returns the branch quarantine horizon: an upper bound,
 // in cycles, on how far past a branch's done-transition a pending event
 // naming it can still fire (evPump <= max(CrossbarDelay,1), evDeliver <=
-// LinkDelay, evTail = +1), plus slack.
+// LinkDelay, evFlit = +1, evTail = +1), plus slack.
 func (n *Network) reclaimQuarantine() event.Time {
 	h := n.params.LinkDelay
 	if n.params.CrossbarDelay > h {
@@ -228,6 +228,7 @@ func (n *Network) reclaimBranch(br *branch) {
 	br.ch = nil
 	br.port = nil
 	br.done = false
+	br.fuseBuf = nil
 	br.req = nil
 	br.drops = nil
 	br.injNI = nil

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"mcastsim/internal/event"
@@ -119,17 +120,26 @@ func TestUnicastSameSwitchAnalytic(t *testing.T) {
 	}
 }
 
+// TestUnicastLongPathAnalytic checks the closed form at several link
+// delays. At LinkDelay 1 non-tail flit hops run fused (evFlit); at any
+// longer delay every hop takes the unfused path, which no workload runs.
 func TestUnicastLongPathAnalytic(t *testing.T) {
-	n := fixtureNet(t, DefaultParams())
-	// Node 0 (switch 0) to node 7 (switch 7): graph distance 4, so 5
-	// switches on the path; up*/down* may lengthen it, so compute from the
-	// routing tables.
-	rt := n.Routing()
-	hops := rt.DistUp(0, 7)
-	m := mustRun(t, n, unicastPlan(0, 7), 128)
-	want := analyticUnicast(n.Params(), hops+1, 128)
-	if got := m.Latency(); got != want {
-		t.Fatalf("latency = %d, want %d (hops=%d)", got, want, hops)
+	for _, link := range []event.Time{1, 2, 3, 4} {
+		t.Run(fmt.Sprintf("LinkDelay=%d", link), func(t *testing.T) {
+			p := DefaultParams()
+			p.LinkDelay = link
+			n := fixtureNet(t, p)
+			// Node 0 (switch 0) to node 7 (switch 7): graph distance 4, so 5
+			// switches on the path; up*/down* may lengthen it, so compute
+			// from the routing tables.
+			rt := n.Routing()
+			hops := rt.DistUp(0, 7)
+			m := mustRun(t, n, unicastPlan(0, 7), 128)
+			want := analyticUnicast(n.Params(), hops+1, 128)
+			if got := m.Latency(); got != want {
+				t.Fatalf("latency = %d, want %d (hops=%d)", got, want, hops)
+			}
+		})
 	}
 }
 

@@ -121,6 +121,8 @@ func kindName(k event.Kind) string {
 		return "evMembership"
 	case evSched:
 		return "evSched"
+	case evFlit:
+		return "evFlit"
 	default:
 		return fmt.Sprintf("kind(%d)", k)
 	}

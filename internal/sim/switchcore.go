@@ -49,14 +49,22 @@ type inputBuf struct {
 func (b *inputBuf) bindUpstream(up *channel) { b.upstream = up }
 
 // creditReturn hands one buffer slot back to the feeding channel and
-// wakes its sender. Scheduled as evCredit after the link delay; called
-// directly when a drained straggler flit returns its slot immediately
-// (fault teardown).
+// wakes its sender. Scheduled as evCredit after the link delay or run
+// inside a fused flit hop (evFlit); called directly when a drained
+// straggler flit returns its slot immediately (fault teardown).
 func (b *inputBuf) creditReturn() {
 	up := b.upstream
 	up.credits++
 	if up.sender != nil {
 		up.sender.schedulePump(b.net.queue.Now())
+	}
+}
+
+// postCredits schedules one evCredit per freed slot, landing after the
+// link delay.
+func (b *inputBuf) postCredits(k int) {
+	for ; k > 0; k-- {
+		b.net.queue.PostAfter(b.net.params.LinkDelay, evCredit, b, 0)
 	}
 }
 
@@ -104,6 +112,10 @@ type branch struct {
 	port    *outPort // nil for NI injection
 	pumping bool
 	done    bool
+
+	// fuseBuf is the buffer whose credits the pending evFlit returns,
+	// captured when the pump posted it, as an evCredit captures it.
+	fuseBuf *inputBuf
 
 	// injNI, when non-nil, is the NI whose injection stream this branch
 	// carries: one cycle after the tail flit the NI's streamDone runs
@@ -216,13 +228,21 @@ func (b *inputBuf) flitArrive(w *worm) {
 }
 
 // advanceEviction frees buffer slots whose flits every consumer branch has
-// forwarded (or never needed), returning credits upstream.
+// forwarded (or never needed), returning credits upstream, and retires
+// the occupant once it is fully drained.
 func (o *occupant) advanceEviction() {
 	if !o.routed || o.killed {
 		return
 	}
-	b := o.buf
-	n := b.net
+	o.buf.postCredits(o.evict())
+	o.maybeComplete()
+}
+
+// evict frees the buffer slots advanceEviction would free and returns how
+// many; it posts nothing, leaving the credits to the caller. o must be
+// routed and not killed, as a live branch's occupant always is.
+func (o *occupant) evict() int {
+	start := o.evicted
 	for o.evicted < o.arrived {
 		i := o.evicted
 		freed := true
@@ -239,19 +259,26 @@ func (o *occupant) advanceEviction() {
 			break
 		}
 		o.evicted++
-		b.used--
-		n.queue.PostAfter(n.params.LinkDelay, evCredit, b, 0)
 	}
-	o.maybeComplete()
+	k := o.evicted - start
+	o.buf.used -= k
+	return k
+}
+
+// retiring reports whether maybeComplete would retire o now: o is the
+// live head of its buffer and every one of its flits has been evicted.
+func (o *occupant) retiring() bool {
+	b := o.buf
+	return !o.killed && !o.detached && o.evicted == o.w.len && len(b.occupants) > 0 && b.occupants[0] == o
 }
 
 // maybeComplete retires a fully drained head occupant and starts routing
 // the next resident worm.
 func (o *occupant) maybeComplete() {
-	b := o.buf
-	if o.killed || o.detached || o.evicted != o.w.len || len(b.occupants) == 0 || b.occupants[0] != o {
+	if !o.retiring() {
 		return
 	}
+	b := o.buf
 	b.occupants = b.occupants[1:]
 	o.detached = true
 	b.net.tryRecycleOccupant(o)
@@ -790,8 +817,24 @@ func (br *branch) schedulePump(t event.Time) {
 	q.Post(t, evPump, br, 0)
 }
 
+// flitHop is the evFlit handler: one fused non-tail flit hop. It runs
+// the handlers the unfused hop posts into this cycle, in posting order:
+// evDeliver, one evCredit per slot the pump freed, then evPump.
+func (br *branch) flitHop(credits int) {
+	b := br.fuseBuf
+	br.deliver()
+	for ; credits > 0; credits-- {
+		b.creditReturn()
+	}
+	br.pump()
+}
+
 // pump attempts to send one flit; it self-schedules while streaming and
 // goes dormant (woken by flit arrival or credit return) when blocked.
+// A non-tail flit at LinkDelay 1 is posted as one fused evFlit record
+// unless its occupant retires on this hop or StallCycles is 1; every
+// other hop posts its evDeliver, evCredit and evPump (or tail) events
+// separately.
 func (br *branch) pump() {
 	br.pumping = false
 	if br.done {
@@ -827,9 +870,28 @@ func (br *branch) pump() {
 	ch.busyFlits++
 	net.stats.FlitHops++
 	w := br.w
+	o := br.occ
+	freed := 0
+	if o != nil {
+		freed = o.evict()
+	}
+	if br.sent < w.len && net.params.LinkDelay == 1 && net.params.StallCycles != 1 && (o == nil || !o.retiring()) {
+		// Fused hop: the deliver, the freed credits and the next pump
+		// would be posted back to back into cycle now+1, with nothing
+		// able to land between them, so one record runs all three. A
+		// one-cycle stall watchdog could fire between them, so it keeps
+		// them apart (DESIGN.md §12).
+		br.pumping = true
+		if o != nil {
+			br.fuseBuf = o.buf
+		}
+		net.queue.PostFused(now+1, evFlit, br, int64(freed), freed+2)
+		return
+	}
 	net.queue.Post(now+net.params.LinkDelay, evDeliver, br, 0)
-	if br.occ != nil {
-		br.occ.advanceEviction()
+	if o != nil {
+		o.buf.postCredits(freed)
+		o.maybeComplete()
 	}
 	if br.sent == w.len {
 		br.done = true
