@@ -75,9 +75,9 @@ func main() {
 
 		fmt.Printf("%-7d %-9d | uni=%d tree=%d path=%.0f       | %6.0f bits/switch      | %.1f worms, %.1f phases\n",
 			scale.nodes, scale.switches,
-			sim.UnicastHeaderFlits,
+			sim.UnicastHeaderFlits(scale.nodes, scale.switches),
 			sim.TreeHeaderFlits(scale.nodes),
-			float64(sim.PathHeaderFlits(int(segs+0.5), 8)),
+			float64(sim.PathHeaderFlits(int(segs+0.5), 8, scale.nodes, scale.switches)),
 			stateBits, worms, phases)
 	}
 

@@ -17,11 +17,10 @@
 //
 // Two forms carry the coding. Runs is the simulator's mutable run-list
 // set, the in-memory form of destination sets on large networks.
-// IvalBytesOf, IvalFingerprintOf, AppendIvalEncoded and DecodeIvalInto
-// work on a *bitset.Set directly, so the flat hot path sizes, keys,
-// encodes and decodes interval headers without building a Runs and
-// without allocating. Both forms agree byte for byte on the same
-// members.
+// IvalBytesOf, AppendIvalEncoded and DecodeIvalInto work on a
+// *bitset.Set directly, so the flat hot path sizes, encodes and decodes
+// interval headers without building a Runs and without allocating. Both
+// forms agree byte for byte on the same members.
 package destset
 
 import (
@@ -74,20 +73,6 @@ func IvalBytesOf(s *bitset.Set) int {
 		return true
 	})
 	return b + uvarintLen(uint64(runs))
-}
-
-// IvalFingerprintOf returns the FNV-1a digest of (universe, run list)
-// over s's members — what Runs.Fingerprint returns for the same members —
-// without building a Runs. Allocation-free; the route cache keys on it
-// when the interval coding is active.
-func IvalFingerprintOf(s *bitset.Set) uint64 {
-	h := fnvSeed(s.Len())
-	s.ForEachRun(func(lo, hi int) bool {
-		h = fnvMix(h, uint64(lo))
-		h = fnvMix(h, uint64(hi))
-		return true
-	})
-	return h
 }
 
 // AppendIvalEncoded appends the interval wire encoding of s's members to

@@ -87,18 +87,14 @@ func TestRunsBitsRoundTripMillionBit(t *testing.T) {
 	}
 }
 
-// TestRunsWireContractsMillionBit pins the three cross-representation
-// equalities the simulator relies on for byte-identical traces and
-// representation-blind route-cache keys: Runs.Fingerprint ==
-// IvalFingerprintOf, Runs.HeaderBytes == IvalBytesOf, and
-// Runs.AppendEncoded == AppendIvalEncoded, over every pattern.
+// TestRunsWireContractsMillionBit pins the two cross-representation
+// equalities the simulator relies on for byte-identical traces:
+// Runs.HeaderBytes == IvalBytesOf and Runs.AppendEncoded ==
+// AppendIvalEncoded, over every pattern.
 func TestRunsWireContractsMillionBit(t *testing.T) {
 	for name, s := range bigPatterns(bigN) {
 		v := NewRuns(bigN)
 		v.CopyFromBits(s)
-		if got, want := v.Fingerprint(), IvalFingerprintOf(s); got != want {
-			t.Errorf("%s: Fingerprint %x, IvalFingerprintOf %x", name, got, want)
-		}
 		if got, want := v.HeaderBytes(), IvalBytesOf(s); got != want {
 			t.Errorf("%s: HeaderBytes %d, IvalBytesOf %d", name, got, want)
 		}
@@ -256,7 +252,6 @@ func TestRunsIterationZeroAlloc(t *testing.T) {
 			"AndCountBits":      func() { sink += v.AndCountBits(bits) },
 			"SetToIntersection": func() { inter.SetToIntersection(v, bits); sink += inter.Count() },
 			"IvalBytesOf":       func() { sink += IvalBytesOf(flat) },
-			"IvalFingerprintOf": func() { sink += int(IvalFingerprintOf(flat)) },
 			"AppendIvalEncoded": func() { enc = AppendIvalEncoded(enc[:0], flat); sink += len(enc) },
 		} {
 			if allocs := testing.AllocsPerRun(2, f); allocs != 0 {

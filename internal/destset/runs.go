@@ -19,8 +19,7 @@ type ivRun struct{ lo, hi int32 }
 // of O(universe/64).
 //
 // All operations preserve canonical form, so two Runs holding the same
-// members always hold identical run slices, and Fingerprint matches
-// IvalFingerprintOf over a bitset with the same members.
+// members always hold identical run slices and equal Fingerprints.
 type Runs struct {
 	n     int
 	runs  []ivRun
@@ -243,8 +242,8 @@ func (v *Runs) EqualBits(s *bitset.Set) bool {
 	return same && i == len(v.runs)
 }
 
-// Fingerprint returns the same digest IvalFingerprintOf computes over a
-// bitset holding v's members, so sparse and flat route-cache keys agree.
+// Fingerprint returns the FNV-1a digest of (universe, run list), the
+// route cache's key for a sparse destination set.
 func (v *Runs) Fingerprint() uint64 {
 	h := fnvSeed(v.n)
 	for _, r := range v.runs {

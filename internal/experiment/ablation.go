@@ -166,7 +166,7 @@ func AblationOptimalK(cfg Config) ([]*metrics.Table, error) {
 	}
 	var out []*metrics.Table
 	for _, flits := range []int{128, 1024} {
-		chosen := kbinomial.OptimalK(cfg.Params, cfg.Degree, flits)
+		chosen := kbinomial.New().Fanout(rts[0], cfg.Params, cfg.Degree, flits)
 		tab := &metrics.Table{
 			Title: fmt.Sprintf("Ablation: measured latency vs fixed k (%d flits, %d-way; model picks k=%d)",
 				flits, cfg.Degree, chosen),

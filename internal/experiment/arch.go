@@ -23,6 +23,7 @@ func ArchComparison(cfg Config) ([]*metrics.Table, error) {
 		return nil, err
 	}
 	N := cfg.TopoCfg.Nodes
+	S := cfg.TopoCfg.Switches
 	P := cfg.TopoCfg.PortsPerSwitch
 
 	// Mean path-worm count and phases for degree-d random sets. (Mix, not
@@ -82,7 +83,7 @@ func ArchComparison(cfg Config) ([]*metrics.Table, error) {
 			Label: "ni-kbinomial",
 			X:     x,
 			Y: []float64{
-				float64(sim.UnicastHeaderFlits),
+				float64(sim.UnicastHeaderFlits(N, S)),
 				0,
 				float64(cfg.Degree), // one unicast worm per destination
 				0,                   // NI-level forwarding steps, no host phases beyond the first
@@ -104,7 +105,7 @@ func ArchComparison(cfg Config) ([]*metrics.Table, error) {
 			Label: "sw-path",
 			X:     x,
 			Y: []float64{
-				float64(sim.PathHeaderFlits(int(meanSegs+0.5), P)),
+				float64(sim.PathHeaderFlits(int(meanSegs+0.5), P, N, S)),
 				0,
 				meanWorms,
 				meanPhases,

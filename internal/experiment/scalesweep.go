@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"mcastsim/internal/bitset"
 	"mcastsim/internal/mcast"
 	"mcastsim/internal/mcast/kbinomial"
 	"mcastsim/internal/mcast/pathworm"
@@ -161,44 +160,6 @@ func rackSet(r *rng.Source, t *topology.Topology, nodesBySwitch [][]topology.Nod
 	}
 }
 
-// planHeaderBytes totals the encoded wire-header bytes of every worm the
-// plan emits for one packet, under coding-aware sizing (the quantity the
-// paper's §3.2.3 scaling argument is about). NI-tree plans forward
-// unicast worms along their edges; HostSends plans emit their specs
-// directly.
-func planHeaderBytes(t *topology.Topology, p sim.Params, plan *sim.Plan) int {
-	uni := sim.UnicastHeaderFlitsFor(t.NumNodes, t.NumSwitches)
-	if plan.NITree != nil {
-		edges := 0
-		for _, kids := range plan.NITree {
-			edges += len(kids)
-		}
-		return edges * uni
-	}
-	total := 0
-	for _, specs := range plan.HostSends {
-		for i := range specs {
-			switch specs[i].Kind {
-			case sim.WormTree:
-				if p.DestCoding == sim.HeaderIval {
-					set := bitset.New(t.NumNodes)
-					for _, d := range specs[i].DestSet {
-						set.Add(int(d))
-					}
-					total += sim.TreeIvalHeaderFlits(set)
-				} else {
-					total += sim.TreeHeaderFlits(t.NumNodes)
-				}
-			case sim.WormPath:
-				total += sim.PathHeaderFlitsFor(len(specs[i].Path), t.PortsPerSwitch, t.NumNodes, t.NumSwitches)
-			default:
-				total += uni
-			}
-		}
-	}
-	return total
-}
-
 // scaleCellResult is one (case, combo) cell's aggregate over its probes.
 type scaleCellResult struct {
 	// Fields are exported so the checkpoint journal's gob codec can
@@ -314,7 +275,7 @@ func ScaleSweep(cfg Config) ([]*metrics.Table, error) {
 					return res, fmt.Errorf("experiment: scalesweep %s/%s %s probe %d: %w",
 						sc.class, sc.tier, cb.label, probe, err)
 				}
-				hdr := planHeaderBytes(t, p, plan)
+				hdr := sim.PlanHeaderFlits(t, cb.coding, plan)
 				planNS += time.Since(start).Nanoseconds()
 				hdrSum += int64(hdr)
 				destSum += int64(len(dests))

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"sort"
 
-	"mcastsim/internal/bitset"
 	"mcastsim/internal/event"
 	"mcastsim/internal/mcast"
 	"mcastsim/internal/mcast/kbinomial"
@@ -128,11 +127,7 @@ func (pl *niPlanner) Init(rt *updown.Routing, p sim.Params, src topology.NodeID,
 	// The fanout is frozen at the initial optimum: incremental repair
 	// trades re-optimization for locality (a full rebuild would re-derive
 	// k for the new member count; the splice path deliberately does not).
-	pl.k = pl.scheme.FixedK
-	if pl.k <= 0 {
-		pl.k = kbinomial.OptimalKSized(p, len(members), msgFlits,
-			sim.UnicastHeaderFlitsFor(rt.Topo.NumNodes, rt.Topo.NumSwitches))
-	}
+	pl.k = pl.scheme.Fanout(rt, p, len(members), msgFlits)
 	pl.members = append(pl.members[:0], members...)
 	sort.Slice(pl.members, func(i, j int) bool { return pl.members[i] < pl.members[j] })
 	// Deep-copy the working tree: the returned plan may be in flight when
@@ -311,37 +306,7 @@ func (pl *rebuildPlanner) Apply(rt *updown.Routing, p sim.Params, ev sim.Members
 		return nil, RepairCost{}, err
 	}
 	pl.plan = plan
-	cost := RepairCost{Cycles: p.OHostSend + event.Time(encodeFlits(rt, p, plan)), Edges: len(pl.members), Rebuilt: true}
+	// The source's software re-encodes every header the new plan emits.
+	cost := RepairCost{Cycles: p.OHostSend + event.Time(sim.PlanHeaderFlits(rt.Topo, p.DestCoding, plan)), Edges: len(pl.members), Rebuilt: true}
 	return plan, cost, nil
-}
-
-// encodeFlits models the header re-encoding work of a regenerated plan:
-// the source's software walks every spec it must emit and rewrites its
-// wire header (destination string or run list, path segments, or unicast
-// IDs). Sized by the system shape and the configured destination coding,
-// so the modeled cost matches what the wire actually carries.
-func encodeFlits(rt *updown.Routing, p sim.Params, plan *sim.Plan) int {
-	t := rt.Topo
-	total := 0
-	for _, specs := range plan.HostSends {
-		for i := range specs {
-			switch specs[i].Kind {
-			case sim.WormTree:
-				if p.DestCoding == sim.HeaderIval {
-					set := bitset.New(t.NumNodes)
-					for _, d := range specs[i].DestSet {
-						set.Add(int(d))
-					}
-					total += sim.TreeIvalHeaderFlits(set)
-				} else {
-					total += sim.TreeHeaderFlits(t.NumNodes)
-				}
-			case sim.WormPath:
-				total += sim.PathHeaderFlitsFor(len(specs[i].Path), t.PortsPerSwitch, t.NumNodes, t.NumSwitches)
-			default:
-				total += sim.UnicastHeaderFlitsFor(t.NumNodes, t.NumSwitches)
-			}
-		}
-	}
-	return total
 }

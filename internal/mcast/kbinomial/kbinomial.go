@@ -39,11 +39,7 @@ func (s Scheme) Plan(rt *updown.Routing, p sim.Params, src topology.NodeID, dest
 	if err := mcast.CheckArgs(rt, src, dests); err != nil {
 		return nil, err
 	}
-	k := s.FixedK
-	if k <= 0 {
-		k = OptimalKSized(p, len(dests), msgFlits,
-			sim.UnicastHeaderFlitsFor(rt.Topo.NumNodes, rt.Topo.NumSwitches))
-	}
+	k := s.Fanout(rt, p, len(dests), msgFlits)
 	ordered := mcast.ClusterBySwitch(rt, src, dests)
 	tree := make(map[topology.NodeID][]topology.NodeID)
 	build(append([]topology.NodeID{src}, ordered...), k, tree)
@@ -86,8 +82,19 @@ func Depth(k, m int) int {
 	}
 }
 
+// Fanout returns the fanout Plan uses for m destinations: FixedK when it
+// is set, otherwise OptimalK with the system's unicast header (the NI
+// forwards unicast replicas, so the wire length is header + payload).
+func (s Scheme) Fanout(rt *updown.Routing, p sim.Params, m, msgFlits int) int {
+	if s.FixedK > 0 {
+		return s.FixedK
+	}
+	return OptimalK(p, m, msgFlits, sim.UnicastHeaderFlits(rt.Topo.NumNodes, rt.Topo.NumSwitches))
+}
+
 // OptimalK picks the fanout minimizing the modeled FPFS completion time
-// for m destinations and a msgFlits-flit message under parameters p.
+// for m destinations and a msgFlits-flit message of headerFlits-flit
+// worms under parameters p.
 //
 // Model: a smart NI charges one receive and one send processing step per
 // packet (replication setup covers all children); replicas then serialize
@@ -100,15 +107,7 @@ func Depth(k, m int) int {
 //
 // Larger k shortens the tree but widens every pipeline stage, which is why
 // the optimum shrinks as messages grow (paper §4.2.3).
-func OptimalK(p sim.Params, m, msgFlits int) int {
-	return OptimalKSized(p, m, msgFlits, sim.UnicastHeaderFlits)
-}
-
-// OptimalKSized is OptimalK with an explicit per-worm header size, for
-// systems beyond the paper's 256-endpoint id space (the NI forwards
-// unicast worms, so the wire length is header + payload). Equals
-// OptimalK when headerFlits == sim.UnicastHeaderFlits.
-func OptimalKSized(p sim.Params, m, msgFlits, headerFlits int) int {
+func OptimalK(p sim.Params, m, msgFlits, headerFlits int) int {
 	packets := p.Packets(msgFlits)
 	if packets < 1 {
 		packets = 1

@@ -146,8 +146,9 @@ func TestBuildDepthMatchesTheory(t *testing.T) {
 
 func TestOptimalKShrinksWithMessageLength(t *testing.T) {
 	p := sim.DefaultParams()
-	k1 := OptimalK(p, 15, 128)    // 1 packet
-	k8 := OptimalK(p, 15, 128*16) // 16 packets
+	hdr := sim.UnicastHeaderFlits(32, 8)
+	k1 := OptimalK(p, 15, 128, hdr)    // 1 packet
+	k8 := OptimalK(p, 15, 128*16, hdr) // 16 packets
 	if k8 > k1 {
 		t.Fatalf("optimal k grew with message length: %d -> %d", k1, k8)
 	}
@@ -157,7 +158,7 @@ func TestOptimalKShrinksWithMessageLength(t *testing.T) {
 }
 
 func TestOptimalKSingleDest(t *testing.T) {
-	if k := OptimalK(sim.DefaultParams(), 1, 128); k != 1 {
+	if k := OptimalK(sim.DefaultParams(), 1, 128, sim.UnicastHeaderFlits(32, 8)); k != 1 {
 		t.Fatalf("OptimalK(m=1) = %d", k)
 	}
 }

@@ -37,8 +37,3 @@ func (Scheme) Plan(rt *updown.Routing, _ sim.Params, src topology.NodeID, dests 
 		},
 	}, nil
 }
-
-// HeaderFlits reports the wire header cost in an n-node system — the
-// §3.3 architectural trade-off: simple encoding, but size grows with the
-// system.
-func HeaderFlits(numNodes int) int { return sim.TreeHeaderFlits(numNodes) }

@@ -48,12 +48,3 @@ func TestPlanCopiesDestSet(t *testing.T) {
 		t.Fatal("plan aliases the caller's destination slice")
 	}
 }
-
-func TestHeaderFlitsGrowsWithSystem(t *testing.T) {
-	if HeaderFlits(32) >= HeaderFlits(256) {
-		t.Fatal("tree header must grow with system size")
-	}
-	if HeaderFlits(32) != 5 {
-		t.Fatalf("HeaderFlits(32) = %d, want 5", HeaderFlits(32))
-	}
-}

@@ -60,10 +60,6 @@ func (n *Network) NodeAlive(d topology.NodeID) bool {
 // across the cut fail permanently).
 func (n *Network) Partitioned() bool { return n.partitioned }
 
-// Invariant returns the first routing-invariant violation observed on a
-// fault-free run, or nil.
-func (n *Network) Invariant() *InvariantError { return n.invariant }
-
 // routeFailure handles a header that cannot be routed legally. Under an
 // injected fault this is an expected transient — the worm is torn down
 // and its destinations failed for the retransmission layer. On a
@@ -190,12 +186,8 @@ func (n *Network) removeFromBuffer(o *occupant) {
 	}
 	o.detached = true
 	n.tryRecycleOccupant(o)
-	if wasHead && len(b.occupants) > 0 {
-		next := b.occupants[0]
-		if next.arrived > 0 && !next.routed && !next.routing {
-			next.routing = true
-			n.queue.PostAfter(n.params.RoutingDelay, evRoute, next, 0)
-		}
+	if wasHead {
+		b.routeHead()
 	}
 }
 
@@ -595,25 +587,12 @@ func (n *Network) reconfigure() {
 	n.markProgress()
 }
 
-// swapRouting atomically replaces the routing tables and the derived
-// up-link adjacency used by tree-worm climbs.
+// swapRouting atomically replaces the routing tables and the views
+// derived from them.
 func (n *Network) swapRouting(rt *updown.Routing) {
 	n.rt = rt
 	n.routingEpoch++ // every cached route was computed under the old tables
-	t := n.topo
-	n.upAdj = make([][]portPeer, t.NumSwitches)
-	n.revUp = make([][]portPeer, t.NumSwitches)
-	for s := 0; s < t.NumSwitches; s++ {
-		for p := 0; p < t.PortsPerSwitch; p++ {
-			if rt.Dirs[s][p] != updown.DirUp {
-				continue
-			}
-			q := int(t.Conn[s][p].Switch)
-			n.upAdj[s] = append(n.upAdj[s], portPeer{sw: q, port: p})
-			n.revUp[q] = append(n.revUp[q], portPeer{sw: s, port: p})
-		}
-	}
-	n.rebuildDownPorts()
+	n.rebuildRoutingViews()
 }
 
 // AbortMessage tears down every remaining trace of m across the network

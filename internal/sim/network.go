@@ -229,20 +229,6 @@ func New(rt *updown.Routing, params Params, seed uint64, opts ...Option) (*Netwo
 	}
 	n.nis = make([]*ni, t.NumNodes)
 
-	// Up-link adjacency for the tree-worm climb.
-	n.upAdj = make([][]portPeer, t.NumSwitches)
-	n.revUp = make([][]portPeer, t.NumSwitches)
-	for s := 0; s < t.NumSwitches; s++ {
-		for p := 0; p < t.PortsPerSwitch; p++ {
-			if rt.Dirs[s][p] != updown.DirUp {
-				continue
-			}
-			q := int(t.Conn[s][p].Switch)
-			n.upAdj[s] = append(n.upAdj[s], portPeer{sw: q, port: p})
-			n.revUp[q] = append(n.revUp[q], portPeer{sw: s, port: p})
-		}
-	}
-
 	// Hot-path precomputes and scratch (see routecache.go / pool.go).
 	// NodesBySwitch is one O(N+S) pass; per-switch NodesAt calls here
 	// were O(S·N), minutes of setup at datacenter sizes.
@@ -264,7 +250,7 @@ func New(rt *updown.Routing, params Params, seed uint64, opts ...Option) (*Netwo
 			n.hostLo[s], n.hostHi[s] = -1, -2
 		}
 	}
-	n.rebuildDownPorts()
+	n.rebuildRoutingViews()
 	n.reclaimAfter = n.reclaimQuarantine()
 
 	n.applyOptions(&o)
@@ -322,14 +308,24 @@ func (n *Network) localIntersects(d dset, s topology.SwitchID) bool {
 	return false
 }
 
-// rebuildDownPorts refreshes the per-switch down-port lists from the
-// current routing tables (New and every table swap).
-func (n *Network) rebuildDownPorts() {
-	if n.downPorts == nil {
-		n.downPorts = make([][]int, n.topo.NumSwitches)
-	}
-	for s := 0; s < n.topo.NumSwitches; s++ {
-		n.downPorts[s] = n.rt.DownPorts(topology.SwitchID(s))
+// rebuildRoutingViews derives the per-switch views of the current
+// routing tables (New and every table swap): the up-link adjacency the
+// tree-worm climb walks, its reverse, and the down-port lists.
+func (n *Network) rebuildRoutingViews() {
+	t, rt := n.topo, n.rt
+	n.upAdj = make([][]portPeer, t.NumSwitches)
+	n.revUp = make([][]portPeer, t.NumSwitches)
+	n.downPorts = make([][]int, t.NumSwitches)
+	for s := 0; s < t.NumSwitches; s++ {
+		for p := 0; p < t.PortsPerSwitch; p++ {
+			if rt.Dirs[s][p] != updown.DirUp {
+				continue
+			}
+			q := int(t.Conn[s][p].Switch)
+			n.upAdj[s] = append(n.upAdj[s], portPeer{sw: q, port: p})
+			n.revUp[q] = append(n.revUp[q], portPeer{sw: s, port: p})
+		}
+		n.downPorts[s] = rt.DownPorts(topology.SwitchID(s))
 	}
 }
 

@@ -131,20 +131,14 @@ func maxInt(a, b int) int {
 }
 
 // destFP returns the fingerprint the route cache keys destination sets
-// on. Flat sets under the flat coding use the historical bit-string
-// hash; flat sets under the interval coding use the compressed
-// encoding's run-list fingerprint (destset.IvalFingerprintOf); sparse
-// sets always fingerprint their run list directly (same mix as
-// IvalFingerprintOf, computed in O(runs)). The choice is correctness-
-// and determinism-neutral: a hit re-verifies full membership, so
-// collisions cost a miss, never a wrong route, and hit-vs-miss is
-// RNG-transparent by construction.
-func (n *Network) destFP(set dset) uint64 {
+// on: the bit-string hash of a flat set, the run-list fingerprint of a
+// sparse one. Which digest keys an entry cannot change a decision: a hit
+// re-verifies full membership, so a collision costs a miss, never a
+// wrong route; a network never mixes set representations; and hit vs
+// miss is RNG-transparent by construction.
+func destFP(set dset) uint64 {
 	if set.runs != nil {
 		return set.runs.Fingerprint()
-	}
-	if n.params.DestCoding == HeaderIval {
-		return destset.IvalFingerprintOf(set.bits)
 	}
 	return set.bits.Hash()
 }
@@ -196,7 +190,7 @@ func (n *Network) climbDist(set dset) []int32 {
 	c := &n.cache
 	c.sync(n.routingEpoch)
 	if !c.disabled {
-		fp := n.destFP(set)
+		fp := destFP(set)
 		if e := c.climb[fp]; e != nil && set.equalRuns(e.key) {
 			return e.dist
 		}

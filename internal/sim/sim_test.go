@@ -90,22 +90,29 @@ func unicastPlan(src, dst topology.NodeID) *Plan {
 	}
 }
 
+// uniHeader is the unicast header size on n's topology.
+func uniHeader(n *Network) int {
+	t := n.Topology()
+	return UnicastHeaderFlits(t.NumNodes, t.NumSwitches)
+}
+
 // analyticUnicast computes the contention-free unicast latency: host send
 // overhead, DMA down, NI send processing, header latency across the path
 // (injection link + (routing+crossbar+link) per switch), pipeline of the
 // remaining worm flits, then NI receive processing, DMA up, host receive
 // overhead. Single-packet messages only.
-func analyticUnicast(p Params, switches, payload int) event.Time {
+func analyticUnicast(n *Network, switches, payload int) event.Time {
+	p := n.Params()
 	dma := p.BusCycles(payload)
 	head := p.LinkDelay + event.Time(switches)*(p.RoutingDelay+p.CrossbarDelay+p.LinkDelay)
-	wormLen := event.Time(UnicastHeaderFlits + payload)
+	wormLen := event.Time(uniHeader(n) + payload)
 	return p.OHostSend + dma + p.ONISend + head + wormLen - 1 + p.ONIRecv + dma + p.OHostRecv
 }
 
 func TestUnicastCrossSwitchAnalytic(t *testing.T) {
 	n := twoSwitch(t)
 	m := mustRun(t, n, unicastPlan(0, 2), 128)
-	want := analyticUnicast(n.Params(), 2, 128)
+	want := analyticUnicast(n, 2, 128)
 	if got := m.Latency(); got != want {
 		t.Fatalf("latency = %d, want %d", got, want)
 	}
@@ -114,7 +121,7 @@ func TestUnicastCrossSwitchAnalytic(t *testing.T) {
 func TestUnicastSameSwitchAnalytic(t *testing.T) {
 	n := twoSwitch(t)
 	m := mustRun(t, n, unicastPlan(0, 1), 128)
-	want := analyticUnicast(n.Params(), 1, 128)
+	want := analyticUnicast(n, 1, 128)
 	if got := m.Latency(); got != want {
 		t.Fatalf("latency = %d, want %d", got, want)
 	}
@@ -135,7 +142,7 @@ func TestUnicastLongPathAnalytic(t *testing.T) {
 			rt := n.Routing()
 			hops := rt.DistUp(0, 7)
 			m := mustRun(t, n, unicastPlan(0, 7), 128)
-			want := analyticUnicast(n.Params(), hops+1, 128)
+			want := analyticUnicast(n, hops+1, 128)
 			if got := m.Latency(); got != want {
 				t.Fatalf("latency = %d, want %d (hops=%d)", got, want, hops)
 			}
@@ -146,7 +153,7 @@ func TestUnicastLongPathAnalytic(t *testing.T) {
 func TestUnicastShortMessage(t *testing.T) {
 	n := twoSwitch(t)
 	m := mustRun(t, n, unicastPlan(0, 2), 16)
-	want := analyticUnicast(n.Params(), 2, 16)
+	want := analyticUnicast(n, 2, 16)
 	if got := m.Latency(); got != want {
 		t.Fatalf("latency = %d, want %d", got, want)
 	}
@@ -160,7 +167,7 @@ func TestMultiPacketUnicast(t *testing.T) {
 	}
 	// Packets pipeline: total must be far less than 3x the single-packet
 	// latency but more than single-packet latency + 2 packets of streaming.
-	single := analyticUnicast(n.Params(), 2, 128)
+	single := analyticUnicast(n, 2, 128)
 	got := m.Latency()
 	if got <= single {
 		t.Fatalf("3-packet latency %d not greater than 1-packet %d", got, single)
@@ -202,7 +209,7 @@ func TestTreeWormSinglePhaseBeatsRelay(t *testing.T) {
 		},
 	}
 	m := mustRun(t, n, plan, 128)
-	oneUnicast := analyticUnicast(n.Params(), 2, 128)
+	oneUnicast := analyticUnicast(n, 2, 128)
 	if m.Latency() >= 2*oneUnicast {
 		t.Fatalf("tree multicast %d not faster than 2 unicast phases %d", m.Latency(), 2*oneUnicast)
 	}
@@ -251,8 +258,9 @@ func TestPathWormHeaderStripping(t *testing.T) {
 		},
 	}
 	mustRun(t, n, plan, 128)
-	seg := PathSegFlits(n.Topology().PortsPerSwitch)
-	full := PathHeaderFlits(2, n.Topology().PortsPerSwitch) + 128
+	topo := n.Topology()
+	seg := PathSegFlits(topo.PortsPerSwitch, topo.NumNodes, topo.NumSwitches)
+	full := PathHeaderFlits(2, topo.PortsPerSwitch, topo.NumNodes, topo.NumSwitches) + 128
 	// Node 1 receives full-seg (stripped once); nodes 2,3 receive
 	// full-2*seg each.
 	want := int64((full - seg) + 2*(full-2*seg))
@@ -413,7 +421,7 @@ func TestContentionSerializesSameDest(t *testing.T) {
 	if err := n.CheckConservation(); err != nil {
 		t.Fatal(err)
 	}
-	solo := analyticUnicast(n.Params(), 2, 128)
+	solo := analyticUnicast(n, 2, 128)
 	l1, l2 := m1.Latency(), m2.Latency()
 	fast, slow := l1, l2
 	if fast > slow {
@@ -476,7 +484,7 @@ func TestStatsConservation(t *testing.T) {
 	if s.MessagesSent != 1 || s.MessagesDone != 1 {
 		t.Fatalf("message counters: %+v", s)
 	}
-	wormLen := int64(UnicastHeaderFlits + 128)
+	wormLen := int64(uniHeader(n) + 128)
 	if s.FlitsDelivered != wormLen {
 		t.Fatalf("FlitsDelivered = %d, want %d", s.FlitsDelivered, wormLen)
 	}
@@ -541,11 +549,28 @@ func TestHeaderSizes(t *testing.T) {
 	if TreeHeaderFlits(32) != 5 || TreeHeaderFlits(8) != 2 || TreeHeaderFlits(128) != 17 {
 		t.Fatal("tree header sizing wrong")
 	}
-	if PathSegFlits(8) != 2 || PathSegFlits(16) != 3 {
+	if PathSegFlits(8, 32, 8) != 2 || PathSegFlits(16, 32, 8) != 3 {
 		t.Fatal("path segment sizing wrong")
 	}
-	if PathHeaderFlits(3, 8) != 7 {
+	if PathHeaderFlits(3, 8, 32, 8) != 7 {
 		t.Fatal("path header sizing wrong")
+	}
+	// The id field widens past 256 and past 65,536 endpoints (nodes +
+	// switches).
+	for _, c := range []struct{ nodes, switches, uni, seg int }{
+		{32, 8, 2, 2},
+		{248, 8, 2, 2},
+		{249, 8, 3, 3},
+		{65528, 8, 3, 3},
+		{65529, 8, 4, 4},
+		{101376, 1088, 4, 4},
+	} {
+		if got := UnicastHeaderFlits(c.nodes, c.switches); got != c.uni {
+			t.Errorf("UnicastHeaderFlits(%d, %d) = %d, want %d", c.nodes, c.switches, got, c.uni)
+		}
+		if got := PathSegFlits(8, c.nodes, c.switches); got != c.seg {
+			t.Errorf("PathSegFlits(8, %d, %d) = %d, want %d", c.nodes, c.switches, got, c.seg)
+		}
 	}
 }
 
@@ -602,7 +627,7 @@ func TestCreditThroughputBufferTwoSuffices(t *testing.T) {
 	// tail arrives ~(wormLen-1) cycles later.
 	l1, l16 := lat(1), lat(16)
 	extra := l1 - l16
-	wormLen := event.Time(UnicastHeaderFlits + 128)
+	wormLen := event.Time(UnicastHeaderFlits(4, 2) + 128)
 	if extra < wormLen-10 || extra > wormLen+10 {
 		t.Fatalf("1-flit buffer slowdown %d, want ~%d", extra, wormLen-1)
 	}
@@ -693,7 +718,7 @@ func TestChannelUsageSorted(t *testing.T) {
 	}
 	// The worm crossed 3 channels with equal flit counts; everything else
 	// is zero.
-	wormLen := int64(UnicastHeaderFlits + 128)
+	wormLen := int64(uniHeader(n) + 128)
 	for i := 0; i < 3; i++ {
 		if usage[i].Flits != wormLen {
 			t.Fatalf("channel %d carried %d flits, want %d", i, usage[i].Flits, wormLen)

@@ -226,7 +226,7 @@ func TestFlitConservationNITree(t *testing.T) {
 	if err := n.Drain(0); err != nil {
 		t.Fatal(err)
 	}
-	per := int64(UnicastHeaderFlits + 128)
+	per := int64(uniHeader(n) + 128)
 	want := per * 2 /*packets*/ * 5 /*dests*/
 	if got := n.Stats().FlitsDelivered; got != want {
 		t.Fatalf("delivered %d flits, want %d", got, want)

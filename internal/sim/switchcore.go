@@ -282,12 +282,18 @@ func (o *occupant) maybeComplete() {
 	b.occupants = b.occupants[1:]
 	o.detached = true
 	b.net.tryRecycleOccupant(o)
-	if len(b.occupants) > 0 {
-		next := b.occupants[0]
-		if next.arrived > 0 && !next.routed && !next.routing {
-			next.routing = true
-			b.net.queue.PostAfter(b.net.params.RoutingDelay, evRoute, next, 0)
-		}
+	b.routeHead()
+}
+
+// routeHead starts routing the buffer's head occupant once its header has
+// begun arriving, unless it is already routed or routing.
+func (b *inputBuf) routeHead() {
+	if len(b.occupants) == 0 {
+		return
+	}
+	if next := b.occupants[0]; next.arrived > 0 && !next.routed && !next.routing {
+		next.routing = true
+		b.net.queue.PostAfter(b.net.params.RoutingDelay, evRoute, next, 0)
 	}
 }
 
@@ -498,7 +504,7 @@ func (n *Network) planPath(o *occupant, s topology.SwitchID, w *worm) {
 	}
 	// Stop switch: the segment's node-ID and port-mask fields are stripped
 	// here; drops and the continuation forward the shortened stream.
-	skip := PathSegFlitsFor(n.topo.PortsPerSwitch, n.topo.NumNodes, n.topo.NumSwitches)
+	skip := PathSegFlits(n.topo.PortsPerSwitch, n.topo.NumNodes, n.topo.NumSwitches)
 	if skip > w.len {
 		panic("sim: path worm shorter than its own header")
 	}
@@ -568,7 +574,7 @@ func (n *Network) partitionDownAdaptive(s topology.SwitchID, set dset) ([]portSe
 	var key partKey
 	var cached *partEntry
 	if !c.disabled {
-		key = partKey{sw: int32(s), fp: n.destFP(set)}
+		key = partKey{sw: int32(s), fp: destFP(set)}
 		if e := c.part[key]; e != nil && set.equalRuns(e.key) {
 			cached = e
 			if !e.tied {

@@ -50,28 +50,30 @@ func (w *worm) String() string {
 	}
 }
 
-// Header sizing (flits; flit = 1 byte). Every worm starts with a 1-flit tag
+// Header sizing (flits; flit = 1 byte). This file is the whole header
+// model: every wire header's size, at any system size and under either
+// destination coding, is computed here, and package wire's codec
+// produces exactly these byte counts. Every worm starts with a 1-flit tag
 // identifying its kind (paper Fig. 5(b) shows the tag field).
-
-// UnicastHeaderFlits is the wire header of a unicast worm at the paper's
-// system sizes: tag + 1-byte node ID. Beyond 256 endpoints the id field
-// widens; use UnicastHeaderFlitsFor.
-const UnicastHeaderFlits = 2
 
 // IDBytes returns the id-field width for a system with the given
 // endpoint count (nodes + switches, since path stops address either): 1
-// byte covers the paper's sizes, 2 bytes the datacenter tiers. The wire
-// codec (package wire) caps the space at 65536.
+// byte up to 256 endpoints (the paper's sizes), 2 bytes up to 65,536,
+// and 3 bytes past that (the 100k- and 1M-host tiers). The wire codec
+// caps the space at 1<<24.
 func IDBytes(endpoints int) int {
-	if endpoints <= 256 {
+	switch {
+	case endpoints <= 1<<8:
 		return 1
+	case endpoints <= 1<<16:
+		return 2
 	}
-	return 2
+	return 3
 }
 
-// UnicastHeaderFlitsFor returns the unicast header size in a system of
-// the given shape: tag + id. Equals UnicastHeaderFlits at paper sizes.
-func UnicastHeaderFlitsFor(numNodes, numSwitches int) int {
+// UnicastHeaderFlits returns the unicast header size in a system of the
+// given shape: tag + id (2 flits at the paper's sizes).
+func UnicastHeaderFlits(numNodes, numSwitches int) int {
 	return 1 + IDBytes(numNodes+numSwitches)
 }
 
@@ -90,29 +92,50 @@ func TreeIvalHeaderFlits(set *bitset.Set) int {
 	return 1 + destset.IvalBytesOf(set)
 }
 
-// PathSegFlits returns the per-segment header size in a system with
-// portsPerSwitch-port switches at the paper's sizes: 1-byte id field +
-// port-mask field. Beyond 256 endpoints use PathSegFlitsFor.
-func PathSegFlits(portsPerSwitch int) int {
-	return 1 + (portsPerSwitch+7)/8
-}
-
-// PathSegFlitsFor is the size-aware PathSegFlits: id field (widened past
-// 256 endpoints) + port mask.
-func PathSegFlitsFor(portsPerSwitch, numNodes, numSwitches int) int {
+// PathSegFlits returns the per-segment header size of a path worm in a
+// system of the given shape: id field + port-mask field.
+func PathSegFlits(portsPerSwitch, numNodes, numSwitches int) int {
 	return IDBytes(numNodes+numSwitches) + (portsPerSwitch+7)/8
 }
 
 // PathHeaderFlits returns the header size of a path worm with the given
-// number of segments at the paper's sizes: tag + per-segment fields.
-// Unlike the tree header it is independent of system size (§3.3).
-func PathHeaderFlits(segments, portsPerSwitch int) int {
-	return 1 + segments*PathSegFlits(portsPerSwitch)
+// number of segments: tag + per-segment fields. Unlike the tree header
+// it grows with the system only through the id width (§3.3).
+func PathHeaderFlits(segments, portsPerSwitch, numNodes, numSwitches int) int {
+	return 1 + segments*PathSegFlits(portsPerSwitch, numNodes, numSwitches)
 }
 
-// PathHeaderFlitsFor is the size-aware PathHeaderFlits.
-func PathHeaderFlitsFor(segments, portsPerSwitch, numNodes, numSwitches int) int {
-	return 1 + segments*PathSegFlitsFor(portsPerSwitch, numNodes, numSwitches)
+// PlanHeaderFlits totals the header flits of every worm plan emits for
+// one packet under coding c, the quantity the paper's §3.2.3 scaling
+// argument is about: one unicast header per NI-tree edge (the smart NIs
+// forward unicast replicas), otherwise each host-send spec once.
+func PlanHeaderFlits(t *topology.Topology, c DestCoding, plan *Plan) int {
+	uni := UnicastHeaderFlits(t.NumNodes, t.NumSwitches)
+	total := 0
+	for _, kids := range plan.NITree {
+		total += len(kids) * uni
+	}
+	for _, specs := range plan.HostSends {
+		for i := range specs {
+			switch spec := &specs[i]; spec.Kind {
+			case WormTree:
+				if c == HeaderIval {
+					set := bitset.New(t.NumNodes)
+					for _, d := range spec.DestSet {
+						set.Add(int(d))
+					}
+					total += TreeIvalHeaderFlits(set)
+				} else {
+					total += TreeHeaderFlits(t.NumNodes)
+				}
+			case WormPath:
+				total += PathHeaderFlits(len(spec.Path), t.PortsPerSwitch, t.NumNodes, t.NumSwitches)
+			default:
+				total += uni
+			}
+		}
+	}
+	return total
 }
 
 // headerFlits computes the header length a freshly injected worm w
@@ -122,16 +145,17 @@ func PathHeaderFlitsFor(segments, portsPerSwitch, numNodes, numSwitches int) int
 // every value equals the original constants, so historical tables and
 // goldens are unchanged.
 func (n *Network) headerFlits(w *worm) int {
+	t := n.topo
 	switch w.kind {
 	case WormUnicast:
-		return UnicastHeaderFlitsFor(n.topo.NumNodes, n.topo.NumSwitches)
+		return UnicastHeaderFlits(t.NumNodes, t.NumSwitches)
 	case WormTree:
 		if n.params.DestCoding == HeaderIval {
 			return 1 + w.destSet.ivalHeaderBytes()
 		}
-		return TreeHeaderFlits(n.topo.NumNodes)
+		return TreeHeaderFlits(t.NumNodes)
 	case WormPath:
-		return PathHeaderFlitsFor(len(w.path), n.topo.PortsPerSwitch, n.topo.NumNodes, n.topo.NumSwitches)
+		return PathHeaderFlits(len(w.path), t.PortsPerSwitch, t.NumNodes, t.NumSwitches)
 	default:
 		panic("sim: unknown worm kind")
 	}

@@ -622,12 +622,6 @@ func (r *Routing) SwitchAlive(s topology.SwitchID) bool {
 	return !r.deadSwitch[s]
 }
 
-// NodeReachable reports whether node n's attachment switch is alive, i.e.
-// whether the routing state can deliver to n at all.
-func (r *Routing) NodeReachable(n topology.NodeID) bool {
-	return !r.deadSwitch[r.Topo.NodeSwitch[n]]
-}
-
 // PortAlive reports whether switch s, port p survived the fault mask (its
 // switch, link, and peer all alive). Node and open ports of alive switches
 // are alive.

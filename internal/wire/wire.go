@@ -1,8 +1,8 @@
 // Package wire implements the byte-level header encodings the paper
 // describes, so the architectural cost comparison (§3.3) rests on real
 // bytes rather than arithmetic, and so the simulator's header-length
-// constants are cross-checked against an actual codec (their tests assert
-// len(Encode*) == sim.*HeaderFlits; a flit is one byte).
+// model (internal/sim/worm.go) is cross-checked against an actual codec
+// (its tests assert len(Encode*) == sim.*HeaderFlits; a flit is one byte).
 //
 // Formats (first byte is the worm tag, as in the paper's Figure 5(b)):
 //
@@ -19,7 +19,8 @@
 // extended address space: values below numNodes are node IDs; numNodes+s
 // addresses switch s directly (documented extension). The id field is one
 // byte at the paper's system sizes and widens to two big-endian bytes
-// past 256 endpoints (sim.IDBytes); the codec caps the space at 65536.
+// past 256 endpoints and three past 65,536 (sim.IDBytes); the codec caps
+// the space at 1<<24.
 package wire
 
 import (
@@ -51,8 +52,8 @@ func (z Sizes) Validate() error {
 	switch {
 	case z.Nodes <= 0 || z.Switches <= 0 || z.PortsPerSwitch <= 0:
 		return fmt.Errorf("wire: non-positive sizes %+v", z)
-	case z.Nodes+z.Switches > 65536:
-		return fmt.Errorf("wire: %d nodes + %d switches exceed the 2-byte id space", z.Nodes, z.Switches)
+	case z.Nodes+z.Switches > 1<<24:
+		return fmt.Errorf("wire: %d nodes + %d switches exceed the 3-byte id space", z.Nodes, z.Switches)
 	case z.PortsPerSwitch > 256:
 		return fmt.Errorf("wire: %d ports exceed the supported mask width", z.PortsPerSwitch)
 	}
@@ -61,24 +62,26 @@ func (z Sizes) Validate() error {
 
 func (z Sizes) maskBytes() int { return (z.PortsPerSwitch + 7) / 8 }
 
-// idBytes is the id-field width: 1 byte at the paper's sizes, 2 beyond
-// 256 endpoints (matches sim.IDBytes, so header-length constants agree).
+// idBytes is the id-field width, sim.IDBytes of the endpoint count, so
+// the codec and the header model agree on every header length.
 func (z Sizes) idBytes() int { return sim.IDBytes(z.Nodes + z.Switches) }
 
-// appendID writes id in the field width (big-endian when widened).
+// appendID writes id in the field width, big-endian.
 func (z Sizes) appendID(dst []byte, id int) []byte {
-	if z.idBytes() == 2 {
-		dst = append(dst, byte(id>>8))
+	for i := z.idBytes() - 1; i >= 0; i-- {
+		dst = append(dst, byte(id>>(8*i)))
 	}
-	return append(dst, byte(id))
+	return dst
 }
 
-// readID parses an id field (field must be exactly idBytes long).
-func (z Sizes) readID(field []byte) int {
-	if len(field) == 2 {
-		return int(field[0])<<8 | int(field[1])
+// readID parses a big-endian id field (field must be exactly idBytes
+// long).
+func readID(field []byte) int {
+	id := 0
+	for _, b := range field {
+		id = id<<8 | int(b)
 	}
-	return int(field[0])
+	return id
 }
 
 // EncodeUnicast encodes a unicast worm header.
@@ -97,14 +100,14 @@ func DecodeUnicast(z Sizes, b []byte) (topology.NodeID, error) {
 	if err := z.Validate(); err != nil {
 		return 0, err
 	}
-	want := sim.UnicastHeaderFlitsFor(z.Nodes, z.Switches)
+	want := sim.UnicastHeaderFlits(z.Nodes, z.Switches)
 	if len(b) != want {
 		return 0, fmt.Errorf("wire: unicast header is %d bytes, want %d", len(b), want)
 	}
 	if b[0] != TagUnicast {
 		return 0, fmt.Errorf("wire: bad unicast tag %#x", b[0])
 	}
-	d := topology.NodeID(z.readID(b[1:]))
+	d := topology.NodeID(readID(b[1:]))
 	if int(d) >= z.Nodes {
 		return 0, fmt.Errorf("wire: decoded destination %d out of range", d)
 	}
@@ -216,7 +219,7 @@ func EncodePath(topo *topology.Topology, segs []sim.PathSeg) ([]byte, error) {
 	if len(segs) == 0 {
 		return nil, fmt.Errorf("wire: empty path")
 	}
-	out := make([]byte, 0, sim.PathHeaderFlitsFor(len(segs), z.PortsPerSwitch, z.Nodes, z.Switches))
+	out := make([]byte, 0, sim.PathHeaderFlits(len(segs), z.PortsPerSwitch, z.Nodes, z.Switches))
 	out = append(out, TagPath)
 	for i, seg := range segs {
 		if int(seg.Switch) < 0 || int(seg.Switch) >= z.Switches {
@@ -273,7 +276,7 @@ func DecodePath(topo *topology.Topology, b []byte) ([]sim.PathSeg, error) {
 	segs := make([]sim.PathSeg, 0, count)
 	for i := 0; i < count; i++ {
 		field := b[1+i*segBytes : 1+(i+1)*segBytes]
-		id := z.readID(field[:idB])
+		id := readID(field[:idB])
 		var sw topology.SwitchID
 		switch {
 		case id < z.Nodes:

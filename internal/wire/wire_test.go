@@ -4,7 +4,11 @@ import (
 	"testing"
 
 	"mcastsim/internal/bitset"
+	"mcastsim/internal/mcast"
+	"mcastsim/internal/mcast/binomial"
+	"mcastsim/internal/mcast/kbinomial"
 	"mcastsim/internal/mcast/pathworm"
+	"mcastsim/internal/mcast/treeworm"
 	"mcastsim/internal/rng"
 	"mcastsim/internal/sim"
 	"mcastsim/internal/topology"
@@ -31,11 +35,13 @@ func TestSizesValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sizes past the paper's 1-byte id space are valid now that the id
-	// field widens; the codec caps at the 2-byte space.
+	// field widens; the codec caps at the 3-byte space.
 	ok := []Sizes{
 		{Nodes: 250, Switches: 10, PortsPerSwitch: 8},
 		{Nodes: 8, Switches: 2, PortsPerSwitch: 65},
 		{Nodes: 65000, Switches: 536, PortsPerSwitch: 256},
+		{Nodes: 65000, Switches: 537, PortsPerSwitch: 8},
+		{Nodes: 1<<24 - 1000, Switches: 1000, PortsPerSwitch: 8},
 	}
 	for i, z := range ok {
 		if err := z.Validate(); err != nil {
@@ -44,7 +50,7 @@ func TestSizesValidate(t *testing.T) {
 	}
 	bad := []Sizes{
 		{Nodes: 0, Switches: 1, PortsPerSwitch: 1},
-		{Nodes: 65000, Switches: 537, PortsPerSwitch: 8},
+		{Nodes: 1<<24 - 1000, Switches: 1001, PortsPerSwitch: 8},
 		{Nodes: 8, Switches: 2, PortsPerSwitch: 257},
 	}
 	for i, z := range bad {
@@ -61,8 +67,8 @@ func TestUnicastRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(b) != sim.UnicastHeaderFlits {
-			t.Fatalf("unicast header %d bytes, sim says %d flits", len(b), sim.UnicastHeaderFlits)
+		if want := sim.UnicastHeaderFlits(z.Nodes, z.Switches); len(b) != want {
+			t.Fatalf("unicast header %d bytes, sim says %d flits", len(b), want)
 		}
 		got, err := DecodeUnicast(z, b)
 		if err != nil {
@@ -166,7 +172,7 @@ func TestPathRoundTripPlannerOutput(t *testing.T) {
 					if err != nil {
 						t.Fatalf("encode: %v", err)
 					}
-					want := sim.PathHeaderFlits(len(w.Path), topo.PortsPerSwitch)
+					want := sim.PathHeaderFlits(len(w.Path), topo.PortsPerSwitch, topo.NumNodes, topo.NumSwitches)
 					if len(b) != want {
 						t.Fatalf("path header %d bytes, sim says %d flits", len(b), want)
 					}
@@ -283,27 +289,47 @@ func wideTopo(t *testing.T) (*topology.Topology, *updown.Routing) {
 	return topo, rt
 }
 
+// TestUnicastRoundTripWide exercises the widened id field end to end:
+// 2 big-endian bytes on wideTopo, 3 at the L-tier fat-tree's shape.
 func TestUnicastRoundTripWide(t *testing.T) {
 	topo, _ := wideTopo(t)
-	z := Sizes{Nodes: topo.NumNodes, Switches: topo.NumSwitches, PortsPerSwitch: topo.PortsPerSwitch}
-	if z.Nodes+z.Switches <= 256 {
-		t.Fatalf("topology too small to exercise the wide id field: %d endpoints", z.Nodes+z.Switches)
-	}
-	want := sim.UnicastHeaderFlitsFor(z.Nodes, z.Switches)
-	for _, d := range []int{0, 1, 255, 256, 257, z.Nodes - 1} {
-		b, err := EncodeUnicast(z, topology.NodeID(d))
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		z   Sizes
+		ids int
+	}{
+		{Sizes{Nodes: topo.NumNodes, Switches: topo.NumSwitches, PortsPerSwitch: topo.PortsPerSwitch}, 2},
+		{Sizes{Nodes: 101376, Switches: 1088, PortsPerSwitch: 32}, 3},
+	} {
+		z := c.z
+		want := sim.UnicastHeaderFlits(z.Nodes, z.Switches)
+		if want != 1+c.ids {
+			t.Fatalf("%d endpoints: sim sizes the unicast header at %d flits, want %d", z.Nodes+z.Switches, want, 1+c.ids)
 		}
-		if len(b) != want {
-			t.Fatalf("wide unicast header %d bytes, sim says %d flits", len(b), want)
-		}
-		got, err := DecodeUnicast(z, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int(got) != d {
-			t.Fatalf("round trip %d -> %d", d, got)
+		for _, d := range []int{0, 1, 255, 256, 257, 65535, 65536, 0x012345, z.Nodes - 1} {
+			if d >= z.Nodes {
+				continue
+			}
+			b, err := EncodeUnicast(z, topology.NodeID(d))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(b) != want {
+				t.Fatalf("wide unicast header %d bytes, sim says %d flits", len(b), want)
+			}
+			id := 0
+			for _, x := range b[1:] {
+				id = id<<8 | int(x)
+			}
+			if id != d {
+				t.Fatalf("id %d encoded as % x, not big-endian", d, b[1:])
+			}
+			got, err := DecodeUnicast(z, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int(got) != d {
+				t.Fatalf("round trip %d -> %d", d, got)
+			}
 		}
 	}
 }
@@ -337,7 +363,7 @@ func TestPathRoundTripWide(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := sim.PathHeaderFlitsFor(len(specs[i].Path), topo.PortsPerSwitch, topo.NumNodes, topo.NumSwitches)
+				want := sim.PathHeaderFlits(len(specs[i].Path), topo.PortsPerSwitch, topo.NumNodes, topo.NumSwitches)
 				if len(b) != want {
 					t.Fatalf("wide path header %d bytes, sim says %d flits", len(b), want)
 				}
@@ -446,4 +472,92 @@ func TestTreeIvalErrors(t *testing.T) {
 	if _, err := DecodeTreeIval(z, b); err == nil {
 		t.Error("wrong tag accepted")
 	}
+}
+
+// TestPlanHeaderFlitsMatchesWire encodes every worm one packet of a plan
+// injects (one unicast per NI-tree edge, otherwise each host-send spec)
+// and requires the byte total to equal sim.PlanHeaderFlits, for every
+// scheme under both destination codings, at 1- and 2-byte id widths.
+func TestPlanHeaderFlitsMatchesWire(t *testing.T) {
+	schemes := []mcast.Scheme{binomial.New(), kbinomial.New(), treeworm.New(), pathworm.New()}
+	p := sim.DefaultParams()
+	for ti, build := range []func(*testing.T) (*topology.Topology, *updown.Routing){
+		func(t *testing.T) (*topology.Topology, *updown.Routing) { return routed(t, 3) },
+		wideTopo,
+	} {
+		topo, rt := build(t)
+		z := Sizes{Nodes: topo.NumNodes, Switches: topo.NumSwitches, PortsPerSwitch: topo.PortsPerSwitch}
+		r := rng.New(uint64(40 + ti))
+		for trial := 0; trial < 8; trial++ {
+			// Alternate scattered draws with one contiguous block, the
+			// rack shape the interval coding compresses.
+			picks := r.Sample(topo.NumNodes, 17)
+			src := topology.NodeID(picks[0])
+			var dests []topology.NodeID
+			if trial%2 == 0 {
+				for _, v := range picks[1:] {
+					dests = append(dests, topology.NodeID(v))
+				}
+			} else {
+				for v := r.Intn(topo.NumNodes - 24); len(dests) < 24; v++ {
+					if topology.NodeID(v) != src {
+						dests = append(dests, topology.NodeID(v))
+					}
+				}
+			}
+			for _, sch := range schemes {
+				plan, err := sch.Plan(rt, p, src, dests, 128)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, coding := range []sim.DestCoding{sim.HeaderFlat, sim.HeaderIval} {
+					got := encodedBytes(t, topo, z, coding, plan)
+					if want := sim.PlanHeaderFlits(topo, coding, plan); got != want {
+						t.Fatalf("topo %d trial %d %s %v: wire encodes %d bytes, sim.PlanHeaderFlits says %d",
+							ti, trial, sch.Name(), coding, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// encodedBytes encodes every worm one packet of plan injects and returns
+// the total header bytes.
+func encodedBytes(t *testing.T, topo *topology.Topology, z Sizes, coding sim.DestCoding, plan *sim.Plan) int {
+	t.Helper()
+	total := 0
+	add := func(b []byte, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += len(b)
+	}
+	for _, kids := range plan.NITree {
+		for _, d := range kids {
+			add(EncodeUnicast(z, d))
+		}
+	}
+	for _, specs := range plan.HostSends {
+		for _, spec := range specs {
+			switch spec.Kind {
+			case sim.WormUnicast:
+				add(EncodeUnicast(z, spec.Dest))
+			case sim.WormTree:
+				set := bitset.New(topo.NumNodes)
+				for _, d := range spec.DestSet {
+					set.Add(int(d))
+				}
+				if coding == sim.HeaderIval {
+					add(EncodeTreeIval(z, set))
+				} else {
+					add(EncodeTree(z, set))
+				}
+			case sim.WormPath:
+				add(EncodePath(topo, spec.Path))
+			}
+		}
+	}
+	return total
 }
