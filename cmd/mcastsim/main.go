@@ -62,7 +62,7 @@ func run() int {
 		obsOn      = flag.Bool("obs", false, "sample per-cell telemetry (link utilization, buffer occupancy, queue depths) during -exp runs")
 		obsEvery   = flag.Uint64("obs-every", uint64(obs.DefaultEvery), "telemetry sampling cadence in cycles (with -obs)")
 		obsOut     = flag.String("obs-out", "", "write sampled telemetry bundles to this file; .csv extension selects CSV, anything else JSONL (with -obs)")
-		ckDir      = flag.String("checkpoint", "", "journal completed simulation cells into this directory; rerunning with the same directory and arguments resumes, and resumed tables are byte-identical")
+		ckDir      = flag.String("checkpoint", "", "journal completed simulation cells, with their -obs telemetry, into this directory; rerunning with the same directory and arguments resumes, and resumed tables and telemetry are byte-identical")
 		resumeDir  = flag.String("resume", "", "resume from this checkpoint directory (must already exist); same journaling as -checkpoint")
 		stopCells  = flag.Int("stop-after-cells", 0, "with -checkpoint: stop with a resumable journal after N newly-completed cells (deterministic kill stand-in for smokes)")
 	)
@@ -129,10 +129,6 @@ func run() int {
 		dir = *resumeDir
 	}
 	if dir != "" {
-		if *obsOn {
-			fmt.Fprintln(os.Stderr, "mcastsim: -checkpoint/-resume and -obs are mutually exclusive (a resumed run cannot reproduce skipped cells' telemetry)")
-			return 2
-		}
 		ck, err := experiment.OpenCheckpointer(dir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mcastsim:", err)

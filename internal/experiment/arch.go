@@ -141,8 +141,8 @@ func UnicastSaturation(cfg Config) ([]*metrics.Table, error) {
 	sch := unicastScheme{}
 	for _, l := range cfg.Loads {
 		l := l
-		res, err := runCells(cfg, len(rts), func(i int, _ cellCtx) (traffic.LoadResult, error) {
-			rec, commit := cfg.cellObs(fmt.Sprintf("unisat/l=%v/topo%03d", l, i))
+		res, err := runCells(cfg, len(rts), func(i int, cc *cellCtx) (traffic.LoadResult, error) {
+			rec := cc.recorder(fmt.Sprintf("unisat/l=%v/topo%03d", l, i))
 			r, err := traffic.Run(rts[i], traffic.Workload{
 				Scheme: sch, Params: cfg.Params, Degree: 1, MsgFlits: cfg.MsgFlits,
 				Seed: rng.Mix(cfg.Seed, saltLoad, uint64(i)),
@@ -153,7 +153,6 @@ func UnicastSaturation(cfg Config) ([]*metrics.Table, error) {
 			if err != nil {
 				return traffic.LoadResult{}, err
 			}
-			commit()
 			return *r.Load, nil
 		})
 		if err != nil {

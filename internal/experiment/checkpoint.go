@@ -1,11 +1,12 @@
 // Experiment-level checkpointing. A Checkpointer journals every
-// completed simulation cell (and, for single-probe cells, the
-// probe-granular position inside an in-flight cell) to an append-only
-// file, so a killed run can resume with -resume and skip all finished
-// work. Cell results re-enter the aggregation pipeline exactly as the
-// live run produced them (gob preserves float bits, including NaN), and
-// cell seeds are pure functions of cell indices, so a resumed run's
-// tables are byte-identical to an uninterrupted run's.
+// completed simulation cell, with its telemetry bundle when the run
+// records one, to an append-only file, so a killed run can resume with
+// -resume and skip all finished work. The completed cell is the only
+// resume unit. Cell results re-enter the aggregation pipeline exactly
+// as the live run produced them (gob preserves float bits, including
+// NaN), and cell seeds are pure functions of cell indices, so a resumed
+// run's tables and telemetry are byte-identical to an uninterrupted
+// run's.
 //
 // Journal format: a sequence of length-prefixed gob records
 // ([uvarint n][n bytes of gob(journalRecord)]). Each record is a
@@ -27,26 +28,29 @@ import (
 	"path/filepath"
 	"sync"
 
-	"mcastsim/internal/traffic"
+	"mcastsim/internal/obs"
 )
 
 // journalName is the journal file inside a checkpoint directory.
 const journalName = "cells.journal"
 
-// Record kinds. A done record supersedes any partial record for the
-// same key; partial records carry a traffic.CellCheckpoint for resuming
-// a single-probe cell mid-flight.
-const (
-	recDone uint8 = iota + 1
-	recPartial
-)
+// recDone is the kind of a completed cell's record, the only kind
+// written. Replay skips any other kind: journals from before the cell
+// became the only resume unit may hold kind-2 records of mid-cell probe
+// progress, and those cells simply rerun.
+const recDone uint8 = 1
 
 type cellKey struct{ Call, Cell int }
 
 type journalRecord struct {
 	Call, Cell int
 	Kind       uint8
-	Data       []byte
+	Data       []byte // gob of the cell's result
+	// Obs marks a cell that ran with telemetry on, and Bundle is the
+	// telemetry it recorded (nil for a cell that records none). A run
+	// with telemetry on reruns a cell journaled without it.
+	Obs    bool
+	Bundle *obs.Bundle
 }
 
 // Interrupted is returned by an experiment whose Checkpointer hit its
@@ -68,11 +72,10 @@ func (e *Interrupted) Error() string {
 // experiment invocation — the call counter that keys the journal resets
 // only at Open.
 type Checkpointer struct {
-	mu      sync.Mutex
-	f       *os.File
-	done    map[cellKey][]byte
-	partial map[cellKey][]byte
-	calls   int
+	mu    sync.Mutex
+	f     *os.File
+	done  map[cellKey]*journalRecord
+	calls int
 
 	stopAfter int  // >0: interrupt after that many newly-completed cells
 	completed int  // newly-completed (not resumed) cells this run
@@ -87,10 +90,7 @@ func OpenCheckpointer(dir string) (*Checkpointer, error) {
 		return nil, fmt.Errorf("experiment: checkpoint dir: %w", err)
 	}
 	path := filepath.Join(dir, journalName)
-	c := &Checkpointer{
-		done:    make(map[cellKey][]byte),
-		partial: make(map[cellKey][]byte),
-	}
+	c := &Checkpointer{done: make(map[cellKey]*journalRecord)}
 	valid, torn := 0, false
 	if prev, err := os.ReadFile(path); err == nil {
 		valid = c.load(prev)
@@ -115,7 +115,7 @@ func OpenCheckpointer(dir string) (*Checkpointer, error) {
 	return c, nil
 }
 
-// load replays a journal image into the key maps and returns the byte
+// load replays a journal image into the done map and returns the byte
 // length of the valid prefix. A torn final record (truncated length or
 // body, or a gob that does not decode) ends the replay — that is the
 // expected state after a kill; the caller truncates it away.
@@ -133,12 +133,8 @@ func (c *Checkpointer) load(img []byte) int {
 			return off // torn tail
 		}
 		off += w + int(n)
-		k := cellKey{rec.Call, rec.Cell}
-		switch rec.Kind {
-		case recDone:
-			c.done[k] = rec.Data
-		case recPartial:
-			c.partial[k] = rec.Data
+		if rec.Kind == recDone {
+			c.done[cellKey{rec.Call, rec.Cell}] = &rec
 		}
 	}
 	return off
@@ -199,8 +195,8 @@ func (c *Checkpointer) stopError() *Interrupted {
 	return nil
 }
 
-// append frames and writes one record, updating the in-memory maps.
-func (c *Checkpointer) append(rec journalRecord) error {
+// append frames and writes one done record, updating the done map.
+func (c *Checkpointer) append(rec *journalRecord) error {
 	var body bytes.Buffer
 	if err := gob.NewEncoder(&body).Encode(rec); err != nil {
 		return fmt.Errorf("experiment: checkpoint encode: %w", err)
@@ -216,74 +212,34 @@ func (c *Checkpointer) append(rec journalRecord) error {
 	if _, err := c.f.Write(append(frame[:w:w], body.Bytes()...)); err != nil {
 		return fmt.Errorf("experiment: checkpoint write: %w", err)
 	}
-	k := cellKey{rec.Call, rec.Cell}
-	switch rec.Kind {
-	case recDone:
-		c.done[k] = rec.Data
-		c.completed++
-	case recPartial:
-		c.partial[k] = rec.Data
-	}
+	c.done[cellKey{rec.Call, rec.Cell}] = rec
+	c.completed++
 	return nil
 }
 
-// ckLoad returns the journaled result for (call, cell), if any.
-func ckLoad[T any](c *Checkpointer, call, cell int) (T, bool, error) {
+// ckLoad returns the journaled record for (call, cell) with its result
+// decoded; a nil record means the cell is not journaled.
+func ckLoad[T any](c *Checkpointer, call, cell int) (T, *journalRecord, error) {
 	var v T
 	c.mu.Lock()
-	data, ok := c.done[cellKey{call, cell}]
+	rec := c.done[cellKey{call, cell}]
 	c.mu.Unlock()
-	if !ok {
-		return v, false, nil
+	if rec == nil {
+		return v, nil, nil
 	}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&v); err != nil {
-		return v, false, fmt.Errorf("experiment: checkpoint decode (call %d, cell %d): %w", call, cell, err)
+	if err := gob.NewDecoder(bytes.NewReader(rec.Data)).Decode(&v); err != nil {
+		return v, nil, fmt.Errorf("experiment: checkpoint decode (call %d, cell %d): %w", call, cell, err)
 	}
-	return v, true, nil
+	return v, rec, nil
 }
 
-// ckStore journals a completed cell's result.
-func ckStore[T any](c *Checkpointer, call, cell int, v T) error {
+// ckStore journals a completed cell: rec names the cell and carries its
+// telemetry, v is its result.
+func ckStore[T any](c *Checkpointer, rec journalRecord, v T) error {
 	var body bytes.Buffer
 	if err := gob.NewEncoder(&body).Encode(&v); err != nil {
-		return fmt.Errorf("experiment: checkpoint encode (call %d, cell %d): %w", call, cell, err)
+		return fmt.Errorf("experiment: checkpoint encode (call %d, cell %d): %w", rec.Call, rec.Cell, err)
 	}
-	return c.append(journalRecord{Call: call, Cell: cell, Kind: recDone, Data: body.Bytes()})
-}
-
-// cellCtx is handed to every runCells cell callback: the cell's
-// checkpoint identity, if checkpointing is on. Single-probe cells use
-// trafficOpts to journal and resume probe-granular progress; all other
-// cells can ignore it (they are resumed at cell granularity).
-type cellCtx struct {
-	ck   *Checkpointer
-	call int
-	cell int
-}
-
-// trafficOpts returns the probe-granular checkpoint/resume options for
-// this cell: a WithCheckpoint sink that journals a partial record after
-// every probe, plus a WithResume restoring the last such record if the
-// previous run died inside this cell. Nil when checkpointing is off.
-func (cc cellCtx) trafficOpts() []traffic.Option {
-	if cc.ck == nil {
-		return nil
-	}
-	opts := []traffic.Option{traffic.WithCheckpoint(func(cp traffic.CellCheckpoint) {
-		var body bytes.Buffer
-		if err := gob.NewEncoder(&body).Encode(&cp); err != nil {
-			return // a lost partial only costs resume granularity
-		}
-		_ = cc.ck.append(journalRecord{Call: cc.call, Cell: cc.cell, Kind: recPartial, Data: body.Bytes()})
-	})}
-	cc.ck.mu.Lock()
-	data, ok := cc.ck.partial[cellKey{cc.call, cc.cell}]
-	cc.ck.mu.Unlock()
-	if ok {
-		var cp traffic.CellCheckpoint
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&cp); err == nil {
-			opts = append(opts, traffic.WithResume(cp))
-		}
-	}
-	return opts
+	rec.Kind, rec.Data = recDone, body.Bytes()
+	return c.append(&rec)
 }

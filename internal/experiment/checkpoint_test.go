@@ -2,17 +2,15 @@ package experiment
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"mcastsim/internal/metrics"
-	"mcastsim/internal/rng"
-	"mcastsim/internal/traffic"
 )
 
 // resumeConfig slims testConfig for the resume tests, which run fig6
@@ -25,9 +23,11 @@ func resumeConfig() Config {
 
 // runInterruptible re-runs an experiment against one checkpoint
 // directory until it stops returning *Interrupted, reopening the
-// journal each time exactly as a fresh process would. Returns the
-// final tables and how many separate runs convergence took.
-func runInterruptible(t *testing.T, cfg Config, dir string, stopAfter int, run Runner) ([]*metrics.Table, int) {
+// journal each time exactly as a fresh process would; with telemetry
+// on, each run also gets a fresh sink like the one a new process
+// builds. Returns the final tables, how many separate runs convergence
+// took, and the final run's sink (nil with telemetry off).
+func runInterruptible(t *testing.T, cfg Config, dir string, stopAfter int, run Runner) ([]*metrics.Table, int, *ObsSink) {
 	t.Helper()
 	for runs := 1; ; runs++ {
 		if runs > 100 {
@@ -39,12 +39,15 @@ func runInterruptible(t *testing.T, cfg Config, dir string, stopAfter int, run R
 		}
 		ck.StopAfter(stopAfter)
 		cfg.Checkpoint = ck
+		if cfg.Obs != nil {
+			cfg.Obs = &ObsSink{Config: cfg.Obs.Config}
+		}
 		tabs, err := run(cfg)
 		if cerr := ck.Close(); cerr != nil {
 			t.Fatal(cerr)
 		}
 		if err == nil {
-			return tabs, runs
+			return tabs, runs, cfg.Obs
 		}
 		var intr *Interrupted
 		if !errors.As(err, &intr) {
@@ -71,7 +74,7 @@ func TestResumeEqualsUninterrupted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, runs := runInterruptible(t, cfg, t.TempDir(), 5, Fig6EffectOfR)
+			got, runs, _ := runInterruptible(t, cfg, t.TempDir(), 5, Fig6EffectOfR)
 			if runs < 2 {
 				t.Fatalf("run was never interrupted (%d runs) — the stop hook is dead", runs)
 			}
@@ -82,9 +85,40 @@ func TestResumeEqualsUninterrupted(t *testing.T) {
 	}
 }
 
-// TestResumePartialCell plants a mid-cell (probe-granular) checkpoint —
-// the state a kill between two probes leaves behind — and checks the
-// resumed run still renders byte-identical tables.
+// appendOldRecord appends one record to dir's journal in the framing
+// and field layout of journals written before the completed cell became
+// the only resume unit (gob matches fields by name, so these are the
+// bytes such a journal holds).
+func appendOldRecord(t *testing.T, dir string, call, cell int, kind uint8, data any) {
+	t.Helper()
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(data); err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(struct {
+		Call, Cell int
+		Kind       uint8
+		Data       []byte
+	}{call, cell, kind, payload.Bytes()}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, journalName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	frame := binary.AppendUvarint(nil, uint64(body.Len()))
+	if _, err := f.Write(append(frame, body.Bytes()...)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResumePartialCell: journals written when single-probe cells also
+// journaled mid-cell progress may hold kind-2 records for a cell that
+// never finished. Opening such a journal skips the record, the cell
+// reruns from its first probe, and the tables match an uninterrupted
+// run's.
 func TestResumePartialCell(t *testing.T) {
 	cfg := resumeConfig()
 	want, err := Fig6EffectOfR(cfg)
@@ -92,41 +126,29 @@ func TestResumePartialCell(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reconstruct fig6's cell 0 (R=0.5, first scheme, first topology)
-	// and capture its per-probe checkpoints from a direct traffic run.
-	rts, err := family(cfg.TopoCfg, cfg.Topologies, cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cps []traffic.CellCheckpoint
-	if _, err := traffic.Run(rts[0], traffic.Workload{
-		Scheme: compared()[0], Params: cfg.Params.WithR(0.5),
-		Degree: cfg.Degree, MsgFlits: cfg.MsgFlits,
-		Seed: rng.Mix(cfg.Seed, saltSingle, 0),
-	}, traffic.WithProbes(cfg.Probes),
-		traffic.WithCheckpoint(func(cp traffic.CellCheckpoint) { cps = append(cps, cp) })); err != nil {
-		t.Fatal(err)
-	}
-	if len(cps) != cfg.Probes {
-		t.Fatalf("captured %d checkpoints, want %d", len(cps), cfg.Probes)
-	}
-
+	// Fig6's cell 0 after one of its probes: the next probe index, the
+	// draw RNG's state and the latencies so far.
 	dir := t.TempDir()
+	appendOldRecord(t, dir, 0, 0, 2, struct {
+		NextProbe int
+		RNG       [4]uint64
+		Latencies []float64
+	}{1, [4]uint64{1, 2, 3, 4}, []float64{1234}})
+
 	ck, err := OpenCheckpointer(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(&cps[1]); err != nil {
-		t.Fatal(err)
-	}
-	if err := ck.append(journalRecord{Call: 0, Cell: 0, Kind: recPartial, Data: body.Bytes()}); err != nil {
-		t.Fatal(err)
+	if _, rec, err := ckLoad[[]float64](ck, 0, 0); err != nil || rec != nil {
+		t.Fatalf("partial record loaded as a done cell: rec=%v err=%v", rec, err)
 	}
 	cfg.Checkpoint = ck
 	got, err := Fig6EffectOfR(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, rec, err := ckLoad[[]float64](ck, 0, 0); err != nil || rec == nil {
+		t.Fatalf("cell 0 not journaled after its rerun: rec=%v err=%v", rec, err)
 	}
 	if err := ck.Close(); err != nil {
 		t.Fatal(err)
@@ -146,10 +168,10 @@ func TestJournalTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ckStore(ck, 0, 0, []float64{1, 2}); err != nil {
+	if err := ckStore(ck, journalRecord{Call: 0, Cell: 0}, []float64{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ckStore(ck, 0, 1, []float64{3}); err != nil {
+	if err := ckStore(ck, journalRecord{Call: 0, Cell: 1}, []float64{3}); err != nil {
 		t.Fatal(err)
 	}
 	if err := ck.Close(); err != nil {
@@ -174,16 +196,16 @@ func TestJournalTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cell, want := range map[int][]float64{0: {1, 2}, 1: {3}} {
-		v, ok, err := ckLoad[[]float64](ck2, 0, cell)
-		if err != nil || !ok {
-			t.Fatalf("cell %d lost behind torn tail: ok=%v err=%v", cell, ok, err)
+		v, rec, err := ckLoad[[]float64](ck2, 0, cell)
+		if err != nil || rec == nil {
+			t.Fatalf("cell %d lost behind torn tail: rec=%v err=%v", cell, rec, err)
 		}
 		if fmt.Sprint(v) != fmt.Sprint(want) {
 			t.Fatalf("cell %d = %v, want %v", cell, v, want)
 		}
 	}
 	// A record appended after the (truncated) tear must be replayable.
-	if err := ckStore(ck2, 0, 2, []float64{4}); err != nil {
+	if err := ckStore(ck2, journalRecord{Call: 0, Cell: 2}, []float64{4}); err != nil {
 		t.Fatal(err)
 	}
 	if err := ck2.Close(); err != nil {
@@ -194,23 +216,81 @@ func TestJournalTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ck3.Close()
-	if v, ok, err := ckLoad[[]float64](ck3, 0, 2); err != nil || !ok || len(v) != 1 || v[0] != 4 {
-		t.Fatalf("post-tear record lost: v=%v ok=%v err=%v", v, ok, err)
+	if v, rec, err := ckLoad[[]float64](ck3, 0, 2); err != nil || rec == nil || len(v) != 1 || v[0] != 4 {
+		t.Fatalf("post-tear record lost: v=%v rec=%v err=%v", v, rec, err)
 	}
 }
 
-// TestCheckpointObsExclusive: checkpointing refuses to combine with
-// telemetry — a resumed run cannot reproduce skipped cells' obs streams.
-func TestCheckpointObsExclusive(t *testing.T) {
-	cfg := resumeConfig()
-	cfg.Obs = &ObsSink{}
-	ck, err := OpenCheckpointer(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+// TestCheckpointObs: checkpointing composes with telemetry. A run
+// interrupted and resumed any number of times with telemetry on renders
+// the uninterrupted run's tables and telemetry stream byte for byte,
+// across worker counts: journaled cells re-commit their bundles. A
+// journal written without telemetry, resumed with it on, still yields
+// every bundle, because those cells rerun.
+func TestCheckpointObs(t *testing.T) {
+	base := resumeConfig()
+	uninterrupted := func(workers int) (string, []byte) {
+		cfg := base
+		cfg.Workers = workers
+		cfg.Obs = &ObsSink{}
+		tabs, err := Fig6EffectOfR(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return renderTables(t, tabs), obsJSONL(t, cfg.Obs)
 	}
-	defer ck.Close()
-	cfg.Checkpoint = ck
-	if _, err := Fig6EffectOfR(cfg); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("obs+checkpoint err = %v", err)
+	for _, workers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("resume/workers=%d", workers), func(t *testing.T) {
+			wantTabs, wantObs := uninterrupted(workers)
+			cfg := base
+			cfg.Workers = workers
+			cfg.Obs = &ObsSink{}
+			got, runs, sink := runInterruptible(t, cfg, t.TempDir(), 5, Fig6EffectOfR)
+			if runs < 2 {
+				t.Fatalf("run was never interrupted (%d runs)", runs)
+			}
+			if g := renderTables(t, got); g != wantTabs {
+				t.Fatalf("resumed tables differ from uninterrupted:\n--- resumed ---\n%s\n--- uninterrupted ---\n%s", g, wantTabs)
+			}
+			if g := obsJSONL(t, sink); !bytes.Equal(g, wantObs) {
+				t.Fatalf("resumed telemetry differs from uninterrupted (%d vs %d bytes)", len(g), len(wantObs))
+			}
+		})
 	}
+	t.Run("journal-without-obs", func(t *testing.T) {
+		wantTabs, wantObs := uninterrupted(1)
+		dir := t.TempDir()
+		cfg := base
+		cfg.Workers = 1
+		ck, err := OpenCheckpointer(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck.StopAfter(5)
+		cfg.Checkpoint = ck
+		var intr *Interrupted
+		if _, err := Fig6EffectOfR(cfg); !errors.As(err, &intr) {
+			t.Fatalf("telemetry-free run was not interrupted: %v", err)
+		}
+		if err := ck.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		if ck, err = OpenCheckpointer(dir); err != nil {
+			t.Fatal(err)
+		}
+		defer ck.Close()
+		cfg.Checkpoint = ck
+		cfg.Obs = &ObsSink{}
+		got, err := Fig6EffectOfR(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := renderTables(t, got); g != wantTabs {
+			t.Fatalf("resumed tables differ from uninterrupted:\n--- resumed ---\n%s\n--- uninterrupted ---\n%s", g, wantTabs)
+		}
+		if g := obsJSONL(t, cfg.Obs); !bytes.Equal(g, wantObs) {
+			t.Fatalf("telemetry after a telemetry-free journal differs from uninterrupted (%d vs %d bytes)", len(g), len(wantObs))
+		}
+	})
 }

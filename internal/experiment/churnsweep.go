@@ -94,10 +94,10 @@ func ChurnSweep(cfg Config) ([]*metrics.Table, error) {
 			}
 		}
 	}
-	cells, err := runCells(cfg, len(keys), func(i int, _ cellCtx) ([]traffic.ChurnProbe, error) {
+	cells, err := runCells(cfg, len(keys), func(i int, cc *cellCtx) ([]traffic.ChurnProbe, error) {
 		k := keys[i]
 		f := failures[k.fi]
-		rec, commit := cfg.cellObs(fmt.Sprintf("churnsweep/%s/e=%d/f=%d/topo%03d",
+		rec := cc.recorder(fmt.Sprintf("churnsweep/%s/e=%d/f=%d/topo%03d",
 			schemes[k.si].Name(), churn[k.ci], f, k.ti))
 		var faults func(int, *updown.Routing) *sim.FaultSchedule
 		if f > 0 {
@@ -121,7 +121,6 @@ func ChurnSweep(cfg Config) ([]*metrics.Table, error) {
 			return nil, fmt.Errorf("experiment: churnsweep %s e=%d f=%d: %w",
 				schemes[k.si].Name(), churn[k.ci], f, err)
 		}
-		commit()
 		return r.Churn, nil
 	})
 	if err != nil {

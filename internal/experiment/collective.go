@@ -47,7 +47,7 @@ func Collectives(cfg Config) ([]*metrics.Table, error) {
 			}
 		}
 	}
-	res, err := runCells(cfg, len(keys), func(i int, _ cellCtx) (float64, error) {
+	res, err := runCells(cfg, len(keys), func(i int, _ *cellCtx) (float64, error) {
 		k := keys[i]
 		r, err := ops[k.oi].run(rts[k.ti], collective.Config{
 			Scheme: schemes[k.si], Params: cfg.Params, Root: 0,

@@ -28,8 +28,8 @@ import (
 type Config struct {
 	Seed uint64
 	// Workers bounds the parallel fan-out of independent simulation cells
-	// (one RunSingle/RunLoad/RunFault invocation each); 0 means one
-	// worker per CPU (runtime.GOMAXPROCS). Cell seeds are pure functions
+	// (one traffic.Run invocation each); 0 means one worker per CPU
+	// (runtime.GOMAXPROCS). Cell seeds are pure functions
 	// of the cell's indices, so tables are byte-identical for every
 	// worker count.
 	Workers int
@@ -72,11 +72,10 @@ type Config struct {
 	// series at the sink's cadence. Nil (the default) disables
 	// observability entirely — no probe fires anywhere in the simulator.
 	Obs *ObsSink
-	// Checkpoint, when non-nil, journals every completed cell so a
-	// killed run can resume (-checkpoint/-resume on the CLI; see
-	// OpenCheckpointer). Mutually exclusive with Obs: a resumed run
-	// cannot reproduce skipped cells' telemetry streams. Resumed tables
-	// are byte-identical to uninterrupted ones.
+	// Checkpoint, when non-nil, journals every completed cell, with its
+	// telemetry bundle when Obs is set, so a killed run can resume
+	// (-checkpoint/-resume on the CLI; see OpenCheckpointer). Resumed
+	// tables and telemetry are byte-identical to uninterrupted ones.
 	Checkpoint *Checkpointer
 	// Progress, when non-nil, receives a tick after every completed cell:
 	// cells finished so far and the grid size of the current runCells
@@ -150,18 +149,15 @@ func family(cfg topology.Config, count int, seed uint64) ([]*updown.Routing, err
 // design that keeps scheme comparisons low-variance. label names the
 // sweep point for obs bundles; it must be unique within the experiment.
 func singleMean(cfg Config, label string, rts []*updown.Routing, sch mcast.Scheme, p sim.Params, degree, flits int) (float64, error) {
-	res, err := runCells(cfg, len(rts), func(i int, cc cellCtx) ([]float64, error) {
-		rec, commit := cfg.cellObs(fmt.Sprintf("%s/%s/topo%03d", label, sch.Name(), i))
-		opts := append([]traffic.Option{traffic.WithProbes(cfg.Probes),
-			traffic.WithObs(rec)}, cc.trafficOpts()...)
+	res, err := runCells(cfg, len(rts), func(i int, cc *cellCtx) ([]float64, error) {
+		rec := cc.recorder(fmt.Sprintf("%s/%s/topo%03d", label, sch.Name(), i))
 		r, err := traffic.Run(rts[i], traffic.Workload{
 			Scheme: sch, Params: p, Degree: degree, MsgFlits: flits,
 			Seed: rng.Mix(cfg.Seed, saltSingle, uint64(i)),
-		}, opts...)
+		}, traffic.WithProbes(cfg.Probes), traffic.WithObs(rec))
 		if err != nil {
 			return nil, err
 		}
-		commit()
 		return r.Latencies, nil
 	})
 	if err != nil {
@@ -208,21 +204,18 @@ func sweepSingle(cfg Config, title, xLabel string, xs []float64,
 			}
 		}
 	}
-	res, err := runCells(cfg, len(keys), func(i int, cc cellCtx) ([]float64, error) {
+	res, err := runCells(cfg, len(keys), func(i int, cc *cellCtx) ([]float64, error) {
 		k := keys[i]
 		pt := pts[k.xi]
-		rec, commit := cfg.cellObs(fmt.Sprintf("%s/%s=%v/%s/topo%03d",
+		rec := cc.recorder(fmt.Sprintf("%s/%s=%v/%s/topo%03d",
 			title, xLabel, xs[k.xi], schemes[k.si].Name(), k.ti))
-		opts := append([]traffic.Option{traffic.WithProbes(cfg.Probes),
-			traffic.WithObs(rec)}, cc.trafficOpts()...)
 		r, err := traffic.Run(pt.rts[k.ti], traffic.Workload{
 			Scheme: schemes[k.si], Params: pt.p, Degree: pt.degree, MsgFlits: pt.flits,
 			Seed: rng.Mix(cfg.Seed, saltSingle, uint64(k.ti)),
-		}, opts...)
+		}, traffic.WithProbes(cfg.Probes), traffic.WithObs(rec))
 		if err != nil {
 			return nil, fmt.Errorf("%s at %s=%v: %w", schemes[k.si].Name(), xLabel, xs[k.xi], err)
 		}
-		commit()
 		return r.Latencies, nil
 	})
 	if err != nil {

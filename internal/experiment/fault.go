@@ -82,21 +82,18 @@ func FaultReconfiguration(cfg Config) ([]*metrics.Table, error) {
 			}
 		}
 	}
-	res, err := runCells(cfg, len(keys), func(i int, cc cellCtx) ([]float64, error) {
+	res, err := runCells(cfg, len(keys), func(i int, cc *cellCtx) ([]float64, error) {
 		k := keys[i]
-		rec, commit := cfg.cellObs(fmt.Sprintf("fault/%s/%s/topo%03d",
+		rec := cc.recorder(fmt.Sprintf("fault/%s/%s/topo%03d",
 			variants[k.vi].label, schemes[k.si].Name(), k.ti))
-		opts := append([]traffic.Option{traffic.WithProbes(cfg.Probes),
-			traffic.WithObs(rec)}, cc.trafficOpts()...)
 		r, err := traffic.Run(variants[k.vi].rts[k.ti], traffic.Workload{
 			Scheme: schemes[k.si], Params: cfg.Params, Degree: cfg.Degree,
 			MsgFlits: cfg.MsgFlits,
 			Seed:     rng.Mix(cfg.Seed, 7919, uint64(k.ti)),
-		}, opts...)
+		}, traffic.WithProbes(cfg.Probes), traffic.WithObs(rec))
 		if err != nil {
 			return nil, err
 		}
-		commit()
 		return r.Latencies, nil
 	})
 	if err != nil {

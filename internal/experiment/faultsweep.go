@@ -58,10 +58,10 @@ func FaultSweep(cfg Config) ([]*metrics.Table, error) {
 			}
 		}
 	}
-	cells, err := runCells(cfg, len(keys), func(i int, _ cellCtx) ([]traffic.FaultProbe, error) {
+	cells, err := runCells(cfg, len(keys), func(i int, cc *cellCtx) ([]traffic.FaultProbe, error) {
 		k := keys[i]
 		f := failures[k.fi]
-		rec, commit := cfg.cellObs(fmt.Sprintf("faultsweep/%s/f=%d/topo%03d",
+		rec := cc.recorder(fmt.Sprintf("faultsweep/%s/f=%d/topo%03d",
 			schemes[k.si].Name(), f, k.ti))
 		r, err := traffic.Run(rts[k.ti], traffic.Workload{
 			Scheme: schemes[k.si], Params: cfg.Params, Degree: cfg.Degree,
@@ -77,7 +77,6 @@ func FaultSweep(cfg Config) ([]*metrics.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiment: faultsweep %s f=%d: %w", schemes[k.si].Name(), f, err)
 		}
-		commit()
 		return r.Faults, nil
 	})
 	if err != nil {

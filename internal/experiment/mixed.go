@@ -36,9 +36,9 @@ func MixedTraffic(cfg Config) ([]*metrics.Table, error) {
 			}
 		}
 	}
-	res, err := runCells(cfg, len(keys), func(i int, _ cellCtx) ([]float64, error) {
+	res, err := runCells(cfg, len(keys), func(i int, cc *cellCtx) ([]float64, error) {
 		k := keys[i]
-		rec, commit := cfg.cellObs(fmt.Sprintf("mixed/%s/bg=%v/topo%03d",
+		rec := cc.recorder(fmt.Sprintf("mixed/%s/bg=%v/topo%03d",
 			schemes[k.si].Name(), bgs[k.bi], k.ti))
 		r, err := traffic.Run(rts[k.ti], traffic.Workload{
 			Scheme: schemes[k.si], Params: cfg.Params, Degree: 16, MsgFlits: cfg.MsgFlits,
@@ -50,7 +50,6 @@ func MixedTraffic(cfg Config) ([]*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		commit()
 		return r.Latencies, nil
 	})
 	if err != nil {

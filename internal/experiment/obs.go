@@ -8,10 +8,12 @@ import (
 )
 
 // ObsSink collects one obs.Bundle per simulation cell across an
-// experiment run. Cells commit from worker goroutines in completion
-// order; Bundles sorts by the deterministic cell label, so the exported
-// series are byte-identical for every -workers value, the same
-// order-stability contract the result assembly in runCells keeps.
+// experiment run. runCells commits each cell's bundle from its worker
+// goroutine in completion order, a resumed cell's journaled bundle
+// included; Bundles sorts by the deterministic cell label, so the
+// exported series are byte-identical for every -workers value and for
+// resumed runs, the same order-stability contract the result assembly
+// in runCells keeps.
 type ObsSink struct {
 	// Config parameterizes every cell recorder the sink hands out.
 	Config obs.Config
@@ -44,16 +46,36 @@ func (s *ObsSink) Bundles() []obs.Bundle {
 	return out
 }
 
-// cellObs hands a cell its recorder and commit hook. With observability
-// off (no sink configured) the recorder is nil — traffic.WithObs(nil)
-// and sim.WithObs(nil) both treat that as disabled, so call sites thread
-// it through unconditionally. label must be unique across the whole run:
-// it is the bundle's identity and the sort key that makes export order
-// worker-count independent.
-func (c Config) cellObs(label string) (*obs.Recorder, func()) {
-	if c.Obs == nil {
-		return nil, func() {}
+// cellCtx is handed to every runCells cell callback. A cell that
+// simulates asks it for a telemetry recorder; once the cell succeeds,
+// runCells journals the recorder's bundle with the result and commits
+// it to the sink.
+type cellCtx struct {
+	sink  *ObsSink
+	label string
+	rec   *obs.Recorder
+}
+
+// recorder returns the cell's telemetry recorder, or nil with telemetry
+// off — traffic.WithObs(nil) and sim.WithObs(nil) both treat that as
+// disabled, so cells thread it through unconditionally. label must be
+// unique across the whole run: it is the bundle's identity and the sort
+// key that makes export order worker-count independent. A cell asks at
+// most once.
+func (cc *cellCtx) recorder(label string) *obs.Recorder {
+	if cc.sink == nil {
+		return nil
 	}
-	r := obs.NewRecorder(c.Obs.Config)
-	return r, func() { c.Obs.add(r.Bundle(label)) }
+	cc.label, cc.rec = label, obs.NewRecorder(cc.sink.Config)
+	return cc.rec
+}
+
+// bundle packages what the cell recorded; nil if it asked for no
+// recorder.
+func (cc *cellCtx) bundle() *obs.Bundle {
+	if cc.rec == nil {
+		return nil
+	}
+	b := cc.rec.Bundle(cc.label)
+	return &b
 }

@@ -26,8 +26,14 @@ func obsRun(t *testing.T, run Runner, workers int) []byte {
 			t.Fatalf("cell %q sampled no snapshots", b.Cell)
 		}
 	}
+	return obsJSONL(t, cfg.Obs)
+}
+
+// obsJSONL serializes a sink's bundles the way -obs-out writes them.
+func obsJSONL(t *testing.T, sink *ObsSink) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := obs.WriteJSONL(&buf, bundles); err != nil {
+	if err := obs.WriteJSONL(&buf, sink.Bundles()); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -57,15 +63,21 @@ func TestObsDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestObsDisabledByDefault pins the opt-in contract: a Config without a
-// sink must run every cell with a nil recorder (cellObs returns nil and a
-// no-op commit), so the disabled path stays allocation- and event-free.
+// sink must run every cell with a nil recorder and commit no bundle, so
+// the disabled path stays allocation- and event-free.
 func TestObsDisabledByDefault(t *testing.T) {
 	var cfg Config
-	rec, commit := cfg.cellObs("any")
-	if rec != nil {
-		t.Fatal("nil sink produced a recorder")
+	if _, err := runCells(cfg, 3, func(i int, cc *cellCtx) (int, error) {
+		if rec := cc.recorder("any"); rec != nil {
+			t.Error("nil sink produced a recorder")
+		}
+		if b := cc.bundle(); b != nil {
+			t.Errorf("nil sink produced bundle %q", b.Cell)
+		}
+		return i, nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	commit() // must be callable
 }
 
 // TestObsTablesUnchanged pins non-interference at the result level: the

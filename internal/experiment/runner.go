@@ -1,12 +1,12 @@
 // Parallel cell runner. Every experiment decomposes into independent
-// simulation cells — one traffic.RunSingle / RunLoad / RunMixed /
-// RunFault (or collective) invocation with its own routed topology, its
-// own sim.Network, and its own rng.Mix-derived seed. Cells never share a
-// network (a sim.Network and its callbacks are single-goroutine; see
-// sim.Network's concurrent-use guard), so they parallelize freely across
-// a worker pool. Results are assembled in cell order and every cell seed
-// is a pure function of the experiment's indices, which makes parallel
-// output byte-identical to serial output for any worker count.
+// simulation cells — one traffic.Run invocation in one mode (or one
+// collective or scale-sweep probe batch) with its own routed topology,
+// its own sim.Network, and its own rng.Mix-derived seed. Cells never
+// share a network (a sim.Network and its callbacks are single-goroutine;
+// see sim.Network's concurrent-use guard), so they parallelize freely
+// across a worker pool. Results are assembled in cell order and every
+// cell seed is a pure function of the experiment's indices, which makes
+// parallel output byte-identical to serial output for any worker count.
 package experiment
 
 import (
@@ -58,47 +58,66 @@ func (c Config) workerCount() int {
 // worker that is exactly the serial first error). A worker count of one
 // degenerates to a plain loop, so `-workers 1` is the serial harness.
 //
-// When cfg.Checkpoint is set, every completed cell is journaled and
-// already-journaled cells return their recorded results without
-// executing — resumed output is byte-identical because cell seeds are
-// pure functions of cell indices and gob round-trips are bit-exact. The
-// cellCtx handed to the callback carries the cell's journal identity so
-// single-probe cells can checkpoint at probe granularity (cc.trafficOpts).
-func runCells[T any](cfg Config, n int, cell func(i int, cc cellCtx) (T, error)) ([]T, error) {
+// runCells owns each cell's telemetry: the cell asks its cellCtx for a
+// recorder, and when the cell succeeds its bundle is committed to
+// cfg.Obs. When cfg.Checkpoint is set, every completed cell is journaled
+// with its bundle, and already-journaled cells return their recorded
+// results (re-committing their bundles) without executing. A cell
+// journaled without telemetry reruns when telemetry is on, so the sink
+// still gets its bundle. Resumed output is byte-identical because cell
+// seeds are pure functions of cell indices and gob round-trips are
+// bit-exact.
+func runCells[T any](cfg Config, n int, cell func(i int, cc *cellCtx) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	if n == 0 {
 		return out, nil
 	}
 	ck := cfg.Checkpoint
-	if ck != nil && cfg.Obs != nil {
-		return nil, fmt.Errorf("experiment: checkpointing and telemetry are mutually exclusive (a resumed run cannot reproduce skipped cells' obs streams)")
-	}
 	call := 0
 	if ck != nil {
 		call = ck.nextCall()
 	}
 	var prog atomic.Int64
+	tick := func() {
+		if cfg.Progress != nil {
+			cfg.Progress(int(prog.Add(1)), n)
+		}
+	}
 	runOne := func(i int) (T, error) {
 		if ck != nil {
-			if v, ok, err := ckLoad[T](ck, call, i); err != nil || ok {
-				if err == nil && cfg.Progress != nil {
-					cfg.Progress(int(prog.Add(1)), n)
-				}
+			v, rec, err := ckLoad[T](ck, call, i)
+			if err != nil {
 				return v, err
+			}
+			if rec != nil && (cfg.Obs == nil || rec.Obs) {
+				if cfg.Obs != nil && rec.Bundle != nil {
+					cfg.Obs.add(*rec.Bundle)
+				}
+				tick()
+				return v, nil
 			}
 			if e := ck.stopError(); e != nil {
 				var zero T
 				return zero, e
 			}
 		}
-		v, err := cell(i, cellCtx{ck: ck, call: call, cell: i})
-		if err == nil && ck != nil {
-			err = ckStore(ck, call, i, v)
+		cc := cellCtx{sink: cfg.Obs}
+		v, err := cell(i, &cc)
+		if err != nil {
+			return v, err
 		}
-		if err == nil && cfg.Progress != nil {
-			cfg.Progress(int(prog.Add(1)), n)
+		b := cc.bundle()
+		if ck != nil {
+			rec := journalRecord{Call: call, Cell: i, Obs: cfg.Obs != nil, Bundle: b}
+			if err := ckStore(ck, rec, v); err != nil {
+				return v, err
+			}
 		}
-		return v, err
+		if b != nil {
+			cfg.Obs.add(*b)
+		}
+		tick()
+		return v, nil
 	}
 	workers := cfg.workerCount()
 	if workers > n {
@@ -198,10 +217,10 @@ func runLoadCurves(cfg Config, specs []loadCurveSpec) ([]metrics.Series, error) 
 		if len(keys) == 0 {
 			break
 		}
-		res, err := runCells(cfg, len(keys), func(i int, _ cellCtx) (traffic.LoadResult, error) {
+		res, err := runCells(cfg, len(keys), func(i int, cc *cellCtx) (traffic.LoadResult, error) {
 			k := keys[i]
 			sp := specs[k.ci]
-			rec, commit := cfg.cellObs(fmt.Sprintf("load/%s%s/l=%v/topo%03d",
+			rec := cc.recorder(fmt.Sprintf("load/%s%s/l=%v/topo%03d",
 				sp.Label, sp.ErrCtx, l, k.ti))
 			r, err := traffic.Run(sp.Rts[k.ti], traffic.Workload{
 				Scheme: sp.Scheme, Params: sp.Params, Degree: sp.Degree,
@@ -214,7 +233,6 @@ func runLoadCurves(cfg Config, specs []loadCurveSpec) ([]metrics.Series, error) 
 			if err != nil {
 				return traffic.LoadResult{}, fmt.Errorf("%s%s at load %v (topology %d): %w", sp.Label, sp.ErrCtx, l, k.ti, err)
 			}
-			commit()
 			return *r.Load, nil
 		})
 		if err != nil {

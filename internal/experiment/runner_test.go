@@ -6,13 +6,15 @@ import (
 	"strings"
 	"testing"
 
+	"mcastsim/internal/mcast/binomial"
+	"mcastsim/internal/mcast/treeworm"
 	"mcastsim/internal/metrics"
 	"mcastsim/internal/rng"
 )
 
 func TestRunCellsOrderStable(t *testing.T) {
 	const n = 200
-	out, err := runCells(Config{Workers: 8}, n, func(i int, _ cellCtx) (int, error) { return i * i, nil })
+	out, err := runCells(Config{Workers: 8}, n, func(i int, _ *cellCtx) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +29,7 @@ func TestRunCellsOrderStable(t *testing.T) {
 }
 
 func TestRunCellsFirstError(t *testing.T) {
-	boom := func(i int, _ cellCtx) (int, error) {
+	boom := func(i int, _ *cellCtx) (int, error) {
 		if i == 3 || i == 7 {
 			return 0, fmt.Errorf("cell %d failed", i)
 		}
@@ -48,13 +50,52 @@ func TestRunCellsFirstError(t *testing.T) {
 }
 
 func TestRunCellsEdgeCases(t *testing.T) {
-	if out, err := runCells(Config{Workers: 4}, 0, func(int, cellCtx) (int, error) { return 0, errors.New("never") }); err != nil || len(out) != 0 {
+	if out, err := runCells(Config{Workers: 4}, 0, func(int, *cellCtx) (int, error) { return 0, errors.New("never") }); err != nil || len(out) != 0 {
 		t.Fatalf("empty grid: %v %v", out, err)
 	}
 	// workers <= 0 falls back to GOMAXPROCS.
-	out, err := runCells(Config{}, 5, func(i int, _ cellCtx) (int, error) { return i, nil })
+	out, err := runCells(Config{}, 5, func(i int, _ *cellCtx) (int, error) { return i, nil })
 	if err != nil || len(out) != 5 {
 		t.Fatalf("default workers: %v %v", out, err)
+	}
+}
+
+// TestLoadCurvesStopAtSaturation pins the paper's sweep rule on the
+// load runner: a curve gets no point after its first SAT, while curves
+// that have not saturated keep advancing in lockstep.
+func TestLoadCurvesStopAtSaturation(t *testing.T) {
+	cfg := testConfig()
+	cfg.Loads = []float64{0.05, 0.15, 0.3, 0.5, 0.8, 1.2, 2.0, 3.0}
+	rts, err := family(cfg.TopoCfg, 1, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The software baseline saturates far earlier than the tree worm.
+	specs := []loadCurveSpec{
+		{Label: "binomial", Scheme: binomial.New(), Rts: rts, Params: cfg.Params, Degree: 16, Flits: cfg.MsgFlits},
+		{Label: "sw-tree", Scheme: treeworm.New(), Rts: rts, Params: cfg.Params, Degree: 16, Flits: cfg.MsgFlits},
+	}
+	series, err := runLoadCurves(cfg, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range series {
+		if len(s.X) == 0 || len(s.Note) != len(s.X) {
+			t.Fatalf("%s: %d points, %d notes", s.Label, len(s.X), len(s.Note))
+		}
+		for i, note := range s.Note {
+			if note == "SAT" && i != len(s.Note)-1 {
+				t.Fatalf("%s: point %d (load %v) saturated but the curve continued to load %v",
+					s.Label, i, s.X[i], s.X[len(s.X)-1])
+			}
+		}
+	}
+	base, tree := series[0], series[1]
+	if base.Note[len(base.Note)-1] != "SAT" || len(base.X) == len(cfg.Loads) {
+		t.Fatalf("binomial never saturated before the last load: X=%v notes=%v", base.X, base.Note)
+	}
+	if len(tree.X) <= len(base.X) {
+		t.Fatalf("sw-tree stopped with binomial: %d vs %d points", len(tree.X), len(base.X))
 	}
 }
 

@@ -241,7 +241,7 @@ func ScaleSweep(cfg Config) ([]*metrics.Table, error) {
 			}
 		}
 		numNodes[ci] = t.NumNodes
-		res, err := runCells(cfg, len(combos), func(mi int, _ cellCtx) (scaleCellResult, error) {
+		res, err := runCells(cfg, len(combos), func(mi int, _ *cellCtx) (scaleCellResult, error) {
 			cb := combos[mi]
 			p := cfg.Params
 			p.DestCoding = cb.coding

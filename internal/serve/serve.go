@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"path/filepath"
 	"strings"
@@ -34,6 +35,10 @@ import (
 	"mcastsim/internal/experiment"
 	"mcastsim/internal/obs"
 )
+
+// maxSpecBytes bounds a POST /v1/jobs body; a JobSpec is a few hundred
+// bytes, and a larger body is refused with 413 before any job exists.
+const maxSpecBytes = 1 << 20
 
 // JobSpec is the JSON workload description POST /v1/jobs accepts. The
 // zero value of every optional field keeps the preset's default.
@@ -51,9 +56,9 @@ type JobSpec struct {
 	Probes     int `json:"probes,omitempty"`
 	Topologies int `json:"topologies,omitempty"`
 	// Obs streams per-cell telemetry bundles as JSONL over the job's
-	// event stream. Mutually exclusive with checkpointing, so a job
-	// with Obs set runs without a journal even on a checkpointing
-	// server — an interrupted obs job restarts from scratch.
+	// event stream, one bundle per cell. On a checkpointing server the
+	// journal keeps each cell's bundle with its result, so a resumed
+	// job streams the bundles of journaled cells again.
 	Obs bool `json:"obs,omitempty"`
 	// ObsEvery is the telemetry sampling cadence in cycles (with Obs).
 	ObsEvery uint64 `json:"obs_every,omitempty"`
@@ -145,8 +150,8 @@ func (j *Job) status() Status {
 
 // Options configure a Server.
 type Options struct {
-	// CheckpointDir, when non-empty, gives every non-obs job a journal
-	// at <dir>/<job-id> and makes Drain checkpoint in-flight jobs.
+	// CheckpointDir, when non-empty, gives every job a journal at
+	// <dir>/<job-id> and makes Drain checkpoint in-flight jobs.
 	// Job IDs are assigned in submission order, so a restarted server
 	// fed the same submissions resumes each job from its journal.
 	CheckpointDir string
@@ -203,9 +208,18 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad spec: " + err.Error()})
+	if err == nil {
+		err = json.Unmarshal(body, &spec)
+	}
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, map[string]string{"error": "bad spec: " + err.Error()})
 		return
 	}
 	entry, err := experiment.Lookup(spec.Experiment)
@@ -356,7 +370,8 @@ func (s *Server) run(j *Job, entry experiment.Entry) {
 				}
 			},
 		}
-	} else if s.opts.CheckpointDir != "" {
+	}
+	if s.opts.CheckpointDir != "" {
 		ck, err := experiment.OpenCheckpointer(filepath.Join(s.opts.CheckpointDir, j.ID))
 		if err != nil {
 			s.finish(j, StateFailed, err.Error())
@@ -406,8 +421,8 @@ func (s *Server) finish(j *Job, state, errMsg string) {
 
 // Drain stops accepting jobs, interrupts every checkpointing job at
 // its next cell boundary, and blocks until all jobs have finished.
-// Jobs without a journal (obs jobs, or a server without a checkpoint
-// directory) run to completion — they have nowhere to save progress.
+// Without a checkpoint directory jobs have no journal and run to
+// completion — they have nowhere to save progress.
 func (s *Server) Drain() {
 	s.mu.Lock()
 	s.draining = true

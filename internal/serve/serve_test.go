@@ -11,8 +11,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"mcastsim/internal/experiment"
 )
 
 // sseEvent is one parsed Server-Sent Event.
@@ -177,21 +175,36 @@ func TestObsStream(t *testing.T) {
 	}
 }
 
-// TestBadRequests: malformed JSON and unknown experiments are 400s.
+// TestBadRequests: malformed JSON and unknown experiments are 400s; a
+// body over maxSpecBytes is a 413. None of them creates a job.
 func TestBadRequests(t *testing.T) {
 	s := New(Options{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	for _, body := range []string{"{nope", `{"experiment":"no-such-fig"}`} {
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	oversized := `{"experiment":"fig6","pad":"` + strings.Repeat("x", maxSpecBytes) + `"}`
+	for _, c := range []struct {
+		body string
+		code int
+	}{
+		{"{nope", http.StatusBadRequest},
+		{`{"experiment":"no-such-fig"}`, http.StatusBadRequest},
+		{oversized, http.StatusRequestEntityTooLarge},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("submit %q: %d", body, resp.StatusCode)
+		if resp.StatusCode != c.code {
+			t.Fatalf("submit %.40q: %d, want %d", c.body, resp.StatusCode, c.code)
 		}
+	}
+	s.mu.Lock()
+	jobs := len(s.jobs)
+	s.mu.Unlock()
+	if jobs != 0 {
+		t.Fatalf("rejected submissions created %d jobs", jobs)
 	}
 	resp, err := http.Get(ts.URL + "/v1/jobs/job-9999")
 	if err != nil {
@@ -242,76 +255,42 @@ func TestLegacyShardsFieldIgnored(t *testing.T) {
 	}
 }
 
-// TestDrainCheckpointResume is the SIGTERM story end to end: a
-// checkpointing server drains mid-run, the job lands interrupted with
-// a journal, and a restarted server fed the same submission resumes it
-// to tables identical to an uninterrupted run.
-func TestDrainCheckpointResume(t *testing.T) {
-	dir := t.TempDir()
-	// fig8 with serial workers: 4 message lengths x 3 schemes x 2
-	// topologies x 3 probes of up-to-1024-flit messages — long enough
-	// that the drain below lands mid-run.
-	spec := JobSpec{Experiment: "fig8", Probes: 3, Topologies: 2, Workers: 1}
-
-	// Uninterrupted reference, straight through the experiment layer.
-	entry, err := experiment.Lookup(spec.Experiment)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := entry.Run(spec.config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wantText strings.Builder
-	for _, tab := range want {
-		if err := tab.Render(&wantText); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	s := New(Options{CheckpointDir: dir})
-	ts := httptest.NewServer(s.Handler())
-	id := submit(t, ts.URL, spec)
-
-	// Wait until the job has its journal open, then drain.
+// waitJob polls until ready reports true for job id, failing after
+// ten seconds.
+func waitJob(t *testing.T, s *Server, id string, ready func(j *Job) bool) {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		s.mu.Lock()
 		j := s.jobs[id]
 		s.mu.Unlock()
 		j.mu.Lock()
-		ready := j.ck != nil
+		ok := ready(j)
 		j.mu.Unlock()
-		if ready {
-			break
+		if ok {
+			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("job never opened its checkpointer")
+			t.Fatalf("job %s never got ready", id)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	s.Drain()
-	st := s.jobs[id].status()
-	ts.Close()
-	if st.State == StateDone {
-		t.Skip("job outran the drain; nothing to resume")
-	}
-	if st.State != StateInterrupted {
-		t.Fatalf("post-drain state = %+v", st)
-	}
+}
 
-	// "Restart": a fresh server on the same checkpoint directory gets
-	// the same job ID for the same (first) submission and resumes it.
-	s2 := New(Options{CheckpointDir: dir})
-	ts2 := httptest.NewServer(s2.Handler())
-	defer ts2.Close()
-	id2 := submit(t, ts2.URL, spec)
-	if id2 != id {
-		t.Fatalf("restarted server assigned %s, want %s", id2, id)
-	}
-	events := stream(t, ts2.URL, id2)
-	var gotText strings.Builder
-	finalState := ""
+// jobOutput is what a finished job streamed: its rendered tables, its
+// obs events joined into one JSONL stream, and how many bundles that
+// stream holds.
+type jobOutput struct {
+	tables, obs string
+	bundles     int
+}
+
+// collect folds a job's events into its output, failing unless the job
+// ended done.
+func collect(t *testing.T, events []sseEvent) jobOutput {
+	t.Helper()
+	var out jobOutput
+	final := ""
 	for _, ev := range events {
 		switch ev.Type {
 		case "table":
@@ -319,32 +298,99 @@ func TestDrainCheckpointResume(t *testing.T) {
 			if err := json.Unmarshal([]byte(ev.Data), &tab); err != nil {
 				t.Fatal(err)
 			}
-			gotText.WriteString(tab["text"])
+			out.tables += tab["text"]
+		case "obs":
+			out.obs += ev.Data + "\n"
+			out.bundles++
 		case "done":
 			var d map[string]string
 			if err := json.Unmarshal([]byte(ev.Data), &d); err != nil {
 				t.Fatal(err)
 			}
-			finalState = d["state"]
+			final = d["state"]
 		}
 	}
-	if finalState != StateDone {
-		t.Fatalf("resumed job state = %q", finalState)
+	if final != StateDone {
+		t.Fatalf("job state = %q", final)
 	}
-	if gotText.String() != wantText.String() {
-		t.Fatalf("resumed tables differ from uninterrupted:\n--- resumed ---\n%s\n--- reference ---\n%s",
-			gotText.String(), wantText.String())
-	}
+	return out
+}
 
-	// Draining servers refuse new work.
-	s2.Drain()
-	body, _ := json.Marshal(spec)
-	resp, err := http.Post(ts2.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("submit while draining: %d", resp.StatusCode)
+// TestDrainCheckpointResume is the SIGTERM story end to end: a
+// checkpointing server drains mid-run, the job lands interrupted with
+// a journal, and a restarted server fed the same submission resumes it
+// to the tables of an uninterrupted job. An obs job gets a journal too:
+// resumed, it streams exactly one bundle per cell (journaled cells
+// re-stream theirs), and with one worker the stream is byte-identical
+// to an uninterrupted job's.
+func TestDrainCheckpointResume(t *testing.T) {
+	for _, withObs := range []bool{false, true} {
+		t.Run(fmt.Sprintf("obs=%v", withObs), func(t *testing.T) {
+			dir := t.TempDir()
+			// fig8 with serial workers: 4 message lengths x 3 schemes x 2
+			// topologies x 3 probes of up-to-1024-flit messages — long
+			// enough that the drain below lands mid-run.
+			spec := JobSpec{Experiment: "fig8", Probes: 3, Topologies: 2, Workers: 1, Obs: withObs}
+
+			// Uninterrupted reference: the same job on a server without
+			// a journal.
+			ref := New(Options{})
+			tsRef := httptest.NewServer(ref.Handler())
+			want := collect(t, stream(t, tsRef.URL, submit(t, tsRef.URL, spec)))
+			tsRef.Close()
+			if withObs && want.bundles == 0 {
+				t.Fatal("reference obs job streamed no bundles")
+			}
+
+			s := New(Options{CheckpointDir: dir})
+			ts := httptest.NewServer(s.Handler())
+			id := submit(t, ts.URL, spec)
+
+			// Drain once the journal holds a cell.
+			waitJob(t, s, id, func(j *Job) bool { return j.ck != nil && j.done > 0 })
+			s.Drain()
+			st := s.jobs[id].status()
+			ts.Close()
+			if st.State == StateDone {
+				t.Skip("job outran the drain; nothing to resume")
+			}
+			if st.State != StateInterrupted {
+				t.Fatalf("post-drain state = %+v", st)
+			}
+
+			// "Restart": a fresh server on the same checkpoint directory
+			// gets the same job ID for the same (first) submission and
+			// resumes it.
+			s2 := New(Options{CheckpointDir: dir})
+			ts2 := httptest.NewServer(s2.Handler())
+			defer ts2.Close()
+			id2 := submit(t, ts2.URL, spec)
+			if id2 != id {
+				t.Fatalf("restarted server assigned %s, want %s", id2, id)
+			}
+			got := collect(t, stream(t, ts2.URL, id2))
+			if got.tables != want.tables {
+				t.Fatalf("resumed tables differ from uninterrupted:\n--- resumed ---\n%s\n--- reference ---\n%s",
+					got.tables, want.tables)
+			}
+			if got.bundles != want.bundles {
+				t.Fatalf("resumed job streamed %d bundles, want one per cell (%d)", got.bundles, want.bundles)
+			}
+			if got.obs != want.obs {
+				t.Fatalf("resumed obs stream differs from uninterrupted (%d vs %d bytes)", len(got.obs), len(want.obs))
+			}
+
+			// Draining servers refuse new work.
+			s2.Drain()
+			body, _ := json.Marshal(spec)
+			resp, err := http.Post(ts2.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("submit while draining: %d", resp.StatusCode)
+			}
+		})
 	}
 }

@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
+	"mcastsim/internal/rng"
 	"mcastsim/internal/topology"
+	"mcastsim/internal/updown"
 )
 
 // treeStormPlan multicasts from src to every other node in the fixture as
@@ -197,4 +200,113 @@ func TestRouteCacheWarmDecisionsZeroAlloc(t *testing.T) {
 		t.Fatalf("warm climbPorts allocates %.1f/op, want 0", allocs)
 	}
 	n.putSet(set)
+}
+
+// TestPartitionDownAdaptiveExactlyOnce pins the down partition's
+// contract at covering switches: every destination lands on exactly one
+// branch, each branch leaves through a distinct down port and stays
+// within that port's DownReach. It holds on the cold path and on a
+// route-cache hit (which must hand back the cold partition), for flat
+// and run-coded sets.
+func TestPartitionDownAdaptiveExactlyOnce(t *testing.T) {
+	for _, rep := range []SetRep{RepFlat, RepSparse} {
+		t.Run(rep.String(), func(t *testing.T) {
+			p := DefaultParams()
+			p.SetRep = rep
+			hits := 0
+			for seed := uint64(60); seed < 64; seed++ {
+				n := randomNet(t, topology.DefaultConfig(), p, seed)
+				r := rng.New(seed)
+				for trial := 0; trial < 40; trial++ {
+					s, set := coveredSet(n, r)
+					if !set.some() {
+						continue
+					}
+					var cold string
+					for pass := 0; pass < 2; pass++ {
+						e := n.cache.part[partKey{sw: int32(s), fp: destFP(set)}]
+						hit := e != nil && !e.tied
+						parts, ok := n.partitionDownAdaptive(s, set)
+						if !ok {
+							t.Fatalf("switch %d: partition failed on healthy tables", s)
+						}
+						got := checkPartition(t, n, s, set, parts)
+						for _, ps := range parts {
+							n.putDset(ps.sub)
+						}
+						if pass == 0 {
+							cold = got
+						} else if hit {
+							hits++
+							if got != cold {
+								t.Fatalf("switch %d: cache hit %s, cold partition %s", s, got, cold)
+							}
+						}
+					}
+					n.putDset(set)
+				}
+			}
+			if hits == 0 {
+				t.Fatal("no partition was served from the route cache")
+			}
+		})
+	}
+}
+
+// coveredSet draws a random switch and a non-empty destination set it
+// covers, without the nodes attached to it (planTree delivers those
+// locally before partitioning). The set is unset when the switch covers
+// no remote node.
+func coveredSet(n *Network, r *rng.Source) (topology.SwitchID, dset) {
+	s := topology.SwitchID(r.Intn(n.topo.NumSwitches))
+	var cand []int
+	for _, v := range n.rt.Cover[s].Indices() {
+		if n.topo.NodeSwitch[v] != s {
+			cand = append(cand, v)
+		}
+	}
+	if len(cand) == 0 {
+		return s, dset{}
+	}
+	set := n.getDset()
+	for _, i := range r.Sample(len(cand), 1+r.Intn(len(cand))) {
+		set.add(cand[i])
+	}
+	return s, set
+}
+
+// checkPartition fails unless parts splits set exactly once across
+// distinct down ports of s within their reachability, and renders the
+// partition for comparison.
+func checkPartition(t *testing.T, n *Network, s topology.SwitchID, set dset, parts []portSet) string {
+	t.Helper()
+	seen := map[int]bool{}
+	ports := map[int]bool{}
+	out := ""
+	for _, ps := range parts {
+		if n.rt.Dirs[s][ps.port] != updown.DirDown || ports[ps.port] {
+			t.Fatalf("switch %d: branch through port %d is not a fresh down port", s, ps.port)
+		}
+		ports[ps.port] = true
+		if ps.sub.empty() || !ps.sub.subsetOfBits(n.rt.DownReach[s][ps.port]) {
+			t.Fatalf("switch %d: branch through port %d is empty or exceeds its reachability", s, ps.port)
+		}
+		for _, d := range ps.sub.indices() {
+			if seen[d] {
+				t.Fatalf("switch %d: destination %d assigned to two branches", s, d)
+			}
+			seen[d] = true
+		}
+		out += fmt.Sprintf("%d:%v ", ps.port, ps.sub.indices())
+	}
+	want := set.indices()
+	if len(seen) != len(want) {
+		t.Fatalf("switch %d: partition delivers %d destinations, want %d", s, len(seen), len(want))
+	}
+	for _, d := range want {
+		if !seen[d] {
+			t.Fatalf("switch %d: destination %d on no branch", s, d)
+		}
+	}
+	return out
 }

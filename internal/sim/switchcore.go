@@ -558,16 +558,18 @@ type portSet struct {
 }
 
 // partitionDownAdaptive splits a covered destination set across down
-// ports like updown.PartitionDown (greedy largest overlap, so copies stay
-// few), but breaks overlap ties with the arbitration RNG. Reachability
-// strings of parallel down paths overlap heavily in dense networks; a
-// deterministic tie-break would funnel every worm through the same ports,
-// while real switches are free to pick any covering port. The result is
-// an ordered slice — callers create branches in this order, and branch
-// order feeds arbitration, so it must not depend on map iteration. ok is
-// false when the down ports cannot cover the set — impossible under the
-// Covers precondition on healthy routing state, but reachable when a fault
-// invalidates the reachability strings mid-run.
+// ports, assigning every destination to exactly one branch inside its
+// port's DownReach. The greedy choice takes the largest overlap first,
+// so copies stay few, and breaks overlap ties with the arbitration RNG.
+// Reachability strings of parallel down paths overlap heavily in dense
+// networks; a deterministic tie-break would funnel every worm through
+// the same ports, while real switches are free to pick any covering
+// port. The result is an ordered slice — callers create branches in
+// this order, and branch order feeds arbitration, so it must not depend
+// on map iteration. ok is false when the down ports cannot cover the
+// set — impossible under the Covers precondition on healthy routing
+// state, but reachable when a fault invalidates the reachability
+// strings mid-run.
 func (n *Network) partitionDownAdaptive(s topology.SwitchID, set dset) ([]portSet, bool) {
 	c := &n.cache
 	c.sync(n.routingEpoch)

@@ -4,9 +4,10 @@
 // generates degree-d multicasts with exponential interarrival times and
 // latency is measured against effective applied load (§4.3).
 //
-// Run is the only entrypoint: a Workload plus functional options
-// selecting the mode and cross-cutting concerns (telemetry, tracing,
-// probe-granular checkpointing for resumable experiments).
+// Run is the entry point for every mode: a Workload plus functional
+// options selecting the mode and cross-cutting concerns (telemetry,
+// tracing). RunLoadOn runs one load point on a network the caller
+// assembled, for callers that inspect the network afterwards.
 package traffic
 
 import (
@@ -54,26 +55,15 @@ func destsFrom(r *rng.Source, numNodes, degree int, src topology.NodeID) []topol
 }
 
 // runSingle is single mode's implementation (Run's default mode). Each
-// probe runs on its own quiet network, so between probes the only live
-// state is the draw RNG and the collected latencies — exactly what
-// CellCheckpoint captures; WithResume re-enters the loop mid-cell with
-// the same per-probe seeds and draws as the uninterrupted run.
+// probe runs on its own quiet network whose seed derives from the probe
+// index alone.
 func runSingle(rt *updown.Routing, w Workload, probes int, o *runOpts) ([]float64, error) {
 	if probes <= 0 {
 		return nil, fmt.Errorf("traffic: non-positive probe count")
 	}
 	r := rng.New(w.Seed)
 	out := make([]float64, 0, probes)
-	start := 0
-	if o.resume != nil {
-		if o.resume.NextProbe < 0 || o.resume.NextProbe > probes {
-			return nil, fmt.Errorf("traffic: resume checkpoint at probe %d of %d", o.resume.NextProbe, probes)
-		}
-		start = o.resume.NextProbe
-		r.SetState(o.resume.RNG)
-		out = append(out, o.resume.Latencies...)
-	}
-	for i := start; i < probes; i++ {
+	for i := 0; i < probes; i++ {
 		src, dests := randomSet(r, rt.Topo.NumNodes, w.Degree)
 		plan, err := w.Scheme.Plan(rt, w.Params, src, dests, w.MsgFlits)
 		if err != nil {
@@ -95,13 +85,6 @@ func runSingle(rt *updown.Routing, w Workload, probes int, o *runOpts) ([]float6
 		}
 		n.FlushObs()
 		out = append(out, float64(m.Latency()))
-		if o.ckpt != nil {
-			o.ckpt(CellCheckpoint{
-				NextProbe: i + 1,
-				RNG:       r.State(),
-				Latencies: append([]float64(nil), out...),
-			})
-		}
 	}
 	return out, nil
 }
@@ -420,25 +403,4 @@ func postFaultProbe(n *sim.Network, r *rng.Source, w Workload, replan sim.Replan
 		pr.Post = float64(d.Latency())
 	}
 	return pr, true
-}
-
-// LoadSweep runs load mode across the given effective loads, stopping
-// early once a point saturates (the curve past saturation is off the
-// chart, as in the paper's figures). It always evaluates at least one
-// point.
-func LoadSweep(rt *updown.Routing, base LoadConfig, loads []float64) ([]LoadResult, error) {
-	var out []LoadResult
-	for _, l := range loads {
-		spec := base.LoadSpec
-		spec.EffectiveLoad = l
-		res, err := Run(rt, base.Workload, WithLoad(spec))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, *res.Load)
-		if res.Load.Saturated {
-			break
-		}
-	}
-	return out, nil
 }

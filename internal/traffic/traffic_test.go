@@ -115,51 +115,6 @@ func TestRunSingleDeterministic(t *testing.T) {
 	}
 }
 
-func TestRunSingleCheckpointResume(t *testing.T) {
-	// Resuming single mode from any probe-granular checkpoint must
-	// reproduce the uninterrupted run's latencies exactly.
-	rt := routed(t, 4)
-	w := Workload{Scheme: treeworm.New(), Params: sim.DefaultParams(),
-		Degree: 8, MsgFlits: 128, Seed: 17}
-	const probes = 6
-	full, err := runSingleLats(rt, w, probes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cps []CellCheckpoint
-	if _, err := Run(rt, w, WithProbes(probes),
-		WithCheckpoint(func(cp CellCheckpoint) { cps = append(cps, cp) })); err != nil {
-		t.Fatal(err)
-	}
-	if len(cps) != probes {
-		t.Fatalf("got %d checkpoints, want %d", len(cps), probes)
-	}
-	for _, cp := range cps {
-		res, err := Run(rt, w, WithProbes(probes), WithResume(cp))
-		if err != nil {
-			t.Fatalf("resume at probe %d: %v", cp.NextProbe, err)
-		}
-		if len(res.Latencies) != probes {
-			t.Fatalf("resume at probe %d: %d latencies", cp.NextProbe, len(res.Latencies))
-		}
-		for i := range full {
-			if res.Latencies[i] != full[i] {
-				t.Fatalf("resume at probe %d: latency %d diverged: %v vs %v",
-					cp.NextProbe, i, res.Latencies[i], full[i])
-			}
-		}
-	}
-	// Checkpoint options are single-mode only.
-	if _, err := Run(rt, w, WithLoad(LoadSpec{EffectiveLoad: 0.1, Measure: 1}),
-		WithCheckpoint(func(CellCheckpoint) {})); err == nil {
-		t.Fatal("WithCheckpoint accepted alongside WithLoad")
-	}
-	// A checkpoint past the probe count is rejected.
-	if _, err := Run(rt, w, WithProbes(2), WithResume(cps[probes-1])); err == nil {
-		t.Fatal("out-of-range resume accepted")
-	}
-}
-
 func TestSingleMulticastOrdering(t *testing.T) {
 	// At default parameters the paper's central single-multicast result:
 	// tree (one phase) < {NI-based, path-based} < binomial baseline.
@@ -239,32 +194,6 @@ func TestRunLoadLatencyIncreasesWithLoad(t *testing.T) {
 	}
 	if !rh.Saturated && rh.Latency.Mean <= rl.Latency.Mean {
 		t.Fatalf("latency did not increase with load: %v -> %v", rl.Latency.Mean, rh.Latency.Mean)
-	}
-}
-
-func TestLoadSweepStopsAtSaturation(t *testing.T) {
-	rt := routed(t, 8)
-	base := LoadConfig{
-		Workload: Workload{Scheme: binomial.New(), Params: sim.DefaultParams(),
-			Degree: 16, MsgFlits: 128, Seed: 14},
-		LoadSpec: LoadSpec{Warmup: 10000, Measure: 40000, Drain: 20000},
-	}
-	// The software baseline saturates early; the sweep must stop there.
-	loads := []float64{0.05, 0.15, 0.3, 0.5, 0.8, 1.2, 2.0, 3.0}
-	results, err := LoadSweep(rt, base, loads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) == 0 {
-		t.Fatal("no results")
-	}
-	for i, r := range results[:len(results)-1] {
-		if r.Saturated {
-			t.Fatalf("intermediate point %d saturated but sweep continued", i)
-		}
-	}
-	if len(results) == len(loads) && !results[len(results)-1].Saturated {
-		t.Log("baseline never saturated in this sweep (acceptable but unexpected)")
 	}
 }
 

@@ -79,18 +79,6 @@ type Result struct {
 	Churn []ChurnProbe
 }
 
-// CellCheckpoint is single mode's resume state, captured between two
-// probes. Each probe runs on its own quiet network, so the inter-probe
-// position is fully described by the next probe index, the draw RNG's
-// state, and the latencies collected so far; per-probe network seeds
-// derive from the probe index alone. Restarting a Run with WithResume
-// produces exactly the probes the uninterrupted run would have produced.
-type CellCheckpoint struct {
-	NextProbe int       `json:"next_probe"`
-	RNG       [4]uint64 `json:"rng"`
-	Latencies []float64 `json:"latencies"`
-}
-
 // runOpts is the collected option state for one Run.
 type runOpts struct {
 	probes int
@@ -100,8 +88,6 @@ type runOpts struct {
 	churn  *ChurnSpec
 	rec    *obs.Recorder
 	trace  func(sim.TraceEvent)
-	ckpt   func(CellCheckpoint)
-	resume *CellCheckpoint
 }
 
 // Option configures a Run.
@@ -153,22 +139,6 @@ func WithTrace(fn func(sim.TraceEvent)) Option {
 	return func(o *runOpts) { o.trace = fn }
 }
 
-// WithCheckpoint installs fn as single mode's probe-granular checkpoint
-// sink: after every completed probe, fn receives the CellCheckpoint that
-// resumes the run from the next probe. The snapshot owns its Latencies
-// slice, so fn may retain it. Only single mode checkpoints (the other
-// modes run one long-lived network per cell and are resumed at cell
-// granularity); selecting it together with another mode is an error.
-func WithCheckpoint(fn func(CellCheckpoint)) Option {
-	return func(o *runOpts) { o.ckpt = fn }
-}
-
-// WithResume starts single mode from a CellCheckpoint previously handed
-// to a WithCheckpoint sink, skipping the probes it already covers.
-func WithResume(cp CellCheckpoint) Option {
-	return func(o *runOpts) { o.resume = &cp }
-}
-
 // simOpts translates the run options into network assembly options.
 func (o *runOpts) simOpts() []sim.Option {
 	var opts []sim.Option
@@ -184,10 +154,10 @@ func (o *runOpts) simOpts() []sim.Option {
 // Run is the unified traffic entrypoint: one workload, one mode picked
 // by options (single-probe latency by default; WithLoad, WithMixed and
 // WithFaults select the open-loop, background-unicast and fault modes),
-// plus cross-cutting options (WithObs, WithTrace, WithCheckpoint) that
-// apply to every network the run creates. Seed derivations are
-// identical to the retired per-mode entrypoints, so results are
-// bit-for-bit the same as tables produced before the consolidation.
+// plus cross-cutting options (WithObs, WithTrace) that apply to every
+// network the run creates. Seed derivations are identical to the
+// retired per-mode entrypoints, so results are bit-for-bit the same as
+// tables produced before the consolidation.
 func Run(rt *updown.Routing, w Workload, opts ...Option) (Result, error) {
 	var o runOpts
 	for _, f := range opts {
@@ -201,9 +171,6 @@ func Run(rt *updown.Routing, w Workload, opts ...Option) (Result, error) {
 	}
 	if modes > 1 {
 		return Result{}, fmt.Errorf("traffic: WithLoad, WithMixed, WithFaults and WithChurn are mutually exclusive")
-	}
-	if (o.ckpt != nil || o.resume != nil) && modes > 0 {
-		return Result{}, fmt.Errorf("traffic: WithCheckpoint and WithResume apply only to single mode")
 	}
 	switch {
 	case o.load != nil:

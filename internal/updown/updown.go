@@ -736,45 +736,3 @@ func (r *Routing) DownPorts(s topology.SwitchID) []int {
 func (r *Routing) Covers(s topology.SwitchID, set *bitset.Set) bool {
 	return set.SubsetOf(r.Cover[s])
 }
-
-// PartitionDown splits a destination set at covering switch s into
-// (localNodes, perPort) where localNodes are destinations attached to s and
-// perPort maps down-port -> the subset of destinations that branch will
-// carry. Every destination is assigned to exactly one branch; ports with
-// larger overlaps are preferred so the branch count is small (greedy set
-// cover). Covers(s, set) must be true.
-func (r *Routing) PartitionDown(s topology.SwitchID, set *bitset.Set) (local []topology.NodeID, perPort map[int]*bitset.Set) {
-	remaining := set.Clone()
-	for _, n := range r.nodesBySwitch[s] {
-		if remaining.Contains(int(n)) {
-			local = append(local, n)
-			remaining.Remove(int(n))
-		}
-	}
-	perPort = make(map[int]*bitset.Set)
-	downs := r.DownPorts(s)
-	for !remaining.Empty() {
-		best, bestCount := -1, 0
-		for _, p := range downs {
-			if _, used := perPort[p]; used {
-				continue
-			}
-			// AndCount, not And().Count(): the greedy loop runs ports ×
-			// rounds times per switch, and a materialized intersection is
-			// a universe-sized allocation each — gigabytes of garbage per
-			// tree plan at the 1M-host tiers.
-			c := bitset.AndCount(remaining, r.DownReach[s][p])
-			if c > bestCount {
-				best, bestCount = p, c
-			}
-		}
-		if best == -1 {
-			// Caller violated the Covers precondition.
-			panic(fmt.Sprintf("updown: PartitionDown at switch %d cannot cover %v", s, remaining.Indices()))
-		}
-		sub := bitset.And(remaining, r.DownReach[s][best])
-		perPort[best] = sub
-		remaining.DifferenceWith(sub)
-	}
-	return local, perPort
-}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"mcastsim/internal/bitset"
-	"mcastsim/internal/rng"
 	"mcastsim/internal/topology"
 )
 
@@ -325,66 +324,6 @@ func TestDistDownConsistentWithReach(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestPartitionDownCoversExactlyOnce(t *testing.T) {
-	for _, r := range family(t, topology.DefaultConfig(), 10, 52) {
-		topo := r.Topo
-		src := rng.New(99)
-		for trial := 0; trial < 20; trial++ {
-			k := 1 + src.Intn(topo.NumNodes-1)
-			dests := bitset.FromIndices(topo.NumNodes, src.Sample(topo.NumNodes, k))
-			// Partition at the root, which always covers.
-			local, perPort := r.PartitionDown(r.Root, dests)
-			got := bitset.New(topo.NumNodes)
-			for _, n := range local {
-				if got.Contains(int(n)) {
-					t.Fatal("local destination duplicated")
-				}
-				got.Add(int(n))
-			}
-			for p, sub := range perPort {
-				if !sub.SubsetOf(r.DownReach[r.Root][p]) {
-					t.Fatalf("branch through port %d exceeds its reachability", p)
-				}
-				sub.ForEach(func(i int) bool {
-					if got.Contains(i) {
-						t.Fatalf("destination %d assigned to two branches", i)
-					}
-					got.Add(i)
-					return true
-				})
-			}
-			if !got.Equal(dests) {
-				t.Fatalf("partition delivers %v, want %v", got.Indices(), dests.Indices())
-			}
-		}
-	}
-}
-
-func TestPartitionDownPanicsWithoutCover(t *testing.T) {
-	_, r := fixture(t)
-	// Find a leaf-ish switch that does not cover everything.
-	var s topology.SwitchID = -1
-	for cand := 0; cand < r.Topo.NumSwitches; cand++ {
-		if r.Cover[cand].Count() < r.Topo.NumNodes {
-			s = topology.SwitchID(cand)
-			break
-		}
-	}
-	if s == -1 {
-		t.Skip("every switch covers everything in fixture")
-	}
-	all := bitset.New(r.Topo.NumNodes)
-	for i := 0; i < r.Topo.NumNodes; i++ {
-		all.Add(i)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PartitionDown without cover did not panic")
-		}
-	}()
-	r.PartitionDown(s, all)
 }
 
 func TestUpPortsParentFirst(t *testing.T) {

@@ -1,8 +1,8 @@
 // Package wire implements the byte-level header encodings the paper
-// describes, so the architectural cost comparison (§3.3) rests on real
-// bytes rather than arithmetic, and so the simulator's header-length
-// model (internal/sim/worm.go) is cross-checked against an actual codec
-// (its tests assert len(Encode*) == sim.*HeaderFlits; a flit is one byte).
+// describes. The simulator's header-length model (internal/sim/worm.go)
+// sizes every header, the §3.3 arch comparison included; this codec is
+// what that model is cross-checked against (its tests assert
+// len(Encode*) == sim.*HeaderFlits; a flit is one byte).
 //
 // Formats (first byte is the worm tag, as in the paper's Figure 5(b)):
 //
