@@ -84,7 +84,7 @@ func report(w io.Writer, topo *topology.Topology, rt *updown.Routing) {
 			case topology.ToSwitch:
 				fmt.Fprintf(w, "  port %d -> switch %d [%s]", p, e.Switch, rt.Dirs[s][p])
 				if rt.Dirs[s][p] == updown.DirDown {
-					fmt.Fprintf(w, " reach=%s", rt.DownReach[s][p])
+					fmt.Fprintf(w, " reach=%s", rt.DownReach(sw, p))
 				}
 				fmt.Fprintln(w)
 			case topology.ToNode:

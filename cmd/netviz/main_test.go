@@ -2,12 +2,21 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
 	"strings"
 	"testing"
 
 	"mcastsim/internal/rng"
 	"mcastsim/internal/topology"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite the golden routing report")
+
+// routingGolden is the fixture's full -routing report: levels, parents,
+// orientations, every down port's 0/1 reachability string and each
+// switch's cover count.
+const routingGolden = "testdata/routing_report.txt"
 
 // fixtureText renders an 8-switch generated topology in interchange format.
 func fixtureText(t *testing.T) string {
@@ -39,21 +48,29 @@ func TestDOTExport(t *testing.T) {
 	}
 }
 
-// TestRoutingReport smokes the -routing report: it must mention every
-// switch and carry the up*/down* header.
+// TestRoutingReport compares the fixture's -routing report byte for byte
+// against testdata/routing_report.txt.
 func TestRoutingReport(t *testing.T) {
 	var out, errb bytes.Buffer
 	if err := run([]string{"-routing"}, strings.NewReader(fixtureText(t)), &out, &errb); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	rep := out.String()
-	if !strings.Contains(rep, "up*/down* routing report: 8 switches, 32 nodes") {
-		t.Fatalf("unexpected report header:\n%s", rep)
-	}
-	for i := 0; i < 8; i++ {
-		if !strings.Contains(rep, "switch "+string(rune('0'+i))+" (level ") {
-			t.Fatalf("report missing switch %d:\n%s", i, rep)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
 		}
+		if err := os.WriteFile(routingGolden, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(routingGolden)
+	if err != nil {
+		t.Fatalf("golden report missing (run with -update): %v", err)
+	}
+	if rep != string(want) {
+		t.Fatalf("routing report diverged from %s:\n%s\nwant:\n%s", routingGolden, rep, want)
 	}
 }
 

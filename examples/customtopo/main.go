@@ -52,7 +52,7 @@ func main() {
 	fmt.Println("\nreachability strings at the root's down ports:")
 	for _, p := range rt.DownPorts(rt.Root) {
 		fmt.Printf("  port %d -> switch %d: %s\n",
-			p, topo.Conn[rt.Root][p].Switch, rt.DownReach[rt.Root][p])
+			p, topo.Conn[rt.Root][p].Switch, rt.DownReach(rt.Root, p))
 	}
 
 	// Multicast node 0 -> everyone else under each scheme.

@@ -5,8 +5,11 @@
 // (bit i set means node i is a destination), and every switch holds one
 // "reachability string" per down output port describing the nodes legally
 // reachable through it. Routing a tree worm is the AND of header and
-// reachability strings (paper §3.2.3), so this package is on the
-// simulator's hot path and avoids allocation in the common operations.
+// reachability strings (paper §3.2.3). The simulator keeps the switch
+// side run-coded (destset.Runs) and ANDs a flat header against it one
+// word range at a time (AnyInRange, CountRange, CopyRange), so this
+// package is on the hot path and avoids allocation in the common
+// operations.
 package bitset
 
 import (
@@ -135,47 +138,11 @@ func (s *Set) DifferenceWith(o *Set) {
 	}
 }
 
-// Intersects reports whether s and o share any set bit. This is the
-// header-vs-reachability test a tree-worm switch performs per down port,
-// so it allocates nothing.
-func (s *Set) Intersects(o *Set) bool {
-	s.sameLen(o)
-	for i, w := range o.words {
-		if s.words[i]&w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // And returns a new set s & o.
 func And(s, o *Set) *Set {
 	c := s.Clone()
 	c.IntersectWith(o)
 	return c
-}
-
-// AndCount returns Count(s & o) without materializing the intersection.
-// This is the greedy down-partition's inner loop ("how many remaining
-// destinations does this port's reachability string cover?"), so it must
-// not allocate.
-func AndCount(s, o *Set) int {
-	s.sameLen(o)
-	c := 0
-	for i, w := range s.words {
-		c += bits.OnesCount64(w & o.words[i])
-	}
-	return c
-}
-
-// AndInto sets dst = s & o in place, allocating nothing. dst may alias s
-// or o.
-func AndInto(dst, s, o *Set) {
-	dst.sameLen(s)
-	s.sameLen(o)
-	for i, w := range s.words {
-		dst.words[i] = w & o.words[i]
-	}
 }
 
 // AndNot returns a new set s &^ o (the elements of s not in o) — the
@@ -222,17 +189,6 @@ func (s *Set) Hash() uint64 {
 		h *= prime64
 	}
 	return h
-}
-
-// SubsetOf reports whether every bit of s is also in o.
-func (s *Set) SubsetOf(o *Set) bool {
-	s.sameLen(o)
-	for i, w := range s.words {
-		if w&^o.words[i] != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Equal reports whether s and o contain exactly the same bits.
@@ -320,7 +276,8 @@ func rangeWords(lo, hi int) (wLo, wHi int, mLo, mHi uint64) {
 }
 
 // AnyInRange reports whether any bit in [lo, hi] is set, allocating
-// nothing. It is the interval backend's Intersects primitive.
+// nothing. A flat destination set is tested against a run-coded
+// reachability string with it, one run or gap at a time.
 func (s *Set) AnyInRange(lo, hi int) bool {
 	if lo > hi {
 		return false
@@ -362,76 +319,25 @@ func (s *Set) AddRange(lo, hi int) {
 	}
 }
 
-// AllInRange reports whether every bit in [lo, hi] is set, allocating
-// nothing. It is the interval backend's SubsetOf primitive: a run-coded
-// set is a subset of s exactly when each of its runs passes this test,
-// which costs O(run span / 64) words instead of a full-universe scan.
-func (s *Set) AllInRange(lo, hi int) bool {
+// CopyRange sets s's bits in [lo, hi] to o's, allocating nothing. On a
+// cleared s, copying each run of a run-coded reachability string
+// intersects o with it.
+func (s *Set) CopyRange(o *Set, lo, hi int) {
 	if lo > hi {
-		return true
+		return
 	}
+	s.sameLen(o)
 	s.check(lo)
 	s.check(hi)
 	wLo, wHi, mLo, mHi := rangeWords(lo, hi)
 	if wLo == wHi {
 		m := mLo & mHi
-		return s.words[wLo]&m == m
-	}
-	if s.words[wLo]&mLo != mLo || s.words[wHi]&mHi != mHi {
-		return false
-	}
-	for wi := wLo + 1; wi < wHi; wi++ {
-		if s.words[wi] != ^uint64(0) {
-			return false
-		}
-	}
-	return true
-}
-
-// ForEachRunInRange calls fn for every maximal run of consecutive set
-// bits within the window [lo, hi] (runs are clipped to the window), in
-// ascending order; fn returning false stops early. It is the interval
-// backend's AndInto primitive: intersecting a run-coded set with a bit
-// string walks each run's window instead of the whole universe.
-func (s *Set) ForEachRunInRange(lo, hi int, fn func(lo, hi int) bool) {
-	if lo > hi {
+		s.words[wLo] = s.words[wLo]&^m | o.words[wLo]&m
 		return
 	}
-	s.check(lo)
-	s.check(hi)
-	wLo, wHi, mLo, mHi := rangeWords(lo, hi)
-	runStart, runEnd := -1, -1
-	for wi := wLo; wi <= wHi; wi++ {
-		w := s.words[wi]
-		if wi == wLo {
-			w &= mLo
-		}
-		if wi == wHi {
-			w &= mHi
-		}
-		base := wi * wordBits
-		for w != 0 {
-			start := bits.TrailingZeros64(w)
-			length := bits.TrailingZeros64(^(w >> uint(start)))
-			rLo, rHi := base+start, base+start+length-1
-			if runStart >= 0 && rLo == runEnd+1 {
-				runEnd = rHi
-			} else {
-				if runStart >= 0 && !fn(runStart, runEnd) {
-					return
-				}
-				runStart, runEnd = rLo, rHi
-			}
-			if start+length >= wordBits {
-				w = 0
-			} else {
-				w &^= ((1 << uint(length)) - 1) << uint(start)
-			}
-		}
-	}
-	if runStart >= 0 {
-		fn(runStart, runEnd)
-	}
+	s.words[wLo] = s.words[wLo]&^mLo | o.words[wLo]&mLo
+	s.words[wHi] = s.words[wHi]&^mHi | o.words[wHi]&mHi
+	copy(s.words[wLo+1:wHi], o.words[wLo+1:wHi])
 }
 
 // RunCount returns the number of maximal runs of consecutive set bits,
@@ -450,7 +356,8 @@ func (s *Set) RunCount() int {
 }
 
 // CountRange returns the number of set bits in [lo, hi], allocating
-// nothing. It is the interval backend's AndCount primitive.
+// nothing. Summed over a run-coded reachability string's runs, it is the
+// flat destination set's and-count.
 func (s *Set) CountRange(lo, hi int) int {
 	if lo > hi {
 		return 0

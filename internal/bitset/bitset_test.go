@@ -85,6 +85,52 @@ func TestSetAlgebra(t *testing.T) {
 	}
 }
 
+// The planner reads a flat destination set a against a run-coded
+// reachability string one run or gap of it at a time. These references
+// compose the range primitives over the runs of b the same way
+// destset.Runs' bits x runs reads do, for checking against And/AndNot.
+
+func runsOf(b *Set) [][2]int {
+	var out [][2]int
+	b.ForEachRun(func(lo, hi int) bool { out = append(out, [2]int{lo, hi}); return true })
+	return out
+}
+
+func intersectsRuns(a, b *Set) bool {
+	for _, r := range runsOf(b) {
+		if a.AnyInRange(r[0], r[1]) {
+			return true
+		}
+	}
+	return false
+}
+
+func subsetOfRuns(a, b *Set) bool {
+	next := 0
+	for _, r := range runsOf(b) {
+		if a.AnyInRange(next, r[0]-1) {
+			return false
+		}
+		next = r[1] + 1
+	}
+	return !a.AnyInRange(next, a.Len()-1)
+}
+
+func andCountRuns(a, b *Set) int {
+	c := 0
+	for _, r := range runsOf(b) {
+		c += a.CountRange(r[0], r[1])
+	}
+	return c
+}
+
+func andIntoRuns(dst, a, b *Set) {
+	dst.Clear()
+	for _, r := range runsOf(b) {
+		dst.CopyRange(a, r[0], r[1])
+	}
+}
+
 func TestIntersectsMatchesAnd(t *testing.T) {
 	r := rng.New(1)
 	for trial := 0; trial < 200; trial++ {
@@ -98,8 +144,8 @@ func TestIntersectsMatchesAnd(t *testing.T) {
 				b.Add(i)
 			}
 		}
-		if a.Intersects(b) != !And(a, b).Empty() {
-			t.Fatalf("Intersects disagrees with And on n=%d", n)
+		if intersectsRuns(a, b) != !And(a, b).Empty() {
+			t.Fatalf("AnyInRange over runs disagrees with And on n=%d", n)
 		}
 	}
 }
@@ -107,18 +153,31 @@ func TestIntersectsMatchesAnd(t *testing.T) {
 func TestSubsetOf(t *testing.T) {
 	a := FromIndices(70, []int{3, 66})
 	b := FromIndices(70, []int{3, 10, 66})
-	if !a.SubsetOf(b) {
+	if !subsetOfRuns(a, b) {
 		t.Fatal("a should be subset of b")
 	}
-	if b.SubsetOf(a) {
+	if subsetOfRuns(b, a) {
 		t.Fatal("b should not be subset of a")
 	}
-	if !a.SubsetOf(a) {
+	if !subsetOfRuns(a, a) {
 		t.Fatal("a should be subset of itself")
 	}
 	empty := New(70)
-	if !empty.SubsetOf(a) {
+	if !subsetOfRuns(empty, a) {
 		t.Fatal("empty should be subset of anything")
+	}
+	if subsetOfRuns(a, empty) {
+		t.Fatal("a should not be subset of the empty set")
+	}
+	r := rng.New(5)
+	for trial := 0; trial < 300; trial++ {
+		a, b := randomPair(r)
+		if r.Intn(2) == 0 {
+			a.IntersectWith(b) // make subsets common
+		}
+		if got, want := subsetOfRuns(a, b), AndNot(a, b).Empty(); got != want {
+			t.Fatalf("subset over gaps = %v, AndNot empty = %v (n=%d)", got, want, a.Len())
+		}
 	}
 }
 
@@ -233,8 +292,8 @@ func TestDeMorgan(t *testing.T) {
 	}
 }
 
-// randomPair builds two random same-universe sets for the AndCount /
-// AndInto property tests.
+// randomPair builds two random same-universe sets for the and-count and
+// and-into property tests.
 func randomPair(r *rng.Source) (*Set, *Set) {
 	n := 1 + r.Intn(300)
 	a, b := New(n), New(n)
@@ -253,8 +312,8 @@ func TestAndCountMatchesAnd(t *testing.T) {
 	r := rng.New(2)
 	for trial := 0; trial < 300; trial++ {
 		a, b := randomPair(r)
-		if got, want := AndCount(a, b), And(a, b).Count(); got != want {
-			t.Fatalf("AndCount = %d, And().Count() = %d (n=%d)", got, want, a.Len())
+		if got, want := andCountRuns(a, b), And(a, b).Count(); got != want {
+			t.Fatalf("CountRange over runs = %d, And().Count() = %d (n=%d)", got, want, a.Len())
 		}
 	}
 }
@@ -264,37 +323,18 @@ func TestAndIntoMatchesAnd(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		a, b := randomPair(r)
 		dst := New(a.Len())
-		AndInto(dst, a, b)
+		dst.AddRange(0, a.Len()-1) // CopyRange must overwrite, not OR
+		andIntoRuns(dst, a, b)
 		if want := And(a, b); !dst.Equal(want) {
-			t.Fatalf("AndInto = %v, want %v", dst, want)
+			t.Fatalf("CopyRange over runs = %v, want %v", dst, want)
 		}
-	}
-}
-
-func TestAndIntoAliasing(t *testing.T) {
-	a := FromIndices(130, []int{0, 5, 64, 129})
-	b := FromIndices(130, []int{5, 64, 100})
-	want := And(a, b)
-	// dst aliases the first operand.
-	x := a.Clone()
-	AndInto(x, x, b)
-	if !x.Equal(want) {
-		t.Fatalf("AndInto(x, x, b) = %v, want %v", x, want)
-	}
-	// dst aliases the second operand.
-	y := b.Clone()
-	AndInto(y, a, y)
-	if !y.Equal(want) {
-		t.Fatalf("AndInto(y, a, y) = %v, want %v", y, want)
 	}
 }
 
 func TestAndPrimitivesMismatchPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"AndCount":    func() { AndCount(New(10), New(11)) },
-		"AndInto-src": func() { AndInto(New(10), New(10), New(11)) },
-		"AndInto-dst": func() { AndInto(New(11), New(10), New(10)) },
-		"CopyFrom":    func() { New(10).CopyFrom(New(11)) },
+		"CopyRange": func() { New(10).CopyRange(New(11), 0, 5) },
+		"CopyFrom":  func() { New(10).CopyFrom(New(11)) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
@@ -309,13 +349,19 @@ func TestAndPrimitivesMismatchPanics(t *testing.T) {
 
 func TestAndPrimitivesZeroAlloc(t *testing.T) {
 	a := FromIndices(512, []int{1, 100, 511})
-	b := FromIndices(512, []int{100, 200})
 	dst := New(512)
+	sink := 0
 	if avg := testing.AllocsPerRun(100, func() {
-		_ = AndCount(a, b)
-		AndInto(dst, a, b)
+		if a.AnyInRange(60, 300) {
+			sink++
+		}
+		sink += a.CountRange(60, 300)
+		dst.CopyRange(a, 60, 300)
 	}); avg != 0 {
-		t.Fatalf("AndCount/AndInto allocate %v per run, want 0", avg)
+		t.Fatalf("AnyInRange/CountRange/CopyRange allocate %v per run, want 0", avg)
+	}
+	if sink == 1<<62 {
+		t.Log(sink)
 	}
 }
 
@@ -350,15 +396,6 @@ func TestHash(t *testing.T) {
 	b := FromIndices(128, []int{0, 65})
 	if a.Hash() == b.Hash() {
 		t.Fatal("adjacent one-bit sets collide")
-	}
-}
-
-func BenchmarkIntersects(b *testing.B) {
-	x := FromIndices(1024, []int{1000})
-	y := FromIndices(1024, []int{3})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = x.Intersects(y)
 	}
 }
 

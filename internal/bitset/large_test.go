@@ -4,9 +4,11 @@ import (
 	"testing"
 )
 
-// The run-iteration primitives became the sparse hot path in PR 9: at
-// the XL tier every destination-set operation is O(runs), and the runs
-// are produced by ForEachRun/ForEachRunInRange over >=1M-bit universes.
+// The run-iteration and range primitives are the sparse hot path: at the
+// XL tier every destination-set operation is O(runs), the runs are
+// produced by ForEachRun over >=1M-bit universes, and flat sets are read
+// against run-coded reachability strings with AnyInRange, CountRange and
+// CopyRange.
 // These tests drive the word-scan machinery with adversarial patterns —
 // single-bit runs, full-universe runs, alternating words, runs straddling
 // word boundaries — at that scale, cross-check it against a naive
@@ -138,10 +140,12 @@ func head(r [][2]int) [][2]int {
 	return r
 }
 
-// TestForEachRunInRangeMillionBit clips every pattern against windows
-// chosen to straddle word boundaries, split runs, and cover degenerate
-// single-bit ranges, comparing against the clipped per-bit reference.
-func TestForEachRunInRangeMillionBit(t *testing.T) {
+// TestCopyRangeMillionBit copies every pattern's window into a set
+// holding a different pattern, over windows chosen to straddle word
+// boundaries, split runs, and cover degenerate single-bit ranges: inside
+// the window the result must match the source bit for bit, outside it
+// the destination must be untouched.
+func TestCopyRangeMillionBit(t *testing.T) {
 	windows := [][2]int{
 		{0, largeN - 1},           // full universe
 		{63, 64},                  // word boundary pair
@@ -151,51 +155,41 @@ func TestForEachRunInRangeMillionBit(t *testing.T) {
 		{8190, 8195},              // splits a long-runs gap edge
 		{largeN - 41, largeN - 1}, // final partial word
 	}
-	for name, s := range largePatterns(largeN) {
+	pats := largePatterns(largeN)
+	for name, s := range pats {
 		for _, w := range windows {
-			var got [][2]int
-			s.ForEachRunInRange(w[0], w[1], func(lo, hi int) bool {
-				got = append(got, [2]int{lo, hi})
-				return true
-			})
-			var ref [][2]int
-			inRun, lo := false, 0
+			dst := pats["alternating"].Clone()
+			dst.CopyRange(s, w[0], w[1])
+			want := pats["alternating"].Clone()
 			for i := w[0]; i <= w[1]; i++ {
 				if s.Contains(i) {
-					if !inRun {
-						inRun, lo = true, i
-					}
-				} else if inRun {
-					ref = append(ref, [2]int{lo, i - 1})
-					inRun = false
+					want.Add(i)
+				} else {
+					want.Remove(i)
 				}
 			}
-			if inRun {
-				ref = append(ref, [2]int{lo, w[1]})
-			}
-			if !runsEqual(got, ref) {
-				t.Errorf("%s window %v: got %v..., want %v...", name, w, head(got), head(ref))
+			if !dst.Equal(want) {
+				t.Errorf("%s window %v: CopyRange diverged (%d bits set, want %d)", name, w, dst.Count(), want.Count())
 			}
 		}
 	}
 }
 
-// TestRangePredicatesMillionBit pins AddRange/AllInRange/AnyInRange
+// TestRangePredicatesMillionBit pins AddRange/AnyInRange/CountRange
 // against per-bit equivalents at scale (the hostLo/hostHi local-delivery
-// gate is built on exactly these).
+// gate and the flat set's reachability reads are built on these).
 func TestRangePredicatesMillionBit(t *testing.T) {
 	for name, s := range largePatterns(largeN) {
 		for _, w := range [][2]int{{0, largeN - 1}, {63, 64}, {500, 500}, {8191, 9300}, {largeN - 40, largeN - 1}} {
-			wantAll, wantAny := true, false
+			wantCount := 0
 			for i := w[0]; i <= w[1]; i++ {
 				if s.Contains(i) {
-					wantAny = true
-				} else {
-					wantAll = false
+					wantCount++
 				}
 			}
-			if got := s.AllInRange(w[0], w[1]); got != wantAll {
-				t.Errorf("%s: AllInRange%v = %v, want %v", name, w, got, wantAll)
+			wantAny := wantCount > 0
+			if got := s.CountRange(w[0], w[1]); got != wantCount {
+				t.Errorf("%s: CountRange%v = %v, want %v", name, w, got, wantCount)
 			}
 			if got := s.AnyInRange(w[0], w[1]); got != wantAny {
 				t.Errorf("%s: AnyInRange%v = %v, want %v", name, w, got, wantAny)
@@ -218,6 +212,7 @@ func TestRangePredicatesMillionBit(t *testing.T) {
 // per branch, so a single allocation here multiplies by the tree size.
 func TestRunIterationZeroAlloc(t *testing.T) {
 	pats := largePatterns(largeN)
+	dst := New(largeN)
 	sink := 0
 	for name, s := range pats {
 		s := s
@@ -225,13 +220,10 @@ func TestRunIterationZeroAlloc(t *testing.T) {
 			"ForEachRun": func() {
 				s.ForEachRun(func(lo, hi int) bool { sink += hi - lo; return true })
 			},
-			"ForEachRunInRange": func() {
-				s.ForEachRunInRange(1, largeN-2, func(lo, hi int) bool { sink += hi - lo; return true })
-			},
 			"RunCount":   func() { sink += s.RunCount() },
 			"AnyInRange": func() { sink += boolInt(s.AnyInRange(63, 1<<19)) },
-			"AllInRange": func() { sink += boolInt(s.AllInRange(63, 1<<19)) },
 			"CountRange": func() { sink += s.CountRange(63, 1<<19) },
+			"CopyRange":  func() { dst.CopyRange(s, 63, 1<<19) },
 		} {
 			if allocs := testing.AllocsPerRun(2, f); allocs != 0 {
 				t.Errorf("%s on %s: %v allocs/op, want 0", probe, name, allocs)

@@ -16,7 +16,8 @@
 // coincide and rack-local groups collapse to single runs.
 //
 // Two forms carry the coding. Runs is the simulator's mutable run-list
-// set, the in-memory form of destination sets on large networks.
+// set: the in-memory form of every switch's up*/down* reachability
+// strings, and of destination sets on large networks.
 // IvalBytesOf, AppendIvalEncoded and DecodeIvalInto work on a
 // *bitset.Set directly, so the flat hot path sizes, encodes and decodes
 // interval headers without building a Runs and without allocating. Both

@@ -2,6 +2,7 @@ package destset
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -9,14 +10,104 @@ import (
 	"mcastsim/internal/bitset"
 )
 
+// checkReads holds the planner's reachability reads to a flat reference:
+// v (members vb) is the destination set and o (members ob) the
+// reachability string. It covers the runs x runs forms, the bits x runs
+// forms with vb as the flat destination set, UnionWith and String.
+func checkReads(t *testing.T, label string, v *Runs, vb *bitset.Set, o *Runs, ob *bitset.Set) {
+	t.Helper()
+	and := bitset.And(vb, ob)
+	inter, subset, count := !and.Empty(), bitset.AndNot(vb, ob).Empty(), and.Count()
+	if got := v.Intersects(o); got != inter {
+		t.Fatalf("%s: Intersects %v, want %v", label, got, inter)
+	}
+	if got := o.IntersectsBits(vb); got != inter {
+		t.Fatalf("%s: IntersectsBits %v, want %v", label, got, inter)
+	}
+	if got := v.SubsetOf(o); got != subset {
+		t.Fatalf("%s: SubsetOf %v, want %v", label, got, subset)
+	}
+	if got := o.CoversBits(vb); got != subset {
+		t.Fatalf("%s: CoversBits %v, want %v", label, got, subset)
+	}
+	if got := v.AndCount(o); got != count {
+		t.Fatalf("%s: AndCount %d, want %d", label, got, count)
+	}
+	if got := o.AndCountBits(vb); got != count {
+		t.Fatalf("%s: AndCountBits %d, want %d", label, got, count)
+	}
+	full := bitset.New(vb.Len())
+	full.AddRange(0, vb.Len()-1)
+	dst := runsOf(full) // IntersectInto must overwrite
+	v.IntersectInto(dst, o)
+	if !dst.EqualBits(and) || dst.Count() != count {
+		t.Fatalf("%s: IntersectInto %v, want %v", label, dst.Indices(), and.Indices())
+	}
+	dstBits := full.Clone() // IntersectBitsInto must overwrite
+	o.IntersectBitsInto(dstBits, vb)
+	if !dstBits.Equal(and) {
+		t.Fatalf("%s: IntersectBitsInto %v, want %v", label, dstBits.Indices(), and.Indices())
+	}
+	union := vb.Clone()
+	union.UnionWith(ob)
+	u := NewRuns(v.Universe())
+	u.CopyFrom(v)
+	u.UnionWith(o)
+	if !u.EqualBits(union) || u.Count() != union.Count() {
+		t.Fatalf("%s: UnionWith %v, want %v", label, u.Indices(), union.Indices())
+	}
+	if v.String() != vb.String() {
+		t.Fatalf("%s: String %q, bitset renders %q", label, v.String(), vb.String())
+	}
+}
+
+// edgeSets returns hand-picked sets over an n-bit universe (n > 130):
+// empty and full, runs that touch 0 or n-1, and runs that straddle, end
+// exactly on, or end one past a word boundary.
+func edgeSets(n int) map[string]*bitset.Set {
+	out := map[string]*bitset.Set{}
+	for name, runs := range map[string][][2]int{
+		"empty":     nil,
+		"full":      {{0, n - 1}},
+		"first":     {{0, 0}},
+		"last":      {{n - 1, n - 1}},
+		"ends":      {{0, 5}, {n - 3, n - 1}},
+		"straddle":  {{63, 64}, {120, 130}},
+		"word":      {{64, 127}},
+		"word+1":    {{64, 128}},
+		"word-ends": {{0, 63}, {128, n - 1}},
+	} {
+		s := bitset.New(n)
+		for _, r := range runs {
+			s.AddRange(r[0], r[1])
+		}
+		out[name] = s
+	}
+	return out
+}
+
+func runsOf(s *bitset.Set) *Runs {
+	v := NewRuns(s.Len())
+	v.CopyFromBits(s)
+	return v
+}
+
 // TestPropertyRunsMatchBitset drives a Runs and a bitset oracle through
 // identical random Add/Remove sequences over random universes and
 // requires every observation to agree: Contains, Count, Indices, the
-// bitset-mask reads, HeaderBytes against the encoded length, the bitset
-// helpers (IvalBytesOf, AppendIvalEncoded) against the Runs encoding, the
-// decode round trip, and CopyFromBits against a set built one Add at a
-// time, fingerprint included.
+// planner's reachability reads against a second random set, HeaderBytes
+// against the encoded length, the bitset helpers (IvalBytesOf,
+// AppendIvalEncoded) against the Runs encoding, the decode round trip,
+// and CopyFromBits against a set built one Add at a time, fingerprint
+// included. The reads are checked first on every pair of hand-picked
+// edge sets.
 func TestPropertyRunsMatchBitset(t *testing.T) {
+	edges := edgeSets(193)
+	for an, a := range edges {
+		for bn, b := range edges {
+			checkReads(t, an+"/"+bn, runsOf(a), a, runsOf(b), b)
+		}
+	}
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		universe := 1 + r.Intn(700)
@@ -49,17 +140,20 @@ func TestPropertyRunsMatchBitset(t *testing.T) {
 			t.Fatalf("trial %d: Indices disagree:\nruns %v\nref  %v", trial, v.Indices(), ref.Indices())
 		}
 
-		// IntersectsBits/AndCountBits against a random mask.
+		// The reads against a random reachability-like set: a few ranges
+		// plus scattered bits, or a superset of v.
 		mask := bitset.New(universe)
-		for j := 0; j < universe/3+1; j++ {
+		for j := r.Intn(4); j > 0; j-- {
+			lo := r.Intn(universe)
+			mask.AddRange(lo, lo+r.Intn(universe-lo))
+		}
+		for j := r.Intn(universe/8 + 1); j > 0; j-- {
 			mask.Add(r.Intn(universe))
 		}
-		if got, want := v.IntersectsBits(mask), ref.Intersects(mask); got != want {
-			t.Fatalf("trial %d: IntersectsBits %v, want %v", trial, got, want)
+		if r.Intn(3) == 0 {
+			mask.UnionWith(ref)
 		}
-		if got, want := v.AndCountBits(mask), bitset.AndCount(ref, mask); got != want {
-			t.Fatalf("trial %d: AndCountBits %d, want %d", trial, got, want)
-		}
+		checkReads(t, fmt.Sprintf("trial %d", trial), v, ref, runsOf(mask), mask)
 
 		// Encoded-size accounting and the zero-alloc bitset mirrors.
 		enc := v.AppendEncoded(nil)

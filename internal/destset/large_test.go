@@ -154,35 +154,18 @@ func TestRunsMutateMillionBit(t *testing.T) {
 	}
 }
 
-// TestRunsSetOpsMillionBit checks the planning-path set operations
-// (IntersectsBits, SubsetOfBits, AndCountBits, SetToIntersection,
-// DifferenceWith) against flat-set equivalents on pattern pairs.
+// TestRunsSetOpsMillionBit checks the planner's reachability reads
+// (runs x runs and bits x runs), UnionWith and DifferenceWith against
+// flat-set equivalents on pattern pairs.
 func TestRunsSetOpsMillionBit(t *testing.T) {
 	pats := bigPatterns(bigN)
 	names := []string{"empty", "full", "alternating", "single-bits", "long-runs", "word-edges"}
 	for _, an := range names {
-		a := NewRuns(bigN)
-		a.CopyFromBits(pats[an])
+		a := runsOf(pats[an])
 		for _, bn := range names {
 			bbits := pats[bn]
-			if got, want := a.IntersectsBits(bbits), bitset.AndCount(pats[an], bbits) > 0; got != want {
-				t.Errorf("%s∩%s: IntersectsBits %v, want %v", an, bn, got, want)
-			}
-			if got, want := a.SubsetOfBits(bbits), pats[an].SubsetOf(bbits); got != want {
-				t.Errorf("%s⊆%s: SubsetOfBits %v, want %v", an, bn, got, want)
-			}
-			if got, want := a.AndCountBits(bbits), bitset.AndCount(pats[an], bbits); got != want {
-				t.Errorf("%s∩%s: AndCountBits %d, want %d", an, bn, got, want)
-			}
-			inter := NewRuns(bigN)
-			inter.SetToIntersection(a, bbits)
-			wantBits := bitset.And(pats[an], bbits)
-			if !inter.EqualBits(wantBits) {
-				t.Errorf("%s∩%s: SetToIntersection diverged (%d members, want %d)",
-					an, bn, inter.Count(), wantBits.Count())
-			}
-			brs := NewRuns(bigN)
-			brs.CopyFromBits(bbits)
+			brs := runsOf(bbits)
+			checkReads(t, an+"/"+bn, a, pats[an], brs, bbits)
 			diff := NewRuns(bigN)
 			diff.CopyFrom(a)
 			diff.DifferenceWith(brs)
@@ -226,18 +209,19 @@ func TestRunsPoolReuseMillionBit(t *testing.T) {
 }
 
 // TestRunsIterationZeroAlloc pins the allocation-free contract of the
-// sparse read paths the per-branch planning loop calls, and of the three
-// bitset helpers the flat path sizes, keys and encodes interval headers
-// with.
+// sparse read paths the per-branch planning loop calls, of the planner's
+// reachability reads in both forms (once the output's run list has
+// grown), and of the bitset helpers the flat path sizes, keys and
+// encodes interval headers with.
 func TestRunsIterationZeroAlloc(t *testing.T) {
 	pats := bigPatterns(bigN)
 	sink := 0
+	reach := runsOf(pats["long-runs"])
 	for _, name := range []string{"alternating", "long-runs", "word-edges"} {
-		v := NewRuns(bigN)
-		v.CopyFromBits(pats[name])
-		bits := pats["long-runs"]
+		v := runsOf(pats[name])
 		inter := NewRuns(bigN)
 		flat := pats[name]
+		flatInter := bitset.New(bigN)
 		enc := make([]byte, 0, len(AppendIvalEncoded(nil, flat)))
 		for probe, f := range map[string]func(){
 			"ForEachRun": func() {
@@ -247,10 +231,14 @@ func TestRunsIterationZeroAlloc(t *testing.T) {
 			"Contains":          func() { sink += boolInt(v.Contains(1 << 19)) },
 			"Fingerprint":       func() { sink += int(v.Fingerprint()) },
 			"HeaderBytes":       func() { sink += v.HeaderBytes() },
-			"IntersectsBits":    func() { sink += boolInt(v.IntersectsBits(bits)) },
-			"SubsetOfBits":      func() { sink += boolInt(v.SubsetOfBits(bits)) },
-			"AndCountBits":      func() { sink += v.AndCountBits(bits) },
-			"SetToIntersection": func() { inter.SetToIntersection(v, bits); sink += inter.Count() },
+			"Intersects":        func() { sink += boolInt(v.Intersects(reach)) },
+			"SubsetOf":          func() { sink += boolInt(v.SubsetOf(reach)) },
+			"AndCount":          func() { sink += v.AndCount(reach) },
+			"IntersectInto":     func() { v.IntersectInto(inter, reach); sink += inter.Count() },
+			"IntersectsBits":    func() { sink += boolInt(reach.IntersectsBits(flat)) },
+			"CoversBits":        func() { sink += boolInt(reach.CoversBits(flat)) },
+			"AndCountBits":      func() { sink += reach.AndCountBits(flat) },
+			"IntersectBitsInto": func() { reach.IntersectBitsInto(flatInter, flat); sink += flatInter.Count() },
 			"IvalBytesOf":       func() { sink += IvalBytesOf(flat) },
 			"AppendIvalEncoded": func() { enc = AppendIvalEncoded(enc[:0], flat); sink += len(enc) },
 		} {

@@ -3,7 +3,7 @@ package destset
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"strings"
 
 	"mcastsim/internal/bitset"
 )
@@ -60,9 +60,7 @@ func (v *Runs) check(i int) {
 }
 
 // search returns the index of the first run with hi >= i.
-func (v *Runs) search(i int) int {
-	return sort.Search(len(v.runs), func(j int) bool { return v.runs[j].hi >= int32(i) })
-}
+func (v *Runs) search(i int) int { return seek(v.runs, 0, int32(i)) }
 
 // Contains reports membership of i.
 func (v *Runs) Contains(i int) bool {
@@ -137,9 +135,7 @@ func (v *Runs) appendRun(lo, hi int32) {
 
 // CopyFrom sets v to an exact copy of o in place (same universe required).
 func (v *Runs) CopyFrom(o *Runs) {
-	if v.n != o.n {
-		panic(fmt.Sprintf("destset: universe mismatch %d vs %d", v.n, o.n))
-	}
+	v.sameLen(o)
 	v.runs = append(v.runs[:0], o.runs...)
 	v.count = o.count
 }
@@ -199,6 +195,23 @@ func (v *Runs) ForEachRun(fn func(lo, hi int) bool) {
 			return
 		}
 	}
+}
+
+// String renders the set as the paper draws reachability strings: one
+// 0/1 character per index, index 0 leftmost, capped at 128 characters
+// with an ellipsis — the same text bitset.Set.String gives.
+func (v *Runs) String() string {
+	const maxRender = 128
+	b := []byte(strings.Repeat("0", min(v.n, maxRender)))
+	for _, r := range v.runs {
+		for i := int(r.lo); i <= int(r.hi) && i < len(b); i++ {
+			b[i] = '1'
+		}
+	}
+	if v.n > maxRender {
+		return string(b) + "…"
+	}
+	return string(b)
 }
 
 // AnyInRange reports whether any member falls in [lo, hi].
@@ -286,11 +299,35 @@ func (v *Runs) AppendEncoded(dst []byte) []byte {
 	return dst
 }
 
-func (v *Runs) sameBitsLen(o *bitset.Set) {
-	if v.n != o.Len() {
-		panic(fmt.Sprintf("destset: universe mismatch %d vs %d", v.n, o.Len()))
+func (v *Runs) sameLen(o *Runs) {
+	if v.n != o.n {
+		mismatch(v.n, o.n)
 	}
 }
+
+func (v *Runs) sameBitsLen(o *bitset.Set) {
+	if v.n != o.Len() {
+		mismatch(v.n, o.Len())
+	}
+}
+
+// mismatch panics on a universe mismatch, which only a bug produces. It
+// is kept out of line so the checks above inline into the reads.
+//
+//go:noinline
+func mismatch(a, b int) {
+	panic(fmt.Sprintf("destset: universe mismatch %d vs %d", a, b))
+}
+
+// The planner reads a switch's reachability strings (updown.Routing's
+// Cover and DownReach, held as Runs) four ways: intersects, subset,
+// and-count and intersect-into. A flat destination set o is read with
+// the bits x runs forms, called on the reachability string v: they walk
+// v's runs and probe o one word range at a time. A run-coded destination
+// set v is read with the runs x runs forms, called on v with the
+// reachability string as o: they binary-search each run of v in o, so
+// they cost O(k_v log k_o). Neither allocates beyond the output's run
+// list.
 
 // IntersectsBits reports whether any member is set in o.
 func (v *Runs) IntersectsBits(o *bitset.Set) bool {
@@ -303,16 +340,18 @@ func (v *Runs) IntersectsBits(o *bitset.Set) bool {
 	return false
 }
 
-// SubsetOfBits reports whether every member is set in o — the sparse
-// Covers test: O(runs x span/64) instead of a universe scan.
-func (v *Runs) SubsetOfBits(o *bitset.Set) bool {
+// CoversBits reports whether every bit set in o is a member of v — the
+// Covers test for a flat set: no bit of o falls in a gap of v.
+func (v *Runs) CoversBits(o *bitset.Set) bool {
 	v.sameBitsLen(o)
+	next := 0
 	for _, r := range v.runs {
-		if !o.AllInRange(int(r.lo), int(r.hi)) {
+		if o.AnyInRange(next, int(r.lo)-1) {
 			return false
 		}
+		next = int(r.hi) + 1
 	}
-	return true
+	return !o.AnyInRange(next, v.n-1)
 }
 
 // AndCountBits returns how many members are set in o.
@@ -325,30 +364,115 @@ func (v *Runs) AndCountBits(o *bitset.Set) int {
 	return c
 }
 
-// SetToIntersection sets v = src & o in place (v must not alias src):
-// each run of src is clipped against o's set bits. The output is
-// canonical because src's runs are separated by >= 2 and maximal sub-runs
-// within one window are separated by at least one clear bit.
-func (v *Runs) SetToIntersection(src *Runs, o *bitset.Set) {
-	src.sameBitsLen(o)
-	if v.n != src.n {
-		panic(fmt.Sprintf("destset: universe mismatch %d vs %d", v.n, src.n))
+// IntersectBitsInto sets dst = o & v in place (dst must not alias o):
+// dst is cleared, then each run of v copies its window of o.
+func (v *Runs) IntersectBitsInto(dst, o *bitset.Set) {
+	v.sameBitsLen(o)
+	v.sameBitsLen(dst)
+	dst.Clear()
+	for _, r := range v.runs {
+		dst.CopyRange(o, int(r.lo), int(r.hi))
 	}
-	v.Clear()
-	for _, r := range src.runs {
-		o.ForEachRunInRange(int(r.lo), int(r.hi), func(lo, hi int) bool {
-			v.appendRun(int32(lo), int32(hi))
+}
+
+// seek returns the index of the first run at or after from with hi >= i.
+func seek(runs []ivRun, from int, i int32) int {
+	lo, hi := from, len(runs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if runs[m].hi < i {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// Intersects reports whether v and o share a member.
+func (v *Runs) Intersects(o *Runs) bool {
+	v.sameLen(o)
+	j := 0
+	for _, r := range v.runs {
+		if j = seek(o.runs, j, r.lo); j == len(o.runs) {
+			return false
+		}
+		if o.runs[j].lo <= r.hi {
 			return true
-		})
+		}
 	}
+	return false
+}
+
+// SubsetOf reports whether every member of v is in o — the Covers test.
+// Runs are maximal, so each run of v must lie inside a single run of o.
+func (v *Runs) SubsetOf(o *Runs) bool {
+	v.sameLen(o)
+	j := 0
+	for _, r := range v.runs {
+		if j = seek(o.runs, j, r.lo); j == len(o.runs) || o.runs[j].lo > r.lo || o.runs[j].hi < r.hi {
+			return false
+		}
+	}
+	return true
+}
+
+// AndCount returns how many members v shares with o — the greedy
+// down-partition's scoring primitive.
+func (v *Runs) AndCount(o *Runs) int {
+	v.sameLen(o)
+	c, j := 0, 0
+	for _, r := range v.runs {
+		j = seek(o.runs, j, r.lo)
+		for k := j; k < len(o.runs) && o.runs[k].lo <= r.hi; k++ {
+			c += int(min(r.hi, o.runs[k].hi)-max(r.lo, o.runs[k].lo)) + 1
+		}
+	}
+	return c
+}
+
+// IntersectInto sets dst = v & o in place (dst must not alias v or o).
+// Clipping v's ascending runs against o's keeps dst canonical: two clips
+// of one run of v are split by a gap of o, and clips of different runs by
+// a gap of v.
+func (v *Runs) IntersectInto(dst, o *Runs) {
+	v.sameLen(o)
+	v.sameLen(dst)
+	dst.Clear()
+	j := 0
+	for _, r := range v.runs {
+		j = seek(o.runs, j, r.lo)
+		for k := j; k < len(o.runs) && o.runs[k].lo <= r.hi; k++ {
+			dst.appendRun(max(r.lo, o.runs[k].lo), min(r.hi, o.runs[k].hi))
+		}
+	}
+}
+
+// UnionWith sets v = v | o in place with a single O(k_v + k_o) run merge
+// through the spare buffer. It is how up*/down* reachability strings are
+// built: a switch's down set is its own hosts united with the down sets
+// of the switches below it.
+func (v *Runs) UnionWith(o *Runs) {
+	v.sameLen(o)
+	old := v.runs
+	a, b := old, o.runs
+	v.runs, v.count = v.spare[:0], 0
+	for len(a) > 0 || len(b) > 0 {
+		var r ivRun
+		if len(b) == 0 || (len(a) > 0 && a[0].lo <= b[0].lo) {
+			r, a = a[0], a[1:]
+		} else {
+			r, b = b[0], b[1:]
+		}
+		v.appendRun(r.lo, r.hi)
+	}
+	v.spare = old[:0]
 }
 
 // DifferenceWith sets v = v &^ o in place with a single O(k_v + k_o)
 // run merge through the spare buffer.
 func (v *Runs) DifferenceWith(o *Runs) {
-	if v.n != o.n {
-		panic(fmt.Sprintf("destset: universe mismatch %d vs %d", v.n, o.n))
-	}
+	v.sameLen(o)
 	if len(o.runs) == 0 || len(v.runs) == 0 {
 		return
 	}

@@ -49,13 +49,13 @@ type scaleCase struct {
 //
 // The XL tier exists to answer the PR 9 question — does the sparse
 // destination representation let the flit simulator reach 10k switches /
-// 1M hosts in commodity RAM? One XL routing holds ~2.6 GB of up*/down*
-// reachability and cover bit strings, so the tier is excluded from the
-// default grid (Config.Tiers empty selects S, M, L) and opted into with
-// -tiers; -sim-l then flit-simulates one probe per XL cell exactly as it
-// does for L. XL cases are APPENDED to the grid: existing cases keep
-// their original indices, which the cell seeds are pure functions of, so
-// adding the tier cannot move any S/M/L number.
+// 1M hosts in commodity RAM? Each XL cell builds a 1M-host topology and
+// network (a simulated XL probe peaks at 0.3-0.83 GB of heap), so the
+// tier is excluded from the default grid (Config.Tiers empty selects S,
+// M, L) and opted into with -tiers; -sim-l then flit-simulates one probe
+// per XL cell exactly as it does for L. XL cases are APPENDED to the
+// grid: existing cases keep their original indices, which the cell seeds
+// are pure functions of, so adding the tier cannot move any S/M/L number.
 func scaleCases() []scaleCase {
 	ft := func(c topology.FatTreeConfig) func(uint64) (*topology.Topology, error) {
 		return func(uint64) (*topology.Topology, error) { return topology.FatTree(c) }
@@ -210,14 +210,13 @@ func ScaleSweep(cfg Config) ([]*metrics.Table, error) {
 		return nil, fmt.Errorf("experiment: scalesweep: tier filter %v selects no grid cases", cfg.Tiers)
 	}
 
-	// One grid case is resident at a time: an XL routing alone holds
-	// ~2.6 GB of reachability/cover bit strings, so routing the whole
-	// grid up front (as the sweep did when L was the largest tier) would
-	// stack three of those on the heap at once. Combos within a case
-	// still fan out across the worker pool — routing state is read-only
-	// during planning and simulation — and every cell seed stays a pure
-	// function of the case's original grid index, so the restructure
-	// cannot change a table.
+	// One grid case is resident at a time: an XL topology holds a million
+	// hosts, so routing the whole grid up front (as the sweep did when L
+	// was the largest tier) would stack three of them on the heap at
+	// once. Combos within a case still fan out across the worker pool —
+	// routing state is read-only during planning and simulation — and
+	// every cell seed stays a pure function of the case's original grid
+	// index, so the restructure cannot change a table.
 	cells := make([]scaleCellResult, len(cases)*len(combos))
 	numNodes := make([]int, len(cases))
 	for ci := range cases {

@@ -12,6 +12,7 @@
 //	GET  /v1/healthz          liveness probe
 //	GET  /v1/experiments      the experiment catalogue (registry IDs)
 //	POST /v1/jobs             submit a JobSpec; returns {"id": ...}
+//	                          (429 while maxRunningJobs jobs run)
 //	GET  /v1/jobs             list all jobs
 //	GET  /v1/jobs/{id}        one job's status
 //	GET  /v1/jobs/{id}/stream SSE: progress, obs, table, done events
@@ -39,6 +40,12 @@ import (
 // maxSpecBytes bounds a POST /v1/jobs body; a JobSpec is a few hundred
 // bytes, and a larger body is refused with 413 before any job exists.
 const maxSpecBytes = 1 << 20
+
+// maxRunningJobs caps the jobs running at once. Each job runs its own
+// cell worker pool (one worker per CPU by default) and holds its
+// networks in memory, so more jobs only queue on the same cores. A
+// submission past the cap is refused with 429 before any job exists.
+const maxRunningJobs = 4
 
 // JobSpec is the JSON workload description POST /v1/jobs accepts. The
 // zero value of every optional field keeps the preset's default.
@@ -233,6 +240,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "server is draining"})
 		return
 	}
+	// A refused submission takes no job ID: a restarted server finds each
+	// journal by its submission-order ID, so IDs must not skip.
+	if s.runningLocked() >= maxRunningJobs {
+		s.mu.Unlock()
+		writeJSON(w, http.StatusTooManyRequests, map[string]string{
+			"error": fmt.Sprintf("too many running jobs (limit %d); resubmit when one finishes", maxRunningJobs)})
+		return
+	}
 	s.nextID++
 	job := &Job{
 		ID: fmt.Sprintf("job-%04d", s.nextID), Spec: spec,
@@ -246,6 +261,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	go s.run(job, entry)
 	writeJSON(w, http.StatusAccepted, map[string]string{"id": job.ID, "state": StateRunning})
+}
+
+// runningLocked counts the jobs still running; s.mu must be held.
+func (s *Server) runningLocked() int {
+	n := 0
+	for _, id := range s.order {
+		j := s.jobs[id]
+		j.mu.Lock()
+		if j.state == StateRunning {
+			n++
+		}
+		j.mu.Unlock()
+	}
+	return n
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

@@ -216,6 +216,55 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestRunningJobLimit: with maxRunningJobs jobs running, a submission is
+// a 429 with a JSON error that creates no job and takes no job ID; once
+// one of them finishes, the next submission gets the next ID and runs.
+func TestRunningJobLimit(t *testing.T) {
+	s := New(Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	s.mu.Lock()
+	for i := 0; i < maxRunningJobs; i++ {
+		s.nextID++
+		j := &Job{ID: fmt.Sprintf("job-%04d", s.nextID), state: StateRunning,
+			subs: make(map[chan struct{}]struct{}), finished: make(chan struct{})}
+		s.jobs[j.ID] = j
+		s.order = append(s.order, j.ID)
+	}
+	s.mu.Unlock()
+
+	body, _ := json.Marshal(quickSpec())
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refused map[string]string
+	err = json.NewDecoder(resp.Body).Decode(&refused)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests || err != nil || refused["error"] == "" {
+		t.Fatalf("submit past the limit: %d %v (decode error %v), want 429 with an error", resp.StatusCode, refused, err)
+	}
+	s.mu.Lock()
+	jobs, nextID := len(s.jobs), s.nextID
+	s.mu.Unlock()
+	if jobs != maxRunningJobs || nextID != maxRunningJobs {
+		t.Fatalf("refused submission left %d jobs and next ID %d, want %d and %d", jobs, nextID, maxRunningJobs, maxRunningJobs)
+	}
+
+	s.mu.Lock()
+	first := s.jobs["job-0001"]
+	s.mu.Unlock()
+	first.mu.Lock()
+	first.state = StateDone
+	first.mu.Unlock()
+	id := submit(t, ts.URL, quickSpec())
+	if want := fmt.Sprintf("job-%04d", maxRunningJobs+1); id != want {
+		t.Fatalf("job ID after a refusal = %s, want %s", id, want)
+	}
+	collect(t, stream(t, ts.URL, id)) // fails unless the job ends done
+}
+
 // TestLegacyShardsFieldIgnored: specs written when jobs could select a
 // sharded engine may still carry a shard count (the testdata spec is the
 // quick spec plus a shard count of 4). The decoder ignores it like any

@@ -95,40 +95,44 @@ func (d dset) anyInRange(lo, hi int) bool {
 	return d.runs.AnyInRange(lo, hi)
 }
 
-// intersectsBits reports whether d shares a member with the reachability
-// string o.
-func (d dset) intersectsBits(o *bitset.Set) bool {
+// The four reads against a switch's run-coded reachability string o
+// (updown.Routing's DownReach and Cover). The flat arm probes d's words
+// one run or gap of o at a time; the sparse arm looks each run of d up
+// in o's runs.
+
+// intersects reports whether d shares a member with o.
+func (d dset) intersects(o *destset.Runs) bool {
 	if d.bits != nil {
-		return d.bits.Intersects(o)
+		return o.IntersectsBits(d.bits)
 	}
-	return d.runs.IntersectsBits(o)
+	return d.runs.Intersects(o)
 }
 
-// subsetOfBits reports whether every member is set in o — the Covers test.
-func (d dset) subsetOfBits(o *bitset.Set) bool {
+// subsetOf reports whether every member of d is in o — the Covers test.
+func (d dset) subsetOf(o *destset.Runs) bool {
 	if d.bits != nil {
-		return d.bits.SubsetOf(o)
+		return o.CoversBits(d.bits)
 	}
-	return d.runs.SubsetOfBits(o)
+	return d.runs.SubsetOf(o)
 }
 
-// andCountBits returns how many members are set in o — the greedy
+// andCount returns how many members d shares with o — the greedy
 // down-partition's scoring primitive.
-func (d dset) andCountBits(o *bitset.Set) int {
+func (d dset) andCount(o *destset.Runs) int {
 	if d.bits != nil {
-		return bitset.AndCount(d.bits, o)
+		return o.AndCountBits(d.bits)
 	}
-	return d.runs.AndCountBits(o)
+	return d.runs.AndCount(o)
 }
 
 // intersectInto sets dst = d & o (dst from the same network's pools; must
 // not alias d).
-func (d dset) intersectInto(dst dset, o *bitset.Set) {
+func (d dset) intersectInto(dst dset, o *destset.Runs) {
 	if d.bits != nil {
-		bitset.AndInto(dst.bits, d.bits, o)
+		o.IntersectBitsInto(dst.bits, d.bits)
 		return
 	}
-	dst.runs.SetToIntersection(d.runs, o)
+	d.runs.IntersectInto(dst.runs, o)
 }
 
 // differenceWith sets d = d &^ o in place.

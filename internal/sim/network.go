@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"mcastsim/internal/destset"
 	"mcastsim/internal/event"
 	"mcastsim/internal/obs"
 	"mcastsim/internal/rng"
@@ -134,7 +135,7 @@ type Network struct {
 
 	// Topology/routing precomputes rebuilt alongside the tables.
 	nodesAt   [][]topology.NodeID // nodes attached to each switch
-	downPorts [][]int             // rt.DownPorts per switch
+	downPorts [][]downPort        // rt.DownPorts per switch, with their reachability
 
 	// hostLo/hostHi give each switch's attached hosts as a contiguous id
 	// range [lo, hi] when the attachment is contiguous (every scale
@@ -315,18 +316,30 @@ func (n *Network) rebuildRoutingViews() {
 	t, rt := n.topo, n.rt
 	n.upAdj = make([][]portPeer, t.NumSwitches)
 	n.revUp = make([][]portPeer, t.NumSwitches)
-	n.downPorts = make([][]int, t.NumSwitches)
+	n.downPorts = make([][]downPort, t.NumSwitches)
+	// Every live link has exactly one down end, so one backing array
+	// sized by the link count holds every switch's down-port list.
+	downs := make([]downPort, 0, len(t.Links))
 	for s := 0; s < t.NumSwitches; s++ {
+		start := len(downs)
 		for p := 0; p < t.PortsPerSwitch; p++ {
-			if rt.Dirs[s][p] != updown.DirUp {
-				continue
+			switch rt.Dirs[s][p] {
+			case updown.DirUp:
+				q := int(t.Conn[s][p].Switch)
+				n.upAdj[s] = append(n.upAdj[s], portPeer{sw: q, port: p})
+				n.revUp[q] = append(n.revUp[q], portPeer{sw: s, port: p})
+			case updown.DirDown:
+				downs = append(downs, downPort{port: p, reach: rt.DownReach(topology.SwitchID(s), p)})
 			}
-			q := int(t.Conn[s][p].Switch)
-			n.upAdj[s] = append(n.upAdj[s], portPeer{sw: q, port: p})
-			n.revUp[q] = append(n.revUp[q], portPeer{sw: s, port: p})
 		}
-		n.downPorts[s] = rt.DownPorts(topology.SwitchID(s))
+		n.downPorts[s] = downs[start:len(downs):len(downs)]
 	}
+}
+
+// downPort is a down port of a switch and its reachability string.
+type downPort struct {
+	port  int
+	reach *destset.Runs
 }
 
 // Topology returns the simulated topology.

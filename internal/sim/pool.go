@@ -59,7 +59,7 @@ type scratchSpace struct {
 	onePhase     [1]updown.Phase
 	portScratch  []int
 	phaseScratch []updown.Phase
-	downScratch  []int
+	downScratch  []downPort
 	partScratch  []portSet
 	usedPorts    []bool
 	distScratch  []int32

@@ -219,7 +219,7 @@ func (n *Network) computeClimbDist(set dset) []int32 {
 	}
 	q := n.scr.bfsQueue[:0]
 	for x := 0; x < S; x++ {
-		if set.subsetOfBits(n.rt.Cover[x]) {
+		if set.subsetOf(n.rt.Cover[x]) {
 			dist[x] = 0
 			q = append(q, int32(x))
 		}

@@ -150,7 +150,8 @@ func TestRouteCacheEpochInvalidation(t *testing.T) {
 // TestRouteCacheWarmDecisionsZeroAlloc pins the allocation-free claim for
 // the memoized hot paths: once an entry exists and the pools are primed, a
 // climb lookup and a down partition (including handing back the pooled
-// subsets) allocate nothing.
+// subsets) allocate nothing, and neither do the four reachability reads
+// planTree makes on either set representation.
 func TestRouteCacheWarmDecisionsZeroAlloc(t *testing.T) {
 	n := fixtureNet(t, DefaultParams())
 	set := n.getSet()
@@ -162,7 +163,7 @@ func TestRouteCacheWarmDecisionsZeroAlloc(t *testing.T) {
 	// the climb, from the live tables rather than assuming the root's ID.
 	coverer, climber := topology.SwitchID(-1), topology.SwitchID(-1)
 	for s := 0; s < 8; s++ {
-		if n.rt.Covers(topology.SwitchID(s), set) {
+		if (dset{bits: set}).subsetOf(n.rt.Cover[s]) {
 			if coverer < 0 {
 				coverer = topology.SwitchID(s)
 			}
@@ -199,6 +200,33 @@ func TestRouteCacheWarmDecisionsZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, climb); allocs != 0 {
 		t.Fatalf("warm climbPorts allocates %.1f/op, want 0", allocs)
 	}
+
+	runs := n.getRuns()
+	runs.CopyFromBits(set)
+	reach := n.downPorts[coverer][0].reach
+	sink := 0
+	for _, d := range []dset{{bits: set}, {runs: runs}} {
+		arm, dst := "flat", dset{bits: n.getSet()}
+		if d.runs != nil {
+			arm, dst = "sparse", dset{runs: n.getRuns()}
+		}
+		reads := func() {
+			if d.intersects(reach) && d.subsetOf(n.rt.Cover[coverer]) {
+				sink++
+			}
+			sink += d.andCount(reach)
+			d.intersectInto(dst, reach)
+		}
+		reads() // sizes dst's run list
+		if allocs := testing.AllocsPerRun(200, reads); allocs != 0 {
+			t.Fatalf("%s reachability reads allocate %.1f/op, want 0", arm, allocs)
+		}
+		n.putDset(dst)
+	}
+	if sink == 1<<62 {
+		t.Log(sink)
+	}
+	n.putRuns(runs)
 	n.putSet(set)
 }
 
@@ -288,7 +316,7 @@ func checkPartition(t *testing.T, n *Network, s topology.SwitchID, set dset, par
 			t.Fatalf("switch %d: branch through port %d is not a fresh down port", s, ps.port)
 		}
 		ports[ps.port] = true
-		if ps.sub.empty() || !ps.sub.subsetOfBits(n.rt.DownReach[s][ps.port]) {
+		if ps.sub.empty() || !ps.sub.subsetOf(n.rt.DownReach(s, ps.port)) {
 			t.Fatalf("switch %d: branch through port %d is empty or exceeds its reachability", s, ps.port)
 		}
 		for _, d := range ps.sub.indices() {

@@ -421,7 +421,7 @@ func (n *Network) planTree(o *occupant, s topology.SwitchID, w *worm) {
 		n.putDset(remaining)
 		return
 	}
-	if remaining.subsetOfBits(n.rt.Cover[s]) {
+	if remaining.subsetOf(n.rt.Cover[s]) {
 		// Replicate down: partition the remaining set across down ports.
 		parts, ok := n.partitionDownAdaptive(s, remaining)
 		if !ok {
@@ -448,16 +448,16 @@ func (n *Network) planTree(o *occupant, s topology.SwitchID, w *worm) {
 	}
 	if n.params.EarlyTreeBranch {
 		// Ablation variant: peel off down-coverable subsets while climbing.
-		for _, p := range n.downPorts[s] {
-			if !remaining.intersectsBits(n.rt.DownReach[s][p]) {
+		for _, dp := range n.downPorts[s] {
+			if !remaining.intersects(dp.reach) {
 				continue
 			}
 			sub := n.getDset()
-			remaining.intersectInto(sub, n.rt.DownReach[s][p])
+			remaining.intersectInto(sub, dp.reach)
 			remaining.differenceWith(sub)
 			c := w.childSet(n, 0, sub)
 			c.phase = updown.PhaseDown
-			ports, phases := n.singleSpec(p, updown.PhaseDown)
+			ports, phases := n.singleSpec(dp.port, updown.PhaseDown)
 			n.emitBranch(o, s, branchSpec{child: c,
 				ports: ports, phases: phases})
 		}
@@ -605,19 +605,19 @@ func (n *Network) partitionDownAdaptive(s topology.SwitchID, set dset) ([]portSe
 	out := n.scr.partScratch[:0]
 	tied := false
 	for !remaining.empty() {
-		best, bestCount, dup := -1, 0, false
-		for _, p := range downs {
-			if n.scr.usedPorts[p] {
+		best, bestCount, dup := downPort{port: -1}, 0, false
+		for _, dp := range downs {
+			if n.scr.usedPorts[dp.port] {
 				continue
 			}
-			c := remaining.andCountBits(n.rt.DownReach[s][p])
+			c := remaining.andCount(dp.reach)
 			if c > bestCount {
-				best, bestCount, dup = p, c, false
+				best, bestCount, dup = dp, c, false
 			} else if c == bestCount && c > 0 {
 				dup = true
 			}
 		}
-		if best == -1 {
+		if best.port == -1 {
 			for _, ps := range out {
 				n.scr.usedPorts[ps.port] = false
 				n.putDset(ps.sub)
@@ -630,9 +630,9 @@ func (n *Network) partitionDownAdaptive(s topology.SwitchID, set dset) ([]portSe
 			tied = true
 		}
 		sub := n.getDset()
-		remaining.intersectInto(sub, n.rt.DownReach[s][best])
-		n.scr.usedPorts[best] = true
-		out = append(out, portSet{port: best, sub: sub})
+		remaining.intersectInto(sub, best.reach)
+		n.scr.usedPorts[best.port] = true
+		out = append(out, portSet{port: best.port, sub: sub})
 		remaining.differenceWith(sub)
 	}
 	for _, ps := range out {

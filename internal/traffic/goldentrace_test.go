@@ -99,11 +99,10 @@ func goldenSchemes() []mcast.Scheme {
 }
 
 // runFig6Cell replays one fig6-style isolated-multicast cell (the loop of
-// traffic.RunSingle, with a tracer installed) and returns its trace hash,
-// event count and stats.
-func runFig6Cell(t testing.TB, rt *updown.Routing, sch mcast.Scheme, r float64) goldenCell {
+// traffic.RunSingle, with a tracer installed) under params p and returns
+// its trace hash, event count and stats.
+func runFig6Cell(t testing.TB, rt *updown.Routing, sch mcast.Scheme, p sim.Params, name string) goldenCell {
 	t.Helper()
-	p := sim.DefaultParams().WithR(r)
 	const probes, degree, flits, seed = 4, 16, 128, 7
 	src := rng.New(seed)
 	th, sum := newTraceHasher()
@@ -132,7 +131,7 @@ func runFig6Cell(t testing.TB, rt *updown.Routing, sch mcast.Scheme, r float64) 
 		events += n.EventsProcessed()
 	}
 	return goldenCell{
-		Name:   fmt.Sprintf("fig6/R=%.1f/%s", r, sch.Name()),
+		Name:   name,
 		Hash:   sum(),
 		Events: events,
 		Stats:  stats,
@@ -189,12 +188,23 @@ func collectCells(t testing.TB) []goldenCell {
 	var cells []goldenCell
 	for _, r := range []float64{1, 4} {
 		for _, sch := range goldenSchemes() {
-			cells = append(cells, runFig6Cell(t, rt, sch, r))
+			name := fmt.Sprintf("fig6/R=%.1f/%s", r, sch.Name())
+			cells = append(cells, runFig6Cell(t, rt, sch, sim.DefaultParams().WithR(r), name))
 		}
 	}
 	for _, sch := range goldenSchemes() {
 		cells = append(cells, runFig9Cell(t, rt, sch))
 	}
+	// The tree worm's early-branch ablation and its run-coded planner arm
+	// read the reachability strings through paths the cells above do not
+	// take.
+	early := sim.DefaultParams().WithR(1)
+	early.EarlyTreeBranch = true
+	cells = append(cells, runFig6Cell(t, rt, treeworm.New(), early, "fig6/R=1.0/sw-tree/early-branch"))
+	sparse := sim.DefaultParams().WithR(1)
+	sparse.SetRep = sim.RepSparse
+	sparse.DestCoding = sim.HeaderIval
+	cells = append(cells, runFig6Cell(t, rt, treeworm.New(), sparse, "fig6/R=1.0/sw-tree/sparse-ival"))
 	return cells
 }
 

@@ -15,8 +15,9 @@
 //   - per-port directions and adaptive shortest legal-path next-hop tables
 //     for unicast routing (used by all schemes and by path worms between
 //     drop switches),
-//   - per-down-port reachability bit-strings (the switch state that routes
-//     tree-based multidestination worms, paper §3.2.3),
+//   - per-down-port reachability strings (the switch state that routes
+//     tree-based multidestination worms, paper §3.2.3), held as interval
+//     run lists,
 //   - down-only distance tables (the continuation constraint for multi-drop
 //     path worms, paper §3.2.4).
 package updown
@@ -27,7 +28,7 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"mcastsim/internal/bitset"
+	"mcastsim/internal/destset"
 	"mcastsim/internal/topology"
 )
 
@@ -106,19 +107,13 @@ type Routing struct {
 	// each row BFS runs on, built once at construction.
 	revAdj [][]revState
 
-	// DownReach[s][p] is the reachability string of down port p of switch
-	// s: node n is in the set iff n is legally reachable by entering that
-	// port and continuing on down links only. Nil for non-down ports.
-	DownReach [][]*bitset.Set
 	// Cover[s] is the set of nodes deliverable from switch s without any
 	// further up movement: nodes attached to s plus the union of its down
-	// ports' reachability strings.
-	Cover []*bitset.Set
-
-	// nodesBySwitch[s] lists the nodes attached to switch s (shared
-	// backing array, see topology.NodesBySwitch). Replaces the old S×N
-	// nodePort table, whose footprint was quadratic in system size.
-	nodesBySwitch [][]topology.NodeID
+	// ports' reachability strings (see DownReach). The sets are
+	// run-coded: where hosts are numbered per switch (the datacenter
+	// generators), a subtree's hosts form a few index runs, so a set
+	// costs O(runs) rather than N bits.
+	Cover []*destset.Runs
 
 	// deadSwitch[s] / deadPort[s][p] mark failed switches and ports whose
 	// link, peer switch, or own switch has failed. A dead port keeps
@@ -224,7 +219,6 @@ func NewWithOptions(t *topology.Topology, opt Options) (*Routing, error) {
 	}
 	r.orientPorts()
 	r.computeDistances()
-	r.nodesBySwitch = t.NodesBySwitch()
 	r.computeReachability()
 	if err := r.verify(); err != nil {
 		return nil, err
@@ -491,17 +485,15 @@ func (r *Routing) computeRow(d int) *distRow {
 	return row
 }
 
-// computeReachability fills DownReach and Cover. Down links form a DAG
-// ordered by increasing (level, id), so a single sweep in decreasing order
-// suffices.
+// computeReachability fills Cover. Down links form a DAG ordered by
+// increasing (level, id), so a single sweep in decreasing order suffices:
+// each switch's set is its own nodes united, run list by run list, with
+// the sets of the switches below its down ports.
 func (r *Routing) computeReachability() {
 	t := r.Topo
 	S := t.NumSwitches
 	N := t.NumNodes
 
-	// downSet[s]: nodes reachable from switch s via down links only
-	// (including s's own nodes).
-	downSet := make([]*bitset.Set, S)
 	order := make([]int, S)
 	for i := range order {
 		order[i] = i
@@ -515,38 +507,21 @@ func (r *Routing) computeReachability() {
 		}
 		return a > b
 	})
+	nodes := t.NodesBySwitch()
+	r.Cover = make([]*destset.Runs, S)
+	acc := destset.NewRuns(N) // the union's scratch; each Cover keeps an exact copy
 	for _, s := range order {
-		set := bitset.New(N)
-		for _, n := range r.nodesBySwitch[s] {
-			set.Add(int(n))
+		acc.Clear()
+		for _, n := range nodes[s] {
+			acc.Add(int(n))
 		}
 		for p := 0; p < t.PortsPerSwitch; p++ {
-			if r.Dirs[s][p] != DirDown {
-				continue
+			if r.Dirs[s][p] == DirDown {
+				acc.UnionWith(r.Cover[t.Conn[s][p].Switch]) // computed earlier in the sweep
 			}
-			q := int(t.Conn[s][p].Switch)
-			set.UnionWith(downSet[q]) // q already computed by sweep order
 		}
-		downSet[s] = set
-	}
-
-	r.DownReach = make([][]*bitset.Set, S)
-	r.Cover = make([]*bitset.Set, S)
-	for s := 0; s < S; s++ {
-		r.DownReach[s] = make([]*bitset.Set, t.PortsPerSwitch)
-		cover := bitset.New(N)
-		for _, n := range r.nodesBySwitch[s] {
-			cover.Add(int(n))
-		}
-		for p := 0; p < t.PortsPerSwitch; p++ {
-			if r.Dirs[s][p] != DirDown {
-				continue
-			}
-			q := int(t.Conn[s][p].Switch)
-			r.DownReach[s][p] = downSet[q]
-			cover.UnionWith(downSet[q])
-		}
-		r.Cover[s] = cover
+		r.Cover[s] = destset.NewRuns(N)
+		r.Cover[s].CopyFrom(acc)
 	}
 }
 
@@ -731,8 +706,13 @@ func (r *Routing) DownPorts(s topology.SwitchID) []int {
 	return out
 }
 
-// Covers reports whether switch s can deliver every node in set without
-// further up movement.
-func (r *Routing) Covers(s topology.SwitchID, set *bitset.Set) bool {
-	return set.SubsetOf(r.Cover[s])
+// DownReach returns the reachability string of down port p of switch s:
+// node n is in the set iff n is legally reachable by entering that port
+// and continuing on down links only. That is the peer switch's Cover,
+// returned shared, not copied. Nil for non-down ports.
+func (r *Routing) DownReach(s topology.SwitchID, p int) *destset.Runs {
+	if r.Dirs[s][p] != DirDown {
+		return nil
+	}
+	return r.Cover[r.Topo.Conn[s][p].Switch]
 }

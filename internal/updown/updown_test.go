@@ -243,15 +243,41 @@ func TestNoUpAfterDownByConstruction(t *testing.T) {
 	}
 }
 
+// reachFamily returns the routings the reachability tests sweep: random
+// irregular networks, whose hosts land on switches at random so every
+// string is many short runs, and small datacenter topologies, whose
+// per-switch host numbering makes each string a few long runs.
+func reachFamily(t *testing.T, count int, seed uint64) []*Routing {
+	t.Helper()
+	out := family(t, topology.DefaultConfig(), count, seed)
+	ft, err := topology.FatTree(topology.FatTreeConfig{Pods: 4, EdgePerPod: 3, AggPerPod: 2, CoreUplinksPerAgg: 2, HostsPerEdge: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	df, err := topology.Dragonfly(topology.DragonflyConfig{Groups: 5, RoutersPerGroup: 4, HostsPerRouter: 3, GlobalPerRouter: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, topo := range []*topology.Topology{ft, df} {
+		r, err := New(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
 func TestDownReachExact(t *testing.T) {
-	// DownReach[s][p] must equal the set computed by explicit DFS over
-	// down links from the far end of p.
-	for _, r := range family(t, topology.DefaultConfig(), 10, 48) {
+	// DownReach(s, p) must hold exactly the set computed by explicit DFS
+	// over down links from the far end of p, as canonical runs, and be
+	// the peer switch's own Cover.
+	for _, r := range reachFamily(t, 10, 48) {
 		topo := r.Topo
-		for s := 0; s < topo.NumSwitches; s++ {
+		for s := topology.SwitchID(0); int(s) < topo.NumSwitches; s++ {
 			for p := 0; p < topo.PortsPerSwitch; p++ {
 				if r.Dirs[s][p] != DirDown {
-					if r.DownReach[s][p] != nil {
+					if r.DownReach(s, p) != nil {
 						t.Fatalf("non-down port %d/%d has reachability", s, p)
 					}
 					continue
@@ -274,8 +300,12 @@ func TestDownReachExact(t *testing.T) {
 					}
 				}
 				dfs(topo.Conn[s][p].Switch)
-				if !want.Equal(r.DownReach[s][p]) {
-					t.Fatalf("DownReach mismatch at switch %d port %d", s, p)
+				if !r.DownReach(s, p).EqualBits(want) {
+					t.Fatalf("DownReach mismatch at switch %d port %d: %v, want %v",
+						s, p, r.DownReach(s, p).Indices(), want.Indices())
+				}
+				if r.DownReach(s, p) != r.Cover[topo.Conn[s][p].Switch] {
+					t.Fatalf("DownReach(%d, %d) is not the peer's Cover", s, p)
 				}
 			}
 		}
@@ -291,7 +321,7 @@ func TestRootCoversEverything(t *testing.T) {
 }
 
 func TestCoverIsLocalPlusDownReach(t *testing.T) {
-	for _, r := range family(t, topology.DefaultConfig(), 5, 50) {
+	for _, r := range reachFamily(t, 5, 50) {
 		topo := r.Topo
 		for s := 0; s < topo.NumSwitches; s++ {
 			want := bitset.New(topo.NumNodes)
@@ -299,10 +329,10 @@ func TestCoverIsLocalPlusDownReach(t *testing.T) {
 				want.Add(int(n))
 			}
 			for _, p := range r.DownPorts(topology.SwitchID(s)) {
-				want.UnionWith(r.DownReach[s][p])
+				r.DownReach(topology.SwitchID(s), p).ForEach(func(n int) bool { want.Add(n); return true })
 			}
-			if !want.Equal(r.Cover[s]) {
-				t.Fatalf("Cover mismatch at switch %d", s)
+			if !r.Cover[s].EqualBits(want) {
+				t.Fatalf("Cover mismatch at switch %d: %v, want %v", s, r.Cover[s].Indices(), want.Indices())
 			}
 		}
 	}
