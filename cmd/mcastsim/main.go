@@ -52,7 +52,7 @@ func run() int {
 		seed       = flag.Uint64("seed", 0, "override the experiment seed (0 = default)")
 		workers    = flag.Int("workers", 0, "parallel simulation-cell workers (0 = one per CPU); output is identical for any value")
 		simL       = flag.Bool("sim-l", false, "flit-simulate the scale sweep's L and XL tiers (one probe per cell) instead of plan+encode only")
-		tiers      = flag.String("tiers", "", "comma-separated scale-sweep size tiers (S,M,L,XL); empty = S,M,L. The ~1M-host XL tier is opt-in: its routing state alone is ~2.6 GB")
+		tiers      = flag.String("tiers", "", "comma-separated scale-sweep size tiers (S,M,L,XL); empty = S,M,L. The ~1M-host XL tier is opt-in: each XL routing holds 7.5-20.9 MB of run-coded reachability, and the XL grid with -sim-l peaks at ~0.86 GB")
 		csvDir     = flag.String("csv", "", "also write each table as CSV into this directory")
 		compare    = flag.String("compare", "", "run a scheme comparison on this topology file instead of an experiment")
 		degree     = flag.Int("degree", 16, "multicast degree for -compare")
@@ -63,7 +63,7 @@ func run() int {
 		obsEvery   = flag.Uint64("obs-every", uint64(obs.DefaultEvery), "telemetry sampling cadence in cycles (with -obs)")
 		obsOut     = flag.String("obs-out", "", "write sampled telemetry bundles to this file; .csv extension selects CSV, anything else JSONL (with -obs)")
 		ckDir      = flag.String("checkpoint", "", "journal completed simulation cells, with their -obs telemetry, into this directory; rerunning with the same directory and arguments resumes, and resumed tables and telemetry are byte-identical")
-		resumeDir  = flag.String("resume", "", "resume from this checkpoint directory (must already exist); same journaling as -checkpoint")
+		resumeDir  = flag.String("resume", "", "resume from this checkpoint directory (must already exist); same journaling as -checkpoint, and a journal written under other arguments is refused with exit 2")
 		stopCells  = flag.Int("stop-after-cells", 0, "with -checkpoint: stop with a resumable journal after N newly-completed cells (deterministic kill stand-in for smokes)")
 	)
 	flag.Parse()
@@ -120,6 +120,20 @@ func run() int {
 		sink = &experiment.ObsSink{Config: obs.Config{Every: event.Time(*obsEvery)}}
 		cfg.Obs = sink
 	}
+	var entries []experiment.Entry
+	if *expID == "all" {
+		entries = experiment.Registry()
+	} else {
+		for _, id := range strings.Split(*expID, ",") {
+			e, err := experiment.Lookup(strings.TrimSpace(id))
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				return 2
+			}
+			entries = append(entries, e)
+		}
+	}
+
 	dir := *ckDir
 	if *resumeDir != "" {
 		if _, err := os.Stat(*resumeDir); err != nil {
@@ -129,9 +143,17 @@ func run() int {
 		dir = *resumeDir
 	}
 	if dir != "" {
-		ck, err := experiment.OpenCheckpointer(dir)
+		ids := make([]string, len(entries))
+		for i, e := range entries {
+			ids[i] = e.ID
+		}
+		ck, err := experiment.OpenCheckpointer(dir, ids, cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mcastsim:", err)
+			var mismatch *experiment.JournalMismatchError
+			if errors.As(err, &mismatch) {
+				return 2 // another run's journal: nothing ran
+			}
 			return 1
 		}
 		defer ck.Close()
@@ -151,20 +173,6 @@ func run() int {
 				ck.Interrupt()
 			}
 		}()
-	}
-
-	var entries []experiment.Entry
-	if *expID == "all" {
-		entries = experiment.Registry()
-	} else {
-		for _, id := range strings.Split(*expID, ",") {
-			e, err := experiment.Lookup(strings.TrimSpace(id))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 2
-			}
-			entries = append(entries, e)
-		}
 	}
 
 	seen := map[string]bool{}

@@ -17,8 +17,8 @@
 //
 // Typed-kind registration (Register + Post/PostAfter) is the only
 // scheduling API: every event type is a Kind with a registered handler,
-// so each pending record stays enumerable, which is what the snapshot
-// layer (SnapshotPending/ResetTo, sim.Network.Checkpoint) relies on.
+// so a post stores a fixed-size record and a dispatch is one indexed
+// call, with no closure to allocate.
 //
 // # Fused events
 //
@@ -81,7 +81,7 @@ const occEpoch = 256
 // holds only pointer-shaped values (pointers, func values), so posting
 // never boxes. Popped ring slots travel as entries too, so an entry
 // carries a slot's extra count; the far heap itself never holds a fused
-// record (see reinsert).
+// record, because PostFused accepts only in-window times.
 type entry struct {
 	at    Time
 	seq   uint64
@@ -315,48 +315,6 @@ func (q *Queue) PostAfter(delay Time, k Kind, actor any, arg int64) {
 	q.Post(q.now+delay, k, actor, arg)
 }
 
-// drainRealized removes every pending event and returns them in realized
-// dispatch order — the exact order Step would have run them — with seq
-// renumbered in that order. Ring pops carry no sequence number, so the
-// renumbering is what lets reinsert reproduce exactly the drained total
-// order, with later posts sorting after.
-func (q *Queue) drainRealized() []entry {
-	var moved []entry
-	for {
-		e, ok := q.popNext(maxTime)
-		if !ok {
-			break
-		}
-		moved = append(moved, e)
-	}
-	for i := range moved {
-		moved[i].seq = q.seq
-		q.seq++
-	}
-	return moved
-}
-
-// reinsert restores events drained by drainRealized. Draining walked the
-// calendar cursor forward; the window is rewound to now (the ring is
-// empty, so this cannot strand an entry) before re-inserting. moved is
-// sorted in realized order with at >= now, so bucket FIFO order is kept.
-// A fused record was posted inside the window of a cursor no later than
-// now, so it lands inside the rewound window too: the far heap never
-// holds one.
-func (q *Queue) reinsert(moved []entry) {
-	if q.buckets == nil {
-		q.buckets = make([]bucket, ringSize)
-	}
-	q.cursor = q.now
-	for _, e := range moved {
-		if e.at < q.cursor+ringSize {
-			q.bucketAppend(&q.buckets[e.at&(ringSize-1)], slot{actor: e.actor, arg: e.arg, kind: e.kind, extra: e.extra})
-		} else {
-			heapPush(&q.far, e)
-		}
-	}
-}
-
 // fastStep pops and dispatches the head of the current calendar bucket
 // when one is immediately available at a cycle <= limit. This is the hot
 // path of Step/RunUntil: no cursor walk and no 48-byte entry round-trip
@@ -467,8 +425,8 @@ func (q *Queue) popNext(limit Time) (entry, bool) {
 			if b.head == len(b.items) {
 				q.resetBucket(b)
 			}
-			// Ring slots carry no seq; callers (dispatch, drainRealized)
-			// only need the realized order and the timestamp.
+			// Ring slots carry no seq; dispatch needs only the realized
+			// order and the timestamp.
 			return entry{at: q.cursor, kind: s.kind, actor: s.actor, arg: s.arg, extra: s.extra}, true
 		}
 		if q.cursor >= limit {

@@ -63,7 +63,8 @@ type Config struct {
 	// Tiers restricts the scale sweep to the named size tiers (case-
 	// insensitive; e.g. []string{"XL"}). Empty selects the default grid —
 	// S, M and L. The XL tier (>=10k switches, >=1M hosts) is always
-	// opt-in: one XL routing holds ~2.6 GB of reachability bit strings.
+	// opt-in: one XL routing holds 7.5–20.9 MB of run-coded reachability,
+	// and the whole XL grid with SimulateL peaks at ~0.86 GB.
 	// Skipped cases keep their grid indices, so filtering never moves a
 	// surviving cell's seeds. Surfaced as -tiers on the CLI.
 	Tiers []string
@@ -74,8 +75,9 @@ type Config struct {
 	Obs *ObsSink
 	// Checkpoint, when non-nil, journals every completed cell, with its
 	// telemetry bundle when Obs is set, so a killed run can resume
-	// (-checkpoint/-resume on the CLI; see OpenCheckpointer). Resumed
-	// tables and telemetry are byte-identical to uninterrupted ones.
+	// (-checkpoint/-resume on the CLI; see OpenCheckpointer, which
+	// refuses a journal stamped for another run). Resumed tables and
+	// telemetry are byte-identical to uninterrupted ones.
 	Checkpoint *Checkpointer
 	// Progress, when non-nil, receives a tick after every completed cell:
 	// cells finished so far and the grid size of the current runCells

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"sync"
 
+	"mcastsim/internal/event"
 	"mcastsim/internal/obs"
 )
 
@@ -35,6 +36,15 @@ func (s *ObsSink) add(b obs.Bundle) {
 	if s.OnAdd != nil {
 		s.OnAdd(b)
 	}
+}
+
+// every is the cadence the sink's recorders sample at, or 0 for a nil
+// sink (telemetry off).
+func (s *ObsSink) every() event.Time {
+	if s == nil {
+		return 0
+	}
+	return obs.NewRecorder(s.Config).Every()
 }
 
 // Bundles returns every committed bundle sorted by cell label.

@@ -62,11 +62,11 @@ func (c Config) workerCount() int {
 // recorder, and when the cell succeeds its bundle is committed to
 // cfg.Obs. When cfg.Checkpoint is set, every completed cell is journaled
 // with its bundle, and already-journaled cells return their recorded
-// results (re-committing their bundles) without executing. A cell
-// journaled without telemetry reruns when telemetry is on, so the sink
-// still gets its bundle. Resumed output is byte-identical because cell
-// seeds are pure functions of cell indices and gob round-trips are
-// bit-exact.
+// results (re-committing their bundles) without executing. With
+// telemetry on, a cell journaled at another cadence or without
+// telemetry reruns, so the sink gets the bundle this run would record.
+// Resumed output is byte-identical because cell seeds are pure
+// functions of cell indices and gob round-trips are bit-exact.
 func runCells[T any](cfg Config, n int, cell func(i int, cc *cellCtx) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	if n == 0 {
@@ -77,6 +77,7 @@ func runCells[T any](cfg Config, n int, cell func(i int, cc *cellCtx) (T, error)
 	if ck != nil {
 		call = ck.nextCall()
 	}
+	every := cfg.Obs.every()
 	var prog atomic.Int64
 	tick := func() {
 		if cfg.Progress != nil {
@@ -89,7 +90,7 @@ func runCells[T any](cfg Config, n int, cell func(i int, cc *cellCtx) (T, error)
 			if err != nil {
 				return v, err
 			}
-			if rec != nil && (cfg.Obs == nil || rec.Obs) {
+			if rec != nil && (cfg.Obs == nil || rec.Every == every) {
 				if cfg.Obs != nil && rec.Bundle != nil {
 					cfg.Obs.add(*rec.Bundle)
 				}
@@ -108,7 +109,7 @@ func runCells[T any](cfg Config, n int, cell func(i int, cc *cellCtx) (T, error)
 		}
 		b := cc.bundle()
 		if ck != nil {
-			rec := journalRecord{Call: call, Cell: i, Obs: cfg.Obs != nil, Bundle: b}
+			rec := journalRecord{Call: call, Cell: i, Every: every, Bundle: b}
 			if err := ckStore(ck, rec, v); err != nil {
 				return v, err
 			}

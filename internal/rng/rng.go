@@ -71,24 +71,6 @@ func (r *Source) Uint64() uint64 {
 	return result
 }
 
-// State returns the generator's full internal state. Together with
-// SetState it gives checkpoints an exact serialized form: a Source
-// restored from State resumes the identical stream, draw for draw.
-func (r *Source) State() [4]uint64 {
-	return r.s
-}
-
-// SetState overwrites the generator's internal state with a value
-// previously obtained from State. An all-zero state is invalid for
-// xoshiro256** (the stream would be constant zero), so SetState panics
-// on it rather than silently producing a degenerate generator.
-func (r *Source) SetState(s [4]uint64) {
-	if s == [4]uint64{} {
-		panic("rng: SetState with all-zero state")
-	}
-	r.s = s
-}
-
 // Split derives an independent generator from r. The derived stream is a
 // deterministic function of r's current state, and r is advanced, so
 // repeated Splits yield distinct streams. Use one Split per concern

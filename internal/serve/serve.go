@@ -5,7 +5,7 @@
 // Drain (wired to SIGTERM by the CLI) interrupts every running job at
 // its next cell boundary and leaves a resumable journal behind, so a
 // restarted server picks long experiments up where the old process
-// stopped.
+// stopped, provided each job comes back with the same spec.
 //
 // Endpoints:
 //
@@ -160,7 +160,10 @@ type Options struct {
 	// CheckpointDir, when non-empty, gives every job a journal at
 	// <dir>/<job-id> and makes Drain checkpoint in-flight jobs.
 	// Job IDs are assigned in submission order, so a restarted server
-	// fed the same submissions resumes each job from its journal.
+	// fed the same submissions resumes each job from its journal. A job
+	// whose spec would change its results (anything but Workers, Obs
+	// and ObsEvery) fails on a journal stamped for another spec, which
+	// stays as it was.
 	CheckpointDir string
 }
 
@@ -401,7 +404,7 @@ func (s *Server) run(j *Job, entry experiment.Entry) {
 		}
 	}
 	if s.opts.CheckpointDir != "" {
-		ck, err := experiment.OpenCheckpointer(filepath.Join(s.opts.CheckpointDir, j.ID))
+		ck, err := experiment.OpenCheckpointer(filepath.Join(s.opts.CheckpointDir, j.ID), []string{entry.ID}, cfg)
 		if err != nil {
 			s.finish(j, StateFailed, err.Error())
 			return

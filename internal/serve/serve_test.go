@@ -5,9 +5,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -442,4 +445,63 @@ func TestDrainCheckpointResume(t *testing.T) {
 			}
 		})
 	}
+}
+
+// readTree maps every file under dir to its contents.
+func readTree(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		out[path] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestRestartOtherSpecFails: a restarted server that gets a different
+// spec under a journaled job's ID must not resume that journal. The job
+// fails with the journal's mismatch error, streams no table, and leaves
+// the journal as it was.
+func TestRestartOtherSpecFails(t *testing.T) {
+	dir := t.TempDir()
+	s := New(Options{CheckpointDir: dir})
+	ts := httptest.NewServer(s.Handler())
+	id := submit(t, ts.URL, quickSpec())
+	collect(t, stream(t, ts.URL, id))
+	s.Drain()
+	ts.Close()
+	journal := readTree(t, filepath.Join(dir, id))
+	if len(journal) == 0 {
+		t.Fatalf("job %s left no journal", id)
+	}
+
+	s2 := New(Options{CheckpointDir: dir})
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	other := quickSpec()
+	other.Experiment = "fig8"
+	id2 := submit(t, ts2.URL, other)
+	if id2 != id {
+		t.Fatalf("restarted server assigned %s, want %s", id2, id)
+	}
+	for _, ev := range stream(t, ts2.URL, id2) {
+		if ev.Type == "table" {
+			t.Fatalf("job on another run's journal streamed a table: %s", ev.Data)
+		}
+	}
+	st := s2.jobs[id2].status()
+	if st.State != StateFailed || !strings.Contains(st.Error, "belongs to run fig6") {
+		t.Fatalf("job on another run's journal ended %+v, want failed with the journal's mismatch", st)
+	}
+	if got := readTree(t, filepath.Join(dir, id)); !reflect.DeepEqual(got, journal) {
+		t.Fatal("the refused job changed its journal")
+	}
+	s2.Drain()
 }

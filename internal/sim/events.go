@@ -77,9 +77,7 @@ const (
 	evMembership
 	// evSched runs a one-shot control-plane closure (actor func()). This
 	// is the typed home of Network.Schedule and the retry backoff — the
-	// last closure-shaped state in the engine. A pending evSched cannot
-	// be serialized (the func captures arbitrary driver state), so
-	// Checkpoint refuses while one is scheduled; everything else in the
+	// last closure-shaped state in the engine; everything else in the
 	// queue is a fixed-shape record.
 	evSched
 	// evFlit is one fused non-tail flit hop at LinkDelay 1: it runs the

@@ -580,8 +580,6 @@ func (n *Network) reconfigure() {
 		return
 	}
 	n.swapRouting(rt2)
-	swapped := opt
-	n.lastSwapOpts = &swapped
 	n.partitioned = false // a repair can reconnect a previously split graph
 	n.stats.Reconfigs++
 	n.markProgress()

@@ -120,16 +120,6 @@ type Network struct {
 	routingEpoch int
 	cache        routeCache
 
-	// origOpts is the routing-options value the network was constructed
-	// with — the stable identity Checkpoint fingerprints, since rt.Opts
-	// changes when reconfiguration swaps tables. lastSwapOpts records
-	// the updown options of the most recent successful reconfiguration
-	// swap, so Checkpoint can serialize the routing state as "rebuild
-	// with these options" instead of the full tables (the rebuild is
-	// deterministic). Nil until the first swap.
-	origOpts     updown.Options
-	lastSwapOpts *updown.Options
-
 	// Dynamic multicast groups (see group.go); empty on static runs.
 	groups []*Group
 
@@ -176,11 +166,10 @@ func New(rt *updown.Routing, params Params, seed uint64, opts ...Option) (*Netwo
 	}
 	t := rt.Topo
 	n := &Network{
-		topo:     t,
-		rt:       rt,
-		params:   params,
-		arb:      rng.New(seed),
-		origOpts: rt.Opts,
+		topo:   t,
+		rt:     rt,
+		params: params,
+		arb:    rng.New(seed),
 	}
 	n.sparse = params.SetRep == RepSparse ||
 		(params.SetRep == RepAuto && t.NumNodes >= SparseUniverseThreshold)
@@ -367,7 +356,7 @@ func (n *Network) EventsProcessed() uint64 { return n.queue.Processed() }
 
 // Schedule runs fn at absolute simulation time t (traffic generators,
 // retry backoff). The closure rides the typed evSched kind, whose
-// handler calls it; Checkpoint refuses a network with one pending.
+// handler calls it.
 func (n *Network) Schedule(t event.Time, fn func()) { n.queue.Post(t, evSched, fn, 0) }
 
 // Send schedules a multicast described by plan carrying flits payload flits,
