@@ -5,11 +5,10 @@
 // (bit i set means node i is a destination), and every switch holds one
 // "reachability string" per down output port describing the nodes legally
 // reachable through it. Routing a tree worm is the AND of header and
-// reachability strings (paper §3.2.3). The simulator keeps the switch
-// side run-coded (destset.Runs) and ANDs a flat header against it one
-// word range at a time (AnyInRange, CountRange, CopyRange), so this
-// package is on the hot path and avoids allocation in the common
-// operations.
+// reachability strings (paper §3.2.3). The simulator plans on run-coded
+// sets (destset.Runs); this package is the flat form the wire codecs
+// encode and decode, the dynamic-group membership, and the reference the
+// run-coded sets are tested against.
 package bitset
 
 import (
@@ -154,41 +153,11 @@ func AndNot(s, o *Set) *Set {
 	return c
 }
 
-// DiffInto sets dst = s &^ o in place, allocating nothing. dst may alias
-// s or o. It is the pooled-set counterpart of AndNot, used by membership
-// delta application on the churn path.
-func DiffInto(dst, s, o *Set) {
-	dst.sameLen(s)
-	s.sameLen(o)
-	for i, w := range s.words {
-		dst.words[i] = w &^ o.words[i]
-	}
-}
-
 // CopyFrom sets s to an exact copy of o in place (same universe required).
 // It is the recycling counterpart of Clone for pooled sets.
 func (s *Set) CopyFrom(o *Set) {
 	s.sameLen(o)
 	copy(s.words, o.words)
-}
-
-// Hash returns a 64-bit FNV-1a digest of the set's contents, mixing in the
-// universe size. Equal sets hash equal; the route cache uses this as a
-// fingerprint key and re-checks Equal on hit, so collisions cost a cache
-// miss, never a wrong route.
-func (s *Set) Hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	h ^= uint64(s.n)
-	h *= prime64
-	for _, w := range s.words {
-		h ^= w
-		h *= prime64
-	}
-	return h
 }
 
 // Equal reports whether s and o contain exactly the same bits.
@@ -267,79 +236,6 @@ func (s *Set) ForEachRun(fn func(lo, hi int) bool) {
 	}
 }
 
-// rangeMasks yields the word index range and edge masks covering [lo, hi].
-func rangeWords(lo, hi int) (wLo, wHi int, mLo, mHi uint64) {
-	wLo, wHi = lo/wordBits, hi/wordBits
-	mLo = ^uint64(0) << (uint(lo) % wordBits)
-	mHi = ^uint64(0) >> (wordBits - 1 - uint(hi)%wordBits)
-	return
-}
-
-// AnyInRange reports whether any bit in [lo, hi] is set, allocating
-// nothing. A flat destination set is tested against a run-coded
-// reachability string with it, one run or gap at a time.
-func (s *Set) AnyInRange(lo, hi int) bool {
-	if lo > hi {
-		return false
-	}
-	s.check(lo)
-	s.check(hi)
-	wLo, wHi, mLo, mHi := rangeWords(lo, hi)
-	if wLo == wHi {
-		return s.words[wLo]&mLo&mHi != 0
-	}
-	if s.words[wLo]&mLo != 0 || s.words[wHi]&mHi != 0 {
-		return true
-	}
-	for wi := wLo + 1; wi < wHi; wi++ {
-		if s.words[wi] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// AddRange sets every bit in [lo, hi], allocating nothing. It is how a
-// run-coded destination set is materialized back into a flat header.
-func (s *Set) AddRange(lo, hi int) {
-	if lo > hi {
-		return
-	}
-	s.check(lo)
-	s.check(hi)
-	wLo, wHi, mLo, mHi := rangeWords(lo, hi)
-	if wLo == wHi {
-		s.words[wLo] |= mLo & mHi
-		return
-	}
-	s.words[wLo] |= mLo
-	s.words[wHi] |= mHi
-	for wi := wLo + 1; wi < wHi; wi++ {
-		s.words[wi] = ^uint64(0)
-	}
-}
-
-// CopyRange sets s's bits in [lo, hi] to o's, allocating nothing. On a
-// cleared s, copying each run of a run-coded reachability string
-// intersects o with it.
-func (s *Set) CopyRange(o *Set, lo, hi int) {
-	if lo > hi {
-		return
-	}
-	s.sameLen(o)
-	s.check(lo)
-	s.check(hi)
-	wLo, wHi, mLo, mHi := rangeWords(lo, hi)
-	if wLo == wHi {
-		m := mLo & mHi
-		s.words[wLo] = s.words[wLo]&^m | o.words[wLo]&m
-		return
-	}
-	s.words[wLo] = s.words[wLo]&^mLo | o.words[wLo]&mLo
-	s.words[wHi] = s.words[wHi]&^mHi | o.words[wHi]&mHi
-	copy(s.words[wLo+1:wHi], o.words[wLo+1:wHi])
-}
-
 // RunCount returns the number of maximal runs of consecutive set bits,
 // without iterating them: a run starts at every set bit whose predecessor
 // is clear, so per word it popcounts w &^ (w<<1) with the carry bit from
@@ -351,26 +247,6 @@ func (s *Set) RunCount() int {
 	for _, w := range s.words {
 		c += bits.OnesCount64(w &^ (w<<1 | carry))
 		carry = w >> (wordBits - 1)
-	}
-	return c
-}
-
-// CountRange returns the number of set bits in [lo, hi], allocating
-// nothing. Summed over a run-coded reachability string's runs, it is the
-// flat destination set's and-count.
-func (s *Set) CountRange(lo, hi int) int {
-	if lo > hi {
-		return 0
-	}
-	s.check(lo)
-	s.check(hi)
-	wLo, wHi, mLo, mHi := rangeWords(lo, hi)
-	if wLo == wHi {
-		return bits.OnesCount64(s.words[wLo] & mLo & mHi)
-	}
-	c := bits.OnesCount64(s.words[wLo]&mLo) + bits.OnesCount64(s.words[wHi]&mHi)
-	for wi := wLo + 1; wi < wHi; wi++ {
-		c += bits.OnesCount64(s.words[wi])
 	}
 	return c
 }

@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -85,50 +86,31 @@ func TestSetAlgebra(t *testing.T) {
 	}
 }
 
-// The planner reads a flat destination set a against a run-coded
-// reachability string one run or gap of it at a time. These references
-// compose the range primitives over the runs of b the same way
-// destset.Runs' bits x runs reads do, for checking against And/AndNot.
+// The destset, updown and sim property suites check the planner's four
+// reachability reads on run-coded sets against flat references: And for
+// intersects, and-count and intersect-into, AndNot for subset. These
+// tests hold those references to per-bit membership.
 
-func runsOf(b *Set) [][2]int {
-	var out [][2]int
-	b.ForEachRun(func(lo, hi int) bool { out = append(out, [2]int{lo, hi}); return true })
+// bothBrute returns the indices set in both a and b, one Contains at a
+// time.
+func bothBrute(a, b *Set) []int {
+	var out []int
+	for i := 0; i < a.Len(); i++ {
+		if a.Contains(i) && b.Contains(i) {
+			out = append(out, i)
+		}
+	}
 	return out
 }
 
-func intersectsRuns(a, b *Set) bool {
-	for _, r := range runsOf(b) {
-		if a.AnyInRange(r[0], r[1]) {
-			return true
-		}
-	}
-	return false
-}
-
-func subsetOfRuns(a, b *Set) bool {
-	next := 0
-	for _, r := range runsOf(b) {
-		if a.AnyInRange(next, r[0]-1) {
+// subsetBrute reports whether every index set in a is set in b.
+func subsetBrute(a, b *Set) bool {
+	for i := 0; i < a.Len(); i++ {
+		if a.Contains(i) && !b.Contains(i) {
 			return false
 		}
-		next = r[1] + 1
 	}
-	return !a.AnyInRange(next, a.Len()-1)
-}
-
-func andCountRuns(a, b *Set) int {
-	c := 0
-	for _, r := range runsOf(b) {
-		c += a.CountRange(r[0], r[1])
-	}
-	return c
-}
-
-func andIntoRuns(dst, a, b *Set) {
-	dst.Clear()
-	for _, r := range runsOf(b) {
-		dst.CopyRange(a, r[0], r[1])
-	}
+	return true
 }
 
 func TestIntersectsMatchesAnd(t *testing.T) {
@@ -144,29 +126,30 @@ func TestIntersectsMatchesAnd(t *testing.T) {
 				b.Add(i)
 			}
 		}
-		if intersectsRuns(a, b) != !And(a, b).Empty() {
-			t.Fatalf("AnyInRange over runs disagrees with And on n=%d", n)
+		if got, want := !And(a, b).Empty(), len(bothBrute(a, b)) > 0; got != want {
+			t.Fatalf("And non-empty = %v, per-bit intersection %v (n=%d)", got, want, n)
 		}
 	}
 }
 
 func TestSubsetOf(t *testing.T) {
+	subsetOf := func(a, b *Set) bool { return AndNot(a, b).Empty() }
 	a := FromIndices(70, []int{3, 66})
 	b := FromIndices(70, []int{3, 10, 66})
-	if !subsetOfRuns(a, b) {
+	if !subsetOf(a, b) {
 		t.Fatal("a should be subset of b")
 	}
-	if subsetOfRuns(b, a) {
+	if subsetOf(b, a) {
 		t.Fatal("b should not be subset of a")
 	}
-	if !subsetOfRuns(a, a) {
+	if !subsetOf(a, a) {
 		t.Fatal("a should be subset of itself")
 	}
 	empty := New(70)
-	if !subsetOfRuns(empty, a) {
+	if !subsetOf(empty, a) {
 		t.Fatal("empty should be subset of anything")
 	}
-	if subsetOfRuns(a, empty) {
+	if subsetOf(a, empty) {
 		t.Fatal("a should not be subset of the empty set")
 	}
 	r := rng.New(5)
@@ -175,8 +158,8 @@ func TestSubsetOf(t *testing.T) {
 		if r.Intn(2) == 0 {
 			a.IntersectWith(b) // make subsets common
 		}
-		if got, want := subsetOfRuns(a, b), AndNot(a, b).Empty(); got != want {
-			t.Fatalf("subset over gaps = %v, AndNot empty = %v (n=%d)", got, want, a.Len())
+		if got, want := subsetOf(a, b), subsetBrute(a, b); got != want {
+			t.Fatalf("AndNot empty = %v, per-bit subset = %v (n=%d)", got, want, a.Len())
 		}
 	}
 }
@@ -312,8 +295,8 @@ func TestAndCountMatchesAnd(t *testing.T) {
 	r := rng.New(2)
 	for trial := 0; trial < 300; trial++ {
 		a, b := randomPair(r)
-		if got, want := andCountRuns(a, b), And(a, b).Count(); got != want {
-			t.Fatalf("CountRange over runs = %d, And().Count() = %d (n=%d)", got, want, a.Len())
+		if got, want := And(a, b).Count(), len(bothBrute(a, b)); got != want {
+			t.Fatalf("And().Count() = %d, per-bit count %d (n=%d)", got, want, a.Len())
 		}
 	}
 }
@@ -322,19 +305,23 @@ func TestAndIntoMatchesAnd(t *testing.T) {
 	r := rng.New(3)
 	for trial := 0; trial < 300; trial++ {
 		a, b := randomPair(r)
-		dst := New(a.Len())
-		dst.AddRange(0, a.Len()-1) // CopyRange must overwrite, not OR
-		andIntoRuns(dst, a, b)
-		if want := And(a, b); !dst.Equal(want) {
-			t.Fatalf("CopyRange over runs = %v, want %v", dst, want)
+		want := bothBrute(a, b)
+		if got := And(a, b).Indices(); !slices.Equal(got, want) {
+			t.Fatalf("And = %v, per-bit %v (n=%d)", got, want, a.Len())
+		}
+		dst := FromIndices(a.Len(), []int{a.Len() - 1}) // CopyFrom must overwrite
+		dst.CopyFrom(a)
+		dst.IntersectWith(b)
+		if got := dst.Indices(); !slices.Equal(got, want) {
+			t.Fatalf("CopyFrom+IntersectWith = %v, per-bit %v (n=%d)", got, want, a.Len())
 		}
 	}
 }
 
 func TestAndPrimitivesMismatchPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"CopyRange": func() { New(10).CopyRange(New(11), 0, 5) },
-		"CopyFrom":  func() { New(10).CopyFrom(New(11)) },
+		"CopyFrom":      func() { New(10).CopyFrom(New(11)) },
+		"IntersectWith": func() { New(10).IntersectWith(New(11)) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
@@ -347,21 +334,19 @@ func TestAndPrimitivesMismatchPanics(t *testing.T) {
 	}
 }
 
+// TestAndPrimitivesZeroAlloc: the in-place forms of And and AndNot
+// allocate nothing.
 func TestAndPrimitivesZeroAlloc(t *testing.T) {
 	a := FromIndices(512, []int{1, 100, 511})
+	b := FromIndices(512, []int{100, 200})
 	dst := New(512)
-	sink := 0
 	if avg := testing.AllocsPerRun(100, func() {
-		if a.AnyInRange(60, 300) {
-			sink++
-		}
-		sink += a.CountRange(60, 300)
-		dst.CopyRange(a, 60, 300)
+		dst.CopyFrom(a)
+		dst.IntersectWith(b)
+		dst.CopyFrom(a)
+		dst.DifferenceWith(b)
 	}); avg != 0 {
-		t.Fatalf("AnyInRange/CountRange/CopyRange allocate %v per run, want 0", avg)
-	}
-	if sink == 1<<62 {
-		t.Log(sink)
+		t.Fatalf("CopyFrom/IntersectWith/DifferenceWith allocate %v per run, want 0", avg)
 	}
 }
 
@@ -378,27 +363,6 @@ func TestCopyFrom(t *testing.T) {
 	}
 }
 
-func TestHash(t *testing.T) {
-	r := rng.New(4)
-	for trial := 0; trial < 200; trial++ {
-		a, _ := randomPair(r)
-		if a.Hash() != a.Clone().Hash() {
-			t.Fatal("equal sets hash differently")
-		}
-	}
-	// Same bits, different universe size must not collide by construction.
-	if FromIndices(64, []int{3}).Hash() == FromIndices(65, []int{3}).Hash() {
-		t.Fatal("Hash ignores the universe size")
-	}
-	// A one-bit flip changes the digest (FNV is not cryptographic, but the
-	// route cache relies on cheap flips not colliding in practice).
-	a := FromIndices(128, []int{0, 64})
-	b := FromIndices(128, []int{0, 65})
-	if a.Hash() == b.Hash() {
-		t.Fatal("adjacent one-bit sets collide")
-	}
-}
-
 func TestAndNotMatchesDifferenceWith(t *testing.T) {
 	r := rng.New(5)
 	for trial := 0; trial < 300; trial++ {
@@ -407,18 +371,6 @@ func TestAndNotMatchesDifferenceWith(t *testing.T) {
 		want.DifferenceWith(b)
 		if got := AndNot(a, b); !got.Equal(want) {
 			t.Fatalf("AndNot = %v, want %v (n=%d)", got, want, a.Len())
-		}
-	}
-}
-
-func TestDiffIntoMatchesAndNot(t *testing.T) {
-	r := rng.New(6)
-	for trial := 0; trial < 300; trial++ {
-		a, b := randomPair(r)
-		dst := New(a.Len())
-		DiffInto(dst, a, b)
-		if want := AndNot(a, b); !dst.Equal(want) {
-			t.Fatalf("DiffInto = %v, want %v", dst, want)
 		}
 	}
 }
@@ -438,11 +390,6 @@ func TestDiffPrimitivesWordBoundaries(t *testing.T) {
 		if got.Contains(0) || !got.Contains(63) || !got.Contains(n-1) {
 			t.Fatalf("n=%d: AndNot = %v", n, got)
 		}
-		dst := New(n)
-		DiffInto(dst, a, b)
-		if !dst.Equal(got) {
-			t.Fatalf("n=%d: DiffInto = %v, want %v", n, dst, got)
-		}
 	}
 }
 
@@ -458,36 +405,12 @@ func TestDiffPrimitivesEmptySets(t *testing.T) {
 	if got := AndNot(empty, empty); !got.Empty() {
 		t.Fatalf("AndNot(empty, empty) = %v, want empty", got)
 	}
-	dst := FromIndices(100, []int{7}) // stale contents must be overwritten
-	DiffInto(dst, empty, a)
-	if !dst.Empty() {
-		t.Fatalf("DiffInto(dst, empty, a) = %v, want empty", dst)
-	}
-}
-
-func TestDiffIntoAliasing(t *testing.T) {
-	a := FromIndices(130, []int{0, 5, 64, 129})
-	b := FromIndices(130, []int{5, 64, 100})
-	want := AndNot(a, b)
-	// dst aliases the first operand.
-	x := a.Clone()
-	DiffInto(x, x, b)
-	if !x.Equal(want) {
-		t.Fatalf("DiffInto(x, x, b) = %v, want %v", x, want)
-	}
-	// dst aliases the second operand.
-	y := b.Clone()
-	DiffInto(y, a, y)
-	if !y.Equal(want) {
-		t.Fatalf("DiffInto(y, a, y) = %v, want %v", y, want)
-	}
 }
 
 func TestDiffPrimitivesMismatchPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"AndNot":       func() { AndNot(New(10), New(11)) },
-		"DiffInto-src": func() { DiffInto(New(10), New(10), New(11)) },
-		"DiffInto-dst": func() { DiffInto(New(11), New(10), New(10)) },
+		"AndNot":         func() { AndNot(New(10), New(11)) },
+		"DifferenceWith": func() { New(10).DifferenceWith(New(11)) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
@@ -497,16 +420,5 @@ func TestDiffPrimitivesMismatchPanics(t *testing.T) {
 			}()
 			fn()
 		})
-	}
-}
-
-func TestDiffIntoZeroAlloc(t *testing.T) {
-	a := FromIndices(512, []int{1, 100, 511})
-	b := FromIndices(512, []int{100, 200})
-	dst := New(512)
-	if avg := testing.AllocsPerRun(100, func() {
-		DiffInto(dst, a, b)
-	}); avg != 0 {
-		t.Fatalf("DiffInto allocates %v per run, want 0", avg)
 	}
 }

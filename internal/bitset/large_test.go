@@ -4,20 +4,24 @@ import (
 	"testing"
 )
 
-// The run-iteration and range primitives are the sparse hot path: at the
-// XL tier every destination-set operation is O(runs), the runs are
-// produced by ForEachRun over >=1M-bit universes, and flat sets are read
-// against run-coded reachability strings with AnyInRange, CountRange and
-// CopyRange.
+// The run-iteration primitives feed the interval coding: the wire codec
+// sizes and encodes a flat destination string's runs with RunCount and
+// ForEachRun over >=1M-bit universes at the XL tier.
 // These tests drive the word-scan machinery with adversarial patterns —
 // single-bit runs, full-universe runs, alternating words, runs straddling
 // word boundaries — at that scale, cross-check it against a naive
-// per-bit reference, and pin the zero-allocation contract the per-branch
-// planning path depends on.
+// per-bit reference, and pin the zero-allocation contract.
 
 // largeN is deliberately not a multiple of 64 so every pattern also
 // exercises the partial final word.
 const largeN = 1<<20 + 37
+
+// addRange sets every bit in [lo, hi].
+func addRange(s *Set, lo, hi int) {
+	for i := lo; i <= hi; i++ {
+		s.Add(i)
+	}
+}
 
 // largePatterns builds the adversarial pattern suite over an n-bit
 // universe.
@@ -28,7 +32,7 @@ func largePatterns(n int) map[string]*Set {
 	pat["empty"] = empty
 
 	full := New(n)
-	full.AddRange(0, n-1)
+	addRange(full, 0, n-1)
 	pat["full"] = full
 
 	// Alternating bits: every run is a single bit and every word holds 32
@@ -51,7 +55,7 @@ func largePatterns(n int) map[string]*Set {
 	// runs every 8192 bits.
 	racks := New(n)
 	for base := 0; base+1024 <= n; base += 8192 {
-		racks.AddRange(base, base+1023)
+		addRange(racks, base, base+1023)
 	}
 	pat["long-runs"] = racks
 
@@ -59,11 +63,11 @@ func largePatterns(n int) map[string]*Set {
 	// plus single bits at word starts/ends and a run into the final
 	// partial word.
 	edges := New(n)
-	edges.AddRange(63, 64)
-	edges.AddRange(127, 192)
+	addRange(edges, 63, 64)
+	addRange(edges, 127, 192)
 	edges.Add(256)
 	edges.Add(319)
-	edges.AddRange(n-40, n-1)
+	addRange(edges, n-40, n-1)
 	pat["word-edges"] = edges
 
 	return pat
@@ -140,79 +144,10 @@ func head(r [][2]int) [][2]int {
 	return r
 }
 
-// TestCopyRangeMillionBit copies every pattern's window into a set
-// holding a different pattern, over windows chosen to straddle word
-// boundaries, split runs, and cover degenerate single-bit ranges: inside
-// the window the result must match the source bit for bit, outside it
-// the destination must be untouched.
-func TestCopyRangeMillionBit(t *testing.T) {
-	windows := [][2]int{
-		{0, largeN - 1},           // full universe
-		{63, 64},                  // word boundary pair
-		{64, 127},                 // exactly one word
-		{100, 100},                // single bit
-		{1, largeN - 2},           // clips both ends
-		{8190, 8195},              // splits a long-runs gap edge
-		{largeN - 41, largeN - 1}, // final partial word
-	}
-	pats := largePatterns(largeN)
-	for name, s := range pats {
-		for _, w := range windows {
-			dst := pats["alternating"].Clone()
-			dst.CopyRange(s, w[0], w[1])
-			want := pats["alternating"].Clone()
-			for i := w[0]; i <= w[1]; i++ {
-				if s.Contains(i) {
-					want.Add(i)
-				} else {
-					want.Remove(i)
-				}
-			}
-			if !dst.Equal(want) {
-				t.Errorf("%s window %v: CopyRange diverged (%d bits set, want %d)", name, w, dst.Count(), want.Count())
-			}
-		}
-	}
-}
-
-// TestRangePredicatesMillionBit pins AddRange/AnyInRange/CountRange
-// against per-bit equivalents at scale (the hostLo/hostHi local-delivery
-// gate and the flat set's reachability reads are built on these).
-func TestRangePredicatesMillionBit(t *testing.T) {
-	for name, s := range largePatterns(largeN) {
-		for _, w := range [][2]int{{0, largeN - 1}, {63, 64}, {500, 500}, {8191, 9300}, {largeN - 40, largeN - 1}} {
-			wantCount := 0
-			for i := w[0]; i <= w[1]; i++ {
-				if s.Contains(i) {
-					wantCount++
-				}
-			}
-			wantAny := wantCount > 0
-			if got := s.CountRange(w[0], w[1]); got != wantCount {
-				t.Errorf("%s: CountRange%v = %v, want %v", name, w, got, wantCount)
-			}
-			if got := s.AnyInRange(w[0], w[1]); got != wantAny {
-				t.Errorf("%s: AnyInRange%v = %v, want %v", name, w, got, wantAny)
-			}
-		}
-	}
-	// AddRange == per-bit Add, on a boundary-hostile range.
-	a, b := New(largeN), New(largeN)
-	a.AddRange(61, 200_131)
-	for i := 61; i <= 200_131; i++ {
-		b.Add(i)
-	}
-	if !a.Equal(b) || a.Count() != 200_131-61+1 {
-		t.Fatal("AddRange disagrees with per-bit Add")
-	}
-}
-
 // TestRunIterationZeroAlloc pins the allocation-free contract of the
-// iteration and range primitives: the sparse planning path calls them
-// per branch, so a single allocation here multiplies by the tree size.
+// iteration primitives: sizing an interval header must not allocate.
 func TestRunIterationZeroAlloc(t *testing.T) {
 	pats := largePatterns(largeN)
-	dst := New(largeN)
 	sink := 0
 	for name, s := range pats {
 		s := s
@@ -220,10 +155,7 @@ func TestRunIterationZeroAlloc(t *testing.T) {
 			"ForEachRun": func() {
 				s.ForEachRun(func(lo, hi int) bool { sink += hi - lo; return true })
 			},
-			"RunCount":   func() { sink += s.RunCount() },
-			"AnyInRange": func() { sink += boolInt(s.AnyInRange(63, 1<<19)) },
-			"CountRange": func() { sink += s.CountRange(63, 1<<19) },
-			"CopyRange":  func() { dst.CopyRange(s, 63, 1<<19) },
+			"RunCount": func() { sink += s.RunCount() },
 		} {
 			if allocs := testing.AllocsPerRun(2, f); allocs != 0 {
 				t.Errorf("%s on %s: %v allocs/op, want 0", probe, name, allocs)
@@ -233,11 +165,4 @@ func TestRunIterationZeroAlloc(t *testing.T) {
 	if sink == 1<<62 {
 		t.Log(sink) // keep the measured work observable
 	}
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -17,11 +17,11 @@
 //
 // Two forms carry the coding. Runs is the simulator's mutable run-list
 // set: the in-memory form of every switch's up*/down* reachability
-// strings, and of destination sets on large networks.
+// strings and of every destination set the planner holds.
 // IvalBytesOf, AppendIvalEncoded and DecodeIvalInto work on a
-// *bitset.Set directly, so the flat hot path sizes, encodes and decodes
-// interval headers without building a Runs and without allocating. Both
-// forms agree byte for byte on the same members.
+// *bitset.Set directly, so the wire codec and plan-level header totals
+// size, encode and decode interval headers without building a Runs and
+// without allocating. Both forms agree byte for byte on the same members.
 package destset
 
 import (

@@ -12,8 +12,7 @@ import (
 
 // checkReads holds the planner's reachability reads to a flat reference:
 // v (members vb) is the destination set and o (members ob) the
-// reachability string. It covers the runs x runs forms, the bits x runs
-// forms with vb as the flat destination set, UnionWith and String.
+// reachability string. It covers the four reads, UnionWith and String.
 func checkReads(t *testing.T, label string, v *Runs, vb *bitset.Set, o *Runs, ob *bitset.Set) {
 	t.Helper()
 	and := bitset.And(vb, ob)
@@ -21,32 +20,18 @@ func checkReads(t *testing.T, label string, v *Runs, vb *bitset.Set, o *Runs, ob
 	if got := v.Intersects(o); got != inter {
 		t.Fatalf("%s: Intersects %v, want %v", label, got, inter)
 	}
-	if got := o.IntersectsBits(vb); got != inter {
-		t.Fatalf("%s: IntersectsBits %v, want %v", label, got, inter)
-	}
 	if got := v.SubsetOf(o); got != subset {
 		t.Fatalf("%s: SubsetOf %v, want %v", label, got, subset)
-	}
-	if got := o.CoversBits(vb); got != subset {
-		t.Fatalf("%s: CoversBits %v, want %v", label, got, subset)
 	}
 	if got := v.AndCount(o); got != count {
 		t.Fatalf("%s: AndCount %d, want %d", label, got, count)
 	}
-	if got := o.AndCountBits(vb); got != count {
-		t.Fatalf("%s: AndCountBits %d, want %d", label, got, count)
-	}
 	full := bitset.New(vb.Len())
-	full.AddRange(0, vb.Len()-1)
+	addRange(full, 0, vb.Len()-1)
 	dst := runsOf(full) // IntersectInto must overwrite
 	v.IntersectInto(dst, o)
 	if !dst.EqualBits(and) || dst.Count() != count {
 		t.Fatalf("%s: IntersectInto %v, want %v", label, dst.Indices(), and.Indices())
-	}
-	dstBits := full.Clone() // IntersectBitsInto must overwrite
-	o.IntersectBitsInto(dstBits, vb)
-	if !dstBits.Equal(and) {
-		t.Fatalf("%s: IntersectBitsInto %v, want %v", label, dstBits.Indices(), and.Indices())
 	}
 	union := vb.Clone()
 	union.UnionWith(ob)
@@ -79,11 +64,18 @@ func edgeSets(n int) map[string]*bitset.Set {
 	} {
 		s := bitset.New(n)
 		for _, r := range runs {
-			s.AddRange(r[0], r[1])
+			addRange(s, r[0], r[1])
 		}
 		out[name] = s
 	}
 	return out
+}
+
+// addRange sets every bit of s in [lo, hi].
+func addRange(s *bitset.Set, lo, hi int) {
+	for i := lo; i <= hi; i++ {
+		s.Add(i)
+	}
 }
 
 func runsOf(s *bitset.Set) *Runs {
@@ -145,7 +137,7 @@ func TestPropertyRunsMatchBitset(t *testing.T) {
 		mask := bitset.New(universe)
 		for j := r.Intn(4); j > 0; j-- {
 			lo := r.Intn(universe)
-			mask.AddRange(lo, lo+r.Intn(universe-lo))
+			addRange(mask, lo, lo+r.Intn(universe-lo))
 		}
 		for j := r.Intn(universe/8 + 1); j > 0; j-- {
 			mask.Add(r.Intn(universe))
@@ -338,27 +330,56 @@ func TestForEachRun(t *testing.T) {
 	}
 }
 
-// TestRangeHelpers pins AnyInRange/CountRange against brute force.
+// TestRangeHelpers pins AnyInRange, the local-delivery gate's read,
+// against brute force.
 func TestRangeHelpers(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	s := bitset.New(300)
+	s := NewRuns(300)
 	for i := 0; i < 90; i++ {
 		s.Add(r.Intn(300))
 	}
 	for trial := 0; trial < 500; trial++ {
 		lo := r.Intn(300)
 		hi := lo + r.Intn(300-lo)
-		want := 0
+		want := false
 		for i := lo; i <= hi; i++ {
-			if s.Contains(i) {
-				want++
-			}
+			want = want || s.Contains(i)
 		}
-		if got := s.CountRange(lo, hi); got != want {
-			t.Fatalf("CountRange(%d,%d)=%d want %d", lo, hi, got, want)
+		if got := s.AnyInRange(lo, hi); got != want {
+			t.Fatalf("AnyInRange(%d,%d)=%v want %v", lo, hi, got, want)
 		}
-		if got := s.AnyInRange(lo, hi); got != (want > 0) {
-			t.Fatalf("AnyInRange(%d,%d)=%v want %v", lo, hi, got, want > 0)
+	}
+	if s.AnyInRange(5, 4) {
+		t.Fatal("AnyInRange over an empty range reported a member")
+	}
+}
+
+// TestFingerprint pins the route cache's key digest: equal sets digest
+// equal, the universe size is mixed in, and shifting one member changes
+// the digest (FNV is not cryptographic; the cache re-checks Equal on a
+// hit, but cheap shifts should not collide in practice).
+func TestFingerprint(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 200; trial++ {
+		v := NewRuns(1 + r.Intn(300))
+		for i := r.Intn(40); i > 0; i-- {
+			v.Add(r.Intn(v.Universe()))
 		}
+		if v.Fingerprint() != v.Clone().Fingerprint() {
+			t.Fatal("equal sets fingerprint differently")
+		}
+	}
+	at := func(n int, idx ...int) *Runs {
+		v := NewRuns(n)
+		for _, i := range idx {
+			v.Add(i)
+		}
+		return v
+	}
+	if at(64, 3).Fingerprint() == at(65, 3).Fingerprint() {
+		t.Fatal("Fingerprint ignores the universe size")
+	}
+	if at(128, 0, 64).Fingerprint() == at(128, 0, 65).Fingerprint() {
+		t.Fatal("sets one member apart collide")
 	}
 }

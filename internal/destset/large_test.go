@@ -7,13 +7,12 @@ import (
 	"mcastsim/internal/bitset"
 )
 
-// Large-universe coverage for the Runs representation (PR 9): at the XL
-// tier every destination set in the hot path is a *Runs over a >=1M-bit
-// universe, converted to and from flat bit strings at the representation
-// boundary. These tests drive that boundary with the same adversarial
-// patterns the bitset suite uses, pin the cross-representation contracts
-// the simulator's determinism depends on (equal fingerprints, equal wire
-// encodings, equal header sizes), and assert the iteration paths stay
+// Large-universe coverage for Runs: at the XL tier every destination set
+// the planner holds is a *Runs over a >=1M-bit universe, and the wire
+// codec works on the same members as flat bit strings. These tests drive
+// both forms with the same adversarial patterns the bitset suite uses,
+// pin the contracts between them (equal run structure, equal wire
+// encodings, equal header sizes), and assert the read paths stay
 // allocation-free.
 
 const bigN = 1<<20 + 37
@@ -23,7 +22,7 @@ func bigPatterns(n int) map[string]*bitset.Set {
 	empty := bitset.New(n)
 	pat["empty"] = empty
 	full := bitset.New(n)
-	full.AddRange(0, n-1)
+	addRange(full, 0, n-1)
 	pat["full"] = full
 	alt := bitset.New(n)
 	for i := 0; i < n; i += 2 {
@@ -37,21 +36,21 @@ func bigPatterns(n int) map[string]*bitset.Set {
 	pat["single-bits"] = single
 	racks := bitset.New(n)
 	for base := 0; base+1024 <= n; base += 8192 {
-		racks.AddRange(base, base+1023)
+		addRange(racks, base, base+1023)
 	}
 	pat["long-runs"] = racks
 	edges := bitset.New(n)
-	edges.AddRange(63, 64)
-	edges.AddRange(127, 192)
+	addRange(edges, 63, 64)
+	addRange(edges, 127, 192)
 	edges.Add(256)
 	edges.Add(319)
-	edges.AddRange(n-40, n-1)
+	addRange(edges, n-40, n-1)
 	pat["word-edges"] = edges
 	return pat
 }
 
-// TestRunsBitsRoundTripMillionBit: CopyFromBits/WriteToBits is an exact
-// round trip for every adversarial pattern, and the run structure
+// TestRunsBitsRoundTripMillionBit: CopyFromBits then FromIndices is an
+// exact round trip for every adversarial pattern, and the run structure
 // matches the bitset's own run scan.
 func TestRunsBitsRoundTripMillionBit(t *testing.T) {
 	for name, s := range bigPatterns(bigN) {
@@ -66,10 +65,8 @@ func TestRunsBitsRoundTripMillionBit(t *testing.T) {
 		if !v.EqualBits(s) {
 			t.Errorf("%s: EqualBits false after CopyFromBits", name)
 		}
-		back := bitset.New(bigN)
-		v.WriteToBits(back)
-		if !back.Equal(s) {
-			t.Errorf("%s: WriteToBits round trip diverged", name)
+		if back := bitset.FromIndices(bigN, v.Indices()); !back.Equal(s) {
+			t.Errorf("%s: round trip through Indices diverged", name)
 		}
 		// Run-by-run agreement with the flat scan.
 		var flat [][2]int
@@ -197,22 +194,26 @@ func TestRunsPoolReuseMillionBit(t *testing.T) {
 	if !v.Equal(fresh) || v.Fingerprint() != fresh.Fingerprint() {
 		t.Fatal("reused Runs differs from a fresh one")
 	}
-	// CopyFrom must produce an independent value: mutating the copy may
-	// not disturb the original (the route cache stores cloned keys).
+	// CopyFrom and Clone must produce independent values: mutating the
+	// source may not disturb a copy (the route cache stores cloned keys
+	// and expands hits into pooled sets with CopyFrom).
 	snap := NewRuns(bigN)
 	snap.CopyFrom(v)
+	clone := v.Clone()
 	v.Remove(63)
 	v.Add(1 << 18)
 	if !snap.Equal(fresh) {
 		t.Fatal("mutating the source leaked into its CopyFrom snapshot")
 	}
+	if !clone.Equal(fresh) || clone.Count() != fresh.Count() || clone.Fingerprint() != fresh.Fingerprint() {
+		t.Fatal("mutating the source leaked into its Clone")
+	}
 }
 
 // TestRunsIterationZeroAlloc pins the allocation-free contract of the
-// sparse read paths the per-branch planning loop calls, of the planner's
-// reachability reads in both forms (once the output's run list has
-// grown), and of the bitset helpers the flat path sizes, keys and
-// encodes interval headers with.
+// read paths the per-branch planning loop calls, of the planner's
+// reachability reads (once the output's run list has grown), and of the
+// bitset helpers the wire codec sizes and encodes interval headers with.
 func TestRunsIterationZeroAlloc(t *testing.T) {
 	pats := bigPatterns(bigN)
 	sink := 0
@@ -221,7 +222,6 @@ func TestRunsIterationZeroAlloc(t *testing.T) {
 		v := runsOf(pats[name])
 		inter := NewRuns(bigN)
 		flat := pats[name]
-		flatInter := bitset.New(bigN)
 		enc := make([]byte, 0, len(AppendIvalEncoded(nil, flat)))
 		for probe, f := range map[string]func(){
 			"ForEachRun": func() {
@@ -235,10 +235,6 @@ func TestRunsIterationZeroAlloc(t *testing.T) {
 			"SubsetOf":          func() { sink += boolInt(v.SubsetOf(reach)) },
 			"AndCount":          func() { sink += v.AndCount(reach) },
 			"IntersectInto":     func() { v.IntersectInto(inter, reach); sink += inter.Count() },
-			"IntersectsBits":    func() { sink += boolInt(reach.IntersectsBits(flat)) },
-			"CoversBits":        func() { sink += boolInt(reach.CoversBits(flat)) },
-			"AndCountBits":      func() { sink += reach.AndCountBits(flat) },
-			"IntersectBitsInto": func() { reach.IntersectBitsInto(flatInter, flat); sink += flatInter.Count() },
 			"IvalBytesOf":       func() { sink += IvalBytesOf(flat) },
 			"AppendIvalEncoded": func() { enc = AppendIvalEncoded(enc[:0], flat); sink += len(enc) },
 		} {

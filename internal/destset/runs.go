@@ -140,6 +140,11 @@ func (v *Runs) CopyFrom(o *Runs) {
 	v.count = o.count
 }
 
+// Clone returns an independent copy of v.
+func (v *Runs) Clone() *Runs {
+	return &Runs{n: v.n, runs: append([]ivRun(nil), v.runs...), count: v.count}
+}
+
 // CopyFromBits sets v to the members of s in place (same universe
 // required), allocating only when the run list must grow.
 func (v *Runs) CopyFromBits(s *bitset.Set) {
@@ -152,18 +157,6 @@ func (v *Runs) CopyFromBits(s *bitset.Set) {
 		v.count += hi - lo + 1
 		return true
 	})
-}
-
-// WriteToBits materializes v's members into dst (cleared first; same
-// universe required).
-func (v *Runs) WriteToBits(dst *bitset.Set) {
-	if v.n != dst.Len() {
-		panic(fmt.Sprintf("destset: universe mismatch %d vs %d", v.n, dst.Len()))
-	}
-	dst.Clear()
-	for _, r := range v.runs {
-		dst.AddRange(int(r.lo), int(r.hi))
-	}
 }
 
 // Indices returns the members in ascending order.
@@ -256,7 +249,7 @@ func (v *Runs) EqualBits(s *bitset.Set) bool {
 }
 
 // Fingerprint returns the FNV-1a digest of (universe, run list), the
-// route cache's key for a sparse destination set.
+// route cache's key for a destination set.
 func (v *Runs) Fingerprint() uint64 {
 	h := fnvSeed(v.n)
 	for _, r := range v.runs {
@@ -305,12 +298,6 @@ func (v *Runs) sameLen(o *Runs) {
 	}
 }
 
-func (v *Runs) sameBitsLen(o *bitset.Set) {
-	if v.n != o.Len() {
-		mismatch(v.n, o.Len())
-	}
-}
-
 // mismatch panics on a universe mismatch, which only a bug produces. It
 // is kept out of line so the checks above inline into the reads.
 //
@@ -320,60 +307,11 @@ func mismatch(a, b int) {
 }
 
 // The planner reads a switch's reachability strings (updown.Routing's
-// Cover and DownReach, held as Runs) four ways: intersects, subset,
-// and-count and intersect-into. A flat destination set o is read with
-// the bits x runs forms, called on the reachability string v: they walk
-// v's runs and probe o one word range at a time. A run-coded destination
-// set v is read with the runs x runs forms, called on v with the
-// reachability string as o: they binary-search each run of v in o, so
-// they cost O(k_v log k_o). Neither allocates beyond the output's run
+// Cover and DownReach) four ways: intersects, subset, and-count and
+// intersect-into. Each is called on the destination set v with the
+// reachability string as o, and binary-searches each run of v in o, so
+// it costs O(k_v log k_o) and allocates nothing beyond the output's run
 // list.
-
-// IntersectsBits reports whether any member is set in o.
-func (v *Runs) IntersectsBits(o *bitset.Set) bool {
-	v.sameBitsLen(o)
-	for _, r := range v.runs {
-		if o.AnyInRange(int(r.lo), int(r.hi)) {
-			return true
-		}
-	}
-	return false
-}
-
-// CoversBits reports whether every bit set in o is a member of v — the
-// Covers test for a flat set: no bit of o falls in a gap of v.
-func (v *Runs) CoversBits(o *bitset.Set) bool {
-	v.sameBitsLen(o)
-	next := 0
-	for _, r := range v.runs {
-		if o.AnyInRange(next, int(r.lo)-1) {
-			return false
-		}
-		next = int(r.hi) + 1
-	}
-	return !o.AnyInRange(next, v.n-1)
-}
-
-// AndCountBits returns how many members are set in o.
-func (v *Runs) AndCountBits(o *bitset.Set) int {
-	v.sameBitsLen(o)
-	c := 0
-	for _, r := range v.runs {
-		c += o.CountRange(int(r.lo), int(r.hi))
-	}
-	return c
-}
-
-// IntersectBitsInto sets dst = o & v in place (dst must not alias o):
-// dst is cleared, then each run of v copies its window of o.
-func (v *Runs) IntersectBitsInto(dst, o *bitset.Set) {
-	v.sameBitsLen(o)
-	v.sameBitsLen(dst)
-	dst.Clear()
-	for _, r := range v.runs {
-		dst.CopyRange(o, int(r.lo), int(r.hi))
-	}
-}
 
 // seek returns the index of the first run at or after from with hi >= i.
 func seek(runs []ivRun, from int, i int32) int {

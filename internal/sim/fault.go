@@ -223,7 +223,7 @@ func (n *Network) failWormDests(w *worm) {
 	case WormUnicast:
 		n.failDest(m, w.dest)
 	case WormTree:
-		for _, d := range w.destSet.indices() {
+		for _, d := range w.destSet.Indices() {
 			n.failDest(m, topology.NodeID(d))
 		}
 	case WormPath:

@@ -227,7 +227,7 @@ func (n *Network) applyMembership(ev *MembershipEvent) {
 		// Every in-flight message was addressed to a snapshot that
 		// excludes the joiner: each is a missed delivery.
 		for _, m := range g.inflight {
-			if !m.snapshot.contains(node) {
+			if !m.snapshot.Contains(node) {
 				g.missed++
 				n.stats.MissedDeliveries++
 			}
@@ -256,8 +256,8 @@ func (n *Network) applyMembership(ev *MembershipEvent) {
 // the group bookkeeping that makes the churn races observable. The plan
 // is the caller's (built by a scheme or a group planner against the
 // membership the caller saw); the message snapshots plan.Dests ∪ source
-// into a pooled bitset so later deltas can be classified as stale or
-// missed against it. The snapshot is recycled when the message
+// into a pooled run-coded set so later deltas can be classified as stale
+// or missed against it. The snapshot is recycled when the message
 // completes.
 func (n *Network) SendToGroup(g *Group, plan *Plan, flits int, at event.Time, onComplete func(*Message)) (*Message, error) {
 	if g == nil || g.net != n {
@@ -267,11 +267,11 @@ func (n *Network) SendToGroup(g *Group, plan *Plan, flits int, at event.Time, on
 	if err != nil {
 		return nil, err
 	}
-	snap := n.getDset()
+	snap := n.getRuns()
 	for _, d := range plan.Dests {
-		snap.add(int(d))
+		snap.Add(int(d))
 	}
-	snap.add(int(plan.Source))
+	snap.Add(int(plan.Source))
 	m.group = g
 	m.snapshot = snap
 	g.inflight = append(g.inflight, m)
@@ -300,6 +300,6 @@ func (n *Network) groupMsgDone(m *Message) {
 			break
 		}
 	}
-	n.putDset(m.snapshot)
-	m.snapshot = dset{}
+	n.putRuns(m.snapshot)
+	m.snapshot = nil
 }

@@ -146,7 +146,7 @@ func TestGroupStaleDelivery(t *testing.T) {
 	if g.Missed() != 0 {
 		t.Fatalf("missed = %d, want 0", g.Missed())
 	}
-	if m.Group() != g || m.snapshot.some() {
+	if m.Group() != g || m.snapshot != nil {
 		t.Fatal("completed message kept its snapshot (pool leak)")
 	}
 	if len(g.inflight) != 0 {

@@ -138,11 +138,6 @@ type Network struct {
 	hostLo []int32
 	hostHi []int32
 
-	// sparse selects the run-coded destination-set representation for
-	// every pooled planning set (see dset.go); fixed at New from
-	// Params.SetRep and never changed.
-	sparse bool
-
 	// reclaimAfter is the branch quarantine horizon (see pool.go).
 	reclaimAfter event.Time
 
@@ -171,8 +166,6 @@ func New(rt *updown.Routing, params Params, seed uint64, opts ...Option) (*Netwo
 		params: params,
 		arb:    rng.New(seed),
 	}
-	n.sparse = params.SetRep == RepSparse ||
-		(params.SetRep == RepAuto && t.NumNodes >= SparseUniverseThreshold)
 	n.registerKinds()
 	n.cache.init(t.NumSwitches)
 	n.scr.init(t)
@@ -285,13 +278,13 @@ func (n *Network) outPort(s topology.SwitchID, p int) *outPort {
 // localIntersects reports whether d contains a host attached to switch s
 // — planTree's local-delivery gate, formerly Intersects against a
 // per-switch localNodes bit string. Same predicate, no O(S×N) table.
-func (n *Network) localIntersects(d dset, s topology.SwitchID) bool {
+func (n *Network) localIntersects(d *destset.Runs, s topology.SwitchID) bool {
 	lo, hi := n.hostLo[s], n.hostHi[s]
 	if lo >= 0 {
-		return lo <= hi && d.anyInRange(int(lo), int(hi))
+		return lo <= hi && d.AnyInRange(int(lo), int(hi))
 	}
 	for _, node := range n.nodesAt[s] {
-		if d.contains(int(node)) {
+		if d.Contains(int(node)) {
 			return true
 		}
 	}

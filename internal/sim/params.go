@@ -91,51 +91,15 @@ type Params struct {
 	// with the destination set's run structure instead of the host count.
 	DestCoding DestCoding
 
-	// SetRep selects the in-core destination-set representation the
-	// planners and route cache work with (independent of the wire coding
-	// above). The zero value (RepAuto) picks flat bit strings up to
-	// SparseUniverseThreshold hosts — byte-identical to the historical
-	// engine — and the run-coded sparse representation beyond it, where a
-	// flat set is ~125 KB at 1M hosts and the O(S×N) planning state stops
-	// fitting in RAM. RepFlat/RepSparse force either one; the two produce
-	// byte-identical traces and tables (the representation only changes
-	// how membership is stored, never a routing predicate or RNG draw).
+	// Deprecated: ignored; every network plans on run-coded sets.
 	SetRep SetRep
 }
 
-// SetRep names an in-core destination-set representation policy (see
-// Params.SetRep).
+// Deprecated: ignored; every network plans on run-coded sets.
 type SetRep int
 
-const (
-	// RepAuto: flat below SparseUniverseThreshold hosts, sparse at or
-	// above it.
-	RepAuto SetRep = iota
-	// RepFlat forces the paper's flat bit strings at every size.
-	RepFlat
-	// RepSparse forces the run-coded sparse representation at every size.
-	RepSparse
-)
-
-// SparseUniverseThreshold is the RepAuto cutover: networks with at least
-// this many hosts plan on run-coded sets. Every paper/S/M experiment size
-// sits well below it (history unchanged); the L (≥100k hosts) and XL
-// (≥1M hosts) tiers sit above.
-const SparseUniverseThreshold = 65536
-
-// String renders the representation policy for flags and table notes.
-func (r SetRep) String() string {
-	switch r {
-	case RepAuto:
-		return "auto"
-	case RepFlat:
-		return "flat"
-	case RepSparse:
-		return "sparse"
-	default:
-		return fmt.Sprintf("SetRep(%d)", int(r))
-	}
-}
+// Deprecated: ignored; every network plans on run-coded sets.
+const RepSparse SetRep = 2
 
 // DestCoding names a destination-set header encoding (see Params).
 type DestCoding int
@@ -233,8 +197,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("sim: negative NI buffer bound")
 	case p.DestCoding != HeaderFlat && p.DestCoding != HeaderIval:
 		return fmt.Errorf("sim: unknown destination coding %d", p.DestCoding)
-	case p.SetRep != RepAuto && p.SetRep != RepFlat && p.SetRep != RepSparse:
-		return fmt.Errorf("sim: unknown set representation %d", p.SetRep)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"mcastsim/internal/destset"
 	"mcastsim/internal/event"
 	"mcastsim/internal/topology"
 )
@@ -270,7 +271,7 @@ type Message struct {
 	// the pooled membership set taken at send time, recycled at
 	// completion. Both empty on plain sends.
 	group    *Group
-	snapshot dset
+	snapshot *destset.Runs
 }
 
 // Group returns the dynamic group this message was addressed to, or nil

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"mcastsim/internal/bitset"
 	"mcastsim/internal/destset"
 	"mcastsim/internal/event"
 	"mcastsim/internal/topology"
@@ -14,10 +13,11 @@ import (
 //
 // Ownership and lifetime rules:
 //
-//   - Destination sets (*bitset.Set, universe NumNodes): owned by exactly
-//     one worm (w.destSet) or held transiently by a planner. getSet
-//     returns a cleared set; putSet recycles it. The route cache keeps
-//     its own clones and never lends storage out (see routecache.go).
+//   - Destination sets (*destset.Runs, universe NumNodes): owned by
+//     exactly one worm (w.destSet) or held transiently by a planner.
+//     getRuns returns a cleared set; putRuns recycles it. The route cache
+//     keeps its own clones and never lends storage out (see
+//     routecache.go).
 //
 //   - Worms are reference-counted. The legs are: the producing branch
 //     (released when the branch is reclaimed after its quarantine), the
@@ -43,7 +43,6 @@ import (
 
 // entityPools holds the free lists (see the ownership rules above).
 type entityPools struct {
-	setPool    []*bitset.Set
 	runPool    []*destset.Runs
 	wormPool   []*worm
 	branchPool []*branch
@@ -93,21 +92,9 @@ func (n *Network) reclaimQuarantine() event.Time {
 
 // --- destination sets ---
 
-func (n *Network) getSet() *bitset.Set {
-	p := &n.pools
-	if len(p.setPool) == 0 {
-		return bitset.New(n.topo.NumNodes)
-	}
-	s := p.setPool[len(p.setPool)-1]
-	p.setPool = p.setPool[:len(p.setPool)-1]
-	s.Clear()
-	return s
-}
-
-func (n *Network) putSet(s *bitset.Set) {
-	n.pools.setPool = append(n.pools.setPool, s)
-}
-
+// getRuns returns a cleared pooled destination set. A run list is sized
+// by its run count, not the universe, so a rack-clustered set costs a few
+// dozen bytes at any host count.
 func (n *Network) getRuns() *destset.Runs {
 	p := &n.pools
 	if len(p.runPool) == 0 {
@@ -121,24 +108,6 @@ func (n *Network) getRuns() *destset.Runs {
 
 func (n *Network) putRuns(r *destset.Runs) {
 	n.pools.runPool = append(n.pools.runPool, r)
-}
-
-// getDset returns a cleared destination set in the network's chosen
-// representation. Sparse networks pool run lists sized by run count (a
-// few dozen bytes for rack-clustered sets) instead of universe bits.
-func (n *Network) getDset() dset {
-	if n.sparse {
-		return dset{runs: n.getRuns()}
-	}
-	return dset{bits: n.getSet()}
-}
-
-func (n *Network) putDset(d dset) {
-	if d.bits != nil {
-		n.putSet(d.bits)
-		return
-	}
-	n.putRuns(d.runs)
 }
 
 // --- worms ---
@@ -159,8 +128,8 @@ func (n *Network) recycleWorm(w *worm) {
 	if w.refs != 0 {
 		panic("sim: recycling a referenced worm")
 	}
-	if w.destSet.some() {
-		n.putDset(w.destSet)
+	if w.destSet != nil {
+		n.putRuns(w.destSet)
 	}
 	*w = worm{}
 	n.pools.wormPool = append(n.pools.wormPool, w)

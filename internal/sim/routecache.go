@@ -70,12 +70,9 @@ type partKey struct {
 	fp uint64
 }
 
-// Cached keying sets and partition subsets are stored run-coded in BOTH
-// representations: a run snapshot costs O(runs) bytes instead of O(N)
-// bits, which is what keeps thousands of cached partitions affordable at
-// the 1M-host tiers. The verify-on-hit Equal and the hit expansion are
-// pure membership operations, so flat networks behave byte-identically
-// to the historical clone-keyed cache.
+// Cached keying sets and partition subsets are run snapshots: O(runs)
+// bytes each, which is what keeps thousands of cached partitions
+// affordable at the 1M-host tiers.
 type partEntry struct {
 	key  *destset.Runs // keying set (verified on hit)
 	tied bool          // a greedy round's max was multiply-achieved: result is shuffle-dependent
@@ -130,19 +127,6 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// destFP returns the fingerprint the route cache keys destination sets
-// on: the bit-string hash of a flat set, the run-list fingerprint of a
-// sparse one. Which digest keys an entry cannot change a decision: a hit
-// re-verifies full membership, so a collision costs a miss, never a
-// wrong route; a network never mixes set representations; and hit vs
-// miss is RNG-transparent by construction.
-func destFP(set dset) uint64 {
-	if set.runs != nil {
-		return set.runs.Fingerprint()
-	}
-	return set.bits.Hash()
-}
-
 // sync flushes every map when the routing epoch has moved since the
 // entries were computed.
 func (c *routeCache) sync(epoch int) {
@@ -186,12 +170,12 @@ func (c *routeCache) invalidateNode(node int) {
 // any switch covering set (the reverse BFS of climbPorts), cached by the
 // set's fingerprint. The returned slice is cache-owned (or Network
 // scratch when the cache is disabled or cold-storing): read-only.
-func (n *Network) climbDist(set dset) []int32 {
+func (n *Network) climbDist(set *destset.Runs) []int32 {
 	c := &n.cache
 	c.sync(n.routingEpoch)
 	if !c.disabled {
-		fp := destFP(set)
-		if e := c.climb[fp]; e != nil && set.equalRuns(e.key) {
+		fp := set.Fingerprint()
+		if e := c.climb[fp]; e != nil && set.Equal(e.key) {
 			return e.dist
 		}
 		dist := n.computeClimbDist(set)
@@ -200,7 +184,7 @@ func (n *Network) climbDist(set dset) []int32 {
 		}
 		owned := make([]int32, len(dist))
 		copy(owned, dist)
-		c.climb[fp] = &climbEntry{key: set.cloneRuns(), dist: owned}
+		c.climb[fp] = &climbEntry{key: set.Clone(), dist: owned}
 		return owned
 	}
 	return n.computeClimbDist(set)
@@ -208,10 +192,9 @@ func (n *Network) climbDist(set dset) []int32 {
 
 // computeClimbDist runs the reverse BFS over up links from every switch
 // covering set, into decision scratch. The seeding pass tests every
-// switch's Cover string against the set; on sparse sets that is
-// O(runs × span/64) per switch instead of O(N/64) — the difference
-// between seconds and an hour of planning at the 1M-host tiers.
-func (n *Network) computeClimbDist(set dset) []int32 {
+// switch's Cover string against the set, one binary search per run of
+// the set, so its cost follows run counts rather than the host count.
+func (n *Network) computeClimbDist(set *destset.Runs) []int32 {
 	S := n.topo.NumSwitches
 	dist := n.scr.distScratch
 	for i := range dist {
@@ -219,7 +202,7 @@ func (n *Network) computeClimbDist(set dset) []int32 {
 	}
 	q := n.scr.bfsQueue[:0]
 	for x := 0; x < S; x++ {
-		if set.subsetOf(n.rt.Cover[x]) {
+		if set.SubsetOf(n.rt.Cover[x]) {
 			dist[x] = 0
 			q = append(q, int32(x))
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"mcastsim/internal/destset"
 	"mcastsim/internal/rng"
 	"mcastsim/internal/topology"
 	"mcastsim/internal/updown"
@@ -150,11 +151,11 @@ func TestRouteCacheEpochInvalidation(t *testing.T) {
 // TestRouteCacheWarmDecisionsZeroAlloc pins the allocation-free claim for
 // the memoized hot paths: once an entry exists and the pools are primed, a
 // climb lookup and a down partition (including handing back the pooled
-// subsets) allocate nothing, and neither do the four reachability reads
-// planTree makes on either set representation.
+// subsets) allocate nothing, and neither does any of the four
+// reachability reads planTree makes.
 func TestRouteCacheWarmDecisionsZeroAlloc(t *testing.T) {
 	n := fixtureNet(t, DefaultParams())
-	set := n.getSet()
+	set := n.getRuns()
 	for _, d := range []int{1, 3, 5, 7} {
 		set.Add(d)
 	}
@@ -163,7 +164,7 @@ func TestRouteCacheWarmDecisionsZeroAlloc(t *testing.T) {
 	// the climb, from the live tables rather than assuming the root's ID.
 	coverer, climber := topology.SwitchID(-1), topology.SwitchID(-1)
 	for s := 0; s < 8; s++ {
-		if (dset{bits: set}).subsetOf(n.rt.Cover[s]) {
+		if set.SubsetOf(n.rt.Cover[s]) {
 			if coverer < 0 {
 				coverer = topology.SwitchID(s)
 			}
@@ -176,16 +177,16 @@ func TestRouteCacheWarmDecisionsZeroAlloc(t *testing.T) {
 	}
 
 	partition := func() {
-		out, ok := n.partitionDownAdaptive(coverer, dset{bits: set})
+		out, ok := n.partitionDownAdaptive(coverer, set)
 		if !ok {
 			t.Fatal("partition failed on healthy tables")
 		}
 		for _, ps := range out {
-			n.putDset(ps.sub)
+			n.putRuns(ps.sub)
 		}
 	}
 	climb := func() {
-		if ports := n.climbPorts(climber, dset{bits: set}); len(ports) == 0 {
+		if ports := n.climbPorts(climber, set); len(ports) == 0 {
 			t.Fatalf("no climb ports from switch %d", climber)
 		}
 	}
@@ -201,91 +202,86 @@ func TestRouteCacheWarmDecisionsZeroAlloc(t *testing.T) {
 		t.Fatalf("warm climbPorts allocates %.1f/op, want 0", allocs)
 	}
 
-	runs := n.getRuns()
-	runs.CopyFromBits(set)
 	reach := n.downPorts[coverer][0].reach
+	dst := n.getRuns()
+	set.IntersectInto(dst, reach) // sizes dst's run list
 	sink := 0
-	for _, d := range []dset{{bits: set}, {runs: runs}} {
-		arm, dst := "flat", dset{bits: n.getSet()}
-		if d.runs != nil {
-			arm, dst = "sparse", dset{runs: n.getRuns()}
+	for name, read := range map[string]func(){
+		"Intersects":    func() { sink += boolInt(set.Intersects(reach)) },
+		"SubsetOf":      func() { sink += boolInt(set.SubsetOf(n.rt.Cover[coverer])) },
+		"AndCount":      func() { sink += set.AndCount(reach) },
+		"IntersectInto": func() { set.IntersectInto(dst, reach) },
+	} {
+		if allocs := testing.AllocsPerRun(200, read); allocs != 0 {
+			t.Errorf("reachability read %s allocates %.1f/op, want 0", name, allocs)
 		}
-		reads := func() {
-			if d.intersects(reach) && d.subsetOf(n.rt.Cover[coverer]) {
-				sink++
-			}
-			sink += d.andCount(reach)
-			d.intersectInto(dst, reach)
-		}
-		reads() // sizes dst's run list
-		if allocs := testing.AllocsPerRun(200, reads); allocs != 0 {
-			t.Fatalf("%s reachability reads allocate %.1f/op, want 0", arm, allocs)
-		}
-		n.putDset(dst)
 	}
 	if sink == 1<<62 {
 		t.Log(sink)
 	}
-	n.putRuns(runs)
-	n.putSet(set)
+	n.putRuns(dst)
+	n.putRuns(set)
+}
+
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestPartitionDownAdaptiveExactlyOnce pins the down partition's
 // contract at covering switches: every destination lands on exactly one
 // branch, each branch leaves through a distinct down port and stays
 // within that port's DownReach. It holds on the cold path and on a
-// route-cache hit (which must hand back the cold partition), for flat
-// and run-coded sets.
+// route-cache hit (which must hand back the cold partition). The
+// subtest is named for the run-coded (sparse) sets the planner works on.
 func TestPartitionDownAdaptiveExactlyOnce(t *testing.T) {
-	for _, rep := range []SetRep{RepFlat, RepSparse} {
-		t.Run(rep.String(), func(t *testing.T) {
-			p := DefaultParams()
-			p.SetRep = rep
-			hits := 0
-			for seed := uint64(60); seed < 64; seed++ {
-				n := randomNet(t, topology.DefaultConfig(), p, seed)
-				r := rng.New(seed)
-				for trial := 0; trial < 40; trial++ {
-					s, set := coveredSet(n, r)
-					if !set.some() {
-						continue
-					}
-					var cold string
-					for pass := 0; pass < 2; pass++ {
-						e := n.cache.part[partKey{sw: int32(s), fp: destFP(set)}]
-						hit := e != nil && !e.tied
-						parts, ok := n.partitionDownAdaptive(s, set)
-						if !ok {
-							t.Fatalf("switch %d: partition failed on healthy tables", s)
-						}
-						got := checkPartition(t, n, s, set, parts)
-						for _, ps := range parts {
-							n.putDset(ps.sub)
-						}
-						if pass == 0 {
-							cold = got
-						} else if hit {
-							hits++
-							if got != cold {
-								t.Fatalf("switch %d: cache hit %s, cold partition %s", s, got, cold)
-							}
-						}
-					}
-					n.putDset(set)
+	t.Run("sparse", func(t *testing.T) {
+		hits := 0
+		for seed := uint64(60); seed < 64; seed++ {
+			n := randomNet(t, topology.DefaultConfig(), DefaultParams(), seed)
+			r := rng.New(seed)
+			for trial := 0; trial < 40; trial++ {
+				s, set := coveredSet(n, r)
+				if set == nil {
+					continue
 				}
+				var cold string
+				for pass := 0; pass < 2; pass++ {
+					e := n.cache.part[partKey{sw: int32(s), fp: set.Fingerprint()}]
+					hit := e != nil && !e.tied
+					parts, ok := n.partitionDownAdaptive(s, set)
+					if !ok {
+						t.Fatalf("switch %d: partition failed on healthy tables", s)
+					}
+					got := checkPartition(t, n, s, set, parts)
+					for _, ps := range parts {
+						n.putRuns(ps.sub)
+					}
+					if pass == 0 {
+						cold = got
+					} else if hit {
+						hits++
+						if got != cold {
+							t.Fatalf("switch %d: cache hit %s, cold partition %s", s, got, cold)
+						}
+					}
+				}
+				n.putRuns(set)
 			}
-			if hits == 0 {
-				t.Fatal("no partition was served from the route cache")
-			}
-		})
-	}
+		}
+		if hits == 0 {
+			t.Fatal("no partition was served from the route cache")
+		}
+	})
 }
 
 // coveredSet draws a random switch and a non-empty destination set it
 // covers, without the nodes attached to it (planTree delivers those
-// locally before partitioning). The set is unset when the switch covers
-// no remote node.
-func coveredSet(n *Network, r *rng.Source) (topology.SwitchID, dset) {
+// locally before partitioning). The set is nil when the switch covers no
+// remote node.
+func coveredSet(n *Network, r *rng.Source) (topology.SwitchID, *destset.Runs) {
 	s := topology.SwitchID(r.Intn(n.topo.NumSwitches))
 	var cand []int
 	for _, v := range n.rt.Cover[s].Indices() {
@@ -294,11 +290,11 @@ func coveredSet(n *Network, r *rng.Source) (topology.SwitchID, dset) {
 		}
 	}
 	if len(cand) == 0 {
-		return s, dset{}
+		return s, nil
 	}
-	set := n.getDset()
+	set := n.getRuns()
 	for _, i := range r.Sample(len(cand), 1+r.Intn(len(cand))) {
-		set.add(cand[i])
+		set.Add(cand[i])
 	}
 	return s, set
 }
@@ -306,7 +302,7 @@ func coveredSet(n *Network, r *rng.Source) (topology.SwitchID, dset) {
 // checkPartition fails unless parts splits set exactly once across
 // distinct down ports of s within their reachability, and renders the
 // partition for comparison.
-func checkPartition(t *testing.T, n *Network, s topology.SwitchID, set dset, parts []portSet) string {
+func checkPartition(t *testing.T, n *Network, s topology.SwitchID, set *destset.Runs, parts []portSet) string {
 	t.Helper()
 	seen := map[int]bool{}
 	ports := map[int]bool{}
@@ -316,18 +312,18 @@ func checkPartition(t *testing.T, n *Network, s topology.SwitchID, set dset, par
 			t.Fatalf("switch %d: branch through port %d is not a fresh down port", s, ps.port)
 		}
 		ports[ps.port] = true
-		if ps.sub.empty() || !ps.sub.subsetOf(n.rt.DownReach(s, ps.port)) {
+		if ps.sub.Empty() || !ps.sub.SubsetOf(n.rt.DownReach(s, ps.port)) {
 			t.Fatalf("switch %d: branch through port %d is empty or exceeds its reachability", s, ps.port)
 		}
-		for _, d := range ps.sub.indices() {
+		for _, d := range ps.sub.Indices() {
 			if seen[d] {
 				t.Fatalf("switch %d: destination %d assigned to two branches", s, d)
 			}
 			seen[d] = true
 		}
-		out += fmt.Sprintf("%d:%v ", ps.port, ps.sub.indices())
+		out += fmt.Sprintf("%d:%v ", ps.port, ps.sub.Indices())
 	}
-	want := set.indices()
+	want := set.Indices()
 	if len(seen) != len(want) {
 		t.Fatalf("switch %d: partition delivers %d destinations, want %d", s, len(seen), len(want))
 	}

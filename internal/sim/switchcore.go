@@ -400,36 +400,36 @@ func (n *Network) planUnicast(o *occupant, s topology.SwitchID, w *worm) {
 }
 
 func (n *Network) planTree(o *occupant, s topology.SwitchID, w *worm) {
-	remaining := n.getDset()
-	remaining.copyFrom(w.destSet)
+	remaining := n.getRuns()
+	remaining.CopyFrom(w.destSet)
 	// Local deliveries: destinations attached to this switch drop here
 	// regardless of the climb state.
 	if n.localIntersects(remaining, s) {
 		for _, node := range n.nodesAt[s] {
-			if !remaining.contains(int(node)) {
+			if !remaining.Contains(int(node)) {
 				continue
 			}
-			remaining.remove(int(node))
-			ds := n.getDset()
-			ds.add(int(node))
+			remaining.Remove(int(node))
+			ds := n.getRuns()
+			ds.Add(int(node))
 			ports, phases := n.singleSpec(n.rt.NodePortAt(s, node), w.phase)
 			n.emitBranch(o, s, branchSpec{child: w.childSet(n, 0, ds),
 				ports: ports, phases: phases})
 		}
 	}
-	if remaining.empty() {
-		n.putDset(remaining)
+	if remaining.Empty() {
+		n.putRuns(remaining)
 		return
 	}
-	if remaining.subsetOf(n.rt.Cover[s]) {
+	if remaining.SubsetOf(n.rt.Cover[s]) {
 		// Replicate down: partition the remaining set across down ports.
 		parts, ok := n.partitionDownAdaptive(s, remaining)
 		if !ok {
-			n.routeFailure(o, s, fmt.Sprintf("down partition cannot cover %v", remaining.indices()))
-			n.putDset(remaining)
+			n.routeFailure(o, s, fmt.Sprintf("down partition cannot cover %v", remaining.Indices()))
+			n.putRuns(remaining)
 			return
 		}
-		n.putDset(remaining)
+		n.putRuns(remaining)
 		for _, ps := range parts {
 			// The partition subset becomes the child's destination set
 			// (pooled; ownership transfers to the child worm).
@@ -442,27 +442,27 @@ func (n *Network) planTree(o *occupant, s topology.SwitchID, w *worm) {
 		return
 	}
 	if w.phase == updown.PhaseDown {
-		n.routeFailure(o, s, fmt.Sprintf("tree worm %v descended to a switch that cannot cover %v", w, remaining.indices()))
-		n.putDset(remaining)
+		n.routeFailure(o, s, fmt.Sprintf("tree worm %v descended to a switch that cannot cover %v", w, remaining.Indices()))
+		n.putRuns(remaining)
 		return
 	}
 	if n.params.EarlyTreeBranch {
 		// Ablation variant: peel off down-coverable subsets while climbing.
 		for _, dp := range n.downPorts[s] {
-			if !remaining.intersects(dp.reach) {
+			if !remaining.Intersects(dp.reach) {
 				continue
 			}
-			sub := n.getDset()
-			remaining.intersectInto(sub, dp.reach)
-			remaining.differenceWith(sub)
+			sub := n.getRuns()
+			remaining.IntersectInto(sub, dp.reach)
+			remaining.DifferenceWith(sub)
 			c := w.childSet(n, 0, sub)
 			c.phase = updown.PhaseDown
 			ports, phases := n.singleSpec(dp.port, updown.PhaseDown)
 			n.emitBranch(o, s, branchSpec{child: c,
 				ports: ports, phases: phases})
 		}
-		if remaining.empty() {
-			n.putDset(remaining)
+		if remaining.Empty() {
+			n.putRuns(remaining)
 			return
 		}
 	}
@@ -471,8 +471,8 @@ func (n *Network) planTree(o *occupant, s topology.SwitchID, w *worm) {
 	// common ancestor switch using links in the up direction").
 	ports := n.climbPorts(s, remaining)
 	if len(ports) == 0 {
-		n.routeFailure(o, s, fmt.Sprintf("tree worm %v stuck: no up port reaches a switch covering %v", w, remaining.indices()))
-		n.putDset(remaining)
+		n.routeFailure(o, s, fmt.Sprintf("tree worm %v stuck: no up port reaches a switch covering %v", w, remaining.Indices()))
+		n.putRuns(remaining)
 		return
 	}
 	c := w.childSet(n, 0, remaining) // remaining's ownership moves to the child
@@ -554,7 +554,7 @@ func (n *Network) planPath(o *occupant, s topology.SwitchID, w *worm) {
 // portSet is one branch of a down partition.
 type portSet struct {
 	port int
-	sub  dset
+	sub  *destset.Runs
 }
 
 // partitionDownAdaptive splits a covered destination set across down
@@ -570,14 +570,14 @@ type portSet struct {
 // set — impossible under the Covers precondition on healthy routing
 // state, but reachable when a fault invalidates the reachability
 // strings mid-run.
-func (n *Network) partitionDownAdaptive(s topology.SwitchID, set dset) ([]portSet, bool) {
+func (n *Network) partitionDownAdaptive(s topology.SwitchID, set *destset.Runs) ([]portSet, bool) {
 	c := &n.cache
 	c.sync(n.routingEpoch)
 	var key partKey
 	var cached *partEntry
 	if !c.disabled {
-		key = partKey{sw: int32(s), fp: destFP(set)}
-		if e := c.part[key]; e != nil && set.equalRuns(e.key) {
+		key = partKey{sw: int32(s), fp: set.Fingerprint()}
+		if e := c.part[key]; e != nil && set.Equal(e.key) {
 			cached = e
 			if !e.tied {
 				// Hit: burn the identical shuffle the miss path draws so
@@ -586,8 +586,8 @@ func (n *Network) partitionDownAdaptive(s topology.SwitchID, set dset) ([]portSe
 				n.arb.Shuffle(len(n.downPorts[s]), func(i, j int) {})
 				out := n.scr.partScratch[:0]
 				for i, p := range e.ports {
-					sub := n.getDset()
-					sub.copyFromRuns(e.subs[i])
+					sub := n.getRuns()
+					sub.CopyFrom(e.subs[i])
 					out = append(out, portSet{port: int(p), sub: sub})
 				}
 				n.scr.partScratch = out
@@ -597,20 +597,20 @@ func (n *Network) partitionDownAdaptive(s topology.SwitchID, set dset) ([]portSe
 			// recompute in full (which consumes the shuffle naturally).
 		}
 	}
-	remaining := n.getDset()
-	remaining.copyFrom(set)
+	remaining := n.getRuns()
+	remaining.CopyFrom(set)
 	downs := append(n.scr.downScratch[:0], n.downPorts[s]...)
 	n.scr.downScratch = downs
 	n.arb.Shuffle(len(downs), func(i, j int) { downs[i], downs[j] = downs[j], downs[i] })
 	out := n.scr.partScratch[:0]
 	tied := false
-	for !remaining.empty() {
+	for !remaining.Empty() {
 		best, bestCount, dup := downPort{port: -1}, 0, false
 		for _, dp := range downs {
 			if n.scr.usedPorts[dp.port] {
 				continue
 			}
-			c := remaining.andCount(dp.reach)
+			c := remaining.AndCount(dp.reach)
 			if c > bestCount {
 				best, bestCount, dup = dp, c, false
 			} else if c == bestCount && c > 0 {
@@ -620,25 +620,25 @@ func (n *Network) partitionDownAdaptive(s topology.SwitchID, set dset) ([]portSe
 		if best.port == -1 {
 			for _, ps := range out {
 				n.scr.usedPorts[ps.port] = false
-				n.putDset(ps.sub)
+				n.putRuns(ps.sub)
 			}
-			n.putDset(remaining)
+			n.putRuns(remaining)
 			n.scr.partScratch = out[:0]
 			return nil, false
 		}
 		if dup {
 			tied = true
 		}
-		sub := n.getDset()
-		remaining.intersectInto(sub, best.reach)
+		sub := n.getRuns()
+		remaining.IntersectInto(sub, best.reach)
 		n.scr.usedPorts[best.port] = true
 		out = append(out, portSet{port: best.port, sub: sub})
-		remaining.differenceWith(sub)
+		remaining.DifferenceWith(sub)
 	}
 	for _, ps := range out {
 		n.scr.usedPorts[ps.port] = false
 	}
-	n.putDset(remaining)
+	n.putRuns(remaining)
 	n.scr.partScratch = out
 	if !c.disabled && cached == nil {
 		// First sighting of this (switch, set): record it. Untied
@@ -647,13 +647,13 @@ func (n *Network) partitionDownAdaptive(s topology.SwitchID, set dset) ([]portSe
 		if len(c.part) >= c.partCap {
 			clear(c.part)
 		}
-		e := &partEntry{key: set.cloneRuns(), tied: tied}
+		e := &partEntry{key: set.Clone(), tied: tied}
 		if !tied {
 			e.ports = make([]int32, len(out))
 			e.subs = make([]*destset.Runs, len(out))
 			for i, ps := range out {
 				e.ports[i] = int32(ps.port)
-				e.subs[i] = ps.sub.cloneRuns()
+				e.subs[i] = ps.sub.Clone()
 			}
 		}
 		c.part[key] = e
@@ -665,7 +665,7 @@ func (n *Network) partitionDownAdaptive(s topology.SwitchID, set dset) ([]portSe
 // a switch covering set (reverse BFS from all covering switches over up
 // links, memoized per destination set by the route cache). The result
 // lives in decision scratch.
-func (n *Network) climbPorts(s topology.SwitchID, set dset) []int {
+func (n *Network) climbPorts(s topology.SwitchID, set *destset.Runs) []int {
 	dist := n.climbDist(set)
 	if dist[s] <= 0 {
 		return nil // s covers already (caller bug) or nothing reachable

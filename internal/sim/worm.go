@@ -26,7 +26,7 @@ type worm struct {
 	phase updown.Phase
 
 	dest    topology.NodeID // WormUnicast
-	destSet dset            // WormTree: remaining destinations
+	destSet *destset.Runs   // WormTree: remaining destinations
 	path    []PathSeg       // WormPath: remaining segments
 
 	// dead marks a worm torn down by the fault layer: in-flight flits are
@@ -44,7 +44,7 @@ func (w *worm) String() string {
 	case WormUnicast:
 		return fmt.Sprintf("worm%d[uni msg%d pkt%d ->%d len%d]", w.id, w.msg.ID, w.pkt, w.dest, w.len)
 	case WormTree:
-		return fmt.Sprintf("worm%d[tree msg%d pkt%d dests%v len%d]", w.id, w.msg.ID, w.pkt, w.destSet.indices(), w.len)
+		return fmt.Sprintf("worm%d[tree msg%d pkt%d dests%v len%d]", w.id, w.msg.ID, w.pkt, w.destSet.Indices(), w.len)
 	default:
 		return fmt.Sprintf("worm%d[path msg%d pkt%d segs%d len%d]", w.id, w.msg.ID, w.pkt, len(w.path), w.len)
 	}
@@ -151,7 +151,7 @@ func (n *Network) headerFlits(w *worm) int {
 		return UnicastHeaderFlits(t.NumNodes, t.NumSwitches)
 	case WormTree:
 		if n.params.DestCoding == HeaderIval {
-			return 1 + w.destSet.ivalHeaderBytes()
+			return 1 + w.destSet.HeaderBytes()
 		}
 		return TreeHeaderFlits(t.NumNodes)
 	case WormPath:
@@ -185,9 +185,9 @@ func (n *Network) newWorm(m *Message, spec *WormSpec, pkt int) *worm {
 	case WormUnicast:
 		w.dest = spec.Dest
 	case WormTree:
-		w.destSet = n.getDset()
+		w.destSet = n.getRuns()
 		for _, d := range spec.DestSet {
-			w.destSet.add(int(d))
+			w.destSet.Add(int(d))
 		}
 	case WormPath:
 		w.path = spec.Path
@@ -203,10 +203,10 @@ func (n *Network) newWorm(m *Message, spec *WormSpec, pkt int) *worm {
 // that leaves the branch (length len minus the flits absorbed at this
 // switch) and its own header state.
 func (w *worm) child(n *Network, skipped int) *worm {
-	c := w.childSet(n, skipped, dset{})
-	if w.destSet.some() {
-		c.destSet = n.getDset()
-		c.destSet.copyFrom(w.destSet)
+	c := w.childSet(n, skipped, nil)
+	if w.destSet != nil {
+		c.destSet = n.getRuns()
+		c.destSet.CopyFrom(w.destSet)
 	}
 	return c
 }
@@ -214,7 +214,7 @@ func (w *worm) child(n *Network, skipped int) *worm {
 // childSet clones w like child but installs ds — a pooled set whose
 // ownership transfers to the child — as the destination set directly,
 // skipping the copy-then-overwrite the tree planner would otherwise pay.
-func (w *worm) childSet(n *Network, skipped int, ds dset) *worm {
+func (w *worm) childSet(n *Network, skipped int, ds *destset.Runs) *worm {
 	c := n.getWorm()
 	// Field by field: the child starts at zero refs (the pool delivers it
 	// zeroed) and never shares w's reference count.

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -82,4 +83,45 @@ func TestGenerateFeasibilityBoundary(t *testing.T) {
 			t.Fatalf("over-boundary config %+v accepted", cfg)
 		}
 	}
+}
+
+// FuzzReadText opens arbitrary topology files: ReadText must return an
+// error or a topology that validates, never panic, and an accepted
+// topology must survive a WriteText/ReadText round trip unchanged. The
+// seeds include headers whose port count would size a huge port table.
+func FuzzReadText(f *testing.F) {
+	topo, err := Generate(DefaultConfig(), rng.New(5))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var valid bytes.Buffer
+	if err := WriteText(&valid, topo); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add([]byte("topology 1 4611686018427387904 0\n"))
+	f.Add([]byte("topology 2 1000000 0\nlink 0 0 1 0\n"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		got, err := ReadText(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("accepted an invalid topology: %v", err)
+		}
+		var once, twice bytes.Buffer
+		if err := WriteText(&once, got); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadText(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("rereading the written topology: %v", err)
+		}
+		if err := WriteText(&twice, back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatal("WriteText/ReadText round trip changed the topology")
+		}
+	})
 }

@@ -30,8 +30,10 @@ func WriteText(w io.Writer, t *Topology) error {
 // ReadText parses the format written by WriteText. The header's counts
 // are claims about the lines that follow, so nothing is sized from them
 // until the lines back them: every node needs its own node line, and S
-// switches need at least S-1 links to be connected. A hostile header
-// therefore fails with an error instead of a huge allocation.
+// switches need at least S-1 links to be connected. The port count sizes
+// every switch's port table, so it is capped at MaxPortsPerSwitch. A
+// hostile header therefore fails with an error instead of a huge
+// allocation.
 func ReadText(r io.Reader) (*Topology, error) {
 	sc := bufio.NewScanner(r)
 	type nodeLine struct{ lineNo, id, sw, port int }
@@ -65,6 +67,9 @@ func ReadText(r io.Reader) (*Topology, error) {
 			}
 			if switches < 0 || ports < 0 || nn < 0 {
 				return nil, fail("negative count")
+			}
+			if ports > MaxPortsPerSwitch {
+				return nil, fail(fmt.Sprintf("more than %d ports per switch", MaxPortsPerSwitch))
 			}
 			haveHeader = true
 		case "link":

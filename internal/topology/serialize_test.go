@@ -2,6 +2,7 @@ package topology
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -37,6 +38,18 @@ func TestTextRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadTextWidestSwitch: the port cap itself is accepted.
+func TestReadTextWidestSwitch(t *testing.T) {
+	in := fmt.Sprintf("topology 2 %d 1\nlink 0 0 1 %d\nnode 0 1 0\n", MaxPortsPerSwitch, MaxPortsPerSwitch-1)
+	topo, err := ReadText(strings.NewReader(in))
+	if err != nil {
+		t.Fatalf("ReadText: %v", err)
+	}
+	if topo.PortsPerSwitch != MaxPortsPerSwitch {
+		t.Fatalf("PortsPerSwitch = %d, want %d", topo.PortsPerSwitch, MaxPortsPerSwitch)
+	}
+}
+
 func TestReadTextCommentsAndBlanks(t *testing.T) {
 	in := `# a comment
 topology 2 4 1
@@ -69,6 +82,7 @@ func TestReadTextErrors(t *testing.T) {
 		"negative switches":  "topology -1 4 0\n",
 		"negative ports":     "topology 2 -4 0\nlink 0 0 1 0\n",
 		"negative nodes":     "topology 1 1 -1\n",
+		"too many ports":     "topology 2 257 0\nlink 0 0 1 0\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadText(strings.NewReader(in)); err == nil {
@@ -78,12 +92,14 @@ func TestReadTextErrors(t *testing.T) {
 }
 
 // TestReadTextOversizedHeaderAllocatesLittle feeds headers whose counts
-// no line backs: both must be rejected before anything is sized from
-// them.
+// no line backs, and port counts past MaxPortsPerSwitch: each must be
+// rejected before anything is sized from it.
 func TestReadTextOversizedHeaderAllocatesLittle(t *testing.T) {
 	cases := map[string]string{
 		"1e7 nodes, no node line": "topology 2 4 10000000\nlink 0 0 1 0\n",
 		"1e8 switches, no link":   "topology 100000000 4 0\n",
+		"2^62 ports":              "topology 1 4611686018427387904 0\n",
+		"1e6 ports, one link":     "topology 2 1000000 0\nlink 0 0 1 0\n",
 	}
 	for name, in := range cases {
 		var before, after runtime.MemStats

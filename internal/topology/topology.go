@@ -50,6 +50,11 @@ type Link struct {
 	BPort int
 }
 
+// MaxPortsPerSwitch is the widest switch a topology file may declare: a
+// path worm's per-stop port mask (paper §3.2.4) has one bit per port, and
+// the wire codec encodes masks up to this width.
+const MaxPortsPerSwitch = 256
+
 // Topology is an immutable irregular network description.
 //
 // Construct one with Generate or Build; mutating the exported slices after

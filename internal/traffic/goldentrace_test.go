@@ -195,14 +195,12 @@ func collectCells(t testing.TB) []goldenCell {
 	for _, sch := range goldenSchemes() {
 		cells = append(cells, runFig9Cell(t, rt, sch))
 	}
-	// The tree worm's early-branch ablation and its run-coded planner arm
-	// read the reachability strings through paths the cells above do not
-	// take.
+	// The tree worm's early-branch ablation and its interval-coded header
+	// take paths the cells above do not.
 	early := sim.DefaultParams().WithR(1)
 	early.EarlyTreeBranch = true
 	cells = append(cells, runFig6Cell(t, rt, treeworm.New(), early, "fig6/R=1.0/sw-tree/early-branch"))
 	sparse := sim.DefaultParams().WithR(1)
-	sparse.SetRep = sim.RepSparse
 	sparse.DestCoding = sim.HeaderIval
 	cells = append(cells, runFig6Cell(t, rt, treeworm.New(), sparse, "fig6/R=1.0/sw-tree/sparse-ival"))
 	return cells

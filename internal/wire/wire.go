@@ -54,7 +54,7 @@ func (z Sizes) Validate() error {
 		return fmt.Errorf("wire: non-positive sizes %+v", z)
 	case z.Nodes+z.Switches > 1<<24:
 		return fmt.Errorf("wire: %d nodes + %d switches exceed the 3-byte id space", z.Nodes, z.Switches)
-	case z.PortsPerSwitch > 256:
+	case z.PortsPerSwitch > topology.MaxPortsPerSwitch:
 		return fmt.Errorf("wire: %d ports exceed the supported mask width", z.PortsPerSwitch)
 	}
 	return nil
