@@ -115,6 +115,10 @@ func run() int {
 	if *tiers != "" {
 		cfg.Tiers = strings.Split(*tiers, ",")
 	}
+	if err := obs.CheckEvery(*obsEvery); err != nil {
+		fmt.Fprintln(os.Stderr, "mcastsim: -obs-every:", err)
+		return 2
+	}
 	var sink *experiment.ObsSink
 	if *obsOn {
 		sink = &experiment.ObsSink{Config: obs.Config{Every: event.Time(*obsEvery)}}

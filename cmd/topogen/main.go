@@ -40,6 +40,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Checked before generating, so a refused width writes no file.
+	if *ports > topology.MaxPortsPerSwitch {
+		return fmt.Errorf("-ports %d: a topology file holds at most %d ports per switch", *ports, topology.MaxPortsPerSwitch)
+	}
 
 	cfg := topology.Config{
 		Switches:            *switches,

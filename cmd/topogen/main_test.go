@@ -62,3 +62,22 @@ func TestBadFlags(t *testing.T) {
 		t.Fatal("expected an error for a malformed flag")
 	}
 }
+
+// TestPortsBeyondFileWidth: a width the topology file format refuses
+// fails up front, in both modes, and writes nothing.
+func TestPortsBeyondFileWidth(t *testing.T) {
+	var out, errb bytes.Buffer
+	if err := run([]string{"-switches", "4", "-ports", "300", "-nodes", "8", "-seed", "1"}, &out, &errb); err == nil {
+		t.Fatal("-ports 300 accepted")
+	}
+	if out.Len() != 0 {
+		t.Fatalf("refused run wrote %d bytes to stdout", out.Len())
+	}
+	dir := filepath.Join(t.TempDir(), "family")
+	if err := run([]string{"-family", "2", "-ports", "300", "-dir", dir}, &out, &errb); err == nil {
+		t.Fatal("-family with -ports 300 accepted")
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("refused -family run left %s behind (stat: %v)", dir, err)
+	}
+}

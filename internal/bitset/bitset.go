@@ -98,13 +98,6 @@ func (s *Set) Clone() *Set {
 	return c
 }
 
-// Clear removes all bits in place.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
 // sameLen panics unless the two sets share a universe; mixing headers from
 // different-sized networks is always a bug.
 func (s *Set) sameLen(o *Set) {
@@ -151,13 +144,6 @@ func AndNot(s, o *Set) *Set {
 	c := s.Clone()
 	c.DifferenceWith(o)
 	return c
-}
-
-// CopyFrom sets s to an exact copy of o in place (same universe required).
-// It is the recycling counterpart of Clone for pooled sets.
-func (s *Set) CopyFrom(o *Set) {
-	s.sameLen(o)
-	copy(s.words, o.words)
 }
 
 // Equal reports whether s and o contain exactly the same bits.

@@ -183,14 +183,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestClear(t *testing.T) {
-	a := FromIndices(100, []int{1, 99})
-	a.Clear()
-	if !a.Empty() {
-		t.Fatal("Clear left bits")
-	}
-}
-
 func TestIndicesRoundTrip(t *testing.T) {
 	f := func(raw []uint16) bool {
 		const n = 300
@@ -309,18 +301,16 @@ func TestAndIntoMatchesAnd(t *testing.T) {
 		if got := And(a, b).Indices(); !slices.Equal(got, want) {
 			t.Fatalf("And = %v, per-bit %v (n=%d)", got, want, a.Len())
 		}
-		dst := FromIndices(a.Len(), []int{a.Len() - 1}) // CopyFrom must overwrite
-		dst.CopyFrom(a)
+		dst := a.Clone()
 		dst.IntersectWith(b)
 		if got := dst.Indices(); !slices.Equal(got, want) {
-			t.Fatalf("CopyFrom+IntersectWith = %v, per-bit %v (n=%d)", got, want, a.Len())
+			t.Fatalf("Clone+IntersectWith = %v, per-bit %v (n=%d)", got, want, a.Len())
 		}
 	}
 }
 
 func TestAndPrimitivesMismatchPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"CopyFrom":      func() { New(10).CopyFrom(New(11)) },
 		"IntersectWith": func() { New(10).IntersectWith(New(11)) },
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -341,25 +331,12 @@ func TestAndPrimitivesZeroAlloc(t *testing.T) {
 	b := FromIndices(512, []int{100, 200})
 	dst := New(512)
 	if avg := testing.AllocsPerRun(100, func() {
-		dst.CopyFrom(a)
+		dst.UnionWith(a) // dst ⊆ a here, so this resets dst to a
 		dst.IntersectWith(b)
-		dst.CopyFrom(a)
+		dst.UnionWith(a)
 		dst.DifferenceWith(b)
 	}); avg != 0 {
-		t.Fatalf("CopyFrom/IntersectWith/DifferenceWith allocate %v per run, want 0", avg)
-	}
-}
-
-func TestCopyFrom(t *testing.T) {
-	a := FromIndices(100, []int{1, 64, 99})
-	s := FromIndices(100, []int{2, 3})
-	s.CopyFrom(a)
-	if !s.Equal(a) {
-		t.Fatalf("CopyFrom = %v, want %v", s, a)
-	}
-	s.Add(50)
-	if a.Contains(50) {
-		t.Fatal("CopyFrom shares storage")
+		t.Fatalf("UnionWith/IntersectWith/DifferenceWith allocate %v per run, want 0", avg)
 	}
 }
 

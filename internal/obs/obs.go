@@ -31,6 +31,21 @@ import (
 // unset. It matches the event ring size: one snapshot per calendar wrap.
 const DefaultEvery = event.Time(1024)
 
+// MaxEvery is the longest sampling cadence, in cycles, a user may ask
+// for: a tick is scheduled that far past the current cycle, and a longer
+// cadence could overflow the event clock. 2^40 cycles is past the end of
+// any run the simulator makes.
+const MaxEvery = event.Time(1 << 40)
+
+// CheckEvery refuses a user-supplied cadence (a flag or a job spec field)
+// above MaxEvery; 0 selects DefaultEvery.
+func CheckEvery(every uint64) error {
+	if every > uint64(MaxEvery) {
+		return fmt.Errorf("obs: sampling cadence %d cycles exceeds the maximum %d", every, MaxEvery)
+	}
+	return nil
+}
+
 // DefaultMaxSamples bounds the snapshot ring when Config.MaxSamples is
 // unset. At the default cadence this covers ~4M cycles before eviction.
 const DefaultMaxSamples = 4096

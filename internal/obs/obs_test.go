@@ -216,3 +216,19 @@ func TestHeatmapEmptyBundle(t *testing.T) {
 		t.Fatalf("empty bundle output %q", buf.String())
 	}
 }
+
+// TestCheckEvery: a cadence up to MaxEvery is accepted (0 selects the
+// default); anything longer, up to the largest uint64 a flag or a job
+// spec can carry, is refused before it reaches the event clock.
+func TestCheckEvery(t *testing.T) {
+	for _, every := range []uint64{0, 1, uint64(DefaultEvery), uint64(MaxEvery)} {
+		if err := CheckEvery(every); err != nil {
+			t.Fatalf("CheckEvery(%d) = %v, want nil", every, err)
+		}
+	}
+	for _, every := range []uint64{uint64(MaxEvery) + 1, 1 << 63, ^uint64(0)} {
+		if err := CheckEvery(every); err == nil {
+			t.Fatalf("CheckEvery(%d) accepted a cadence past MaxEvery", every)
+		}
+	}
+}

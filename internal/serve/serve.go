@@ -41,6 +41,15 @@ import (
 // bytes, and a larger body is refused with 413 before any job exists.
 const maxSpecBytes = 1 << 20
 
+// Bounds on the grid a spec may ask for. A spec outside them, or with a
+// negative count, is refused with 400 before any job exists; the
+// sampling cadence is bounded by obs.MaxEvery.
+const (
+	maxTopologies = 1000
+	maxProbes     = 10_000
+	maxWorkers    = 256
+)
+
 // maxRunningJobs caps the jobs running at once. Each job runs its own
 // cell worker pool (one worker per CPU by default) and holds its
 // networks in memory, so more jobs only queue on the same cores. A
@@ -71,7 +80,51 @@ type JobSpec struct {
 	ObsEvery uint64 `json:"obs_every,omitempty"`
 }
 
-// config maps the spec onto an experiment.Config.
+// SpecError reports a POST /v1/jobs body that names no job the server
+// can run: malformed JSON, an unknown experiment, or a field out of
+// range. The server answers it with 400.
+type SpecError struct {
+	Field  string // the JSON field at fault; empty for a malformed body
+	Reason string
+}
+
+func (e *SpecError) Error() string {
+	if e.Field == "" {
+		return "bad spec: " + e.Reason
+	}
+	return fmt.Sprintf("bad spec: %s: %s", e.Field, e.Reason)
+}
+
+// decodeSpec decodes and validates a job spec, returning the experiment
+// it names. Unknown fields are ignored. Every error is a *SpecError.
+func decodeSpec(body []byte) (JobSpec, experiment.Entry, error) {
+	var sp JobSpec
+	if err := json.Unmarshal(body, &sp); err != nil {
+		return sp, experiment.Entry{}, &SpecError{Reason: err.Error()}
+	}
+	entry, err := experiment.Lookup(sp.Experiment)
+	if err != nil {
+		return sp, experiment.Entry{}, &SpecError{Field: "experiment", Reason: err.Error()}
+	}
+	for _, c := range []struct {
+		field    string
+		val, max int
+	}{
+		{"topologies", sp.Topologies, maxTopologies},
+		{"probes", sp.Probes, maxProbes},
+		{"workers", sp.Workers, maxWorkers},
+	} {
+		if c.val < 0 || c.val > c.max {
+			return sp, experiment.Entry{}, &SpecError{Field: c.field, Reason: fmt.Sprintf("%d is outside [0, %d]", c.val, c.max)}
+		}
+	}
+	if err := obs.CheckEvery(sp.ObsEvery); err != nil {
+		return sp, experiment.Entry{}, &SpecError{Field: "obs_every", Reason: err.Error()}
+	}
+	return sp, entry, nil
+}
+
+// config maps a validated spec onto an experiment.Config.
 func (sp JobSpec) config() experiment.Config {
 	cfg := experiment.Quick()
 	if sp.Full {
@@ -219,10 +272,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	var spec JobSpec
-	if err == nil {
-		err = json.Unmarshal(body, &spec)
-	}
 	if err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
@@ -232,7 +281,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, code, map[string]string{"error": "bad spec: " + err.Error()})
 		return
 	}
-	entry, err := experiment.Lookup(spec.Experiment)
+	spec, entry, err := decodeSpec(body)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return

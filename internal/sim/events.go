@@ -112,10 +112,10 @@ func (n *Network) registerKinds() {
 	q.Register(evSendDMA, func(a any, arg int64) { a.(*sendOp).dmaDone(int(arg)) })
 	q.Register(evNICharged, func(a any, _ int64) { a.(*burst).charged() })
 	q.Register(evNIRecvProc, func(a any, arg int64) {
-		n.nis[arg].recvProcessed(a.(*worm))
+		n.hosts[arg].ni.recvProcessed(a.(*worm))
 	})
 	q.Register(evNIRecvDMA, func(a any, arg int64) {
-		n.nis[arg].hostPacketArrived(a.(*Message))
+		n.hosts[arg].ni.hostPacketArrived(a.(*Message))
 	})
 	q.Register(evDestDone, func(a any, arg int64) {
 		n.destDone(a.(*Message), topology.NodeID(arg))

@@ -51,8 +51,8 @@ func (n *Network) markProgress() { n.progress++ }
 // NodeAlive reports whether node d's NI is still attached to a live
 // switch (the retransmission layer gives up on dead nodes).
 func (n *Network) NodeAlive(d topology.NodeID) bool {
-	x := n.nis[d]
-	return x == nil || !x.dead // an unbuilt host is pristine, so alive
+	h := n.hosts[d]
+	return h == nil || !h.ni.dead // an unbuilt host is pristine, so alive
 }
 
 // Partitioned reports whether a reconfiguration attempt found the alive
@@ -135,7 +135,7 @@ func (n *Network) killDownstream(br *branch) {
 		}
 		return
 	}
-	if x := n.nis[br.ch.dstNode]; x.rxWorm == br.w {
+	if x := &n.hosts[br.ch.dstNode].ni; x.rxWorm == br.w {
 		n.wormDecref(x.dropAssembly()) // the NI assembly leg
 	}
 }
@@ -251,9 +251,9 @@ func (n *Network) failDest(m *Message, d topology.NodeID) {
 	}
 	m.FailedAt[d] = n.queue.Now()
 	n.stats.DestsFailed++
-	if x := n.nis[d]; x != nil {
-		delete(x.rxMsgs, m)
-		delete(x.rxHeld, m)
+	if h := n.hosts[d]; h != nil {
+		delete(h.ni.rxMsgs, m)
+		delete(h.ni.rxHeld, m)
 	}
 	for _, c := range m.Plan.DeliveryChildren(d) {
 		n.failDest(m, c)
@@ -318,7 +318,7 @@ func (n *Network) severChannel(ch *channel, op *outPort) {
 	}
 	// Ejection channel: a partial packet at the NI is discarded and the
 	// node fails for its message.
-	if w := n.nis[ch.dstNode].dropAssembly(); w != nil {
+	if w := n.hosts[ch.dstNode].ni.dropAssembly(); w != nil {
 		w.dead = true
 		n.failDest(w.msg, ch.dstNode)
 		n.wormDecref(w) // the NI assembly leg; last, failDest reads w.msg
@@ -442,8 +442,7 @@ func (n *Network) failLink(li int) {
 	n.faulted = true
 	lk := n.topo.Links[li]
 	n.trace(TraceEvent{Kind: TraceFault, Switch: lk.A, Port: lk.APort})
-	opA := n.switches[lk.A].outPorts[lk.APort]
-	opB := n.switches[lk.B].outPorts[lk.BPort]
+	opA, opB := n.outPort(lk.A, lk.APort), n.outPort(lk.B, lk.BPort)
 	n.severChannel(opA.ch, opA)
 	n.severChannel(opB.ch, opB)
 	n.scheduleReconfig()
@@ -459,8 +458,9 @@ func (n *Network) failSwitch(s topology.SwitchID) {
 	t := n.topo
 	// Build the switch's hosts first, so a pristine one's lines die with
 	// the switch and its NI is orphaned like any other.
-	for _, node := range n.nodesAt[s] {
-		n.ni(node)
+	hosts := t.NodesBySwitch()[s]
+	for _, node := range hosts {
+		n.host(node)
 	}
 	// Incoming channels first: upstream senders stop, truncated worms at s
 	// die. Then outgoing channels: senders at s (and their downstream
@@ -469,19 +469,19 @@ func (n *Network) failSwitch(s topology.SwitchID) {
 		e := t.Conn[s][p]
 		switch e.Kind {
 		case topology.ToSwitch:
-			peerOp := n.switches[e.Switch].outPorts[e.Port]
+			peerOp := n.outPort(e.Switch, e.Port)
 			n.severChannel(peerOp.ch, peerOp)
 		case topology.ToNode:
-			n.severChannel(n.nis[e.Node].inj, nil)
+			n.severChannel(&n.hosts[e.Node].inj, nil)
 		}
 	}
 	for p := 0; p < t.PortsPerSwitch; p++ {
-		if op := n.switches[s].outPorts[p]; op != nil {
+		if op := n.builtOutPort(s, p); op != nil {
 			n.severChannel(op.ch, op)
 		}
 	}
 	for p := 0; p < t.PortsPerSwitch; p++ {
-		b := n.switches[s].inBufs[p]
+		b := n.inBuf(s, p)
 		if b == nil {
 			continue
 		}
@@ -490,8 +490,8 @@ func (n *Network) failSwitch(s topology.SwitchID) {
 			n.killOccupant(o)
 		}
 	}
-	for _, node := range n.nodesAt[s] {
-		n.nis[node].orphan()
+	for _, node := range hosts {
+		n.hosts[node].ni.orphan()
 	}
 	n.scheduleReconfig()
 }
@@ -506,8 +506,8 @@ func (n *Network) repairLink(li int) {
 	}
 	n.deadLink[li] = false
 	n.trace(TraceEvent{Kind: TraceFault, Switch: lk.A, Port: lk.APort})
-	n.reviveChannel(n.switches[lk.A].outPorts[lk.APort])
-	n.reviveChannel(n.switches[lk.B].outPorts[lk.BPort])
+	n.reviveChannel(n.outPort(lk.A, lk.APort))
+	n.reviveChannel(n.outPort(lk.B, lk.BPort))
 	n.scheduleReconfig()
 }
 
@@ -585,12 +585,11 @@ func (n *Network) reconfigure() {
 	n.markProgress()
 }
 
-// swapRouting atomically replaces the routing tables and the views
-// derived from them.
+// swapRouting atomically replaces the routing tables, and with them the
+// link views the planner reads (they belong to the Routing).
 func (n *Network) swapRouting(rt *updown.Routing) {
 	n.rt = rt
 	n.routingEpoch++ // every cached route was computed under the old tables
-	n.rebuildRoutingViews()
 }
 
 // AbortMessage tears down every remaining trace of m across the network
@@ -602,13 +601,15 @@ func (n *Network) AbortMessage(m *Message) {
 	if m.Done() {
 		return
 	}
-	for _, x := range n.nis {
-		if x != nil { // an unbuilt host holds nothing of m
-			x.abortMessage(m)
+	for _, h := range n.hosts {
+		if h != nil { // an unbuilt host holds nothing of m
+			h.ni.abortMessage(m)
 		}
 	}
-	for _, st := range n.switches {
-		for _, b := range st.inBufs {
+	t := n.topo
+	for s := range topology.SwitchID(t.NumSwitches) {
+		for p := range t.PortsPerSwitch {
+			b := n.inBuf(s, p)
 			if b == nil {
 				continue
 			}

@@ -247,10 +247,10 @@ func TestStallWatchdogReportsStructure(t *testing.T) {
 		}
 		sabotaged = true
 		n.Schedule(n.Now()+50, func() {
-			n.nis[0].inj.credits = 0
+			n.hosts[0].inj.credits = 0
 			// Point credit returns at a detached channel: the injection
 			// line never regains credits and its sender never wakes.
-			n.switches[0].inBufs[2].upstream = &channel{}
+			n.inBuf(0, 2).upstream = &channel{}
 		})
 	})
 	// Keep the event queue alive so the watchdog (not queue exhaustion)

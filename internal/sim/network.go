@@ -36,14 +36,6 @@ type Stats struct {
 	MissedDeliveries int64 // in-flight snapshots that excluded a joiner
 }
 
-// switchState holds one switch's per-port runtime structures. Open ports
-// have nil entries, and so does a node port until its host is built (see
-// Network.ni).
-type switchState struct {
-	inBufs   []*inputBuf
-	outPorts []*outPort
-}
-
 // host is one node's edge of the network, allocated together the first
 // time anything touches the node: its NI, the NI's injection line, and
 // the home switch's input buffer, output port and ejection line on the
@@ -54,12 +46,6 @@ type host struct {
 	buf inputBuf
 	out outPort
 	ej  channel
-}
-
-// portPeer records one end of an up link for the climb BFS.
-type portPeer struct {
-	sw   int // peer switch (upAdj) or predecessor switch (revUp)
-	port int // local port carrying the link
 }
 
 // Network is a runnable simulation instance: a routed topology plus all
@@ -77,13 +63,13 @@ type Network struct {
 	// contract, not a synchronization mechanism.
 	running atomic.Bool
 
-	switches []switchState
-	nis      []*ni // nil until the node's host is built (see Network.ni)
-
-	// upAdj[s] lists s's up ports and their peers; revUp[q] lists the
-	// (switch, port) pairs whose up port lands on q.
-	upAdj [][]portPeer
-	revUp [][]portPeer
+	// Switch-to-switch port state, one entry per link end (see
+	// topology.LinkEnd): the input buffer, the output port and the line
+	// it drives. A node port's state lives in its host.
+	bufs  []inputBuf
+	ports []outPort
+	chans []channel
+	hosts []*host // nil until the node's host is built (see Network.host)
 
 	outstanding int64 // messages sent and not yet complete
 	nextWormID  int64
@@ -123,21 +109,6 @@ type Network struct {
 	// Dynamic multicast groups (see group.go); empty on static runs.
 	groups []*Group
 
-	// Topology/routing precomputes rebuilt alongside the tables.
-	nodesAt   [][]topology.NodeID // nodes attached to each switch
-	downPorts [][]downPort        // rt.DownPorts per switch, with their reachability
-
-	// hostLo/hostHi give each switch's attached hosts as a contiguous id
-	// range [lo, hi] when the attachment is contiguous (every scale
-	// generator numbers hosts per edge switch that way), replacing the
-	// per-switch localNodes bit strings — an O(S×N) table that costs
-	// ~1.25 GB at 10k switches × 1M hosts. lo=0/hi=-1 marks a hostless
-	// switch; lo=-1 marks an irregular attachment, where planTree's local
-	// gate falls back to probing nodesAt[s] (paper-size nets are tiny, so
-	// the probe is a handful of Contains calls).
-	hostLo []int32
-	hostHi []int32
-
 	// reclaimAfter is the branch quarantine horizon (see pool.go).
 	reclaimAfter event.Time
 
@@ -170,83 +141,43 @@ func New(rt *updown.Routing, params Params, seed uint64, opts ...Option) (*Netwo
 	n.cache.init(t.NumSwitches)
 	n.scr.init(t)
 
-	// Instantiate switch-to-switch ports. Each runtime type lives in one
-	// backing array sized from the topology up front, and every switch's
-	// inBufs/outPorts are cut from one shared pointer array, so assembly
-	// allocates a fixed number of objects however many hosts hang off the
-	// switches. Node ports stay nil until their host is built (Network.ni).
-	S, P := t.NumSwitches, t.PortsPerSwitch
-	links := 2 * len(t.Links) // switch-to-switch ports: both ends of every link
-	bufs := make([]inputBuf, links)
-	ports := make([]outPort, links)
-	chans := make([]channel, links)
-	bufPtrs := make([]*inputBuf, S*P)
-	portPtrs := make([]*outPort, S*P)
-	n.switches = make([]switchState, S)
-	k := 0
-	for s := 0; s < S; s++ {
-		st := &n.switches[s]
-		st.inBufs = bufPtrs[s*P : (s+1)*P : (s+1)*P]
-		st.outPorts = portPtrs[s*P : (s+1)*P : (s+1)*P]
-		for p := 0; p < P; p++ {
-			if t.Conn[s][p].Kind != topology.ToSwitch {
-				continue
-			}
-			bufs[k] = inputBuf{net: n, sw: topology.SwitchID(s), port: p, cap: params.BufferFlits}
-			ports[k] = outPort{net: n, sw: topology.SwitchID(s), port: p, ch: &chans[k]}
-			st.inBufs[p], st.outPorts[p] = &bufs[k], &ports[k]
-			k++
-		}
+	// Instantiate switch-to-switch ports, one of each runtime type per
+	// link end, each type in one backing array. End e's line feeds the
+	// buffer at the link's far end, e^1. Assembly thus allocates a fixed
+	// number of objects however many hosts hang off the switches; a host's
+	// state is built on first use (Network.host). The planner's per-switch
+	// views (host lists and spans, up and down links) belong to the
+	// Topology and the Routing: they are read through n.topo and n.rt,
+	// never copied per network.
+	ends := 2 * len(t.Links)
+	n.bufs = make([]inputBuf, ends)
+	n.ports = make([]outPort, ends)
+	n.chans = make([]channel, ends)
+	for i, l := range t.Links {
+		a, b := 2*i, 2*i+1
+		n.bufs[a] = inputBuf{net: n, sw: l.A, port: l.APort, cap: params.BufferFlits}
+		n.bufs[b] = inputBuf{net: n, sw: l.B, port: l.BPort, cap: params.BufferFlits}
+		n.ports[a] = outPort{net: n, sw: l.A, port: l.APort, ch: &n.chans[a]}
+		n.ports[b] = outPort{net: n, sw: l.B, port: l.BPort, ch: &n.chans[b]}
 	}
-	// Wire each switch output line to its peer's input buffer.
-	for s := 0; s < S; s++ {
-		for p, op := range n.switches[s].outPorts {
-			if op == nil {
-				continue
-			}
-			e := t.Conn[s][p]
-			peer := n.switches[e.Switch].inBufs[e.Port]
-			*op.ch = channel{toSwitch: true, dstBuf: peer, credits: peer.cap}
-			peer.bindUpstream(op.ch)
-		}
+	for e := range n.chans {
+		peer := &n.bufs[e^1]
+		n.chans[e] = channel{toSwitch: true, dstBuf: peer, credits: peer.cap}
+		peer.bindUpstream(&n.chans[e])
 	}
-	n.nis = make([]*ni, t.NumNodes)
-
-	// Hot-path precomputes and scratch (see routecache.go / pool.go).
-	// NodesBySwitch is one O(N+S) pass; per-switch NodesAt calls here
-	// were O(S·N), minutes of setup at datacenter sizes.
-	n.nodesAt = t.NodesBySwitch()
-	n.hostLo = make([]int32, t.NumSwitches)
-	n.hostHi = make([]int32, t.NumSwitches)
-	for s := 0; s < t.NumSwitches; s++ {
-		nodes := n.nodesAt[s]
-		if len(nodes) == 0 {
-			n.hostLo[s], n.hostHi[s] = 0, -1
-			continue
-		}
-		lo, hi := nodes[0], nodes[len(nodes)-1]
-		if int(hi)-int(lo)+1 == len(nodes) {
-			// NodesBySwitch lists ids ascending, so first==min and
-			// last==max; an exact span means the attachment is contiguous.
-			n.hostLo[s], n.hostHi[s] = int32(lo), int32(hi)
-		} else {
-			n.hostLo[s], n.hostHi[s] = -1, -2
-		}
-	}
-	n.rebuildRoutingViews()
+	n.hosts = make([]*host, t.NumNodes)
 	n.reclaimAfter = n.reclaimQuarantine()
 
 	n.applyOptions(&o)
 	return n, nil
 }
 
-// ni returns node's NI, building its host on first use (see host) and
-// wiring it into the home switch's node port. Until then n.nis[node] and
-// that port's inBufs/outPorts entries stay nil, and every reader treats
-// the host as pristine: alive, idle, credits full.
-func (n *Network) ni(node topology.NodeID) *ni {
-	if x := n.nis[node]; x != nil {
-		return x
+// host returns node's host, building it on first use and wiring it into
+// the home switch's node port. Until then n.hosts[node] stays nil, and
+// every reader treats the host as pristine: alive, idle, credits full.
+func (n *Network) host(node topology.NodeID) *host {
+	if h := n.hosts[node]; h != nil {
+		return h
 	}
 	s, p := n.topo.NodeSwitch[node], n.topo.NodePort[node]
 	h := &host{}
@@ -256,72 +187,64 @@ func (n *Network) ni(node topology.NodeID) *ni {
 	h.ej = channel{dstNode: node}
 	h.out = outPort{net: n, sw: s, port: p, ch: &h.ej}
 	h.ni = ni{net: n, node: node, inj: &h.inj}
-	st := &n.switches[s]
-	st.inBufs[p], st.outPorts[p] = &h.buf, &h.out
-	n.nis[node] = &h.ni
-	return &h.ni
+	n.hosts[node] = h
+	return h
 }
+
+// ni returns node's NI, building its host on first use.
+func (n *Network) ni(node topology.NodeID) *ni { return &n.host(node).ni }
 
 // outPort returns switch s's output port p, building the attached host
 // when p is a node port nothing has used yet; nil for an open port.
 func (n *Network) outPort(s topology.SwitchID, p int) *outPort {
-	if op := n.switches[s].outPorts[p]; op != nil {
-		return op
+	if e := n.topo.LinkEnd(s, p); e >= 0 {
+		return &n.ports[e]
 	}
-	if e := n.topo.Conn[s][p]; e.Kind == topology.ToNode {
-		n.ni(e.Node)
-		return n.switches[s].outPorts[p]
+	if c := n.topo.Conn[s][p]; c.Kind == topology.ToNode {
+		return &n.host(c.Node).out
+	}
+	return nil
+}
+
+// builtOutPort is outPort for walks that must not build hosts: nil for
+// an open port and for the port of a host not yet built.
+func (n *Network) builtOutPort(s topology.SwitchID, p int) *outPort {
+	if e := n.topo.LinkEnd(s, p); e >= 0 {
+		return &n.ports[e]
+	}
+	if c := n.topo.Conn[s][p]; c.Kind == topology.ToNode && n.hosts[c.Node] != nil {
+		return &n.hosts[c.Node].out
+	}
+	return nil
+}
+
+// inBuf returns switch s's input buffer on port p: nil for an open port
+// and for the port of a host not yet built.
+func (n *Network) inBuf(s topology.SwitchID, p int) *inputBuf {
+	if e := n.topo.LinkEnd(s, p); e >= 0 {
+		return &n.bufs[e]
+	}
+	if c := n.topo.Conn[s][p]; c.Kind == topology.ToNode && n.hosts[c.Node] != nil {
+		return &n.hosts[c.Node].buf
 	}
 	return nil
 }
 
 // localIntersects reports whether d contains a host attached to switch s
-// — planTree's local-delivery gate, formerly Intersects against a
-// per-switch localNodes bit string. Same predicate, no O(S×N) table.
+// — planTree's local-delivery gate. Where the switch's hosts are
+// numbered contiguously (every scale generator numbers them per edge
+// switch) it is one range probe; otherwise it probes each host, a
+// handful of Contains calls on paper-size networks.
 func (n *Network) localIntersects(d *destset.Runs, s topology.SwitchID) bool {
-	lo, hi := n.hostLo[s], n.hostHi[s]
-	if lo >= 0 {
-		return lo <= hi && d.AnyInRange(int(lo), int(hi))
+	if lo, hi, ok := n.topo.HostSpan(s); ok {
+		return lo <= hi && d.AnyInRange(lo, hi)
 	}
-	for _, node := range n.nodesAt[s] {
+	for _, node := range n.topo.NodesBySwitch()[s] {
 		if d.Contains(int(node)) {
 			return true
 		}
 	}
 	return false
-}
-
-// rebuildRoutingViews derives the per-switch views of the current
-// routing tables (New and every table swap): the up-link adjacency the
-// tree-worm climb walks, its reverse, and the down-port lists.
-func (n *Network) rebuildRoutingViews() {
-	t, rt := n.topo, n.rt
-	n.upAdj = make([][]portPeer, t.NumSwitches)
-	n.revUp = make([][]portPeer, t.NumSwitches)
-	n.downPorts = make([][]downPort, t.NumSwitches)
-	// Every live link has exactly one down end, so one backing array
-	// sized by the link count holds every switch's down-port list.
-	downs := make([]downPort, 0, len(t.Links))
-	for s := 0; s < t.NumSwitches; s++ {
-		start := len(downs)
-		for p := 0; p < t.PortsPerSwitch; p++ {
-			switch rt.Dirs[s][p] {
-			case updown.DirUp:
-				q := int(t.Conn[s][p].Switch)
-				n.upAdj[s] = append(n.upAdj[s], portPeer{sw: q, port: p})
-				n.revUp[q] = append(n.revUp[q], portPeer{sw: s, port: p})
-			case updown.DirDown:
-				downs = append(downs, downPort{port: p, reach: rt.DownReach(topology.SwitchID(s), p)})
-			}
-		}
-		n.downPorts[s] = downs[start:len(downs):len(downs)]
-	}
-}
-
-// downPort is a down port of a switch and its reachability string.
-type downPort struct {
-	port  int
-	reach *destset.Runs
 }
 
 // Topology returns the simulated topology.
@@ -462,20 +385,23 @@ func (e *StallError) Error() string {
 // live switch state.
 func (n *Network) stallReport(queueEmpty bool) *StallError {
 	e := &StallError{At: n.queue.Now(), Outstanding: int(n.outstanding), QueueEmpty: queueEmpty}
-	for s, st := range n.switches {
-		for p, b := range st.inBufs {
+	t := n.topo
+	for s := range topology.SwitchID(t.NumSwitches) {
+		for p := range t.PortsPerSwitch {
+			b := n.inBuf(s, p)
 			if b == nil {
 				continue
 			}
 			for _, o := range b.occupants {
 				e.Stuck = append(e.Stuck, StuckWorm{
 					Worm: o.w.id, Msg: o.w.msg.ID,
-					Switch: topology.SwitchID(s), Port: p,
+					Switch: s, Port: p,
 					Arrived: o.arrived, Len: o.w.len, Routed: o.routed,
 				})
 			}
 		}
-		for p, op := range st.outPorts {
+		for p := range t.PortsPerSwitch {
+			op := n.builtOutPort(s, p)
 			if op == nil || op.holder == nil {
 				continue
 			}
@@ -486,7 +412,7 @@ func (n *Network) stallReport(queueEmpty bool) *StallError {
 				}
 			}
 			e.Held = append(e.Held, HeldPort{
-				Switch: topology.SwitchID(s), Port: p,
+				Switch: s, Port: p,
 				Worm: op.holder.w.id, Waiters: waiters,
 			})
 		}
@@ -593,20 +519,21 @@ type ChannelUse struct {
 // The channels of hosts nothing has touched are listed with 0 flits.
 func (n *Network) ChannelUsage() []ChannelUse {
 	var out []ChannelUse
-	for s, st := range n.switches {
-		for p, op := range st.outPorts {
-			switch {
+	t := n.topo
+	for s := range topology.SwitchID(t.NumSwitches) {
+		for p := range t.PortsPerSwitch {
+			switch op := n.builtOutPort(s, p); {
 			case op != nil:
-				out = append(out, ChannelUse{Label: n.portLabel(s, p), Flits: op.ch.busyFlits})
-			case n.topo.Conn[s][p].Kind == topology.ToNode:
-				out = append(out, ChannelUse{Label: n.portLabel(s, p)}) // unbuilt host
+				out = append(out, ChannelUse{Label: n.portLabel(int(s), p), Flits: op.ch.busyFlits})
+			case t.Conn[s][p].Kind == topology.ToNode:
+				out = append(out, ChannelUse{Label: n.portLabel(int(s), p)}) // unbuilt host
 			}
 		}
 	}
-	for node, x := range n.nis {
+	for node, h := range n.hosts {
 		u := ChannelUse{Label: injLabel(node)}
-		if x != nil {
-			u.Flits = x.inj.busyFlits
+		if h != nil {
+			u.Flits = h.inj.busyFlits
 		}
 		out = append(out, u)
 	}
@@ -644,10 +571,11 @@ func (n *Network) CheckConservation() error {
 	if s.PacketsAtNI != s.PacketsToHost {
 		return fmt.Errorf("sim: %d packets at NIs but %d reached hosts", s.PacketsAtNI, s.PacketsToHost)
 	}
-	for _, x := range n.nis {
-		if x == nil {
+	for _, h := range n.hosts {
+		if h == nil {
 			continue // an unbuilt host is pristine
 		}
+		x := &h.ni
 		if x.rxWorm != nil || len(x.rxMsgs) != 0 || len(x.rxHeld) != 0 || len(x.ready) != 0 || x.streaming {
 			return fmt.Errorf("sim: NI %d left with residual state", x.node)
 		}
@@ -658,13 +586,15 @@ func (n *Network) CheckConservation() error {
 			return fmt.Errorf("sim: channel %s %s after drain", injLabel(int(x.node)), r)
 		}
 	}
-	for s2, st := range n.switches {
-		for p, b := range st.inBufs {
-			if b != nil && (b.used != 0 || len(b.occupants) != 0) {
+	t := n.topo
+	for s2 := range topology.SwitchID(t.NumSwitches) {
+		for p := range t.PortsPerSwitch {
+			if b := n.inBuf(s2, p); b != nil && (b.used != 0 || len(b.occupants) != 0) {
 				return fmt.Errorf("sim: buffer %d/%d not empty after drain", s2, p)
 			}
 		}
-		for p, op := range st.outPorts {
+		for p := range t.PortsPerSwitch {
+			op := n.builtOutPort(s2, p)
 			if op == nil {
 				continue
 			}
@@ -672,7 +602,7 @@ func (n *Network) CheckConservation() error {
 				return fmt.Errorf("sim: port %d/%d still allocated after drain", s2, p)
 			}
 			if r := channelResidue(op.ch); r != "" {
-				return fmt.Errorf("sim: channel %s %s after drain", n.portLabel(s2, p), r)
+				return fmt.Errorf("sim: channel %s %s after drain", n.portLabel(int(s2), p), r)
 			}
 		}
 	}

@@ -51,9 +51,11 @@ func TestNewAllocsIndependentOfHosts(t *testing.T) {
 }
 
 // TestNewBytesPerHost pins the assembly footprint: New's allocated bytes
-// grow by at most 128 per added host, because a host's NI and node-port
-// state is built on first use rather than at assembly. Same two
-// fat-trees as above; each side is the best of 3 TotalAlloc deltas.
+// grow by at most 16 per added host (the host's slot in Network.hosts),
+// because a host's NI and node-port state is built on first use, port
+// state is indexed by link end rather than by (switch, port), and the
+// per-switch host lists belong to the topology. Same two fat-trees as
+// above; each side is the best of 3 TotalAlloc deltas.
 func TestNewBytesPerHost(t *testing.T) {
 	alloc := func(hostsPerEdge int) (best uint64, hosts int) {
 		rt := assemblyFatTree(t, hostsPerEdge)
@@ -74,9 +76,77 @@ func TestNewBytesPerHost(t *testing.T) {
 	large, largeHosts := alloc(512)
 	perHost := (float64(large) - float64(small)) / float64(largeHosts-smallHosts)
 	t.Logf("New: %d B at %d hosts, %d B at %d hosts: %.0f B per added host", small, smallHosts, large, largeHosts, perHost)
-	if perHost > 128 {
-		t.Fatalf("New allocates %d B at %d hosts and %d B at %d: %.0f B per added host, want at most 128",
+	if perHost > 16 {
+		t.Fatalf("New allocates %d B at %d hosts and %d B at %d: %.0f B per added host, want at most 16",
 			small, smallHosts, large, largeHosts, perHost)
+	}
+}
+
+// sameArray reports whether two slices view the same backing array.
+func sameArray[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// TestNetworksShareRoutingViews: the topology and routing views the
+// planner reads are built once, with the Topology and the Routing, and
+// read in place: two networks on one Routing read the same arrays, and a
+// fault reconfiguration moves a network onto the new Routing's views
+// while a network on the old Routing keeps reading the old ones.
+func TestNetworksShareRoutingViews(t *testing.T) {
+	a := fixtureNet(t, DefaultParams())
+	old := a.Routing()
+	b, err := New(old, DefaultParams(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	S := topology.SwitchID(a.topo.NumSwitches)
+	for s := range S {
+		if !sameArray(a.rt.UpLinks(s), b.rt.UpLinks(s)) || !sameArray(a.rt.DownLinks(s), b.rt.DownLinks(s)) ||
+			!sameArray(a.rt.UpInto(s), b.rt.UpInto(s)) || !sameArray(a.topo.NodesBySwitch()[s], b.topo.NodesBySwitch()[s]) {
+			t.Fatalf("switch %d: two networks on one Routing read different view arrays", s)
+		}
+	}
+
+	const li = 8 // the 5-7 link; the rest stays connected
+	a.Schedule(0, func() { a.FailLink(li) })
+	if err := a.Drain(0); err != nil {
+		t.Fatal(err)
+	}
+	rt := a.Routing()
+	if a.Stats().Reconfigs != 1 || rt == old {
+		t.Fatalf("Reconfigs = %d, routing replaced %v; want one reconfiguration", a.Stats().Reconfigs, rt != old)
+	}
+	lk := a.topo.Links[li]
+	for s := range S {
+		for _, ul := range a.rt.UpLinks(s) {
+			if rt.Dirs[s][ul.Port] != updown.DirUp {
+				t.Fatalf("switch %d climbs through port %d, not an up port of the new routing", s, ul.Port)
+			}
+		}
+		for _, dl := range a.rt.DownLinks(s) {
+			if rt.Dirs[s][dl.Port] != updown.DirDown || dl.Reach != rt.DownReach(s, dl.Port) {
+				t.Fatalf("switch %d descends through port %d, not a down port of the new routing", s, dl.Port)
+			}
+		}
+		if !sameArray(b.rt.DownLinks(s), old.DownLinks(s)) || !sameArray(b.rt.UpLinks(s), old.UpLinks(s)) {
+			t.Fatalf("switch %d: the network on the old routing lost its views", s)
+		}
+	}
+	onDead := func(r *updown.Routing) bool {
+		for _, ul := range r.UpLinks(lk.A) {
+			if ul.Port == lk.APort {
+				return true
+			}
+		}
+		for _, dl := range r.DownLinks(lk.A) {
+			if dl.Port == lk.APort {
+				return true
+			}
+		}
+		return false
+	}
+	if onDead(a.rt) || !onDead(b.rt) {
+		t.Fatalf("dead link listed by the reconfigured network: %v; by the old routing: %v, want false and true", onDead(a.rt), onDead(b.rt))
 	}
 }
 
@@ -141,7 +211,7 @@ func TestPristineHosts(t *testing.T) {
 	edge := topo.NodeSwitch[topo.NumNodes-1] // the last rack; the run never touched it
 	dead := topo.NodesAt(edge)
 	for _, node := range dead {
-		if lazy.nis[node] != nil {
+		if lazy.hosts[node] != nil {
 			t.Fatalf("host %d was built by a run that never touched it", node)
 		}
 		for _, l := range []string{fmt.Sprintf("ej n%d", node), injLabel(int(node))} {
@@ -211,7 +281,7 @@ func TestCheckConservationCatchesCreditAndInjectionResidue(t *testing.T) {
 		plant func(n *Network)
 		want  string
 	}{
-		{"missing credit", func(n *Network) { n.switches[0].outPorts[0].ch.credits-- }, "channel s0p0->s1 holds"},
+		{"missing credit", func(n *Network) { n.outPort(0, 0).ch.credits-- }, "channel s0p0->s1 holds"},
 		{"deferred burst", func(n *Network) { x := n.ni(1); x.injWait = append(x.injWait, &burst{}) }, "NI 1 left with 1 deferred"},
 		{"held slot", func(n *Network) { n.ni(3).injHeld = 1 }, "NI 3 left with 0 deferred bursts and 1 held"},
 		{"injection sender", func(n *Network) { n.ni(2).inj.sender = &branch{} }, "channel inj n2 still has a sender"},

@@ -346,7 +346,7 @@ func (n *Network) destDone(m *Message, node topology.NodeID) {
 	}
 	if m.Plan.HostSends != nil {
 		for i := range m.Plan.HostSends[node] {
-			n.nis[node].hostSend(m, &m.Plan.HostSends[node][i])
+			n.hosts[node].ni.hostSend(m, &m.Plan.HostSends[node][i])
 		}
 	}
 	if m.remaining == 0 {

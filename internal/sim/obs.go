@@ -25,23 +25,25 @@ func (n *Network) attachObs(r *obs.Recorder) {
 	n.obsRec = r
 	n.obsChans = n.obsChans[:0]
 	// Sampling reads every channel, so every host is built up front.
-	for node := range n.nis {
-		n.ni(topology.NodeID(node))
+	for node := range n.hosts {
+		n.host(topology.NodeID(node))
 	}
 	var labels []string
-	for s, sw := range n.switches {
-		for p, op := range sw.outPorts {
+	t := n.topo
+	for s := range topology.SwitchID(t.NumSwitches) {
+		for p := range t.PortsPerSwitch {
+			op := n.builtOutPort(s, p)
 			if op == nil {
 				continue
 			}
 			op.ch.obsID = int32(len(n.obsChans))
 			n.obsChans = append(n.obsChans, op.ch)
-			labels = append(labels, n.portLabel(s, p))
+			labels = append(labels, n.portLabel(int(s), p))
 		}
 	}
-	for node, x := range n.nis {
-		x.inj.obsID = int32(len(n.obsChans))
-		n.obsChans = append(n.obsChans, x.inj)
+	for node, h := range n.hosts {
+		h.inj.obsID = int32(len(n.obsChans))
+		n.obsChans = append(n.obsChans, &h.inj)
 		labels = append(labels, injLabel(node))
 	}
 	r.AttachNetwork(labels, n.topo.NumSwitches, n.topo.NumNodes)
@@ -92,16 +94,14 @@ func (n *Network) obsFlush() {
 		for i, ch := range n.obsChans {
 			s.ChanFlits[i] = ch.busyFlits
 		}
-		for si, sw := range n.switches {
-			var occ int64
-			for _, b := range sw.inBufs {
-				if b != nil {
-					occ += int64(b.used)
-				}
-			}
-			s.BufOcc[si] = occ
+		// Every host is built (attachObs), so each switch's buffers are
+		// its link ends' and its hosts'.
+		for i := range n.bufs {
+			s.BufOcc[n.bufs[i].sw] += int64(n.bufs[i].used)
 		}
-		for node, x := range n.nis {
+		for node, h := range n.hosts {
+			s.BufOcc[h.buf.sw] += int64(h.buf.used)
+			x := &h.ni
 			s.NISend[node] = int64(len(x.ready) + len(x.injWait))
 			var rx int64
 			if x.rxWorm != nil {

@@ -58,7 +58,7 @@ type scratchSpace struct {
 	onePhase     [1]updown.Phase
 	portScratch  []int
 	phaseScratch []updown.Phase
-	downScratch  []downPort
+	downScratch  []updown.DownLink
 	partScratch  []portSet
 	usedPorts    []bool
 	distScratch  []int32

@@ -210,10 +210,10 @@ func (n *Network) computeClimbDist(set *destset.Runs) []int32 {
 	for head := 0; head < len(q); head++ {
 		x := q[head]
 		// Predecessors of x along up links: switches with an up port to x.
-		for _, pp := range n.revUp[x] {
-			if dist[pp.sw] == -1 {
-				dist[pp.sw] = dist[x] + 1
-				q = append(q, int32(pp.sw))
+		for _, s := range n.rt.UpInto(topology.SwitchID(x)) {
+			if dist[s] == -1 {
+				dist[s] = dist[x] + 1
+				q = append(q, int32(s))
 			}
 		}
 	}

@@ -202,7 +202,7 @@ func TestRouteCacheWarmDecisionsZeroAlloc(t *testing.T) {
 		t.Fatalf("warm climbPorts allocates %.1f/op, want 0", allocs)
 	}
 
-	reach := n.downPorts[coverer][0].reach
+	reach := n.rt.DownLinks(coverer)[0].Reach
 	dst := n.getRuns()
 	set.IntersectInto(dst, reach) // sizes dst's run list
 	sink := 0

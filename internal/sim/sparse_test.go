@@ -157,26 +157,27 @@ func TestSparseGroupChurnIdentical(t *testing.T) {
 			MembershipEvents: 3, StaleDeliveries: 1, MissedDeliveries: 3}})
 }
 
-// TestSparseLocalRange pins the hostLo/hostHi precompute: contiguous
-// attachments get ranges, irregular ones fall back to the probe, and the
-// gate predicate matches the old Intersects(localNodes) on both.
+// TestSparseLocalRange pins the topology's host spans that planTree's
+// local gate reads: contiguous attachments get ranges, irregular ones
+// fall back to the probe, and the gate predicate matches a brute-force
+// membership check on both.
 func TestSparseLocalRange(t *testing.T) {
 	n := randomNet(t, topology.DefaultConfig(), DefaultParams(), 19)
 	topo := n.topo
 	for s := 0; s < topo.NumSwitches; s++ {
-		nodes := n.nodesAt[s]
-		lo, hi := n.hostLo[s], n.hostHi[s]
+		nodes := topo.NodesAt(topology.SwitchID(s))
+		lo, hi, ok := topo.HostSpan(topology.SwitchID(s))
 		switch {
 		case len(nodes) == 0:
-			if lo != 0 || hi != -1 {
-				t.Fatalf("switch %d: hostless sentinel wrong: [%d,%d]", s, lo, hi)
+			if !ok || lo <= hi {
+				t.Fatalf("switch %d: hostless span wrong: [%d,%d] ok=%v", s, lo, hi, ok)
 			}
 		case int(nodes[len(nodes)-1])-int(nodes[0])+1 == len(nodes):
-			if int(lo) != int(nodes[0]) || int(hi) != int(nodes[len(nodes)-1]) {
-				t.Fatalf("switch %d: contiguous range [%d,%d], nodes %v", s, lo, hi, nodes)
+			if !ok || lo != int(nodes[0]) || hi != int(nodes[len(nodes)-1]) {
+				t.Fatalf("switch %d: contiguous range [%d,%d] ok=%v, nodes %v", s, lo, hi, ok, nodes)
 			}
 		default:
-			if lo != -1 {
+			if ok {
 				t.Fatalf("switch %d: irregular attachment not marked: [%d,%d]", s, lo, hi)
 			}
 		}

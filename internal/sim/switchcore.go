@@ -143,7 +143,7 @@ func (br *branch) deliver() {
 		ch.dstBuf.flitArrive(br.w)
 		return
 	}
-	br.net.nis[ch.dstNode].flitArrive(br.w)
+	br.net.hosts[ch.dstNode].ni.flitArrive(br.w)
 }
 
 // tailRelease frees the branch's port (or injection line) one cycle
@@ -405,7 +405,7 @@ func (n *Network) planTree(o *occupant, s topology.SwitchID, w *worm) {
 	// Local deliveries: destinations attached to this switch drop here
 	// regardless of the climb state.
 	if n.localIntersects(remaining, s) {
-		for _, node := range n.nodesAt[s] {
+		for _, node := range n.topo.NodesBySwitch()[s] {
 			if !remaining.Contains(int(node)) {
 				continue
 			}
@@ -448,16 +448,16 @@ func (n *Network) planTree(o *occupant, s topology.SwitchID, w *worm) {
 	}
 	if n.params.EarlyTreeBranch {
 		// Ablation variant: peel off down-coverable subsets while climbing.
-		for _, dp := range n.downPorts[s] {
-			if !remaining.Intersects(dp.reach) {
+		for _, dp := range n.rt.DownLinks(s) {
+			if !remaining.Intersects(dp.Reach) {
 				continue
 			}
 			sub := n.getRuns()
-			remaining.IntersectInto(sub, dp.reach)
+			remaining.IntersectInto(sub, dp.Reach)
 			remaining.DifferenceWith(sub)
 			c := w.childSet(n, 0, sub)
 			c.phase = updown.PhaseDown
-			ports, phases := n.singleSpec(dp.port, updown.PhaseDown)
+			ports, phases := n.singleSpec(dp.Port, updown.PhaseDown)
 			n.emitBranch(o, s, branchSpec{child: c,
 				ports: ports, phases: phases})
 		}
@@ -583,7 +583,7 @@ func (n *Network) partitionDownAdaptive(s topology.SwitchID, set *destset.Runs) 
 				// Hit: burn the identical shuffle the miss path draws so
 				// the arbitration RNG stream stays byte-for-byte equal,
 				// then hand out pooled copies of the cached partition.
-				n.arb.Shuffle(len(n.downPorts[s]), func(i, j int) {})
+				n.arb.Shuffle(len(n.rt.DownLinks(s)), func(i, j int) {})
 				out := n.scr.partScratch[:0]
 				for i, p := range e.ports {
 					sub := n.getRuns()
@@ -599,25 +599,25 @@ func (n *Network) partitionDownAdaptive(s topology.SwitchID, set *destset.Runs) 
 	}
 	remaining := n.getRuns()
 	remaining.CopyFrom(set)
-	downs := append(n.scr.downScratch[:0], n.downPorts[s]...)
+	downs := append(n.scr.downScratch[:0], n.rt.DownLinks(s)...)
 	n.scr.downScratch = downs
 	n.arb.Shuffle(len(downs), func(i, j int) { downs[i], downs[j] = downs[j], downs[i] })
 	out := n.scr.partScratch[:0]
 	tied := false
 	for !remaining.Empty() {
-		best, bestCount, dup := downPort{port: -1}, 0, false
+		best, bestCount, dup := updown.DownLink{Port: -1}, 0, false
 		for _, dp := range downs {
-			if n.scr.usedPorts[dp.port] {
+			if n.scr.usedPorts[dp.Port] {
 				continue
 			}
-			c := remaining.AndCount(dp.reach)
+			c := remaining.AndCount(dp.Reach)
 			if c > bestCount {
 				best, bestCount, dup = dp, c, false
 			} else if c == bestCount && c > 0 {
 				dup = true
 			}
 		}
-		if best.port == -1 {
+		if best.Port == -1 {
 			for _, ps := range out {
 				n.scr.usedPorts[ps.port] = false
 				n.putRuns(ps.sub)
@@ -630,9 +630,9 @@ func (n *Network) partitionDownAdaptive(s topology.SwitchID, set *destset.Runs) 
 			tied = true
 		}
 		sub := n.getRuns()
-		remaining.IntersectInto(sub, best.reach)
-		n.scr.usedPorts[best.port] = true
-		out = append(out, portSet{port: best.port, sub: sub})
+		remaining.IntersectInto(sub, best.Reach)
+		n.scr.usedPorts[best.Port] = true
+		out = append(out, portSet{port: best.Port, sub: sub})
 		remaining.DifferenceWith(sub)
 	}
 	for _, ps := range out {
@@ -671,9 +671,9 @@ func (n *Network) climbPorts(s topology.SwitchID, set *destset.Runs) []int {
 		return nil // s covers already (caller bug) or nothing reachable
 	}
 	out := n.scr.portScratch[:0]
-	for _, pp := range n.upAdj[s] {
-		if dist[pp.sw] == dist[s]-1 {
-			out = append(out, pp.port)
+	for _, ul := range n.rt.UpLinks(s) {
+		if dist[ul.Peer] == dist[s]-1 {
+			out = append(out, ul.Port)
 		}
 	}
 	n.scr.portScratch = out
@@ -715,13 +715,12 @@ func (n *Network) fileAdaptive(br *branch, s topology.SwitchID, ports []int, pha
 // (with owned copies of the candidate list, since ports/phases may be
 // decision scratch).
 func (n *Network) fileRequest(br *branch, s topology.SwitchID, ports []int, phases []updown.Phase) {
-	sw := n.switches[s]
 	if n.faulted {
 		// Routing state can lag a fault by up to the detection delay: drop
 		// candidate ports that have died since the tables were computed.
 		live, livePhases := ports[:0], phases[:0]
 		for i, p := range ports {
-			if op := sw.outPorts[p]; op != nil && op.dead {
+			if op := n.builtOutPort(s, p); op != nil && op.dead {
 				continue
 			}
 			live = append(live, p)
@@ -749,7 +748,7 @@ func (n *Network) fileRequest(br *branch, s topology.SwitchID, ports []int, phas
 	outs := make([]*outPort, len(ports))
 	owned := make([]updown.Phase, len(phases))
 	for i, p := range ports {
-		outs[i] = sw.outPorts[p]
+		outs[i] = n.outPort(s, p)
 		owned[i] = phases[i]
 	}
 	req := &portRequest{br: br, ports: outs, phases: owned}

@@ -14,8 +14,13 @@ import (
 //	node <id> <switch> <port>
 //
 // Comment lines start with '#'; blank lines are ignored. The format is the
-// interchange between cmd/topogen and the simulator and is stable.
+// interchange between cmd/topogen and the simulator and is stable. A
+// topology wider than MaxPortsPerSwitch, which ReadText refuses, is
+// refused before anything is written.
 func WriteText(w io.Writer, t *Topology) error {
+	if t.PortsPerSwitch > MaxPortsPerSwitch {
+		return fmt.Errorf("topology: %d ports per switch, more than the %d a topology file may declare", t.PortsPerSwitch, MaxPortsPerSwitch)
+	}
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "topology %d %d %d\n", t.NumSwitches, t.PortsPerSwitch, t.NumNodes)
 	for _, l := range t.Links {

@@ -137,3 +137,23 @@ func TestWriteDOT(t *testing.T) {
 		t.Fatalf("DOT edge count mismatch")
 	}
 }
+
+// TestWriteTextRefusesWideSwitches: a topology wider than a file may
+// declare (here a 514-port fat-tree, which simulates in memory) is
+// refused before a byte is written.
+func TestWriteTextRefusesWideSwitches(t *testing.T) {
+	topo, err := FatTree(FatTreeConfig{Pods: 2, EdgePerPod: 4, AggPerPod: 2, CoreUplinksPerAgg: 2, HostsPerEdge: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if topo.PortsPerSwitch <= MaxPortsPerSwitch {
+		t.Fatalf("fixture has %d ports per switch, want more than %d", topo.PortsPerSwitch, MaxPortsPerSwitch)
+	}
+	var out strings.Builder
+	if err := WriteText(&out, topo); err == nil {
+		t.Fatal("WriteText accepted a topology ReadText refuses")
+	}
+	if out.Len() != 0 {
+		t.Fatalf("refused WriteText wrote %d bytes", out.Len())
+	}
+}

@@ -76,6 +76,13 @@ type Topology struct {
 
 	// Links lists each inter-switch link exactly once.
 	Links []Link
+
+	// Views Build derives once and every routing and network built on the
+	// topology shares read-only.
+	linkEnd []int32    // [s*PortsPerSwitch+p]: see LinkEnd
+	nodesBy [][]NodeID // see NodesBySwitch
+	hostLo  []int32    // see HostSpan
+	hostHi  []int32
 }
 
 // Build assembles and validates a Topology from explicit wiring. links lists
@@ -132,7 +139,53 @@ func Build(numSwitches, portsPerSwitch int, links [][4]int, nodes [][2]int) (*To
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
+	t.buildViews()
 	return t, nil
+}
+
+// buildViews derives the port-to-link-end index, the per-switch host
+// lists and their contiguous spans.
+func (t *Topology) buildViews() {
+	S, P := t.NumSwitches, t.PortsPerSwitch
+	t.linkEnd = make([]int32, S*P)
+	for i := range t.linkEnd {
+		t.linkEnd[i] = -1
+	}
+	for i, l := range t.Links {
+		t.linkEnd[int(l.A)*P+l.APort] = int32(2 * i)
+		t.linkEnd[int(l.B)*P+l.BPort] = int32(2*i + 1)
+	}
+
+	counts := make([]int, S)
+	for _, s := range t.NodeSwitch {
+		counts[s]++
+	}
+	buf := make([]NodeID, t.NumNodes)
+	t.nodesBy = make([][]NodeID, S)
+	pos := 0
+	for s := range t.nodesBy {
+		t.nodesBy[s] = buf[pos : pos : pos+counts[s]]
+		pos += counts[s]
+	}
+	for n := 0; n < t.NumNodes; n++ {
+		s := t.NodeSwitch[n]
+		t.nodesBy[s] = append(t.nodesBy[s], NodeID(n))
+	}
+
+	t.hostLo = make([]int32, S)
+	t.hostHi = make([]int32, S)
+	for s, nodes := range t.nodesBy {
+		switch {
+		case len(nodes) == 0:
+			t.hostLo[s], t.hostHi[s] = 0, -1
+		case int(nodes[len(nodes)-1])-int(nodes[0])+1 == len(nodes):
+			// Ids are listed ascending, so an exact span means the
+			// attachment is contiguous.
+			t.hostLo[s], t.hostHi[s] = int32(nodes[0]), int32(nodes[len(nodes)-1])
+		default:
+			t.hostLo[s], t.hostHi[s] = -1, -2
+		}
+	}
 }
 
 // rebuildLinks recomputes Links from Conn.
@@ -259,26 +312,20 @@ func (t *Topology) NodesAt(s SwitchID) []NodeID {
 }
 
 // NodesBySwitch returns the attached nodes of every switch, ascending by
-// node ID, in one O(N + S) pass over the attachment table. Per-switch
-// NodesAt calls are O(N) each, which turns precomputation loops
-// quadratic at datacenter scale; builders over all switches use this.
-func (t *Topology) NodesBySwitch() [][]NodeID {
-	counts := make([]int, t.NumSwitches)
-	for _, s := range t.NodeSwitch {
-		counts[s]++
-	}
-	buf := make([]NodeID, t.NumNodes)
-	out := make([][]NodeID, t.NumSwitches)
-	pos := 0
-	for s := range out {
-		out[s] = buf[pos : pos : pos+counts[s]]
-		pos += counts[s]
-	}
-	for n := 0; n < t.NumNodes; n++ {
-		s := t.NodeSwitch[n]
-		out[s] = append(out[s], NodeID(n))
-	}
-	return out
+// node ID. Build derives the lists once, in one O(N + S) pass over the
+// attachment table, and every call returns them shared: callers must
+// not modify them. Per-switch NodesAt calls are O(N) each, which turns
+// precomputation loops quadratic at datacenter scale; builders over all
+// switches use this.
+func (t *Topology) NodesBySwitch() [][]NodeID { return t.nodesBy }
+
+// HostSpan returns switch s's attached hosts as the id range [lo, hi]
+// when they are numbered contiguously, as every scale generator numbers
+// them per edge switch; lo > hi for a hostless switch. ok is false when
+// the ids are not contiguous, and callers then read NodesBySwitch.
+func (t *Topology) HostSpan(s SwitchID) (lo, hi int, ok bool) {
+	lo, hi = int(t.hostLo[s]), int(t.hostHi[s])
+	return lo, hi, lo >= 0
 }
 
 // OpenPorts returns the number of unconnected ports on switch s.
@@ -315,6 +362,15 @@ func (t *Topology) RemoveLink(i int) (*Topology, error) {
 	return Build(t.NumSwitches, t.PortsPerSwitch, links, nodes)
 }
 
+// LinkEnd returns the link end at switch s, port p: 2i for the A end of
+// Links[i] and 2i+1 for its B end, so e^1 is the far end of end e and
+// e/2 its link. It returns -1 for an open port or a port to a node. The
+// ends number the switch-to-switch ports densely, in [0, 2*len(Links)),
+// for state kept per port; s and p must be in range.
+func (t *Topology) LinkEnd(s SwitchID, p int) int {
+	return int(t.linkEnd[int(s)*t.PortsPerSwitch+p])
+}
+
 // LinkAt returns the index into Links of the inter-switch link attached to
 // switch s, port p, or -1 if that port is open or hosts a node. Fault
 // schedules use it to translate (switch, port) observations into link IDs.
@@ -322,13 +378,8 @@ func (t *Topology) LinkAt(s SwitchID, p int) int {
 	if int(s) < 0 || int(s) >= t.NumSwitches || p < 0 || p >= t.PortsPerSwitch {
 		return -1
 	}
-	if t.Conn[s][p].Kind != ToSwitch {
-		return -1
-	}
-	for i, l := range t.Links {
-		if (l.A == s && l.APort == p) || (l.B == s && l.BPort == p) {
-			return i
-		}
+	if e := t.LinkEnd(s, p); e >= 0 {
+		return e / 2
 	}
 	return -1
 }

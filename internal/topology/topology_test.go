@@ -313,11 +313,14 @@ func TestLinkAt(t *testing.T) {
 		if got := topo.LinkAt(l.B, l.BPort); got != i {
 			t.Fatalf("LinkAt(%d,%d) = %d, want %d", l.B, l.BPort, got, i)
 		}
+		if a, b := topo.LinkEnd(l.A, l.APort), topo.LinkEnd(l.B, l.BPort); a != 2*i || b != 2*i+1 {
+			t.Fatalf("link %d ends = %d, %d, want %d, %d", i, a, b, 2*i, 2*i+1)
+		}
 	}
-	if topo.LinkAt(0, 7) != -1 { // node port
+	if topo.LinkAt(0, 7) != -1 || topo.LinkEnd(0, 7) != -1 { // node port
 		t.Fatal("node port reported as link")
 	}
-	if topo.LinkAt(0, 5) != -1 { // open port
+	if topo.LinkAt(0, 5) != -1 || topo.LinkEnd(0, 5) != -1 { // open port
 		t.Fatal("open port reported as link")
 	}
 	if topo.LinkAt(-1, 0) != -1 || topo.LinkAt(0, 99) != -1 {

@@ -92,20 +92,27 @@ type Routing struct {
 	// Dirs[s][p] orients each port of each switch.
 	Dirs [][]Dir
 
-	// dist[d] holds destination d's distance row: row.up[s] is the
-	// shortest legal route length (switch hops) from s, starting fresh,
-	// to switch d; row.down[s] the same restricted to down links only
-	// (unreachable32 if no down-only route exists). Rows are computed
-	// lazily per destination on first use — a 10k-switch network's full
-	// table would be ~1.7 GB and O(S·(S+L)) to build, but a simulation
-	// probe only routes toward a handful of destination switches. The
-	// BFS is deterministic, so concurrent users publishing the same row
-	// via CompareAndSwap always agree; Routing stays safe for shared
-	// read-only use across worker goroutines.
+	// dist[d] holds destination d's distance row (see distRow). Rows are
+	// computed lazily per destination on first use — a 10k-switch
+	// network's full table would be ~1.7 GB and O(S·(S+L)) to build, but a
+	// simulation probe only routes toward a handful of destination
+	// switches. The BFS is deterministic, so concurrent users publishing
+	// the same row via CompareAndSwap always agree; Routing stays safe for
+	// shared read-only use across worker goroutines.
 	dist []atomic.Pointer[distRow]
-	// revAdj is the reverse adjacency over (switch, phase) states that
-	// each row BFS runs on, built once at construction.
-	revAdj [][]revState
+
+	// Per-switch link views, derived once from Dirs and shared read-only
+	// by every network that routes with this state, each in ascending
+	// (switch, port) order:
+	//   - up[s]: s's up ports and the switches they climb to;
+	//   - down[s]: s's down ports and their reachability strings;
+	//   - upInto[q] / downInto[q]: the switches with an up / down link to
+	//     q, one entry per link — the reverse adjacency a row BFS and the
+	//     simulator's climb search walk.
+	up       [][]UpLink
+	down     [][]DownLink
+	upInto   [][]topology.SwitchID
+	downInto [][]topology.SwitchID
 
 	// Cover[s] is the set of nodes deliverable from switch s without any
 	// further up movement: nodes attached to s plus the union of its down
@@ -218,7 +225,8 @@ func NewWithOptions(t *topology.Topology, opt Options) (*Routing, error) {
 		}
 	}
 	r.orientPorts()
-	r.computeDistances()
+	r.buildLinkViews()
+	r.dist = make([]atomic.Pointer[distRow], t.NumSwitches)
 	r.computeReachability()
 	if err := r.verify(); err != nil {
 		return nil, err
@@ -391,104 +399,141 @@ func (r *Routing) orientPorts() {
 	}
 }
 
-// distRow is one destination switch's distance vectors (see Routing.dist).
-type distRow struct {
-	up   []int32
-	down []int32
+// UpLink is an up port of a switch and the switch it climbs to.
+type UpLink struct {
+	Port int
+	Peer topology.SwitchID
 }
 
-// revState is a predecessor (switch, phase) state in the reverse
-// adjacency; int32 keeps the edge lists compact at 10k-switch scale.
-type revState struct {
-	s     int32
-	phase Phase
+// DownLink is a down port of a switch and its reachability string (see
+// DownReach).
+type DownLink struct {
+	Port  int
+	Reach *destset.Runs
 }
 
-// computeDistances prepares the lazy distance machinery: the reverse
-// adjacency over (switch, phase) states and an empty row table. Rows are
-// filled by row() on first use per destination.
-func (r *Routing) computeDistances() {
+// buildLinkViews derives up, down (ports only; computeReachability fills
+// the strings), upInto and downInto from Dirs. Each view is cut from one
+// backing array.
+func (r *Routing) buildLinkViews() {
 	t := r.Topo
 	S := t.NumSwitches
-	r.dist = make([]atomic.Pointer[distRow], S)
-	// Reverse adjacency over states. State encoding: s*2 + phase.
-	// Forward edges:
-	//   (s, up)   --up-port-->   (q, up)
-	//   (s, up)   --down-port--> (q, down)
-	//   (s, down) --down-port--> (q, down)
-	// For the reverse BFS we need, for each state, the states with a
-	// forward edge into it.
-	r.revAdj = make([][]revState, 2*S)
+	nUp, nDown := make([]int, S), make([]int, S)
+	inUp, inDown := make([]int, S), make([]int, S)
 	for s := 0; s < S; s++ {
-		for p := 0; p < t.PortsPerSwitch; p++ {
-			e := t.Conn[s][p]
-			if e.Kind != topology.ToSwitch {
-				continue
-			}
-			q := int(e.Switch)
-			switch r.Dirs[s][p] {
+		for p, d := range r.Dirs[s] {
+			switch q := t.Conn[s][p].Switch; d {
 			case DirUp:
-				// (s,up) -> (q,up)
-				r.revAdj[q*2+int(PhaseUp)] = append(r.revAdj[q*2+int(PhaseUp)], revState{int32(s), PhaseUp})
+				nUp[s]++
+				inUp[q]++
 			case DirDown:
-				// (s,up) -> (q,down) and (s,down) -> (q,down)
-				r.revAdj[q*2+int(PhaseDown)] = append(r.revAdj[q*2+int(PhaseDown)], revState{int32(s), PhaseUp})
-				r.revAdj[q*2+int(PhaseDown)] = append(r.revAdj[q*2+int(PhaseDown)], revState{int32(s), PhaseDown})
+				nDown[s]++
+				inDown[q]++
+			}
+		}
+	}
+	r.up, r.down = carve[UpLink](nUp), carve[DownLink](nDown)
+	r.upInto, r.downInto = carve[topology.SwitchID](inUp), carve[topology.SwitchID](inDown)
+	for s := 0; s < S; s++ {
+		for p, d := range r.Dirs[s] {
+			switch q := t.Conn[s][p].Switch; d {
+			case DirUp:
+				r.up[s] = append(r.up[s], UpLink{Port: p, Peer: q})
+				r.upInto[q] = append(r.upInto[q], topology.SwitchID(s))
+			case DirDown:
+				r.down[s] = append(r.down[s], DownLink{Port: p})
+				r.downInto[q] = append(r.downInto[q], topology.SwitchID(s))
 			}
 		}
 	}
 }
+
+// carve returns one empty slice per count, with exactly that capacity,
+// all cut from one backing array.
+func carve[T any](counts []int) [][]T {
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	buf := make([]T, total)
+	out := make([][]T, len(counts))
+	pos := 0
+	for i, c := range counts {
+		out[i] = buf[pos : pos : pos+c]
+		pos += c
+	}
+	return out
+}
+
+// distRow is one destination switch's distances over the (switch, phase)
+// states, indexed s*2+phase: the shortest legal route length in switch
+// hops from s to the destination, starting in that phase (a fresh route
+// starts in PhaseUp; PhaseDown allows down links only), or unreachable32
+// if no such route exists.
+type distRow []int32
+
+func (row distRow) at(s topology.SwitchID, ph Phase) int32 { return row[int(s)*2+int(ph)] }
 
 // row returns destination d's distance row, computing and publishing it
 // on first use. Safe for concurrent callers: the BFS is deterministic,
 // so every racer computes an identical row and CompareAndSwap keeps
 // exactly one.
-func (r *Routing) row(d topology.SwitchID) *distRow {
+func (r *Routing) row(d topology.SwitchID) distRow {
 	if p := r.dist[d].Load(); p != nil {
-		return p
+		return *p
 	}
-	row := r.computeRow(int(d))
-	if r.dist[d].CompareAndSwap(nil, row) {
+	S := r.Topo.NumSwitches
+	row := make(distRow, 2*S)
+	r.reverseBFS(int(d), row, make([]int32, 0, 2*S))
+	if r.dist[d].CompareAndSwap(nil, &row) {
 		return row
 	}
-	return r.dist[d].Load()
+	return *r.dist[d].Load()
 }
 
-// computeRow runs the reverse BFS for one destination switch over the
-// (switch, phase) state graph.
-func (r *Routing) computeRow(d int) *distRow {
-	S := r.Topo.NumSwitches
-	distState := make([]int32, 2*S)
-	for i := range distState {
-		distState[i] = unreachable32
+// reverseBFS fills dist, indexed like distRow, with every state's
+// distance to switch d, running the BFS backwards from d over the
+// reverse link views. queue is the frontier's storage; both slices hold
+// room for the 2S states, and the queue is returned for reuse.
+func (r *Routing) reverseBFS(d int, dist []int32, queue []int32) []int32 {
+	for i := range dist {
+		dist[i] = unreachable32
 	}
 	// Arriving at switch d in either phase terminates the route.
-	distState[d*2+int(PhaseUp)] = 0
-	distState[d*2+int(PhaseDown)] = 0
-	queue := make([]int32, 0, 2*S)
-	queue = append(queue, int32(d*2+int(PhaseUp)), int32(d*2+int(PhaseDown)))
+	dist[d*2+int(PhaseUp)] = 0
+	dist[d*2+int(PhaseDown)] = 0
+	queue = append(queue[:0], int32(d*2+int(PhaseUp)), int32(d*2+int(PhaseDown)))
 	for qi := 0; qi < len(queue); qi++ {
 		cur := queue[qi]
-		for _, prev := range r.revAdj[cur] {
-			pi := prev.s*2 + int32(prev.phase)
-			if distState[pi] == unreachable32 {
-				distState[pi] = distState[cur] + 1
-				queue = append(queue, pi)
+		q, next := cur/2, dist[cur]+1
+		if Phase(cur%2) == PhaseUp {
+			// (s, up) --up link--> (q, up)
+			for _, s := range r.upInto[q] {
+				if st := int32(s)*2 + int32(PhaseUp); dist[st] == unreachable32 {
+					dist[st] = next
+					queue = append(queue, st)
+				}
+			}
+			continue
+		}
+		// (s, up) --down link--> (q, down) and (s, down) --down link--> (q, down)
+		for _, s := range r.downInto[q] {
+			for _, st := range [2]int32{int32(s)*2 + int32(PhaseUp), int32(s)*2 + int32(PhaseDown)} {
+				if dist[st] == unreachable32 {
+					dist[st] = next
+					queue = append(queue, st)
+				}
 			}
 		}
 	}
-	row := &distRow{up: make([]int32, S), down: make([]int32, S)}
-	for s := 0; s < S; s++ {
-		row.up[s] = distState[s*2+int(PhaseUp)]
-		row.down[s] = distState[s*2+int(PhaseDown)]
-	}
-	return row
+	return queue
 }
 
-// computeReachability fills Cover. Down links form a DAG ordered by
-// increasing (level, id), so a single sweep in decreasing order suffices:
-// each switch's set is its own nodes united, run list by run list, with
-// the sets of the switches below its down ports.
+// computeReachability fills Cover and the down view's strings. Down
+// links form a DAG ordered by increasing (level, id), so a single sweep
+// in decreasing order suffices: each switch's set is its own nodes
+// united, run list by run list, with the sets of the switches below its
+// down ports.
 func (r *Routing) computeReachability() {
 	t := r.Topo
 	S := t.NumSwitches
@@ -515,10 +560,10 @@ func (r *Routing) computeReachability() {
 		for _, n := range nodes[s] {
 			acc.Add(int(n))
 		}
-		for p := 0; p < t.PortsPerSwitch; p++ {
-			if r.Dirs[s][p] == DirDown {
-				acc.UnionWith(r.Cover[t.Conn[s][p].Switch]) // computed earlier in the sweep
-			}
+		for i := range r.down[s] {
+			dl := &r.down[s][i]
+			dl.Reach = r.Cover[t.Conn[s][dl.Port].Switch] // computed earlier in the sweep
+			acc.UnionWith(dl.Reach)
 		}
 		r.Cover[s] = destset.NewRuns(N)
 		r.Cover[s].CopyFrom(acc)
@@ -539,12 +584,7 @@ func (r *Routing) verify() error {
 		if r.deadSwitch[s] {
 			continue
 		}
-		ups := 0
-		for p := 0; p < t.PortsPerSwitch; p++ {
-			if r.Dirs[s][p] == DirUp {
-				ups++
-			}
-		}
+		ups := len(r.up[s])
 		if s == int(r.Root) && ups != 0 {
 			return fmt.Errorf("updown: root has %d up ports", ups)
 		}
@@ -553,25 +593,26 @@ func (r *Routing) verify() error {
 		}
 	}
 	// Every alive switch pair must be mutually reachable by a legal route.
-	// The explicit pairwise sweep materializes every distance row — O(S²)
-	// space and O(S·(S+L)) time — so it is gated to paper/experiment
-	// sizes. At larger sizes the property holds structurally: every alive
-	// switch has an all-up path to the root (the tree-parent chain, whose
+	// The explicit pairwise sweep runs every destination's row BFS —
+	// O(S·(S+L)) time — so it is gated to paper/experiment sizes. The rows
+	// are computed in one reused scratch pair and never published: O(S)
+	// space, and routing builds only the rows it later routes toward. At
+	// larger sizes the property holds structurally: every alive switch
+	// has an all-up path to the root (the tree-parent chain, whose
 	// (level, id) strictly decreases — checked above via up ports), and
 	// every tree edge parent→child is a down link, so the root reaches
 	// every alive switch down-only (the root-cover check below confirms
 	// the node-level consequence). Climb-then-descend is a legal route.
 	if t.NumSwitches <= verifyPairwiseMax {
+		dist := make(distRow, 2*t.NumSwitches)
+		queue := make([]int32, 0, 2*t.NumSwitches)
 		for d := 0; d < t.NumSwitches; d++ {
 			if r.deadSwitch[d] {
 				continue
 			}
-			up := r.row(topology.SwitchID(d)).up
+			queue = r.reverseBFS(d, dist, queue)
 			for s := 0; s < t.NumSwitches; s++ {
-				if r.deadSwitch[s] {
-					continue
-				}
-				if up[s] >= unreachable32 {
+				if !r.deadSwitch[s] && dist.at(topology.SwitchID(s), PhaseUp) >= unreachable32 {
 					return fmt.Errorf("updown: no legal route %d -> %d", s, d)
 				}
 			}
@@ -607,7 +648,7 @@ func (r *Routing) PortAlive(s topology.SwitchID, p int) bool {
 // DistUp returns the shortest legal route length in switch hops from s
 // (fresh) to d.
 func (r *Routing) DistUp(s, d topology.SwitchID) int {
-	v := r.row(d).up[s]
+	v := r.row(d).at(s, PhaseUp)
 	if v >= unreachable32 {
 		return unreachable
 	}
@@ -617,7 +658,7 @@ func (r *Routing) DistUp(s, d topology.SwitchID) int {
 // DistDown returns the shortest down-only route length from s to d, or
 // ok=false when no down-only route exists.
 func (r *Routing) DistDown(s, d topology.SwitchID) (int, bool) {
-	v := r.row(d).down[s]
+	v := r.row(d).at(s, PhaseDown)
 	if v >= unreachable32 {
 		return unreachable, false
 	}
@@ -645,12 +686,7 @@ func (r *Routing) NextHops(s topology.SwitchID, ph Phase, d topology.SwitchID) (
 	}
 	t := r.Topo
 	row := r.row(d)
-	var cur int32
-	if ph == PhaseUp {
-		cur = row.up[s]
-	} else {
-		cur = row.down[s]
-	}
+	cur := row.at(s, ph)
 	for p := 0; p < t.PortsPerSwitch; p++ {
 		e := t.Conn[s][p]
 		if e.Kind != topology.ToSwitch {
@@ -662,12 +698,12 @@ func (r *Routing) NextHops(s topology.SwitchID, ph Phase, d topology.SwitchID) (
 			if ph == PhaseDown {
 				continue // illegal turn
 			}
-			if row.up[q]+1 == cur {
+			if row.at(q, PhaseUp)+1 == cur {
 				ports = append(ports, p)
 				phases = append(phases, PhaseUp)
 			}
 		case DirDown:
-			if row.down[q]+1 == cur {
+			if row.at(q, PhaseDown)+1 == cur {
 				ports = append(ports, p)
 				phases = append(phases, PhaseDown)
 			}
@@ -696,15 +732,25 @@ func (r *Routing) UpPorts(s topology.SwitchID) []int {
 
 // DownPorts returns the down-oriented ports of s in ascending order.
 func (r *Routing) DownPorts(s topology.SwitchID) []int {
-	t := r.Topo
 	var out []int
-	for p := 0; p < t.PortsPerSwitch; p++ {
-		if r.Dirs[s][p] == DirDown {
-			out = append(out, p)
-		}
+	for _, dl := range r.down[s] {
+		out = append(out, dl.Port)
 	}
 	return out
 }
+
+// UpLinks returns s's up ports in ascending order with the switches they
+// climb to. The slice is shared: callers must not modify it.
+func (r *Routing) UpLinks(s topology.SwitchID) []UpLink { return r.up[s] }
+
+// DownLinks returns s's down ports in ascending order with their
+// reachability strings. The slice is shared: callers must not modify it.
+func (r *Routing) DownLinks(s topology.SwitchID) []DownLink { return r.down[s] }
+
+// UpInto returns the switches with an up link to q, one entry per link,
+// in ascending (switch, port) order. The slice is shared: callers must
+// not modify it.
+func (r *Routing) UpInto(q topology.SwitchID) []topology.SwitchID { return r.upInto[q] }
 
 // DownReach returns the reachability string of down port p of switch s:
 // node n is in the set iff n is legally reachable by entering that port

@@ -162,12 +162,7 @@ func TestNextHopsLegalAndShortest(t *testing.T) {
 				}
 				for _, ph := range []Phase{PhaseUp, PhaseDown} {
 					row := r.row(topology.SwitchID(b))
-					var cur int32
-					if ph == PhaseUp {
-						cur = row.up[a]
-					} else {
-						cur = row.down[a]
-					}
+					cur := row.at(topology.SwitchID(a), ph)
 					ports, phases := r.NextHops(topology.SwitchID(a), ph, topology.SwitchID(b))
 					if cur >= unreachable32 {
 						if len(ports) != 0 {
@@ -184,13 +179,7 @@ func TestNextHopsLegalAndShortest(t *testing.T) {
 							t.Fatalf("illegal up turn offered at switch %d", a)
 						}
 						q := topo.Conn[a][p].Switch
-						var rem int32
-						if phases[i] == PhaseUp {
-							rem = row.up[q]
-						} else {
-							rem = row.down[q]
-						}
-						if rem+1 != cur {
+						if row.at(q, phases[i])+1 != cur {
 							t.Fatalf("non-shortest hop offered at switch %d", a)
 						}
 						if dir == DirDown && phases[i] != PhaseDown {
