@@ -22,11 +22,6 @@ func AblationTreeEarlyBranch(cfg Config) ([]*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	tab := &metrics.Table{
-		Title:  "Ablation: tree worm climb-then-branch vs early branching",
-		XLabel: "multicast degree",
-		YLabel: "mean single multicast latency (cycles)",
-	}
 	variants := []struct {
 		label string
 		early bool
@@ -34,19 +29,23 @@ func AblationTreeEarlyBranch(cfg Config) ([]*metrics.Table, error) {
 		{"climb-then-branch (paper)", false},
 		{"early branching", true},
 	}
-	for _, v := range variants {
+	degrees := []float64{4, 8, 16, 31}
+	ys, err := singleMeans(cfg, len(variants), len(degrees), func(vi, di int) single {
 		p := cfg.Params
-		p.EarlyTreeBranch = v.early
-		s := metrics.Series{Label: v.label}
-		for _, degree := range []float64{4, 8, 16, 31} {
-			mean, err := singleMean(cfg, fmt.Sprintf("ab-tree/%s/d=%d", v.label, int(degree)), rts, treeworm.New(), p, int(degree), cfg.MsgFlits)
-			if err != nil {
-				return nil, err
-			}
-			s.X = append(s.X, degree)
-			s.Y = append(s.Y, mean)
-		}
-		tab.Series = append(tab.Series, s)
+		p.EarlyTreeBranch = variants[vi].early
+		d := int(degrees[di])
+		return single{fmt.Sprintf("ab-tree/%s/d=%d", variants[vi].label, d), rts, treeworm.New(), p, d, cfg.MsgFlits}
+	})
+	if err != nil {
+		return nil, err
+	}
+	tab := &metrics.Table{
+		Title:  "Ablation: tree worm climb-then-branch vs early branching",
+		XLabel: "multicast degree",
+		YLabel: singleYLabel,
+	}
+	for vi, v := range variants {
+		tab.Series = append(tab.Series, metrics.Series{Label: v.label, X: degrees, Y: ys[vi]})
 	}
 	return []*metrics.Table{tab}, nil
 }
@@ -74,22 +73,21 @@ func AblationPathSchedule(cfg Config) ([]*metrics.Table, error) {
 		{"serial from source", pathworm.Scheme{SerialSchedule: true}},
 		{"greedy cover (MDP-G)", pathworm.Scheme{Greedy: true}},
 	}
+	degrees := []float64{4, 8, 16, 31}
+	ys, err := singleMeans(cfg, len(variants), len(degrees), func(vi, di int) single {
+		d := int(degrees[di])
+		return single{fmt.Sprintf("ab-path/%s/d=%d", variants[vi].label, d), rts, variants[vi].scheme, cfg.Params, d, cfg.MsgFlits}
+	})
+	if err != nil {
+		return nil, err
+	}
 	iso := &metrics.Table{
 		Title:  "Ablation: path worm dispatch — isolated multicast",
 		XLabel: "multicast degree",
-		YLabel: "mean single multicast latency (cycles)",
+		YLabel: singleYLabel,
 	}
-	for _, v := range variants {
-		s := metrics.Series{Label: v.label}
-		for _, degree := range []float64{4, 8, 16, 31} {
-			mean, err := singleMean(cfg, fmt.Sprintf("ab-path/%s/d=%d", v.label, int(degree)), rts, v.scheme, cfg.Params, int(degree), cfg.MsgFlits)
-			if err != nil {
-				return nil, err
-			}
-			s.X = append(s.X, degree)
-			s.Y = append(s.Y, mean)
-		}
-		iso.Series = append(iso.Series, s)
+	for vi, v := range variants {
+		iso.Series = append(iso.Series, metrics.Series{Label: v.label, X: degrees, Y: ys[vi]})
 	}
 
 	loadRts, err := family(cfg.TopoCfg, cfg.LoadTopologies, cfg.Seed)
@@ -104,7 +102,7 @@ func AblationPathSchedule(cfg Config) ([]*metrics.Table, error) {
 	specs := make([]loadCurveSpec, len(variants))
 	for i, v := range variants {
 		specs[i] = loadCurveSpec{
-			Label: v.label, ErrCtx: " (path dispatch ablation)",
+			Label: v.label, Cell: "load/" + v.label + " (path dispatch ablation)",
 			Scheme: v.scheme, Rts: loadRts, Params: cfg.Params, Degree: 16, Flits: cfg.MsgFlits,
 		}
 	}
@@ -126,11 +124,6 @@ func AblationFPFS(cfg Config) ([]*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	tab := &metrics.Table{
-		Title:  "Ablation: smart-NI forwarding — FPFS vs store-and-forward",
-		XLabel: "message flits",
-		YLabel: "mean single multicast latency (cycles)",
-	}
 	variants := []struct {
 		label string
 		sf    bool
@@ -138,19 +131,23 @@ func AblationFPFS(cfg Config) ([]*metrics.Table, error) {
 		{"FPFS (paper)", false},
 		{"store-and-forward", true},
 	}
-	for _, v := range variants {
+	flits := []float64{128, 256, 512, 1024}
+	ys, err := singleMeans(cfg, len(variants), len(flits), func(vi, fi int) single {
 		p := cfg.Params
-		p.NIStoreAndForward = v.sf
-		s := metrics.Series{Label: v.label}
-		for _, flits := range []float64{128, 256, 512, 1024} {
-			mean, err := singleMean(cfg, fmt.Sprintf("ab-fpfs/%s/f=%d", v.label, int(flits)), rts, kbinomial.New(), p, cfg.Degree, int(flits))
-			if err != nil {
-				return nil, err
-			}
-			s.X = append(s.X, flits)
-			s.Y = append(s.Y, mean)
-		}
-		tab.Series = append(tab.Series, s)
+		p.NIStoreAndForward = variants[vi].sf
+		f := int(flits[fi])
+		return single{fmt.Sprintf("ab-fpfs/%s/f=%d", variants[vi].label, f), rts, kbinomial.New(), p, cfg.Degree, f}
+	})
+	if err != nil {
+		return nil, err
+	}
+	tab := &metrics.Table{
+		Title:  "Ablation: smart-NI forwarding — FPFS vs store-and-forward",
+		XLabel: "message flits",
+		YLabel: singleYLabel,
+	}
+	for vi, v := range variants {
+		tab.Series = append(tab.Series, metrics.Series{Label: v.label, X: flits, Y: ys[vi]})
 	}
 	return []*metrics.Table{tab}, nil
 }
@@ -164,31 +161,33 @@ func AblationOptimalK(cfg Config) ([]*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	flits := []int{128, 1024}
+	ks := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+	ys, err := singleMeans(cfg, len(flits), len(ks), func(fi, ki int) single {
+		k := int(ks[ki])
+		return single{fmt.Sprintf("ab-k/f=%d/k=%d", flits[fi], k), rts, kbinomial.Scheme{FixedK: k}, cfg.Params, cfg.Degree, flits[fi]}
+	})
+	if err != nil {
+		return nil, err
+	}
 	var out []*metrics.Table
-	for _, flits := range []int{128, 1024} {
-		chosen := kbinomial.New().Fanout(rts[0], cfg.Params, cfg.Degree, flits)
-		tab := &metrics.Table{
-			Title: fmt.Sprintf("Ablation: measured latency vs fixed k (%d flits, %d-way; model picks k=%d)",
-				flits, cfg.Degree, chosen),
-			XLabel: "k",
-			YLabel: "mean single multicast latency (cycles)",
-		}
-		s := metrics.Series{Label: "ni-kbinomial fixed k"}
-		for k := 1; k <= 8; k++ {
-			mean, err := singleMean(cfg, fmt.Sprintf("ab-k/f=%d/k=%d", flits, k), rts, kbinomial.Scheme{FixedK: k}, cfg.Params, cfg.Degree, flits)
-			if err != nil {
-				return nil, err
-			}
+	for fi, f := range flits {
+		chosen := kbinomial.New().Fanout(rts[0], cfg.Params, cfg.Degree, f)
+		s := metrics.Series{Label: "ni-kbinomial fixed k", X: ks, Y: ys[fi]}
+		for _, k := range ks {
 			note := ""
-			if k == chosen {
+			if int(k) == chosen {
 				note = "<-model"
 			}
-			s.X = append(s.X, float64(k))
-			s.Y = append(s.Y, mean)
 			s.Note = append(s.Note, note)
 		}
-		tab.Series = []metrics.Series{s}
-		out = append(out, tab)
+		out = append(out, &metrics.Table{
+			Title: fmt.Sprintf("Ablation: measured latency vs fixed k (%d flits, %d-way; model picks k=%d)",
+				f, cfg.Degree, chosen),
+			XLabel: "k",
+			YLabel: singleYLabel,
+			Series: []metrics.Series{s},
+		})
 	}
 	return out, nil
 }

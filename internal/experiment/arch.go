@@ -2,14 +2,12 @@ package experiment
 
 import (
 	"fmt"
-	"math"
 
 	"mcastsim/internal/mcast/pathworm"
 	"mcastsim/internal/metrics"
 	"mcastsim/internal/rng"
 	"mcastsim/internal/sim"
 	"mcastsim/internal/topology"
-	"mcastsim/internal/traffic"
 	"mcastsim/internal/updown"
 )
 
@@ -130,67 +128,27 @@ func UnicastSaturation(cfg Config) ([]*metrics.Table, error) {
 	p := cfg.Params
 	p.OHostSend, p.OHostRecv, p.ONISend, p.ONIRecv = 0, 0, 0, 0
 	p.BusMBps = 1 << 20 // effectively no I/O bus contention
-	cfg.Params = p
-	tab := &metrics.Table{
+	res, err := loadSweep(cfg, []loadCurveSpec{{
+		Cell: "unisat", Scheme: unicastScheme{}, Rts: rts, Params: p, Degree: 1, Flits: cfg.MsgFlits,
+	}})
+	if err != nil {
+		return nil, err
+	}
+	latency := loadLatency("mean latency (cycles)", cfg.Loads, res[0])
+	accepted := metrics.Series{Label: "accepted load", X: latency.X, Note: latency.Note}
+	for _, pt := range res[0] {
+		var acc []float64
+		for _, r := range pt {
+			acc = append(acc, r.AcceptedLoad)
+		}
+		accepted.Y = append(accepted.Y, metrics.Mean(acc))
+	}
+	return []*metrics.Table{{
 		Title:  "Unicast saturation check (up*/down*, uniform traffic)",
 		XLabel: "offered load (flits/cycle/node)",
 		YLabel: "accepted load / mean latency",
-	}
-	accepted := metrics.Series{Label: "accepted load"}
-	latency := metrics.Series{Label: "mean latency (cycles)"}
-	sch := unicastScheme{}
-	for _, l := range cfg.Loads {
-		l := l
-		res, err := runCells(cfg, len(rts), func(i int, cc *cellCtx) (traffic.LoadResult, error) {
-			rec := cc.recorder(fmt.Sprintf("unisat/l=%v/topo%03d", l, i))
-			r, err := traffic.Run(rts[i], traffic.Workload{
-				Scheme: sch, Params: cfg.Params, Degree: 1, MsgFlits: cfg.MsgFlits,
-				Seed: rng.Mix(cfg.Seed, saltLoad, uint64(i)),
-			}, traffic.WithLoad(traffic.LoadSpec{
-				EffectiveLoad: l, Warmup: cfg.Warmup, Measure: cfg.Measure,
-				Drain: cfg.Drain,
-			}), traffic.WithObs(rec))
-			if err != nil {
-				return traffic.LoadResult{}, err
-			}
-			return *r.Load, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		var acc, lat []float64
-		sat := false
-		for _, r := range res {
-			acc = append(acc, r.AcceptedLoad)
-			if r.Latency.Count > 0 {
-				lat = append(lat, r.Latency.Mean)
-			}
-			if r.Saturated {
-				sat = true
-			}
-		}
-		note := ""
-		if sat {
-			note = "SAT"
-		}
-		accepted.X = append(accepted.X, l)
-		accepted.Y = append(accepted.Y, metrics.Mean(acc))
-		accepted.Note = append(accepted.Note, note)
-		latency.X = append(latency.X, l)
-		// A fully saturated point can complete zero messages; NaN keeps the
-		// "SAT" note without plotting a bogus zero latency.
-		if len(lat) > 0 {
-			latency.Y = append(latency.Y, metrics.Mean(lat))
-		} else {
-			latency.Y = append(latency.Y, math.NaN())
-		}
-		latency.Note = append(latency.Note, note)
-		if sat {
-			break
-		}
-	}
-	tab.Series = []metrics.Series{accepted, latency}
-	return []*metrics.Table{tab}, nil
+		Series: []metrics.Series{accepted, latency},
+	}}, nil
 }
 
 // unicastScheme adapts plain unicast sends to the mcast.Scheme interface

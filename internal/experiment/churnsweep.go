@@ -75,114 +75,98 @@ func ChurnSweep(cfg Config) ([]*metrics.Table, error) {
 		YLabel: "mean clean multicast latency on the repaired plan (cycles)",
 	}
 
-	// One cell per (scheme, churn level, failure count, topology). The
-	// workload seed is salted by topology index only — every scheme,
-	// churn level and failure count sees the same source/member draws on
-	// a given topology, the paired design of the other sweeps. (The
-	// schedule stream derives from the workload seed inside traffic, so
-	// churn levels differ only in how much of it they consume.)
+	// One cell per (scheme, failure count, churn level, topology): each
+	// (scheme, failure count) pair is one curve. The workload seed is
+	// salted by topology index only — every scheme, churn level and
+	// failure count sees the same source/member draws on a given
+	// topology, the paired design of the other sweeps. (The schedule
+	// stream derives from the workload seed inside traffic, so churn
+	// levels differ only in how much of it they consume.)
 	schemes := compared()
 	probes := churnProbes(cfg)
-	type key struct{ si, ci, fi, ti int }
-	var keys []key
-	for si := range schemes {
-		for ci := range churn {
-			for fi := range failures {
-				for ti := range rts {
-					keys = append(keys, key{si, ci, fi, ti})
+	cells, err := grid(cfg, len(schemes)*len(failures), len(churn), func(int, int) int { return len(rts) },
+		func(c, ci, ti int, cc *cellCtx) ([]traffic.ChurnProbe, error) {
+			sch, f := schemes[c/len(failures)], failures[c%len(failures)]
+			label := fmt.Sprintf("churnsweep/%s/e=%d/f=%d/topo%03d", sch.Name(), churn[ci], f, ti)
+			var faults func(int, *updown.Routing) *sim.FaultSchedule
+			if f > 0 {
+				faults = func(probe int, rt *updown.Routing) *sim.FaultSchedule {
+					return nonPartitioningLinkFaults(rt, f,
+						rng.Mix(cfg.Seed, saltChurnFault, uint64(ti), uint64(probe), uint64(f)))
 				}
 			}
-		}
-	}
-	cells, err := runCells(cfg, len(keys), func(i int, cc *cellCtx) ([]traffic.ChurnProbe, error) {
-		k := keys[i]
-		f := failures[k.fi]
-		rec := cc.recorder(fmt.Sprintf("churnsweep/%s/e=%d/f=%d/topo%03d",
-			schemes[k.si].Name(), churn[k.ci], f, k.ti))
-		var faults func(int, *updown.Routing) *sim.FaultSchedule
-		if f > 0 {
-			faults = func(probe int, rt *updown.Routing) *sim.FaultSchedule {
-				return nonPartitioningLinkFaults(rt, f,
-					rng.Mix(cfg.Seed, saltChurnFault, uint64(k.ti), uint64(probe), uint64(f)))
+			r, err := traffic.Run(rts[ti], traffic.Workload{
+				Scheme: sch, Params: cfg.Params, Degree: cfg.Degree,
+				MsgFlits: cfg.MsgFlits,
+				Seed:     rng.Mix(cfg.Seed, saltChurn, uint64(ti)),
+			}, traffic.WithChurn(traffic.ChurnSpec{
+				Probes:    probes,
+				Events:    churn[ci],
+				Horizon:   churnWindow,
+				SendEvery: churnCadence,
+				Faults:    faults,
+			}), traffic.WithObs(cc.recorder(label)))
+			if err != nil {
+				return nil, fmt.Errorf("experiment: %s: %w", label, err)
 			}
-		}
-		r, err := traffic.Run(rts[k.ti], traffic.Workload{
-			Scheme: schemes[k.si], Params: cfg.Params, Degree: cfg.Degree,
-			MsgFlits: cfg.MsgFlits,
-			Seed:     rng.Mix(cfg.Seed, saltChurn, uint64(k.ti)),
-		}, traffic.WithChurn(traffic.ChurnSpec{
-			Probes:    probes,
-			Events:    churn[k.ci],
-			Horizon:   churnWindow,
-			SendEvery: churnCadence,
-			Faults:    faults,
-		}), traffic.WithObs(rec))
-		if err != nil {
-			return nil, fmt.Errorf("experiment: churnsweep %s e=%d f=%d: %w",
-				schemes[k.si].Name(), churn[k.ci], f, err)
-		}
-		return r.Churn, nil
-	})
+			return r.Churn, nil
+		})
 	if err != nil {
 		return nil, err
 	}
 
-	cellAt := func(si, ci, fi, ti int) []traffic.ChurnProbe {
-		return cells[((si*len(churn)+ci)*len(failures)+fi)*len(rts)+ti]
-	}
-	for si, sch := range schemes {
-		for fi, f := range failures {
-			label := sch.Name()
-			if f > 0 {
-				label = fmt.Sprintf("%s +%d link fault", sch.Name(), f)
-			}
-			dSer := metrics.Series{Label: label}
-			rSer := metrics.Series{Label: label}
-			tSer := metrics.Series{Label: label}
-			sSer := metrics.Series{Label: label}
-			for ci, e := range churn {
-				var delivered, total int
-				var staleN, missedN, events, repairCyc int64
-				var postSum float64
-				var postCount int
-				for ti := range rts {
-					for _, pr := range cellAt(si, ci, fi, ti) {
-						delivered += pr.Delivered
-						total += pr.TotalDests
-						staleN += pr.Stale
-						missedN += pr.Missed
-						events += pr.Joins + pr.Leaves
-						repairCyc += int64(pr.RepairCycles)
-						if !math.IsNaN(pr.Post) {
-							postSum += pr.Post
-							postCount++
-						}
+	for c, curve := range cells {
+		sch, f := schemes[c/len(failures)], failures[c%len(failures)]
+		label := sch.Name()
+		if f > 0 {
+			label = fmt.Sprintf("%s +%d link fault", sch.Name(), f)
+		}
+		dSer := metrics.Series{Label: label}
+		rSer := metrics.Series{Label: label}
+		tSer := metrics.Series{Label: label}
+		sSer := metrics.Series{Label: label}
+		for ci, e := range churn {
+			var delivered, total int
+			var staleN, missedN, events, repairCyc int64
+			var postSum float64
+			var postCount int
+			for _, topo := range curve[ci] {
+				for _, pr := range topo {
+					delivered += pr.Delivered
+					total += pr.TotalDests
+					staleN += pr.Stale
+					missedN += pr.Missed
+					events += pr.Joins + pr.Leaves
+					repairCyc += int64(pr.RepairCycles)
+					if !math.IsNaN(pr.Post) {
+						postSum += pr.Post
+						postCount++
 					}
 				}
-				x := float64(e)
-				dSer.X = append(dSer.X, x)
-				dSer.Y = append(dSer.Y, 100*float64(delivered)/float64(total))
-				dSer.Note = append(dSer.Note, fmt.Sprintf("%d missed", missedN))
-				rSer.X = append(rSer.X, x)
-				if events > 0 {
-					rSer.Y = append(rSer.Y, float64(repairCyc)/float64(events))
-				} else {
-					rSer.Y = append(rSer.Y, 0)
-				}
-				tSer.X = append(tSer.X, x)
-				tSer.Y = append(tSer.Y, 100*float64(staleN)/float64(delivered))
-				sSer.X = append(sSer.X, x)
-				if postCount > 0 {
-					sSer.Y = append(sSer.Y, postSum/float64(postCount))
-				} else {
-					sSer.Y = append(sSer.Y, math.NaN())
-				}
 			}
-			delivery.Series = append(delivery.Series, dSer)
-			repair.Series = append(repair.Series, rSer)
-			stale.Series = append(stale.Series, tSer)
-			steady.Series = append(steady.Series, sSer)
+			x := float64(e)
+			dSer.X = append(dSer.X, x)
+			dSer.Y = append(dSer.Y, 100*float64(delivered)/float64(total))
+			dSer.Note = append(dSer.Note, fmt.Sprintf("%d missed", missedN))
+			rSer.X = append(rSer.X, x)
+			if events > 0 {
+				rSer.Y = append(rSer.Y, float64(repairCyc)/float64(events))
+			} else {
+				rSer.Y = append(rSer.Y, 0)
+			}
+			tSer.X = append(tSer.X, x)
+			tSer.Y = append(tSer.Y, 100*float64(staleN)/float64(delivered))
+			sSer.X = append(sSer.X, x)
+			if postCount > 0 {
+				sSer.Y = append(sSer.Y, postSum/float64(postCount))
+			} else {
+				sSer.Y = append(sSer.Y, math.NaN())
+			}
 		}
+		delivery.Series = append(delivery.Series, dSer)
+		repair.Series = append(repair.Series, rSer)
+		stale.Series = append(stale.Series, tSer)
+		steady.Series = append(steady.Series, sSer)
 	}
 	return []*metrics.Table{delivery, repair, stale, steady}, nil
 }

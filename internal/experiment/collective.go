@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"fmt"
+
 	"mcastsim/internal/collective"
 	"mcastsim/internal/metrics"
 	"mcastsim/internal/rng"
@@ -38,26 +40,17 @@ func Collectives(cfg Config) ([]*metrics.Table, error) {
 	// topology index alone — the old stride-1 additive derivation made
 	// adjacent topologies' arbitration streams overlap outright.
 	schemes := compared()
-	type key struct{ si, oi, ti int }
-	var keys []key
-	for si := range schemes {
-		for oi := range ops {
-			for ti := range rts {
-				keys = append(keys, key{si, oi, ti})
+	res, err := grid(cfg, len(schemes), len(ops), func(int, int) int { return len(rts) },
+		func(si, oi, ti int, _ *cellCtx) (float64, error) {
+			r, err := ops[oi].run(rts[ti], collective.Config{
+				Scheme: schemes[si], Params: cfg.Params, Root: 0,
+				Flits: cfg.MsgFlits, Seed: rng.Mix(cfg.Seed, saltColl, uint64(ti)),
+			})
+			if err != nil {
+				return 0, fmt.Errorf("coll/%s/%s/topo%03d: %w", schemes[si].Name(), ops[oi].label, ti, err)
 			}
-		}
-	}
-	res, err := runCells(cfg, len(keys), func(i int, _ *cellCtx) (float64, error) {
-		k := keys[i]
-		r, err := ops[k.oi].run(rts[k.ti], collective.Config{
-			Scheme: schemes[k.si], Params: cfg.Params, Root: 0,
-			Flits: cfg.MsgFlits, Seed: rng.Mix(cfg.Seed, saltColl, uint64(k.ti)),
+			return float64(r.Latency), nil
 		})
-		if err != nil {
-			return 0, err
-		}
-		return float64(r.Latency), nil
-	})
 	if err != nil {
 		return nil, err
 	}
@@ -65,8 +58,8 @@ func Collectives(cfg Config) ([]*metrics.Table, error) {
 		s := metrics.Series{Label: sch.Name()}
 		for oi, op := range ops {
 			var sum float64
-			for ti := range rts {
-				sum += res[(si*len(ops)+oi)*len(rts)+ti]
+			for _, lat := range res[si][oi] {
+				sum += lat
 			}
 			s.X = append(s.X, float64(oi+1))
 			s.Y = append(s.Y, sum/float64(len(rts)))

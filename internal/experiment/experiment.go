@@ -19,7 +19,6 @@ import (
 	"mcastsim/internal/rng"
 	"mcastsim/internal/sim"
 	"mcastsim/internal/topology"
-	"mcastsim/internal/traffic"
 	"mcastsim/internal/updown"
 )
 
@@ -127,15 +126,21 @@ func compared() []mcast.Scheme {
 	return []mcast.Scheme{kbinomial.New(), treeworm.New(), pathworm.New()}
 }
 
-// family generates and routes the experiment's topology family.
+// family generates and routes the experiment's topology family under
+// the default up*/down* options.
 func family(cfg topology.Config, count int, seed uint64) ([]*updown.Routing, error) {
+	return familyWith(cfg, count, seed, updown.Options{Root: -1})
+}
+
+// familyWith generates the topology family and routes it under opts.
+func familyWith(cfg topology.Config, count int, seed uint64, opts updown.Options) ([]*updown.Routing, error) {
 	topos, err := topology.GenerateFamily(cfg, count, seed)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]*updown.Routing, len(topos))
 	for i, t := range topos {
-		rt, err := updown.New(t)
+		rt, err := updown.NewWithOptions(t, opts)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: topology %d: %w", i, err)
 		}
@@ -144,101 +149,34 @@ func family(cfg topology.Config, count int, seed uint64) ([]*updown.Routing, err
 	return out, nil
 }
 
-// singleMean measures the mean isolated-multicast latency of sch over a
-// routed family, one parallel cell per topology. The cell seed depends
-// only on the topology index: every scheme (and every sweep point that
-// shares the family) measures the same multicast draws, the paired
-// design that keeps scheme comparisons low-variance. label names the
-// sweep point for obs bundles; it must be unique within the experiment.
-func singleMean(cfg Config, label string, rts []*updown.Routing, sch mcast.Scheme, p sim.Params, degree, flits int) (float64, error) {
-	res, err := runCells(cfg, len(rts), func(i int, cc *cellCtx) ([]float64, error) {
-		rec := cc.recorder(fmt.Sprintf("%s/%s/topo%03d", label, sch.Name(), i))
-		r, err := traffic.Run(rts[i], traffic.Workload{
-			Scheme: sch, Params: p, Degree: degree, MsgFlits: flits,
-			Seed: rng.Mix(cfg.Seed, saltSingle, uint64(i)),
-		}, traffic.WithProbes(cfg.Probes), traffic.WithObs(rec))
-		if err != nil {
-			return nil, err
-		}
-		return r.Latencies, nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	var all []float64
-	for _, lats := range res {
-		all = append(all, lats...)
-	}
-	return metrics.Mean(all), nil
-}
+// singleYLabel is the y axis of every isolated-multicast table.
+const singleYLabel = "mean single multicast latency (cycles)"
 
-// sweepSingle runs a single-multicast sweep: for each x value, build builds
-// the per-point (family, params, degree, flits) and the mean latency per
-// scheme becomes one curve point. The sweep flattens into one cell per
-// (x, scheme, topology) triple so the pool stays busy across the whole
-// grid, then aggregates in grid order.
+// sweepSingle runs a single-multicast sweep: for each x value, build
+// builds the per-point (family, params, degree, flits), and each scheme's
+// mean latency there becomes one curve point.
 func sweepSingle(cfg Config, title, xLabel string, xs []float64,
 	build func(x float64) ([]*updown.Routing, sim.Params, int, int, error)) (*metrics.Table, error) {
-	tab := &metrics.Table{Title: title, XLabel: xLabel, YLabel: "mean single multicast latency (cycles)"}
-	schemes := compared()
-
-	type point struct {
-		rts    []*updown.Routing
-		p      sim.Params
-		degree int
-		flits  int
-	}
-	pts := make([]point, len(xs))
+	pts := make([]single, len(xs))
 	for xi, x := range xs {
 		rts, p, degree, flits, err := build(x)
 		if err != nil {
 			return nil, err
 		}
-		pts[xi] = point{rts, p, degree, flits}
+		pts[xi] = single{label: fmt.Sprintf("%s/%s=%v", title, xLabel, x), rts: rts, p: p, degree: degree, flits: flits}
 	}
-
-	type key struct{ xi, si, ti int }
-	var keys []key
-	for xi := range xs {
-		for si := range schemes {
-			for ti := range pts[xi].rts {
-				keys = append(keys, key{xi, si, ti})
-			}
-		}
-	}
-	res, err := runCells(cfg, len(keys), func(i int, cc *cellCtx) ([]float64, error) {
-		k := keys[i]
-		pt := pts[k.xi]
-		rec := cc.recorder(fmt.Sprintf("%s/%s=%v/%s/topo%03d",
-			title, xLabel, xs[k.xi], schemes[k.si].Name(), k.ti))
-		r, err := traffic.Run(pt.rts[k.ti], traffic.Workload{
-			Scheme: schemes[k.si], Params: pt.p, Degree: pt.degree, MsgFlits: pt.flits,
-			Seed: rng.Mix(cfg.Seed, saltSingle, uint64(k.ti)),
-		}, traffic.WithProbes(cfg.Probes), traffic.WithObs(rec))
-		if err != nil {
-			return nil, fmt.Errorf("%s at %s=%v: %w", schemes[k.si].Name(), xLabel, xs[k.xi], err)
-		}
-		return r.Latencies, nil
+	schemes := compared()
+	ys, err := singleMeans(cfg, len(schemes), len(xs), func(si, xi int) single {
+		s := pts[xi]
+		s.sch = schemes[si]
+		return s
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	cells := make(map[key][]float64, len(keys))
-	for i, k := range keys {
-		cells[k] = res[i]
-	}
+	tab := &metrics.Table{Title: title, XLabel: xLabel, YLabel: singleYLabel}
 	for si, sch := range schemes {
-		s := metrics.Series{Label: sch.Name()}
-		for xi, x := range xs {
-			var all []float64
-			for ti := range pts[xi].rts {
-				all = append(all, cells[key{xi, si, ti}]...)
-			}
-			s.X = append(s.X, x)
-			s.Y = append(s.Y, metrics.Mean(all))
-		}
-		tab.Series = append(tab.Series, s)
+		tab.Series = append(tab.Series, metrics.Series{Label: sch.Name(), X: xs, Y: ys[si]})
 	}
 	return tab, nil
 }
@@ -319,7 +257,7 @@ func loadPanels(cfg Config, title string, variants []float64, variantName string
 			for _, sch := range compared() {
 				specs = append(specs, loadCurveSpec{
 					Label:  sch.Name(),
-					ErrCtx: fmt.Sprintf(" %s=%v %d-way", variantName, v, degree),
+					Cell:   fmt.Sprintf("load/%s %s=%v %d-way", sch.Name(), variantName, v, degree),
 					Scheme: sch, Rts: rts, Params: p, Degree: degree, Flits: flits,
 				})
 			}
@@ -445,23 +383,22 @@ func BaselineComparison(cfg Config) ([]*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	schemes := append([]mcast.Scheme{binomial.New()}, compared()...)
+	degrees := []float64{4, 8, 16, 31}
+	ys, err := singleMeans(cfg, len(schemes), len(degrees), func(si, di int) single {
+		d := int(degrees[di])
+		return single{fmt.Sprintf("baseline/d=%d", d), rts, schemes[si], cfg.Params, d, cfg.MsgFlits}
+	})
+	if err != nil {
+		return nil, err
+	}
 	tab := &metrics.Table{
 		Title:  "Baseline: all four schemes at default parameters",
 		XLabel: "multicast degree",
-		YLabel: "mean single multicast latency (cycles)",
+		YLabel: singleYLabel,
 	}
-	schemes := append([]mcast.Scheme{binomial.New()}, compared()...)
-	for _, sch := range schemes {
-		s := metrics.Series{Label: sch.Name()}
-		for _, degree := range []float64{4, 8, 16, 31} {
-			mean, err := singleMean(cfg, fmt.Sprintf("baseline/d=%d", int(degree)), rts, sch, cfg.Params, int(degree), cfg.MsgFlits)
-			if err != nil {
-				return nil, err
-			}
-			s.X = append(s.X, degree)
-			s.Y = append(s.Y, mean)
-		}
-		tab.Series = append(tab.Series, s)
+	for si, sch := range schemes {
+		tab.Series = append(tab.Series, metrics.Series{Label: sch.Name(), X: degrees, Y: ys[si]})
 	}
 	return []*metrics.Table{tab}, nil
 }

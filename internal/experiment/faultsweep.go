@@ -45,40 +45,30 @@ func FaultSweep(cfg Config) ([]*metrics.Table, error) {
 		YLabel: "mean clean multicast latency after reconfiguration (cycles)",
 	}
 
-	// One cell per (scheme, failure count, topology): a full RunFault
+	// One cell per (scheme, failure count, topology): a full fault
 	// probe batch on its own network, seeded by the same rng.Mix grid the
 	// serial sweep used.
 	schemes := compared()
-	type key struct{ si, fi, ti int }
-	var keys []key
-	for si := range schemes {
-		for fi := range failures {
-			for ti := range rts {
-				keys = append(keys, key{si, fi, ti})
+	cells, err := grid(cfg, len(schemes), len(failures), func(int, int) int { return len(rts) },
+		func(si, fi, ti int, cc *cellCtx) ([]traffic.FaultProbe, error) {
+			f := failures[fi]
+			label := fmt.Sprintf("faultsweep/%s/f=%d/topo%03d", schemes[si].Name(), f, ti)
+			r, err := traffic.Run(rts[ti], traffic.Workload{
+				Scheme: schemes[si], Params: cfg.Params, Degree: cfg.Degree,
+				MsgFlits: cfg.MsgFlits,
+				Seed:     rng.Mix(cfg.Seed, 0xfa11, uint64(ti), uint64(f)),
+			}, traffic.WithFaults(traffic.FaultSpec{
+				Probes: cfg.Probes,
+				Faults: func(probe int, rt *updown.Routing) *sim.FaultSchedule {
+					return nonPartitioningLinkFaults(rt, f,
+						rng.Mix(cfg.Seed, 0x5eed, uint64(ti), uint64(probe), uint64(f)))
+				},
+			}), traffic.WithObs(cc.recorder(label)))
+			if err != nil {
+				return nil, fmt.Errorf("experiment: %s: %w", label, err)
 			}
-		}
-	}
-	cells, err := runCells(cfg, len(keys), func(i int, cc *cellCtx) ([]traffic.FaultProbe, error) {
-		k := keys[i]
-		f := failures[k.fi]
-		rec := cc.recorder(fmt.Sprintf("faultsweep/%s/f=%d/topo%03d",
-			schemes[k.si].Name(), f, k.ti))
-		r, err := traffic.Run(rts[k.ti], traffic.Workload{
-			Scheme: schemes[k.si], Params: cfg.Params, Degree: cfg.Degree,
-			MsgFlits: cfg.MsgFlits,
-			Seed:     rng.Mix(cfg.Seed, 0xfa11, uint64(k.ti), uint64(f)),
-		}, traffic.WithFaults(traffic.FaultSpec{
-			Probes: cfg.Probes,
-			Faults: func(probe int, rt *updown.Routing) *sim.FaultSchedule {
-				return nonPartitioningLinkFaults(rt, f,
-					rng.Mix(cfg.Seed, 0x5eed, uint64(k.ti), uint64(probe), uint64(f)))
-			},
-		}), traffic.WithObs(rec))
-		if err != nil {
-			return nil, fmt.Errorf("experiment: faultsweep %s f=%d: %w", schemes[k.si].Name(), f, err)
-		}
-		return r.Faults, nil
-	})
+			return r.Faults, nil
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -92,8 +82,8 @@ func FaultSweep(cfg Config) ([]*metrics.Table, error) {
 			var recSum float64
 			var postSum float64
 			var postCount int
-			for ti := range rts {
-				for _, pr := range cells[(si*len(failures)+fi)*len(rts)+ti] {
+			for _, topo := range cells[si][fi] {
+				for _, pr := range topo {
 					delivered += pr.Delivered
 					total += pr.Total
 					attempts += pr.Attempts

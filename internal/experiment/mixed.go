@@ -27,43 +27,28 @@ func MixedTraffic(cfg Config) ([]*metrics.Table, error) {
 	// level on the same probe draws.
 	schemes := compared()
 	bgs := []float64{0, 0.05, 0.1, 0.15}
-	type key struct{ si, bi, ti int }
-	var keys []key
-	for si := range schemes {
-		for bi := range bgs {
-			for ti := range rts {
-				keys = append(keys, key{si, bi, ti})
+	res, err := grid(cfg, len(schemes), len(bgs), func(int, int) int { return len(rts) },
+		func(si, bi, ti int, cc *cellCtx) ([]float64, error) {
+			label := fmt.Sprintf("mixed/%s/bg=%v/topo%03d", schemes[si].Name(), bgs[bi], ti)
+			r, err := traffic.Run(rts[ti], traffic.Workload{
+				Scheme: schemes[si], Params: cfg.Params, Degree: 16, MsgFlits: cfg.MsgFlits,
+				Seed: rng.Mix(cfg.Seed, saltMixed, uint64(ti)),
+			}, traffic.WithMixed(traffic.MixedSpec{
+				BackgroundLoad: bgs[bi], BackgroundFlits: cfg.MsgFlits,
+				Probes: cfg.Probes, ProbeGap: 5_000, Warmup: cfg.Warmup,
+			}), traffic.WithObs(cc.recorder(label)))
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", label, err)
 			}
-		}
-	}
-	res, err := runCells(cfg, len(keys), func(i int, cc *cellCtx) ([]float64, error) {
-		k := keys[i]
-		rec := cc.recorder(fmt.Sprintf("mixed/%s/bg=%v/topo%03d",
-			schemes[k.si].Name(), bgs[k.bi], k.ti))
-		r, err := traffic.Run(rts[k.ti], traffic.Workload{
-			Scheme: schemes[k.si], Params: cfg.Params, Degree: 16, MsgFlits: cfg.MsgFlits,
-			Seed: rng.Mix(cfg.Seed, saltMixed, uint64(k.ti)),
-		}, traffic.WithMixed(traffic.MixedSpec{
-			BackgroundLoad: bgs[k.bi], BackgroundFlits: cfg.MsgFlits,
-			Probes: cfg.Probes, ProbeGap: 5_000, Warmup: cfg.Warmup,
-		}), traffic.WithObs(rec))
-		if err != nil {
-			return nil, err
-		}
-		return r.Latencies, nil
-	})
+			return r.Latencies, nil
+		})
 	if err != nil {
 		return nil, err
 	}
 	for si, sch := range schemes {
-		s := metrics.Series{Label: sch.Name()}
-		for bi, bg := range bgs {
-			var all []float64
-			for ti := range rts {
-				all = append(all, res[(si*len(bgs)+bi)*len(rts)+ti]...)
-			}
-			s.X = append(s.X, bg)
-			s.Y = append(s.Y, metrics.Mean(all))
+		s := metrics.Series{Label: sch.Name(), X: bgs}
+		for _, lats := range res[si] {
+			s.Y = append(s.Y, pooledMean(lats))
 		}
 		tab.Series = append(tab.Series, s)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"mcastsim/internal/mcast/treeworm"
 	"mcastsim/internal/metrics"
-	"mcastsim/internal/topology"
 	"mcastsim/internal/updown"
 )
 
@@ -17,71 +16,57 @@ import (
 // roots, isolated and under load.
 func RootSelection(cfg Config) ([]*metrics.Table, error) {
 	variants := []struct {
-		label  string
-		center bool
+		label string
+		opts  updown.Options
 	}{
-		{"default root (lowest ID)", false},
-		{"center root", true},
+		{"default root (lowest ID)", updown.Options{Root: -1}},
+		{"center root", updown.Options{Root: -1, CenterRoot: true}},
 	}
-	build := func(center bool, count int) ([]*updown.Routing, error) {
-		topos, err := topology.GenerateFamily(cfg.TopoCfg, count, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		rts := make([]*updown.Routing, len(topos))
-		for i, t := range topos {
-			rt, err := updown.NewWithOptions(t, updown.Options{Root: -1, CenterRoot: center})
-			if err != nil {
-				return nil, err
-			}
-			rts[i] = rt
-		}
-		return rts, nil
-	}
-
-	iso := &metrics.Table{
-		Title:  "Root selection: isolated tree-worm multicast",
-		XLabel: "multicast degree",
-		YLabel: "mean single multicast latency (cycles)",
-	}
-	for _, v := range variants {
-		rts, err := build(v.center, cfg.Topologies)
-		if err != nil {
-			return nil, err
-		}
-		s := metrics.Series{Label: v.label}
-		for _, degree := range []float64{8, 16, 31} {
-			mean, err := singleMean(cfg, fmt.Sprintf("root/%s/d=%d", v.label, int(degree)), rts, treeworm.New(), cfg.Params, int(degree), cfg.MsgFlits)
-			if err != nil {
-				return nil, err
-			}
-			s.X = append(s.X, degree)
-			s.Y = append(s.Y, mean)
-		}
-		iso.Series = append(iso.Series, s)
-	}
-
-	load := &metrics.Table{
-		Title:  fmt.Sprintf("Root selection: tree worms under %d-way load", cfg.LoadDegrees[0]),
-		XLabel: "effective applied load",
-		YLabel: "mean multicast latency (cycles)",
-	}
+	iso := make([][]*updown.Routing, len(variants))
 	specs := make([]loadCurveSpec, len(variants))
 	for i, v := range variants {
-		rts, err := build(v.center, cfg.LoadTopologies)
+		rts, err := familyWith(cfg.TopoCfg, cfg.Topologies, cfg.Seed, v.opts)
 		if err != nil {
 			return nil, err
 		}
+		loadRts, err := familyWith(cfg.TopoCfg, cfg.LoadTopologies, cfg.Seed, v.opts)
+		if err != nil {
+			return nil, err
+		}
+		iso[i] = rts
 		specs[i] = loadCurveSpec{
-			Label: v.label, ErrCtx: " (root selection)",
-			Scheme: treeworm.New(), Rts: rts, Params: cfg.Params,
+			Label: v.label, Cell: "load/" + v.label + " (root selection)",
+			Scheme: treeworm.New(), Rts: loadRts, Params: cfg.Params,
 			Degree: cfg.LoadDegrees[0], Flits: cfg.MsgFlits,
 		}
 	}
+
+	degrees := []float64{8, 16, 31}
+	ys, err := singleMeans(cfg, len(variants), len(degrees), func(vi, di int) single {
+		d := int(degrees[di])
+		return single{fmt.Sprintf("root/%s/d=%d", variants[vi].label, d), iso[vi], treeworm.New(), cfg.Params, d, cfg.MsgFlits}
+	})
+	if err != nil {
+		return nil, err
+	}
+	isoTab := &metrics.Table{
+		Title:  "Root selection: isolated tree-worm multicast",
+		XLabel: "multicast degree",
+		YLabel: singleYLabel,
+	}
+	for vi, v := range variants {
+		isoTab.Series = append(isoTab.Series, metrics.Series{Label: v.label, X: degrees, Y: ys[vi]})
+	}
+
 	series, err := runLoadCurves(cfg, specs)
 	if err != nil {
 		return nil, err
 	}
-	load.Series = append(load.Series, series...)
-	return []*metrics.Table{iso, load}, nil
+	load := &metrics.Table{
+		Title:  fmt.Sprintf("Root selection: tree worms under %d-way load", cfg.LoadDegrees[0]),
+		XLabel: "effective applied load",
+		YLabel: "mean multicast latency (cycles)",
+		Series: series,
+	}
+	return []*metrics.Table{isoTab, load}, nil
 }

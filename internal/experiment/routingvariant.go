@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mcastsim/internal/metrics"
-	"mcastsim/internal/topology"
 	"mcastsim/internal/updown"
 )
 
@@ -21,66 +20,56 @@ func RoutingVariant(cfg Config) ([]*metrics.Table, error) {
 		{"BFS tree (Autonet)", updown.TreeBFS},
 		{"DFS tree", updown.TreeDFS},
 	}
-	build := func(tree updown.TreePolicy, count int) ([]*updown.Routing, error) {
-		topos, err := topology.GenerateFamily(cfg.TopoCfg, count, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		rts := make([]*updown.Routing, len(topos))
-		for i, t := range topos {
-			rt, err := updown.NewWithOptions(t, updown.Options{Root: -1, Tree: tree})
-			if err != nil {
-				return nil, err
-			}
-			rts[i] = rt
-		}
-		return rts, nil
-	}
-
-	iso := &metrics.Table{
-		Title:  "Routing substrate: isolated 16-way multicast, BFS vs DFS up*/down*",
-		XLabel: "scheme (1=ni 2=tree 3=path)",
-		YLabel: "mean single multicast latency (cycles)",
-	}
-	for _, v := range variants {
-		rts, err := build(v.tree, cfg.Topologies)
-		if err != nil {
-			return nil, err
-		}
-		s := metrics.Series{Label: v.label}
-		for si, sch := range compared() {
-			mean, err := singleMean(cfg, fmt.Sprintf("routing/%s", v.label), rts, sch, cfg.Params, cfg.Degree, cfg.MsgFlits)
-			if err != nil {
-				return nil, err
-			}
-			s.X = append(s.X, float64(si+1))
-			s.Y = append(s.Y, mean)
-			s.Note = append(s.Note, sch.Name())
-		}
-		iso.Series = append(iso.Series, s)
-	}
-
-	load := &metrics.Table{
-		Title:  fmt.Sprintf("Routing substrate: tree worms under %d-way load, BFS vs DFS", cfg.LoadDegrees[0]),
-		XLabel: "effective applied load",
-		YLabel: "mean multicast latency (cycles)",
-	}
+	iso := make([][]*updown.Routing, len(variants))
 	specs := make([]loadCurveSpec, len(variants))
 	for i, v := range variants {
-		rts, err := build(v.tree, cfg.LoadTopologies)
+		opts := updown.Options{Root: -1, Tree: v.tree}
+		rts, err := familyWith(cfg.TopoCfg, cfg.Topologies, cfg.Seed, opts)
 		if err != nil {
 			return nil, err
 		}
+		loadRts, err := familyWith(cfg.TopoCfg, cfg.LoadTopologies, cfg.Seed, opts)
+		if err != nil {
+			return nil, err
+		}
+		iso[i] = rts
 		specs[i] = loadCurveSpec{
-			Label: v.label, ErrCtx: " (routing substrate)",
-			Scheme: compared()[1], Rts: rts, Params: cfg.Params,
+			Label: v.label, Cell: "load/" + v.label + " (routing substrate)",
+			Scheme: compared()[1], Rts: loadRts, Params: cfg.Params,
 			Degree: cfg.LoadDegrees[0], Flits: cfg.MsgFlits,
 		}
 	}
+
+	schemes := compared()
+	ys, err := singleMeans(cfg, len(variants), len(schemes), func(vi, si int) single {
+		return single{"routing/" + variants[vi].label, iso[vi], schemes[si], cfg.Params, cfg.Degree, cfg.MsgFlits}
+	})
+	if err != nil {
+		return nil, err
+	}
+	isoTab := &metrics.Table{
+		Title:  "Routing substrate: isolated 16-way multicast, BFS vs DFS up*/down*",
+		XLabel: "scheme (1=ni 2=tree 3=path)",
+		YLabel: singleYLabel,
+	}
+	for vi, v := range variants {
+		s := metrics.Series{Label: v.label, Y: ys[vi]}
+		for si, sch := range schemes {
+			s.X = append(s.X, float64(si+1))
+			s.Note = append(s.Note, sch.Name())
+		}
+		isoTab.Series = append(isoTab.Series, s)
+	}
+
 	series, err := runLoadCurves(cfg, specs)
 	if err != nil {
 		return nil, err
 	}
-	load.Series = append(load.Series, series...)
-	return []*metrics.Table{iso, load}, nil
+	load := &metrics.Table{
+		Title:  fmt.Sprintf("Routing substrate: tree worms under %d-way load, BFS vs DFS", cfg.LoadDegrees[0]),
+		XLabel: "effective applied load",
+		YLabel: "mean multicast latency (cycles)",
+		Series: series,
+	}
+	return []*metrics.Table{isoTab, load}, nil
 }
