@@ -17,7 +17,8 @@
 // records are keyed by (call, cell): runCells invocations are
 // sequential and deterministic within a run, so the running call
 // counter identifies "which runCells" across processes without any
-// registry of call sites.
+// registry of call sites. Those keys hold only while the code lays
+// cells out the same way, so the stamp also carries cellLayout.
 package experiment
 
 import (
@@ -56,10 +57,19 @@ type journalRecord struct {
 	Bundle *obs.Bundle
 }
 
-// runStamp names the run a journal belongs to: the experiment IDs in
-// run order and, as "Name=value" entries in field order, every Config
-// field that can change a cell's result.
+// cellLayout versions where each experiment's cells sit: which
+// runCells call runs a cell and at which index. A change that moves
+// cells must bump it. A journal keys cells by (call, cell), so resuming
+// one written under another layout would hand cells each other's
+// results; its stamp names the other version and the open is refused.
+// Journals from before the version was stamped read as layout 0.
+const cellLayout = 1
+
+// runStamp names the run a journal belongs to: the cell layout, the
+// experiment IDs in run order and, as "Name=value" entries in field
+// order, every Config field that can change a cell's result.
 type runStamp struct {
+	Layout      int
 	Experiments []string
 	Config      []string
 }
@@ -74,7 +84,7 @@ var unstamped = map[string]bool{"Workers": true, "Obs": true, "Checkpoint": true
 // order, under cfg. Every Config field outside unstamped is stamped, so
 // a new field joins the stamp without an edit here.
 func stampOf(ids []string, cfg Config) runStamp {
-	s := runStamp{Experiments: slices.Clone(ids)}
+	s := runStamp{Layout: cellLayout, Experiments: slices.Clone(ids)}
 	v := reflect.ValueOf(cfg)
 	for i := range v.NumField() {
 		if name := v.Type().Field(i).Name; !unstamped[name] {
@@ -85,13 +95,17 @@ func stampOf(ids []string, cfg Config) runStamp {
 }
 
 func (s *runStamp) equal(o *runStamp) bool {
-	return slices.Equal(s.Experiments, o.Experiments) && slices.Equal(s.Config, o.Config)
+	return s.Layout == o.Layout && slices.Equal(s.Experiments, o.Experiments) && slices.Equal(s.Config, o.Config)
 }
 
-// describe names s's run for an error message: its experiments, then
-// each Config entry that differs from other's.
+// describe names s's run for an error message: its experiments, its
+// cell layout if other's differs, then each Config entry that differs
+// from other's.
 func (s *runStamp) describe(other *runStamp) string {
 	parts := []string{strings.Join(s.Experiments, ",")}
+	if s.Layout != other.Layout {
+		parts = append(parts, fmt.Sprintf("cell layout %d", s.Layout))
+	}
 	for i, kv := range s.Config {
 		if i >= len(other.Config) || other.Config[i] != kv {
 			parts = append(parts, kv)
@@ -101,10 +115,10 @@ func (s *runStamp) describe(other *runStamp) string {
 }
 
 // JournalMismatchError refuses a checkpoint journal another run wrote:
-// its stamp names other experiments or another result-bearing
-// configuration, or it has no stamp (journals written before runs were
-// stamped). OpenCheckpointer returns it before any cell runs and leaves
-// the journal byte for byte as it was.
+// its stamp names another cell layout, other experiments or another
+// result-bearing configuration, or it has no stamp (journals written
+// before runs were stamped). OpenCheckpointer returns it before any
+// cell runs and leaves the journal byte for byte as it was.
 type JournalMismatchError struct {
 	Path    string
 	Journal string // the journal's run; empty when the journal has no stamp

@@ -71,27 +71,34 @@ func runInterruptible(t *testing.T, cfg Config, dir string, stopAfter int, id st
 
 // TestResumeEqualsUninterrupted is the tier-1 resume property: a run
 // killed and resumed any number of times renders tables byte-identical
-// to an uninterrupted run, across worker counts.
+// to an uninterrupted run, across worker counts. fig6 is one
+// single-multicast table; ab-path adds a load sweep to one, so the run
+// spans several runCells calls; churnsweep's curves are (scheme,
+// failures) pairs.
 func TestResumeEqualsUninterrupted(t *testing.T) {
 	base := resumeConfig()
-	for _, workers := range []int{1, 8} {
-		// The shards=1 prefix is kept from when the engine had a shard
-		// axis; every run is on the single calendar queue.
-		t.Run(fmt.Sprintf("shards=1_workers=%d", workers), func(t *testing.T) {
-			cfg := base
-			cfg.Workers = workers
-			want, err := Fig6EffectOfR(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, runs, _ := runInterruptible(t, cfg, t.TempDir(), 5, "fig6")
-			if runs < 2 {
-				t.Fatalf("run was never interrupted (%d runs) — the stop hook is dead", runs)
-			}
-			if g, w := renderTables(t, got), renderTables(t, want); g != w {
-				t.Fatalf("resumed tables differ from uninterrupted:\n--- resumed ---\n%s\n--- uninterrupted ---\n%s", g, w)
-			}
-		})
+	for _, id := range []string{"fig6", "ab-path", "churnsweep"} {
+		e, err := Lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 8} {
+			t.Run(fmt.Sprintf("%s/workers=%d", id, workers), func(t *testing.T) {
+				cfg := base
+				cfg.Workers = workers
+				want, err := e.Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, runs, _ := runInterruptible(t, cfg, t.TempDir(), 5, id)
+				if runs < 2 {
+					t.Fatalf("run was never interrupted (%d runs) — the stop hook is dead", runs)
+				}
+				if g, w := renderTables(t, got), renderTables(t, want); g != w {
+					t.Fatalf("resumed tables differ from uninterrupted:\n--- resumed ---\n%s\n--- uninterrupted ---\n%s", g, w)
+				}
+			})
+		}
 	}
 }
 
@@ -104,12 +111,18 @@ func appendOldRecord(t *testing.T, dir string, call, cell int, kind uint8, data 
 	if err := gob.NewEncoder(&payload).Encode(data); err != nil {
 		t.Fatal(err)
 	}
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(struct {
+	appendRecord(t, dir, struct {
 		Call, Cell int
 		Kind       uint8
 		Data       []byte
-	}{call, cell, kind, payload.Bytes()}); err != nil {
+	}{call, cell, kind, payload.Bytes()})
+}
+
+// appendRecord appends rec to dir's journal as one framed gob record.
+func appendRecord(t *testing.T, dir string, rec any) {
+	t.Helper()
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(rec); err != nil {
 		t.Fatal(err)
 	}
 	appendBytes(t, filepath.Join(dir, journalName), append(binary.AppendUvarint(nil, uint64(body.Len())), body.Bytes()...))
@@ -180,6 +193,37 @@ func TestResumeRefusesUnstampedJournal(t *testing.T) {
 	mismatch := refuseOpen(t, dir, fig6IDs, resumeConfig())
 	if mismatch.Journal != "" || !strings.Contains(mismatch.Error(), "an unstamped run") {
 		t.Fatalf("unstamped journal refused as %q", mismatch.Error())
+	}
+}
+
+// TestResumeRefusesOtherCellLayout: a journal's cells are keyed by
+// where the code that wrote it laid them out. A journal stamped under
+// another cell layout — one whose stamp has no layout, as every journal
+// written before the layout was stamped, or a newer one — is refused
+// before any cell runs and left as it was, torn tail included.
+func TestResumeRefusesOtherCellLayout(t *testing.T) {
+	cfg := resumeConfig()
+	run := stampOf(fig6IDs, cfg)
+	type unversioned struct{ Experiments, Config []string }
+	for _, tc := range []struct {
+		name  string
+		stamp any // the journal's first record
+		want  string
+	}{
+		{"unversioned", struct{ Stamp *unversioned }{&unversioned{run.Experiments, run.Config}},
+			fmt.Sprintf("belongs to run fig6 cell layout 0, not to this run (fig6 cell layout %d)", cellLayout)},
+		{"newer", journalRecord{Stamp: &runStamp{cellLayout + 1, run.Experiments, run.Config}},
+			fmt.Sprintf("belongs to run fig6 cell layout %d", cellLayout+1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			appendRecord(t, dir, tc.stamp)
+			appendRecord(t, dir, journalRecord{Call: 0, Cell: 0, Data: []byte{1}})
+			appendBytes(t, filepath.Join(dir, journalName), tornTail)
+			if err := refuseOpen(t, dir, fig6IDs, cfg); !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("refusal %q does not contain %q", err.Error(), tc.want)
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"mcastsim/internal/mcast/binomial"
@@ -46,6 +47,46 @@ func TestRunCellsFirstError(t *testing.T) {
 	}
 	if msg := err.Error(); msg != "cell 3 failed" && msg != "cell 7 failed" {
 		t.Fatalf("parallel error = %q", msg)
+	}
+}
+
+// TestRunCellsPanic: a cell that panics fails the run with a
+// *CellPanicError, at one worker and at eight, instead of killing the
+// process. Every cell from 3 on panics, the later ones only once cell 3
+// has, so the lowest panicking index is the one reported; a worker
+// stops at its first failure, so cells not yet started are skipped.
+func TestRunCellsPanic(t *testing.T) {
+	const n = 1000
+	for _, workers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			var started atomic.Int64
+			third := make(chan struct{})
+			_, err := runCells(Config{Workers: workers}, n, func(i int, _ *cellCtx) (int, error) {
+				started.Add(1)
+				switch {
+				case i < 3:
+					return i, nil
+				case i == 3:
+					close(third)
+				default:
+					<-third
+				}
+				panic(fmt.Sprintf("boom %d", i))
+			})
+			var pe *CellPanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("runCells = %v, want a *CellPanicError", err)
+			}
+			if pe.Cell != 3 || pe.Value != "boom 3" {
+				t.Fatalf("panic reported for cell %d (%v), want cell 3 (boom 3)", pe.Cell, pe.Value)
+			}
+			if !strings.Contains(string(pe.Stack), "TestRunCellsPanic") {
+				t.Fatalf("panic stack does not reach the cell:\n%s", pe.Stack)
+			}
+			if got := started.Load(); got > int64(3+workers) {
+				t.Fatalf("%d cells started, want at most %d: cells were not skipped after the panic", got, 3+workers)
+			}
+		})
 	}
 }
 

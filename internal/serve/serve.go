@@ -29,6 +29,7 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"sync"
 
@@ -300,6 +301,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			"error": fmt.Sprintf("too many running jobs (limit %d); resubmit when one finishes", maxRunningJobs)})
 		return
 	}
+	job := s.startLocked(spec, entry)
+	s.mu.Unlock()
+	writeJSON(w, http.StatusAccepted, map[string]string{"id": job.ID, "state": StateRunning})
+}
+
+// startLocked registers a job under the next ID and runs entry on its
+// own goroutine; s.mu must be held.
+func (s *Server) startLocked(spec JobSpec, entry experiment.Entry) *Job {
 	s.nextID++
 	job := &Job{
 		ID: fmt.Sprintf("job-%04d", s.nextID), Spec: spec,
@@ -309,10 +318,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.jobs[job.ID] = job
 	s.order = append(s.order, job.ID)
 	s.wg.Add(1)
-	s.mu.Unlock()
-
 	go s.run(job, entry)
-	writeJSON(w, http.StatusAccepted, map[string]string{"id": job.ID, "state": StateRunning})
+	return job
 }
 
 // runningLocked counts the jobs still running; s.mu must be held.
@@ -428,10 +435,17 @@ func writeSSE(w http.ResponseWriter, ev jobEvent) error {
 }
 
 // run executes one job to completion (or interruption) and publishes
-// its lifecycle onto the event stream.
+// its lifecycle onto the event stream. A panic outside the experiment's
+// cells (runCells turns a cell's own panic into an error) ends the job
+// failed with the panic's text instead of killing the server.
 func (s *Server) run(j *Job, entry experiment.Entry) {
 	defer s.wg.Done()
 	defer close(j.finished)
+	defer func() {
+		if r := recover(); r != nil {
+			s.finish(j, StateFailed, fmt.Sprintf("serve: job panicked: %v\n%s", r, debug.Stack()))
+		}
+	}()
 
 	cfg := j.Spec.config()
 	cfg.Progress = func(done, total int) {

@@ -14,6 +14,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mcastsim/internal/experiment"
+	"mcastsim/internal/metrics"
 )
 
 // sseEvent is one parsed Server-Sent Event.
@@ -504,4 +507,46 @@ func TestRestartOtherSpecFails(t *testing.T) {
 		t.Fatal("the refused job changed its journal")
 	}
 	s2.Drain()
+}
+
+// TestJobPanicFailsJob: a job whose experiment panics on the job
+// goroutine ends failed with the panic's text, and the server keeps
+// answering: healthz, and a normal job submitted after it, succeed.
+func TestJobPanicFailsJob(t *testing.T) {
+	s := New(Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	s.mu.Lock()
+	j := s.startLocked(quickSpec(), experiment.Entry{ID: "fig6", Run: func(experiment.Config) ([]*metrics.Table, error) {
+		panic("family generator exploded")
+	}})
+	s.mu.Unlock()
+	<-j.finished
+
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st Status
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateFailed || !strings.Contains(st.Error, "family generator exploded") {
+		t.Fatalf("panicking job status = %+v, want failed with the panic text", st)
+	}
+
+	resp, err = http.Get(ts.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after a panicking job: %d", resp.StatusCode)
+	}
+	if out := collect(t, stream(t, ts.URL, submit(t, ts.URL, quickSpec()))); out.tables == "" {
+		t.Fatal("job after a panicking job rendered no tables")
+	}
 }
