@@ -5,10 +5,10 @@
 // (bit i set means node i is a destination), and every switch holds one
 // "reachability string" per down output port describing the nodes legally
 // reachable through it. Routing a tree worm is the AND of header and
-// reachability strings (paper §3.2.3). The simulator plans on run-coded
-// sets (destset.Runs); this package is the flat form the wire codecs
-// encode and decode, the dynamic-group membership, and the reference the
-// run-coded sets are tested against.
+// reachability strings (paper §3.2.3). The simulator holds every set
+// run-coded (destset.Runs); this package is the flat N-bit header the
+// wire codec encodes and decodes, and the reference the run-coded sets
+// are tested against.
 package bitset
 
 import (
@@ -137,9 +137,7 @@ func And(s, o *Set) *Set {
 	return c
 }
 
-// AndNot returns a new set s &^ o (the elements of s not in o) — the
-// membership delta "who left" / "who is not yet covered" computation of
-// the dynamic-group layer.
+// AndNot returns a new set s &^ o (the elements of s not in o).
 func AndNot(s, o *Set) *Set {
 	c := s.Clone()
 	c.DifferenceWith(o)
@@ -186,57 +184,6 @@ func (s *Set) ForEach(fn func(i int) bool) {
 	}
 }
 
-// ForEachRun calls fn for every maximal run [lo, hi] of consecutive set
-// bits, in ascending order; fn returning false stops the iteration early.
-// Runs are the unit of the interval-coded destination header (package
-// destset), and this walks them word-at-a-time without allocating, so the
-// simulator can size and fingerprint compressed headers on the hot path.
-func (s *Set) ForEachRun(fn func(lo, hi int) bool) {
-	runStart, runEnd := -1, -1
-	for wi, w := range s.words {
-		base := wi * wordBits
-		for w != 0 {
-			start := bits.TrailingZeros64(w)
-			// Length of the 1-run beginning at start. w>>start zero-fills
-			// from the top, so ^(w>>start) is 0 only when start == 0 and w
-			// is all ones — TrailingZeros64 then returns 64, still correct.
-			length := bits.TrailingZeros64(^(w >> uint(start)))
-			lo, hi := base+start, base+start+length-1
-			if runStart >= 0 && lo == runEnd+1 {
-				runEnd = hi // continues a run across the word boundary
-			} else {
-				if runStart >= 0 && !fn(runStart, runEnd) {
-					return
-				}
-				runStart, runEnd = lo, hi
-			}
-			if start+length >= wordBits {
-				w = 0
-			} else {
-				w &^= ((1 << uint(length)) - 1) << uint(start)
-			}
-		}
-	}
-	if runStart >= 0 {
-		fn(runStart, runEnd)
-	}
-}
-
-// RunCount returns the number of maximal runs of consecutive set bits,
-// without iterating them: a run starts at every set bit whose predecessor
-// is clear, so per word it popcounts w &^ (w<<1) with the carry bit from
-// the previous word. The header encoder uses this to size run-coded
-// output in a single pass.
-func (s *Set) RunCount() int {
-	c := 0
-	carry := uint64(0) // bit 0 set iff the previous word ended in a 1
-	for _, w := range s.words {
-		c += bits.OnesCount64(w &^ (w<<1 | carry))
-		carry = w >> (wordBits - 1)
-	}
-	return c
-}
-
 // String renders the set as the paper draws headers: a bit string with bit 0
 // leftmost, e.g. "01001000" (length capped with an ellipsis for big sets).
 func (s *Set) String() string {
@@ -259,8 +206,3 @@ func (s *Set) String() string {
 	}
 	return b.String()
 }
-
-// HeaderBytes returns the number of bytes (flit-widths, since a flit is one
-// byte) a bit-string header of this universe occupies on the wire. Used by
-// the architectural-cost comparison (paper §3.3).
-func (s *Set) HeaderBytes() int { return (s.n + 7) / 8 }

@@ -230,15 +230,6 @@ func TestString(t *testing.T) {
 	}
 }
 
-func TestHeaderBytes(t *testing.T) {
-	cases := map[int]int{1: 1, 8: 1, 9: 2, 32: 4, 33: 5, 128: 16}
-	for n, want := range cases {
-		if got := New(n).HeaderBytes(); got != want {
-			t.Fatalf("HeaderBytes(%d) = %d, want %d", n, got, want)
-		}
-	}
-}
-
 func TestDeMorgan(t *testing.T) {
 	// (A ∪ B) \ (A ∩ B) == symmetric difference, built two ways.
 	f := func(rawA, rawB []uint8) bool {

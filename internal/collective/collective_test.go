@@ -14,7 +14,7 @@ import (
 	"mcastsim/internal/updown"
 )
 
-func routed(t *testing.T, seed uint64) *updown.Routing {
+func routed(t testing.TB, seed uint64) *updown.Routing {
 	t.Helper()
 	topo, err := topology.Generate(topology.DefaultConfig(), rng.New(seed))
 	if err != nil {
@@ -27,13 +27,17 @@ func routed(t *testing.T, seed uint64) *updown.Routing {
 	return rt
 }
 
+func schemes() []mcast.Scheme {
+	return []mcast.Scheme{binomial.New(), kbinomial.New(), treeworm.New(), pathworm.New()}
+}
+
 func cfg(sch mcast.Scheme) Config {
 	return Config{Scheme: sch, Params: sim.DefaultParams(), Root: 0, Flits: 64, Seed: 1}
 }
 
 func TestBroadcastAllSchemes(t *testing.T) {
 	rt := routed(t, 1)
-	for _, sch := range []mcast.Scheme{binomial.New(), kbinomial.New(), treeworm.New(), pathworm.New()} {
+	for _, sch := range schemes() {
 		res, err := Broadcast(rt, cfg(sch))
 		if err != nil {
 			t.Fatalf("%s: %v", sch.Name(), err)
@@ -179,5 +183,27 @@ func TestDifferentRoots(t *testing.T) {
 		if _, err := Barrier(rt, c); err != nil {
 			t.Fatalf("root %d: %v", root, err)
 		}
+	}
+}
+
+// BenchmarkCollectives times one 16-flit barrier (gather, then the
+// scheme's multicast release) per iteration and reports its simulated
+// latency.
+func BenchmarkCollectives(b *testing.B) {
+	rt := routed(b, 1)
+	for _, sch := range schemes() {
+		b.Run("barrier/"+sch.Name(), func(b *testing.B) {
+			var last float64
+			for i := 0; i < b.N; i++ {
+				c := cfg(sch)
+				c.Flits, c.Seed = 16, uint64(i)
+				res, err := Barrier(rt, c)
+				if err != nil {
+					b.Fatal(err)
+				}
+				last = float64(res.Latency)
+			}
+			b.ReportMetric(last, "cycles/barrier")
+		})
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strings"
-
-	"mcastsim/internal/bitset"
 )
 
 // ivRun is one maximal interval [lo, hi] of member indices.
@@ -145,20 +143,6 @@ func (v *Runs) Clone() *Runs {
 	return &Runs{n: v.n, runs: append([]ivRun(nil), v.runs...), count: v.count}
 }
 
-// CopyFromBits sets v to the members of s in place (same universe
-// required), allocating only when the run list must grow.
-func (v *Runs) CopyFromBits(s *bitset.Set) {
-	if v.n != s.Len() {
-		panic(fmt.Sprintf("destset: universe mismatch %d vs %d", v.n, s.Len()))
-	}
-	v.Clear()
-	s.ForEachRun(func(lo, hi int) bool {
-		v.runs = append(v.runs, ivRun{int32(lo), int32(hi)})
-		v.count += hi - lo + 1
-		return true
-	})
-}
-
 // Indices returns the members in ascending order.
 func (v *Runs) Indices() []int {
 	out := make([]int, 0, v.count)
@@ -177,15 +161,6 @@ func (v *Runs) ForEach(fn func(i int) bool) {
 			if !fn(int(i)) {
 				return
 			}
-		}
-	}
-}
-
-// ForEachRun visits maximal runs in ascending order until fn returns false.
-func (v *Runs) ForEachRun(fn func(lo, hi int) bool) {
-	for _, r := range v.runs {
-		if !fn(int(r.lo), int(r.hi)) {
-			return
 		}
 	}
 }
@@ -230,24 +205,6 @@ func (v *Runs) Equal(o *Runs) bool {
 	return true
 }
 
-// EqualBits reports whether v holds exactly the members of s (same
-// universe required), walking s's runs without materializing anything.
-func (v *Runs) EqualBits(s *bitset.Set) bool {
-	if v.n != s.Len() {
-		return false
-	}
-	i, same := 0, true
-	s.ForEachRun(func(lo, hi int) bool {
-		if i >= len(v.runs) || v.runs[i] != (ivRun{int32(lo), int32(hi)}) {
-			same = false
-			return false
-		}
-		i++
-		return true
-	})
-	return same && i == len(v.runs)
-}
-
 // Fingerprint returns the FNV-1a digest of (universe, run list), the
 // route cache's key for a destination set.
 func (v *Runs) Fingerprint() uint64 {
@@ -275,8 +232,15 @@ func (v *Runs) HeaderBytes() int {
 	return b
 }
 
-// AppendEncoded appends the interval wire encoding (see
-// AppendIvalEncoded for the format).
+// AppendEncoded appends the interval wire encoding of v to dst and
+// returns it:
+//
+//	uvarint(k)                      run count
+//	run 0:   uvarint(lo) uvarint(hi-lo)
+//	run j>0: uvarint(lo_j - hi_{j-1} - 2) uvarint(hi-lo)
+//
+// Canonical runs are separated by gaps of at least 2, so the gap field
+// is biased by 2 and a value of 0 means the tightest legal spacing.
 func (v *Runs) AppendEncoded(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(v.runs)))
 	prevHi := int32(0)
@@ -290,6 +254,54 @@ func (v *Runs) AppendEncoded(dst []byte) []byte {
 		prevHi = r.hi
 	}
 	return dst
+}
+
+// Decode sets v to the members of the interval wire encoding at the
+// start of b and returns the number of bytes it consumed; what follows
+// is the caller's to judge. Only the canonical encoding is accepted, so
+// a decoded set re-encodes to exactly the bytes read: Decode rejects
+// truncated input, a varint longer than its value needs, and a run
+// outside the universe. The run list grows with the runs actually read,
+// never from the count field. On error v is left empty.
+func (v *Runs) Decode(b []byte) (int, error) {
+	v.Clear()
+	pos := 0
+	next := func() (uint64, error) {
+		x, n := binary.Uvarint(b[pos:])
+		if n <= 0 || n != uvarintLen(x) {
+			return 0, fmt.Errorf("destset: truncated or overlong varint at byte %d", pos)
+		}
+		pos += n
+		return x, nil
+	}
+	fail := func(err error) (int, error) {
+		v.Clear()
+		return 0, err
+	}
+	k, err := next()
+	if err != nil {
+		return fail(err)
+	}
+	hi := -2 // the gap field of run 0 is its lo, so lo = hi + 2 + field
+	for j := uint64(0); j < k; j++ {
+		loField, err := next()
+		if err != nil {
+			return fail(err)
+		}
+		length, err := next()
+		if err != nil {
+			return fail(err)
+		}
+		// Bounding each field first keeps the sum from overflowing.
+		if loField >= uint64(v.n) || length >= uint64(v.n) || hi+2+int(loField+length) >= v.n {
+			return fail(fmt.Errorf("destset: run %d reaches past universe %d", j, v.n))
+		}
+		lo := hi + 2 + int(loField)
+		hi = lo + int(length)
+		v.runs = append(v.runs, ivRun{int32(lo), int32(hi)})
+		v.count += hi - lo + 1
+	}
+	return pos, nil
 }
 
 func (v *Runs) sameLen(o *Runs) {

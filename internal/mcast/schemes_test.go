@@ -18,7 +18,7 @@ func allSchemes() []mcast.Scheme {
 	return []mcast.Scheme{binomial.New(), kbinomial.New(), treeworm.New(), pathworm.New()}
 }
 
-func routedFamily(t *testing.T, cfg topology.Config, count int, seed uint64) []*updown.Routing {
+func routedFamily(t testing.TB, cfg topology.Config, count int, seed uint64) []*updown.Routing {
 	t.Helper()
 	topos, err := topology.GenerateFamily(cfg, count, seed)
 	if err != nil {
@@ -196,5 +196,35 @@ func TestDestSwitches(t *testing.T) {
 		if switches[i-1] >= switches[i] {
 			t.Fatal("switch list not ascending")
 		}
+	}
+}
+
+// BenchmarkSimCore measures raw simulator throughput: one isolated
+// 16-way, 128-flit multicast per iteration on a fresh network, under
+// each scheme (thousands of flit events each).
+func BenchmarkSimCore(b *testing.B) {
+	rt := routedFamily(b, topology.DefaultConfig(), 1, 1)[0]
+	p := sim.DefaultParams()
+	dests := make([]topology.NodeID, 16)
+	for i, v := range rng.New(1).Sample(31, 16) {
+		dests[i] = topology.NodeID(v + 1)
+	}
+	for _, sch := range allSchemes() {
+		plan, err := sch.Plan(rt, p, 0, dests, 128)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(sch.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				n, err := sim.New(rt, p, uint64(i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := n.RunSingle(plan, 128); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

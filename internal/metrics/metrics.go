@@ -220,48 +220,3 @@ func sumWidths(ws []int) int {
 	}
 	return total + 2*(len(ws)-1)
 }
-
-// CrossoverX locates the first x at which series a rises above series b
-// (linear interpolation between shared sample points); ok is false when
-// they never cross. Used by EXPERIMENTS.md to report where scheme
-// orderings flip.
-func CrossoverX(a, b Series) (float64, bool) {
-	n := len(a.X)
-	if len(b.X) < n {
-		n = len(b.X)
-	}
-	for i := 0; i < n; i++ {
-		if a.X[i] != b.X[i] {
-			return 0, false // series must share a grid
-		}
-	}
-	// Saturated load points carry Y = NaN; every NaN comparison is false,
-	// so a naive sign(d) collapses NaN to 0 and a NaN following a
-	// negative gap would fabricate a (NaN, true) crossing. NaN points
-	// say nothing about ordering, so skip them: track the last valid
-	// (x, gap) pair and detect the sign change between valid samples only.
-	prev := 0.0
-	prevX := 0.0
-	prevSign := 0
-	havePrev := false
-	for i := 0; i < n; i++ {
-		d := a.Y[i] - b.Y[i]
-		if math.IsNaN(d) {
-			continue
-		}
-		sign := 0
-		if d > 0 {
-			sign = 1
-		} else if d < 0 {
-			sign = -1
-		}
-		if havePrev && prevSign < 0 && sign >= 0 {
-			// Interpolate the crossing between the last valid x and x[i].
-			dPrev := prev
-			frac := -dPrev / (d - dPrev)
-			return prevX + frac*(a.X[i]-prevX), true
-		}
-		prev, prevX, prevSign, havePrev = d, a.X[i], sign, true
-	}
-	return 0, false
-}

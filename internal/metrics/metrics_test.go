@@ -125,84 +125,6 @@ func TestCSVEscaping(t *testing.T) {
 	}
 }
 
-func TestCrossoverX(t *testing.T) {
-	a := Series{X: []float64{0, 1, 2}, Y: []float64{0, 10, 30}}
-	b := Series{X: []float64{0, 1, 2}, Y: []float64{5, 10, 20}}
-	// a-b: -5, 0, +10: crossing between x=0 and x=1 at frac 5/5=1? a-b at
-	// x=1 is 0 which counts as crossed: interpolation gives x=1.
-	x, ok := CrossoverX(a, b)
-	if !ok || x != 1 {
-		t.Fatalf("crossover = %v,%v want 1,true", x, ok)
-	}
-}
-
-func TestCrossoverNaN(t *testing.T) {
-	nan := math.NaN()
-	// A NaN following a negative gap must not fabricate a crossover: the
-	// remaining valid points stay below, so there is none.
-	a := Series{X: []float64{0, 1, 2, 3}, Y: []float64{0, nan, 2, 3}}
-	b := Series{X: []float64{0, 1, 2, 3}, Y: []float64{5, 1, 6, 7}}
-	if x, ok := CrossoverX(a, b); ok {
-		t.Fatalf("NaN point fabricated a crossover at %v", x)
-	}
-	// A crossing on either side of a NaN gap is still found, and the
-	// returned x is finite, interpolated between the two valid neighbors:
-	// gaps -4 at x=0 and +4 at x=2 cross at x=1.
-	a = Series{X: []float64{0, 1, 2}, Y: []float64{0, nan, 10}}
-	b = Series{X: []float64{0, 1, 2}, Y: []float64{4, nan, 6}}
-	x, ok := CrossoverX(a, b)
-	if !ok || math.IsNaN(x) || x != 1 {
-		t.Fatalf("crossover across NaN gap = %v,%v want 1,true", x, ok)
-	}
-	// All-NaN series never cross.
-	a = Series{X: []float64{0, 1}, Y: []float64{nan, nan}}
-	b = Series{X: []float64{0, 1}, Y: []float64{0, 1}}
-	if _, ok := CrossoverX(a, b); ok {
-		t.Fatal("all-NaN series reported a crossover")
-	}
-	// A leading NaN must not count as a previous point: the first valid
-	// gap is positive, but with no preceding negative gap that is not a
-	// crossing.
-	a = Series{X: []float64{0, 1}, Y: []float64{nan, 5}}
-	b = Series{X: []float64{0, 1}, Y: []float64{9, 1}}
-	if _, ok := CrossoverX(a, b); ok {
-		t.Fatal("leading NaN treated as a negative prior point")
-	}
-}
-
-func TestCrossoverTieThenRise(t *testing.T) {
-	// A leading tie (gap 0) then a rise is not a "rises above" crossing —
-	// a never trailed b.
-	a := Series{X: []float64{0, 1, 2}, Y: []float64{5, 7, 9}}
-	b := Series{X: []float64{0, 1, 2}, Y: []float64{5, 6, 7}}
-	if x, ok := CrossoverX(a, b); ok {
-		t.Fatalf("tie-then-rise reported a crossover at %v", x)
-	}
-	// But trailing, then tying, does cross (at the tie point).
-	a = Series{X: []float64{0, 1, 2}, Y: []float64{0, 6, 9}}
-	b = Series{X: []float64{0, 1, 2}, Y: []float64{5, 6, 7}}
-	x, ok := CrossoverX(a, b)
-	if !ok || x != 1 {
-		t.Fatalf("trail-then-tie = %v,%v want 1,true", x, ok)
-	}
-}
-
-func TestCrossoverNone(t *testing.T) {
-	a := Series{X: []float64{0, 1}, Y: []float64{1, 2}}
-	b := Series{X: []float64{0, 1}, Y: []float64{5, 6}}
-	if _, ok := CrossoverX(a, b); ok {
-		t.Fatal("found crossover where none exists")
-	}
-}
-
-func TestCrossoverMismatchedGrid(t *testing.T) {
-	a := Series{X: []float64{0, 1}, Y: []float64{1, 2}}
-	b := Series{X: []float64{0, 2}, Y: []float64{5, 0}}
-	if _, ok := CrossoverX(a, b); ok {
-		t.Fatal("mismatched grids must not report a crossover")
-	}
-}
-
 func TestMean(t *testing.T) {
 	if Mean([]float64{2, 4}) != 3 {
 		t.Fatal("Mean broken")

@@ -3,7 +3,7 @@ package sim
 import (
 	"fmt"
 
-	"mcastsim/internal/bitset"
+	"mcastsim/internal/destset"
 	"mcastsim/internal/event"
 	"mcastsim/internal/topology"
 )
@@ -29,11 +29,11 @@ import (
 //
 // Tree repair itself lives outside the Network (see
 // internal/mcast/groupplan): the simulator only applies membership to
-// bitsets, versions each group with its own epoch, invalidates route-
-// cache entries whose destination fingerprint intersects the delta, and
-// fires the group's OnDelta hook so a planner can splice or rebuild the
-// multicast plan. With no groups registered none of this code runs and
-// the steady flit path is untouched.
+// run-coded sets, versions each group with its own epoch, invalidates
+// route-cache entries whose destination fingerprint intersects the
+// delta, and fires the group's OnDelta hook so a planner can splice or
+// rebuild the multicast plan. With no groups registered none of this
+// code runs and the steady flit path is untouched.
 
 // GroupID names a group within one Network (dense, in registration
 // order).
@@ -84,10 +84,10 @@ type Group struct {
 	id   GroupID
 	name string
 
-	// members is the live membership bitset; epoch counts applied deltas
-	// (the per-group analogue of routingEpoch — a repair planner or cache
+	// members is the live membership; epoch counts applied deltas (the
+	// per-group analogue of routingEpoch — a repair planner or cache
 	// layer can compare it to detect staleness without a global flush).
-	members *bitset.Set
+	members *destset.Runs
 	epoch   int
 
 	joins  int64
@@ -99,7 +99,7 @@ type Group struct {
 	repairEdges  int64      // tree edges rewritten across those repairs
 	repairCycles event.Time // modeled repair latency summed across them
 
-	// onDelta fires after a membership event is applied (bitset updated,
+	// onDelta fires after a membership event is applied (members updated,
 	// counters bumped, cache invalidated) — the hook a group planner uses
 	// to repair its multicast plan.
 	onDelta func(MembershipEvent)
@@ -172,7 +172,7 @@ func (g *Group) Repairs() (int64, int64, event.Time) {
 // NewGroup registers a dynamic multicast group with the given initial
 // members. Group IDs are dense in registration order.
 func (n *Network) NewGroup(name string, members []topology.NodeID) (*Group, error) {
-	set := bitset.New(n.topo.NumNodes)
+	set := destset.NewRuns(n.topo.NumNodes)
 	for _, m := range members {
 		if int(m) < 0 || int(m) >= n.topo.NumNodes {
 			return nil, fmt.Errorf("sim: group %q member %d out of range", name, m)

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"mcastsim/internal/bitset"
 	"mcastsim/internal/destset"
 	"mcastsim/internal/topology"
 	"mcastsim/internal/updown"
@@ -88,8 +87,8 @@ func TreeHeaderFlits(numNodes int) int {
 // worm carrying exactly the destinations in set: tag + run-list encoding
 // (package destset). Unlike the flat header it depends on the set's run
 // structure, not the universe.
-func TreeIvalHeaderFlits(set *bitset.Set) int {
-	return 1 + destset.IvalBytesOf(set)
+func TreeIvalHeaderFlits(set *destset.Runs) int {
+	return 1 + set.HeaderBytes()
 }
 
 // PathSegFlits returns the per-segment header size of a path worm in a
@@ -120,7 +119,7 @@ func PlanHeaderFlits(t *topology.Topology, c DestCoding, plan *Plan) int {
 			switch spec := &specs[i]; spec.Kind {
 			case WormTree:
 				if c == HeaderIval {
-					set := bitset.New(t.NumNodes)
+					set := destset.NewRuns(t.NumNodes)
 					for _, d := range spec.DestSet {
 						set.Add(int(d))
 					}
@@ -151,7 +150,7 @@ func (n *Network) headerFlits(w *worm) int {
 		return UnicastHeaderFlits(t.NumNodes, t.NumSwitches)
 	case WormTree:
 		if n.params.DestCoding == HeaderIval {
-			return 1 + w.destSet.HeaderBytes()
+			return TreeIvalHeaderFlits(w.destSet)
 		}
 		return TreeHeaderFlits(t.NumNodes)
 	case WormPath:

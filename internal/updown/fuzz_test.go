@@ -3,7 +3,7 @@ package updown
 import (
 	"testing"
 
-	"mcastsim/internal/bitset"
+	"mcastsim/internal/destset"
 	"mcastsim/internal/rng"
 	"mcastsim/internal/topology"
 )
@@ -100,11 +100,11 @@ func checkDownReachExact(t *testing.T, rt *Routing) {
 			continue
 		}
 		for _, p := range rt.DownPorts(sw) {
-			want := bitset.New(topo.NumNodes)
+			want := destset.NewRuns(topo.NumNodes)
 			for node := range bruteDownReach(rt, sw, p) {
 				want.Add(int(node))
 			}
-			if got := rt.DownReach(sw, p); !got.EqualBits(want) {
+			if got := rt.DownReach(sw, p); !got.Equal(want) {
 				t.Fatalf("DownReach(%d, %d) is %v, brute force %v", s, p, got.Indices(), want.Indices())
 			}
 		}

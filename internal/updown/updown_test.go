@@ -3,7 +3,7 @@ package updown
 import (
 	"testing"
 
-	"mcastsim/internal/bitset"
+	"mcastsim/internal/destset"
 	"mcastsim/internal/topology"
 )
 
@@ -271,7 +271,7 @@ func TestDownReachExact(t *testing.T) {
 					}
 					continue
 				}
-				want := bitset.New(topo.NumNodes)
+				want := destset.NewRuns(topo.NumNodes)
 				var dfs func(q topology.SwitchID)
 				visited := map[topology.SwitchID]bool{}
 				dfs = func(q topology.SwitchID) {
@@ -289,7 +289,7 @@ func TestDownReachExact(t *testing.T) {
 					}
 				}
 				dfs(topo.Conn[s][p].Switch)
-				if !r.DownReach(s, p).EqualBits(want) {
+				if !r.DownReach(s, p).Equal(want) {
 					t.Fatalf("DownReach mismatch at switch %d port %d: %v, want %v",
 						s, p, r.DownReach(s, p).Indices(), want.Indices())
 				}
@@ -313,14 +313,14 @@ func TestCoverIsLocalPlusDownReach(t *testing.T) {
 	for _, r := range reachFamily(t, 5, 50) {
 		topo := r.Topo
 		for s := 0; s < topo.NumSwitches; s++ {
-			want := bitset.New(topo.NumNodes)
+			want := destset.NewRuns(topo.NumNodes)
 			for _, n := range topo.NodesAt(topology.SwitchID(s)) {
 				want.Add(int(n))
 			}
 			for _, p := range r.DownPorts(topology.SwitchID(s)) {
 				r.DownReach(topology.SwitchID(s), p).ForEach(func(n int) bool { want.Add(n); return true })
 			}
-			if !r.Cover[s].EqualBits(want) {
+			if !r.Cover[s].Equal(want) {
 				t.Fatalf("Cover mismatch at switch %d: %v, want %v", s, r.Cover[s].Indices(), want.Indices())
 			}
 		}

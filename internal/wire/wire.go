@@ -170,32 +170,33 @@ func DecodeTree(z Sizes, b []byte) (*bitset.Set, error) {
 // tracks the destination set's run structure instead of the node count
 // (package destset documents the byte format). The set's universe must
 // equal the node count.
-func EncodeTreeIval(z Sizes, dests *bitset.Set) ([]byte, error) {
+func EncodeTreeIval(z Sizes, dests *destset.Runs) ([]byte, error) {
 	if err := z.Validate(); err != nil {
 		return nil, err
 	}
-	if dests.Len() != z.Nodes {
-		return nil, fmt.Errorf("wire: destination set universe %d, want %d nodes", dests.Len(), z.Nodes)
+	if dests.Universe() != z.Nodes {
+		return nil, fmt.Errorf("wire: destination set universe %d, want %d nodes", dests.Universe(), z.Nodes)
 	}
 	if dests.Empty() {
 		return nil, fmt.Errorf("wire: empty destination set")
 	}
 	out := make([]byte, 1, sim.TreeIvalHeaderFlits(dests))
 	out[0] = TagTreeIval
-	return destset.AppendIvalEncoded(out, dests), nil
+	return dests.AppendEncoded(out), nil
 }
 
 // DecodeTreeIval parses an interval-coded tree header back into a
-// destination set, rejecting truncated or out-of-universe encodings.
-func DecodeTreeIval(z Sizes, b []byte) (*bitset.Set, error) {
+// destination set, rejecting truncated, non-canonical or out-of-universe
+// encodings.
+func DecodeTreeIval(z Sizes, b []byte) (*destset.Runs, error) {
 	if err := z.Validate(); err != nil {
 		return nil, err
 	}
 	if len(b) < 1 || b[0] != TagTreeIval {
 		return nil, fmt.Errorf("wire: bad tree-ival header")
 	}
-	set := bitset.New(z.Nodes)
-	used, err := destset.DecodeIvalInto(set, b[1:])
+	set := destset.NewRuns(z.Nodes)
+	used, err := set.Decode(b[1:])
 	if err != nil {
 		return nil, fmt.Errorf("wire: %w", err)
 	}

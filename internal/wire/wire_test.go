@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mcastsim/internal/bitset"
+	"mcastsim/internal/destset"
 	"mcastsim/internal/mcast"
 	"mcastsim/internal/mcast/binomial"
 	"mcastsim/internal/mcast/kbinomial"
@@ -17,7 +18,7 @@ import (
 
 func defaultSizes() Sizes { return Sizes{Nodes: 32, Switches: 8, PortsPerSwitch: 8} }
 
-func routed(t *testing.T, seed uint64) (*topology.Topology, *updown.Routing) {
+func routed(t testing.TB, seed uint64) (*topology.Topology, *updown.Routing) {
 	t.Helper()
 	topo, err := topology.Generate(topology.DefaultConfig(), rng.New(seed))
 	if err != nil {
@@ -390,7 +391,7 @@ func TestTreeIvalRoundTripRandom(t *testing.T) {
 	z := Sizes{Nodes: topo.NumNodes, Switches: topo.NumSwitches, PortsPerSwitch: topo.PortsPerSwitch}
 	r := rng.New(99)
 	for trial := 0; trial < 200; trial++ {
-		set := bitset.New(z.Nodes)
+		set := destset.NewRuns(z.Nodes)
 		// Mix of clustered runs and scattered singletons.
 		for runs := 1 + r.Intn(5); runs > 0; runs-- {
 			lo := r.Intn(z.Nodes)
@@ -450,13 +451,24 @@ func TestTreeIvalFuzzDecode(t *testing.T) {
 
 func TestTreeIvalErrors(t *testing.T) {
 	z := defaultSizes()
-	if _, err := EncodeTreeIval(z, bitset.New(z.Nodes)); err == nil {
+	if _, err := EncodeTreeIval(z, destset.NewRuns(z.Nodes)); err == nil {
 		t.Error("empty set accepted")
 	}
-	if _, err := EncodeTreeIval(z, bitset.New(z.Nodes+1)); err == nil {
+	if _, err := EncodeTreeIval(z, destset.NewRuns(z.Nodes+1)); err == nil {
 		t.Error("wrong universe accepted")
 	}
-	set := bitset.New(z.Nodes)
+	// {5} is 04 01 05 00; each of these spells one of its fields with a
+	// needless continuation byte, which a canonical decoder refuses.
+	for _, b := range [][]byte{
+		{TagTreeIval, 0x81, 0x00, 0x05, 0x00}, // run count
+		{TagTreeIval, 0x01, 0x85, 0x00, 0x00}, // first lo
+		{TagTreeIval, 0x01, 0x05, 0x80, 0x00}, // run length
+	} {
+		if got, err := DecodeTreeIval(z, b); err == nil {
+			t.Errorf("overlong varint in % x decoded as %v", b, got.Indices())
+		}
+	}
+	set := destset.NewRuns(z.Nodes)
 	set.Add(3)
 	b, err := EncodeTreeIval(z, set)
 	if err != nil {
@@ -545,14 +557,15 @@ func encodedBytes(t *testing.T, topo *topology.Topology, z Sizes, coding sim.Des
 			case sim.WormUnicast:
 				add(EncodeUnicast(z, spec.Dest))
 			case sim.WormTree:
-				set := bitset.New(topo.NumNodes)
+				flat, runs := bitset.New(topo.NumNodes), destset.NewRuns(topo.NumNodes)
 				for _, d := range spec.DestSet {
-					set.Add(int(d))
+					flat.Add(int(d))
+					runs.Add(int(d))
 				}
 				if coding == sim.HeaderIval {
-					add(EncodeTreeIval(z, set))
+					add(EncodeTreeIval(z, runs))
 				} else {
-					add(EncodeTree(z, set))
+					add(EncodeTree(z, flat))
 				}
 			case sim.WormPath:
 				add(EncodePath(topo, spec.Path))
@@ -560,4 +573,58 @@ func encodedBytes(t *testing.T, topo *topology.Topology, z Sizes, coding sim.Des
 		}
 	}
 	return total
+}
+
+// BenchmarkWireCodecs times each header codec on the paper's default
+// system: an 8-way tree header in both codings, and the longest path
+// worm of a 16-way MDP-LG cover.
+func BenchmarkWireCodecs(b *testing.B) {
+	topo, rt := routed(b, 1)
+	z := Sizes{Nodes: topo.NumNodes, Switches: topo.NumSwitches, PortsPerSwitch: topo.PortsPerSwitch}
+	idx := []int{1, 5, 9, 13, 17, 21, 25, 29}
+	flat, runs := bitset.FromIndices(topo.NumNodes, idx), destset.NewRuns(topo.NumNodes)
+	for _, i := range idx {
+		runs.Add(i)
+	}
+	r := rng.New(2)
+	picks := r.Sample(topo.NumNodes, 17)
+	dests := make([]topology.NodeID, 16)
+	for i, v := range picks[1:] {
+		dests[i] = topology.NodeID(v)
+	}
+	res, err := pathworm.New().Cover(rt, topology.NodeID(picks[0]), dests)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var segs []sim.PathSeg
+	for _, specs := range res.Sends {
+		for _, w := range specs {
+			if len(w.Path) > len(segs) {
+				segs = w.Path
+			}
+		}
+	}
+	treeHdr, _ := EncodeTree(z, flat)
+	ivalHdr, _ := EncodeTreeIval(z, runs)
+	pathHdr, _ := EncodePath(topo, segs)
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"tree-encode", func() error { _, err := EncodeTree(z, flat); return err }},
+		{"tree-decode", func() error { _, err := DecodeTree(z, treeHdr); return err }},
+		{"tree-ival-encode", func() error { _, err := EncodeTreeIval(z, runs); return err }},
+		{"tree-ival-decode", func() error { _, err := DecodeTreeIval(z, ivalHdr); return err }},
+		{"path-encode", func() error { _, err := EncodePath(topo, segs); return err }},
+		{"path-decode", func() error { _, err := DecodePath(topo, pathHdr); return err }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := c.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
