@@ -68,7 +68,7 @@ func main() {
 		// Tree switch state: one N-bit string per down port.
 		var downPorts, switches float64
 		for s := 0; s < sys.Topo.NumSwitches; s++ {
-			downPorts += float64(len(sys.Routing.DownPorts(topology.SwitchID(s))))
+			downPorts += float64(len(sys.Routing.DownLinks(topology.SwitchID(s))))
 			switches++
 		}
 		stateBits := downPorts / switches * float64(scale.nodes)

@@ -50,9 +50,9 @@ func main() {
 
 	// The bit-string reachability state of the root switch (§3.2.3).
 	fmt.Println("\nreachability strings at the root's down ports:")
-	for _, p := range rt.DownPorts(rt.Root) {
+	for _, dl := range rt.DownLinks(rt.Root) {
 		fmt.Printf("  port %d -> switch %d: %s\n",
-			p, topo.Conn[rt.Root][p].Switch, rt.DownReach(rt.Root, p))
+			dl.Port, topo.Conn[rt.Root][dl.Port].Switch, dl.Reach)
 	}
 
 	// Multicast node 0 -> everyone else under each scheme.

@@ -62,7 +62,7 @@ func ArchComparison(cfg Config) ([]*metrics.Table, error) {
 	var switches float64
 	for _, rt := range rts {
 		for s := 0; s < rt.Topo.NumSwitches; s++ {
-			downPorts += float64(len(rt.DownPorts(topology.SwitchID(s))))
+			downPorts += float64(len(rt.DownLinks(topology.SwitchID(s))))
 			switches++
 		}
 	}

@@ -223,7 +223,7 @@ func maxCoverPath(rt *updown.Routing, s0, T topology.SwitchID, uncovered map[top
 			choice[st] = pathStep{sw: st.sw, port: -1}
 			return cover
 		}
-		ports, phases := rt.NextHops(st.sw, st.ph, T)
+		ports, phases := rt.NextHops(st.sw, st.ph, T, nil, nil)
 		best := -1
 		var bestStep pathStep
 		for i, p := range ports {

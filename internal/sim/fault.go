@@ -401,11 +401,6 @@ func (n *Network) InstallFaults(fs *FaultSchedule) error {
 
 func (n *Network) applyFault(ev FaultEvent) {
 	n.ensureFaultState()
-	// Conservative route-cache invalidation: dead ports are filtered after
-	// every cached decision, so stale-but-consistent entries would still
-	// match the uncached code, but flushing keeps the epoch invariant
-	// trivial to audit.
-	n.routingEpoch++
 	switch ev.Kind {
 	case FaultLink:
 		n.failLink(ev.Link)
@@ -586,10 +581,12 @@ func (n *Network) reconfigure() {
 }
 
 // swapRouting atomically replaces the routing tables, and with them the
-// link views the planner reads (they belong to the Routing).
+// link views the planner reads (they belong to the Routing). It is the
+// only code that empties the route cache: every entry was computed from
+// the old tables (see routecache.go).
 func (n *Network) swapRouting(rt *updown.Routing) {
 	n.rt = rt
-	n.routingEpoch++ // every cached route was computed under the old tables
+	n.cache.reset()
 }
 
 // AbortMessage tears down every remaining trace of m across the network

@@ -29,11 +29,10 @@ import (
 //
 // Tree repair itself lives outside the Network (see
 // internal/mcast/groupplan): the simulator only applies membership to
-// run-coded sets, versions each group with its own epoch, invalidates
-// route-cache entries whose destination fingerprint intersects the
-// delta, and fires the group's OnDelta hook so a planner can splice or
-// rebuild the multicast plan. With no groups registered none of this
-// code runs and the steady flit path is untouched.
+// run-coded sets, versions each group with its own epoch, and fires the
+// group's OnDelta hook so a planner can splice or rebuild the multicast
+// plan. With no groups registered none of this code runs and the steady
+// flit path is untouched.
 
 // GroupID names a group within one Network (dense, in registration
 // order).
@@ -84,9 +83,8 @@ type Group struct {
 	id   GroupID
 	name string
 
-	// members is the live membership; epoch counts applied deltas (the
-	// per-group analogue of routingEpoch — a repair planner or cache
-	// layer can compare it to detect staleness without a global flush).
+	// members is the live membership; epoch counts applied deltas (a
+	// repair planner can compare it to detect a stale plan).
 	members *destset.Runs
 	epoch   int
 
@@ -100,8 +98,8 @@ type Group struct {
 	repairCycles event.Time // modeled repair latency summed across them
 
 	// onDelta fires after a membership event is applied (members updated,
-	// counters bumped, cache invalidated) — the hook a group planner uses
-	// to repair its multicast plan.
+	// counters bumped) — the hook a group planner uses to repair its
+	// multicast plan.
 	onDelta func(MembershipEvent)
 
 	// inflight holds the group's unfinished messages; each carries a
@@ -241,10 +239,6 @@ func (n *Network) applyMembership(ev *MembershipEvent) {
 	}
 	g.epoch++
 	n.stats.MembershipEvents++
-	// Per-group cache hygiene: drop only the route-cache entries whose
-	// keying set contains the changed node — never a global routingEpoch
-	// bump, so unrelated groups' cached routes survive.
-	n.cache.invalidateNode(node)
 	n.trace(TraceEvent{Kind: TraceMember, Node: ev.Node, Msg: int64(ev.Group), Pkt: int(ev.Kind)})
 	n.markProgress()
 	if g.onDelta != nil {

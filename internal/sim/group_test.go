@@ -249,79 +249,12 @@ func TestGroupIncrementalEqualsScratch(t *testing.T) {
 	}
 }
 
-// TestGroupInvalidateIntersecting checks the per-group cache hygiene at
-// the map level: after a membership delta, exactly the set-keyed entries
-// whose stored destination set intersects the delta are gone, and the
-// next-hop map (keyed by destination switch, membership-independent) is
-// untouched — the surgical alternative to a routingEpoch flush.
-func TestGroupInvalidateIntersecting(t *testing.T) {
-	n := fixtureNet(t, DefaultParams())
-	g, err := n.NewGroup("g0", []topology.NodeID{3, 5, 7})
-	if err != nil {
-		t.Fatalf("NewGroup: %v", err)
-	}
-	// Warm the cache with two disjoint destination sets plus a unicast.
-	// The tree worms start at switch 6, which must climb before it covers
-	// either set, so both the climb and partition maps fill.
-	mustRun(t, n, groupPlan(6, []topology.NodeID{3, 5, 7}), 48)
-	mustRun(t, n, groupPlan(6, []topology.NodeID{1, 2}), 48)
-	mustRun(t, n, unicastPlan(0, 6), 48)
-	if len(n.cache.climb) == 0 || len(n.cache.part) == 0 || len(n.cache.hops) == 0 {
-		t.Fatalf("cache not warmed: climb=%d part=%d hops=%d",
-			len(n.cache.climb), len(n.cache.part), len(n.cache.hops))
-	}
-	hops := len(n.cache.hops)
-	err = n.InstallMembership(&MembershipSchedule{Events: []MembershipEvent{
-		{At: n.Now() + 1, Group: g.ID(), Node: 7, Kind: MemberLeave},
-	}})
-	if err != nil {
-		t.Fatalf("InstallMembership: %v", err)
-	}
-	if err := n.Drain(0); err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
-	if n.cache.groupInvals != 1 {
-		t.Fatalf("groupInvals = %d, want 1", n.cache.groupInvals)
-	}
-	for _, e := range n.cache.climb {
-		if e.key.Contains(7) {
-			t.Fatal("climb entry intersecting the delta survived")
-		}
-	}
-	for _, e := range n.cache.part {
-		if e.key.Contains(7) {
-			t.Fatal("partition entry intersecting the delta survived")
-		}
-	}
-	// The disjoint {1,2} multicast's entries must survive (a full flush
-	// would have dropped them).
-	found := false
-	for _, e := range n.cache.climb {
-		if e.key.Contains(1) && e.key.Contains(2) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("disjoint climb entry was dropped: invalidation is not surgical")
-	}
-	if len(n.cache.hops) != hops {
-		t.Fatalf("hops map changed %d -> %d; membership never invalidates next-hop entries",
-			hops, len(n.cache.hops))
-	}
-}
-
 // churnScript drives a fixed interleaving of group multicasts and
 // membership deltas and returns the full trace.
-func churnScript(t *testing.T, n *Network, g *Group, flush bool) []TraceEvent {
+func churnScript(t *testing.T, n *Network, g *Group) []TraceEvent {
 	t.Helper()
 	var evs []TraceEvent
 	setTestTracer(n, func(ev TraceEvent) { evs = append(evs, ev) })
-	if flush {
-		// Full-flush variant: every delta also bumps the routing epoch,
-		// so the next lookup drops the whole cache instead of only the
-		// intersecting entries.
-		g.SetOnDelta(func(MembershipEvent) { n.routingEpoch++ })
-	}
 	err := n.InstallMembership(&MembershipSchedule{Events: []MembershipEvent{
 		{At: 200, Group: g.ID(), Node: 6, Kind: MemberJoin},
 		{At: 400, Group: g.ID(), Node: 5, Kind: MemberLeave},
@@ -337,8 +270,8 @@ func churnScript(t *testing.T, n *Network, g *Group, flush bool) []TraceEvent {
 	}
 	// All sends are scheduled up front so they genuinely interleave with
 	// the deltas under one Drain. Destination sets recur across deltas,
-	// so invalidated entries recompute and surviving entries get warm
-	// hits — the divergence surface between surgical and full flushing.
+	// so later sends hit entries cached before the membership changed —
+	// where a delta that could make an entry stale would show.
 	send(0, []topology.NodeID{3, 5, 7})
 	send(300, []topology.NodeID{3, 5, 7})
 	send(310, []topology.NodeID{1, 2})
@@ -351,18 +284,23 @@ func churnScript(t *testing.T, n *Network, g *Group, flush bool) []TraceEvent {
 	return evs
 }
 
-// TestGroupInvalidationMatchesFullFlush pins the trace equivalence of the
-// surgical per-group invalidation against a global flush on every delta:
-// both recompute to identical routing decisions, so the surviving-entry
-// optimization can never change simulated behavior.
+// TestGroupInvalidationMatchesFullFlush pins that membership churn needs
+// no cache invalidation: the churn script on a cached network, whose
+// entries live across every delta, traces identically to the same
+// script with the cache disabled.
 func TestGroupInvalidationMatchesFullFlush(t *testing.T) {
-	run := func(flush bool) []TraceEvent {
+	run := func(disabled bool) []TraceEvent {
 		n := fixtureNet(t, DefaultParams())
+		n.cache.disabled = disabled
 		g, err := n.NewGroup("g0", []topology.NodeID{3, 5, 7})
 		if err != nil {
 			t.Fatalf("NewGroup: %v", err)
 		}
-		return churnScript(t, n, g, flush)
+		evs := churnScript(t, n, g)
+		if !disabled && (len(n.cache.climb) == 0 || len(n.cache.part) == 0) {
+			t.Fatalf("churn never populated the cache (climb=%d part=%d)", len(n.cache.climb), len(n.cache.part))
+		}
+		return evs
 	}
 	diffTraces(t, run(false), run(true))
 }

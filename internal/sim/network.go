@@ -99,12 +99,7 @@ type Network struct {
 	invariant     *InvariantError
 	progress      int64
 	reconfigEpoch int
-
-	// routingEpoch versions the routing-derived state (tables, port
-	// orientations, reachability); every applied fault/repair and every
-	// table swap bumps it, and the route cache flushes when it lags.
-	routingEpoch int
-	cache        routeCache
+	cache         routeCache
 
 	// Dynamic multicast groups (see group.go); empty on static runs.
 	groups []*Group

@@ -399,6 +399,15 @@ func (n *Network) planUnicast(o *occupant, s topology.SwitchID, w *worm) {
 		ports: ports, phases: phases, adaptive: true})
 }
 
+// nextHops reads the adaptive candidate ports and phases for a packet at
+// switch s headed to switch d into decision scratch: callers may permute
+// or compact them but must not retain them past the current decision.
+func (n *Network) nextHops(s topology.SwitchID, ph updown.Phase, d topology.SwitchID) ([]int, []updown.Phase) {
+	ports, phases := n.rt.NextHops(s, ph, d, n.scr.portScratch[:0], n.scr.phaseScratch[:0])
+	n.scr.portScratch, n.scr.phaseScratch = ports, phases
+	return ports, phases
+}
+
 func (n *Network) planTree(o *occupant, s topology.SwitchID, w *worm) {
 	remaining := n.getRuns()
 	remaining.CopyFrom(w.destSet)
@@ -493,7 +502,7 @@ func (n *Network) planPath(o *occupant, s topology.SwitchID, w *worm) {
 	if seg.Switch != s {
 		// In transit toward the segment's stop switch: ordinary adaptive
 		// unicast routing, header intact.
-		ports, phases := n.rt.NextHops(s, w.phase, seg.Switch)
+		ports, phases := n.nextHops(s, w.phase, seg.Switch)
 		if len(ports) == 0 {
 			n.routeFailure(o, s, fmt.Sprintf("path worm %v has no legal route toward switch %d", w, seg.Switch))
 			return
@@ -572,7 +581,6 @@ type portSet struct {
 // strings mid-run.
 func (n *Network) partitionDownAdaptive(s topology.SwitchID, set *destset.Runs) ([]portSet, bool) {
 	c := &n.cache
-	c.sync(n.routingEpoch)
 	var key partKey
 	var cached *partEntry
 	if !c.disabled {

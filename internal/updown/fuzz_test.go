@@ -39,7 +39,7 @@ func checkOrientationLegal(t *testing.T, rt *Routing) {
 		if !rt.SwitchAlive(sw) {
 			continue
 		}
-		if sw != rt.Root && len(rt.UpPorts(sw)) == 0 {
+		if sw != rt.Root && len(rt.UpLinks(sw)) == 0 {
 			t.Fatalf("non-root switch %d has no up port", s)
 		}
 	}
@@ -58,7 +58,7 @@ func checkPairwiseReachable(t *testing.T, rt *Routing) {
 			if rt.DistUp(topology.SwitchID(s), topology.SwitchID(d)) < 0 {
 				t.Fatalf("no legal route %d -> %d", s, d)
 			}
-			ports, _ := rt.NextHops(topology.SwitchID(s), PhaseUp, topology.SwitchID(d))
+			ports, _ := rt.NextHops(topology.SwitchID(s), PhaseUp, topology.SwitchID(d), nil, nil)
 			if len(ports) == 0 {
 				t.Fatalf("NextHops(%d, up, %d) empty despite finite distance", s, d)
 			}
@@ -67,7 +67,8 @@ func checkPairwiseReachable(t *testing.T, rt *Routing) {
 }
 
 // bruteDownReach recomputes one down port's reachability string the slow
-// way: enter the peer switch, then close over down links only.
+// way: enter the peer switch, then close over down links only. It reads
+// the orientation (Dirs) directly, never the link views it checks.
 func bruteDownReach(rt *Routing, s topology.SwitchID, p int) map[topology.NodeID]bool {
 	topo := rt.Topo
 	out := map[topology.NodeID]bool{}
@@ -81,8 +82,10 @@ func bruteDownReach(rt *Routing, s topology.SwitchID, p int) map[topology.NodeID
 		for _, node := range topo.NodesAt(q) {
 			out[node] = true
 		}
-		for _, dp := range rt.DownPorts(q) {
-			walk(topo.Conn[q][dp].Switch)
+		for port, dir := range rt.Dirs[q] {
+			if dir == DirDown {
+				walk(topo.Conn[q][port].Switch)
+			}
 		}
 	}
 	walk(topo.Conn[s][p].Switch)
@@ -99,13 +102,13 @@ func checkDownReachExact(t *testing.T, rt *Routing) {
 		if !rt.SwitchAlive(sw) {
 			continue
 		}
-		for _, p := range rt.DownPorts(sw) {
+		for _, dl := range rt.DownLinks(sw) {
 			want := destset.NewRuns(topo.NumNodes)
-			for node := range bruteDownReach(rt, sw, p) {
+			for node := range bruteDownReach(rt, sw, dl.Port) {
 				want.Add(int(node))
 			}
-			if got := rt.DownReach(sw, p); !got.Equal(want) {
-				t.Fatalf("DownReach(%d, %d) is %v, brute force %v", s, p, got.Indices(), want.Indices())
+			if got := rt.DownReach(sw, dl.Port); !got.Equal(want) {
+				t.Fatalf("DownReach(%d, %d) is %v, brute force %v", s, dl.Port, got.Indices(), want.Indices())
 			}
 		}
 	}

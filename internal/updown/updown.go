@@ -125,7 +125,7 @@ type Routing struct {
 	// deadSwitch[s] / deadPort[s][p] mark failed switches and ports whose
 	// link, peer switch, or own switch has failed. A dead port keeps
 	// Dirs == DirNone, so every consumer of the orientation (NextHops,
-	// UpPorts, DownPorts, DownReach, tree climbs) avoids it without
+	// the link views, DownReach, tree climbs) avoids it without
 	// special-casing faults.
 	deadSwitch []bool
 	deadPort   [][]bool
@@ -676,13 +676,14 @@ func (r *Routing) NodePortAt(s topology.SwitchID, n topology.NodeID) int {
 	return -1
 }
 
-// NextHops returns the adaptive candidate output ports at switch s, in
-// phase ph, for a packet headed to switch d: every port whose traversal is
-// legal and lies on a shortest remaining legal route. The resulting phase
-// for each candidate is also returned (parallel slices).
-func (r *Routing) NextHops(s topology.SwitchID, ph Phase, d topology.SwitchID) (ports []int, phases []Phase) {
+// NextHops appends to ports and phases the adaptive candidate output
+// ports at switch s, in phase ph, for a packet headed to switch d: every
+// port whose traversal is legal and lies on a shortest remaining legal
+// route, in ascending port order, with the phase each one leaves in. It
+// returns the extended slices; callers that want fresh slices pass nil.
+func (r *Routing) NextHops(s topology.SwitchID, ph Phase, d topology.SwitchID, ports []int, phases []Phase) ([]int, []Phase) {
 	if s == d {
-		return nil, nil
+		return ports, phases
 	}
 	t := r.Topo
 	row := r.row(d)
@@ -710,33 +711,6 @@ func (r *Routing) NextHops(s topology.SwitchID, ph Phase, d topology.SwitchID) (
 		}
 	}
 	return ports, phases
-}
-
-// UpPorts returns the up-oriented ports of s, tree-parent links first (the
-// preference tree worms use while climbing).
-func (r *Routing) UpPorts(s topology.SwitchID) []int {
-	t := r.Topo
-	var parentPorts, others []int
-	for p := 0; p < t.PortsPerSwitch; p++ {
-		if r.Dirs[s][p] != DirUp {
-			continue
-		}
-		if t.Conn[s][p].Switch == r.Parent[s] {
-			parentPorts = append(parentPorts, p)
-		} else {
-			others = append(others, p)
-		}
-	}
-	return append(parentPorts, others...)
-}
-
-// DownPorts returns the down-oriented ports of s in ascending order.
-func (r *Routing) DownPorts(s topology.SwitchID) []int {
-	var out []int
-	for _, dl := range r.down[s] {
-		out = append(out, dl.Port)
-	}
-	return out
 }
 
 // UpLinks returns s's up ports in ascending order with the switches they

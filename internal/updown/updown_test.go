@@ -1,6 +1,7 @@
 package updown
 
 import (
+	"slices"
 	"testing"
 
 	"mcastsim/internal/destset"
@@ -163,7 +164,13 @@ func TestNextHopsLegalAndShortest(t *testing.T) {
 				for _, ph := range []Phase{PhaseUp, PhaseDown} {
 					row := r.row(topology.SwitchID(b))
 					cur := row.at(topology.SwitchID(a), ph)
-					ports, phases := r.NextHops(topology.SwitchID(a), ph, topology.SwitchID(b))
+					ports, phases := r.NextHops(topology.SwitchID(a), ph, topology.SwitchID(b), nil, nil)
+					// Into caller slices, the candidates follow what the
+					// slices already hold.
+					more, morePh := r.NextHops(topology.SwitchID(a), ph, topology.SwitchID(b), []int{-1}, []Phase{PhaseDown})
+					if more[0] != -1 || !slices.Equal(more[1:], ports) || !slices.Equal(morePh[1:], phases) {
+						t.Fatalf("NextHops(%d, %v, %d) into caller slices = %v, want -1 then %v", a, ph, b, more, ports)
+					}
 					if cur >= unreachable32 {
 						if len(ports) != 0 {
 							t.Fatalf("unreachable state has next hops")
@@ -220,7 +227,7 @@ func TestNoUpAfterDownByConstruction(t *testing.T) {
 					continue
 				}
 				seen[st] = true
-				ports, phases := r.NextHops(st.s, st.ph, topology.SwitchID(b))
+				ports, phases := r.NextHops(st.s, st.ph, topology.SwitchID(b), nil, nil)
 				for i, p := range ports {
 					if st.ph == PhaseDown && r.Dirs[st.s][p] == DirUp {
 						t.Fatalf("up after down %d->%d", a, b)
@@ -317,8 +324,8 @@ func TestCoverIsLocalPlusDownReach(t *testing.T) {
 			for _, n := range topo.NodesAt(topology.SwitchID(s)) {
 				want.Add(int(n))
 			}
-			for _, p := range r.DownPorts(topology.SwitchID(s)) {
-				r.DownReach(topology.SwitchID(s), p).ForEach(func(n int) bool { want.Add(n); return true })
+			for _, dl := range r.DownLinks(topology.SwitchID(s)) {
+				r.DownReach(topology.SwitchID(s), dl.Port).ForEach(func(n int) bool { want.Add(n); return true })
 			}
 			if !r.Cover[s].Equal(want) {
 				t.Fatalf("Cover mismatch at switch %d: %v, want %v", s, r.Cover[s].Indices(), want.Indices())
@@ -345,22 +352,15 @@ func TestDistDownConsistentWithReach(t *testing.T) {
 	}
 }
 
-func TestUpPortsParentFirst(t *testing.T) {
+func TestUpLinksOnlyRootHasNone(t *testing.T) {
 	for _, r := range family(t, topology.DefaultConfig(), 5, 53) {
-		topo := r.Topo
-		for s := 0; s < topo.NumSwitches; s++ {
-			if s == int(r.Root) {
-				if len(r.UpPorts(topology.SwitchID(s))) != 0 {
-					t.Fatal("root has up ports")
-				}
-				continue
+		for s := 0; s < r.Topo.NumSwitches; s++ {
+			ups := len(r.UpLinks(topology.SwitchID(s)))
+			if s == int(r.Root) && ups != 0 {
+				t.Fatal("root has up ports")
 			}
-			ups := r.UpPorts(topology.SwitchID(s))
-			if len(ups) == 0 {
+			if s != int(r.Root) && ups == 0 {
 				t.Fatalf("switch %d has no up ports", s)
-			}
-			if topo.Conn[s][ups[0]].Switch != r.Parent[s] {
-				t.Fatalf("switch %d: first up port is not the tree parent", s)
 			}
 		}
 	}
@@ -570,7 +570,7 @@ func TestRingOrientationBreaksCycle(t *testing.T) {
 	// one point.
 	twoUp, zeroUp := 0, 0
 	for s := 0; s < 6; s++ {
-		ups := len(r.UpPorts(topology.SwitchID(s)))
+		ups := len(r.UpLinks(topology.SwitchID(s)))
 		switch ups {
 		case 0:
 			zeroUp++

@@ -68,7 +68,7 @@ func TestVerifyPublishesNoRows(t *testing.T) {
 		last := topology.SwitchID(r.Topo.NumSwitches - 1)
 		r.DistUp(0, 2)
 		r.DistDown(last, 2)
-		r.NextHops(0, PhaseUp, last)
+		r.NextHops(0, PhaseUp, last, nil, nil)
 		if got, want := cached(), []int{2, int(last)}; !slices.Equal(got, want) {
 			t.Fatalf("rows cached after DistUp/DistDown/NextHops: %v, want %v", got, want)
 		}
@@ -124,13 +124,15 @@ func TestLinkViewsMatchDirs(t *testing.T) {
 			if !slices.Equal(r.UpLinks(s), ups) {
 				t.Fatalf("UpLinks(%d) = %v, want %v", s, r.UpLinks(s), ups)
 			}
-			if got := r.DownPorts(s); !slices.Equal(got, downs) {
-				t.Fatalf("DownPorts(%d) = %v, want %v", s, got, downs)
-			}
+			var got []int
 			for _, dl := range r.DownLinks(s) {
 				if dl.Reach == nil || dl.Reach != r.DownReach(s, dl.Port) {
 					t.Fatalf("DownLinks(%d) port %d carries the wrong string", s, dl.Port)
 				}
+				got = append(got, dl.Port)
+			}
+			if !slices.Equal(got, downs) {
+				t.Fatalf("DownLinks(%d) ports = %v, want %v", s, got, downs)
 			}
 		}
 		for q := range topology.SwitchID(topo.NumSwitches) {
