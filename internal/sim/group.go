@@ -29,7 +29,7 @@ import (
 //
 // Tree repair itself lives outside the Network (see
 // internal/mcast/groupplan): the simulator only applies membership to
-// run-coded sets, versions each group with its own epoch, and fires the
+// run-coded sets, counts each group's joins and leaves, and fires the
 // group's OnDelta hook so a planner can splice or rebuild the multicast
 // plan. With no groups registered none of this code runs and the steady
 // flit path is untouched.
@@ -83,10 +83,8 @@ type Group struct {
 	id   GroupID
 	name string
 
-	// members is the live membership; epoch counts applied deltas (a
-	// repair planner can compare it to detect a stale plan).
+	// members is the live membership.
 	members *destset.Runs
-	epoch   int
 
 	joins  int64
 	leaves int64
@@ -112,9 +110,6 @@ func (g *Group) ID() GroupID { return g.id }
 
 // Name returns the group's registration name.
 func (g *Group) Name() string { return g.name }
-
-// Epoch returns the number of membership deltas applied so far.
-func (g *Group) Epoch() int { return g.epoch }
 
 // Size returns the current member count.
 func (g *Group) Size() int { return g.members.Count() }
@@ -211,7 +206,7 @@ func (n *Network) InstallMembership(ms *MembershipSchedule) error {
 }
 
 // applyMembership is the evMembership handler. Redundant events (joining
-// a member, removing a non-member) are no-ops and do not bump the epoch.
+// a member, removing a non-member) are no-ops and count nowhere.
 func (n *Network) applyMembership(ev *MembershipEvent) {
 	g := n.groups[ev.Group]
 	node := int(ev.Node)
@@ -237,7 +232,6 @@ func (n *Network) applyMembership(ev *MembershipEvent) {
 		g.members.Remove(node)
 		g.leaves++
 	}
-	g.epoch++
 	n.stats.MembershipEvents++
 	n.trace(TraceEvent{Kind: TraceMember, Node: ev.Node, Msg: int64(ev.Group), Pkt: int(ev.Kind)})
 	n.markProgress()
