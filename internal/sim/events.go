@@ -44,7 +44,7 @@ const (
 	// evReconfig runs a routing recomputation if its detection epoch is
 	// still current (actor nil, arg epoch).
 	evReconfig
-	// evFaultApply applies one scheduled fault event (actor *FaultEvent).
+	// evFaultApply fails one scheduled link (actor nil, arg link index).
 	evFaultApply
 	// evSendSoft finishes the host send software overhead and starts the
 	// per-packet DMA chain (actor *sendOp).
@@ -107,7 +107,7 @@ func (n *Network) registerKinds() {
 			n.reconfigure()
 		}
 	})
-	q.Register(evFaultApply, func(a any, _ int64) { n.applyFault(*a.(*FaultEvent)) })
+	q.Register(evFaultApply, func(_ any, arg int64) { n.FailLink(int(arg)) })
 	q.Register(evSendSoft, func(a any, _ int64) { a.(*sendOp).softwareDone() })
 	q.Register(evSendDMA, func(a any, arg int64) { a.(*sendOp).dmaDone(int(arg)) })
 	q.Register(evNICharged, func(a any, _ int64) { a.(*burst).charged() })

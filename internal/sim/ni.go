@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"mcastsim/internal/event"
 	"mcastsim/internal/topology"
@@ -17,11 +16,6 @@ type ni struct {
 	net  *Network
 	node topology.NodeID
 	inj  *channel // injection line into the home switch
-
-	// dead marks an NI orphaned by its home switch's failure: sends are
-	// failed at the source and arrivals cease (the ejection channel died
-	// with the switch).
-	dead bool
 
 	hostFree event.Time
 	niFree   event.Time
@@ -81,11 +75,6 @@ type sendOp struct {
 // source's children (paper §3.2.1). Callable only from within an event.
 func (x *ni) hostSend(m *Message, spec *WormSpec) {
 	n := x.net
-	if x.dead {
-		// The sender is cut off: everything this send would deliver fails.
-		x.failSendDests(m, spec)
-		return
-	}
 	softDone := reserve(&x.hostFree, x.net.queue.Now(), n.params.OHostSend)
 	x.net.queue.Post(softDone, evSendSoft, &sendOp{x: x, m: m, spec: spec}, 0)
 }
@@ -141,10 +130,6 @@ func (x *ni) replicaBurst(m *Message, pkt int) *burst {
 // admitBurst takes an NI buffer slot for b (deferring when the buffer is
 // bounded and full) and charges the per-packet NI send overhead.
 func (x *ni) admitBurst(b *burst) {
-	if x.dead {
-		x.dropBurst(b)
-		return
-	}
 	limit := x.net.params.NIInjectBufferPackets
 	if limit > 0 && (x.injHeld >= limit || len(x.injWait) > 0) {
 		if r := x.net.obsRec; r != nil {
@@ -167,11 +152,6 @@ func (x *ni) chargeAndReady(b *burst) {
 // evNICharged handler): queue it for injection and kick the stream.
 func (b *burst) charged() {
 	x := b.owner
-	if x.dead {
-		x.injHeld--
-		x.dropBurst(b)
-		return
-	}
 	x.ready = append(x.ready, b)
 	if !x.streaming {
 		x.startStream()
@@ -363,21 +343,6 @@ func (n *Network) destDone(m *Message, node topology.NodeID) {
 
 // --- fault handling ---
 
-// failSendDests fails everything a hostSend would have delivered: the
-// NI-tree children for the source replication send (spec == nil), or the
-// spec's destinations. The cascade in failDest covers deeper subtrees.
-func (x *ni) failSendDests(m *Message, spec *WormSpec) {
-	if spec == nil {
-		for _, kid := range m.Plan.NITree[x.node] {
-			x.net.failDest(m, kid)
-		}
-		return
-	}
-	for _, d := range spec.delivered() {
-		x.net.failDest(m, d)
-	}
-}
-
 // dropBurst fails the destinations of every worm in b that has not started
 // streaming and recycles them (un-streamed worms hold no reference legs),
 // then recycles the burst itself.
@@ -438,56 +403,4 @@ func (x *ni) abortMessage(m *Message) {
 	}
 	delete(x.rxMsgs, m)
 	delete(x.rxHeld, m)
-}
-
-// orphan marks the NI dead (its home switch failed) and abandons all
-// injection state; every undelivered destination of every queued or
-// streaming worm is failed. Partially received messages fail at this node.
-func (x *ni) orphan() {
-	if x.dead {
-		return
-	}
-	x.dead = true
-	n := x.net
-	if br := x.inj.sender; br != nil && !br.done {
-		n.killBranch(br)
-		n.killDownstream(br)
-		n.failBranchDests(br)
-	}
-	x.streaming = false
-	for _, b := range x.ready {
-		x.dropBurst(b)
-	}
-	x.ready = nil
-	for _, b := range x.injWait {
-		x.dropBurst(b)
-	}
-	x.injWait = nil
-	x.injHeld = 0
-	// Reception side: deterministically fail partially received messages.
-	msgs := make([]*Message, 0, 1+len(x.rxMsgs)+len(x.rxHeld))
-	seen := make(map[*Message]bool)
-	if w := x.dropAssembly(); w != nil {
-		seen[w.msg] = true
-		msgs = append(msgs, w.msg)
-		// Release the NI assembly leg after reading w.msg: the decref can
-		// recycle the worm.
-		x.net.wormDecref(w)
-	}
-	for m := range x.rxMsgs {
-		if !seen[m] {
-			seen[m] = true
-			msgs = append(msgs, m)
-		}
-	}
-	for m := range x.rxHeld {
-		if !seen[m] {
-			seen[m] = true
-			msgs = append(msgs, m)
-		}
-	}
-	sort.Slice(msgs, func(i, j int) bool { return msgs[i].ID < msgs[j].ID })
-	for _, m := range msgs {
-		n.failDest(m, x.node)
-	}
 }

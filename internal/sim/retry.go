@@ -60,8 +60,8 @@ type Delivery struct {
 	Attempts  int
 	Initiated event.Time
 	// Completed is when the protocol finished: every destination
-	// delivered, or the remainder abandoned (dead nodes, exhausted
-	// attempts, or an un-replannable remainder).
+	// delivered, or the remainder abandoned (exhausted attempts, or an
+	// un-replannable remainder).
 	Completed event.Time
 	// DoneAt merges each destination's first successful host delivery
 	// across attempts.
@@ -82,7 +82,7 @@ func (d *Delivery) Latency() event.Time { return d.Completed - d.Initiated }
 
 // SendReliable runs plan under the NI-level reliable-delivery protocol:
 // the message is sent at time at; if the attempt times out or completes
-// with failed destinations, the live remainder is re-planned via replan
+// with failed destinations, the failed remainder is re-planned via replan
 // (against current routing tables) and retransmitted after exponential
 // backoff, up to pol.MaxAttempts attempts. onDone (optional) fires when
 // the protocol finishes. The returned Delivery is filled in as the
@@ -119,20 +119,12 @@ func (n *Network) SendReliable(plan *Plan, flits int, at event.Time, replan Repl
 					d.DoneAt[node] = t
 				}
 			}
-			rem := m.FailedDests()
-			if len(rem) == 0 {
+			retry := m.FailedDests()
+			if len(retry) == 0 {
 				finish()
 				return
 			}
-			var retry []topology.NodeID
-			for _, q := range rem {
-				if n.NodeAlive(q) {
-					retry = append(retry, q)
-				} else {
-					d.Failed = append(d.Failed, q)
-				}
-			}
-			if len(retry) == 0 || d.Attempts >= pol.MaxAttempts {
+			if d.Attempts >= pol.MaxAttempts {
 				d.Failed = append(d.Failed, retry...)
 				finish()
 				return

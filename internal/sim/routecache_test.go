@@ -86,8 +86,8 @@ func TestRouteCacheTraceEquivalence(t *testing.T) {
 }
 
 // runFaultScript runs tree traffic, fails a link, drains past the
-// reconfiguration, runs more traffic against the swapped tables, repairs
-// the link, reconfigures again, and finishes with a final storm. Every
+// reconfiguration, runs more traffic against the swapped tables, fails a
+// second link, reconfigures again, and finishes with a final storm. Every
 // step happens at a deterministic simulation time, so a cached and an
 // uncached network replay the identical schedule.
 func runFaultScript(t *testing.T, n *Network) []TraceEvent {
@@ -108,21 +108,21 @@ func runFaultScript(t *testing.T, n *Network) []TraceEvent {
 		mustRun(t, n, treeStormPlan(src), 48) // decisions under the degraded tables
 	}
 
-	n.RepairLink(0)
+	n.FailLink(8) // switch 5 <-> switch 7; the graph stays connected
 	n.RunUntil(n.Now() + settle)
 	if n.Stats().Reconfigs != 2 {
-		t.Fatalf("expected 2 reconfigurations after the repair, got %d", n.Stats().Reconfigs)
+		t.Fatalf("expected 2 reconfigurations after the second fault, got %d", n.Stats().Reconfigs)
 	}
 	for _, src := range []topology.NodeID{0, 4, 7} {
-		mustRun(t, n, treeStormPlan(src), 48) // decisions under the restored tables
+		mustRun(t, n, treeStormPlan(src), 48) // decisions under the twice-swapped tables
 	}
 	return evs
 }
 
 // TestRouteCacheEpochInvalidation pins the cache's one lifetime rule:
-// swapRouting, and nothing else, empties it. After a fault and again
-// after a repair, cached decisions must match a cache-disabled twin bit
-// for bit; a stale entry surviving either table swap would route a worm
+// swapRouting, and nothing else, empties it. After each of two faults,
+// cached decisions must match a cache-disabled twin bit for bit; a
+// stale entry surviving either table swap would route a worm
 // down a port the new tables never pick and the traces would diverge at
 // the first post-reconfiguration grant. Then, on one network, entries
 // filled under the healthy tables must survive the fault itself and a

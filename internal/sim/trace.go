@@ -19,7 +19,7 @@ const (
 	TraceTail
 	// TraceDeliver: a packet fully assembled at a destination NI.
 	TraceDeliver
-	// TraceFault: a link or switch failed (or a link was repaired).
+	// TraceFault: a link failed (Switch and Port name its A end).
 	TraceFault
 	// TraceKill: a worm was torn down by the fault layer.
 	TraceKill

@@ -387,9 +387,7 @@ func (t *Topology) LinkAt(s SwitchID, p int) int {
 // ConnectedExcluding reports whether the switch graph stays connected when
 // the flagged links and switches are treated as dead. deadLink is indexed
 // like Links, deadSwitch like switch IDs; either may be nil (nothing dead).
-// Fault planners use it to pick non-partitioning failure schedules, and the
-// reconfiguration layer uses it as a cheap pre-check before rebuilding
-// up*/down* state.
+// Fault planners use it to pick non-partitioning failure schedules.
 func (t *Topology) ConnectedExcluding(deadLink []bool, deadSwitch []bool) bool {
 	linkDead := func(i int) bool { return i < len(deadLink) && deadLink[i] }
 	swDead := func(s SwitchID) bool { return int(s) < len(deadSwitch) && deadSwitch[s] }
@@ -426,42 +424,6 @@ func (t *Topology) ConnectedExcluding(deadLink []bool, deadSwitch []bool) bool {
 		}
 	}
 	return count == alive
-}
-
-// RemoveSwitch returns a copy of t with switch s and all its links removed,
-// renumbering switches above s down by one. Like RemoveLink it fails if the
-// removal disconnects the surviving switch graph (partition detection comes
-// from Build's validation). Switches with attached nodes cannot be removed:
-// their hosts would have no attachment point, which the fault model treats
-// as node failure, a different experiment.
-func (t *Topology) RemoveSwitch(s SwitchID) (*Topology, error) {
-	if int(s) < 0 || int(s) >= t.NumSwitches {
-		return nil, fmt.Errorf("topology: switch %d out of range", s)
-	}
-	if t.NumSwitches == 1 {
-		return nil, fmt.Errorf("topology: cannot remove the only switch")
-	}
-	if nodes := t.NodesAt(s); len(nodes) > 0 {
-		return nil, fmt.Errorf("topology: switch %d has %d attached nodes", s, len(nodes))
-	}
-	renum := func(x SwitchID) int {
-		if x > s {
-			return int(x) - 1
-		}
-		return int(x)
-	}
-	var links [][4]int
-	for _, l := range t.Links {
-		if l.A == s || l.B == s {
-			continue
-		}
-		links = append(links, [4]int{renum(l.A), l.APort, renum(l.B), l.BPort})
-	}
-	nodes := make([][2]int, t.NumNodes)
-	for n := 0; n < t.NumNodes; n++ {
-		nodes[n] = [2]int{renum(t.NodeSwitch[n]), t.NodePort[n]}
-	}
-	return Build(t.NumSwitches-1, t.PortsPerSwitch, links, nodes)
 }
 
 // SwitchDistances returns hop distances between switches over inter-switch

@@ -361,64 +361,3 @@ func TestConnectedExcluding(t *testing.T) {
 		t.Fatal("cutting switches 2+3 not reported as partition")
 	}
 }
-
-// nodelessFixture builds a 4-switch cycle with a chord, nodes only on
-// switches 0 and 2, so interior switches are removable.
-func nodelessFixture(t *testing.T) *Topology {
-	t.Helper()
-	links := [][4]int{
-		{0, 0, 1, 0}, {1, 1, 2, 0}, {2, 1, 3, 0}, {3, 1, 0, 1}, {1, 2, 3, 2},
-	}
-	topo, err := Build(4, 4, links, [][2]int{{0, 3}, {2, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return topo
-}
-
-func TestRemoveSwitch(t *testing.T) {
-	topo := nodelessFixture(t)
-	out, err := topo.RemoveSwitch(1)
-	if err != nil {
-		t.Fatalf("RemoveSwitch: %v", err)
-	}
-	if out.NumSwitches != 3 || len(out.Links) != 2 {
-		t.Fatalf("got %d switches, %d links; want 3, 2", out.NumSwitches, len(out.Links))
-	}
-	// Renumbering: old switch 2 -> 1, old switch 3 -> 2; node 1 (was on
-	// switch 2) must follow.
-	if out.NodeSwitch[1] != 1 {
-		t.Fatalf("node 1 on switch %d after renumbering, want 1", out.NodeSwitch[1])
-	}
-	for _, l := range out.Links {
-		if int(l.A) >= out.NumSwitches || int(l.B) >= out.NumSwitches {
-			t.Fatalf("dangling link %v after removal", l)
-		}
-	}
-}
-
-func TestRemoveSwitchRejections(t *testing.T) {
-	topo := nodelessFixture(t)
-	if _, err := topo.RemoveSwitch(0); err == nil {
-		t.Fatal("removed a switch with attached nodes")
-	}
-	if _, err := topo.RemoveSwitch(99); err == nil {
-		t.Fatal("out-of-range switch accepted")
-	}
-	// Removing switch 3 leaves 0-1-2 connected; then removing 1 from THAT
-	// would disconnect 0 from 2 (only path was through 1).
-	out, err := topo.RemoveSwitch(3)
-	if err != nil {
-		t.Fatalf("RemoveSwitch(3): %v", err)
-	}
-	if _, err := out.RemoveSwitch(1); err == nil {
-		t.Fatal("partitioning removal accepted")
-	}
-	one, err := Build(1, 4, nil, [][2]int{{0, 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := one.RemoveSwitch(0); err == nil {
-		t.Fatal("removed the only switch")
-	}
-}

@@ -46,9 +46,9 @@ type ChurnSpec struct {
 	MinMembers int
 	MaxMembers int
 	// Faults, when non-nil, builds probe i's fault schedule (as in
-	// FaultSpec.Faults), composing link/switch failures with membership
-	// churn. Sends stay plain (not reliable), so lost destinations show
-	// up directly in the delivery ratio.
+	// FaultSpec.Faults), composing link failures with membership churn.
+	// Sends stay plain (not reliable), so lost destinations show up
+	// directly in the delivery ratio.
 	Faults func(probe int, rt *updown.Routing) *sim.FaultSchedule
 }
 

@@ -308,8 +308,8 @@ type FaultProbe struct {
 	// switch graph disconnected.
 	Partitioned bool
 	// Post is a clean probe's latency on the post-fault network (NaN when
-	// it could not be fully delivered or no probe fit the survivors);
-	// PostDelivered/PostTotal give its delivery counts.
+	// it could not be planned, run or fully delivered); PostDelivered/
+	// PostTotal give its delivery counts.
 	Post                     float64
 	PostDelivered, PostTotal int
 }
@@ -372,24 +372,10 @@ func runFault(rt *updown.Routing, w Workload, spec FaultSpec, o *runOpts) ([]Fau
 
 func nan() float64 { return math.NaN() }
 
-// postFaultProbe runs one clean reliable multicast among surviving nodes
-// on the settled post-fault network, against the reconfigured tables.
+// postFaultProbe runs one clean reliable multicast on the settled
+// post-fault network, against the reconfigured tables.
 func postFaultProbe(n *sim.Network, r *rng.Source, w Workload, replan sim.Replanner, pol sim.RetryPolicy) (FaultProbe, bool) {
-	var alive []topology.NodeID
-	for node := 0; node < n.Topology().NumNodes; node++ {
-		if n.NodeAlive(topology.NodeID(node)) {
-			alive = append(alive, topology.NodeID(node))
-		}
-	}
-	if len(alive) < w.Degree+1 {
-		return FaultProbe{}, false
-	}
-	picks := r.Sample(len(alive), w.Degree+1)
-	src := alive[picks[0]]
-	dests := make([]topology.NodeID, w.Degree)
-	for i, v := range picks[1:] {
-		dests[i] = alive[v]
-	}
+	src, dests := randomSet(r, n.Topology().NumNodes, w.Degree)
 	plan, err := w.Scheme.Plan(n.Routing(), w.Params, src, dests, w.MsgFlits)
 	if err != nil {
 		return FaultProbe{}, false

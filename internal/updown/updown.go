@@ -32,10 +32,10 @@ import (
 	"mcastsim/internal/topology"
 )
 
-// ErrPartitioned reports that the alive switch graph is disconnected, so no
-// routing state covering every surviving switch exists. Reconfiguration
-// keeps the old tables when it sees this.
-var ErrPartitioned = errors.New("updown: alive switch graph is partitioned")
+// ErrPartitioned reports that the dead links disconnect the switch graph,
+// so no routing state covering every switch exists. Reconfiguration keeps
+// the old tables when it sees this.
+var ErrPartitioned = errors.New("updown: switch graph is partitioned")
 
 // Dir classifies a switch port under the up/down orientation.
 type Dir uint8
@@ -122,13 +122,11 @@ type Routing struct {
 	// costs O(runs) rather than N bits.
 	Cover []*destset.Runs
 
-	// deadSwitch[s] / deadPort[s][p] mark failed switches and ports whose
-	// link, peer switch, or own switch has failed. A dead port keeps
+	// deadPort[s][p] marks ports whose link has failed. A dead port keeps
 	// Dirs == DirNone, so every consumer of the orientation (NextHops,
 	// the link views, DownReach, tree climbs) avoids it without
 	// special-casing faults.
-	deadSwitch []bool
-	deadPort   [][]bool
+	deadPort [][]bool
 
 	// Opts records the options this state was built with, so a
 	// reconfiguration can recompute routing under the same policy with an
@@ -164,15 +162,11 @@ type Options struct {
 	CenterRoot bool
 	// Tree selects BFS (default, the paper's model) or DFS construction.
 	Tree TreePolicy
-	// DeadLinks lists indices into Topo.Links of failed links; DeadSwitches
-	// lists failed switches (all their ports die with them). Routing is
-	// computed over the surviving subgraph: dead ports stay DirNone, dead
-	// switches get no levels, and verification covers only alive switches
-	// and the nodes attached to them. If the alive subgraph is
-	// disconnected, construction fails with an error wrapping
-	// ErrPartitioned.
-	DeadLinks    []int
-	DeadSwitches []topology.SwitchID
+	// DeadLinks lists indices into Topo.Links of failed links. Routing is
+	// computed over the surviving links: dead ports stay DirNone. If they
+	// leave the switch graph disconnected, construction fails with an
+	// error wrapping ErrPartitioned.
+	DeadLinks []int
 }
 
 // New computes the full routing state for t with the default root.
@@ -187,28 +181,15 @@ func NewWithOptions(t *topology.Topology, opt Options) (*Routing, error) {
 		return nil, err
 	}
 	root := opt.Root
-	if root >= 0 {
-		if int(root) >= t.NumSwitches {
-			return nil, fmt.Errorf("updown: root %d out of range", root)
-		}
-		if r.deadSwitch[root] {
-			return nil, fmt.Errorf("updown: root %d is a dead switch", root)
-		}
-	} else {
-		// Default: lowest alive switch; with CenterRoot, a center of the
-		// alive subgraph (minimum eccentricity, ties to the lower ID).
-		root = -1
-		for s := 0; s < t.NumSwitches; s++ {
-			if !r.deadSwitch[s] {
-				root = topology.SwitchID(s)
-				break
-			}
-		}
-		if root < 0 {
-			return nil, fmt.Errorf("updown: every switch is dead")
-		}
+	if int(root) >= t.NumSwitches {
+		return nil, fmt.Errorf("updown: root %d out of range", root)
+	}
+	if root < 0 {
+		// Default: switch 0; with CenterRoot, a graph center (minimum
+		// eccentricity, ties to the lower ID).
+		root = 0
 		if opt.CenterRoot {
-			root = r.centerAlive()
+			root = r.center()
 		}
 	}
 	r.Root = root
@@ -217,10 +198,10 @@ func NewWithOptions(t *topology.Topology, opt Options) (*Routing, error) {
 	} else {
 		r.computeTree()
 	}
-	// A surviving switch the tree never reached means the alive subgraph is
-	// disconnected: no single up*/down* state can serve it.
+	// A switch the tree never reached means the dead links disconnect the
+	// graph: no single up*/down* state can serve it.
 	for s := 0; s < t.NumSwitches; s++ {
-		if !r.deadSwitch[s] && r.Level[s] == -1 {
+		if r.Level[s] == -1 {
 			return nil, fmt.Errorf("updown: switch %d unreachable from root %d: %w", s, root, ErrPartitioned)
 		}
 	}
@@ -234,18 +215,10 @@ func NewWithOptions(t *topology.Topology, opt Options) (*Routing, error) {
 	return r, nil
 }
 
-// buildMasks derives deadSwitch/deadPort from the options. A port is dead
-// when its switch is dead, its link is listed dead, or its peer switch is
-// dead.
+// buildMasks derives deadPort from the options: both ends of every listed
+// link are dead.
 func (r *Routing) buildMasks(opt Options) error {
 	t := r.Topo
-	r.deadSwitch = make([]bool, t.NumSwitches)
-	for _, s := range opt.DeadSwitches {
-		if int(s) < 0 || int(s) >= t.NumSwitches {
-			return fmt.Errorf("updown: dead switch %d out of range", s)
-		}
-		r.deadSwitch[s] = true
-	}
 	r.deadPort = make([][]bool, t.NumSwitches)
 	for s := range r.deadPort {
 		r.deadPort[s] = make([]bool, t.PortsPerSwitch)
@@ -258,28 +231,16 @@ func (r *Routing) buildMasks(opt Options) error {
 		r.deadPort[l.A][l.APort] = true
 		r.deadPort[l.B][l.BPort] = true
 	}
-	for s := 0; s < t.NumSwitches; s++ {
-		for p := 0; p < t.PortsPerSwitch; p++ {
-			e := t.Conn[s][p]
-			if r.deadSwitch[s] || (e.Kind == topology.ToSwitch && r.deadSwitch[e.Switch]) {
-				r.deadPort[s][p] = true
-			}
-		}
-	}
 	return nil
 }
 
-// centerAlive returns an alive switch of minimum eccentricity over the
-// alive subgraph (lowest ID among ties). Must be called after buildMasks on
-// a connected alive subgraph; unreachable alive switches are caught later
-// by the tree check.
-func (r *Routing) centerAlive() topology.SwitchID {
+// center returns a switch of minimum eccentricity over the surviving
+// links (lowest ID among ties). Must be called after buildMasks; if the
+// dead links disconnect the graph, the tree check catches it later.
+func (r *Routing) center() topology.SwitchID {
 	t := r.Topo
 	best, bestEcc := -1, unreachable
 	for src := 0; src < t.NumSwitches; src++ {
-		if r.deadSwitch[src] {
-			continue
-		}
 		dist := make([]int, t.NumSwitches)
 		for i := range dist {
 			dist[i] = -1
@@ -574,16 +535,12 @@ func (r *Routing) computeReachability() {
 // pairwise-reachability sweep (covers every paper/S/M experiment size).
 const verifyPairwiseMax = 2048
 
-// verify checks the invariants the rest of the system depends on,
-// restricted to the alive subgraph when faults are masked out.
+// verify checks the invariants the rest of the system depends on.
 func (r *Routing) verify() error {
 	t := r.Topo
-	// Every alive non-root switch has at least one up port (its tree
-	// parent link), and the root has none.
+	// Every non-root switch has at least one up port (its tree parent
+	// link), and the root has none.
 	for s := 0; s < t.NumSwitches; s++ {
-		if r.deadSwitch[s] {
-			continue
-		}
 		ups := len(r.up[s])
 		if s == int(r.Root) && ups != 0 {
 			return fmt.Errorf("updown: root has %d up ports", ups)
@@ -592,55 +549,39 @@ func (r *Routing) verify() error {
 			return fmt.Errorf("updown: switch %d has no up port", s)
 		}
 	}
-	// Every alive switch pair must be mutually reachable by a legal route.
+	// Every switch pair must be mutually reachable by a legal route.
 	// The explicit pairwise sweep runs every destination's row BFS —
 	// O(S·(S+L)) time — so it is gated to paper/experiment sizes. The rows
 	// are computed in one reused scratch pair and never published: O(S)
 	// space, and routing builds only the rows it later routes toward. At
-	// larger sizes the property holds structurally: every alive switch
-	// has an all-up path to the root (the tree-parent chain, whose
+	// larger sizes the property holds structurally: every switch has an
+	// all-up path to the root (the tree-parent chain, whose
 	// (level, id) strictly decreases — checked above via up ports), and
 	// every tree edge parent→child is a down link, so the root reaches
-	// every alive switch down-only (the root-cover check below confirms
+	// every switch down-only (the root-cover check below confirms
 	// the node-level consequence). Climb-then-descend is a legal route.
 	if t.NumSwitches <= verifyPairwiseMax {
 		dist := make(distRow, 2*t.NumSwitches)
 		queue := make([]int32, 0, 2*t.NumSwitches)
 		for d := 0; d < t.NumSwitches; d++ {
-			if r.deadSwitch[d] {
-				continue
-			}
 			queue = r.reverseBFS(d, dist, queue)
 			for s := 0; s < t.NumSwitches; s++ {
-				if !r.deadSwitch[s] && dist.at(topology.SwitchID(s), PhaseUp) >= unreachable32 {
+				if dist.at(topology.SwitchID(s), PhaseUp) >= unreachable32 {
 					return fmt.Errorf("updown: no legal route %d -> %d", s, d)
 				}
 			}
 		}
 	}
-	// The root must cover every reachable node (tree worms terminate there
-	// at worst).
-	live := 0
-	for n := 0; n < t.NumNodes; n++ {
-		if !r.deadSwitch[t.NodeSwitch[n]] {
-			live++
-		}
-	}
-	if r.Cover[r.Root].Count() != live {
-		return fmt.Errorf("updown: root covers %d of %d reachable nodes", r.Cover[r.Root].Count(), live)
+	// The root must cover every node (tree worms terminate there at
+	// worst).
+	if r.Cover[r.Root].Count() != t.NumNodes {
+		return fmt.Errorf("updown: root covers %d of %d nodes", r.Cover[r.Root].Count(), t.NumNodes)
 	}
 	return nil
 }
 
-// SwitchAlive reports whether switch s survived the fault mask this routing
-// state was built with (always true for a fault-free routing).
-func (r *Routing) SwitchAlive(s topology.SwitchID) bool {
-	return !r.deadSwitch[s]
-}
-
-// PortAlive reports whether switch s, port p survived the fault mask (its
-// switch, link, and peer all alive). Node and open ports of alive switches
-// are alive.
+// PortAlive reports whether switch s, port p survived the fault mask: its
+// link is not listed dead. Node and open ports are always alive.
 func (r *Routing) PortAlive(s topology.SwitchID, p int) bool {
 	return !r.deadPort[s][p]
 }
