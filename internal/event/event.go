@@ -38,9 +38,22 @@
 // events (timeouts, fault injections, stall watchdogs) take the heap
 // path and migrate into the ring, in (at, seq) order, exactly when their
 // cycle enters the window, so FIFO-within-cycle is preserved end to end.
+//
+// # Ring lifetime
+//
+// A queue takes its calendar ring on its first post. Release hands an
+// empty queue's ring to a process-wide pool, and the next queue to post
+// takes it from there instead of growing its 1,024 buckets from nil: a
+// simulation that builds one network per probe grows the ring once per
+// goroutine rather than once per probe. Every slot the queue retains is
+// cleared when its event leaves, so a released ring holds no actor and
+// pins nothing of the network that used it.
 package event
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Time is a simulation timestamp in cycles.
 type Time int64
@@ -112,6 +125,10 @@ type bucket struct {
 	items []slot
 }
 
+// rings holds the bucket arrays of released queues (see Release), as
+// *[]bucket.
+var rings sync.Pool
+
 // Queue is a future-event list. The zero value is ready to use.
 type Queue struct {
 	now   Time
@@ -119,9 +136,10 @@ type Queue struct {
 	ran   uint64
 	table [MaxKinds]Handler
 
-	// buckets[t&(ringSize-1)] holds events at cycle t
-	// for t in [cursor, cursor+ringSize); pending counts the logical
-	// events the ring's slots stand for.
+	// buckets is the calendar ring, nil until the first post and again
+	// after Release. buckets[t&(ringSize-1)] holds events at cycle t for
+	// t in [cursor, cursor+ringSize); pending counts the logical events
+	// the ring's slots stand for.
 	buckets []bucket
 	cursor  Time
 	pending int
@@ -235,8 +253,7 @@ func (q *Queue) Post(t Time, k Kind, actor any, arg int64) {
 		panic(fmt.Sprintf("event: scheduling at %d before now %d", t, q.now))
 	}
 	if q.buckets == nil {
-		q.buckets = make([]bucket, ringSize)
-		q.cursor = q.now
+		q.takeRing()
 	}
 	if t < q.cursor+ringSize {
 		b := &q.buckets[t&(ringSize-1)]
@@ -265,8 +282,7 @@ func (q *Queue) Post(t Time, k Kind, actor any, arg int64) {
 // past, beyond the window, or n < 1 panics.
 func (q *Queue) PostFused(t Time, k Kind, actor any, arg int64, n int) {
 	if q.buckets == nil {
-		q.buckets = make([]bucket, ringSize)
-		q.cursor = q.now
+		q.takeRing()
 	}
 	if t < q.now || t >= q.cursor+ringSize || n < 1 || uint64(n) > 1<<32 {
 		panic(fmt.Sprintf("event: fused post of %d events at %d, want n >= 1 and %d <= t < %d", n, t, q.now, q.cursor+ringSize))
@@ -279,6 +295,33 @@ func (q *Queue) PostFused(t Time, k Kind, actor any, arg int64, n int) {
 		return
 	}
 	q.bucketAppend(b, s)
+}
+
+// takeRing gives the queue a calendar ring: a released one if the pool
+// holds one, else empty buckets.
+func (q *Queue) takeRing() {
+	if r, ok := rings.Get().(*[]bucket); ok {
+		q.buckets = *r
+	} else {
+		q.buckets = make([]bucket, ringSize)
+	}
+	q.cursor = q.now
+}
+
+// Release hands the calendar ring of an empty queue, with the slices its
+// buckets kept (at most shrinkCap slots each), to the next queue that
+// posts, in this goroutine or another. It does nothing while an event is
+// pending. The queue stays usable: its next post takes a ring again.
+// Every slot of an empty queue is cleared and every bucket reset (each
+// pop clears its slot, and the pop that empties a bucket resets it), so
+// the released ring holds no actor.
+func (q *Queue) Release() {
+	if q.buckets == nil || q.Len() != 0 {
+		return
+	}
+	r := q.buckets
+	q.buckets = nil
+	rings.Put(&r)
 }
 
 // bucketAppend adds an entry to a ring bucket, reusing pooled slices.
@@ -298,6 +341,9 @@ func (q *Queue) bucketAppend(b *bucket, s slot) {
 			p = p[:len(b.items)]
 			copy(p, b.items)
 			if c := cap(b.items); c > 0 && c <= shrinkCap && len(q.smalls) < smallsMax {
+				// The slots were copied to p; the stashed slice must not
+				// keep their actors alive.
+				clear(b.items)
 				q.smalls = append(q.smalls, b.items[:0])
 			}
 			b.items = p

@@ -30,7 +30,6 @@ package pathworm
 
 import (
 	"fmt"
-	"sort"
 
 	"mcastsim/internal/mcast"
 	"mcastsim/internal/sim"
@@ -82,13 +81,10 @@ func (s Scheme) Plan(rt *updown.Routing, _ sim.Params, src topology.NodeID, dest
 // Cover runs the integrated worm construction and phase schedule.
 func (s Scheme) Cover(rt *updown.Routing, src topology.NodeID, dests []topology.NodeID) (Result, error) {
 	groups, switchList := mcast.DestSwitches(rt, dests)
-	uncovered := make(map[topology.SwitchID]bool, len(switchList))
-	for _, sw := range switchList {
-		uncovered[sw] = true
-	}
+	c := newCoverSearch(rt, switchList)
 	res := Result{Sends: make(map[topology.NodeID][]sim.WormSpec)}
 	informed := []topology.NodeID{src}
-	for len(uncovered) > 0 {
+	for c.left > 0 {
 		res.Phases++
 		if res.Phases > len(switchList)+2 {
 			return Result{}, fmt.Errorf("pathworm: cover failed to converge")
@@ -100,10 +96,10 @@ func (s Scheme) Cover(rt *updown.Routing, src topology.NodeID, dests []topology.
 		usedLinks := map[[2]int]bool{}
 		sent := 0
 		for _, sender := range informed {
-			if len(uncovered) == 0 {
+			if c.left == 0 {
 				break
 			}
-			worm := bestWorm(rt, rt.Topo.NodeSwitch[sender], uncovered, groups, s.Greedy)
+			worm := c.bestWorm(rt.Topo.NodeSwitch[sender], groups, s.Greedy)
 			if sent > 0 && sharesLink(worm, usedLinks) {
 				continue
 			}
@@ -113,7 +109,8 @@ func (s Scheme) Cover(rt *updown.Routing, src topology.NodeID, dests []topology.
 			res.Worms++
 			for _, seg := range worm.Path {
 				if len(seg.Drops) > 0 {
-					delete(uncovered, seg.Switch)
+					c.uncovered[seg.Switch] = false
+					c.left--
 					newly = append(newly, seg.Drops...)
 				}
 			}
@@ -154,33 +151,68 @@ func (s Scheme) Worms(rt *updown.Routing, src topology.NodeID, dests []topology.
 	return res.Worms
 }
 
-// state indexes the (switch, phase) legal-routing DAG.
-type state struct {
-	sw topology.SwitchID
-	ph updown.Phase
+// coverSearch is one Cover call's scratch. Its dynamic program runs on
+// arrays indexed by routing state, switch*2+phase; memo entries stamped
+// with an older generation belong to an earlier terminal, so moving to
+// the next terminal only bumps gen.
+type coverSearch struct {
+	rt         *updown.Routing
+	switchList []topology.SwitchID // destination switches, ascending
+	uncovered  []bool              // by switch
+	left       int                 // destination switches still uncovered
+
+	// The current terminal's dynamic program.
+	T      topology.SwitchID
+	gen    uint32
+	memo   []coverMemo
+	ports  []int // NextHops output, one frame per recursion level
+	phases []updown.Phase
+
+	steps, best []pathStep // the last path searched; the best so far
+}
+
+// coverMemo is one routing state's result for the current terminal: the
+// most uncovered switches a shortest path from the state to T visits, and
+// the output port that path leaves by (-1 at T).
+type coverMemo struct {
+	gen   uint32
+	cover int32
+	port  int32
+}
+
+func newCoverSearch(rt *updown.Routing, switchList []topology.SwitchID) *coverSearch {
+	S := rt.Topo.NumSwitches
+	c := &coverSearch{
+		rt:         rt,
+		switchList: switchList,
+		uncovered:  make([]bool, S),
+		left:       len(switchList),
+		memo:       make([]coverMemo, 2*S),
+	}
+	for _, sw := range switchList {
+		c.uncovered[sw] = true
+	}
+	return c
 }
 
 // bestWorm selects the sender's next worm. Less-greedy (default): target
 // the nearest uncovered destination switch, breaking distance ties toward
 // the path covering the most other uncovered switches. Greedy: maximize
 // covered switches outright, breaking ties toward the shorter path.
-func bestWorm(rt *updown.Routing, s0 topology.SwitchID, uncovered map[topology.SwitchID]bool,
-	groups map[topology.SwitchID][]topology.NodeID, greedy bool) sim.WormSpec {
-	terminals := make([]topology.SwitchID, 0, len(uncovered))
-	for sw := range uncovered {
-		terminals = append(terminals, sw)
-	}
-	sort.Slice(terminals, func(i, j int) bool { return terminals[i] < terminals[j] })
-
+// Terminals are tried in ascending switch order.
+func (c *coverSearch) bestWorm(s0 topology.SwitchID, groups map[topology.SwitchID][]topology.NodeID, greedy bool) sim.WormSpec {
 	bestCover, bestLen := -1, int(^uint(0)>>2)
-	var bestPath []pathStep
-	for _, T := range terminals {
-		dist := rt.DistUp(s0, T)
-		if !greedy && dist > bestLen-1 && bestPath != nil {
+	c.best = c.best[:0]
+	for _, T := range c.switchList {
+		if !c.uncovered[T] {
+			continue
+		}
+		dist := c.rt.DistUp(s0, T)
+		if !greedy && dist > bestLen-1 && len(c.best) > 0 {
 			continue // a nearer terminal already chosen
 		}
-		cover, path := maxCoverPath(rt, s0, T, uncovered)
-		length := len(path)
+		cover := c.maxCoverPath(s0, T)
+		length := len(c.steps)
 		better := false
 		if greedy {
 			better = cover > bestCover || (cover == bestCover && length < bestLen)
@@ -188,10 +220,11 @@ func bestWorm(rt *updown.Routing, s0 topology.SwitchID, uncovered map[topology.S
 			better = length < bestLen || (length == bestLen && cover > bestCover)
 		}
 		if better {
-			bestCover, bestLen, bestPath = cover, length, path
+			bestCover, bestLen = cover, length
+			c.best = append(c.best[:0], c.steps...)
 		}
 	}
-	return makeSpec(bestPath, uncovered, groups)
+	return makeSpec(c.best, c.uncovered, groups)
 }
 
 // pathStep is one switch of a reconstructed path plus the output port
@@ -204,69 +237,72 @@ type pathStep struct {
 // maxCoverPath computes, over all shortest legal paths s0 -> T, the one
 // visiting the most uncovered destination switches (DP over the shortest-
 // path DAG; shortest paths cannot revisit a switch, so coverage is
-// additive). It returns the coverage count and the step sequence,
-// including both endpoints.
-func maxCoverPath(rt *updown.Routing, s0, T topology.SwitchID, uncovered map[topology.SwitchID]bool) (int, []pathStep) {
-	memo := map[state]int{}
-	choice := map[state]pathStep{}
-	var f func(st state) int
-	f = func(st state) int {
-		if v, ok := memo[st]; ok {
-			return v
-		}
-		cover := 0
-		if uncovered[st.sw] {
-			cover = 1
-		}
-		if st.sw == T {
-			memo[st] = cover
-			choice[st] = pathStep{sw: st.sw, port: -1}
-			return cover
-		}
-		ports, phases := rt.NextHops(st.sw, st.ph, T, nil, nil)
-		best := -1
-		var bestStep pathStep
-		for i, p := range ports {
-			next := state{rt.Topo.Conn[st.sw][p].Switch, phases[i]}
-			if v := f(next); v > best || (v == best && p < bestStep.port) {
-				best = v
-				bestStep = pathStep{sw: st.sw, port: p}
-			}
-		}
-		if best < 0 {
-			// T unreachable from st — cannot happen for validated routing.
-			panic(fmt.Sprintf("pathworm: no legal continuation from switch %d to %d", st.sw, T))
-		}
-		memo[st] = cover + best
-		choice[st] = bestStep
-		return cover + best
-	}
-	start := state{s0, updown.PhaseUp}
-	total := f(start)
+// additive). It returns the coverage count and leaves the step sequence,
+// including both endpoints, in c.steps.
+func (c *coverSearch) maxCoverPath(s0, T topology.SwitchID) int {
+	c.T = T
+	c.gen++
+	total := c.visit(s0, updown.PhaseUp)
 	// Reconstruct by replaying choices.
-	var steps []pathStep
-	cur := start
+	c.steps = c.steps[:0]
+	sw, ph := s0, updown.PhaseUp
 	for {
-		step := choice[cur]
-		steps = append(steps, step)
-		if step.port == -1 {
+		port := int(c.memo[int(sw)*2+int(ph)].port)
+		c.steps = append(c.steps, pathStep{sw: sw, port: port})
+		if port == -1 {
 			break
 		}
-		nextSw := rt.Topo.Conn[cur.sw][step.port].Switch
-		nextPh := cur.ph
-		if rt.Dirs[cur.sw][step.port] == updown.DirDown {
-			nextPh = updown.PhaseDown
+		if c.rt.Dirs[sw][port] == updown.DirDown {
+			ph = updown.PhaseDown
 		}
-		cur = state{nextSw, nextPh}
+		sw = c.rt.Topo.Conn[sw][port].Switch
 	}
-	return total, steps
+	return int(total)
+}
+
+// visit returns the best coverage from state (sw, ph) to c.T, memoised
+// for the current generation.
+func (c *coverSearch) visit(sw topology.SwitchID, ph updown.Phase) int32 {
+	m := &c.memo[int(sw)*2+int(ph)]
+	if m.gen == c.gen {
+		return m.cover
+	}
+	var cover int32
+	if c.uncovered[sw] {
+		cover = 1
+	}
+	if sw == c.T {
+		*m = coverMemo{gen: c.gen, cover: cover, port: -1}
+		return cover
+	}
+	// This level's next hops occupy ports[base:end]; deeper levels append
+	// after them and truncate back before returning.
+	base := len(c.ports)
+	c.ports, c.phases = c.rt.NextHops(sw, ph, c.T, c.ports, c.phases)
+	end := len(c.ports)
+	best, bestPort := int32(-1), -1
+	for i := base; i < end; i++ {
+		// Ports arrive in ascending order, so the first maximum is the
+		// lowest port.
+		p := c.ports[i]
+		if v := c.visit(c.rt.Topo.Conn[sw][p].Switch, c.phases[i]); v > best {
+			best, bestPort = v, p
+		}
+	}
+	c.ports, c.phases = c.ports[:base], c.phases[:base]
+	if best < 0 {
+		// T unreachable from the state — cannot happen for validated routing.
+		panic(fmt.Sprintf("pathworm: no legal continuation from switch %d to %d", sw, c.T))
+	}
+	// memo is never reallocated, so m is still this state's entry.
+	*m = coverMemo{gen: c.gen, cover: cover + best, port: int32(bestPort)}
+	return cover + best
 }
 
 // makeSpec turns a path into the worm's stop chain: every switch on the
 // path is an explicit stop; uncovered destination switches drop all their
 // destinations.
-func makeSpec(path []pathStep, uncovered map[topology.SwitchID]bool,
-	groups map[topology.SwitchID][]topology.NodeID) sim.WormSpec {
+func makeSpec(path []pathStep, uncovered []bool, groups map[topology.SwitchID][]topology.NodeID) sim.WormSpec {
 	segs := make([]sim.PathSeg, len(path))
 	for i, step := range path {
 		seg := sim.PathSeg{Switch: step.sw, NextPort: step.port}

@@ -1,8 +1,12 @@
 package pathworm
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 
+	"mcastsim/internal/mcast"
 	"mcastsim/internal/rng"
 	"mcastsim/internal/sim"
 	"mcastsim/internal/topology"
@@ -284,4 +288,178 @@ func TestPhasesBoundedByLogWorms(t *testing.T) {
 			t.Fatalf("phases %d not better than serial for %d worms", res.Phases, res.Worms)
 		}
 	}
+}
+
+// TestCoverMatchesReference pins the array-based cover search to the
+// map-memoised search it replaced (refCover below): the same sends,
+// worms and phases, in the same terminal order and with the same
+// tie-breaks, on random topologies and multicast degrees under all four
+// Greedy × SerialSchedule settings.
+func TestCoverMatchesReference(t *testing.T) {
+	r := rng.New(0xc0fe)
+	for trial := 0; trial < 40; trial++ {
+		cfg := topology.Config{
+			Switches:            8 + r.Intn(121),
+			PortsPerSwitch:      8,
+			ExtraLinksPerSwitch: []float64{-1, 0, 0.5, 1.5}[r.Intn(4)],
+		}
+		cfg.Nodes = 16 + r.Intn(2*cfg.Switches)
+		rt := routedCfg(t, cfg, uint64(trial)+1)
+		src, dests := randomSrcDests(r, cfg.Nodes, 1+r.Intn(cfg.Nodes-1))
+		for _, s := range []Scheme{{}, {Greedy: true}, {SerialSchedule: true}, {Greedy: true, SerialSchedule: true}} {
+			got, err := s.Cover(rt, src, dests)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := refCover(s, rt, src, dests)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d (%d switches, %d dests, %+v): Cover made %d worms in %d phases, the reference %d in %d, or their sends differ",
+					trial, cfg.Switches, len(dests), s, got.Worms, got.Phases, want.Worms, want.Phases)
+			}
+		}
+	}
+}
+
+// refCover is the cover search as first written, memoising the dynamic
+// program in maps keyed by routing state: the oracle for Cover.
+func refCover(s Scheme, rt *updown.Routing, src topology.NodeID, dests []topology.NodeID) (Result, error) {
+	groups, switchList := mcast.DestSwitches(rt, dests)
+	uncovered := make(map[topology.SwitchID]bool, len(switchList))
+	for _, sw := range switchList {
+		uncovered[sw] = true
+	}
+	res := Result{Sends: make(map[topology.NodeID][]sim.WormSpec)}
+	informed := []topology.NodeID{src}
+	for len(uncovered) > 0 {
+		res.Phases++
+		if res.Phases > len(switchList)+2 {
+			return Result{}, fmt.Errorf("pathworm: cover failed to converge")
+		}
+		var newly []topology.NodeID
+		usedLinks := map[[2]int]bool{}
+		sent := 0
+		for _, sender := range informed {
+			if len(uncovered) == 0 {
+				break
+			}
+			worm := refBestWorm(rt, rt.Topo.NodeSwitch[sender], uncovered, groups, s.Greedy)
+			if sent > 0 && sharesLink(worm, usedLinks) {
+				continue
+			}
+			markLinks(worm, usedLinks)
+			sent++
+			res.Sends[sender] = append(res.Sends[sender], worm)
+			res.Worms++
+			for _, seg := range worm.Path {
+				if len(seg.Drops) > 0 {
+					delete(uncovered, seg.Switch)
+					newly = append(newly, seg.Drops...)
+				}
+			}
+		}
+		if !s.SerialSchedule {
+			informed = append(informed, newly...)
+		}
+	}
+	return res, nil
+}
+
+type refState struct {
+	sw topology.SwitchID
+	ph updown.Phase
+}
+
+func refBestWorm(rt *updown.Routing, s0 topology.SwitchID, uncovered map[topology.SwitchID]bool,
+	groups map[topology.SwitchID][]topology.NodeID, greedy bool) sim.WormSpec {
+	terminals := make([]topology.SwitchID, 0, len(uncovered))
+	for sw := range uncovered {
+		terminals = append(terminals, sw)
+	}
+	sort.Slice(terminals, func(i, j int) bool { return terminals[i] < terminals[j] })
+
+	bestCover, bestLen := -1, int(^uint(0)>>2)
+	var bestPath []pathStep
+	for _, T := range terminals {
+		dist := rt.DistUp(s0, T)
+		if !greedy && dist > bestLen-1 && bestPath != nil {
+			continue
+		}
+		cover, path := refMaxCoverPath(rt, s0, T, uncovered)
+		length := len(path)
+		better := false
+		if greedy {
+			better = cover > bestCover || (cover == bestCover && length < bestLen)
+		} else {
+			better = length < bestLen || (length == bestLen && cover > bestCover)
+		}
+		if better {
+			bestCover, bestLen, bestPath = cover, length, path
+		}
+	}
+	segs := make([]sim.PathSeg, len(bestPath))
+	for i, step := range bestPath {
+		seg := sim.PathSeg{Switch: step.sw, NextPort: step.port}
+		if uncovered[step.sw] {
+			seg.Drops = append([]topology.NodeID(nil), groups[step.sw]...)
+		}
+		segs[i] = seg
+	}
+	return sim.WormSpec{Kind: sim.WormPath, Path: segs}
+}
+
+func refMaxCoverPath(rt *updown.Routing, s0, T topology.SwitchID, uncovered map[topology.SwitchID]bool) (int, []pathStep) {
+	memo := map[refState]int{}
+	choice := map[refState]pathStep{}
+	var f func(st refState) int
+	f = func(st refState) int {
+		if v, ok := memo[st]; ok {
+			return v
+		}
+		cover := 0
+		if uncovered[st.sw] {
+			cover = 1
+		}
+		if st.sw == T {
+			memo[st] = cover
+			choice[st] = pathStep{sw: st.sw, port: -1}
+			return cover
+		}
+		ports, phases := rt.NextHops(st.sw, st.ph, T, nil, nil)
+		best := -1
+		var bestStep pathStep
+		for i, p := range ports {
+			next := refState{rt.Topo.Conn[st.sw][p].Switch, phases[i]}
+			if v := f(next); v > best || (v == best && p < bestStep.port) {
+				best = v
+				bestStep = pathStep{sw: st.sw, port: p}
+			}
+		}
+		if best < 0 {
+			panic(fmt.Sprintf("pathworm: no legal continuation from switch %d to %d", st.sw, T))
+		}
+		memo[st] = cover + best
+		choice[st] = bestStep
+		return cover + best
+	}
+	start := refState{s0, updown.PhaseUp}
+	total := f(start)
+	var steps []pathStep
+	cur := start
+	for {
+		step := choice[cur]
+		steps = append(steps, step)
+		if step.port == -1 {
+			break
+		}
+		nextSw := rt.Topo.Conn[cur.sw][step.port].Switch
+		nextPh := cur.ph
+		if rt.Dirs[cur.sw][step.port] == updown.DirDown {
+			nextPh = updown.PhaseDown
+		}
+		cur = refState{nextSw, nextPh}
+	}
+	return total, steps
 }

@@ -228,3 +228,34 @@ func BenchmarkSimCore(b *testing.B) {
 		})
 	}
 }
+
+// planSink keeps the benchmarked plans live.
+var planSink *sim.Plan
+
+// BenchmarkPathCover measures the MDP-LG planner alone: one 32-way plan
+// per iteration on a 128-switch, 256-host irregular network, the size of
+// perfbench's churn-fault network. Plans draw fresh destination sets from
+// a fixed sequence, so the route table's distance rows fill during the
+// first iterations and then stay warm.
+func BenchmarkPathCover(b *testing.B) {
+	cfg := topology.Config{Switches: 128, PortsPerSwitch: 8, Nodes: 256, ExtraLinksPerSwitch: -1}
+	rt := routedFamily(b, cfg, 1, 1)[0]
+	p := sim.DefaultParams()
+	const sets = 64
+	srcs := make([]topology.NodeID, sets)
+	dests := make([][]topology.NodeID, sets)
+	r := rng.New(1)
+	for i := range srcs {
+		srcs[i], dests[i] = randomSet(r, cfg.Nodes, 32)
+	}
+	sch := pathworm.New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan, err := sch.Plan(rt, p, srcs[i%sets], dests[i%sets], 128)
+		if err != nil {
+			b.Fatal(err)
+		}
+		planSink = plan
+	}
+}
