@@ -285,10 +285,12 @@ func (x *ni) recvProcessed(w *worm) {
 }
 
 // hostPacketArrived counts packets landed in host memory; the last one
-// triggers the per-message host receive overhead and completion.
+// triggers the per-message host receive overhead and completion. A packet
+// whose destination failed after it was assembled is discarded.
 func (x *ni) hostPacketArrived(m *Message) {
 	n := x.net
 	if m.Failed(x.node) {
+		n.stats.PacketsDiscarded++
 		return
 	}
 	c := x.rxMsgs[m] + 1

@@ -95,6 +95,13 @@ type Plan struct {
 // universe (numNodes nodes, numSwitches switches). It does not check route
 // legality — the simulator asserts that at execution time.
 func (p *Plan) Validate(numNodes, numSwitches int) error {
+	return p.validate(numNodes, numSwitches, destset.NewRuns(numNodes), destset.NewRuns(numNodes))
+}
+
+// validate is Validate on two caller-supplied empty sets over the node
+// universe, which it fills: seen with the destinations, delivered with
+// the nodes the plan delivers to.
+func (p *Plan) validate(numNodes, numSwitches int, seen, delivered *destset.Runs) error {
 	inRange := func(n topology.NodeID) bool { return int(n) >= 0 && int(n) < numNodes }
 	if !inRange(p.Source) {
 		return fmt.Errorf("plan: source %d out of range", p.Source)
@@ -102,7 +109,6 @@ func (p *Plan) Validate(numNodes, numSwitches int) error {
 	if len(p.Dests) == 0 {
 		return fmt.Errorf("plan: no destinations")
 	}
-	seen := map[topology.NodeID]bool{}
 	for _, d := range p.Dests {
 		if !inRange(d) {
 			return fmt.Errorf("plan: destination %d out of range", d)
@@ -110,17 +116,29 @@ func (p *Plan) Validate(numNodes, numSwitches int) error {
 		if d == p.Source {
 			return fmt.Errorf("plan: source %d listed as destination", d)
 		}
-		if seen[d] {
+		if seen.Contains(int(d)) {
 			return fmt.Errorf("plan: duplicate destination %d", d)
 		}
-		seen[d] = true
+		seen.Add(int(d))
 	}
 	if (p.NITree == nil) == (p.HostSends == nil) {
 		return fmt.Errorf("plan: exactly one of NITree / HostSends must be set")
 	}
 	// Delivery accounting: the simulator requires every destination to be
-	// delivered exactly once, and no deliveries to non-destinations.
-	delivered := map[topology.NodeID]int{}
+	// delivered exactly once, and no deliveries to non-destinations. The
+	// first offence is reported once the plan's structure has checked out.
+	var misdelivery error
+	deliver := func(k topology.NodeID) {
+		switch {
+		case misdelivery != nil:
+		case !seen.Contains(int(k)):
+			misdelivery = fmt.Errorf("plan: delivers to non-destination %d", k)
+		case delivered.Contains(int(k)):
+			misdelivery = fmt.Errorf("plan: destination %d delivered more than once", k)
+		default:
+			delivered.Add(int(k))
+		}
+	}
 	if p.NITree != nil {
 		if len(p.NITree[p.Source]) == 0 {
 			return fmt.Errorf("plan: NI tree gives the source no children")
@@ -129,7 +147,7 @@ func (p *Plan) Validate(numNodes, numSwitches int) error {
 			if !inRange(parent) {
 				return fmt.Errorf("plan: NI parent %d out of range", parent)
 			}
-			if parent != p.Source && !seen[parent] {
+			if parent != p.Source && !seen.Contains(int(parent)) {
 				return fmt.Errorf("plan: NI parent %d is neither source nor destination", parent)
 			}
 			for _, k := range kids {
@@ -139,7 +157,7 @@ func (p *Plan) Validate(numNodes, numSwitches int) error {
 				if k == parent {
 					return fmt.Errorf("plan: node %d forwards to itself", k)
 				}
-				delivered[k]++
+				deliver(k)
 			}
 		}
 	}
@@ -150,7 +168,7 @@ func (p *Plan) Validate(numNodes, numSwitches int) error {
 		if !inRange(sender) {
 			return fmt.Errorf("plan: sender %d out of range", sender)
 		}
-		if sender != p.Source && !seen[sender] {
+		if sender != p.Source && !seen.Contains(int(sender)) {
 			return fmt.Errorf("plan: sender %d is neither source nor destination", sender)
 		}
 		for i, w := range specs {
@@ -159,34 +177,41 @@ func (p *Plan) Validate(numNodes, numSwitches int) error {
 			}
 			switch w.Kind {
 			case WormUnicast:
-				delivered[w.Dest]++
+				deliver(w.Dest)
 			case WormTree:
 				for _, d := range w.DestSet {
-					delivered[d]++
+					deliver(d)
 				}
 			case WormPath:
 				for _, seg := range w.Path {
 					for _, d := range seg.Drops {
-						delivered[d]++
+						deliver(d)
 					}
 				}
 			}
 		}
 	}
-	for node, count := range delivered {
-		if !seen[node] {
-			return fmt.Errorf("plan: delivers to non-destination %d", node)
-		}
-		if count != 1 {
-			return fmt.Errorf("plan: destination %d delivered %d times", node, count)
-		}
+	if misdelivery != nil {
+		return misdelivery
 	}
-	for _, d := range p.Dests {
-		if delivered[d] != 1 {
-			return fmt.Errorf("plan: destination %d never delivered", d)
+	if delivered.Count() != seen.Count() {
+		for _, d := range p.Dests {
+			if !delivered.Contains(int(d)) {
+				return fmt.Errorf("plan: destination %d never delivered", d)
+			}
 		}
 	}
 	return nil
+}
+
+// validatePlan is Plan.Validate on two pooled sets, so a send allocates
+// nothing to check its plan.
+func (n *Network) validatePlan(p *Plan) error {
+	seen, delivered := n.getRuns(), n.getRuns()
+	err := p.validate(n.topo.NumNodes, n.topo.NumSwitches, seen, delivered)
+	n.putRuns(seen)
+	n.putRuns(delivered)
+	return err
 }
 
 func (w *WormSpec) validate(numNodes, numSwitches int) error {

@@ -471,6 +471,9 @@ func TestSendValidationErrors(t *testing.T) {
 		if _, err := n.Send(plan, 128, 0, nil); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+		if err := plan.Validate(4, 2); err == nil {
+			t.Errorf("%s: accepted by Validate", name)
+		}
 	}
 	if _, err := n.Send(unicastPlan(0, 1), 0, 0, nil); err == nil {
 		t.Error("zero-length message accepted")

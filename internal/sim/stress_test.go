@@ -155,9 +155,8 @@ func TestStressSmallBuffers(t *testing.T) {
 // TestStressLinkFaults fails up to three non-partitioning links at random
 // times under mixed tree and unicast traffic, on random topologies where
 // a whole packet can sit in one switch buffer, and requires every message
-// to complete and the network to drain to its idle state. Packets can
-// fail at a destination after assembly, so the packet counters of
-// CheckConservation are not compared.
+// to complete and the network to drain to its idle state with every
+// message and packet accounted for.
 func TestStressLinkFaults(t *testing.T) {
 	var seeds []uint64
 	last := uint64(200)
@@ -215,7 +214,7 @@ func TestStressLinkFaults(t *testing.T) {
 				t.Fatalf("seed %d: message %d never completed", s, m.ID)
 			}
 		}
-		if err := n.checkIdle(); err != nil {
+		if err := n.CheckConservation(); err != nil {
 			t.Fatalf("seed %d: %v", s, err)
 		}
 	}

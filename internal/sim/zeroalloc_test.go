@@ -100,3 +100,27 @@ func TestSteadyTreeWormZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestValidatePlanZeroAlloc pins the send path's plan check at zero
+// allocations once the network's set pool is warm, for each plan shape
+// the schemes build: an NI tree and unicast, tree and path worms.
+func TestValidatePlanZeroAlloc(t *testing.T) {
+	n := fixtureNet(t, DefaultParams())
+	dests := []topology.NodeID{1, 2, 3, 4, 5, 6, 7}
+	plans := map[string]*Plan{
+		"unicast": unicastPlan(0, 7),
+		"tree":    {Source: 0, Dests: dests, HostSends: map[topology.NodeID][]WormSpec{0: {{Kind: WormTree, DestSet: dests}}}},
+		"ni tree": {Source: 0, Dests: dests, NITree: map[topology.NodeID][]topology.NodeID{0: {1, 2}, 1: {3, 4, 5}, 2: {6, 7}}},
+		"path": {Source: 0, Dests: []topology.NodeID{1, 3}, HostSends: map[topology.NodeID][]WormSpec{0: {{Kind: WormPath, Path: []PathSeg{
+			{Switch: 0, NextPort: 0}, {Switch: 1, Drops: []topology.NodeID{1}, NextPort: 1}, {Switch: 3, Drops: []topology.NodeID{3}, NextPort: -1},
+		}}}}},
+	}
+	for name, plan := range plans {
+		if err := n.validatePlan(plan); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if avg := testing.AllocsPerRun(100, func() { _ = n.validatePlan(plan) }); avg != 0 {
+			t.Errorf("%s: validatePlan allocates %v per call with a warm pool, want 0", name, avg)
+		}
+	}
+}

@@ -263,12 +263,11 @@ func runChurn(rt *updown.Routing, w Workload, spec ChurnSpec, o *runOpts) ([]Chu
 		if genErr != nil {
 			return nil, fmt.Errorf("traffic: churn probe %d (%s): %w", i, w.Scheme.Name(), genErr)
 		}
-		if spec.Faults == nil {
-			// Stale deliveries are physical deliveries; with no faults
-			// injected every flit is conserved.
-			if err := n.CheckConservation(); err != nil {
-				return nil, fmt.Errorf("traffic: churn probe %d: %w", i, err)
-			}
+		// Stale deliveries are physical deliveries, and a packet whose
+		// destination failed is counted as discarded, so every message and
+		// packet is accounted for, with or without faults.
+		if err := n.CheckConservation(); err != nil {
+			return nil, fmt.Errorf("traffic: churn probe %d: %w", i, err)
 		}
 
 		// Post-churn steady state: one clean multicast on the repaired
