@@ -150,101 +150,83 @@ func (r *refQueue) pop() (Time, int64) {
 // must be exactly the reference's next (at, seq) event.
 func TestInterleavedPostAndStep(t *testing.T) {
 	const kStep Kind = 2
-	var (
-		q    Queue
-		ref  refQueue
-		ran  int64    // id of the event the last Step dispatched
-		next [2]int64 // per-source post counters: handler (0), external (1)
-		hops int
-	)
-	// Handler posts take even ids and external posts odd ones, so the
-	// handler knows which events continue the chain.
-	post := func(at Time, src int) {
-		id := 2*next[src] + int64(src)
-		next[src]++
-		q.Post(at, kStep, nil, id)
-		ref.push(at, id)
+	cases := []struct {
+		name   string
+		hopMod int // the handler chain re-posts hops%hopMod cycles ahead
+		// After one step in every, while fewer than external events have
+		// been posted from outside, a round posts n events into the cycle
+		// delay ahead, as round draws them.
+		every    int
+		round    func(r *rng.Source) (delay Time, n int)
+		external int64
+	}{
+		{"sparse", 8, 3, func(r *rng.Source) (Time, int) { return Time(r.Intn(ringSize * 3)), 1 }, 2000},
+		// Dense cycles: a round posts up to three chunks into one cycle,
+		// either one of the next four (the cycle being drained included)
+		// or one a window ahead, whose events migrate in one after the
+		// other, the first opening the bucket's tail chunk and the rest
+		// filling it. The chain posts into the cycle being drained every
+		// other hop.
+		{"dense", 2, 60, func(r *rng.Source) (Time, int) {
+			return Time(r.Intn(4) + ringSize*r.Intn(2)), 1 + r.Intn(3*chunkSlots)
+		}, 20_000},
 	}
-	q.Register(kStep, func(_ any, id int64) {
-		ran = id
-		if id%2 == 0 && hops < 5000 {
-			hops++
-			post(q.Now()+Time(hops%8), 0)
-		}
-	})
-	post(0, 0)
-	r := rng.New(3)
-	for step := 0; q.Step(); step++ {
-		// The handler's own post is already mirrored; it sorts after the
-		// event being dispatched, so popping now still yields that event.
-		at, id := ref.pop()
-		if ran != id || q.Now() != at {
-			t.Fatalf("dispatch %d: calendar ran id %d at t=%d, (at, seq) order wants id %d at t=%d",
-				step, ran, q.Now(), id, at)
-		}
-		if r.Intn(3) == 0 && next[1] < 2000 {
-			post(q.Now()+Time(r.Intn(ringSize*3)), 1)
-		}
-	}
-	if ref.h.Len() != 0 {
-		t.Fatalf("calendar drained with %d reference events left", ref.h.Len())
-	}
-	if want := uint64(next[0] + next[1]); q.Processed() != want {
-		t.Fatalf("Processed = %d, want %d", q.Processed(), want)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var (
+				q    Queue
+				ref  refQueue
+				ran  int64    // id of the event the last Step dispatched
+				next [2]int64 // per-source post counters: handler (0), external (1)
+				hops int
+			)
+			// Handler posts take even ids and external posts odd ones, so
+			// the handler knows which events continue the chain.
+			post := func(at Time, src int) {
+				id := 2*next[src] + int64(src)
+				next[src]++
+				q.Post(at, kStep, nil, id)
+				ref.push(at, id)
+			}
+			q.Register(kStep, func(_ any, id int64) {
+				ran = id
+				if id%2 == 0 && hops < 5000 {
+					hops++
+					post(q.Now()+Time(hops%c.hopMod), 0)
+				}
+			})
+			post(0, 0)
+			r := rng.New(3)
+			for step := 0; q.Step(); step++ {
+				// The handler's own post is already mirrored; it sorts after
+				// the event being dispatched, so popping now still yields
+				// that event.
+				at, id := ref.pop()
+				if ran != id || q.Now() != at {
+					t.Fatalf("dispatch %d: calendar ran id %d at t=%d, (at, seq) order wants id %d at t=%d",
+						step, ran, q.Now(), id, at)
+				}
+				if r.Intn(c.every) == 0 && next[1] < c.external {
+					delay, n := c.round(r)
+					for ; n > 0; n-- {
+						post(q.Now()+delay, 1)
+					}
+				}
+			}
+			if ref.h.Len() != 0 {
+				t.Fatalf("calendar drained with %d reference events left", ref.h.Len())
+			}
+			if want := uint64(next[0] + next[1]); q.Processed() != want {
+				t.Fatalf("Processed = %d, want %d", q.Processed(), want)
+			}
+		})
 	}
 }
 
 // freshQueue returns a queue holding new, empty calendar storage, so a
-// test that reads Cap does not depend on what a released ring kept.
+// test that counts chunks does not depend on what a released ring kept.
 func freshQueue() *Queue {
-	q := &Queue{}
-	q.buckets = make([]bucket, ringSize)
-	return q
-}
-
-// TestShrinkAfterBurst is the satellite regression test: a transient
-// burst must not pin its peak backing capacity once traffic returns to a
-// light steady state. A fully-used slice keeps its capacity at reset (it
-// earned it); the shrink triggers on the next cycle that uses under a
-// quarter of it.
-func TestShrinkAfterBurst(t *testing.T) {
-	lightPhase := func(q *Queue, rec *recorder) {
-		// Sparse traffic touching every ring bucket once, so any
-		// burst-inflated bucket resets at tiny occupancy and shrinks.
-		start := q.Now() + 1
-		for i := int64(0); i < ringSize+64; i++ {
-			q.Post(start+Time(i), kRecord, rec, i)
-		}
-		for q.Step() {
-		}
-	}
-	q := freshQueue()
-	rec := newRecorded(q)
-	// Far-future burst: 20k events beyond the ring window exercise the
-	// overflow heap's peak, then drain through migration into the ring.
-	for i := int64(0); i < 20_000; i++ {
-		q.Post(ringSize*2+Time(i%97), kRecord, rec, i)
-	}
-	peak := q.Cap()
-	for q.Step() {
-	}
-	lightPhase(q, rec)
-	if got := q.Cap(); got > peak/4 {
-		t.Fatalf("after far burst + idle: Cap=%d did not shrink from peak %d", got, peak)
-	}
-	// Same-cycle burst: one bucket grows huge, then must let go.
-	rec.got = rec.got[:0]
-	base := q.Now() + 1
-	for i := int64(0); i < 20_000; i++ {
-		q.Post(base, kRecord, rec, i)
-	}
-	peak = q.Cap()
-	for q.Step() {
-	}
-	lightPhase(q, rec)
-	if got := q.Cap(); got > peak/4 {
-		t.Fatalf("after bucket burst + idle: Cap=%d did not shrink from peak %d", got, peak)
-	}
+	return &Queue{ring: new(ring)}
 }
 
 // TestZeroAllocTypedPath pins the headline property of the typed core:

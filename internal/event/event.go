@@ -39,15 +39,19 @@
 // path and migrate into the ring, in (at, seq) order, exactly when their
 // cycle enters the window, so FIFO-within-cycle is preserved end to end.
 //
-// # Ring lifetime
+// # Ring storage and lifetime
 //
-// A queue takes its calendar ring on its first post. Release hands an
-// empty queue's ring to a process-wide pool, and the next queue to post
-// takes it from there instead of growing its 1,024 buckets from nil: a
-// simulation that builds one network per probe grows the ring once per
-// goroutine rather than once per probe. Every slot the queue retains is
-// cleared when its event leaves, so a released ring holds no actor and
-// pins nothing of the network that used it.
+// A ring bucket stores its events in a chain of fixed chunks of
+// chunkSlots slots and holds storage only while it holds events: the pop
+// that finishes a chunk returns it to the ring's free list, which the
+// next bucket to fill takes it from. A queue takes its calendar ring on
+// its first post. Release hands an empty queue's ring, free list
+// included, to a process-wide pool, and the next queue to post takes it
+// from there instead of allocating its 1,024 buckets and its chunks
+// anew: a simulation that builds one network per probe grows the ring
+// once per goroutine rather than once per probe. Every slot is cleared
+// when its event leaves, so a released ring holds no actor and pins
+// nothing of the network that used it.
 package event
 
 import (
@@ -78,17 +82,10 @@ type Handler func(actor any, arg int64)
 // Must be a power of two.
 const ringSize = 1024
 
-// shrinkCap is the capacity below which backing slices are never shrunk.
-const shrinkCap = 64
-
-// smallsMax bounds the displaced-small-slice pool (see Queue.smalls);
-// 32 slices of at most shrinkCap entries is ~100 KB worst case.
-const smallsMax = 32
-
-// occEpoch is the occupancy high-water window, in drained cycles (see
-// Queue.occCur). Shorter windows shrink faster after a burst; longer ones
-// tolerate longer gaps between bursts without eviction churn.
-const occEpoch = 256
+// chunkSlots is the number of slots in one bucket chunk, 2 KiB of them.
+// A chunk's slots are contiguous, so dispatch reads them without a link
+// load per slot; a cycle busier than one chunk chains more.
+const chunkSlots = 64
 
 // entry is one scheduled event in the far overflow heap. 48 bytes; actor
 // holds only pointer-shaped values (pointers, func values), so posting
@@ -118,15 +115,32 @@ type slot struct {
 // weight is the number of logical events a slot stands for.
 func (s *slot) weight() int { return 1 + int(s.extra) }
 
-// bucket is one cycle's FIFO within the calendar ring. head avoids
-// shifting on pop; the slice resets (and may shrink) once emptied.
-type bucket struct {
-	head  int
-	items []slot
+// chunk is a fixed run of bucket slots; n counts the slots written. Every
+// chunk but a bucket's tail is full.
+type chunk struct {
+	slots [chunkSlots]slot
+	next  *chunk
+	n     int
 }
 
-// rings holds the bucket arrays of released queues (see Release), as
-// *[]bucket.
+// bucket is one cycle's FIFO within the calendar ring: a chain of chunks
+// from head to tail, read from slot pos of head. An empty bucket holds no
+// chunk, and a non-empty one has pos < head.n.
+type bucket struct {
+	head, tail *chunk
+	pos        int
+}
+
+// ring is a queue's calendar storage: the buckets and the free list of
+// chunks that no bucket holds. A chunk is allocated only when the free
+// list is empty, so a ring keeps as many chunks as its pending cycles
+// once needed at the same time. Release pools both together.
+type ring struct {
+	buckets [ringSize]bucket
+	free    *chunk
+}
+
+// rings holds the rings of released queues (see Release), as *ring.
 var rings sync.Pool
 
 // Queue is a future-event list. The zero value is ready to use.
@@ -136,38 +150,14 @@ type Queue struct {
 	ran   uint64
 	table [MaxKinds]Handler
 
-	// buckets is the calendar ring, nil until the first post and again
-	// after Release. buckets[t&(ringSize-1)] holds events at cycle t for
-	// t in [cursor, cursor+ringSize); pending counts the logical events
+	// ring is the calendar storage, nil until the first post and again
+	// after Release. ring.buckets[t&(ringSize-1)] holds events at cycle t
+	// for t in [cursor, cursor+ringSize); pending counts the logical events
 	// the ring's slots stand for.
-	buckets []bucket
+	ring    *ring
 	cursor  Time
 	pending int
 	far     []entry // overflow min-heap ordered by (at, seq)
-	// pool recycles large bucket slices between cycles. Only a handful of
-	// buckets are occupied at any instant, but over a run every ring slot
-	// hosts a busy cycle eventually; without the pool each of the 1024
-	// buckets grows its own peak-sized slice (at one point ~90% of the
-	// drain benchmark's allocations). Drained buckets above shrinkCap
-	// retire their slice here and buckets that outgrow their own slice
-	// borrow from it (see bucketAppend).
-	pool [][]slot
-	// occCur/occPrev track the per-cycle occupancy high-water over the
-	// current and previous occEpoch-reset windows; occHi() (their max) is
-	// the retention yardstick. Two-epoch max is deliberately a step
-	// function rather than a smooth decay: occupancy dips shorter than an
-	// epoch cannot evict slices that the next burst will need, while a
-	// genuinely quiet stretch rotates both windows down within two epochs
-	// and lets resetBucket shed the relics of the last burst.
-	occCur, occPrev, occCount int
-	// smalls holds bucket slices (cap <= shrinkCap) displaced when their
-	// bucket borrowed a larger pooled slice. resetBucket re-attaches one
-	// whenever it retires a large slice, so a slot that hosted a burst is
-	// never left empty-handed — without this, every busy cycle re-ran the
-	// 1->2->...->shrinkCap append ramp from nil, which dominated the
-	// queue's allocation profile. Bounded at smallsMax; extras go to the
-	// collector.
-	smalls [][]slot
 
 	// obs, when non-nil, receives cold-path scheduling counters. The
 	// in-window Post fast path and fastStep are deliberately untouched:
@@ -215,22 +205,6 @@ func (q *Queue) Len() int { return q.pending + len(q.far) }
 // events it stands for.
 func (q *Queue) Processed() uint64 { return q.ran }
 
-// Cap reports the total backing capacity, in entries, across the queue's
-// internal structures. Exposed for shrink-policy regression tests.
-func (q *Queue) Cap() int {
-	c := cap(q.far)
-	for i := range q.buckets {
-		c += cap(q.buckets[i].items)
-	}
-	for _, s := range q.pool {
-		c += cap(s)
-	}
-	for _, s := range q.smalls {
-		c += cap(s)
-	}
-	return c
-}
-
 // Register installs the handler for a typed kind. Registering an
 // out-of-range kind panics; re-registering replaces the handler.
 func (q *Queue) Register(k Kind, h Handler) {
@@ -252,19 +226,11 @@ func (q *Queue) Post(t Time, k Kind, actor any, arg int64) {
 	if t < q.now {
 		panic(fmt.Sprintf("event: scheduling at %d before now %d", t, q.now))
 	}
-	if q.buckets == nil {
+	if q.ring == nil {
 		q.takeRing()
 	}
 	if t < q.cursor+ringSize {
-		b := &q.buckets[t&(ringSize-1)]
-		if len(b.items) < cap(b.items) {
-			// Hot path: an in-window post into a bucket with headroom is
-			// a plain append.
-			b.items = append(b.items, slot{actor: actor, arg: arg, kind: k})
-			q.pending++
-			return
-		}
-		q.bucketAppend(b, slot{actor: actor, arg: arg, kind: k})
+		q.bucketAppend(&q.ring.buckets[t&(ringSize-1)], slot{actor: actor, arg: arg, kind: k})
 		return
 	}
 	heapPush(&q.far, entry{at: t, seq: q.seq, kind: k, actor: actor, arg: arg})
@@ -281,76 +247,81 @@ func (q *Queue) Post(t Time, k Kind, actor any, arg int64) {
 // one-cycle flit hop, which is always in the window — and a time in the
 // past, beyond the window, or n < 1 panics.
 func (q *Queue) PostFused(t Time, k Kind, actor any, arg int64, n int) {
-	if q.buckets == nil {
+	if q.ring == nil {
 		q.takeRing()
 	}
 	if t < q.now || t >= q.cursor+ringSize || n < 1 || uint64(n) > 1<<32 {
 		panic(fmt.Sprintf("event: fused post of %d events at %d, want n >= 1 and %d <= t < %d", n, t, q.now, q.cursor+ringSize))
 	}
-	b := &q.buckets[t&(ringSize-1)]
-	s := slot{actor: actor, arg: arg, kind: k, extra: uint32(n - 1)}
-	if len(b.items) < cap(b.items) {
-		b.items = append(b.items, s)
-		q.pending += n
-		return
-	}
-	q.bucketAppend(b, s)
+	q.bucketAppend(&q.ring.buckets[t&(ringSize-1)], slot{actor: actor, arg: arg, kind: k, extra: uint32(n - 1)})
 }
 
 // takeRing gives the queue a calendar ring: a released one if the pool
-// holds one, else empty buckets.
+// holds one, else empty buckets and no chunks.
 func (q *Queue) takeRing() {
-	if r, ok := rings.Get().(*[]bucket); ok {
-		q.buckets = *r
+	if r, ok := rings.Get().(*ring); ok {
+		q.ring = r
 	} else {
-		q.buckets = make([]bucket, ringSize)
+		q.ring = new(ring)
 	}
 	q.cursor = q.now
 }
 
-// Release hands the calendar ring of an empty queue, with the slices its
-// buckets kept (at most shrinkCap slots each), to the next queue that
-// posts, in this goroutine or another. It does nothing while an event is
-// pending. The queue stays usable: its next post takes a ring again.
-// Every slot of an empty queue is cleared and every bucket reset (each
-// pop clears its slot, and the pop that empties a bucket resets it), so
-// the released ring holds no actor.
+// Release hands the calendar ring of an empty queue, with its free list
+// of chunks, to the next queue that posts, in this goroutine or another.
+// It does nothing while an event is pending. The queue stays usable: its
+// next post takes a ring again. In an empty queue every bucket is empty
+// and holds no chunk, and every chunk on the free list had each of its
+// slots cleared as its event left, so the released ring holds no actor.
 func (q *Queue) Release() {
-	if q.buckets == nil || q.Len() != 0 {
+	if q.ring == nil || q.Len() != 0 {
 		return
 	}
-	r := q.buckets
-	q.buckets = nil
-	rings.Put(&r)
+	rings.Put(q.ring)
+	q.ring = nil
 }
 
-// bucketAppend adds an entry to a ring bucket, reusing pooled slices.
-// Pool order is irrelevant to correctness — it only decides which backing
-// array a cycle borrows.
-//
-// The borrow happens at the moment of growth, not only when the bucket is
-// empty-handed: resetBucket leaves small (<= shrinkCap) slices attached to
-// their bucket, so before this check every busy cycle re-grew its small
-// slice up to the burst size through fresh allocations and the pooled
-// peak-sized arrays went almost unused — the source of the PR 3 bytes/op
-// regression on DrainLarge (see DESIGN.md §12).
+// bucketAppend adds a slot at the tail of a ring bucket. When the tail
+// chunk is full or the bucket holds none, it links on a chunk from the
+// free list, or a new one. bucketAppend and bucketPop are the post and
+// dispatch hot paths and just fit the compiler's inlining budget.
 func (q *Queue) bucketAppend(b *bucket, s slot) {
-	if len(b.items) == cap(b.items) && len(q.pool) > 0 {
-		if p := q.pool[len(q.pool)-1]; cap(p) > cap(b.items) {
-			q.pool = q.pool[:len(q.pool)-1]
-			p = p[:len(b.items)]
-			copy(p, b.items)
-			if c := cap(b.items); c > 0 && c <= shrinkCap && len(q.smalls) < smallsMax {
-				// The slots were copied to p; the stashed slice must not
-				// keep their actors alive.
-				clear(b.items)
-				q.smalls = append(q.smalls, b.items[:0])
-			}
-			b.items = p
+	c := b.tail
+	if c == nil || c.n == chunkSlots {
+		if c = q.ring.free; c != nil {
+			q.ring.free, c.next = c.next, nil
+		} else {
+			c = new(chunk)
 		}
+		if b.tail == nil {
+			b.head = c
+		} else {
+			b.tail.next = c
+		}
+		b.tail = c
 	}
-	b.items = append(b.items, s)
+	c.slots[c.n] = s
+	c.n++
 	q.pending += s.weight()
+}
+
+// bucketPop removes and returns the first slot of the non-empty bucket b,
+// clearing its actor. The pop that finishes a chunk moves it to the free
+// list.
+func (q *Queue) bucketPop(b *bucket) slot {
+	c := b.head
+	s := c.slots[b.pos]
+	c.slots[b.pos].actor = nil // release the actor
+	q.pending -= s.weight()
+	if b.pos++; b.pos == c.n {
+		b.head, b.pos = c.next, 0
+		if b.head == nil {
+			b.tail = nil
+		}
+		c.next, c.n = q.ring.free, 0
+		q.ring.free = c
+	}
+	return s
 }
 
 // PostAfter schedules a typed event delay cycles from now.
@@ -370,17 +341,11 @@ func (q *Queue) fastStep(limit Time) bool {
 	if q.pending == 0 || q.cursor > limit {
 		return false
 	}
-	b := &q.buckets[q.cursor&(ringSize-1)]
-	if b.head >= len(b.items) {
+	b := &q.ring.buckets[q.cursor&(ringSize-1)]
+	if b.head == nil {
 		return false
 	}
-	s := b.items[b.head]
-	b.items[b.head].actor = nil // release the actor
-	b.head++
-	q.pending -= s.weight()
-	if b.head == len(b.items) {
-		q.resetBucket(b)
-	}
+	s := q.bucketPop(b)
 	q.now = q.cursor
 	q.ran += uint64(s.weight())
 	q.table[s.kind](s.actor, s.arg)
@@ -459,18 +424,11 @@ func (q *Queue) popNext(limit Time) (entry, bool) {
 			q.migrateFar()
 			continue
 		}
-		b := &q.buckets[q.cursor&(ringSize-1)]
-		if b.head < len(b.items) {
+		if b := &q.ring.buckets[q.cursor&(ringSize-1)]; b.head != nil {
 			if q.cursor > limit {
 				return entry{}, false
 			}
-			s := b.items[b.head]
-			b.items[b.head].actor = nil // release the actor
-			b.head++
-			q.pending -= s.weight()
-			if b.head == len(b.items) {
-				q.resetBucket(b)
-			}
+			s := q.bucketPop(b)
 			// Ring slots carry no seq; dispatch needs only the realized
 			// order and the timestamp.
 			return entry{at: q.cursor, kind: s.kind, actor: s.actor, arg: s.arg, extra: s.extra}, true
@@ -490,57 +448,11 @@ func (q *Queue) popNext(limit Time) (entry, bool) {
 func (q *Queue) migrateFar() {
 	for len(q.far) > 0 && q.far[0].at < q.cursor+ringSize {
 		e := heapPop(&q.far)
-		q.bucketAppend(&q.buckets[e.at&(ringSize-1)], slot{actor: e.actor, arg: e.arg, kind: e.kind, extra: e.extra})
+		q.bucketAppend(&q.ring.buckets[e.at&(ringSize-1)], slot{actor: e.actor, arg: e.arg, kind: e.kind, extra: e.extra})
 		if q.obs != nil {
 			q.obs.Migrations++
 		}
 	}
-}
-
-// resetBucket empties a drained bucket for reuse. Small slices (at most
-// shrinkCap) stay attached to the bucket; larger ones always retire to the
-// queue's pool so the next cycle to outgrow its own slice reuses them.
-// The shrink policy lives at the borrow site (bucketAppend): dropping a
-// big slice here whenever one cycle happened to underuse it — the previous
-// policy — discarded arrays that the very next busy cycle had to reallocate,
-// because per-cycle occupancy swings well past 4x within a single run.
-// resetBucket's job in the decay scheme is only to maintain the occupancy
-// high-water that bucketAppend's staleness test consults.
-func (q *Queue) resetBucket(b *bucket) {
-	if len(b.items) > q.occCur {
-		q.occCur = len(b.items)
-	}
-	q.occCount++
-	if q.occCount >= occEpoch {
-		q.occPrev, q.occCur, q.occCount = q.occCur, 0, 0
-	}
-	hi := q.occCur
-	if q.occPrev > hi {
-		hi = q.occPrev
-	}
-	// Shed stale pool slices — relics of a burst no recent cycle has come
-	// close to filling. One check per drained cycle keeps this amortized
-	// O(1); the loop empties the whole backlog only when the high-water
-	// has already collapsed.
-	for len(q.pool) > 0 {
-		if c := cap(q.pool[len(q.pool)-1]); c > shrinkCap && c > 4*hi {
-			q.pool = q.pool[:len(q.pool)-1]
-			continue
-		}
-		break
-	}
-	if cap(b.items) <= shrinkCap {
-		b.items = b.items[:0]
-	} else {
-		q.pool = append(q.pool, b.items[:0])
-		if n := len(q.smalls); n > 0 {
-			b.items = q.smalls[n-1]
-			q.smalls = q.smalls[:n-1]
-		} else {
-			b.items = nil
-		}
-	}
-	b.head = 0
 }
 
 // --- the far-overflow binary min-heap, ordered by (at, seq) ---
@@ -588,13 +500,6 @@ func heapPop(h *[]entry) entry {
 		}
 		s[i], s[smallest] = s[smallest], s[i]
 		i = smallest
-	}
-	// Shrink after a burst: a drained backlog should not pin its peak
-	// capacity for the rest of the run.
-	if cap(s) > shrinkCap && len(s) < cap(s)/4 {
-		ns := make([]entry, len(s), len(s)*2)
-		copy(ns, s)
-		s = ns
 	}
 	*h = s
 	return top

@@ -14,9 +14,8 @@ type burstActor struct{ n int }
 // runBurst registers a counting handler and runs waves of posts for a
 // through q until it drains: each wave posts up to perCycle events at
 // each of four random in-window cycles, then runs half of what is
-// pending. Above shrinkCap events per cycle, busy buckets outgrow their
-// own slices while they still hold events, so they borrow recycled
-// slices and displace their small ones.
+// pending. Above chunkSlots events per cycle, busy buckets chain chunks
+// while they still hold events.
 func runBurst(q *Queue, r *rng.Source, a *burstActor, perCycle int) {
 	q.Register(kBurst, func(a any, _ int64) { a.(*burstActor).n++ })
 	for wave := 0; wave < 200; wave++ {
@@ -34,34 +33,39 @@ func runBurst(q *Queue, r *rng.Source, a *burstActor, perCycle int) {
 	}
 }
 
-// heldActors counts the slots of q's calendar storage, up to capacity,
+// chunks lists the chunks of q's calendar storage: those the buckets
+// hold, then the free list.
+func chunks(q *Queue) []*chunk {
+	var cs []*chunk
+	for i := range q.ring.buckets {
+		for c := q.ring.buckets[i].head; c != nil; c = c.next {
+			cs = append(cs, c)
+		}
+	}
+	for c := q.ring.free; c != nil; c = c.next {
+		cs = append(cs, c)
+	}
+	return cs
+}
+
+// heldActors counts the slots of q's chunks, every one of chunkSlots,
 // that still hold an actor.
 func heldActors(q *Queue) int {
 	n := 0
-	count := func(s []slot) {
-		for _, x := range s[:cap(s)] {
+	for _, c := range chunks(q) {
+		for _, x := range c.slots {
 			if x.actor != nil {
 				n++
 			}
 		}
 	}
-	for i := range q.buckets {
-		count(q.buckets[i].items)
-	}
-	for _, s := range q.pool {
-		count(s)
-	}
-	for _, s := range q.smalls {
-		count(s)
-	}
 	return n
 }
 
 // TestReleasedRingHoldsNoActor pins the invariant that lets a drained
-// queue's ring outlive it: no slot up to capacity, in the buckets, the
-// recycled slices or the displaced small slices, still references an
-// actor, and every bucket is reset. A pooled ring that held one would pin
-// the network that posted it.
+// queue's ring outlive it: no slot of any chunk, in the buckets or on the
+// free list, still references an actor, and no bucket holds a chunk. A
+// pooled ring that held an actor would pin the network that posted it.
 func TestReleasedRingHoldsNoActor(t *testing.T) {
 	q := freshQueue()
 	runBurst(q, rng.New(7), &burstActor{}, 300)
@@ -71,13 +75,13 @@ func TestReleasedRingHoldsNoActor(t *testing.T) {
 	if n := heldActors(q); n != 0 {
 		t.Fatalf("the drained ring still holds %d actors", n)
 	}
-	for i, b := range q.buckets {
-		if b.head != 0 || len(b.items) != 0 {
-			t.Fatalf("bucket %d of the drained ring has head %d and length %d, want 0 and 0", i, b.head, len(b.items))
+	for i, b := range q.ring.buckets {
+		if b.head != nil || b.tail != nil || b.pos != 0 {
+			t.Fatalf("bucket %d of the drained ring holds a chunk or has pos %d", i, b.pos)
 		}
 	}
 	q.Release()
-	if q.buckets != nil {
+	if q.ring != nil {
 		t.Fatal("Release kept the ring")
 	}
 	// The queue stays usable: its next post takes a ring again.
@@ -97,7 +101,7 @@ func TestReleaseKeepsPendingRing(t *testing.T) {
 		q.Register(kBurst, func(a any, _ int64) { a.(*burstActor).n++ })
 		q.Post(at, kBurst, a, 0)
 		q.Release()
-		if q.buckets == nil {
+		if q.ring == nil {
 			t.Fatalf("Release dropped the ring with an event pending at %d", at)
 		}
 		if q.Drain(10); a.n != 1 {
@@ -108,9 +112,9 @@ func TestReleaseKeepsPendingRing(t *testing.T) {
 
 // TestReleasedRingServesNextQueue pins the reuse: after one queue runs a
 // burst and releases its ring, a second queue running the same burst
-// allocates no bucket storage. The burst stays well within shrinkCap
-// events per cycle, so every slice it grows stays with its bucket; the
-// queue's pool of larger slices does not travel with the ring.
+// allocates nothing. A wave puts up to 300 events into a cycle, so busy
+// cycles chain several chunks; the free list travels with the ring, so
+// the second queue finds every chunk the first one opened.
 func TestReleasedRingServesNextQueue(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops a random quarter of its puts")
@@ -130,13 +134,52 @@ func TestReleasedRingServesNextQueue(t *testing.T) {
 	}
 	a := &burstActor{}
 	first, r := freshQueue(), rng.New(7)
-	fresh := bytes(func() { runBurst(first, r, a, 16) })
-	if len(first.pool) != 0 {
-		t.Fatal("the burst outgrew a bucket's own slice")
-	}
+	fresh := bytes(func() { runBurst(first, r, a, 300) })
 	first.Release()
 	second, r := &Queue{}, rng.New(7)
-	if reused := bytes(func() { runBurst(second, r, a, 16) }); reused != 0 {
+	if reused := bytes(func() { runBurst(second, r, a, 300) }); reused != 0 {
 		t.Fatalf("the second queue allocated %d B running the burst (the first %d B); want 0 from the released ring", reused, fresh)
+	}
+}
+
+// TestChunkBoundAfterBursts pins the storage rule: a queue holds no more
+// than ceil(events in a cycle / chunkSlots) chunks for each cycle pending
+// at the same time. Far events that migrate into one bucket fill its tail
+// chunk before opening another, and a drained burst's chunks serve the
+// next burst from the free list.
+func TestChunkBoundAfterBursts(t *testing.T) {
+	need := func(perCycle map[Time]int) int {
+		n := 0
+		for _, k := range perCycle {
+			n += (k + chunkSlots - 1) / chunkSlots
+		}
+		return n
+	}
+	q := freshQueue()
+	rec := newRecorded(q)
+	// Far burst: 20,000 events over 97 cycles beyond the window, which
+	// migrate into the ring together once the queue jumps to them.
+	far := map[Time]int{}
+	for i := int64(0); i < 20_000; i++ {
+		at := ringSize*2 + Time(i%97)
+		q.Post(at, kRecord, rec, i)
+		far[at]++
+	}
+	for q.Step() {
+	}
+	bound := need(far)
+	if got := len(chunks(q)); got > bound {
+		t.Fatalf("after a far burst over %d cycles: %d chunks, want at most %d", len(far), got, bound)
+	}
+	// Same-cycle burst.
+	base := q.Now() + 1
+	for i := int64(0); i < 20_000; i++ {
+		q.Post(base, kRecord, rec, i)
+	}
+	for q.Step() {
+	}
+	bound = max(bound, need(map[Time]int{base: 20_000}))
+	if got := len(chunks(q)); got > bound {
+		t.Fatalf("after a one-cycle burst: %d chunks, want at most %d", got, bound)
 	}
 }
