@@ -61,7 +61,7 @@ func run() int {
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file when the run finishes")
 		obsOn      = flag.Bool("obs", false, "sample per-cell telemetry (link utilization, buffer occupancy, queue depths) during -exp runs")
 		obsEvery   = flag.Uint64("obs-every", uint64(obs.DefaultEvery), "telemetry sampling cadence in cycles (with -obs)")
-		obsOut     = flag.String("obs-out", "", "write sampled telemetry bundles to this file; .csv extension selects CSV, anything else JSONL (with -obs)")
+		obsOut     = flag.String("obs-out", "", "write sampled telemetry bundles to this file as JSONL (with -obs)")
 		ckDir      = flag.String("checkpoint", "", "journal completed simulation cells, with their -obs telemetry, into this directory; rerunning with the same directory and arguments resumes, and resumed tables and telemetry are byte-identical")
 		resumeDir  = flag.String("resume", "", "resume from this checkpoint directory (must already exist); same journaling as -checkpoint, and a journal written under other arguments is refused with exit 2")
 		stopCells  = flag.Int("stop-after-cells", 0, "with -checkpoint: stop with a resumable journal after N newly-completed cells (deterministic kill stand-in for smokes)")
@@ -246,18 +246,17 @@ func printBusiestHeatmap(sink *experiment.ObsSink, seen map[string]bool) {
 	fmt.Println()
 }
 
-// writeObs dumps every telemetry bundle to path; the extension picks the
-// codec (.csv for long-form CSV, anything else JSONL).
+// writeObs dumps every telemetry bundle to path as JSONL.
 func writeObs(path string, bundles []obs.Bundle) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if strings.EqualFold(filepath.Ext(path), ".csv") {
-		return obs.WriteCSV(f, bundles)
+	if err := obs.WriteJSONL(f, bundles); err != nil {
+		f.Close()
+		return err
 	}
-	return obs.WriteJSONL(f, bundles)
+	return f.Close()
 }
 
 // runCompare loads a topogen-format topology and compares every scheme on

@@ -159,38 +159,25 @@ type Queue struct {
 	pending int
 	far     []entry // overflow min-heap ordered by (at, seq)
 
-	// obs, when non-nil, receives cold-path scheduling counters. The
-	// in-window Post fast path and fastStep are deliberately untouched:
-	// the only instrumented sites are the far-heap overflow and far→ring
-	// migration, both of which are off the steady flit path, so the
-	// disabled AND enabled cases both stay allocation-free and
-	// branch-free where it matters.
-	obs *EngineObs
+	// Cumulative counters of the cold far-heap paths, reported through
+	// EngineStats; the in-window post and dispatch paths count nothing.
+	farPosts   uint64 // posts landing beyond the calendar window
+	migrations uint64 // far-heap entries migrated into ring buckets
 }
 
-// EngineObs accumulates scheduler counters for an attached observer. All
-// fields are cumulative; samplers take deltas. The struct is plain data
-// (no methods, no locks): the queue's single-goroutine contract covers it.
-type EngineObs struct {
+// EngineStats is a point-in-time snapshot of queue state for samplers.
+// The counts are cumulative over the queue's life; samplers take deltas.
+type EngineStats struct {
+	Len        int    // pending events (ring + overflow)
+	FarLen     int    // overflow-heap entries
+	Processed  uint64 // events dispatched
 	FarPosts   uint64 // posts landing beyond the calendar window
 	Migrations uint64 // far-heap entries migrated into ring buckets
 }
 
-// SetObs attaches (or, with nil, detaches) a counter sink. The sink may
-// be shared across successive queues; counters keep accumulating.
-func (q *Queue) SetObs(o *EngineObs) { q.obs = o }
-
-// EngineStats is a point-in-time snapshot of queue state for samplers.
-type EngineStats struct {
-	Len       int    // pending events (ring + overflow)
-	FarLen    int    // overflow-heap entries
-	Processed uint64 // cumulative events dispatched
-}
-
-// EngineStats reports the queue's current occupancy and progress. Unlike
-// EngineObs it is polled, not pushed, so it costs nothing when unused.
+// EngineStats reports the queue's current occupancy and progress.
 func (q *Queue) EngineStats() EngineStats {
-	return EngineStats{Len: q.Len(), FarLen: len(q.far), Processed: q.ran}
+	return EngineStats{Len: q.Len(), FarLen: len(q.far), Processed: q.ran, FarPosts: q.farPosts, Migrations: q.migrations}
 }
 
 // Now returns the current simulation time.
@@ -235,9 +222,7 @@ func (q *Queue) Post(t Time, k Kind, actor any, arg int64) {
 	}
 	heapPush(&q.far, entry{at: t, seq: q.seq, kind: k, actor: actor, arg: arg})
 	q.seq++
-	if q.obs != nil {
-		q.obs.FarPosts++
-	}
+	q.farPosts++
 }
 
 // PostFused schedules one record at time t that stands for n logical
@@ -449,9 +434,7 @@ func (q *Queue) migrateFar() {
 	for len(q.far) > 0 && q.far[0].at < q.cursor+ringSize {
 		e := heapPop(&q.far)
 		q.bucketAppend(&q.ring.buckets[e.at&(ringSize-1)], slot{actor: e.actor, arg: e.arg, kind: e.kind, extra: e.extra})
-		if q.obs != nil {
-			q.obs.Migrations++
-		}
+		q.migrations++
 	}
 }
 

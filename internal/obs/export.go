@@ -2,13 +2,10 @@ package obs
 
 import (
 	"bufio"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 
 	"mcastsim/internal/event"
 )
@@ -86,241 +83,6 @@ func ReadJSONL(r io.Reader) ([]Bundle, error) {
 		}
 		out[i].Snapshots = append(out[i].Snapshots, *rec.Snap)
 	}
-	return out, nil
-}
-
-// CSV layout: long ("tidy") form, one row per metric value, so the file
-// loads directly into dataframe tooling without knowing the topology
-// shape. kind names match the Snapshot JSON tags; channel_label rows
-// carry the header metadata needed for a lossless round trip.
-var csvHeader = []string{"cell", "run", "at", "kind", "index", "value"}
-
-// WriteCSV writes bundles in long-form CSV.
-func WriteCSV(w io.Writer, bundles []Bundle) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return err
-	}
-	row := func(cell string, run int, at event.Time, kind string, index int, value string) error {
-		return cw.Write([]string{
-			cell,
-			strconv.Itoa(run),
-			strconv.FormatInt(int64(at), 10),
-			kind, strconv.Itoa(index), value,
-		})
-	}
-	for i := range bundles {
-		b := &bundles[i]
-		if err := row(b.Cell, -1, 0, "every", 0, strconv.FormatInt(int64(b.Every), 10)); err != nil {
-			return err
-		}
-		if err := row(b.Cell, -1, 0, "switches", 0, strconv.Itoa(b.Switches)); err != nil {
-			return err
-		}
-		if err := row(b.Cell, -1, 0, "nodes", 0, strconv.Itoa(b.Nodes)); err != nil {
-			return err
-		}
-		if err := row(b.Cell, -1, 0, "dropped", 0, strconv.FormatInt(b.Dropped, 10)); err != nil {
-			return err
-		}
-		for ci, lab := range b.Channels {
-			if err := row(b.Cell, -1, 0, "channel_label", ci, lab); err != nil {
-				return err
-			}
-		}
-		for j := range b.Snapshots {
-			s := &b.Snapshots[j]
-			put := func(kind string, index int, v int64) error {
-				return row(b.Cell, s.Run, s.At, kind, index, strconv.FormatInt(v, 10))
-			}
-			for ci, v := range s.ChanFlits {
-				if err := put("chan_flits", ci, v); err != nil {
-					return err
-				}
-			}
-			for ci, v := range s.ChanStalls {
-				if v != 0 {
-					if err := put("chan_stalls", ci, v); err != nil {
-						return err
-					}
-				}
-			}
-			for si, v := range s.BufOcc {
-				if err := put("buf_occ", si, v); err != nil {
-					return err
-				}
-			}
-			for si, v := range s.ArbConflicts {
-				if v != 0 {
-					if err := put("arb_conflicts", si, v); err != nil {
-						return err
-					}
-				}
-			}
-			for ni, v := range s.NISend {
-				if err := put("ni_send", ni, v); err != nil {
-					return err
-				}
-			}
-			for ni, v := range s.NIRecv {
-				if err := put("ni_recv", ni, v); err != nil {
-					return err
-				}
-			}
-			for ni, v := range s.NIDeferred {
-				if v != 0 {
-					if err := put("ni_deferred", ni, v); err != nil {
-						return err
-					}
-				}
-			}
-			if err := put("flit_hops", 0, s.FlitHops); err != nil {
-				return err
-			}
-			if err := put("events", 0, int64(s.Events)); err != nil {
-				return err
-			}
-			if err := put("queue_len", 0, s.QueueLen); err != nil {
-				return err
-			}
-			if err := put("far_len", 0, s.FarLen); err != nil {
-				return err
-			}
-			if err := put("far_posts", 0, int64(s.FarPosts)); err != nil {
-				return err
-			}
-			if err := put("migrations", 0, int64(s.Migrations)); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV reverses WriteCSV. Sparse kinds (chan_stalls, arb_conflicts,
-// ni_deferred) omit zero rows on write and are rebuilt as zeros here, so
-// a write→read→write cycle is byte-stable.
-func ReadCSV(r io.Reader) ([]Bundle, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("obs: csv read: %w", err)
-	}
-	if len(rows) == 0 || strings.Join(rows[0], ",") != strings.Join(csvHeader, ",") {
-		return nil, fmt.Errorf("obs: csv missing header %v", csvHeader)
-	}
-	var out []Bundle
-	idx := map[string]int{}
-	// snapKey tracks the current snapshot per cell; rows of one snapshot
-	// are contiguous because WriteCSV emits them that way.
-	cur := map[string]*Snapshot{}
-	flush := func(cell string) {
-		if s := cur[cell]; s != nil {
-			b := &out[idx[cell]]
-			b.Snapshots = append(b.Snapshots, *s)
-			cur[cell] = nil
-		}
-	}
-	for _, row := range rows[1:] {
-		if len(row) != len(csvHeader) {
-			return nil, fmt.Errorf("obs: csv row has %d fields, want %d", len(row), len(csvHeader))
-		}
-		cell := row[0]
-		run, err1 := strconv.Atoi(row[1])
-		at, err2 := strconv.ParseInt(row[2], 10, 64)
-		index, err3 := strconv.Atoi(row[4])
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, fmt.Errorf("obs: csv row %v: bad numeric field", row)
-		}
-		kind, value := row[3], row[5]
-		bi, seen := idx[cell]
-		if !seen {
-			idx[cell] = len(out)
-			bi = len(out)
-			out = append(out, Bundle{Cell: cell})
-		}
-		b := &out[bi]
-		if run == -1 {
-			if kind == "channel_label" {
-				for len(b.Channels) <= index {
-					b.Channels = append(b.Channels, "")
-				}
-				b.Channels[index] = value
-				continue
-			}
-			n, err := strconv.ParseInt(value, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("obs: csv meta %q: %w", kind, err)
-			}
-			switch kind {
-			case "every":
-				b.Every = event.Time(n)
-			case "switches":
-				b.Switches = int(n)
-			case "nodes":
-				b.Nodes = int(n)
-			case "dropped":
-				b.Dropped = n
-			default:
-				return nil, fmt.Errorf("obs: csv unknown meta kind %q", kind)
-			}
-			continue
-		}
-		s := cur[cell]
-		if s == nil || s.Run != run || s.At != event.Time(at) {
-			flush(cell)
-			s = &Snapshot{
-				Run: run, At: event.Time(at),
-				ChanFlits:  make([]int64, len(b.Channels)),
-				ChanStalls: make([]int64, len(b.Channels)),
-				BufOcc:     make([]int64, b.Switches), ArbConflicts: make([]int64, b.Switches),
-				NISend: make([]int64, b.Nodes), NIRecv: make([]int64, b.Nodes),
-				NIDeferred: make([]int64, b.Nodes),
-			}
-			cur[cell] = s
-		}
-		n, err := strconv.ParseInt(value, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("obs: csv value %q: %w", value, err)
-		}
-		switch kind {
-		case "chan_flits":
-			s.ChanFlits[index] = n
-		case "chan_stalls":
-			s.ChanStalls[index] = n
-		case "buf_occ":
-			s.BufOcc[index] = n
-		case "arb_conflicts":
-			s.ArbConflicts[index] = n
-		case "ni_send":
-			s.NISend[index] = n
-		case "ni_recv":
-			s.NIRecv[index] = n
-		case "ni_deferred":
-			s.NIDeferred[index] = n
-		case "flit_hops":
-			s.FlitHops = n
-		case "events":
-			s.Events = uint64(n)
-		case "queue_len":
-			s.QueueLen = n
-		case "far_len":
-			s.FarLen = n
-		case "far_posts":
-			s.FarPosts = uint64(n)
-		case "migrations":
-			s.Migrations = uint64(n)
-		default:
-			return nil, fmt.Errorf("obs: csv unknown kind %q", kind)
-		}
-	}
-	for cell := range cur {
-		flush(cell)
-	}
-	// Map iteration above is unordered; restore bundle order by first
-	// appearance (idx holds it).
-	sort.SliceStable(out, func(i, j int) bool { return idx[out[i].Cell] < idx[out[j].Cell] })
 	return out, nil
 }
 

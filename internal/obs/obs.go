@@ -6,19 +6,19 @@
 // fig9-style saturation cliff can be explained from the run itself
 // instead of from a single end-of-run latency number.
 //
-// The design contract is zero overhead when disabled: the simulator
-// carries a single nil-checked *Recorder pointer, every probe site is a
-// one-branch guard on a cold path, and no probe allocates. Allocation
-// happens only inside Sample, which runs at the flush cadence (default
-// every 1024 cycles), never per flit. A Recorder belongs to exactly one
-// simulation cell (one goroutine); experiment harnesses create one per
-// cell and merge the resulting Bundles order-stably afterwards.
+// The simulator keeps every counter a Snapshot reports, recorder or not;
+// a Recorder only reads them, through the fill function the simulator
+// hands Sample at each flush. Allocation happens only inside Sample,
+// which runs at the flush cadence (default every 1024 cycles), never per
+// flit. A Recorder belongs to exactly one simulation cell (one
+// goroutine); experiment harnesses create one per cell and merge the
+// resulting Bundles order-stably afterwards.
 //
-// Cumulative-vs-interval convention: probes and the sim's flush both
-// write running totals; the Recorder differentiates against the previous
-// sample, so every Snapshot holds the activity of its interval only and
-// the sum of a series reconciles exactly with the run's final counters
-// (sum of ChanFlits across all snapshots == Stats.FlitHops).
+// Cumulative-vs-interval convention: the flush writes running totals;
+// the Recorder differentiates against the previous sample, so every
+// Snapshot holds the activity of its interval only and the sum of a
+// series reconciles exactly with the run's final counters (sum of
+// ChanFlits across all snapshots == Stats.FlitHops).
 package obs
 
 import (
@@ -123,22 +123,9 @@ type Recorder struct {
 	switches int
 	nodes    int
 
-	// Probe accumulators, cumulative over the current run.
-	chanStalls   []int64
-	arbConflicts []int64
-	niDeferred   []int64
-	engine       event.EngineObs
-
-	// Differencing baselines, reset per attach (per run) for per-network
-	// counters and kept across runs for the recorder-owned engine sink.
-	lastFlits    []int64
-	lastStalls   []int64
-	lastConf     []int64
-	lastDeferred []int64
-	lastHops     int64
-	lastEvents   uint64
-	lastFarPosts uint64
-	lastMigr     uint64
+	// last is the cumulative state of the previous sample, the baseline
+	// Sample differences against; AttachNetwork zeroes it.
+	last Snapshot
 
 	run     int // current run index; -1 before the first attach
 	started bool
@@ -164,11 +151,6 @@ func NewRecorder(cfg Config) *Recorder {
 // Every reports the flush cadence in cycles.
 func (r *Recorder) Every() event.Time { return r.cfg.Every }
 
-// EngineSink returns the counter block a Queue should post cold-path
-// scheduling counters into (via Queue.SetObs). The sink is recorder-owned
-// and persists across the cell's networks.
-func (r *Recorder) EngineSink() *event.EngineObs { return &r.engine }
-
 // AttachNetwork begins a new run. The first call registers the topology
 // (channel labels in the network's deterministic enumeration order);
 // later calls must present the identical shape — a Recorder observes one
@@ -178,70 +160,26 @@ func (r *Recorder) AttachNetwork(chanLabels []string, switches, nodes int) {
 		r.chans = append([]string(nil), chanLabels...)
 		r.switches = switches
 		r.nodes = nodes
-		r.chanStalls = make([]int64, len(chanLabels))
-		r.arbConflicts = make([]int64, switches)
-		r.niDeferred = make([]int64, nodes)
-		r.lastFlits = make([]int64, len(chanLabels))
-		r.lastStalls = make([]int64, len(chanLabels))
-		r.lastConf = make([]int64, switches)
-		r.lastDeferred = make([]int64, nodes)
+		r.last = r.newSnapshot()
 		r.started = true
 	} else if len(chanLabels) != len(r.chans) || switches != r.switches || nodes != r.nodes {
 		panic(fmt.Sprintf("obs: attach with %d channels/%d switches/%d nodes to a recorder registered with %d/%d/%d — one Recorder observes one cell topology",
 			len(chanLabels), switches, nodes, len(r.chans), r.switches, r.nodes))
 	}
 	r.run++
-	// Fresh network: its cumulative counters restart at zero, so the
-	// per-network baselines restart too. The engine sink is cumulative
-	// across runs and its baselines are NOT reset.
-	for i := range r.lastFlits {
-		r.lastFlits[i] = 0
-		r.lastStalls[i] = 0
-	}
-	for i := range r.lastConf {
-		r.lastConf[i] = 0
-	}
-	for i := range r.lastDeferred {
-		r.lastDeferred[i] = 0
-	}
-	for i := range r.chanStalls {
-		r.chanStalls[i] = 0
-	}
-	for i := range r.arbConflicts {
-		r.arbConflicts[i] = 0
-	}
-	for i := range r.niDeferred {
-		r.niDeferred[i] = 0
-	}
-	r.lastHops = 0
-	r.lastEvents = 0
+	// Fresh network: every cumulative counter it keeps, the engine's
+	// included, restarts at zero, so every baseline restarts too.
+	clear(r.last.ChanFlits)
+	clear(r.last.ChanStalls)
+	clear(r.last.ArbConflicts)
+	clear(r.last.NIDeferred)
+	r.last.FlitHops, r.last.Events, r.last.FarPosts, r.last.Migrations = 0, 0, 0, 0
 }
 
-// CreditStall records one credit-exhausted pump attempt on channel ch.
-func (r *Recorder) CreditStall(ch int32) { r.chanStalls[ch]++ }
-
-// ArbConflict records one output-port request that found every candidate
-// port held and had to queue at switch sw.
-func (r *Recorder) ArbConflict(sw int32) { r.arbConflicts[sw]++ }
-
-// NIDeferred records one burst deferred because node's NI injection
-// buffer was full.
-func (r *Recorder) NIDeferred(node int32) { r.niDeferred[node]++ }
-
-// Sample captures one snapshot at time at. fill receives a Snapshot with
-// arrays sized to the registered topology and writes the CUMULATIVE
-// values of ChanFlits, FlitHops, Events, and the instantaneous BufOcc,
-// NISend, NIRecv, QueueLen, FarLen; the recorder folds in its own probe
-// accumulators and differentiates every cumulative field against the
-// previous sample before storing. Snapshots past the configured cap evict
-// the oldest (counted in Bundle.Dropped).
-func (r *Recorder) Sample(at event.Time, fill func(*Snapshot)) {
-	if !r.started {
-		panic("obs: Sample before AttachNetwork")
-	}
-	s := Snapshot{
-		Run:          r.run,
-		At:           at,
+// newSnapshot returns a snapshot with every per-element series sized to
+// the registered topology.
+func (r *Recorder) newSnapshot() Snapshot {
+	return Snapshot{
 		ChanFlits:    make([]int64, len(r.chans)),
 		ChanStalls:   make([]int64, len(r.chans)),
 		BufOcc:       make([]int64, r.switches),
@@ -250,27 +188,40 @@ func (r *Recorder) Sample(at event.Time, fill func(*Snapshot)) {
 		NIRecv:       make([]int64, r.nodes),
 		NIDeferred:   make([]int64, r.nodes),
 	}
+}
+
+// Sample captures one snapshot at time at. fill receives a Snapshot with
+// arrays sized to the registered topology and writes the CUMULATIVE
+// values of ChanFlits, ChanStalls, ArbConflicts, NIDeferred, FlitHops,
+// Events, FarPosts and Migrations, and the instantaneous BufOcc, NISend,
+// NIRecv, QueueLen and FarLen; the recorder differentiates every
+// cumulative field against the previous sample before storing.
+// Snapshots past the configured cap evict the oldest (counted in
+// Bundle.Dropped).
+func (r *Recorder) Sample(at event.Time, fill func(*Snapshot)) {
+	if !r.started {
+		panic("obs: Sample before AttachNetwork")
+	}
+	s := r.newSnapshot()
+	s.Run, s.At = r.run, at
 	fill(&s)
-	for i := range s.ChanFlits {
-		total := s.ChanFlits[i]
-		s.ChanFlits[i] = total - r.lastFlits[i]
-		r.lastFlits[i] = total
-		s.ChanStalls[i] = r.chanStalls[i] - r.lastStalls[i]
-		r.lastStalls[i] = r.chanStalls[i]
-	}
-	for i := range s.ArbConflicts {
-		s.ArbConflicts[i] = r.arbConflicts[i] - r.lastConf[i]
-		r.lastConf[i] = r.arbConflicts[i]
-	}
-	for i := range s.NIDeferred {
-		s.NIDeferred[i] = r.niDeferred[i] - r.lastDeferred[i]
-		r.lastDeferred[i] = r.niDeferred[i]
-	}
-	s.FlitHops, r.lastHops = s.FlitHops-r.lastHops, s.FlitHops
-	s.Events, r.lastEvents = s.Events-r.lastEvents, s.Events
-	s.FarPosts, r.lastFarPosts = r.engine.FarPosts-r.lastFarPosts, r.engine.FarPosts
-	s.Migrations, r.lastMigr = r.engine.Migrations-r.lastMigr, r.engine.Migrations
+	delta(s.ChanFlits, r.last.ChanFlits)
+	delta(s.ChanStalls, r.last.ChanStalls)
+	delta(s.ArbConflicts, r.last.ArbConflicts)
+	delta(s.NIDeferred, r.last.NIDeferred)
+	s.FlitHops, r.last.FlitHops = s.FlitHops-r.last.FlitHops, s.FlitHops
+	s.Events, r.last.Events = s.Events-r.last.Events, s.Events
+	s.FarPosts, r.last.FarPosts = s.FarPosts-r.last.FarPosts, s.FarPosts
+	s.Migrations, r.last.Migrations = s.Migrations-r.last.Migrations, s.Migrations
 	r.push(s)
+}
+
+// delta turns the cumulative totals in cur into intervals against last,
+// and stores the totals in last as the next baseline.
+func delta(cur, last []int64) {
+	for i, total := range cur {
+		cur[i], last[i] = total-last[i], total
+	}
 }
 
 // push appends to the bounded snapshot ring.

@@ -10,37 +10,41 @@ import (
 )
 
 // fakeBundle builds a recorder-produced bundle with every field exercised,
-// including sparse probe series and engine counters.
+// including sparse cumulative series and engine counters.
 func fakeBundle(t *testing.T, cell string, samples int) Bundle {
 	t.Helper()
 	r := NewRecorder(Config{Every: 100})
 	r.AttachNetwork([]string{"s0p0->s1", "s1p0->s0", "inj n0"}, 2, 1)
-	sink := r.EngineSink()
 	var flits [3]int64
-	var hops int64
-	var events uint64
+	var hops, stalls, conflicts, deferred int64
+	var events, farPosts, migrations uint64
 	for i := 0; i < samples; i++ {
 		flits[0] += int64(10 * (i + 1))
 		flits[2] += 3
 		hops = flits[0] + flits[1] + flits[2]
 		events += uint64(50 + i)
-		sink.FarPosts += 2
-		sink.Migrations++
+		farPosts += 2
+		migrations++
 		if i%2 == 0 {
-			r.CreditStall(0)
-			r.ArbConflict(1)
-			r.NIDeferred(0)
+			stalls++
+			conflicts++
+			deferred++
 		}
 		at := event.Time(100 * (i + 1))
 		r.Sample(at, func(s *Snapshot) {
 			copy(s.ChanFlits, flits[:])
+			s.ChanStalls[0] = stalls
 			s.BufOcc[0] = int64(i)
+			s.ArbConflicts[1] = conflicts
 			s.NISend[0] = int64(i % 3)
 			s.NIRecv[0] = 1
+			s.NIDeferred[0] = deferred
 			s.FlitHops = hops
 			s.Events = events
 			s.QueueLen = int64(5 + i)
 			s.FarLen = int64(i % 2)
+			s.FarPosts = farPosts
+			s.Migrations = migrations
 		})
 	}
 	return r.Bundle(cell)
@@ -62,14 +66,15 @@ func TestRecorderDifferencesCumulativeSeries(t *testing.T) {
 			t.Errorf("snapshot %d: engine interval far=%d migr=%d, want 2/1", i, s.FarPosts, s.Migrations)
 		}
 	}
-	// Probe series: stalls land on even sample indices only.
+	// Sparse series: stalls, conflicts and deferrals land on even sample
+	// indices only.
 	for i, s := range b.Snapshots {
 		want := int64(0)
 		if i%2 == 0 {
 			want = 1
 		}
 		if s.ChanStalls[0] != want || s.ArbConflicts[1] != want || s.NIDeferred[0] != want {
-			t.Errorf("snapshot %d: probe intervals stall=%d arb=%d defer=%d, want %d",
+			t.Errorf("snapshot %d: intervals stall=%d arb=%d defer=%d, want %d",
 				i, s.ChanStalls[0], s.ArbConflicts[1], s.NIDeferred[0], want)
 		}
 	}
@@ -86,19 +91,25 @@ func TestRecorderDifferencesCumulativeSeries(t *testing.T) {
 	}
 }
 
-func TestRecorderReattachResetsNetworkBaselinesOnly(t *testing.T) {
+// TestRecorderReattachResetsEveryBaseline: a network's counters, its
+// engine's included, start at zero, so a second attach rebases every
+// cumulative series and the second run's first interval is its own
+// totals.
+func TestRecorderReattachResetsEveryBaseline(t *testing.T) {
 	r := NewRecorder(Config{Every: 10})
 	labels := []string{"a", "b"}
+	fill := func(k int64) func(*Snapshot) {
+		return func(s *Snapshot) {
+			s.ChanFlits[0], s.ChanStalls[1] = 5*k, 2*k
+			s.ArbConflicts[0], s.NIDeferred[0] = 3*k, k
+			s.FlitHops = 5 * k
+			s.Events, s.FarPosts, s.Migrations = uint64(100*k), uint64(7*k), uint64(4*k)
+		}
+	}
 	r.AttachNetwork(labels, 1, 1)
-	sink := r.EngineSink()
-	sink.FarPosts = 7
-	r.Sample(10, func(s *Snapshot) { s.ChanFlits[0] = 5; s.Events = 100 })
-
-	// Second run in the same cell: network counters restart at zero, the
-	// engine sink keeps counting.
+	r.Sample(10, fill(3))
 	r.AttachNetwork(labels, 1, 1)
-	sink.FarPosts = 9
-	r.Sample(10, func(s *Snapshot) { s.ChanFlits[0] = 3; s.Events = 40 })
+	r.Sample(10, fill(1))
 	snaps := r.Samples()
 	if len(snaps) != 2 {
 		t.Fatalf("got %d snapshots", len(snaps))
@@ -107,11 +118,13 @@ func TestRecorderReattachResetsNetworkBaselinesOnly(t *testing.T) {
 	if s.Run != 1 {
 		t.Fatalf("second run index %d, want 1", s.Run)
 	}
-	if s.ChanFlits[0] != 3 || s.Events != 40 {
-		t.Fatalf("per-network series not re-based: flits=%d events=%d", s.ChanFlits[0], s.Events)
-	}
-	if s.FarPosts != 2 {
-		t.Fatalf("engine series re-based across runs: far interval %d, want 2", s.FarPosts)
+	want := Snapshot{Run: 1, At: 10}
+	want.ChanFlits, want.ChanStalls = []int64{5, 0}, []int64{0, 2}
+	want.BufOcc, want.ArbConflicts = []int64{0}, []int64{3}
+	want.NISend, want.NIRecv, want.NIDeferred = []int64{0}, []int64{0}, []int64{1}
+	want.FlitHops, want.Events, want.FarPosts, want.Migrations = 5, 100, 7, 4
+	if !reflect.DeepEqual(s, want) {
+		t.Fatalf("second run not rebased on attach:\n got %+v\nwant %+v", s, want)
 	}
 }
 
@@ -157,30 +170,6 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("jsonl round trip diverged:\n in: %+v\nout: %+v", in, out)
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	in := []Bundle{fakeBundle(t, "cell/a", 5), fakeBundle(t, "cell/b", 2)}
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	first := buf.String()
-	out, err := ReadCSV(strings.NewReader(first))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("csv round trip diverged:\n in: %+v\nout: %+v", in, out)
-	}
-	// Write→read→write is byte-stable (sparse zero rows rebuild exactly).
-	var buf2 bytes.Buffer
-	if err := WriteCSV(&buf2, out); err != nil {
-		t.Fatal(err)
-	}
-	if buf2.String() != first {
-		t.Fatal("second csv encoding differs from first")
 	}
 }
 

@@ -79,9 +79,8 @@ type MembershipSchedule struct {
 // network's event loop (the single-goroutine contract covers groups
 // exactly as it covers every other entity).
 type Group struct {
-	net  *Network
-	id   GroupID
-	name string
+	net *Network
+	id  GroupID
 
 	// members is the live membership.
 	members *destset.Runs
@@ -91,9 +90,7 @@ type Group struct {
 	stale  int64 // deliveries to nodes that had already left
 	missed int64 // in-flight snapshots that excluded a joiner
 
-	repairs      int64      // plan repairs the owner reported via NoteRepair
-	repairEdges  int64      // tree edges rewritten across those repairs
-	repairCycles event.Time // modeled repair latency summed across them
+	repairs int64 // plan repairs the owner reported via NoteRepair
 
 	// onDelta fires after a membership event is applied (members updated,
 	// counters bumped) — the hook a group planner uses to repair its
@@ -107,9 +104,6 @@ type Group struct {
 
 // ID returns the group's dense per-network ID.
 func (g *Group) ID() GroupID { return g.id }
-
-// Name returns the group's registration name.
-func (g *Group) Name() string { return g.name }
 
 // Size returns the current member count.
 func (g *Group) Size() int { return g.members.Count() }
@@ -146,21 +140,10 @@ func (g *Group) Missed() int64 { return g.missed }
 // Install before advancing past the first membership event.
 func (g *Group) SetOnDelta(fn func(MembershipEvent)) { g.onDelta = fn }
 
-// NoteRepair records one plan repair against the group: edges tree edges
-// rewritten at a modeled cost of cycles. The simulator does not execute
-// repairs itself — the group planner owns the plan — but the counters
-// live here so observability and experiment code read one place.
-func (g *Group) NoteRepair(edges int, cycles event.Time) {
-	g.repairs++
-	g.repairEdges += int64(edges)
-	g.repairCycles += cycles
-}
-
-// Repairs returns (count, edges rewritten, summed modeled cycles) of the
-// repairs reported via NoteRepair.
-func (g *Group) Repairs() (int64, int64, event.Time) {
-	return g.repairs, g.repairEdges, g.repairCycles
-}
+// NoteRepair counts one plan repair against the group, for the obs
+// GroupRepairs series. The simulator does not execute repairs itself —
+// the group planner owns the plan and its cost.
+func (g *Group) NoteRepair() { g.repairs++ }
 
 // NewGroup registers a dynamic multicast group with the given initial
 // members. Group IDs are dense in registration order.
@@ -172,13 +155,10 @@ func (n *Network) NewGroup(name string, members []topology.NodeID) (*Group, erro
 		}
 		set.Add(int(m))
 	}
-	g := &Group{net: n, id: GroupID(len(n.groups)), name: name, members: set}
+	g := &Group{net: n, id: GroupID(len(n.groups)), members: set}
 	n.groups = append(n.groups, g)
 	return g, nil
 }
-
-// Groups returns the registered groups in registration order.
-func (n *Network) Groups() []*Group { return n.groups }
 
 // InstallMembership schedules every event of ms on the simulation clock.
 // Call before advancing past the earliest event time. The schedule is

@@ -78,10 +78,14 @@ type Network struct {
 	stats       Stats
 	tracer      func(TraceEvent)
 
-	// Observability (see obs.go): obsRec nil means disabled — the only
-	// state the rest of the pipeline ever checks. obsChans indexes every
-	// channel in registration order for delta sampling; obsTickArmed
-	// dedups the self-rescheduling evObsFlush tick.
+	// arbConflicts counts, per switch, the output-port requests that
+	// found every candidate port held and had to queue.
+	arbConflicts []int64
+
+	// Observability (see obs.go): obsRec nil means no recorder, and Send
+	// arms no flush tick. obsChans indexes every channel in registration
+	// order for sampling; obsTickArmed dedups the self-rescheduling
+	// evObsFlush tick.
 	obsRec       *obs.Recorder
 	obsChans     []*channel
 	obsTickArmed bool
@@ -127,10 +131,11 @@ func New(rt *updown.Routing, params Params, seed uint64, opts ...Option) (*Netwo
 	}
 	t := rt.Topo
 	n := &Network{
-		topo:   t,
-		rt:     rt,
-		params: params,
-		arb:    rng.New(seed),
+		topo:         t,
+		rt:           rt,
+		params:       params,
+		arb:          rng.New(seed),
+		arbConflicts: make([]int64, t.NumSwitches),
 	}
 	n.registerKinds()
 	n.cache.init(t.NumSwitches)

@@ -32,6 +32,7 @@ type ni struct {
 	injWait   []*burst
 	injHeld   int
 	streaming bool
+	deferred  int32 // bursts deferred by a full buffer, cumulative; int32 to fit streaming's padding (TestHotStructSizes)
 
 	// Reception state. rxWorm is the worm being assembled in NI memory
 	// and rxCount its flits so far: the ejection channel is a wormhole
@@ -132,9 +133,7 @@ func (x *ni) replicaBurst(m *Message, pkt int) *burst {
 func (x *ni) admitBurst(b *burst) {
 	limit := x.net.params.NIInjectBufferPackets
 	if limit > 0 && (x.injHeld >= limit || len(x.injWait) > 0) {
-		if r := x.net.obsRec; r != nil {
-			r.NIDeferred(int32(x.node))
-		}
+		x.deferred++
 		x.injWait = append(x.injWait, b)
 		return
 	}

@@ -5,11 +5,11 @@ import (
 	"mcastsim/internal/topology"
 )
 
-// Obs wiring. The entire subsystem hangs off the single nil-checked
-// n.obsRec pointer: with it nil (the default) no probe fires, no event
-// is posted, and the steady flit path is bit-for-bit the code it was
-// before — the zero-overhead contract TestSteadyFlitPathZeroAllocObsOff
-// and the golden traces pin.
+// Obs wiring. The network keeps every counter a snapshot reports —
+// flits and credit stalls per channel, arbitration conflicts per switch,
+// deferrals per NI, the engine's totals — whether or not a recorder is
+// attached; the flush only reads them. With n.obsRec nil (the default)
+// Send arms no flush tick, so no sampling event is ever posted.
 //
 // Sampling never perturbs the model: the flush only reads counters and
 // queue depths, never touches n.arb, and the evObsFlush event's handler
@@ -18,7 +18,7 @@ import (
 // count).
 
 // attachObs registers the network's shape with the recorder and indexes
-// every channel for delta sampling. Enumeration order is deterministic:
+// every channel for sampling. Enumeration order is deterministic:
 // switch output channels in (switch, port) order, then per-node
 // injection channels — the same walk ChannelUsage reports.
 func (n *Network) attachObs(r *obs.Recorder) {
@@ -36,18 +36,15 @@ func (n *Network) attachObs(r *obs.Recorder) {
 			if op == nil {
 				continue
 			}
-			op.ch.obsID = int32(len(n.obsChans))
 			n.obsChans = append(n.obsChans, op.ch)
 			labels = append(labels, n.portLabel(int(s), p))
 		}
 	}
 	for node, h := range n.hosts {
-		h.inj.obsID = int32(len(n.obsChans))
 		n.obsChans = append(n.obsChans, &h.inj)
 		labels = append(labels, injLabel(node))
 	}
 	r.AttachNetwork(labels, n.topo.NumSwitches, n.topo.NumNodes)
-	n.queue.SetObs(r.EngineSink())
 }
 
 // obsArm starts the sampling tick if obs is attached and no tick is
@@ -93,7 +90,9 @@ func (n *Network) obsFlush() {
 	r.Sample(n.queue.Now(), func(s *obs.Snapshot) {
 		for i, ch := range n.obsChans {
 			s.ChanFlits[i] = ch.busyFlits
+			s.ChanStalls[i] = ch.stalls
 		}
+		copy(s.ArbConflicts, n.arbConflicts)
 		// Every host is built (attachObs), so each switch's buffers are
 		// its link ends' and its hosts'.
 		for i := range n.bufs {
@@ -108,6 +107,7 @@ func (n *Network) obsFlush() {
 				rx = 1
 			}
 			s.NIRecv[node] = rx
+			s.NIDeferred[node] = int64(x.deferred)
 		}
 		if len(n.groups) > 0 {
 			s.GroupSize = make([]int64, len(n.groups))
@@ -126,5 +126,7 @@ func (n *Network) obsFlush() {
 		s.Events = es.Processed
 		s.QueueLen = int64(es.Len)
 		s.FarLen = int64(es.FarLen)
+		s.FarPosts = es.FarPosts
+		s.Migrations = es.Migrations
 	})
 }

@@ -10,11 +10,11 @@ import (
 )
 
 // TestSteadyFlitPathZeroAllocObsEnabled extends the zero-alloc contract to
-// the *enabled* telemetry path: with a recorder attached, the per-event
-// probe sites (credit stalls, arbitration conflicts, NI deferrals) write
-// into preallocated accumulators and must not allocate either. The flush
-// cadence is pushed past the measured window so only probe writes — not
-// Sample, which may allocate by design — land inside it.
+// a network with a recorder attached: the counters the flush reads are
+// plain fields the simulator keeps either way, so streaming flits must
+// not allocate with a recorder attached either. The flush cadence is
+// pushed past the measured window so no Sample, which may allocate by
+// design, lands inside it.
 func TestSteadyFlitPathZeroAllocObsEnabled(t *testing.T) {
 	p := DefaultParams()
 	const flits = 4096
@@ -100,53 +100,111 @@ func TestTraceByteIdentityWithObs(t *testing.T) {
 	}
 }
 
+// obsTotals is what one run's telemetry adds up to, or what a network's
+// own counters read.
+type obsTotals struct {
+	chanFlits, flitHops, stalls, conflicts, deferred int64
+	events, farPosts, migrations                     uint64
+}
+
+// runTotals sums the interval series of run in b.
+func runTotals(b obs.Bundle, run int) obsTotals {
+	var o obsTotals
+	for _, s := range b.Snapshots {
+		if s.Run != run {
+			continue
+		}
+		for i := range s.ChanFlits {
+			o.chanFlits += s.ChanFlits[i]
+			o.stalls += s.ChanStalls[i]
+		}
+		for _, v := range s.ArbConflicts {
+			o.conflicts += v
+		}
+		for _, v := range s.NIDeferred {
+			o.deferred += v
+		}
+		o.flitHops += s.FlitHops
+		o.events += s.Events
+		o.farPosts += s.FarPosts
+		o.migrations += s.Migrations
+	}
+	return o
+}
+
+// netTotals reads the same quantities from n's own counters, walking
+// every channel the network built rather than the recorder's index.
+func netTotals(n *Network) obsTotals {
+	es := n.queue.EngineStats()
+	o := obsTotals{flitHops: n.stats.FlitHops, events: es.Processed, farPosts: es.FarPosts, migrations: es.Migrations}
+	chans := []*channel{}
+	for i := range n.chans {
+		chans = append(chans, &n.chans[i])
+	}
+	for _, h := range n.hosts {
+		if h != nil {
+			chans = append(chans, &h.inj, &h.ej)
+			o.deferred += int64(h.ni.deferred)
+		}
+	}
+	for _, ch := range chans {
+		o.chanFlits += ch.busyFlits
+		o.stalls += ch.stalls
+	}
+	for _, v := range n.arbConflicts {
+		o.conflicts += v
+	}
+	return o
+}
+
 // TestObsReconciliation checks the telemetry's accounting invariant on a
-// contended multi-message run: the summed per-channel flit series equals
-// the simulator's own Stats.FlitHops, and the engine event series equals
-// EventsProcessed — both exactly, given the final flush.
+// contended multi-message run: every interval series, summed over a run,
+// equals the network's own total — flits per channel and in all, credit
+// stalls, arbitration conflicts, NI deferrals, events, far posts and
+// migrations — exactly, given the final flush. A second network attached
+// to the same recorder reconciles against itself alone, which pins the
+// rebase on attach. At a cadence past the 1,024-cycle calendar ring each
+// flush tick is itself a far post, so that run exercises the engine's
+// far-path series.
 func TestObsReconciliation(t *testing.T) {
 	p := DefaultParams()
-	p.BufferFlits = 4 // shallow buffers so the storm exercises credit stalls
-	n := fixtureNet(t, p)
-	rec := obs.NewRecorder(obs.Config{Every: 128})
-	n.attachObs(rec)
-	for i := 0; i < 4; i++ {
-		if _, err := n.Send(obsTestPlan(topology.NodeID(2*i)), 512, n.Now()+event.Time(i*50), nil); err != nil {
-			t.Fatal(err)
+	p.BufferFlits = 4           // shallow buffers so the storm exercises credit stalls
+	p.NIInjectBufferPackets = 1 // and a one-packet NI buffer, deferrals
+	for _, every := range []event.Time{128, 2048} {
+		rec := obs.NewRecorder(obs.Config{Every: every})
+		for run := 0; run < 2; run++ {
+			n := fixtureNet(t, p)
+			n.attachObs(rec)
+			for i := 0; i < 4; i++ {
+				if _, err := n.Send(obsTestPlan(topology.NodeID(2*i)), 512, n.Now()+event.Time(i*50), nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := n.Drain(0); err != nil {
+				t.Fatal(err)
+			}
+			n.FlushObs()
+			got, want := runTotals(rec.Bundle("test"), run), netTotals(n)
+			if got != want {
+				t.Fatalf("every %d, run %d: summed series %+v != network totals %+v", every, run, got, want)
+			}
+			if want.chanFlits != want.flitHops {
+				t.Fatalf("every %d, run %d: channel flits %d != Stats.FlitHops %d", every, run, want.chanFlits, want.flitHops)
+			}
+			if want.events != n.EventsProcessed() {
+				t.Fatalf("every %d, run %d: engine events %d != EventsProcessed %d", every, run, want.events, n.EventsProcessed())
+			}
+			// The contended tree storm must exercise every counter.
+			if want.stalls == 0 || want.conflicts == 0 || want.deferred == 0 {
+				t.Fatalf("every %d, run %d: storm left a counter at zero: %+v", every, run, want)
+			}
+			if every > 1024 && (want.farPosts == 0 || want.migrations == 0) {
+				t.Fatalf("every %d, run %d: flush ticks past the ring posted no far event: %+v", every, run, want)
+			}
 		}
-	}
-	if err := n.Drain(0); err != nil {
-		t.Fatal(err)
-	}
-	n.FlushObs()
-	b := rec.Bundle("test")
-	if len(b.Snapshots) < 2 {
-		t.Fatalf("expected a multi-snapshot series, got %d", len(b.Snapshots))
-	}
-	if got, want := b.TotalFlits(), int64(n.Stats().FlitHops); got != want {
-		t.Fatalf("summed ChanFlits %d != Stats.FlitHops %d", got, want)
-	}
-	var hops int64
-	var events uint64
-	for _, s := range b.Snapshots {
-		hops += s.FlitHops
-		events += s.Events
-	}
-	if hops != int64(n.Stats().FlitHops) {
-		t.Fatalf("summed FlitHops series %d != Stats.FlitHops %d", hops, n.Stats().FlitHops)
-	}
-	if events != n.EventsProcessed() {
-		t.Fatalf("summed Events series %d != EventsProcessed %d", events, n.EventsProcessed())
-	}
-	// The contended tree storm must actually exercise the probe sites.
-	var stalls int64
-	for _, s := range b.Snapshots {
-		for _, v := range s.ChanStalls {
-			stalls += v
+		if b := rec.Bundle("test"); len(b.Snapshots) < 4 {
+			t.Fatalf("every %d: expected a multi-snapshot series per run, got %d snapshots", every, len(b.Snapshots))
 		}
-	}
-	if stalls == 0 {
-		t.Log("no credit stalls observed (acceptable, but the cell is meant to contend)")
 	}
 }
 

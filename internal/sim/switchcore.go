@@ -13,21 +13,23 @@ import (
 // input buffer, a switch node-port's line to an NI, or a node's injection
 // line into its home switch. A channel carries one flit per cycle and is
 // used by one sender (branch) at a time.
+//
+// The struct fills exactly one 64-byte line; a new field must take the
+// place of padding (TestHotStructSizes).
 type channel struct {
 	toSwitch bool
-	dstBuf   *inputBuf       // when toSwitch
-	dstNode  topology.NodeID // when !toSwitch (ejection into an NI)
+	// dead marks a failed channel: the active sender is torn down at the
+	// break, in-flight flits past it are drained and dropped, and no new
+	// grant streams over it.
+	dead    bool
+	dstBuf  *inputBuf       // when toSwitch
+	dstNode topology.NodeID // when !toSwitch (ejection into an NI)
 
 	credits  int // free slots in dstBuf (meaningless for ejection)
 	lineFree event.Time
 	sender   *branch // active sender, for credit wake-ups
 
-	// dead marks a failed channel: the active sender is torn down at the
-	// break, in-flight flits past it are drained and dropped, and no new
-	// grant streams over it.
-	dead bool
-
-	obsID     int32 // index in Network.obsChans; meaningful only while obs is attached
+	stalls    int64 // credit-exhausted pump attempts
 	busyFlits int64 // flits carried, for utilization reports
 }
 
@@ -749,9 +751,7 @@ func (n *Network) fileRequest(br *branch, s topology.SwitchID, ports []int, phas
 			return
 		}
 	}
-	if r := n.obsRec; r != nil {
-		r.ArbConflict(int32(s))
-	}
+	n.arbConflicts[s]++
 	outs := make([]*outPort, len(ports))
 	owned := make([]updown.Phase, len(phases))
 	for i, p := range ports {
@@ -872,9 +872,7 @@ func (br *branch) pump() {
 	}
 	if ch.toSwitch {
 		if ch.credits == 0 {
-			if r := net.obsRec; r != nil {
-				r.CreditStall(ch.obsID)
-			}
+			ch.stalls++
 			return // no buffer space; credit return will wake us
 		}
 		ch.credits--

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"testing"
+	"unsafe"
 
 	"mcastsim/internal/topology"
 )
@@ -122,5 +123,19 @@ func TestValidatePlanZeroAlloc(t *testing.T) {
 		if avg := testing.AllocsPerRun(100, func() { _ = n.validatePlan(plan) }); avg != 0 {
 			t.Errorf("%s: validatePlan allocates %v per call with a warm pool, want 0", name, avg)
 		}
+	}
+}
+
+// TestHotStructSizes pins the layout of the per-hop state. A channel is
+// touched on every flit hop and fills one 64-byte line; a host is
+// allocated per node, and one more word would move it from the 416-byte
+// to the 448-byte allocation size class. A counter added to either must
+// take padding's place.
+func TestHotStructSizes(t *testing.T) {
+	if got := unsafe.Sizeof(channel{}); got > 64 {
+		t.Errorf("channel is %d bytes, want <= 64", got)
+	}
+	if got := unsafe.Sizeof(host{}); got > 416 {
+		t.Errorf("host is %d bytes, want <= 416", got)
 	}
 }

@@ -217,7 +217,7 @@ func runChurn(rt *updown.Routing, w Workload, spec ChurnSpec, o *runOpts) ([]Chu
 				return
 			}
 			plan = p2
-			g.NoteRepair(cost.Edges, cost.Cycles)
+			g.NoteRepair()
 			probe.Repairs++
 			probe.RepairEdges += int64(cost.Edges)
 			probe.RepairCycles += cost.Cycles
