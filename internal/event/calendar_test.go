@@ -248,6 +248,9 @@ func TestZeroAllocTypedPath(t *testing.T) {
 		q.PostAfter(3, kNop, a, 1)
 		q.PostAfter(1, kNop, a, 2)
 		q.PostFused(q.Now()+1, kNop, a, 3, 4)
+		if !q.PostFused(q.Now()+1, kNop, a, 4, 2) {
+			t.Fatal("second fused post of the cycle did not join")
+		}
 		q.Step()
 		q.Step()
 		q.Step()
@@ -308,6 +311,145 @@ func TestFusedCountsLogicalEvents(t *testing.T) {
 	}
 }
 
+// TestFusedJoin pins the join rule: a fused post joins the last pending
+// record of its cycle only when PostFused wrote that record for the same
+// kind, and the joined weight counts everywhere the record's own does.
+func TestFusedJoin(t *testing.T) {
+	t.Run("counts", func(t *testing.T) {
+		var q Queue
+		rec := newRecorded(&q)
+		if q.PostFused(2, kRecord, rec, 1, 3) {
+			t.Fatal("first fused post of a cycle joined")
+		}
+		if !q.PostFused(2, kRecord, rec, 2, 4) {
+			t.Fatal("fused post behind a fused record of its kind did not join")
+		}
+		if got := q.Len(); got != 7 {
+			t.Fatalf("Len = %d with 3 events joined by 4, want 7", got)
+		}
+		q.Step()
+		if q.Processed() != 7 || q.Len() != 0 {
+			t.Fatalf("Processed = %d, Len = %d after the joined record, want 7 and 0", q.Processed(), q.Len())
+		}
+		if len(rec.got) != 1 || rec.got[0] != 1 {
+			t.Fatalf("dispatches %v, want the first post's record alone: [1]", rec.got)
+		}
+	})
+	t.Run("no join", func(t *testing.T) {
+		const kOther Kind = 2
+		cases := []struct {
+			name string
+			tail func(q *Queue, rec *recorder) Time // leaves a record pending at the returned cycle
+		}{
+			{"empty bucket", func(q *Queue, rec *recorder) Time { return q.Now() + 1 }},
+			{"drained current bucket", func(q *Queue, rec *recorder) Time {
+				q.PostFused(q.Now()+1, kRecord, rec, 0, 2)
+				q.Step()
+				return q.Now()
+			}},
+			{"plain record of another kind", func(q *Queue, rec *recorder) Time {
+				q.PostFused(q.Now()+1, kRecord, rec, 0, 2)
+				q.Post(q.Now()+1, kOther, rec, 0)
+				return q.Now() + 1
+			}},
+			{"fused record of another kind", func(q *Queue, rec *recorder) Time {
+				q.PostFused(q.Now()+1, kOther, rec, 0, 2)
+				return q.Now() + 1
+			}},
+			{"plain record of the kind", func(q *Queue, rec *recorder) Time {
+				q.Post(q.Now()+1, kRecord, rec, 0)
+				return q.Now() + 1
+			}},
+			{"record migrated from the far heap", func(q *Queue, rec *recorder) Time {
+				far := q.Now() + ringSize + 5
+				q.Post(far, kRecord, rec, 0)
+				q.Post(q.Now()+10, kOther, rec, 0)
+				q.Step() // the cursor reaches far-ringSize+10, pulling far into the ring
+				if q.EngineStats().Migrations != 1 {
+					t.Fatal("far record did not migrate")
+				}
+				return far
+			}},
+		}
+		for _, c := range cases {
+			t.Run(c.name, func(t *testing.T) {
+				q := freshQueue()
+				rec := newRecorded(q)
+				q.Register(kOther, func(any, int64) {})
+				at := c.tail(q, rec)
+				before := q.Len()
+				if q.PostFused(at, kRecord, rec, 9, 3) {
+					t.Fatal("fused post joined")
+				}
+				if q.Len() != before+3 {
+					t.Fatalf("Len = %d after a fused post of 3, want %d", q.Len(), before+3)
+				}
+				q.RunUntil(at)
+				if n := len(rec.got); n == 0 || rec.got[n-1] != 9 {
+					t.Fatalf("dispatches %v, want the fused post's own record last", rec.got)
+				}
+			})
+		}
+	})
+	t.Run("partly drained current bucket", func(t *testing.T) {
+		var q Queue
+		rec := newRecorded(&q)
+		q.Post(4, kRecord, rec, 1)
+		q.PostFused(4, kRecord, rec, 2, 2)
+		q.Step() // now 4; the fused record is still pending in this cycle's bucket
+		if !q.PostFused(q.Now(), kRecord, rec, 3, 3) {
+			t.Fatal("fused post into the current cycle did not join its pending fused record")
+		}
+		if q.Len() != 5 {
+			t.Fatalf("Len = %d, want 5", q.Len())
+		}
+		q.Step()
+		if q.Processed() != 6 || q.Len() != 0 || len(rec.got) != 2 || rec.got[1] != 2 {
+			t.Fatalf("Processed = %d, Len = %d, dispatches %v; want 6, 0 and [1 2]", q.Processed(), q.Len(), rec.got)
+		}
+	})
+	t.Run("full tail chunk", func(t *testing.T) {
+		q := freshQueue()
+		rec := newRecorded(q)
+		for i := 1; i < chunkSlots; i++ {
+			q.Post(1, kRecord, rec, 0)
+		}
+		q.PostFused(1, kRecord, rec, 0, 2) // the chunk's last slot
+		b := &q.ring.buckets[1]
+		tail := b.tail
+		if b.head != tail || tail.n != chunkSlots {
+			t.Fatal("setup did not fill exactly one chunk")
+		}
+		if !q.PostFused(1, kRecord, rec, 0, 5) {
+			t.Fatal("fused post behind a full chunk's fused last slot did not join")
+		}
+		if b.tail != tail || tail.next != nil || tail.n != chunkSlots {
+			t.Fatal("a join opened a chunk")
+		}
+		if got := tail.slots[chunkSlots-1].weight(); got != 7 {
+			t.Fatalf("joined slot weighs %d, want 7", got)
+		}
+	})
+	t.Run("weight overflow", func(t *testing.T) {
+		var q Queue
+		rec := newRecorded(&q)
+		q.PostFused(1, kRecord, rec, 1, 1<<32-3)
+		if !q.PostFused(1, kRecord, rec, 2, 3) {
+			t.Fatal("join filling the weight exactly was refused")
+		}
+		if q.PostFused(1, kRecord, rec, 3, 1) {
+			t.Fatal("join overflowing the weight was accepted")
+		}
+		if got, want := q.Len(), 1<<32+1; got != want {
+			t.Fatalf("Len = %d, want %d", got, want)
+		}
+		q.RunUntil(1)
+		if got, want := q.Processed(), uint64(1<<32+1); got != want || len(rec.got) != 2 || rec.got[1] != 3 {
+			t.Fatalf("Processed = %d, dispatches %v; want %d and [1 3]", got, rec.got, want)
+		}
+	})
+}
+
 // TestPostFusedPanics pins PostFused's contract: only in-window times at
 // or after now, and a weight of at least one.
 func TestPostFusedPanics(t *testing.T) {
@@ -323,14 +465,19 @@ func TestPostFusedPanics(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var q Queue
-			q.Post(10, kRecord, newRecorded(&q), 0)
+			rec := newRecorded(&q)
+			q.Post(10, kRecord, rec, 0)
 			q.Step()
+			// Joinable records in the buckets the refused posts name: a
+			// refusal must come before any join.
+			q.PostFused(q.Now(), kRecord, rec, 0, 2)
+			q.PostFused(q.Now()+1, kRecord, rec, 0, 2)
 			defer func() {
 				if recover() == nil {
 					t.Fatal("PostFused did not panic")
 				}
-				if q.Len() != 0 {
-					t.Fatalf("Len = %d after a refused post, want 0", q.Len())
+				if q.Len() != 4 {
+					t.Fatalf("Len = %d after a refused post, want 4", q.Len())
 				}
 			}()
 			c.post(&q)
@@ -338,7 +485,7 @@ func TestPostFusedPanics(t *testing.T) {
 	}
 }
 
-// TestRecordSizes pins the record layouts: the fused-weight field rides
+// TestRecordSizes pins the record layouts: the fused weight and flag ride
 // in padding, so a ring slot stays 32 bytes and a heap entry 48.
 func TestRecordSizes(t *testing.T) {
 	if got := unsafe.Sizeof(slot{}); got != 32 {

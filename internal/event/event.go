@@ -28,6 +28,17 @@
 // logical events, so fusing changes how a run is executed, never what is
 // counted.
 //
+// When the last record already posted for the cycle is one PostFused
+// wrote for the same kind, PostFused joins the post to it instead: the
+// record's weight grows by n, no record is appended, and PostFused
+// reports the join. A plain post or a record migrated from the far heap
+// takes no join. The joined post runs exactly where its own record would
+// have run, right after that record with nothing between them, but the
+// queue keeps neither its actor nor its arg: the caller links the joined
+// work to the record's actor, and the handler runs it. A kind posted
+// through PostFused must therefore be posted only through it, so that
+// every record of the kind reaches a handler written to run joined work.
+//
 // # Scheduling structure
 //
 // The queue is a hierarchical calendar queue: a power-of-two
@@ -56,6 +67,7 @@ package event
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -109,6 +121,7 @@ type slot struct {
 	actor any
 	arg   int64
 	kind  Kind
+	fused bool   // written by PostFused; only such a record takes joins
 	extra uint32 // logical events beyond the first (see PostFused)
 }
 
@@ -231,14 +244,28 @@ func (q *Queue) Post(t Time, k Kind, actor any, arg int64) {
 // inside the calendar window are accepted — fusion exists for the
 // one-cycle flit hop, which is always in the window — and a time in the
 // past, beyond the window, or n < 1 panics.
-func (q *Queue) PostFused(t Time, k Kind, actor any, arg int64, n int) {
+//
+// If the last pending record at t is one PostFused wrote for kind k, the
+// post joins it: its weight grows by n, actor and arg are dropped, and
+// PostFused returns true (see "Fused events"). A join that would overflow
+// the weight appends a new record instead.
+func (q *Queue) PostFused(t Time, k Kind, actor any, arg int64, n int) bool {
 	if q.ring == nil {
 		q.takeRing()
 	}
 	if t < q.now || t >= q.cursor+ringSize || n < 1 || uint64(n) > 1<<32 {
 		panic(fmt.Sprintf("event: fused post of %d events at %d, want n >= 1 and %d <= t < %d", n, t, q.now, q.cursor+ringSize))
 	}
-	q.bucketAppend(&q.ring.buckets[t&(ringSize-1)], slot{actor: actor, arg: arg, kind: k, extra: uint32(n - 1)})
+	b := &q.ring.buckets[t&(ringSize-1)]
+	if c := b.tail; c != nil {
+		if s := &c.slots[c.n-1]; s.fused && s.kind == k && uint64(n) <= math.MaxUint32-uint64(s.extra) {
+			s.extra += uint32(n)
+			q.pending += n
+			return true
+		}
+	}
+	q.bucketAppend(b, slot{actor: actor, arg: arg, kind: k, fused: true, extra: uint32(n - 1)})
+	return false
 }
 
 // takeRing gives the queue a calendar ring: a released one if the pool
@@ -375,8 +402,9 @@ func (q *Queue) RunUntil(limit Time) uint64 {
 // Drain runs events until none remain or maxEvents have executed; it
 // returns true if the queue drained. maxEvents bounds runaway simulations
 // (a livelocked model would otherwise spin forever). The budget counts
-// logical events, and a fused record runs whole: one that straddles the
-// budget overruns it by at most its n-1 extra events.
+// logical events, and a fused record runs whole, posts joined to it
+// included: one that straddles the budget can overrun it by nearly its
+// whole weight.
 func (q *Queue) Drain(maxEvents uint64) bool {
 	for start := q.ran; q.ran-start < maxEvents; {
 		if !q.Step() {

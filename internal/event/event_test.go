@@ -182,6 +182,28 @@ func TestDrainBound(t *testing.T) {
 	if !q4.Drain(100) || q4.Processed() != 3 {
 		t.Fatalf("Drain on a finite fused queue: Processed = %d, Len = %d", q4.Processed(), q4.Len())
 	}
+
+	// A joined post counts in the budget too: every record below carries
+	// a post of 4 events and a joined one of 3, so the chain stops after
+	// 15 records (105 events), overrunning the budget by most of a record.
+	var q5 Queue
+	var records int
+	var joinedTick func()
+	joinedTick = func() {
+		records++
+		q5.PostFused(q5.Now()+1, kFunc, joinedTick, 0, 4)
+		if !q5.PostFused(q5.Now()+1, kFunc, nil, 0, 3) {
+			t.Error("second fused post of the cycle did not join")
+		}
+	}
+	q5.Register(kFunc, runFunc)
+	q5.PostFused(0, kFunc, joinedTick, 0, 7)
+	if q5.Drain(100) {
+		t.Fatal("Drain claimed an endless joined chain drained")
+	}
+	if q5.Processed() != 105 || records != 15 {
+		t.Fatalf("Drain(100) on a joined chain ran %d records, %d events, want 15 and 105", records, q5.Processed())
+	}
 }
 
 func TestProcessedCounts(t *testing.T) {

@@ -80,10 +80,11 @@ const (
 	// last closure-shaped state in the engine; everything else in the
 	// queue is a fixed-shape record.
 	evSched
-	// evFlit is one fused non-tail flit hop at LinkDelay 1: it runs the
-	// hop's evDeliver, then arg evCredit returns on the branch's fuseBuf,
-	// then its evPump, and counts as arg+2 events (actor *branch; see
-	// branch.pump and DESIGN.md §12).
+	// evFlit is a chain of fused non-tail flit hops at LinkDelay 1, one
+	// per branch from the actor along branch.chain, in posting order. Each
+	// hop runs its evDeliver, then fuseCredits evCredit returns on its
+	// fuseBuf, then its evPump, and counts as fuseCredits+2 events (actor
+	// *branch; see branch.pump and DESIGN.md §12).
 	evFlit
 )
 
@@ -124,5 +125,15 @@ func (n *Network) registerKinds() {
 	q.Register(evObsFlush, func(_ any, _ int64) { n.obsTick() })
 	q.Register(evMembership, func(a any, _ int64) { n.applyMembership(a.(*MembershipEvent)) })
 	q.Register(evSched, func(a any, _ int64) { a.(func())() })
-	q.Register(evFlit, func(a any, arg int64) { a.(*branch).flitHop(int(arg)) })
+	q.Register(evFlit, func(a any, _ int64) {
+		// Clear each link before its hop runs: the hop's pump can post the
+		// branch's next hop, and a later hop of this chain may then join
+		// behind it, taking a fresh link that must not be cleared.
+		for br := a.(*branch); br != nil; {
+			next := br.chain
+			br.chain = nil
+			br.flitHop()
+			br = next
+		}
+	})
 }

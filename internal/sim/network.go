@@ -111,6 +111,11 @@ type Network struct {
 	// reclaimAfter is the branch quarantine horizon (see pool.go).
 	reclaimAfter event.Time
 
+	// flitTail is the branch of the latest fused hop posted. While the
+	// last record for the next cycle is an evFlit, it is the last branch
+	// of that record's chain, which the next fused hop joins.
+	flitTail *branch
+
 	// Free lists and per-decision scratch (see pool.go).
 	pools entityPools
 	scr   scratchSpace
@@ -422,10 +427,12 @@ func (n *Network) stallReport(queueEmpty bool) *StallError {
 
 // Drain runs the simulation until all in-flight work completes. maxEvents
 // (0 = a generous default) bounds runaway simulations. The budget counts
-// logical events (EventsProcessed); a fused flit hop runs whole, so one
-// that straddles the budget overruns it by at most its credits plus one.
-// The termination checks below run once per dispatched record, so once
-// per fused hop rather than once per event in it.
+// logical events (EventsProcessed); an evFlit record runs whole, with
+// every hop chained to it, so one that straddles the budget can overrun
+// it by nearly its whole weight. The termination checks below run once
+// per dispatched record, so once per chain of fused hops rather than once
+// per event in it; apart from the budget, none of them could fire
+// between two hops of a chain (DESIGN.md §12).
 //
 // A network that drains idle hands its calendar ring to the next network
 // (event.Queue.Release); its own next send takes one again.

@@ -33,9 +33,13 @@ import (
 //     pump tail or a fault kill), is spliced out of its occupant's branch
 //     list immediately, and an evReclaim fires reclaimAfter cycles later —
 //     strictly after every pending evPump/evDeliver/evFlit/evTail that
-//     still names it — to release its worm ref and recycle it. Splicing at
-//     done-time is safe: a done branch never gates eviction (its window
-//     ends at the parent stream's length) and schedulePump no-ops on it.
+//     still names it — to release its worm ref and recycle it. A branch
+//     whose fused hop joined another's evFlit record is named by its
+//     predecessor's chain link rather than by a record of its own; the
+//     link is cleared before the hop runs, one cycle after the post, so
+//     the same horizon covers it. Splicing at done-time is safe: a done
+//     branch never gates eviction (its window ends at the parent stream's
+//     length) and schedulePump no-ops on it.
 //
 //   - Occupants are recycled when they are detached from their buffer
 //     (head retirement or fault removal), have no pending evRoute, and no

@@ -114,17 +114,24 @@ type branch struct {
 	port    *outPort // nil for NI injection
 	pumping bool
 	done    bool
+	injLast bool // see injNI
 
-	// fuseBuf is the buffer whose credits the pending evFlit returns,
-	// captured when the pump posted it, as an evCredit captures it.
-	fuseBuf *inputBuf
+	// fuseBuf is the buffer whose credits the pending evFlit hop returns,
+	// captured when the pump posted it, as an evCredit captures it, and
+	// fuseCredits is how many. fuseCredits and injLast share the word
+	// after the flags, so a branch stays 128 bytes (TestHotStructSizes).
+	fuseCredits int32
+	fuseBuf     *inputBuf
+	// chain is the next branch whose fused hop joined the same evFlit
+	// record: the handler runs the hops of a record's chain in posting
+	// order (see Network.flitTail).
+	chain *branch
 
 	// injNI, when non-nil, is the NI whose injection stream this branch
 	// carries: one cycle after the tail flit the NI's streamDone runs
 	// (with injLast reporting whether this was the burst's final worm)
 	// to start the next packet. Replaces a per-stream closure.
-	injNI   *ni
-	injLast bool
+	injNI *ni
 
 	// req is the branch's pending arbitration entry; a kill cancels it
 	// lazily by marking it granted.
@@ -831,13 +838,14 @@ func (br *branch) schedulePump(t event.Time) {
 	q.Post(t, evPump, br, 0)
 }
 
-// flitHop is the evFlit handler: one fused non-tail flit hop. It runs
-// the handlers the unfused hop posts into this cycle, in posting order:
-// evDeliver, one evCredit per slot the pump freed, then evPump.
-func (br *branch) flitHop(credits int) {
+// flitHop runs one fused non-tail flit hop, a link of an evFlit record's
+// chain. It runs the handlers the unfused hop posts into this cycle, in
+// posting order: evDeliver, one evCredit per slot the pump freed, then
+// evPump.
+func (br *branch) flitHop() {
 	b := br.fuseBuf
 	br.deliver()
-	for ; credits > 0; credits-- {
+	for k := br.fuseCredits; k > 0; k-- {
 		b.creditReturn()
 	}
 	br.pump()
@@ -897,7 +905,14 @@ func (br *branch) pump() {
 		if o != nil {
 			br.fuseBuf = o.buf
 		}
-		net.queue.PostFused(now+1, evFlit, br, int64(freed), freed+2)
+		br.fuseCredits = int32(freed)
+		if net.queue.PostFused(now+1, evFlit, br, 0, freed+2) {
+			// Joined the last record posted for now+1, itself an evFlit:
+			// this hop runs right after the chain's last hop, where its
+			// own record would have run.
+			net.flitTail.chain = br
+		}
+		net.flitTail = br
 		return
 	}
 	net.queue.Post(now+net.params.LinkDelay, evDeliver, br, 0)

@@ -24,7 +24,7 @@ func TestSteadyFlitPathZeroAlloc(t *testing.T) {
 	}
 	// Run into the steady stream: past message setup (host overhead, DMA,
 	// NI processing, routing) and past the calendar ring's first wrap, so
-	// every bucket slot has a warm backing slice.
+	// the ring's free list holds every chunk the stream's buckets take.
 	const ringWarm = 1100 // > event ring size (1024)
 	for n.queue.Len() > 0 && (n.stats.FlitHops < 512 || n.queue.Now() < ringWarm) {
 		n.queue.Step()
@@ -127,13 +127,16 @@ func TestValidatePlanZeroAlloc(t *testing.T) {
 }
 
 // TestHotStructSizes pins the layout of the per-hop state. A channel is
-// touched on every flit hop and fills one 64-byte line; a host is
-// allocated per node, and one more word would move it from the 416-byte
-// to the 448-byte allocation size class. A counter added to either must
-// take padding's place.
+// touched on every flit hop and fills one 64-byte line, and a branch
+// fills two; a host is allocated per node, and one more word would move
+// it from the 416-byte to the 448-byte allocation size class. A counter
+// added to any of them must take padding's place.
 func TestHotStructSizes(t *testing.T) {
 	if got := unsafe.Sizeof(channel{}); got > 64 {
 		t.Errorf("channel is %d bytes, want <= 64", got)
+	}
+	if got := unsafe.Sizeof(branch{}); got > 128 {
+		t.Errorf("branch is %d bytes, want <= 128", got)
 	}
 	if got := unsafe.Sizeof(host{}); got > 416 {
 		t.Errorf("host is %d bytes, want <= 416", got)
