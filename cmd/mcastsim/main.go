@@ -74,7 +74,11 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "mcastsim:", err)
 			return 1
 		}
-		defer stop()
+		defer func() {
+			if err := stop(); err != nil {
+				fmt.Fprintln(os.Stderr, "mcastsim:", err)
+			}
+		}()
 	}
 	if *memProfile != "" {
 		defer func() {
@@ -307,6 +311,9 @@ func writeCSV(dir, id string, idx int, tab *metrics.Table) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return tab.WriteCSV(f)
+	if err := tab.WriteCSV(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

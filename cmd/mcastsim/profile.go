@@ -8,9 +8,9 @@ import (
 )
 
 // startCPUProfile begins CPU profiling into path and returns the function
-// that stops the profiler and closes the file. Exactly one CPU profile may
-// run at a time (a runtime/pprof restriction).
-func startCPUProfile(path string) (stop func(), err error) {
+// that stops the profiler and closes the file, reporting a failed close.
+// Exactly one CPU profile may run at a time (a runtime/pprof restriction).
+func startCPUProfile(path string) (stop func() error, err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
@@ -19,9 +19,9 @@ func startCPUProfile(path string) (stop func(), err error) {
 		f.Close()
 		return nil, fmt.Errorf("start CPU profile: %w", err)
 	}
-	return func() {
+	return func() error {
 		pprof.StopCPUProfile()
-		f.Close()
+		return f.Close()
 	}, nil
 }
 
@@ -32,10 +32,10 @@ func writeMemProfile(path string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	runtime.GC()
 	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
 		return fmt.Errorf("write heap profile: %w", err)
 	}
-	return nil
+	return f.Close()
 }

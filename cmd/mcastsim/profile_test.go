@@ -23,7 +23,9 @@ func TestProfileFilesProduced(t *testing.T) {
 		x += i * i
 	}
 	_ = x
-	stop()
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
 	if info, err := os.Stat(cpu); err != nil {
 		t.Fatal(err)
 	} else if info.Size() == 0 {
@@ -35,7 +37,9 @@ func TestProfileFilesProduced(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second CPU profile: %v", err)
 	}
-	stop2()
+	if err := stop2(); err != nil {
+		t.Fatal(err)
+	}
 
 	mem := filepath.Join(dir, "heap.pprof")
 	if err := writeMemProfile(mem); err != nil {
