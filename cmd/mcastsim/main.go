@@ -150,12 +150,14 @@ func run() int {
 		}
 		dir = *resumeDir
 	}
+	var ck *experiment.Checkpointer
 	if dir != "" {
 		ids := make([]string, len(entries))
 		for i, e := range entries {
 			ids[i] = e.ID
 		}
-		ck, err := experiment.OpenCheckpointer(dir, ids, cfg)
+		var err error
+		ck, err = experiment.OpenCheckpointer(dir, ids, cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mcastsim:", err)
 			var mismatch *experiment.JournalMismatchError
@@ -164,7 +166,7 @@ func run() int {
 			}
 			return 1
 		}
-		defer ck.Close()
+		defer ck.Close() // for early returns; success checks Close below
 		if *stopCells > 0 {
 			ck.StopAfter(*stopCells)
 		}
@@ -215,6 +217,14 @@ func run() int {
 	}
 	if sink != nil && *obsOut != "" {
 		if err := writeObs(*obsOut, sink.Bundles()); err != nil {
+			fmt.Fprintln(os.Stderr, "mcastsim:", err)
+			return 1
+		}
+	}
+	if ck != nil {
+		// A journal that did not reach the disk must not pass for a
+		// complete run.
+		if err := ck.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "mcastsim:", err)
 			return 1
 		}

@@ -56,18 +56,22 @@
 // chunkSlots slots and holds storage only while it holds events: the pop
 // that finishes a chunk returns it to the ring's free list, which the
 // next bucket to fill takes it from. A queue takes its calendar ring on
-// its first post. Release hands an empty queue's ring, free list
-// included, to a process-wide pool, and the next queue to post takes it
-// from there instead of allocating its 1,024 buckets and its chunks
-// anew: a simulation that builds one network per probe grows the ring
-// once per goroutine rather than once per probe. Every slot is cleared
-// when its event leaves, so a released ring holds no actor and pins
+// its first post. Release hands an empty queue's ring, with at most
+// keptChunks chunks of its free list, to a process-wide free list of
+// rings, and the next queue to post takes it from there instead of
+// allocating its 1,024 buckets and its chunks anew: a simulation that
+// builds one network per probe grows the ring once per goroutine rather
+// than once per probe. The list holds a few rings per GOMAXPROCS and
+// drops any released beyond that. Discard does the same for a queue
+// abandoned with events pending. Every slot is cleared when its event
+// leaves or is discarded, so a released ring holds no actor and pins
 // nothing of the network that used it.
 package event
 
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 )
 
@@ -144,17 +148,32 @@ type bucket struct {
 	pos        int
 }
 
+// keptChunks bounds the free chunks a released ring keeps, 128 KiB of
+// them. A saturated load cell can end with several hundred chunks
+// pending; a ring that kept them all would carry that peak into every
+// later network.
+const keptChunks = 64
+
+// ringsPerP is how many released rings the free list holds per
+// GOMAXPROCS. One network runs on one goroutine, so a goroutine that
+// builds networks one after another needs one ring at a time.
+const ringsPerP = 2
+
 // ring is a queue's calendar storage: the buckets and the free list of
 // chunks that no bucket holds. A chunk is allocated only when the free
 // list is empty, so a ring keeps as many chunks as its pending cycles
-// once needed at the same time. Release pools both together.
+// once needed at the same time. Release lists both together.
 type ring struct {
 	buckets [ringSize]bucket
 	free    *chunk
 }
 
-// rings holds the rings of released queues (see Release), as *ring.
-var rings sync.Pool
+// rings holds the rings of released queues (see Release), last released
+// first.
+var rings struct {
+	sync.Mutex
+	free []*ring
+}
 
 // Queue is a future-event list. The zero value is ready to use.
 type Queue struct {
@@ -268,29 +287,71 @@ func (q *Queue) PostFused(t Time, k Kind, actor any, arg int64, n int) bool {
 	return false
 }
 
-// takeRing gives the queue a calendar ring: a released one if the pool
-// holds one, else empty buckets and no chunks.
+// takeRing gives the queue a calendar ring: the last one released if the
+// free list holds one, else empty buckets and no chunks.
 func (q *Queue) takeRing() {
-	if r, ok := rings.Get().(*ring); ok {
-		q.ring = r
-	} else {
+	rings.Lock()
+	if k := len(rings.free); k > 0 {
+		q.ring = rings.free[k-1]
+		rings.free[k-1] = nil
+		rings.free = rings.free[:k-1]
+	}
+	rings.Unlock()
+	if q.ring == nil {
 		q.ring = new(ring)
 	}
 	q.cursor = q.now
 }
 
-// Release hands the calendar ring of an empty queue, with its free list
-// of chunks, to the next queue that posts, in this goroutine or another.
-// It does nothing while an event is pending. The queue stays usable: its
-// next post takes a ring again. In an empty queue every bucket is empty
-// and holds no chunk, and every chunk on the free list had each of its
-// slots cleared as its event left, so the released ring holds no actor.
+// Release hands the calendar ring of an empty queue, with up to
+// keptChunks chunks of its free list, to the next queue that posts, in
+// this goroutine or another. It does nothing while an event is pending.
+// The queue stays usable: its next post takes a ring again. In an empty
+// queue every bucket is empty and holds no chunk, and every chunk on the
+// free list had each of its slots cleared as its event left, so the
+// released ring holds no actor.
 func (q *Queue) Release() {
-	if q.ring == nil || q.Len() != 0 {
+	r := q.ring
+	if r == nil || q.Len() != 0 {
 		return
 	}
-	rings.Put(q.ring)
 	q.ring = nil
+	c := r.free
+	for i := 1; c != nil && i < keptChunks; i++ {
+		c = c.next
+	}
+	if c != nil {
+		c.next = nil
+	}
+	rings.Lock()
+	if len(rings.free) < ringsPerP*runtime.GOMAXPROCS(0) {
+		rings.free = append(rings.free, r)
+	}
+	rings.Unlock()
+}
+
+// Discard drops every pending event, in the ring and the far heap, and
+// then releases the ring as Release does. It is for a queue abandoned
+// with events still pending, such as a run cut off at its time limit:
+// their handlers never run. Every slot is cleared as it is dropped, so
+// the released ring holds no actor.
+func (q *Queue) Discard() {
+	if r := q.ring; r != nil {
+		for i := range r.buckets {
+			b := &r.buckets[i]
+			for c := b.head; c != nil; {
+				next := c.next
+				clear(c.slots[:c.n])
+				c.next, c.n = r.free, 0
+				r.free = c
+				c = next
+			}
+			*b = bucket{}
+		}
+	}
+	q.pending = 0
+	q.far = nil
+	q.Release()
 }
 
 // bucketAppend adds a slot at the tail of a ring bucket. When the tail

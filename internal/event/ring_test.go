@@ -113,17 +113,11 @@ func TestReleaseKeepsPendingRing(t *testing.T) {
 // TestReleasedRingServesNextQueue pins the reuse: after one queue runs a
 // burst and releases its ring, a second queue running the same burst
 // allocates nothing. A wave puts up to 300 events into a cycle, so busy
-// cycles chain several chunks; the free list travels with the ring, so
-// the second queue finds every chunk the first one opened.
+// cycles chain several chunks, 34 in all, fewer than keptChunks; the
+// free list travels with the ring, so the second queue finds every chunk
+// the first one opened.
 func TestReleasedRingServesNextQueue(t *testing.T) {
-	if raceEnabled {
-		t.Skip("under the race detector sync.Pool drops a random quarter of its puts")
-	}
-	// One P, whose pool cache hands back the ring just released once
-	// the rings other tests released are taken out.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for rings.Get() != nil {
-	}
+	takeAllRings()
 	bytes := func(f func()) uint64 {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
@@ -135,10 +129,113 @@ func TestReleasedRingServesNextQueue(t *testing.T) {
 	a := &burstActor{}
 	first, r := freshQueue(), rng.New(7)
 	fresh := bytes(func() { runBurst(first, r, a, 300) })
+	if n := len(chunks(first)); n > keptChunks {
+		t.Fatalf("the burst grew %d chunks, more than the %d a released ring keeps", n, keptChunks)
+	}
 	first.Release()
 	second, r := &Queue{}, rng.New(7)
 	if reused := bytes(func() { runBurst(second, r, a, 300) }); reused != 0 {
 		t.Fatalf("the second queue allocated %d B running the burst (the first %d B); want 0 from the released ring", reused, fresh)
+	}
+}
+
+// takeAllRings empties the process-wide free list of rings.
+func takeAllRings() {
+	rings.Lock()
+	clear(rings.free)
+	rings.free = rings.free[:0]
+	rings.Unlock()
+}
+
+// TestReleaseCapsKeptChunks pins the bound on what a released ring
+// carries: at most keptChunks free chunks, however many it grew.
+func TestReleaseCapsKeptChunks(t *testing.T) {
+	takeAllRings()
+	q := freshQueue()
+	rec := newRecorded(q)
+	// One event in each of 200 cycles: one chunk per cycle.
+	for i := int64(0); i < 200; i++ {
+		q.Post(Time(1+i), kRecord, rec, i)
+	}
+	for q.Step() {
+	}
+	if n := len(chunks(q)); n != 200 {
+		t.Fatalf("the drained ring holds %d chunks, want 200", n)
+	}
+	q.Release()
+	next := &Queue{}
+	next.Post(1, kRecord, rec, 0)
+	if n := len(chunks(next)); n != keptChunks {
+		t.Fatalf("the next queue took a ring of %d chunks, want %d", n, keptChunks)
+	}
+}
+
+// TestReleaseBoundsFreeRings pins the bound on the free list: rings
+// released beyond ringsPerP per GOMAXPROCS are dropped.
+func TestReleaseBoundsFreeRings(t *testing.T) {
+	takeAllRings()
+	limit := ringsPerP * runtime.GOMAXPROCS(0)
+	for i := 0; i < limit+3; i++ {
+		q := freshQueue()
+		q.Register(kBurst, func(any, int64) {})
+		q.Post(1, kBurst, &burstActor{}, 0)
+		q.Step()
+		q.Release()
+	}
+	rings.Lock()
+	n := len(rings.free)
+	rings.Unlock()
+	if n != limit {
+		t.Fatalf("the free list holds %d rings after %d releases, want %d", n, limit+3, limit)
+	}
+}
+
+// TestDiscardClearsPendingRing pins Discard on a queue abandoned with
+// events pending in chained ring buckets and in the far heap: Len drops
+// to 0, no slot of any chunk still holds an actor, no bucket holds a
+// chunk, and the next queue takes the ring.
+func TestDiscardClearsPendingRing(t *testing.T) {
+	takeAllRings()
+	q := freshQueue()
+	a := &burstActor{}
+	q.Register(kBurst, func(a any, _ int64) { a.(*burstActor).n++ })
+	for k := 0; k < 3*chunkSlots; k++ {
+		q.Post(7, kBurst, a, 0)
+	}
+	for at := Time(8); at < 40; at++ {
+		q.Post(at, kBurst, a, 0)
+	}
+	q.Post(5*ringSize, kBurst, a, 0)
+	// Stop inside cycle 7's second chunk: its first is back on the free
+	// list, and the second is partly popped.
+	for i := 0; i < chunkSlots+5; i++ {
+		q.Step()
+	}
+	if a.n != chunkSlots+5 || q.Len() != 3*chunkSlots+32+1-a.n {
+		t.Fatalf("ran %d events with %d pending before the discard", a.n, q.Len())
+	}
+	r := q.ring
+	q.Discard()
+	if q.Len() != 0 || q.ring != nil {
+		t.Fatalf("after Discard: Len = %d, ring kept = %v", q.Len(), q.ring != nil)
+	}
+	held := &Queue{ring: r}
+	if n := heldActors(held); n != 0 {
+		t.Fatalf("the discarded ring still holds %d actors", n)
+	}
+	for i, b := range r.buckets {
+		if b.head != nil || b.tail != nil || b.pos != 0 {
+			t.Fatalf("bucket %d of the discarded ring holds a chunk or has pos %d", i, b.pos)
+		}
+	}
+	next := &Queue{}
+	next.Post(1, kBurst, a, 0)
+	if next.ring != r {
+		t.Fatal("the next queue did not take the discarded ring")
+	}
+	ran := a.n
+	if q.Drain(100); a.n != ran {
+		t.Fatalf("discarded events ran: %d more", a.n-ran)
 	}
 }
 

@@ -245,17 +245,26 @@ func (c *Checkpointer) load(img []byte) (int, *runStamp) {
 	return off, stamp
 }
 
-// Close releases the journal file. Safe after a partial run; the
-// journal stays resumable.
+// Close flushes the journal to stable storage and releases its file,
+// returning the first error of the two. A run whose Close fails cannot
+// count on its journal holding every cell it reported. Safe after a
+// partial run, where the journal stays resumable, and safe to call
+// again.
 func (c *Checkpointer) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.f == nil {
 		return nil
 	}
-	err := c.f.Close()
+	err := c.f.Sync()
+	if cerr := c.f.Close(); err == nil {
+		err = cerr
+	}
 	c.f = nil
-	return err
+	if err != nil {
+		return fmt.Errorf("experiment: checkpoint journal: %w", err)
+	}
+	return nil
 }
 
 // StopAfter makes the run stop with an *Interrupted error once n cells

@@ -510,3 +510,22 @@ func FuzzJournal(f *testing.F) {
 		}
 	})
 }
+
+// TestCheckpointCloseReportsFailedFlush pins Close's error: when the
+// journal's file was closed underneath it, the flush to stable storage
+// fails and Close says so, once; a second Close has nothing to release.
+func TestCheckpointCloseReportsFailedFlush(t *testing.T) {
+	ck, err := OpenCheckpointer(t.TempDir(), fig6IDs, resumeConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Close(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Close after the file was closed underneath it = %v, want an error wrapping os.ErrClosed", err)
+	}
+	if err := ck.Close(); err != nil {
+		t.Fatalf("second Close = %v, want nil", err)
+	}
+}

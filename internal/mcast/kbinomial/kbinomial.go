@@ -14,6 +14,8 @@
 package kbinomial
 
 import (
+	"math"
+
 	"mcastsim/internal/event"
 	"mcastsim/internal/mcast"
 	"mcastsim/internal/sim"
@@ -54,30 +56,46 @@ func (s Scheme) Plan(rt *updown.Routing, p sim.Params, src topology.NodeID, dest
 // forwarding steps: N(d) = 1 + sum_{i=1..min(k,d)} N(d-i) (a vertex sends
 // to its i-th child in its i-th step after receiving).
 func Coverage(k, d int) int {
-	if k < 1 {
-		panic("kbinomial: k < 1")
-	}
-	n := make([]int, d+1)
-	n[0] = 1
-	const limit = 1 << 30 // clamp to avoid overflow for silly depths
-	for t := 1; t <= d; t++ {
-		n[t] = 1
-		for i := 1; i <= k && i <= t; i++ {
-			n[t] += n[t-i]
-			if n[t] > limit {
-				n[t] = limit
-			}
-		}
-	}
-	return n[d]
+	_, n := walk(k, d, math.MaxInt)
+	return n
 }
 
 // Depth returns the minimal number of steps a k-binomial tree needs to
 // cover m+1 nodes (source plus m destinations).
 func Depth(k, m int) int {
-	for d := 0; ; d++ {
-		if Coverage(k, d) >= m+1 {
-			return d
+	d, _ := walk(k, math.MaxInt, m+1)
+	return d
+}
+
+// coverLimit clamps N to avoid overflow for silly depths.
+const coverLimit = 1 << 30
+
+// walk steps the Coverage recurrence through t = 0, 1, ... and returns
+// the first t with t == d or N(t) >= want, and N(t) clamped to
+// coverLimit. N doubles in every step up to k, so it passes coverLimit
+// by t = 31 at any k: a window of 32 values holds every unclamped N(t-k)
+// the recurrence still subtracts, and once N is clamped it stays so.
+func walk(k, d, want int) (int, int) {
+	if k < 1 {
+		panic("kbinomial: k < 1")
+	}
+	if d < 0 {
+		panic("kbinomial: negative depth")
+	}
+	var hist [32]int // N(t) at t%32
+	sum := 0         // N(t-1) + ... + N(t-min(k,t))
+	for t := 0; ; t++ {
+		n := min(1+sum, coverLimit)
+		if t == d || n >= want {
+			return t, n
+		}
+		if n == coverLimit {
+			return d, n // N(d) is clamped too
+		}
+		hist[t%len(hist)] = n
+		sum += n
+		if t >= k {
+			sum -= hist[(t-k)%len(hist)]
 		}
 	}
 }

@@ -46,6 +46,67 @@ func TestCoverageBoundaries(t *testing.T) {
 	}
 }
 
+// refCoverage is Coverage as first written, on an array of N(0..d): the
+// oracle for the allocation-free recurrence.
+func refCoverage(k, d int) int {
+	n := make([]int, d+1)
+	n[0] = 1
+	const limit = 1 << 30
+	for t := 1; t <= d; t++ {
+		n[t] = 1
+		for i := 1; i <= k && i <= t; i++ {
+			n[t] += n[t-i]
+			if n[t] > limit {
+				n[t] = limit
+			}
+		}
+	}
+	return n[d]
+}
+
+// TestCoverageMatchesReference pins Coverage to the array recurrence
+// across the clamp at 1<<30, and Depth to the first depth whose
+// reference coverage holds m+1 nodes.
+func TestCoverageMatchesReference(t *testing.T) {
+	for k := 1; k <= 40; k++ {
+		for d := 0; d <= 80; d++ {
+			if got, want := Coverage(k, d), refCoverage(k, d); got != want {
+				t.Fatalf("Coverage(%d, %d) = %d, the reference %d", k, d, got, want)
+			}
+		}
+		for _, m := range []int{0, 1, 2, 7, 8, 15, 16, 63, 100, 1000} {
+			want := 0
+			for refCoverage(k, want) < m+1 {
+				want++
+			}
+			if got := Depth(k, m); got != want {
+				t.Fatalf("Depth(%d, %d) = %d, want %d", k, m, got, want)
+			}
+		}
+	}
+	// Up to the clamp, a wide tree doubles every step.
+	for _, m := range []int{1 << 29, 1<<30 - 1} {
+		if got := Depth(40, m); got != 30 {
+			t.Fatalf("Depth(40, %d) = %d, want 30", m, got)
+		}
+	}
+}
+
+// TestFanoutAllocatesNothing pins the k choice, which runs once per
+// planned multicast, at zero allocations.
+func TestFanoutAllocatesNothing(t *testing.T) {
+	p := sim.DefaultParams()
+	for _, m := range []int{1, 16, 64, 511} {
+		if got := testing.AllocsPerRun(20, func() {
+			Coverage(3, m)
+			Depth(1, m)
+			OptimalK(p, m, 1024, 4)
+		}); got != 0 {
+			t.Errorf("Coverage, Depth and OptimalK for %d destinations allocate %v objects, want 0", m, got)
+		}
+	}
+}
+
 func TestCoverageMonotone(t *testing.T) {
 	f := func(kRaw, dRaw uint8) bool {
 		k := 1 + int(kRaw)%8

@@ -18,6 +18,7 @@ package mcast
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mcastsim/internal/sim"
@@ -44,20 +45,37 @@ func CheckArgs(rt *updown.Routing, src topology.NodeID, dests []topology.NodeID)
 	if len(dests) == 0 {
 		return fmt.Errorf("mcast: empty destination set")
 	}
-	seen := make(map[topology.NodeID]bool, len(dests))
-	for _, d := range dests {
+	// A set of a few dozen is checked for duplicates pairwise in place. A
+	// larger one is checked on a sorted copy first, so the quadratic scan
+	// runs only to name the first duplicate of a set that has one.
+	scan := len(dests) <= pairwiseDests || hasDuplicate(dests)
+	for i, d := range dests {
 		if int(d) < 0 || int(d) >= n {
 			return fmt.Errorf("mcast: destination %d out of range", d)
 		}
 		if d == src {
 			return fmt.Errorf("mcast: source %d in destination set", d)
 		}
-		if seen[d] {
+		if scan && slices.Contains(dests[:i], d) {
 			return fmt.Errorf("mcast: duplicate destination %d", d)
 		}
-		seen[d] = true
 	}
 	return nil
+}
+
+// pairwiseDests is the largest destination set CheckArgs scans pairwise.
+const pairwiseDests = 64
+
+// hasDuplicate reports whether dests holds some node twice.
+func hasDuplicate(dests []topology.NodeID) bool {
+	s := slices.Clone(dests)
+	slices.Sort(s)
+	for i := 1; i < len(s); i++ {
+		if s[i] == s[i-1] {
+			return true
+		}
+	}
+	return false
 }
 
 // ClusterBySwitch orders destinations so nodes sharing a switch are
@@ -82,20 +100,4 @@ func ClusterBySwitch(rt *updown.Routing, src topology.NodeID, dests []topology.N
 		return out[i] < out[j]
 	})
 	return out
-}
-
-// DestSwitches returns the destinations grouped by home switch, as a map
-// plus the set of switches in ascending ID order.
-func DestSwitches(rt *updown.Routing, dests []topology.NodeID) (map[topology.SwitchID][]topology.NodeID, []topology.SwitchID) {
-	groups := make(map[topology.SwitchID][]topology.NodeID)
-	for _, d := range dests {
-		s := rt.Topo.NodeSwitch[d]
-		groups[s] = append(groups[s], d)
-	}
-	switches := make([]topology.SwitchID, 0, len(groups))
-	for s := range groups {
-		switches = append(switches, s)
-	}
-	sort.Slice(switches, func(i, j int) bool { return switches[i] < switches[j] })
-	return groups, switches
 }

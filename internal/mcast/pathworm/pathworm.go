@@ -29,7 +29,10 @@
 package pathworm
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sync"
 
 	"mcastsim/internal/mcast"
 	"mcastsim/internal/sim"
@@ -80,31 +83,33 @@ func (s Scheme) Plan(rt *updown.Routing, _ sim.Params, src topology.NodeID, dest
 
 // Cover runs the integrated worm construction and phase schedule.
 func (s Scheme) Cover(rt *updown.Routing, src topology.NodeID, dests []topology.NodeID) (Result, error) {
-	groups, switchList := mcast.DestSwitches(rt, dests)
-	c := newCoverSearch(rt, switchList)
+	c := scratch.Get().(*coverSearch)
+	defer c.put()
+	c.reset(rt, dests)
 	res := Result{Sends: make(map[topology.NodeID][]sim.WormSpec)}
-	informed := []topology.NodeID{src}
+	informed := append(c.informed[:0], src)
 	for c.left > 0 {
 		res.Phases++
-		if res.Phases > len(switchList)+2 {
+		if res.Phases > len(c.switchList)+2 {
 			return Result{}, fmt.Errorf("pathworm: cover failed to converge")
 		}
-		var newly []topology.NodeID
+		newly := c.newly[:0]
 		// Contention reduction (the LG scheduling goal): worms dispatched
 		// in the same phase must not share any network channel; a sender
 		// whose best worm collides waits for a later phase.
-		usedLinks := map[[2]int]bool{}
+		clear(c.usedLinks)
 		sent := 0
 		for _, sender := range informed {
 			if c.left == 0 {
 				break
 			}
-			worm := c.bestWorm(rt.Topo.NodeSwitch[sender], groups, s.Greedy)
-			if sent > 0 && sharesLink(worm, usedLinks) {
+			c.bestWorm(rt.Topo.NodeSwitch[sender], s.Greedy)
+			if sent > 0 && c.sharesLink() {
 				continue
 			}
-			markLinks(worm, usedLinks)
+			c.markLinks()
 			sent++
+			worm := c.spec()
 			res.Sends[sender] = append(res.Sends[sender], worm)
 			res.Worms++
 			for _, seg := range worm.Path {
@@ -115,28 +120,31 @@ func (s Scheme) Cover(rt *updown.Routing, src topology.NodeID, dests []topology.
 				}
 			}
 		}
+		c.newly = newly
 		if !s.SerialSchedule {
 			informed = append(informed, newly...)
 		}
 	}
+	c.informed = informed
 	return res, nil
 }
 
-// sharesLink reports whether any of the worm's continuation channels is
-// already claimed this phase.
-func sharesLink(w sim.WormSpec, used map[[2]int]bool) bool {
-	for _, seg := range w.Path {
-		if seg.NextPort >= 0 && used[[2]int{int(seg.Switch), seg.NextPort}] {
+// sharesLink reports whether any of the best worm's continuation channels
+// is already claimed this phase.
+func (c *coverSearch) sharesLink() bool {
+	for _, step := range c.best {
+		if step.port >= 0 && c.usedLinks[[2]int{int(step.sw), step.port}] {
 			return true
 		}
 	}
 	return false
 }
 
-func markLinks(w sim.WormSpec, used map[[2]int]bool) {
-	for _, seg := range w.Path {
-		if seg.NextPort >= 0 {
-			used[[2]int{int(seg.Switch), seg.NextPort}] = true
+// markLinks claims the best worm's continuation channels for this phase.
+func (c *coverSearch) markLinks() {
+	for _, step := range c.best {
+		if step.port >= 0 {
+			c.usedLinks[[2]int{int(step.sw), step.port}] = true
 		}
 	}
 }
@@ -151,15 +159,30 @@ func (s Scheme) Worms(rt *updown.Routing, src topology.NodeID, dests []topology.
 	return res.Worms
 }
 
-// coverSearch is one Cover call's scratch. Its dynamic program runs on
-// arrays indexed by routing state, switch*2+phase; memo entries stamped
-// with an older generation belong to an earlier terminal, so moving to
-// the next terminal only bumps gen.
+// scratch holds coverSearch values between Cover calls. One Scheme value
+// serves every worker that plans, so the scratch cannot live in it.
+var scratch = sync.Pool{New: func() any { return &coverSearch{usedLinks: make(map[[2]int]bool)} }}
+
+// coverSearch is one Cover call's scratch, reused across calls: reset
+// sizes it for the call's topology and clears what the call reads. Its
+// dynamic program runs on arrays indexed by routing state, switch*2+phase;
+// memo entries stamped with an older generation belong to an earlier
+// terminal, so moving to the next terminal only bumps gen. Nothing a
+// Result holds points into it.
 type coverSearch struct {
 	rt         *updown.Routing
 	switchList []topology.SwitchID // destination switches, ascending
 	uncovered  []bool              // by switch
 	left       int                 // destination switches still uncovered
+
+	// The destinations grouped by home switch: switch sw's group is
+	// byDest[lo[sw]:hi[sw]], in the order Cover was given them. lo and
+	// hi hold only the entries of switchList.
+	byDest []topology.NodeID
+	lo, hi []int32
+
+	informed, newly []topology.NodeID // the schedule's senders
+	usedLinks       map[[2]int]bool   // this phase's continuation channels
 
 	// The current terminal's dynamic program.
 	T      topology.SwitchID
@@ -180,27 +203,50 @@ type coverMemo struct {
 	port  int32
 }
 
-func newCoverSearch(rt *updown.Routing, switchList []topology.SwitchID) *coverSearch {
+// reset readies c for one Cover call on rt: it groups dests by home
+// switch and marks every destination switch uncovered.
+func (c *coverSearch) reset(rt *updown.Routing, dests []topology.NodeID) {
 	S := rt.Topo.NumSwitches
-	c := &coverSearch{
-		rt:         rt,
-		switchList: switchList,
-		uncovered:  make([]bool, S),
-		left:       len(switchList),
-		memo:       make([]coverMemo, 2*S),
+	c.rt = rt
+	if len(c.uncovered) < S {
+		c.uncovered = make([]bool, S)
+		c.lo = make([]int32, S)
+		c.hi = make([]int32, S)
+		c.memo = make([]coverMemo, 2*S)
+	} else {
+		clear(c.uncovered[:S])
+		clear(c.memo[:2*S])
 	}
-	for _, sw := range switchList {
-		c.uncovered[sw] = true
+	c.gen = 0
+	sw := rt.Topo.NodeSwitch
+	c.byDest = append(c.byDest[:0], dests...)
+	slices.SortStableFunc(c.byDest, func(a, b topology.NodeID) int { return cmp.Compare(sw[a], sw[b]) })
+	c.switchList = c.switchList[:0]
+	for i, d := range c.byDest {
+		s := sw[d]
+		if i == 0 || s != sw[c.byDest[i-1]] {
+			c.switchList = append(c.switchList, s)
+			c.lo[s] = int32(i)
+			c.uncovered[s] = true
+		}
+		c.hi[s] = int32(i + 1)
 	}
-	return c
+	c.left = len(c.switchList)
 }
 
-// bestWorm selects the sender's next worm. Less-greedy (default): target
-// the nearest uncovered destination switch, breaking distance ties toward
-// the path covering the most other uncovered switches. Greedy: maximize
-// covered switches outright, breaking ties toward the shorter path.
-// Terminals are tried in ascending switch order.
-func (c *coverSearch) bestWorm(s0 topology.SwitchID, groups map[topology.SwitchID][]topology.NodeID, greedy bool) sim.WormSpec {
+// put returns c to the pool without its routing, which it must not pin.
+func (c *coverSearch) put() {
+	c.rt = nil
+	scratch.Put(c)
+}
+
+// bestWorm selects the sender's next worm and leaves its path in c.best.
+// Less-greedy (default): target the nearest uncovered destination switch,
+// breaking distance ties toward the path covering the most other
+// uncovered switches. Greedy: maximize covered switches outright,
+// breaking ties toward the shorter path. Terminals are tried in ascending
+// switch order.
+func (c *coverSearch) bestWorm(s0 topology.SwitchID, greedy bool) {
 	bestCover, bestLen := -1, int(^uint(0)>>2)
 	c.best = c.best[:0]
 	for _, T := range c.switchList {
@@ -224,7 +270,6 @@ func (c *coverSearch) bestWorm(s0 topology.SwitchID, groups map[topology.SwitchI
 			c.best = append(c.best[:0], c.steps...)
 		}
 	}
-	return makeSpec(c.best, c.uncovered, groups)
 }
 
 // pathStep is one switch of a reconstructed path plus the output port
@@ -299,15 +344,15 @@ func (c *coverSearch) visit(sw topology.SwitchID, ph updown.Phase) int32 {
 	return cover + best
 }
 
-// makeSpec turns a path into the worm's stop chain: every switch on the
-// path is an explicit stop; uncovered destination switches drop all their
-// destinations.
-func makeSpec(path []pathStep, uncovered []bool, groups map[topology.SwitchID][]topology.NodeID) sim.WormSpec {
-	segs := make([]sim.PathSeg, len(path))
-	for i, step := range path {
+// spec turns the best path into the worm's stop chain: every switch on
+// the path is an explicit stop; uncovered destination switches drop all
+// their destinations.
+func (c *coverSearch) spec() sim.WormSpec {
+	segs := make([]sim.PathSeg, len(c.best))
+	for i, step := range c.best {
 		seg := sim.PathSeg{Switch: step.sw, NextPort: step.port}
-		if uncovered[step.sw] {
-			seg.Drops = append([]topology.NodeID(nil), groups[step.sw]...)
+		if c.uncovered[step.sw] {
+			seg.Drops = slices.Clone(c.byDest[c.lo[step.sw]:c.hi[step.sw]])
 		}
 		segs[i] = seg
 	}

@@ -3,10 +3,12 @@ package pathworm
 import (
 	"fmt"
 	"reflect"
+	"runtime/debug"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
-	"mcastsim/internal/mcast"
 	"mcastsim/internal/rng"
 	"mcastsim/internal/sim"
 	"mcastsim/internal/topology"
@@ -298,14 +300,7 @@ func TestPhasesBoundedByLogWorms(t *testing.T) {
 func TestCoverMatchesReference(t *testing.T) {
 	r := rng.New(0xc0fe)
 	for trial := 0; trial < 40; trial++ {
-		cfg := topology.Config{
-			Switches:            8 + r.Intn(121),
-			PortsPerSwitch:      8,
-			ExtraLinksPerSwitch: []float64{-1, 0, 0.5, 1.5}[r.Intn(4)],
-		}
-		cfg.Nodes = 16 + r.Intn(2*cfg.Switches)
-		rt := routedCfg(t, cfg, uint64(trial)+1)
-		src, dests := randomSrcDests(r, cfg.Nodes, 1+r.Intn(cfg.Nodes-1))
+		rt, src, dests := randomCoverCase(t, r, uint64(trial)+1)
 		for _, s := range []Scheme{{}, {Greedy: true}, {SerialSchedule: true}, {Greedy: true, SerialSchedule: true}} {
 			got, err := s.Cover(rt, src, dests)
 			if err != nil {
@@ -317,16 +312,118 @@ func TestCoverMatchesReference(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d (%d switches, %d dests, %+v): Cover made %d worms in %d phases, the reference %d in %d, or their sends differ",
-					trial, cfg.Switches, len(dests), s, got.Worms, got.Phases, want.Worms, want.Phases)
+					trial, rt.Topo.NumSwitches, len(dests), s, got.Worms, got.Phases, want.Worms, want.Phases)
 			}
 		}
 	}
 }
 
+// randomCoverCase draws a routed topology of 8 to 128 switches and a
+// multicast on it.
+func randomCoverCase(t *testing.T, r *rng.Source, seed uint64) (*updown.Routing, topology.NodeID, []topology.NodeID) {
+	t.Helper()
+	cfg := topology.Config{
+		Switches:            8 + r.Intn(121),
+		PortsPerSwitch:      8,
+		ExtraLinksPerSwitch: []float64{-1, 0, 0.5, 1.5}[r.Intn(4)],
+	}
+	cfg.Nodes = 16 + r.Intn(2*cfg.Switches)
+	rt := routedCfg(t, cfg, seed)
+	src, dests := randomSrcDests(r, cfg.Nodes, 1+r.Intn(cfg.Nodes-1))
+	return rt, src, dests
+}
+
+// rebuildResult builds a copy of res the way Cover builds its Result:
+// the map, each sender's spec list grown by append, and each worm's
+// stops and drops.
+func rebuildResult(res Result) Result {
+	out := Result{Sends: make(map[topology.NodeID][]sim.WormSpec), Worms: res.Worms, Phases: res.Phases}
+	for sender, specs := range res.Sends {
+		for _, w := range specs {
+			segs := make([]sim.PathSeg, len(w.Path))
+			for i, seg := range w.Path {
+				segs[i] = seg
+				if seg.Drops != nil {
+					segs[i].Drops = slices.Clone(seg.Drops)
+				}
+			}
+			out.Sends[sender] = append(out.Sends[sender], sim.WormSpec{Kind: w.Kind, Path: segs})
+		}
+	}
+	return out
+}
+
+// TestCoverAllocatesOnlyItsResult pins Cover's pooled scratch: with the
+// pool warm, a call allocates no more objects than building a copy of
+// its Result does. The collector stays off while it measures, since a
+// collection empties the pool. The schedule is serial, so the source
+// sends every worm: a map's allocations depend on the order its keys
+// arrive in, and with one key the copy cannot differ from Cover there.
+func TestCoverAllocatesOnlyItsResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a random quarter of its puts")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	r := rng.New(0xa110c)
+	for trial := 0; trial < 10; trial++ {
+		rt, src, dests := randomCoverCase(t, r, uint64(trial)+1)
+		for _, s := range []Scheme{{SerialSchedule: true}, {SerialSchedule: true, Greedy: true}} {
+			res, err := s.Cover(rt, src, dests)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := testing.AllocsPerRun(20, func() { _, _ = s.Cover(rt, src, dests) })
+			want := testing.AllocsPerRun(20, func() { rebuildResult(res) })
+			if got > want {
+				t.Errorf("trial %d (%d switches, %d dests, %+v): Cover allocates %v objects, its Result %v",
+					trial, rt.Topo.NumSwitches, len(dests), s, got, want)
+			}
+		}
+	}
+}
+
+// TestCoverConcurrent runs Cover from several goroutines at once, so that
+// they share the scratch pool, on topologies of different sizes: every
+// result equals the one computed alone.
+func TestCoverConcurrent(t *testing.T) {
+	type job struct {
+		rt    *updown.Routing
+		src   topology.NodeID
+		dests []topology.NodeID
+		want  Result
+	}
+	r := rng.New(0xc0c0)
+	jobs := make([]job, 8)
+	for i := range jobs {
+		rt, src, dests := randomCoverCase(t, r, uint64(i)+100)
+		want, err := Scheme{}.Cover(rt, src, dests)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = job{rt, src, dests, want}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				j := jobs[(g+i)%len(jobs)]
+				got, err := Scheme{}.Cover(j.rt, j.src, j.dests)
+				if err != nil || !reflect.DeepEqual(got, j.want) {
+					t.Errorf("goroutine %d, job %d: Cover differs from its result alone (err %v)", g, (g+i)%len(jobs), err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 // refCover is the cover search as first written, memoising the dynamic
 // program in maps keyed by routing state: the oracle for Cover.
 func refCover(s Scheme, rt *updown.Routing, src topology.NodeID, dests []topology.NodeID) (Result, error) {
-	groups, switchList := mcast.DestSwitches(rt, dests)
+	groups, switchList := destSwitches(rt, dests)
 	uncovered := make(map[topology.SwitchID]bool, len(switchList))
 	for _, sw := range switchList {
 		uncovered[sw] = true
@@ -346,10 +443,10 @@ func refCover(s Scheme, rt *updown.Routing, src topology.NodeID, dests []topolog
 				break
 			}
 			worm := refBestWorm(rt, rt.Topo.NodeSwitch[sender], uncovered, groups, s.Greedy)
-			if sent > 0 && sharesLink(worm, usedLinks) {
+			if sent > 0 && refSharesLink(worm, usedLinks) {
 				continue
 			}
-			markLinks(worm, usedLinks)
+			refMarkLinks(worm, usedLinks)
 			sent++
 			res.Sends[sender] = append(res.Sends[sender], worm)
 			res.Worms++
@@ -365,6 +462,71 @@ func refCover(s Scheme, rt *updown.Routing, src topology.NodeID, dests []topolog
 		}
 	}
 	return res, nil
+}
+
+// refSharesLink reports whether any of the worm's continuation channels
+// is already claimed this phase.
+func refSharesLink(w sim.WormSpec, used map[[2]int]bool) bool {
+	for _, seg := range w.Path {
+		if seg.NextPort >= 0 && used[[2]int{int(seg.Switch), seg.NextPort}] {
+			return true
+		}
+	}
+	return false
+}
+
+func refMarkLinks(w sim.WormSpec, used map[[2]int]bool) {
+	for _, seg := range w.Path {
+		if seg.NextPort >= 0 {
+			used[[2]int{int(seg.Switch), seg.NextPort}] = true
+		}
+	}
+}
+
+// destSwitches returns the destinations grouped by home switch, as a map
+// plus the set of switches in ascending ID order.
+func destSwitches(rt *updown.Routing, dests []topology.NodeID) (map[topology.SwitchID][]topology.NodeID, []topology.SwitchID) {
+	groups := make(map[topology.SwitchID][]topology.NodeID)
+	for _, d := range dests {
+		s := rt.Topo.NodeSwitch[d]
+		groups[s] = append(groups[s], d)
+	}
+	switches := make([]topology.SwitchID, 0, len(groups))
+	for s := range groups {
+		switches = append(switches, s)
+	}
+	sort.Slice(switches, func(i, j int) bool { return switches[i] < switches[j] })
+	return groups, switches
+}
+
+func TestDestSwitches(t *testing.T) {
+	topos, err := topology.GenerateFamily(topology.DefaultConfig(), 1, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := updown.New(topos[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	dests := []topology.NodeID{0, 1, 2, 3}
+	groups, switches := destSwitches(rt, dests)
+	total := 0
+	for _, sw := range switches {
+		total += len(groups[sw])
+		for _, d := range groups[sw] {
+			if rt.Topo.NodeSwitch[d] != sw {
+				t.Fatalf("node %d grouped under wrong switch", d)
+			}
+		}
+	}
+	if total != len(dests) {
+		t.Fatalf("groups cover %d of %d", total, len(dests))
+	}
+	for i := 1; i < len(switches); i++ {
+		if switches[i-1] >= switches[i] {
+			t.Fatal("switch list not ascending")
+		}
+	}
 }
 
 type refState struct {

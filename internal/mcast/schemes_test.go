@@ -176,29 +176,6 @@ func TestClusterBySwitchGroups(t *testing.T) {
 	}
 }
 
-func TestDestSwitches(t *testing.T) {
-	rt := routedFamily(t, topology.DefaultConfig(), 1, 13)[0]
-	dests := []topology.NodeID{0, 1, 2, 3}
-	groups, switches := mcast.DestSwitches(rt, dests)
-	total := 0
-	for _, sw := range switches {
-		total += len(groups[sw])
-		for _, d := range groups[sw] {
-			if rt.Topo.NodeSwitch[d] != sw {
-				t.Fatalf("node %d grouped under wrong switch", d)
-			}
-		}
-	}
-	if total != len(dests) {
-		t.Fatalf("groups cover %d of %d", total, len(dests))
-	}
-	for i := 1; i < len(switches); i++ {
-		if switches[i-1] >= switches[i] {
-			t.Fatal("switch list not ascending")
-		}
-	}
-}
-
 // BenchmarkSimCore measures raw simulator throughput: one isolated
 // 16-way, 128-flit multicast per iteration on a fresh network, under
 // each scheme (thousands of flit events each).

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -224,5 +225,52 @@ func BenchmarkIntn(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Intn(1000)
+	}
+}
+
+// refSample is Sample as first written, with Floyd's picks kept in a map:
+// the oracle for the map-free version.
+func refSample(r *Source, n, k int) []int {
+	chosen := make(map[int]struct{}, k)
+	out := make([]int, 0, k)
+	for j := n - k; j < n; j++ {
+		t := r.Intn(j + 1)
+		if _, dup := chosen[t]; dup {
+			t = j
+		}
+		chosen[t] = struct{}{}
+		out = append(out, t)
+	}
+	r.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out
+}
+
+// TestSampleMatchesFloydReference pins Sample's draws and shuffle to the
+// map-based reference, on both sides of the pairwise cut-off, with n from
+// k (every value picked) to far above it.
+func TestSampleMatchesFloydReference(t *testing.T) {
+	meta := New(31)
+	for _, k := range []int{0, 1, 2, 7, pairwiseSample - 1, pairwiseSample, pairwiseSample + 1, 64, 200, 1000} {
+		for _, n := range []int{k, k + 1, 2 * k, 10*k + 3, 1 << 20} {
+			for trial := 0; trial < 20; trial++ {
+				seed := meta.Uint64()
+				got, want := New(seed).Sample(n, k), refSample(New(seed), n, k)
+				if !slices.Equal(got, want) {
+					t.Fatalf("Sample(%d, %d) at seed %#x = %v, the reference %v", n, k, seed, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSampleAllocatesOnlyItsResult pins the map's removal: up to the
+// cut-off Sample allocates only the slice it returns, and above it one
+// table more.
+func TestSampleAllocatesOnlyItsResult(t *testing.T) {
+	r := New(37)
+	for k, want := range map[int]float64{8: 1, pairwiseSample: 1, pairwiseSample + 1: 2, 500: 2} {
+		if got := testing.AllocsPerRun(100, func() { r.Sample(4*k, k) }); got != want {
+			t.Errorf("Sample(%d, %d) allocates %v objects, want %v", 4*k, k, got, want)
+		}
 	}
 }

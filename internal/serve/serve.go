@@ -466,13 +466,15 @@ func (s *Server) run(j *Job, entry experiment.Entry) {
 			},
 		}
 	}
+	var ck *experiment.Checkpointer
 	if s.opts.CheckpointDir != "" {
-		ck, err := experiment.OpenCheckpointer(filepath.Join(s.opts.CheckpointDir, j.ID), []string{entry.ID}, cfg)
+		var err error
+		ck, err = experiment.OpenCheckpointer(filepath.Join(s.opts.CheckpointDir, j.ID), []string{entry.ID}, cfg)
 		if err != nil {
 			s.finish(j, StateFailed, err.Error())
 			return
 		}
-		defer ck.Close()
+		defer ck.Close() // for early returns; success checks Close below
 		cfg.Checkpoint = ck
 		j.mu.Lock()
 		j.ck = ck
@@ -497,6 +499,12 @@ func (s *Server) run(j *Job, entry experiment.Entry) {
 		}
 		data, _ := json.Marshal(map[string]string{"title": tab.Title, "text": text.String()})
 		j.publish("table", data)
+	}
+	if ck != nil {
+		if err := ck.Close(); err != nil {
+			s.finish(j, StateFailed, err.Error())
+			return
+		}
 	}
 	s.finish(j, StateDone, "")
 }

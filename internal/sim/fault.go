@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"mcastsim/internal/event"
 	"mcastsim/internal/topology"
@@ -73,6 +74,7 @@ func (n *Network) killBranch(br *branch) {
 	br.elastic = true
 	if br.req != nil {
 		br.req.granted = true // lazily dequeued by grant scans
+		br.req = nil
 	}
 	n.stats.WormsKilled++
 	n.trace(TraceEvent{Kind: TraceKill, Worm: br.w.id, Msg: br.w.msg.ID, Pkt: br.w.pkt})
@@ -158,11 +160,8 @@ func (n *Network) removeFromBuffer(o *occupant) {
 		b.postCredits(held)
 	}
 	wasHead := len(b.occupants) > 0 && b.occupants[0] == o
-	for i, cand := range b.occupants {
-		if cand == o {
-			b.occupants = append(b.occupants[:i], b.occupants[i+1:]...)
-			break
-		}
+	if i := slices.Index(b.occupants, o); i >= 0 {
+		b.occupants = slices.Delete(b.occupants, i, i+1)
 	}
 	o.detached = true
 	n.tryRecycleOccupant(o)
@@ -266,19 +265,10 @@ func (n *Network) severChannel(op *outPort) {
 	queue := op.queue
 	op.queue = nil
 	for _, req := range queue {
-		if req.granted {
-			continue
-		}
-		alive := false
-		for _, p := range req.ports {
-			if p != op && !p.dead {
-				alive = true
-				break
-			}
-		}
-		if !alive {
+		if !req.granted && !slices.ContainsFunc(req.ports, func(p *outPort) bool { return p != op && !p.dead }) {
 			n.deadEndBranch(req.br)
 		}
+		n.dropRequest(req)
 	}
 	// Worms whose tail had not fully crossed are truncated: the downstream
 	// stub can never complete.

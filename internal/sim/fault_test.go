@@ -312,3 +312,55 @@ func TestAbortMessageDropsEjectionStraggler(t *testing.T) {
 		t.Fatalf("second message to node 2 failed at %v", m2.FailedDests())
 	}
 }
+
+// TestQueuedRequestRecycledOnce pins the lifetime of a pooled arbitration
+// request queued at two ports of switch 0. Killed or granted at the first
+// port, it stays out of the free list while the second port's queue still
+// holds it, returns when that queue drops it, and is handed out once.
+func TestQueuedRequestRecycledOnce(t *testing.T) {
+	for _, kill := range []bool{true, false} {
+		n := fixtureNet(t, DefaultParams())
+		msg := &Message{}
+		branchOf := func() *branch {
+			w := n.getWorm()
+			w.msg = msg
+			w.len = 1
+			return n.newBranch(nil, w, 0)
+		}
+		ops := []*outPort{n.outPort(0, 0), n.outPort(0, 1)}
+		holders := []*branch{branchOf(), branchOf()}
+		for i, op := range ops {
+			op.holder, holders[i].port = holders[i], op
+		}
+		br := branchOf()
+		n.fileRequest(br, 0, []int{0, 1}, []updown.Phase{updown.PhaseUp, updown.PhaseUp})
+		req := br.req
+		if req == nil || len(ops[0].queue) != 1 || len(ops[1].queue) != 1 {
+			t.Fatalf("kill=%v: the request is not queued at both held ports", kill)
+		}
+		pooled := len(n.pools.reqPool)
+		if kill {
+			n.killBranch(br)
+		}
+		ops[0].release(holders[0])
+		if br.req != nil || !req.granted {
+			t.Fatalf("kill=%v: after the first port let go, br.req = %p and granted = %v", kill, br.req, req.granted)
+		}
+		if granted := ops[0].holder == br; granted == kill {
+			t.Fatalf("kill=%v: the first port granted the queued branch: %v", kill, granted)
+		}
+		if len(ops[0].queue) != 0 || len(n.pools.reqPool) != pooled {
+			t.Fatalf("kill=%v: the request was recycled while the second port still queues it", kill)
+		}
+		ops[1].release(holders[1])
+		if ops[1].holder != nil || len(ops[1].queue) != 0 {
+			t.Fatalf("kill=%v: the second port granted a finished request", kill)
+		}
+		if len(n.pools.reqPool) != pooled+1 || req.br != nil || len(req.ports) != 0 {
+			t.Fatalf("kill=%v: the request did not return, cleared, once the last queue dropped it", kill)
+		}
+		if a, b := n.getRequest(), n.getRequest(); a != req || b == req {
+			t.Fatalf("kill=%v: the free list handed out %p, then %p; want %p once", kill, a, b, req)
+		}
+	}
+}

@@ -506,6 +506,13 @@ func (n *Network) RunUntil(limit event.Time) {
 	n.queue.RunUntil(limit)
 }
 
+// Discard drops every pending event and hands the calendar ring to the
+// next network, as a drained network's Drain does. It is for a network
+// that will not run again but still has events pending, such as a load
+// run that stops at its time limit: its outstanding messages never
+// complete, and its other state stays readable.
+func (n *Network) Discard() { n.queue.Discard() }
+
 // RunSingle sends one multicast at the current time, drains the network,
 // and returns the completed message. It is the primitive behind all
 // single-multicast latency experiments.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"mcastsim/internal/event"
 	"mcastsim/internal/topology"
@@ -164,7 +165,7 @@ func (x *ni) startStream() {
 	b.next++
 	lastOfBurst := b.next == len(b.worms)
 	if lastOfBurst {
-		x.ready = x.ready[1:]
+		x.ready = slices.Delete(x.ready, 0, 1)
 		x.net.putBurst(b) // every worm is streamed; no list names b anymore
 	}
 	x.streaming = true
@@ -187,7 +188,7 @@ func (x *ni) streamDone(last bool) {
 		x.injHeld--
 		if len(x.injWait) > 0 {
 			next := x.injWait[0]
-			x.injWait = x.injWait[1:]
+			x.injWait = slices.Delete(x.injWait, 0, 1)
 			x.injHeld++
 			x.chargeAndReady(next)
 		}
@@ -361,7 +362,7 @@ func (x *ni) promoteWaiting() {
 	limit := x.net.params.NIInjectBufferPackets
 	for len(x.injWait) > 0 && (limit <= 0 || x.injHeld < limit) {
 		b := x.injWait[0]
-		x.injWait = x.injWait[1:]
+		x.injWait = slices.Delete(x.injWait, 0, 1)
 		x.injHeld++
 		x.chargeAndReady(b)
 	}

@@ -44,6 +44,12 @@ import (
 //   - Occupants are recycled when they are detached from their buffer
 //     (head retirement or fault removal), have no pending evRoute, and no
 //     live (undone) branch remains.
+//
+//   - Arbitration requests are queued at every candidate port and counted
+//     there (queued). A grant or a kill marks one granted and clears its
+//     branch's req, so only the port queues still name it; a release scan
+//     or a severed channel pops it from a queue, and the last pop recycles
+//     it.
 
 // entityPools holds the free lists (see the ownership rules above).
 type entityPools struct {
@@ -52,6 +58,7 @@ type entityPools struct {
 	branchPool []*branch
 	occPool    []*occupant
 	burstPool  []*burst
+	reqPool    []*portRequest
 }
 
 // scratchSpace is the per-decision scratch reused by the planners and
@@ -207,6 +214,36 @@ func (n *Network) reclaimBranch(br *branch) {
 	br.injNI = nil
 	br.injLast = false
 	n.pools.branchPool = append(n.pools.branchPool, br)
+}
+
+// --- arbitration requests ---
+
+// getRequest returns a pooled arbitration entry with empty candidate
+// lists.
+func (n *Network) getRequest() *portRequest {
+	p := &n.pools
+	if len(p.reqPool) == 0 {
+		return &portRequest{}
+	}
+	req := p.reqPool[len(p.reqPool)-1]
+	p.reqPool = p.reqPool[:len(p.reqPool)-1]
+	return req
+}
+
+// dropRequest records that one port queue let go of req; the last one
+// recycles it. By then req is granted or killed, so no branch names it.
+func (n *Network) dropRequest(req *portRequest) {
+	if req.queued--; req.queued > 0 {
+		return
+	}
+	if !req.granted {
+		panic("sim: recycling an ungranted arbitration request")
+	}
+	req.br = nil
+	req.ports = req.ports[:0]
+	req.phases = req.phases[:0]
+	req.granted = false
+	n.pools.reqPool = append(n.pools.reqPool, req)
 }
 
 // --- occupants ---

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"mcastsim/internal/destset"
 	"mcastsim/internal/event"
@@ -133,8 +134,8 @@ type branch struct {
 	// to start the next packet. Replaces a per-stream closure.
 	injNI *ni
 
-	// req is the branch's pending arbitration entry; a kill cancels it
-	// lazily by marking it granted.
+	// req is the branch's pending arbitration entry, cleared at its grant;
+	// a kill cancels it lazily by marking it granted and clears it too.
 	req *portRequest
 	// drops, when non-nil, names the exact destinations this branch
 	// delivers (path-worm drop branches: the worm still carries the whole
@@ -183,13 +184,16 @@ type outPort struct {
 
 // portRequest is an arbitration entry. Adaptive unicast routing files one
 // request against several candidate ports; the first to free up wins and
-// the request is lazily removed from the rest.
+// the request is lazily removed from the rest. Requests are pooled: one
+// returns to its network's free list when the last port queue holding it
+// lets go (dropRequest), by which time it is granted or killed.
 type portRequest struct {
 	br *branch
 	// phases[i] is the up*/down* phase the worm assumes if ports[i] wins.
 	ports   []*outPort
 	phases  []updown.Phase
 	granted bool
+	queued  int // port queues still holding the request
 }
 
 // --- input buffer ---
@@ -288,7 +292,7 @@ func (o *occupant) maybeComplete() {
 		return
 	}
 	b := o.buf
-	b.occupants = b.occupants[1:]
+	b.occupants = slices.Delete(b.occupants, 0, 1)
 	o.detached = true
 	b.net.tryRecycleOccupant(o)
 	b.routeHead()
@@ -526,7 +530,7 @@ func (n *Network) planPath(o *occupant, s topology.SwitchID, w *worm) {
 		panic("sim: path worm shorter than its own header")
 	}
 	rest := w.path[1:]
-	for _, d := range seg.Drops {
+	for i, d := range seg.Drops {
 		p := n.rt.NodePortAt(s, d)
 		if p < 0 {
 			panic(fmt.Sprintf("sim: path worm drop %d not attached to switch %d", d, s))
@@ -535,10 +539,12 @@ func (n *Network) planPath(o *occupant, s topology.SwitchID, w *worm) {
 		c.path = rest
 		// Drops are buffered deliveries: the worm never stalls on them
 		// (the multi-drop mechanism's delivery buffering); only the
-		// continuation below is synchronous.
+		// continuation below is synchronous. The plan does not change
+		// while its message is in flight, so the drop names its slot.
+		ports, phases := n.singleSpec(p, w.phase)
 		n.emitBranch(o, s, branchSpec{child: c, offset: skip,
-			elastic: true, drops: []topology.NodeID{d},
-			ports: []int{p}, phases: []updown.Phase{w.phase}})
+			elastic: true, drops: seg.Drops[i : i+1],
+			ports: ports, phases: phases})
 	}
 	if seg.NextPort >= 0 {
 		// The continuation port was legal when the plan was built; a fault
@@ -563,8 +569,9 @@ func (n *Network) planPath(o *occupant, s topology.SwitchID, w *worm) {
 		c := w.child(n, skip)
 		c.path = rest
 		c.phase = next
+		ports, phases := n.singleSpec(seg.NextPort, next)
 		n.emitBranch(o, s, branchSpec{child: c, offset: skip,
-			ports: []int{seg.NextPort}, phases: []updown.Phase{next}})
+			ports: ports, phases: phases})
 	}
 }
 
@@ -727,9 +734,9 @@ func (n *Network) fileAdaptive(br *branch, s topology.SwitchID, ports []int, pha
 
 // fileRequest arbitrates br onto one of the candidate ports of switch s.
 // The common case — some candidate is free — grants directly without
-// materializing a portRequest; only genuine contention allocates one
-// (with owned copies of the candidate list, since ports/phases may be
-// decision scratch).
+// materializing a portRequest; only genuine contention queues one, a
+// pooled entry holding its own copy of the candidate list, since
+// ports/phases may be decision scratch.
 func (n *Network) fileRequest(br *branch, s topology.SwitchID, ports []int, phases []updown.Phase) {
 	if n.faulted {
 		// Routing state can lag a fault by up to the detection delay: drop
@@ -759,22 +766,22 @@ func (n *Network) fileRequest(br *branch, s topology.SwitchID, ports []int, phas
 		}
 	}
 	n.arbConflicts[s]++
-	outs := make([]*outPort, len(ports))
-	owned := make([]updown.Phase, len(phases))
-	for i, p := range ports {
-		outs[i] = n.outPort(s, p)
-		owned[i] = phases[i]
-	}
-	req := &portRequest{br: br, ports: outs, phases: owned}
-	br.req = req
-	for _, op := range outs {
+	req := n.getRequest()
+	req.br = br
+	req.phases = append(req.phases, phases...)
+	for _, p := range ports {
+		op := n.outPort(s, p)
+		req.ports = append(req.ports, op)
 		op.queue = append(op.queue, req)
 	}
+	req.queued = len(ports)
+	br.req = req
 }
 
 // grant hands the port to request index i and starts the branch's stream.
 func (o *outPort) grant(req *portRequest, i int) {
 	req.granted = true
+	req.br.req = nil
 	o.grantTo(req.br, req.phases[i])
 }
 
@@ -809,16 +816,15 @@ func (o *outPort) release(br *branch) {
 	}
 	for len(o.queue) > 0 {
 		req := o.queue[0]
-		o.queue = o.queue[1:]
-		if req.granted {
-			continue // won elsewhere
-		}
-		for i, p := range req.ports {
-			if p == o {
+		o.queue = slices.Delete(o.queue, 0, 1)
+		if !req.granted {
+			if i := slices.Index(req.ports, o); i >= 0 {
 				o.grant(req, i)
+				o.net.dropRequest(req)
 				return
 			}
 		}
+		o.net.dropRequest(req) // won elsewhere, or killed
 	}
 }
 

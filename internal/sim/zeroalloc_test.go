@@ -142,3 +142,77 @@ func TestHotStructSizes(t *testing.T) {
 		t.Errorf("host is %d bytes, want <= 416", got)
 	}
 }
+
+// TestContendedPathZeroAlloc extends the contract to the contended path
+// the tests above never reach. Unicast streams from nodes 2 and 4 meet at
+// node 5's ejection port, so their packets' worms queue there and are
+// granted in turn, and a path worm from node 0 stops at switches 1 and 3
+// with a drop at each. Once one full run has primed the pools (requests
+// included), streaming all three allocates nothing per event.
+func TestContendedPathZeroAlloc(t *testing.T) {
+	p := DefaultParams()
+	p.PacketFlits = 32
+	p.ONISend, p.ONIRecv = 1, 1 // back-to-back packets keep both streams contending
+	const flits = 32 * 400
+	n := fixtureNet(t, p)
+	path := &Plan{Source: 0, Dests: []topology.NodeID{1, 3}, HostSends: map[topology.NodeID][]WormSpec{0: {{Kind: WormPath, Path: []PathSeg{
+		{Switch: 0, NextPort: 0}, {Switch: 1, Drops: []topology.NodeID{1}, NextPort: 1}, {Switch: 3, Drops: []topology.NodeID{3}, NextPort: -1},
+	}}}}}
+	plans := []*Plan{unicastPlan(2, 5), unicastPlan(4, 5), path}
+	send := func() []*Message {
+		var ms []*Message
+		for _, plan := range plans {
+			m, err := n.Send(plan, flits, n.Now(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms = append(ms, m)
+		}
+		return ms
+	}
+	send()
+	if err := n.Drain(0); err != nil {
+		t.Fatal(err)
+	}
+	conflicts := func() (c int64) {
+		for _, v := range n.arbConflicts {
+			c += v
+		}
+		return c
+	}
+	if conflicts() == 0 {
+		t.Fatal("the prime run never queued a request")
+	}
+	ms := send()
+	const ringWarm = 1100 // > event ring size (1024)
+	steady := n.Now() + ringWarm
+	for n.queue.Len() > 0 && n.queue.Now() < steady {
+		n.queue.Step()
+	}
+	// One run of 5000 events, so that the count is the window's total
+	// (AllocsPerRun rounds its per-run average down).
+	before, hops := conflicts(), n.stats.FlitHops
+	total := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 5000; i++ {
+			n.queue.Step()
+		}
+	})
+	if total != 0 {
+		t.Fatalf("steady contended path allocates %v objects in 5000 events, want 0", total)
+	}
+	for _, m := range ms {
+		if m.Done() {
+			t.Fatalf("message %d finished inside the measured window; window is not steady-state", m.ID)
+		}
+	}
+	if got := conflicts() - before; got < 10 {
+		t.Fatalf("the measured window queued %d requests, want at least 10", got)
+	}
+	t.Logf("measured window: %d queued requests, %d flit hops", conflicts()-before, n.stats.FlitHops-hops)
+	if err := n.Drain(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.CheckConservation(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -116,7 +116,11 @@ func runLoad(rt *updown.Routing, w Workload, spec LoadSpec, o *runOpts) (LoadRes
 	if err != nil {
 		return LoadResult{}, err
 	}
-	return RunLoadOn(n, rt, LoadConfig{Workload: w, LoadSpec: spec})
+	res, err := RunLoadOn(n, rt, LoadConfig{Workload: w, LoadSpec: spec})
+	// The run stops at its time limit with events pending, and nothing
+	// reads the network afterwards.
+	n.Discard()
+	return res, err
 }
 
 // RunLoadOn runs the load point on a caller-provided network (which must be
